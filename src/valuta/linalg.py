@@ -2,13 +2,15 @@
 
 Matrices are plain lists of lists of ``Fraction``; complex scalars are
 ``(re, im)`` pairs of ``Fraction``.  Everything here is exact: no pivot
-thresholds, no rounding.  Float-mode linear algebra lives with its callers
-and uses numpy.
+thresholds, no rounding.  ``det`` is Bareiss's fraction-free elimination in
+Python ints, and takes float matrices through the same elimination; other
+float-mode linear algebra lives with its callers and uses numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,29 +64,60 @@ def transpose(rows: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*rows)]
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise DimensionMismatch("determinant of non-square matrix")
+def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
+    """The lcm D of the entries' denominators and the rows times D, as ints.
+    Rows holding a float come back as floats with D = 1."""
+    if any(isinstance(x, float) for row in rows for x in row):
+        return 1, [[float(x) for x in row] for row in rows]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def bareiss(m: list[list]):
+    """Determinant of a square matrix of ints, or of floats, by Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968); ``m`` is overwritten.
+
+    After step k every entry is a (k+1)-minor, so dividing by the previous
+    pivot is exact and ``//`` keeps ints in integers; floats divide with
+    ``/`` and gain stability from pivoting on the largest entry.
+    """
+    n = len(m)
+    div = (operator.truediv if any(isinstance(x, float) for row in m for x in row)
+           else operator.floordiv)
     sign = 1
-    result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+    prev = 1
+    for k in range(n - 1):
+        pivot = max(range(k, n), key=lambda r: abs(m[r][k]))
+        if m[pivot][k] == 0:
+            return div(0, 1)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        p = m[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / p
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return sign * result
+        rowk = m[k]
+        p = rowk[k]
+        for i in range(k + 1, n):
+            a = m[i][k]
+            m[i] = [div(x * p - a * y, prev) if j > k else 0
+                    for j, (x, y) in enumerate(zip(m[i], rowk))]
+        prev = p
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def det(rows: Sequence[Sequence]):
+    """Determinant: each row is cleared of denominators, Bareiss runs in
+    integers, and one division by the row scales ends it.  Rational input
+    gives a ``Fraction``, input holding a float a float."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("determinant of non-square matrix")
+    scale = 1
+    m = []
+    for row in rows:
+        d, (cleared,) = clear_denominators([row])
+        scale *= d
+        m.append(cleared)
+    value = bareiss(m)
+    return value / scale if isinstance(value, float) else Fraction(value, scale)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:

@@ -3,12 +3,20 @@
 The rank-r moment tensor of a body K is (1/r!) times the integral over K of
 the r-th symmetric power of the position vector.  In the monomial basis its
 coefficient at a multi-index alpha is the integral of x^alpha over K divided
-by alpha!.  Each triangulation cell is handled by mapping the standard
-simplex onto it and expanding the pulled-back monomial, whose terms integrate
-in closed form: the integral of u^beta over the standard n-simplex is
-prod(beta_i!) / (n + |beta|)!.
+by alpha!.
 
-Everything here is exact rational arithmetic; there is no quadrature.
+A triangulation cell with vertices v_0, ..., v_n and edge matrix
+E = (v_1 - v_0, ..., v_n - v_0) has, by the simplex formula of Baldoni,
+Berline, De Loera, Koeppe and Vergne (arXiv 0809.2083),
+
+    M^r(cell) = |det E| / (n + r)! * h_r(v_0, ..., v_n),
+
+with h_r the complete homogeneous polynomial of degree r in the linear
+forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r.
+The body's points are first multiplied by D, the lcm of their coordinate
+denominators, so det E (Bareiss) and h_r are Python ints summed over all
+cells; each coefficient is divided once, by (n + r)! D^(n + r).  Float
+bodies run through the same sums in floats with D = 1.
 """
 
 from __future__ import annotations
@@ -23,67 +31,54 @@ from .errors import GeometryError
 from .polytope import Polytope
 from .symtensor import MultiIndex, SymTensor, sym_product, vector_power
 
-UPoly = dict[tuple[int, ...], Fraction]
 
-
-def _dirichlet_weight(n: int, beta: tuple[int, ...]) -> Fraction:
-    num = 1
-    for b in beta:
-        num *= math.factorial(b)
-    return Fraction(num, math.factorial(n + sum(beta)))
-
-
-def _mul_affine(poly: UPoly, const: Fraction, lin: Sequence[Fraction]) -> UPoly:
-    """Multiply a u-polynomial by the affine form const + sum lin_k u_k."""
-    out: UPoly = {}
-    for key, c in poly.items():
-        if const != 0:
-            out[key] = out.get(key, Fraction(0)) + c * const
-        for k, a in enumerate(lin):
-            if a != 0:
-                kk = key[:k] + (key[k] + 1,) + key[k + 1:]
-                out[kk] = out.get(kk, Fraction(0)) + c * a
-    return out
-
-
-def _cell_monomial_integrals(
-        base: Sequence[Fraction], edges: Sequence[Sequence[Fraction]],
-        r: int) -> dict[MultiIndex, Fraction]:
-    """Integrals of x^alpha for all |alpha| = r over the simplex
-    base + conv(0, edges...), without the |det| factor.
-
-    Expands iteratively: the polynomial for alpha is the one for
-    alpha - e_i times the affine coordinate form x_i(u).
-    """
-    n = len(base)
-    nvars = len(edges)
-    forms = [
-        (base[i], [edges[k][i] for k in range(nvars)]) for i in range(n)]
-    zero_key = (0,) * nvars
-    polys: dict[MultiIndex, UPoly] = {(0,) * n: {zero_key: Fraction(1)}}
-    frontier = [(0,) * n]
+def _monomial_steps(n: int, r: int) -> tuple[list[list[MultiIndex]], list[list[list[int]]]]:
+    """The multi-indices of each degree 0..r in R^n, in order of first
+    appearance, and for each degree d < r the table step[d][j][i]: the
+    position of (multi-index j of degree d) + e_i among those of degree d+1."""
+    levels: list[list[MultiIndex]] = [[(0,) * n]]
+    steps = []
     for _ in range(r):
-        new_frontier = []
-        for alpha in frontier:
-            for i in range(n):
-                succ = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                if succ in polys:
-                    continue
-                const, lin = forms[i]
-                polys[succ] = _mul_affine(polys[alpha], const, lin)
-                new_frontier.append(succ)
-        frontier = new_frontier
-    out = {}
-    for alpha in frontier:
-        total = Fraction(0)
-        for beta, c in polys[alpha].items():
-            total += c * _dirichlet_weight(nvars, beta)
-        out[alpha] = total
-    return out
+        index: dict[MultiIndex, int] = {}
+        steps.append([[index.setdefault(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], len(index))
+                       for i in range(n)] for alpha in levels[-1]])
+        levels.append(list(index))
+    return levels, steps
+
+
+def _moment_coefficients(points: Sequence[Sequence], cells: Sequence[Sequence[int]],
+                         n: int, r: int) -> dict[MultiIndex, Fraction]:
+    """Sum over the full-dimensional cells of the closed form; keys are
+    degree-r multi-indices, zeros left out."""
+    scale, pts = linalg.clear_denominators(points)
+    levels, steps = _monomial_steps(n, r)
+    totals = [0] * len(levels[r])
+    for cell in cells:
+        if len(cell) != n + 1:
+            continue
+        base = pts[cell[0]]
+        d = abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
+        if d == 0:
+            continue
+        # h[deg] holds |det E| times h_deg of the vertices seen so far.
+        h = [[d]] + [[0] * len(level) for level in levels[1:]]
+        for i in cell:
+            form = [(t, x) for t, x in enumerate(pts[i]) if x]
+            for deg, step in enumerate(steps):
+                upper = h[deg + 1]
+                for c, succ in zip(h[deg], step):
+                    if c:
+                        for t, x in form:
+                            upper[succ[t]] += c * x
+        totals = [a + b for a, b in zip(totals, h[r])]
+    denom = math.factorial(n + r) * scale ** (n + r)
+    return {alpha: Fraction(total, denom) if isinstance(total, int) else total / denom
+            for alpha, total in zip(levels[r], totals) if total}
 
 
 def monomial_integral_simplex(s: Polytope, alpha: Sequence[int]) -> Fraction:
-    """Exact integral of x^alpha over a full-dimensional simplex."""
+    """Exact integral of x^alpha over a full-dimensional simplex: alpha!
+    times the moment coefficient at alpha."""
     alpha = tuple(int(a) for a in alpha)
     n = s.dim
     if len(alpha) != n:
@@ -91,12 +86,10 @@ def monomial_integral_simplex(s: Polytope, alpha: Sequence[int]) -> Fraction:
     if len(s.vertices) != n + 1:
         raise GeometryError("monomial integral needs an n-simplex")
     base = s.vertices[0]
-    edges = [tuple(a - b for a, b in zip(v, base)) for v in s.vertices[1:]]
-    d = abs(linalg.det(edges))
-    if d == 0:
+    if linalg.det([[a - b for a, b in zip(v, base)] for v in s.vertices[1:]]) == 0:
         raise GeometryError("degenerate simplex")
-    integrals = _cell_monomial_integrals(base, edges, sum(alpha))
-    return d * integrals[alpha]
+    coeffs = _moment_coefficients(s.vertices, [range(n + 1)], n, sum(alpha))
+    return math.prod(math.factorial(a) for a in alpha) * coeffs.get(alpha, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -115,27 +108,10 @@ def moment_tensor(k: Polytope, r: int) -> MomentResult:
         raise ValueError("moment tensor rank must be non-negative")
     if k.triangulation is None:
         raise GeometryError("moment tensor needs a triangulation")
-    n = k.dim
-    pts = k.points
-    totals: dict[MultiIndex, Fraction] = {}
-    for cell in k.triangulation:
-        if len(cell) != n + 1:
-            continue
-        base = pts[cell[0]]
-        edges = [tuple(a - b for a, b in zip(pts[i], base)) for i in cell[1:]]
-        d = abs(linalg.det(edges))
-        if d == 0:
-            continue
-        for alpha, val in _cell_monomial_integrals(base, edges, r).items():
-            totals[alpha] = totals.get(alpha, Fraction(0)) + d * val
-    coeffs: dict[MultiIndex, Fraction] = {}
-    for alpha, val in totals.items():
-        fact = 1
-        for a in alpha:
-            fact *= math.factorial(a)
-        key = alpha if r > 0 else ()
-        coeffs[key] = val / fact
-    return MomentResult(SymTensor(n, r, coeffs), k, r)
+    coeffs = _moment_coefficients(k.points, k.triangulation, k.dim, r)
+    if r == 0:
+        coeffs = {(): c for c in coeffs.values()}
+    return MomentResult(SymTensor(k.dim, r, coeffs), k, r)
 
 
 def covariance_expansion(k: Polytope, y: Sequence, r: int) -> SymTensor:

@@ -512,12 +512,7 @@ def subspace_volume(p: Polytope, subspace):
             continue
         base = coords[cell[0]]
         rows = [[a - b for a, b in zip(coords[i], base)] for i in cell[1:]]
-        if exact:
-            total += abs(linalg.det(rows)) / jfact
-        else:
-            import numpy as np
-
-            total += abs(float(np.linalg.det(np.array(rows, dtype=float)))) / jfact
+        total += abs(linalg.det(rows)) / jfact
     return total
 
 

@@ -280,11 +280,8 @@ class RMatrix:
 
     @cached_property
     def det(self):
-        if self.exact:
-            return linalg.det(self.entries)
-        import numpy as np
-
-        return float(np.linalg.det(np.array(self.entries, dtype=float)))
+        d = linalg.det(self.entries)
+        return d if self.exact else float(d)
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)

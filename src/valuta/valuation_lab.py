@@ -165,10 +165,6 @@ def _residual(a: SymTensor, b: SymTensor):
     return (a - b).max_abs_coeff()
 
 
-def _worse(current, candidate) -> bool:
-    return float(candidate) > float(current)
-
-
 # -- homogeneous decomposition ---------------------------------------------------
 
 
@@ -204,14 +200,14 @@ def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckRepo
     witnesses = []
     for j, (a, b) in enumerate(zip(base, dilated)):
         res = _residual(b, a.scale(lam ** j))
-        if _worse(worst, res):
+        if res > worst:
             worst = res
             witnesses = [{"degree": j, "lambda": format_rational(lam)}]
     total = base[0]
     for comp in base[1:]:
         total = total + comp
     sum_res = _residual(total, z(body))
-    if _worse(worst, sum_res):
+    if sum_res > worst:
         worst = sum_res
         witnesses = [{"degree": "sum-at-1", "lambda": format_rational(lam)}]
     return CheckReport("mcmullen-rehomogeneity", worst == 0, worst, witnesses)
@@ -290,20 +286,20 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
     worst = Fraction(0)
     witnesses = []
     passed = True
+    at_body = [z(body) for z in zs]
     for y in ys:
         y = tuple(linalg.frac(c) for c in y)
         shifted = translate(body, y)
+        powers = [vector_power(y, jj).scale(Fraction(1, math.factorial(jj)))
+                  for jj in range(r + 1)]
         for s, z in enumerate(zs):
             expansion = SymTensor.zero(z.dim, z.rank)
             for jj in range(z.rank + 1):
-                term = sym_product(
-                    zs[s + jj](body),
-                    vector_power(y, jj).scale(Fraction(1, math.factorial(jj))))
-                expansion = expansion + term
+                expansion = expansion + sym_product(at_body[s + jj], powers[jj])
             res = _residual(z(shifted), expansion)
             if res != 0:
                 passed = False
-            if _worse(worst, res):
+            if res > worst:
                 worst = res
                 witnesses = [{
                     "y": [format_rational(c) for c in y],
@@ -334,7 +330,7 @@ def verify_equivariance(z: Valuation, g_samples: Sequence, body: Polytope) -> Ch
         res = _residual(z(linear_image(phi, body)), gl_action(phi, base))
         if res != 0:
             passed = False
-        if _worse(worst, res):
+        if res > worst:
             worst = res
             witnesses = [{"sample_index": idx, "matrix": _matrix_witness(sample)}]
     return CheckReport("group-equivariance", passed, worst, witnesses)

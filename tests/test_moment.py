@@ -1,11 +1,16 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from valuta import linalg
+from valuta.cplx import sample_subspace
 from valuta.moment import covariance_expansion, monomial_integral_simplex, moment_tensor
 from valuta.polytope import (
+    Polytope,
     box,
     crosspolytope,
     cube,
@@ -15,7 +20,8 @@ from valuta.polytope import (
     translate,
     volume,
 )
-from valuta.symtensor import RMatrix, SymTensor, gl_action
+from valuta.symtensor import RMatrix, SymTensor, gl_action, multi_indices
+from valuta.valuation_lab import cube_probe
 
 F = Fraction
 
@@ -142,3 +148,106 @@ def test_mcmullen_homogeneity(lam, r):
     base = moment_tensor(std_triangle, r).tensor
     scaled = moment_tensor(scale(std_triangle, lam), r).tensor
     assert scaled == base.scale(lam ** (n + r))
+
+
+# -- independent oracles ------------------------------------------------------------
+
+@st.composite
+def rational_boxes(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    lo = [draw(st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7])))
+          for _ in range(n)]
+    widths = [draw(st.builds(F, st.integers(1, 6), st.sampled_from([1, 2, 5])))
+              for _ in range(n)]
+    return lo, [a + w for a, w in zip(lo, widths)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(corners=rational_boxes(), r=st.integers(min_value=0, max_value=4))
+def test_box_moment_matches_product_formula(corners, r):
+    lo, hi = corners
+    expected = {}
+    for alpha in multi_indices(len(lo), r):
+        c = F(1)
+        for a, l, h in zip(alpha, lo, hi):
+            c *= F(h ** (a + 1) - l ** (a + 1), math.factorial(a + 1))
+        expected[alpha if r else ()] = c
+    assert moment_tensor(box(lo, hi), r).tensor == SymTensor(len(lo), r, expected)
+
+
+def _sympy_monomial_integral(vertices, alpha):
+    """Integral of x^alpha over a simplex by sympy: pull back along the
+    affine map of the standard simplex and integrate iteratively."""
+    import sympy
+
+    n = len(alpha)
+    u = sympy.symbols(f"u0:{n}")
+    base = sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in vertices[0]])
+    edges = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in v]
+                          for v in vertices[1:]]).T - base * sympy.ones(1, n)
+    x = base + edges * sympy.Matrix(u)
+    integrand = sympy.Integer(1)
+    for xi, a in zip(x, alpha):
+        integrand *= xi ** a
+    result = sympy.expand(integrand) * abs(edges.det())
+    for k in range(n - 1, -1, -1):
+        result = sympy.integrate(result, (u[k], 0, 1 - sum(u[:k])))
+    return F(int(sympy.numer(result)), int(sympy.denom(result)))
+
+
+@st.composite
+def simplex_and_exponents(draw):
+    n = draw(st.sampled_from([2, 3]))
+    coord = st.builds(F, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4]))
+    verts = [[draw(coord) for _ in range(n)] for _ in range(n + 1)]
+    alpha = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    return verts, alpha
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=simplex_and_exponents())
+def test_monomial_integral_matches_sympy(case):
+    verts, alpha = case
+    edges = [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]
+    assume(linalg.det(edges) != 0)
+    got = monomial_integral_simplex(simplex(verts), alpha)
+    assert got == _sympy_monomial_integral(verts, alpha)
+
+
+# -- float bodies stay in floats --------------------------------------------------------
+
+def _assert_close_floats(float_tensor, exact_tensor):
+    assert all(isinstance(v, float) for v in float_tensor.coeffs.values())
+    for key in set(float_tensor.coeffs) | set(exact_tensor.coeffs):
+        assert abs(float_tensor.coeff(key) - exact_tensor.coeff(key)) <= 1e-12
+
+
+def test_float_triangle_gives_float_moments():
+    corners = [(0.1, -0.3), (1.7, 0.2), (0.4, 1.1)]
+    as_float = Polytope(2, tuple(corners), ((0, 1, 2),))
+    exact = Polytope(2, tuple(tuple(F(x) for x in v) for v in corners), ((0, 1, 2),))
+    vol = volume(as_float)
+    assert isinstance(vol, float)
+    assert abs(vol - volume(exact)) <= 1e-12
+    for r in range(4):
+        _assert_close_floats(moment_tensor(as_float, r).tensor, moment_tensor(exact, r).tensor)
+
+
+def test_float_cube_probe_gives_float_moments():
+    """A cube probe on a float sampled subspace of R^4, coned to a unit
+    normal so that the body is full-dimensional: volume 1/4."""
+    sub = sample_subspace(2, 3, 11)
+    assert not sub.exact
+    probe = cube_probe(sub)
+    normal = tuple(float(x) for x in np.linalg.svd(np.array(sub.basis, dtype=float))[2][-1])
+    apex = len(probe.vertices)
+    cells = tuple(cell + (apex,) for cell in probe.triangulation)
+    as_float = Polytope(4, probe.vertices + (normal,), cells)
+    exact = Polytope(4, tuple(tuple(F(x) for x in v) for v in as_float.vertices), cells)
+    vol = volume(as_float)
+    assert isinstance(vol, float)
+    assert vol == pytest.approx(0.25, abs=1e-12)
+    assert abs(vol - volume(exact)) <= 1e-12
+    assert moment_tensor(probe, 2).tensor.is_zero()
+    for r in range(3):
+        _assert_close_floats(moment_tensor(as_float, r).tensor, moment_tensor(exact, r).tensor)

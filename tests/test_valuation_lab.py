@@ -52,6 +52,22 @@ class TestMcMullen:
         assert report.passed
         assert report.max_residual == 0
 
+    def test_rehomogeneity_flags_a_residual_below_float_range(self):
+        """vol + eps vol^2 is not homogeneous; eps is set so that the exact
+        residual is 10^-400, which reads as 0.0 in a float."""
+        tri = simplex([(0, 0), (F(5, 3), F(1, 7)), (F(-1, 2), 2)])
+        lam = F(3, 2)
+
+        def vol_plus_square(eps):
+            return Valuation("vol+eps*vol^2", 0, 2, lambda b: SymTensor.scalar(
+                2, volume(b) + eps * volume(b) ** 2))
+
+        unit = rehomogeneity_check(vol_plus_square(F(1)), tri, lam).max_residual
+        report = rehomogeneity_check(vol_plus_square(F(1, 10 ** 400) / unit), tri, lam)
+        assert float(report.max_residual) == 0.0
+        assert report.max_residual == F(1, 10 ** 400)
+        assert not report.passed
+
 
 class TestKlain:
     def test_lebesgue_probe_gives_one(self):
@@ -100,6 +116,22 @@ class TestCovariance:
         report = verify_covariance(zs, std_triangle, [(1, 0)])
         assert not report.passed
         assert report.max_residual == volume(std_triangle)
+
+    def test_each_valuation_evaluated_once_per_body(self):
+        calls = []
+
+        def counted(z):
+            def run(body):
+                calls.append(z.rank)
+                return z(body)
+
+            return Valuation(z.name, z.rank, z.dim, run)
+
+        zs = [counted(moment_valuation(2, k)) for k in (3, 2, 1)] + [counted(volume_valuation(2))]
+        report = verify_covariance(zs, std_triangle, [(1, 0), (F(1, 2), F(-1, 3))])
+        assert report.passed and report.max_residual == 0
+        # once on the body and once on each of the two translates
+        assert sorted(calls) == sorted([3, 2, 1, 0] * 3)
 
     def test_rank_order_enforced(self):
         with pytest.raises(DimensionMismatch):
