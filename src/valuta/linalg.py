@@ -70,7 +70,7 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     if any(isinstance(x, float) for row in rows for x in row):
         return 1, [[float(x) for x in row] for row in rows]
     d = math.lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    return d, [[int(x.numerator) * (d // int(x.denominator)) for x in row] for row in rows]
 
 
 def bareiss(m: list[list]):

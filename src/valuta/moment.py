@@ -12,7 +12,8 @@ Berline, De Loera, Koeppe and Vergne (arXiv 0809.2083),
     M^r(cell) = |det E| / (n + r)! * h_r(v_0, ..., v_n),
 
 with h_r the complete homogeneous polynomial of degree r in the linear
-forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r.
+forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r
+(``symtensor.mul_form`` on the shared ``monomial_tables``).
 The body's points are first multiplied by D, the lcm of their coordinate
 denominators, so det E (Bareiss) and h_r are Python ints summed over all
 cells; each coefficient is divided once, by (n + r)! D^(n + r).  Float
@@ -29,21 +30,8 @@ from typing import Sequence
 from . import linalg
 from .errors import GeometryError
 from .polytope import Polytope
-from .symtensor import MultiIndex, SymTensor, sym_product, vector_power
-
-
-def _monomial_steps(n: int, r: int) -> tuple[list[list[MultiIndex]], list[list[list[int]]]]:
-    """The multi-indices of each degree 0..r in R^n, in order of first
-    appearance, and for each degree d < r the table step[d][j][i]: the
-    position of (multi-index j of degree d) + e_i among those of degree d+1."""
-    levels: list[list[MultiIndex]] = [[(0,) * n]]
-    steps = []
-    for _ in range(r):
-        index: dict[MultiIndex, int] = {}
-        steps.append([[index.setdefault(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], len(index))
-                       for i in range(n)] for alpha in levels[-1]])
-        levels.append(list(index))
-    return levels, steps
+from .symtensor import (MultiIndex, SymTensor, divide_totals, monomial_tables, mul_form,
+                        sym_product, vector_power)
 
 
 def _moment_coefficients(points: Sequence[Sequence], cells: Sequence[Sequence[int]],
@@ -51,7 +39,7 @@ def _moment_coefficients(points: Sequence[Sequence], cells: Sequence[Sequence[in
     """Sum over the full-dimensional cells of the closed form; keys are
     degree-r multi-indices, zeros left out."""
     scale, pts = linalg.clear_denominators(points)
-    levels, steps = _monomial_steps(n, r)
+    levels, steps, _ = monomial_tables(n, r)
     totals = [0] * len(levels[r])
     for cell in cells:
         if len(cell) != n + 1:
@@ -65,15 +53,9 @@ def _moment_coefficients(points: Sequence[Sequence], cells: Sequence[Sequence[in
         for i in cell:
             form = [(t, x) for t, x in enumerate(pts[i]) if x]
             for deg, step in enumerate(steps):
-                upper = h[deg + 1]
-                for c, succ in zip(h[deg], step):
-                    if c:
-                        for t, x in form:
-                            upper[succ[t]] += c * x
+                mul_form(h[deg], step, form, h[deg + 1])
         totals = [a + b for a, b in zip(totals, h[r])]
-    denom = math.factorial(n + r) * scale ** (n + r)
-    return {alpha: Fraction(total, denom) if isinstance(total, int) else total / denom
-            for alpha, total in zip(levels[r], totals) if total}
+    return divide_totals(levels[r], totals, math.factorial(n + r) * scale ** (n + r))
 
 
 def monomial_integral_simplex(s: Polytope, alpha: Sequence[int]) -> Fraction:
@@ -111,7 +93,7 @@ def moment_tensor(k: Polytope, r: int) -> MomentResult:
     coeffs = _moment_coefficients(k.points, k.triangulation, k.dim, r)
     if r == 0:
         coeffs = {(): c for c in coeffs.values()}
-    return MomentResult(SymTensor(k.dim, r, coeffs), k, r)
+    return MomentResult(SymTensor._trusted(k.dim, r, coeffs), k, r)
 
 
 def covariance_expansion(k: Polytope, y: Sequence, r: int) -> SymTensor:

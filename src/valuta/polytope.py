@@ -21,6 +21,7 @@ Polytope JSON:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -295,21 +296,26 @@ def hull_2d(points: Sequence[Vec]) -> list[Vec]:
 # -- basic operations -----------------------------------------------------------
 
 
+def _cells_volume(points: Sequence[Sequence], cells, n: int):
+    """Summed n-volume of the cells with n + 1 points.  The points are
+    multiplied once by D, the lcm of their denominators, the cells' |det|
+    (Bareiss) are summed in ints and the sum is divided once by n! D^n;
+    float points run the same sum in floats with D = 1."""
+    scale, pts = linalg.clear_denominators(points)
+    total = 0
+    for cell in cells:
+        if len(cell) == n + 1:
+            base = pts[cell[0]]
+            total += abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
+    denom = math.factorial(n) * scale ** n
+    return Fraction(total, denom) if isinstance(total, int) else total / denom
+
+
 def volume(p: Polytope) -> Fraction:
     """Full-dimensional volume; lower-dimensional bodies have volume 0."""
     if p.triangulation is None:
         raise GeometryError("volume needs a triangulation")
-    n = p.dim
-    total = Fraction(0)
-    pts = p.points
-    nfact = math.factorial(n)
-    for cell in p.triangulation:
-        if len(cell) != n + 1:
-            continue
-        base = pts[cell[0]]
-        rows = [_sub(pts[i], base) for i in cell[1:]]
-        total += abs(linalg.det(rows)) / nfact
-    return total
+    return _cells_volume(p.points, p.triangulation, p.dim)
 
 
 def translate(p: Polytope, y: Sequence) -> Polytope:
@@ -333,19 +339,27 @@ def translate(p: Polytope, y: Sequence) -> Polytope:
 
 
 def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
-    """Image under an invertible linear map; triangulation indices carry over."""
+    """Image under an invertible linear map; triangulation indices carry over.
+
+    Exact only (a float in phi or the body raises ``TypeError``): phi and the
+    points are each cleared of denominators once, the products are taken in
+    ints and each output coordinate is one ``Fraction``.
+    """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
-    kind = p.kind
-    kind_data = p.kind_data
+    kind, kind_data = p.kind, p.kind_data
+    centers = kind_data if kind == "crosspolytope" else ()
+    q, rows = linalg.clear_denominators([_vec(row) for row in phi.entries])
+    d, pts = linalg.clear_denominators([_vec(v) for v in p.points + centers])
+    den = q * d
+    image = [tuple(Fraction(sum(map(operator.mul, row, v)), den) for row in rows) for v in pts]
+    nv, npts = len(p.vertices), len(p.points)
     if kind == "crosspolytope":
-        kind_data = (_vec(phi.matvec(kind_data[0])),)
+        kind_data = tuple(image[npts:])
     elif kind in ("box", "polygon"):
-        kind = "generic"
-        kind_data = ()
-    return Polytope(
-        p.dim, tuple(_vec(phi.matvec(v)) for v in p.vertices), p.triangulation,
-        tuple(_vec(phi.matvec(v)) for v in p.aux_points), None, kind, kind_data)
+        kind, kind_data = "generic", ()
+    return Polytope(p.dim, tuple(image[:nv]), p.triangulation, tuple(image[nv:npts]), None,
+                    kind, kind_data)
 
 
 def scale(p: Polytope, lam) -> Polytope:
@@ -493,8 +507,8 @@ def subspace_volume(p: Polytope, subspace):
     if p.triangulation is None:
         raise GeometryError("subspace volume needs a triangulation")
     exact = all(isinstance(x, Fraction) for b in basis for x in b)
-    coords = {}
-    for idx, pt in enumerate(p.points):
+    coords = []
+    for pt in p.points:
         cs = [sum(a * b for a, b in zip(pt, bvec)) for bvec in basis]
         residual = list(pt)
         for c, bvec in zip(cs, basis):
@@ -504,16 +518,9 @@ def subspace_volume(p: Polytope, subspace):
                 raise GeometryError("polytope does not lie in the subspace")
         elif math.sqrt(sum(float(r) ** 2 for r in residual)) > 1e-8:
             raise GeometryError("polytope does not lie in the subspace")
-        coords[idx] = cs
-    total = Fraction(0) if exact else 0.0
-    jfact = math.factorial(j)
-    for cell in p.triangulation:
-        if len(cell) != j + 1:
-            continue
-        base = coords[cell[0]]
-        rows = [[a - b for a, b in zip(coords[i], base)] for i in cell[1:]]
-        total += abs(linalg.det(rows)) / jfact
-    return total
+        coords.append(cs)
+    total = _cells_volume(coords, p.triangulation, j)
+    return total if exact else float(total)
 
 
 # -- planar Minkowski sums ---------------------------------------------------------

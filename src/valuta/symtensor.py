@@ -11,6 +11,18 @@ Coefficients are ``Fraction`` by default; floats are tolerated so that
 harness code can divide by floating normalizations, but nothing in this
 module introduces them.  Rank-0 tensors carry the single empty key ``()``.
 
+A tensor is a polynomial in e_1..e_n, so the GL(n) action is the
+substitution e_i -> phi(e_i) and a vector power the power of one linear
+form.  Both, and the moment kernel, run on one step, ``mul_form``: a dense
+degree-d coefficient vector times a linear form, over the index tables of
+``monomial_tables`` (cached per (n, r)).  Inputs are cleared of
+denominators once, the sums run in Python ints and each coefficient is
+divided once; floats run the same sums with scale 1 and stay floats.
+
+``SymTensor(...)`` validates keys and drops zeros; ``SymTensor._trusted``
+skips both, so it takes only dicts whose keys are length-``dim`` multi-
+indices of degree ``rank`` (``()`` at rank 0) and whose values are nonzero.
+
 Tensor JSON: ``{"dim": n, "rank": r, "coeffs": {"a1,a2,...,an": "p/q"}}``
 with keys ordered lexicographically and rationals in lowest terms.
 """
@@ -21,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
@@ -64,6 +77,52 @@ def multi_indices(n: int, r: int) -> Iterator[MultiIndex]:
             yield (first,) + rest
 
 
+_TABLES: dict[tuple[int, int], tuple] = {}
+
+
+def monomial_tables(n: int, r: int):
+    """Read-only index tables of the multi-indices of degree 0..r in R^n,
+    built once per (n, r): ``levels[d]`` maps those of degree d to
+    positions, in order of first appearance; ``steps[d][j][i]`` is the
+    position of (multi-index j of degree d) + e_i in ``levels[d + 1]``,
+    and ``parents[d][k]`` the first (j, i) whose step reaches position k."""
+    if (n, r) in _TABLES:
+        return _TABLES[n, r]
+    levels, steps, parents = [MappingProxyType({(0,) * n: 0})], [], []
+    for _ in range(r):
+        index: dict[MultiIndex, int] = {}
+        steps.append(tuple(
+            tuple(index.setdefault(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], len(index))
+                  for i in range(n)) for alpha in levels[-1]))
+        first: dict[int, tuple[int, int]] = {}
+        for j, row in enumerate(steps[-1]):
+            for i, k in enumerate(row):
+                first.setdefault(k, (j, i))
+        parents.append(tuple(first.values()))
+        levels.append(MappingProxyType(index))
+    _TABLES[n, r] = tables = (tuple(levels), tuple(steps), tuple(parents))
+    return tables
+
+
+def mul_form(vec: Sequence, step: Sequence[Sequence[int]], form: Sequence[tuple[int, object]],
+             out: list) -> list:
+    """Add the dense degree-d vector ``vec`` times a linear form, given as
+    (index, nonzero value) pairs, into the degree-(d + 1) vector ``out``;
+    ``step`` is ``steps[d]`` of ``monomial_tables``.  Returns ``out``."""
+    for c, succ in zip(vec, step):
+        if c:
+            for i, x in form:
+                out[succ[i]] += c * x
+    return out
+
+
+def divide_totals(keys: Iterable[MultiIndex], totals: Iterable, denom: int) -> dict:
+    """Each key's nonzero total over ``denom``: ints become ``Fraction``s,
+    floats stay floats."""
+    return {k: Fraction(v, denom) if isinstance(v, int) else v / denom
+            for k, v in zip(keys, totals) if v}
+
+
 def _add_keys(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     if not a:
         return b
@@ -101,9 +160,19 @@ class SymTensor:
 
     # -- constructors ---------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, dim: int, rank: int, coeffs: dict) -> "SymTensor":
+        """Construct without validation; see the module docstring for the
+        contract ``coeffs`` must meet."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "rank", rank)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     @staticmethod
     def zero(dim: int, rank: int) -> "SymTensor":
-        return SymTensor(dim, rank, {})
+        return SymTensor._trusted(dim, rank, {})
 
     @staticmethod
     def scalar(dim: int, value) -> "SymTensor":
@@ -111,13 +180,7 @@ class SymTensor:
 
     @staticmethod
     def from_vector(x: Sequence) -> "SymTensor":
-        xs = list(x)
-        n = len(xs)
-        coeffs = {}
-        for i, xi in enumerate(xs):
-            key = tuple(1 if j == i else 0 for j in range(n))
-            coeffs[key] = xi
-        return SymTensor(n, 1, coeffs)
+        return vector_power(x, 1)
 
     # -- ring-ish structure ---------------------------------------------------
 
@@ -130,19 +193,20 @@ class SymTensor:
         self._same_space(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SymTensor(self.dim, self.rank, out)
+            out[k] = out.get(k, 0) + v
+        return SymTensor._trusted(self.dim, self.rank, {k: v for k, v in out.items() if v})
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
         return self + (-other)
 
     def __neg__(self) -> "SymTensor":
-        return SymTensor(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
+        return SymTensor._trusted(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c) -> "SymTensor":
         if c == 0:
             return SymTensor.zero(self.dim, self.rank)
-        return SymTensor(self.dim, self.rank, {k: v * c for k, v in self.coeffs.items()})
+        return SymTensor._trusted(
+            self.dim, self.rank, {k: p for k, v in self.coeffs.items() if (p := v * c)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
@@ -197,50 +261,27 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
             k = _add_keys(ka, kb)
-            out[k] = out.get(k, Fraction(0)) + va * vb
-    return SymTensor(a.dim, a.rank + b.rank, out)
-
-
-def _multinomial(r: int, alpha: MultiIndex) -> int:
-    out = math.factorial(r)
-    for a in alpha:
-        out //= math.factorial(a)
-    return out
+            out[k] = out.get(k, 0) + va * vb
+    return SymTensor._trusted(a.dim, a.rank + b.rank, {k: v for k, v in out.items() if v})
 
 
 def vector_power(x: Sequence, r: int) -> SymTensor:
     """r-fold symmetric power of a vector: coefficient of alpha is
-    multinomial(r; alpha) * prod x_i^alpha_i."""
+    multinomial(r; alpha) * prod x_i^alpha_i, the expansion of the r-th
+    power of the linear form sum x_i e_i."""
     if r < 0:
         raise ValueError("negative tensor power")
     xs = list(x)
     n = len(xs)
     if r == 0:
         return SymTensor.scalar(n, Fraction(1))
-    support = [i for i, xi in enumerate(xs) if xi != 0]
-    coeffs: dict[MultiIndex, Fraction] = {}
-    for split in _compositions(r, len(support)):
-        key = [0] * n
-        val = Fraction(1)
-        for idx, a in zip(support, split):
-            key[idx] = a
-            val *= xs[idx] ** a
-        coeffs[tuple(key)] = _multinomial(r, split) * val
-    return SymTensor(n, r, coeffs)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write `total` as an ordered sum of `parts` non-negatives."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    scale, (cleared,) = linalg.clear_denominators([xs])
+    form = [(i, v) for i, v in enumerate(cleared) if v]
+    levels, steps, _ = monomial_tables(n, r)
+    vec = [1]
+    for d in range(r):
+        vec = mul_form(vec, steps[d], form, [0] * len(levels[d + 1]))
+    return SymTensor._trusted(n, r, divide_totals(levels[r], vec, scale ** r))
 
 
 @dataclass(frozen=True)
@@ -283,9 +324,6 @@ class RMatrix:
         d = linalg.det(self.entries)
         return d if self.exact else float(d)
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def matvec(self, x: Sequence) -> tuple:
         return linalg.mat_vec(self.entries, x)
 
@@ -312,24 +350,32 @@ class RMatrix:
 
 def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:
     """Natural GL(n) action on symmetric tensors: substitute phi(e_i) for e_i
-    in every basis monomial and re-expand."""
+    in every basis monomial and re-expand.
+
+    With phi's columns cleared by q and t's coefficients by L, each monomial
+    of degree < r maps to its parent's image times one column.  At degree r
+    the weighted parent images are summed per peeled index i, each sum is
+    multiplied by column i once, and the total is divided by L q^r.
+    """
     if phi.n != t.dim:
         raise DimensionMismatch(f"matrix on R^{phi.n} acting on tensor over R^{t.dim}")
-    if t.rank == 0:
+    n, r = t.dim, t.rank
+    if r == 0 or not t.coeffs:
         return t
-    col_powers: dict[tuple[int, int], SymTensor] = {}
-
-    def power(i: int, a: int) -> SymTensor:
-        key = (i, a)
-        if key not in col_powers:
-            col_powers[key] = vector_power(phi.column(i), a)
-        return col_powers[key]
-
-    total = SymTensor.zero(t.dim, t.rank)
-    for alpha, c in t.coeffs.items():
-        factors = [power(i, a) for i, a in enumerate(alpha) if a > 0]
-        term = factors[0]
-        for f in factors[1:]:
-            term = sym_product(term, f)
-        total = total + term.scale(c)
-    return total
+    q, cols = linalg.clear_denominators(linalg.transpose(phi.entries))
+    forms = [[(k, x) for k, x in enumerate(col) if x] for col in cols]
+    scale, (weights,) = linalg.clear_denominators([list(t.coeffs.values())])
+    levels, steps, parents = monomial_tables(n, r)
+    images = [[1]]
+    for d in range(r - 1):
+        size = len(levels[d + 1])
+        images = [mul_form(images[j], steps[d], forms[i], [0] * size) for j, i in parents[d]]
+    size, sums = len(levels[r - 1]), {}
+    for alpha, w in zip(t.coeffs, weights):
+        j, i = parents[r - 1][levels[r][alpha]]
+        acc = sums.get(i) or [0] * size
+        sums[i] = [a + w * v for a, v in zip(acc, images[j])]
+    out = [0] * len(levels[r])
+    for i, acc in sums.items():
+        mul_form(acc, steps[r - 1], forms[i], out)
+    return SymTensor._trusted(n, r, divide_totals(levels[r], out, scale * q ** r))

@@ -162,7 +162,11 @@ class CheckReport:
 
 
 def _residual(a: SymTensor, b: SymTensor):
-    return (a - b).max_abs_coeff()
+    """max |a_k - b_k| over the keys of either tensor; exact 0 when a == b."""
+    if (a.dim, a.rank) != (b.dim, b.rank):
+        raise DimensionMismatch(f"residual of T^{a.rank}(R^{a.dim}) and T^{b.rank}(R^{b.dim})")
+    diffs = (abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in {**a.coeffs, **b.coeffs})
+    return max((x for x in diffs if x), default=Fraction(0))
 
 
 # -- homogeneous decomposition ---------------------------------------------------
@@ -251,7 +255,8 @@ def simplex_probe(l: Subspace) -> Polytope:
 
 def klain(z: Valuation, j: int, l: Subspace, tol: float = 1e-9) -> KlainValue:
     """Klain value of a j-homogeneous valuation on a j-dimensional subspace,
-    cross-checked on a cube probe and a simplex probe."""
+    cross-checked on a cube probe and a simplex probe.  Exact probe values
+    must agree exactly; ``tol`` bounds the mismatch of float ones."""
     if l.dim != j:
         raise DimensionMismatch(f"subspace has dimension {l.dim}, expected {j}")
     results = []
@@ -265,9 +270,9 @@ def klain(z: Valuation, j: int, l: Subspace, tol: float = 1e-9) -> KlainValue:
         else:
             results.append(value.scale(1.0 / vj))
     mismatch = _residual(results[0], results[1])
-    if float(mismatch) > tol:
+    if mismatch > (0 if isinstance(mismatch, Fraction) else tol):
         raise ValutaError(
-            f"Klain probes disagree by {float(mismatch)}; valuation is not "
+            f"Klain probes disagree by {format_rational(mismatch)}; valuation is not "
             f"{j}-homogeneous on this subspace")
     return KlainValue(l, results[0], j)
 

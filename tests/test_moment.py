@@ -251,3 +251,19 @@ def test_float_cube_probe_gives_float_moments():
     assert moment_tensor(probe, 2).tensor.is_zero()
     for r in range(3):
         _assert_close_floats(moment_tensor(as_float, r).tensor, moment_tensor(exact, r).tensor)
+
+
+@pytest.mark.parametrize("body", [
+    std_triangle,
+    crosspolytope([(1, 0, 0), (0, 2, 0), (0, 0, F(1, 3))]),
+    box([F(-1, 2), 0, 1], [F(1, 3), 2, F(5, 2)]),
+], ids=["triangle", "centred-cross3", "box3"])
+def test_moment_tensors_are_well_formed(body):
+    """moment_tensor builds its tensor without re-validation; the result must
+    still equal the validated construction, with no zero coefficient (the
+    centred crosspolytope's odd moments vanish)."""
+    for r in range(4):
+        t = moment_tensor(body, r).tensor
+        assert t == SymTensor(t.dim, t.rank, dict(t.coeffs))
+        assert all(isinstance(v, Fraction) and v != 0 for v in t.coeffs.values())
+        assert all(len(k) == (t.dim if r else 0) for k in t.coeffs)

@@ -215,3 +215,47 @@ def test_polygon_atoms_close(pts):
     assert sum(f.direction[0] for f in facets) == 0
     assert sum(f.direction[1] for f in facets) == 0
     assert volume(p) > 0
+
+
+def _matvec(rows, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in rows)
+
+
+@st.composite
+def bodies_and_maps(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    point = st.lists(small_rats, min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["simplex", "cross", "box"]))
+    try:
+        if kind == "simplex":
+            body = simplex(draw(st.lists(point, min_size=n + 1, max_size=n + 1)))
+        elif kind == "cross":
+            body = translate(crosspolytope(draw(st.lists(point, min_size=n, max_size=n))),
+                             draw(point))
+        else:
+            lo = draw(point)
+            body = box(lo, [a + 1 + abs(b) for a, b in zip(lo, draw(point))])
+    except GeometryError:
+        body = cube(n)
+    rows = draw(st.lists(point, min_size=n, max_size=n))
+    return body, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=bodies_and_maps())
+def test_linear_image_matches_fraction_matvec(case):
+    body, rows = case
+    image = linear_image(RMatrix.from_rows(rows), body)
+    assert image.vertices == tuple(_matvec(rows, v) for v in body.vertices)
+    assert image.aux_points == tuple(_matvec(rows, v) for v in body.aux_points)
+    assert all(isinstance(x, Fraction) for v in image.points for x in v)
+    assert image.triangulation == body.triangulation
+    if body.kind == "crosspolytope":
+        assert image.kind_data == (_matvec(rows, body.kind_data[0]),)
+        assert image.kind_data[0] == image.aux_points[0]
+
+
+def test_linear_image_rejects_float_matrix():
+    phi = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]], exact=False)
+    with pytest.raises(TypeError):
+        linear_image(phi, std_triangle)

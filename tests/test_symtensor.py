@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -153,3 +154,91 @@ def test_scalar_json_uses_empty_key():
     data = s.to_json_dict()
     assert data["coeffs"] == {"": "1/2"}
     assert SymTensor.from_json_dict(data) == s
+
+
+# -- substitution kernel against independent oracles -----------------------------
+
+sp = pytest.importorskip("sympy")
+
+
+def _sympy_tensor(expr, xs, rank):
+    poly = sp.Poly(sp.expand(expr), *xs)
+    coeffs = {m: F(int(c.p), int(c.q)) for m, c in poly.terms() if c != 0}
+    return SymTensor(len(xs), rank, coeffs)
+
+
+def _sparse_tensors(dim, max_rank):
+    """Tensors with a random subset of keys, so zero coefficients occur."""
+    def build(args):
+        rank, vals = args
+        keys = sorted(multi_indices(dim, rank))
+        return SymTensor(dim, rank, {k: v for k, v in zip(keys, vals) if v is not None})
+
+    return st.integers(min_value=1, max_value=max_rank).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(
+            st.one_of(st.none(), rationals),
+            min_size=tensor_dim(dim, r), max_size=tensor_dim(dim, r)))).map(build)
+
+
+@st.composite
+def action_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    return RMatrix.from_rows(rows), draw(_sparse_tensors(n, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=action_cases())
+def test_gl_action_matches_sympy_substitution(case):
+    phi, a = case
+    n = a.dim
+    xs = sp.symbols(f"x0:{n}")
+    images = [sum(sp.Rational(phi.entries[k][i]) * xs[k] for k in range(n)) for i in range(n)]
+    expr = sum(sp.Rational(c) * sp.Mul(*(images[i] ** e for i, e in enumerate(alpha)))
+               for alpha, c in a.coeffs.items())
+    assert gl_action(phi, a) == _sympy_tensor(expr, xs, a.rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.lists(st.one_of(st.just(F(0)), rationals), min_size=1, max_size=5),
+       r=st.integers(min_value=0, max_value=4))
+def test_vector_power_matches_multinomial_formula(x, r):
+    expected = {}
+    for alpha in multi_indices(len(x), r):
+        value = F(math.factorial(r))
+        for xi, a in zip(x, alpha):
+            value *= xi ** a / math.factorial(a)
+        expected[alpha if r else ()] = value
+    assert vector_power(x, r) == SymTensor(len(x), r, expected)
+
+
+def _assert_well_formed(out):
+    assert out == SymTensor(out.dim, out.rank, dict(out.coeffs))
+    assert all(out.coeffs.values())
+    assert all(isinstance(v, Fraction) for v in out.coeffs.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=action_cases(), c=rationals, x=st.lists(rationals, min_size=4, max_size=4))
+def test_kernel_outputs_are_well_formed(case, c, x):
+    phi, a = case
+    b = gl_action(phi, a)
+    for out in (b, vector_power(x[:a.dim], a.rank), sym_product(a, b), a + b, a - a, -b,
+                b.scale(c), SymTensor.zero(a.dim, a.rank)):
+        _assert_well_formed(out)
+
+
+def test_gl_action_with_float_matrix_returns_floats():
+    phi = RMatrix.from_rows([[0.5, 1.0], [0.0, 2.0]], exact=False)
+    out = gl_action(phi, t(2, 2, {(2, 0): F(1, 3), (1, 1): -2, (0, 2): 1}))
+    assert all(isinstance(v, float) for v in out.coeffs.values())
+    # e1 -> (1/2) e1, e2 -> e1 + 2 e2
+    assert out.coeffs == pytest.approx({(2, 0): 1 / 12 - 1 + 1, (1, 1): -2 + 4, (0, 2): 4})
+
+
+def test_vector_power_of_numpy_ints_stays_exact():
+    """numpy integers enter the int kernel as Python ints, so 2^80 does not wrap."""
+    np = pytest.importorskip("numpy")
+    out = vector_power([np.int64(2 ** 40), np.int64(1)], 2)
+    assert out == t(2, 2, {(2, 0): 2 ** 80, (1, 1): 2 ** 41, (0, 2): 1})
+    assert all(isinstance(v, Fraction) for v in out.coeffs.values())

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
-from valuta.errors import DimensionMismatch, GeometryError
+from valuta.errors import DimensionMismatch, GeometryError, ValutaError
 from valuta.moment import moment_tensor
-from valuta.polytope import crosspolytope, cube, simplex, support, volume
+from valuta.polytope import crosspolytope, cube, simplex, subspace_volume, support, volume
 from valuta.symtensor import RMatrix, SymTensor
 from valuta.valuation_lab import (
     Valuation,
+    _residual,
     cube_probe,
     euler_valuation,
     klain,
@@ -27,6 +30,10 @@ from valuta.valuation_lab import (
 )
 
 F = Fraction
+
+coeff_values = st.one_of(
+    st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)),
+    st.sampled_from([0.5, -0.25, 0.0, 1e-300]))
 
 std_triangle = simplex([(0, 0), (1, 0), (0, 1)])
 unit_square = cube(2)
@@ -91,6 +98,29 @@ class TestKlain:
             l = sample_subspace(2, 2, seed)
             kv = klain(span_lebesgue_valuation(4, 2), 2, l)
             assert float(kv.value.coeff(())) == pytest.approx(1, abs=1e-9)
+
+    def test_exact_probe_mismatch_rejected(self):
+        """The cube probe reads 1 + 10^-12 and the simplex probe 1 + 10^-12 / 2:
+        far below the float tolerance, but exact input needs an exact verdict."""
+        l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
+
+        def run(body):
+            vol = subspace_volume(body, l)
+            return SymTensor.scalar(4, vol + F(1, 10 ** 12) * vol * vol)
+
+        with pytest.raises(ValutaError, match="disagree by 1/2000000000000"):
+            klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l)
+
+    def test_float_probe_mismatch_within_tol_accepted(self):
+        l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)], exact=False)
+
+        def run(body):
+            vol = subspace_volume(body, l)
+            return SymTensor.scalar(4, vol + 1e-12 * vol * vol)
+
+        value = klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l).value.coeff(())
+        assert isinstance(value, float)
+        assert value == pytest.approx(1, abs=1e-11)
 
     def test_probe_volumes(self):
         l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
@@ -251,3 +281,14 @@ def test_report_json_shape():
     assert set(data) == {"check", "witnesses", "max_residual", "pass"}
     assert data["pass"] is True
     assert data["max_residual"] == "0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]), coeff_values),
+       b=st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]), coeff_values))
+def test_residual_matches_difference_tensor(a, b):
+    """_residual(a, b) is the largest coefficient of a - b, with its type."""
+    ta, tb = SymTensor(2, 2, a), SymTensor(2, 2, b)
+    got, expected = _residual(ta, tb), (ta - tb).max_abs_coeff()
+    assert got == expected
+    assert type(got) is type(expected)
