@@ -205,7 +205,7 @@ class Subspace:
         """Orthonormalize a spanning set (exact mode needs rational norms)."""
         if exact:
             vecs = [tuple(frac(x) for x in v) for v in vectors]
-            basis = _gram_schmidt_exact(vecs)
+            basis = gram_schmidt_exact(vecs)
         else:
             arr = np.array(vectors, dtype=float).T
             q, r = np.linalg.qr(arr)
@@ -216,7 +216,9 @@ class Subspace:
         return Subspace(len(basis[0]), tuple(basis), exact)
 
 
-def _gram_schmidt_exact(vecs: list[tuple]) -> list[tuple]:
+def gram_schmidt_exact(vecs: list[tuple]) -> list[tuple]:
+    """Orthonormal basis of the span of rational vectors, in order, exact;
+    dependent vectors are skipped, and an irrational norm raises."""
     basis: list[tuple] = []
     for v in vecs:
         w = list(v)

@@ -1,8 +1,4 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto exit codes: parse problems exit 2, geometry or
-numerical problems exit 3.
-"""
+"""Exception types shared across the package."""
 
 
 class ValutaError(Exception):

@@ -10,6 +10,7 @@ float-mode linear algebra lives with its callers and uses numpy.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Sequence
@@ -27,11 +28,17 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints (numpy's too), strings like ``"3/4"``, and Fractions to
+    Fraction; a real that is not rational (float, ``numpy.float32``)
+    raises ``TypeError``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError("refusing to coerce float to exact rational")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, numbers.Real):
+        raise TypeError(f"refusing to coerce {type(x).__name__} to exact rational")
     return Fraction(x)
 
 
@@ -66,8 +73,10 @@ def transpose(rows: Sequence[Sequence]) -> list[list]:
 
 def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     """The lcm D of the entries' denominators and the rows times D, as ints.
-    Rows holding a float come back as floats with D = 1."""
-    if any(isinstance(x, float) for row in rows for x in row):
+    Rows holding an entry that is not rational (float, ``numpy.float32``)
+    come back as floats with D = 1; numpy integers count as rational."""
+    if not all(isinstance(x, (int, Fraction)) or isinstance(x, numbers.Rational)
+               for row in rows for x in row):
         return 1, [[float(x) for x in row] for row in rows]
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return d, [[int(x.numerator) * (d // int(x.denominator)) for x in row] for row in rows]

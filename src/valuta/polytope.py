@@ -363,8 +363,21 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
 
 
 def scale(p: Polytope, lam) -> Polytope:
+    """Dilation by lam about the origin: each coordinate times lam, the body
+    ``linear_image`` gives for lam times the identity (a float raises
+    ``TypeError``; a box or polygon becomes generic, facets are dropped)."""
     lam = frac(lam)
-    return linear_image(RMatrix.diag([lam] * p.dim), p)
+
+    def dilate(points):
+        return tuple(tuple(lam * x for x in _vec(v)) for v in points)
+
+    kind, kind_data = p.kind, p.kind_data
+    if kind == "crosspolytope":
+        kind_data = dilate(kind_data)
+    elif kind in ("box", "polygon"):
+        kind, kind_data = "generic", ()
+    return Polytope(p.dim, dilate(p.vertices), p.triangulation, dilate(p.aux_points), None,
+                    kind, kind_data)
 
 
 def support(p: Polytope, u: Sequence):

@@ -13,7 +13,8 @@ module introduces them.  Rank-0 tensors carry the single empty key ``()``.
 
 A tensor is a polynomial in e_1..e_n, so the GL(n) action is the
 substitution e_i -> phi(e_i) and a vector power the power of one linear
-form.  Both, and the moment kernel, run on one step, ``mul_form``: a dense
+form.  Both, the moment kernel and the translation-covariance expansion
+``shift_expansion`` run on one step, ``mul_form``: a dense
 degree-d coefficient vector times a linear form, over the index tables of
 ``monomial_tables`` (cached per (n, r)).  Inputs are cleared of
 denominators once, the sums run in Python ints and each coefficient is
@@ -282,6 +283,40 @@ def vector_power(x: Sequence, r: int) -> SymTensor:
     for d in range(r):
         vec = mul_form(vec, steps[d], form, [0] * len(levels[d + 1]))
     return SymTensor._trusted(n, r, divide_totals(levels[r], vec, scale ** r))
+
+
+def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
+    """The translation-covariance expansion sum_j T_j y^j / j! of tensors
+    T_0, ..., T_R of ranks R, ..., 0, by Horner's rule in y.
+
+    With the tensors' coefficients cleared by M and y by q (y' = q y),
+    N_0 = M T_R and N_(d+1) = c_(d+1) M T_(R-d-1) + N_d y', where c_0 = 1
+    and c_(d+1) = c_d q (R - d).  Each T_j is multiplied by y once per step
+    after it enters, for j steps with divisors j, ..., 1, so N_R is M c_R
+    times the expansion and is divided once by M c_R = M q^R R!.  Floats run
+    the same sums with scale 1 and stay floats.
+    """
+    r = len(tensors) - 1
+    n = len(y)
+    if any(t.dim != n or t.rank != r - j for j, t in enumerate(tensors)):
+        raise DimensionMismatch(f"shift expansion needs ranks {r}..0 over R^{n}")
+    q, (ys,) = linalg.clear_denominators([list(y)])
+    form = [(i, v) for i, v in enumerate(ys) if v]
+    by_rank = tensors[::-1]
+    scale, (flat,) = linalg.clear_denominators([[v for t in by_rank for v in t.coeffs.values()]])
+    levels, steps, _ = monomial_tables(n, r)
+    values = iter(flat)
+    acc, c = [0], 1
+    for d, t in enumerate(by_rank):
+        out = [0] * len(levels[d])
+        if d:
+            c *= q * (r - d + 1)
+            mul_form(acc, steps[d - 1], form, out)
+        index = levels[d]
+        for alpha in t.coeffs:
+            out[index[alpha] if d else 0] += c * next(values)
+        acc = out
+    return SymTensor._trusted(n, r, divide_totals(levels[r] if r else [()], acc, scale * c))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ evaluates Klain functions on probe bodies inside subspaces, and checks
 translation covariance, group equivariance, determinant scaling relations,
 and the surface-area pairing that represents codimension-one components.
 
+The interpolation weights, the inverse of the Vandermonde matrix on the
+dilates 1..top + 1, depend only on top = n + rank; they are built once per
+top as an int matrix and one denominator, so a decomposition is one int sum
+per component and coefficient and one division.  The covariance cascade
+compares each translate against ``symtensor.shift_expansion``, the
+expansion sum_j Z^(r-j)(K) y^j / j! by Horner's rule in y, in ints.
+
 All checks report a residual; for exact inputs the expected residual is an
 exact zero, not merely a small number.
 """
@@ -14,12 +21,13 @@ exact zero, not merely a small number.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .cplx import CMatrix, Subspace, realify
+from .cplx import CMatrix, Subspace, gram_schmidt_exact, realify
 from .errors import DimensionMismatch, GeometryError, ValutaError
 from .linalg import cabs2, exact_sqrt
 from .moment import moment_tensor
@@ -36,10 +44,10 @@ from .polytope import (
 from .symtensor import (
     RMatrix,
     SymTensor,
+    divide_totals,
     format_rational,
     gl_action,
-    sym_product,
-    vector_power,
+    shift_expansion,
 )
 
 
@@ -129,9 +137,7 @@ def span_lebesgue_valuation(n: int, j: int) -> Valuation:
 def _span_basis(body: Polytope):
     exact = all(isinstance(x, Fraction) for v in body.vertices for x in v)
     if exact:
-        from .cplx import _gram_schmidt_exact
-
-        return _gram_schmidt_exact([tuple(v) for v in body.vertices])
+        return gram_schmidt_exact([tuple(v) for v in body.vertices])
     import numpy as np
 
     arr = np.array(body.vertices, dtype=float)
@@ -172,6 +178,22 @@ def _residual(a: SymTensor, b: SymTensor):
 # -- homogeneous decomposition ---------------------------------------------------
 
 
+_WEIGHTS: dict[int, tuple[tuple[tuple[int, ...], ...], int]] = {}
+
+
+def interpolation_weights(top: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Read-only (W, D), built once per ``top``: W / D is the inverse of the
+    Vandermonde matrix V[i][j] = (i + 1)^j on the nodes 1..top + 1, with W
+    an int matrix and D the lcm of the inverse's denominators."""
+    if top in _WEIGHTS:
+        return _WEIGHTS[top]
+    nodes = range(1, top + 2)
+    d, w = linalg.clear_denominators(
+        linalg.inv([[Fraction(k ** j) for j in range(top + 1)] for k in nodes]))
+    _WEIGHTS[top] = weights = (tuple(map(tuple, w)), d)
+    return weights
+
+
 def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
     """Homogeneous components of a polynomial valuation.
 
@@ -179,19 +201,21 @@ def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
     Vandermonde system exactly; degree runs to n for scalar-rank valuations
     and to n + rank for translation-covariant tensor ones, so the returned
     list has n + rank + 1 entries.  Their sum reproduces z at the body.
+
+    The values' coefficients are cleared by their lcm L once, over the union
+    of their keys; component j at a key is sum_i W[j][i] v_i[key] in ints,
+    divided once by D L (``interpolation_weights``).  Float values run the
+    same sums with L = 1 and stay floats.
     """
     top = body.dim + z.rank
-    nodes = [Fraction(k) for k in range(1, top + 2)]
-    values = [z(scale(body, k)) for k in nodes]
-    vandermonde = [[k ** j for j in range(top + 1)] for k in nodes]
-    inverse = linalg.inv(vandermonde)
-    components = []
-    for j in range(top + 1):
-        comp = SymTensor.zero(z.dim, z.rank)
-        for i, val in enumerate(values):
-            comp = comp + val.scale(inverse[j][i])
-        components.append(comp)
-    return components
+    values = [z(scale(body, k)) for k in range(1, top + 2)]
+    keys = list({k: None for val in values for k in val.coeffs})
+    lcm, rows = linalg.clear_denominators([[val.coeffs.get(k, 0) for k in keys] for val in values])
+    weights, d = interpolation_weights(top)
+    columns = list(zip(*rows))
+    return [SymTensor._trusted(z.dim, z.rank, divide_totals(
+        keys, (sum(map(operator.mul, w, col)) for col in columns), d * lcm))
+        for w in weights]
 
 
 def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckReport:
@@ -283,7 +307,8 @@ def klain(z: Valuation, j: int, l: Subspace, tol: float = 1e-9) -> KlainValue:
 def verify_covariance(zs: Sequence[Valuation], body: Polytope,
                       ys: Sequence[Sequence]) -> CheckReport:
     """Check the covariance cascade: for every prefix, the valuation of the
-    translated body equals the binomial-type expansion in the shift."""
+    translated body equals the binomial-type expansion in the shift
+    (``shift_expansion`` of the values at the body)."""
     ranks = [z.rank for z in zs]
     r = ranks[0]
     if ranks != list(range(r, -1, -1)):
@@ -295,13 +320,8 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
     for y in ys:
         y = tuple(linalg.frac(c) for c in y)
         shifted = translate(body, y)
-        powers = [vector_power(y, jj).scale(Fraction(1, math.factorial(jj)))
-                  for jj in range(r + 1)]
         for s, z in enumerate(zs):
-            expansion = SymTensor.zero(z.dim, z.rank)
-            for jj in range(z.rank + 1):
-                expansion = expansion + sym_product(at_body[s + jj], powers[jj])
-            res = _residual(z(shifted), expansion)
+            res = _residual(z(shifted), shift_expansion(at_body[s:], y))
             if res != 0:
                 passed = False
             if res > worst:
@@ -356,7 +376,8 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
 
     The factor is exact when j is a multiple of 2m, or when |det_C|^2 is a
     perfect rational square and m divides j; otherwise the comparison runs
-    in floating point (rejected when require_exact is set).
+    in floating point (rejected when require_exact is set), and passes when
+    the residual is at most tol * max(1, |z(K)|_max * factor).
     """
     m = psi.m
     factor_sq = cabs2(psi.det_c)  # equals det of the realification
@@ -374,9 +395,11 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
                 f"|det_C|^({j}/{m}) is not rational here; only a float check is possible")
         factor = float(factor_sq) ** (j / (2 * m))
     image = linear_image(realify(psi), body)
-    res = _residual(z(image), z(body).scale(factor))
+    base = z(body)
+    res = _residual(z(image), base.scale(factor))
     exact_mode = isinstance(factor, Fraction)
-    passed = res == 0 if exact_mode else float(res) <= tol
+    passed = (res == 0 if exact_mode
+              else float(res) <= tol * max(1.0, float(base.max_abs_coeff()) * float(factor)))
     witness = {
         "factor": format_rational(factor) if exact_mode else repr(factor),
         "degree": j,

@@ -67,3 +67,20 @@ def test_det_float_input_stays_float():
     mixed = linalg.det([[F(1, 3), 1], [0.25, 2]])
     assert isinstance(mixed, float)
     assert mixed == pytest.approx(F(1, 3) * 2 - F(1, 4), abs=1e-15)
+
+
+def test_numpy_scalars_are_classified_by_type():
+    """numpy integers are exact; numpy floats that are not ``float``
+    subclasses (float32, float16) take the float path or are refused."""
+    np = pytest.importorskip("numpy")
+    got = linalg.det([[np.float32(1.5), 0], [0, 1]])
+    assert isinstance(got, float) and got == 1.5
+    assert isinstance(linalg.det([[np.float16(0.5), 1], [2, np.float64(3)]]), float)
+    exact = linalg.det([[np.int64(3), np.int32(1)], [np.uint8(2), np.int8(5)]])
+    assert exact == 13 and type(exact) is Fraction and type(exact.numerator) is int
+    assert linalg.clear_denominators([[np.int64(2), F(1, 3)]]) == (3, [[6, 1]])
+    assert linalg.frac(np.int16(-7)) == -7 and type(linalg.frac(np.int16(-7)).numerator) is int
+    for value in (np.float32(1.5), np.float16(0.25), np.float64(2.0), 0.5):
+        with pytest.raises(TypeError):
+            linalg.frac(value)
+    assert linalg.frac("3/4") == F(3, 4)

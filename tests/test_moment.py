@@ -84,6 +84,13 @@ class TestCovarianceExpansion:
     def test_rank0_translation_invariant(self):
         assert covariance_expansion(std_triangle, (0, 1), 0) == SymTensor.scalar(2, F(1, 2))
 
+    def test_output_is_well_formed(self):
+        body = crosspolytope([(1, 0, 0), (0, 2, 0), (0, 0, F(1, 3))])
+        for r in range(4):
+            t = covariance_expansion(body, (F(1, 2), 0, -3), r)
+            assert t == SymTensor(t.dim, t.rank, dict(t.coeffs))
+            assert all(isinstance(v, Fraction) and v != 0 for v in t.coeffs.values())
+
     def test_matches_translated_moment(self):
         shifted = translate(std_triangle, (1, 0))
         assert moment_tensor(shifted, 1).tensor == covariance_expansion(std_triangle, (1, 0), 1)
@@ -251,6 +258,20 @@ def test_float_cube_probe_gives_float_moments():
     assert moment_tensor(probe, 2).tensor.is_zero()
     for r in range(3):
         _assert_close_floats(moment_tensor(as_float, r).tensor, moment_tensor(exact, r).tensor)
+
+
+def test_numpy_scalar_bodies():
+    """numpy integer coordinates give the exact moments; float32 ones floats."""
+    corners = [(0, 0), (3, 1), (1, 4)]
+    exact = simplex(corners)
+    as_int = Polytope(2, tuple(tuple(np.int64(x) for x in v) for v in corners), ((0, 1, 2),))
+    as_f32 = Polytope(2, tuple(tuple(np.float32(x) for x in v) for v in corners), ((0, 1, 2),))
+    for r in range(4):
+        want = moment_tensor(exact, r).tensor
+        assert moment_tensor(as_int, r).tensor == want
+        assert all(type(v) is Fraction for v in moment_tensor(as_int, r).tensor.coeffs.values())
+        _assert_close_floats(moment_tensor(as_f32, r).tensor, want)
+    assert simplex([tuple(np.int64(x) for x in v) for v in corners]) == exact
 
 
 @pytest.mark.parametrize("body", [

@@ -20,6 +20,7 @@ from valuta.polytope import (
     surface_area_measure,
     translate,
     volume,
+    with_facets,
 )
 from valuta.symtensor import RMatrix
 
@@ -259,3 +260,35 @@ def test_linear_image_rejects_float_matrix():
     phi = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]], exact=False)
     with pytest.raises(TypeError):
         linear_image(phi, std_triangle)
+
+
+@st.composite
+def bodies_and_factors(draw):
+    body, _ = draw(bodies_and_maps())
+    if draw(st.booleans()):
+        try:
+            body = polygon(draw(st.lists(st.tuples(small_rats, small_rats), min_size=3,
+                                         max_size=7)))
+        except GeometryError:
+            pass
+    lam = draw(st.sampled_from([F(-1), F(2), F(-3, 2), F(2, 7), F(-5, 12), F(0)])
+               | st.builds(F, st.integers(-9, 9), st.integers(1, 12)))
+    return body, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bodies_and_factors())
+def test_scale_matches_linear_image_of_a_diagonal(case):
+    """Dilation equals the image under lam times the identity: points,
+    kind (box and polygon become generic), crosspolytope centre, facets."""
+    body, lam = case
+    diag = RMatrix.diag([lam] * body.dim)
+    for b in (body, with_facets(body)):
+        assert scale(b, lam) == linear_image(diag, b)
+
+
+def test_scale_rejects_floats():
+    with pytest.raises(TypeError):
+        scale(Polytope(2, ((0.5, 0), (1, 0), (0, 1)), ((0, 1, 2),)), 2)
+    with pytest.raises(TypeError):
+        scale(std_triangle, 0.5)

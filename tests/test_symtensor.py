@@ -11,6 +11,7 @@ from valuta.symtensor import (
     SymTensor,
     gl_action,
     multi_indices,
+    shift_expansion,
     sym_product,
     tensor_dim,
     vector_power,
@@ -236,9 +237,83 @@ def test_gl_action_with_float_matrix_returns_floats():
     assert out.coeffs == pytest.approx({(2, 0): 1 / 12 - 1 + 1, (1, 1): -2 + 4, (0, 2): 4})
 
 
+def test_vector_power_of_numpy_floats_gives_floats():
+    np = pytest.importorskip("numpy")
+    out = vector_power([np.float32(0.5), np.int64(2)], 2)
+    assert all(isinstance(v, float) for v in out.coeffs.values())
+    assert out.coeffs == {(2, 0): 0.25, (1, 1): 2.0, (0, 2): 4.0}
+
+
 def test_vector_power_of_numpy_ints_stays_exact():
     """numpy integers enter the int kernel as Python ints, so 2^80 does not wrap."""
     np = pytest.importorskip("numpy")
     out = vector_power([np.int64(2 ** 40), np.int64(1)], 2)
     assert out == t(2, 2, {(2, 0): 2 ** 80, (1, 1): 2 ** 41, (0, 2): 1})
     assert all(isinstance(v, Fraction) for v in out.coeffs.values())
+
+
+# -- Horner covariance expansion ----------------------------------------------------
+
+dyadic_floats = st.sampled_from([0.5, -0.25, 1.5, -3.0, 0.125])
+
+
+@st.composite
+def expansion_cases(draw):
+    """Tensors T_0..T_R of ranks R..0 with random sparse coefficients, some
+    of them floats, and a shift y that may be zero or hold floats."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=0, max_value=3))
+    coeff = rationals | dyadic_floats if draw(st.booleans()) else rationals
+    ts = []
+    for rank in range(r, -1, -1):
+        keys = sorted(multi_indices(n, rank))
+        vals = draw(st.lists(st.none() | coeff, min_size=len(keys), max_size=len(keys)))
+        ts.append(SymTensor(n, rank, {k: v for k, v in zip(keys, vals) if v is not None}))
+    entry = draw(st.sampled_from([st.just(F(0)), rationals, rationals | dyadic_floats]))
+    return ts, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+def _expansion_oracle(ts, y):
+    total = SymTensor.zero(len(y), len(ts) - 1)
+    for j, t in enumerate(ts):
+        total = total + sym_product(t, vector_power(y, j).scale(F(1, math.factorial(j))))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=expansion_cases())
+def test_shift_expansion_matches_product_sum(case):
+    ts, y = case
+    got, want = shift_expansion(ts, y), _expansion_oracle(ts, y)
+    float_coeffs = any(isinstance(v, float) for t in ts for v in t.coeffs.values())
+    if not float_coeffs and not any(isinstance(c, float) for c in y):
+        assert got == want
+        _assert_well_formed(got)
+        return
+    assert (got.dim, got.rank) == (want.dim, want.rank) and all(got.coeffs.values())
+    if float_coeffs:
+        assert all(isinstance(v, float) for v in got.coeffs.values())
+    # Rounding is bounded relative to the expansion of the absolute values.
+    absolute = _expansion_oracle(
+        [SymTensor(t.dim, t.rank, {k: abs(v) for k, v in t.coeffs.items()}) for t in ts],
+        [abs(c) for c in y])
+    size = max([1.0] + [float(v) for v in absolute.coeffs.values()])
+    for k in {**got.coeffs, **want.coeffs}:
+        assert got.coeff(k) == pytest.approx(float(want.coeff(k)), abs=1e-12 * size)
+
+
+def test_shift_expansion_small_cases():
+    a = t(2, 1, {(1, 0): F(2, 3)})
+    one = SymTensor.scalar(2, F(1, 2))
+    # (2/3) e1 + (1/2) y with y = (3, -1/5)
+    assert shift_expansion([a, one], [3, F(-1, 5)]) == t(2, 1, {(1, 0): F(13, 6),
+                                                               (0, 1): F(-1, 10)})
+    assert shift_expansion([one], [F(7), F(1, 3)]) == one
+    assert shift_expansion([a, one], [0, 0]) == a
+
+
+def test_shift_expansion_rejects_bad_ranks():
+    with pytest.raises(DimensionMismatch):
+        shift_expansion([e1, e1], [1, 1])
+    with pytest.raises(DimensionMismatch):
+        shift_expansion([e1, SymTensor.scalar(2, 1)], [1, 1, 1])

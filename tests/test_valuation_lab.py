@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,16 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valuta import linalg
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
 from valuta.moment import moment_tensor
-from valuta.polytope import crosspolytope, cube, simplex, subspace_volume, support, volume
-from valuta.symtensor import RMatrix, SymTensor
+from valuta.polytope import (
+    crosspolytope,
+    cube,
+    linear_image,
+    scale,
+    simplex,
+    subspace_volume,
+    support,
+    volume,
+)
+from valuta.symtensor import RMatrix, SymTensor, multi_indices, sym_product, vector_power
 from valuta.valuation_lab import (
     Valuation,
     _residual,
     cube_probe,
     euler_valuation,
+    interpolation_weights,
     klain,
     mcmullen_decompose,
     moment_valuation,
@@ -292,3 +304,135 @@ def test_residual_matches_difference_tensor(a, b):
     got, expected = _residual(ta, tb), (ta - tb).max_abs_coeff()
     assert got == expected
     assert type(got) is type(expected)
+
+
+# -- cached interpolation weights ---------------------------------------------------
+
+
+def _decompose_by_inverse(z, body):
+    """The Vandermonde system solved afresh with ``linalg.inv`` on dilates
+    made by ``linear_image``, and the components summed as tensors: the
+    decomposition without cached weights or ``scale``."""
+    top = body.dim + z.rank
+    nodes = [F(k) for k in range(1, top + 2)]
+    values = [z(linear_image(RMatrix.diag([k] * body.dim), body)) for k in nodes]
+    components = []
+    for row in linalg.inv([[k ** j for j in range(top + 1)] for k in nodes]):
+        comp = SymTensor.zero(z.dim, z.rank)
+        for w, val in zip(row, values):
+            comp = comp + val.scale(w)
+        components.append(comp)
+    return components
+
+
+small_rats = st.builds(F, st.integers(min_value=-4, max_value=4),
+                       st.integers(min_value=1, max_value=5))
+
+
+@st.composite
+def mixed_degree_valuations(draw):
+    """A rational simplex in R^n (n <= 4) and a rank-r valuation (r <= 3) with
+    components in up to three degrees: M^r + M^(r-1) * v + a constant."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=0, max_value=3))
+    point = st.lists(small_rats, min_size=n, max_size=n)
+    try:
+        body = simplex(draw(st.lists(point, min_size=n + 1, max_size=n + 1)))
+    except GeometryError:
+        body = simplex([[0] * n] + [[int(i == k) for k in range(n)] for i in range(n)])
+    v = draw(point)
+    keys = sorted(multi_indices(n, r)) if r else [()]
+    const = SymTensor(n, r, dict(zip(keys, draw(st.lists(small_rats, min_size=len(keys),
+                                                         max_size=len(keys))))))
+
+    def run(b):
+        out = moment_tensor(b, r).tensor + const
+        if r:
+            out = out + sym_product(moment_tensor(b, r - 1).tensor, vector_power(v, 1))
+        return out
+
+    return Valuation("mixed", r, n, run), body
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=mixed_degree_valuations())
+def test_mcmullen_matches_fresh_inverse(case):
+    z, body = case
+    got = mcmullen_decompose(z, body)
+    assert got == _decompose_by_inverse(z, body)
+    for comp in got:
+        assert comp == SymTensor(comp.dim, comp.rank, dict(comp.coeffs))
+        assert all(isinstance(v, Fraction) and v for v in comp.coeffs.values())
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=mixed_degree_valuations())
+def test_mcmullen_of_float_valuation_stays_float(case):
+    exact, body = case
+    got = mcmullen_decompose(exact.scaled(0.5), body)
+    want = _decompose_by_inverse(exact.scaled(F(1, 2)), body)
+    # A component sums top + 1 float values times one row of the inverse, so
+    # its rounding error is bounded by the largest value times the largest
+    # absolute row sum, a few ulps each.
+    top = len(want) - 1
+    inverse = linalg.inv([[F(k ** j) for j in range(top + 1)] for k in range(1, top + 2)])
+    largest = max(float(exact(scale(body, k)).max_abs_coeff()) for k in range(1, top + 2))
+    bound = 1e-12 * max(largest, 1.0) * max(sum(abs(float(w)) for w in row) for row in inverse)
+    for comp, ref in zip(got, want, strict=True):
+        assert all(isinstance(v, float) for v in comp.coeffs.values())
+        for k in {**comp.coeffs, **ref.coeffs}:
+            assert comp.coeff(k) == pytest.approx(float(ref.coeff(k)), abs=bound)
+
+
+def test_interpolation_weights_invert_the_vandermonde_matrix():
+    # Ascending, then descending: a weight matrix cached under a wrong top
+    # is served on the way back.
+    for top in list(range(13)) + list(range(12, -1, -1)):
+        w, d = interpolation_weights(top)
+        assert isinstance(d, int) and d > 0
+        assert all(type(x) is int for row in w for x in row)
+        v = [[k ** j for j in range(top + 1)] for k in range(1, top + 2)]
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*w)] for row in v] == \
+            [[d if i == j else 0 for j in range(top + 1)] for i in range(top + 1)]
+
+
+def test_interpolation_weights_are_cached_read_only():
+    w, d = interpolation_weights(5)
+    assert interpolation_weights(5)[0] is w
+    with pytest.raises(TypeError):
+        w[0][0] = 1
+    with pytest.raises(TypeError):
+        w[0] = (0,) * 6
+    assert interpolation_weights(5) == (w, d)
+
+
+# -- float scaling relation --------------------------------------------------------------
+
+
+def _sqrt_volume(eps=0.0):
+    """sqrt(vol) is 1-homogeneous under complex scalings of C^1 = R^2;
+    eps * vol breaks that."""
+    return Valuation("sqrt-vol", 0, 2, lambda b: SymTensor.scalar(
+        2, math.sqrt(volume(b)) + eps * float(volume(b))))
+
+
+BIG_TRIANGLE = simplex([(0, 0), (10 ** 12, 0), (F(1, 3), 3 * 10 ** 12)])
+
+
+def test_float_scaling_tolerance_is_relative():
+    """|det_C (1 + i)| = sqrt 2 is irrational, so the check runs in floats; at
+    |z(K)| ~ 1e12 a rounding error of one ulp already exceeds 1e-9."""
+    psi = CMatrix.diag([(1, 1)])
+    report = scaling_relation_check(_sqrt_volume(), 1, psi, BIG_TRIANGLE)
+    assert report.witnesses[0]["mode"] == "float"
+    assert report.passed
+    assert report.max_residual > 1e-9
+
+
+def test_float_scaling_flags_relative_error():
+    psi = CMatrix.diag([(1, 1)])
+    vol = float(volume(BIG_TRIANGLE))
+    planted = _sqrt_volume(1e-6 * math.sqrt(vol) / vol)
+    report = scaling_relation_check(planted, 1, psi, BIG_TRIANGLE)
+    assert report.witnesses[0]["mode"] == "float"
+    assert not report.passed
