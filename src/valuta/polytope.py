@@ -5,24 +5,33 @@ boxes, crosspolytopes, 2D polygons) or imported with an explicit
 triangulation; there is no general convex-hull machinery beyond the plane.
 Triangulation cells index into ``points`` = vertices followed by auxiliary
 interior points (the crosspolytope triangulation cones over its center).
+Affine maps carry the points and keep the triangulation.
 
-Facet data is kept exact by storing each facet's outward *area vector*: the
+Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
 polytopes are rational even when facet measures are irrational (sqrt(2) edge
 lengths and the like), they sum to zero exactly, and they are all a
-1-homogeneous integrand ever needs.
+1-homogeneous integrand ever needs.  They are read off the triangulation on
+demand, by one rule for every body (``surface_area_measure``), unless the
+body carries imported facet data.
 
 Polytope JSON:
 ``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...],
 "aux_points": [...], "facets": [{"normal": [...], "measure": "..."}]}``
-(triangulation, aux_points and facets optional).
+(triangulation, aux_points and facets optional).  Import rejects cells that
+repeat an index, differ in size or exceed dim + 1 points, full-dimensional
+cells of determinant 0, facets that do not sum to zero and, for exact
+full-dimensional bodies, a volume that differs from the sum of the facet
+offsets over n (divergence theorem).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,10 +45,6 @@ Vec = tuple[Fraction, ...]
 
 def _vec(xs: Sequence) -> Vec:
     return tuple(frac(x) for x in xs)
-
-
-def _sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _add(a: Vec, b: Vec) -> Vec:
@@ -91,8 +96,6 @@ class Polytope:
     triangulation: tuple[tuple[int, ...], ...] | None = None
     aux_points: tuple[Vec, ...] = ()
     facets: tuple[FacetDatum, ...] | None = None
-    kind: str = "generic"
-    kind_data: tuple = ()
 
     def __post_init__(self):
         if not self.vertices:
@@ -104,12 +107,6 @@ class Polytope:
     @property
     def points(self) -> tuple[Vec, ...]:
         return self.vertices + self.aux_points
-
-    def cells(self) -> tuple[tuple[Vec, ...], ...]:
-        if self.triangulation is None:
-            raise GeometryError("polytope has no triangulation")
-        pts = self.points
-        return tuple(tuple(pts[i] for i in cell) for cell in self.triangulation)
 
     def to_json_dict(self) -> dict:
         data: dict = {
@@ -129,25 +126,47 @@ class Polytope:
         try:
             dim = int(data["dim"])
             vertices = tuple(_vec([parse_rational(x) for x in v]) for v in data["vertices"])
+            tri = data.get("triangulation")
+            if tri is not None:
+                tri = tuple(tuple(int(i) for i in cell) for cell in tri)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polytope JSON: {exc}") from exc
-        tri = data.get("triangulation")
-        if tri is not None:
-            tri = tuple(tuple(int(i) for i in cell) for cell in tri)
         aux = tuple(
             _vec([parse_rational(x) for x in v]) for v in data.get("aux_points", []))
         facets = None
         if "facets" in data:
-            facets = []
-            for raw in data["facets"]:
-                direction = _parse_facet(raw, dim)
-                offset = max(sum(a * b for a, b in zip(direction, v)) for v in vertices)
-                facets.append(FacetDatum(direction, offset))
-            facets = tuple(facets)
-        npts = len(vertices) + len(aux)
-        if tri is not None and any(i < 0 or i >= npts for cell in tri for i in cell):
+            directions = [_parse_facet(raw, dim) for raw in data["facets"]]
+            facets = tuple(
+                FacetDatum(d, max(linalg.dot(d, v) for v in vertices)) for d in directions)
+        p = Polytope(dim, vertices, tri, aux, facets)
+        _check_import(p)
+        return p
+
+
+def _check_import(p: Polytope) -> None:
+    """Raise ``ParseError`` unless the triangulation and the facets of an
+    imported body are consistent (see the module docstring)."""
+    n, tri, vol = p.dim, p.triangulation, None
+    if tri is not None:
+        sizes = {len(cell) for cell in tri}
+        if any(i < 0 or i >= len(p.points) for cell in tri for i in cell):
             raise ParseError("triangulation index out of range")
-        return Polytope(dim, vertices, tri, aux, facets)
+        if any(len(set(cell)) != len(cell) for cell in tri):
+            raise ParseError("triangulation cell repeats an index")
+        if len(sizes) > 1 or max(sizes, default=0) > n + 1:
+            raise ParseError(f"triangulation cells must share one size of at most {n + 1}")
+        if sizes == {n + 1}:
+            _, pts = linalg.clear_denominators(p.points)
+            if any(linalg.bareiss([[a - b for a, b in zip(pts[i], pts[c[0]])] for i in c[1:]]) == 0
+                   for c in tri):
+                raise ParseError("triangulation cell of determinant 0")
+            vol = volume(p)
+    if p.facets is not None:
+        if not _closes(p.facets, n):
+            raise ParseError("facet area vectors do not close up")
+        exact = all(isinstance(x, Fraction) for f in p.facets for x in f.direction)
+        if vol is not None and exact and n * vol != sum(f.offset for f in p.facets):
+            raise ParseError("volume differs from the facets' sum of offsets / n")
 
 
 def _parse_facet(data: Mapping, dim: int) -> tuple:
@@ -195,12 +214,12 @@ def simplex(verts: Sequence[Sequence]) -> Polytope:
     k = len(vertices) - 1
     if k > dim:
         raise GeometryError(f"{k}-simplex cannot fit in R^{dim}")
-    edges = [_sub(v, vertices[0]) for v in vertices[1:]]
+    edges = [tuple(a - b for a, b in zip(v, vertices[0])) for v in vertices[1:]]
     if k > 0:
         _, pivots = linalg.rref(edges)
         if len(pivots) != k:
             raise GeometryError("simplex vertices are affinely dependent")
-    return Polytope(dim, vertices, triangulation=(tuple(range(k + 1)),), kind="simplex")
+    return Polytope(dim, vertices, triangulation=(tuple(range(k + 1)),))
 
 
 def box(lo: Sequence, hi: Sequence) -> Polytope:
@@ -215,25 +234,19 @@ def box(lo: Sequence, hi: Sequence) -> Polytope:
     for mask in range(1 << n):
         vertices.append(tuple(hi[i] if mask >> i & 1 else lo[i] for i in range(n)))
     cells = []
-    for perm in _permutations(n):
+    for perm in itertools.permutations(range(n)):
         mask = 0
         chain = [0]
         for i in perm:
             mask |= 1 << i
             chain.append(mask)
         cells.append(tuple(chain))
-    return Polytope(n, tuple(vertices), tuple(cells), kind="box", kind_data=(lo, hi))
+    return Polytope(n, tuple(vertices), tuple(cells))
 
 
 def cube(n: int) -> Polytope:
     """Unit cube [0, 1]^n."""
     return box([0] * n, [1] * n)
-
-
-def _permutations(n: int):
-    import itertools
-
-    return itertools.permutations(range(n))
 
 
 def crosspolytope(vecs: Sequence[Sequence]) -> Polytope:
@@ -254,9 +267,7 @@ def crosspolytope(vecs: Sequence[Sequence]) -> Polytope:
     cells = []
     for mask in range(1 << j):
         cells.append((aux_idx,) + tuple(2 * i + (mask >> i & 1) for i in range(j)))
-    return Polytope(
-        dim, tuple(vertices), tuple(cells), aux_points=(center,),
-        kind="crosspolytope", kind_data=(center,))
+    return Polytope(dim, tuple(vertices), tuple(cells), aux_points=(center,))
 
 
 def polygon(points: Sequence[Sequence]) -> Polytope:
@@ -268,7 +279,7 @@ def polygon(points: Sequence[Sequence]) -> Polytope:
     if len(hull) < 3:
         raise GeometryError("polygon input is degenerate")
     cells = tuple((0, i, i + 1) for i in range(1, len(hull) - 1))
-    return Polytope(2, tuple(hull), cells, kind="polygon")
+    return Polytope(2, tuple(hull), cells)
 
 
 def hull_2d(points: Sequence[Vec]) -> list[Vec]:
@@ -322,12 +333,6 @@ def translate(p: Polytope, y: Sequence) -> Polytope:
     y = _vec(y)
     if len(y) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
-    kind_data = p.kind_data
-    if p.kind == "box":
-        lo, hi = kind_data
-        kind_data = (_add(lo, y), _add(hi, y))
-    elif p.kind == "crosspolytope":
-        kind_data = (_add(kind_data[0], y),)
     facets = None
     if p.facets is not None:
         facets = tuple(
@@ -335,11 +340,13 @@ def translate(p: Polytope, y: Sequence) -> Polytope:
             for f in p.facets)
     return Polytope(
         p.dim, tuple(_add(v, y) for v in p.vertices), p.triangulation,
-        tuple(_add(v, y) for v in p.aux_points), facets, p.kind, kind_data)
+        tuple(_add(v, y) for v in p.aux_points), facets)
 
 
 def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
-    """Image under an invertible linear map; triangulation indices carry over.
+    """Image under an invertible linear map: the points are mapped, the
+    triangulation carries over and facet data is dropped (the image's atoms
+    are read off its triangulation, see ``surface_area_measure``).
 
     Exact only (a float in phi or the body raises ``TypeError``): phi and the
     points are each cleared of denominators once, the products are taken in
@@ -347,37 +354,25 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
     """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
-    kind, kind_data = p.kind, p.kind_data
-    centers = kind_data if kind == "crosspolytope" else ()
     q, rows = linalg.clear_denominators([_vec(row) for row in phi.entries])
-    d, pts = linalg.clear_denominators([_vec(v) for v in p.points + centers])
+    d, pts = linalg.clear_denominators([_vec(v) for v in p.points])
     den = q * d
     image = [tuple(Fraction(sum(map(operator.mul, row, v)), den) for row in rows) for v in pts]
-    nv, npts = len(p.vertices), len(p.points)
-    if kind == "crosspolytope":
-        kind_data = tuple(image[npts:])
-    elif kind in ("box", "polygon"):
-        kind, kind_data = "generic", ()
-    return Polytope(p.dim, tuple(image[:nv]), p.triangulation, tuple(image[nv:npts]), None,
-                    kind, kind_data)
+    nv = len(p.vertices)
+    return Polytope(p.dim, tuple(image[:nv]), p.triangulation, tuple(image[nv:]))
 
 
 def scale(p: Polytope, lam) -> Polytope:
-    """Dilation by lam about the origin: each coordinate times lam, the body
-    ``linear_image`` gives for lam times the identity (a float raises
-    ``TypeError``; a box or polygon becomes generic, facets are dropped)."""
+    """Dilation by lam about the origin: each point's coordinates times lam,
+    the body ``linear_image`` gives for lam times the identity (a float
+    raises ``TypeError``; the triangulation carries over, facet data is
+    dropped)."""
     lam = frac(lam)
 
     def dilate(points):
         return tuple(tuple(lam * x for x in _vec(v)) for v in points)
 
-    kind, kind_data = p.kind, p.kind_data
-    if kind == "crosspolytope":
-        kind_data = dilate(kind_data)
-    elif kind in ("box", "polygon"):
-        kind, kind_data = "generic", ()
-    return Polytope(p.dim, dilate(p.vertices), p.triangulation, dilate(p.aux_points), None,
-                    kind, kind_data)
+    return Polytope(p.dim, dilate(p.vertices), p.triangulation, dilate(p.aux_points))
 
 
 def support(p: Polytope, u: Sequence):
@@ -388,120 +383,83 @@ def support(p: Polytope, u: Sequence):
 # -- facet / surface area data ---------------------------------------------------
 
 
-def _cross(rows: list[Vec], n: int) -> Vec:
-    """A vector orthogonal to n-1 rows whose length is the spanned
-    (n-1)-parallelepiped volume; sign is settled by the caller."""
-    out = []
-    for i in range(n):
-        minor = [[row[c] for c in range(n) if c != i] for row in rows]
-        out.append((-1) ** i * linalg.det(minor))
-    return tuple(out)
-
-
-def _simplex_facets(p: Polytope) -> tuple[FacetDatum, ...]:
-    n = p.dim
-    verts = p.vertices
-    fact = math.factorial(n - 1)
-    facets = []
-    for i in range(n + 1):
-        face = [v for j, v in enumerate(verts) if j != i]
-        rows = [_sub(v, face[0]) for v in face[1:]]
-        direction = tuple(c / fact for c in _cross(rows, n))
-        if all(x == 0 for x in direction):
-            raise GeometryError("degenerate simplex facet")
-        inward = linalg.dot(direction, _sub(verts[i], face[0]))
-        if inward > 0:
-            direction = tuple(-x for x in direction)
-        facets.append(FacetDatum(direction, linalg.dot(direction, face[0])))
-    return tuple(facets)
-
-
-def _box_facets(p: Polytope) -> tuple[FacetDatum, ...]:
-    lo, hi = p.kind_data
-    n = p.dim
-    sides = [hi[i] - lo[i] for i in range(n)]
-    facets = []
-    for i in range(n):
-        area = Fraction(1)
-        for j in range(n):
-            if j != i:
-                area *= sides[j]
-        plus = tuple(area if j == i else Fraction(0) for j in range(n))
-        minus = tuple(-x for x in plus)
-        facets.append(FacetDatum(plus, area * hi[i]))
-        facets.append(FacetDatum(minus, -area * lo[i]))
-    return tuple(facets)
-
-
-def _crosspolytope_facets(p: Polytope) -> tuple[FacetDatum, ...]:
-    n = p.dim
-    center = p.kind_data[0]
-    spanning = [_sub(p.vertices[2 * i], center) for i in range(len(p.vertices) // 2)]
-    if len(spanning) != n:
-        raise GeometryError("crosspolytope facets need full dimension")
-    fact = math.factorial(n - 1)
-    facets = []
-    for mask in range(1 << n):
-        corner = [
-            tuple(-x for x in v) if mask >> i & 1 else v for i, v in enumerate(spanning)]
-        rows = [_sub(corner[i], corner[0]) for i in range(1, n)]
-        direction = tuple(c / fact for c in _cross(rows, n))
-        if linalg.dot(direction, corner[0]) < 0:
-            direction = tuple(-x for x in direction)
-        offset = linalg.dot(direction, _add(center, corner[0]))
-        facets.append(FacetDatum(direction, offset))
-    return tuple(facets)
-
-
-def _polygon_facets(p: Polytope) -> tuple[FacetDatum, ...]:
-    hull = hull_2d(list(p.vertices))
-    if len(hull) < 3:
-        raise GeometryError("degenerate polygon")
-    facets = []
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        edge = _sub(b, a)
-        direction = (edge[1], -edge[0])
-        facets.append(FacetDatum(direction, linalg.dot(direction, a)))
-    return tuple(facets)
-
-
 def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
-    """Atoms (outward area vectors) of the surface area measure.
+    """Atoms (outward area vectors) of the surface area measure: the body's
+    imported facet data, or else read off its triangulation.
 
-    Supported for simplices, boxes, crosspolytopes, planar polytopes, and
-    anything carrying imported facet data.  The atoms sum to zero.
+    A face that no other cell shares lies on the boundary.  Its area vector
+    is the n signed (n-1)-minors of its edge vectors over (n-1)!, turned
+    away from its cell's opposite vertex, and the faces on one hyperplane
+    add up to one atom.  Exact points are cleared of denominators (D) once,
+    the minors (Bareiss) and sums run in ints and each atom is divided once
+    by (n-1)! D^(n-1); float points run the same sums in floats with D = 1.
+
+    An untriangulated body is read as the simplex on its vertices when it
+    has n + 1 of them, as their polygon in the plane.  Other untriangulated
+    bodies, cells of fewer than n + 1 points, degenerate cells and atoms
+    that do not sum to zero (overlapping cells) raise ``GeometryError``.
     """
     if p.facets is not None:
         return p.facets
-    if p.kind == "box":
-        facets = _box_facets(p)
-    elif p.kind == "crosspolytope":
-        facets = _crosspolytope_facets(p)
-    elif p.kind == "simplex" or len(p.vertices) == p.dim + 1:
-        if len(p.vertices) != p.dim + 1:
-            raise GeometryError("surface area measure needs a full-dimensional simplex")
-        facets = _simplex_facets(p)
-    elif p.dim == 2:
-        facets = _polygon_facets(p)
-    else:
-        raise GeometryError(
-            f"no facet rule for kind {p.kind!r} in R^{p.dim}; supply facet data")
-    closedness = [sum(f.direction[i] for f in facets) for i in range(p.dim)]
-    if any(_nonzero(x) for x in closedness):
-        raise GeometryError(f"facet area vectors do not close up: {closedness}")
+    n = p.dim
+    if p.triangulation is None:
+        if len(p.vertices) == n + 1:
+            p = simplex(p.vertices)
+        elif n == 2:
+            p = polygon(p.vertices)
+        else:
+            raise GeometryError(f"surface area measure in R^{n} needs a triangulation or facets")
+    if any(len(cell) != n + 1 for cell in p.triangulation):
+        raise GeometryError("surface area measure needs full-dimensional cells")
+    faces = [(cell[:k] + cell[k + 1:], i) for cell in p.triangulation for k, i in enumerate(cell)]
+    shared = Counter(frozenset(face) for face, _ in faces)
+    scale, pts = linalg.clear_denominators(p.points)
+    atoms: dict = {}
+    for face, opposite in faces:
+        if shared[frozenset(face)] > 1:
+            continue
+        base = pts[face[0]]
+        rows = [[a - b for a, b in zip(pts[i], base)] for i in face[1:]]
+        normal = [(-1) ** c * linalg.bareiss([row[:c] + row[c + 1:] for row in rows])
+                  for c in range(n)]
+        side = sum(x * (a - b) for x, a, b in zip(normal, pts[opposite], base))
+        if side == 0:
+            raise GeometryError("degenerate triangulation cell")
+        total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
+        for c, x in enumerate(normal):
+            total[c] += -x if side > 0 else x
+    div = Fraction if isinstance(pts[0][0], int) else operator.truediv
+    denom = math.factorial(n - 1) * scale ** (n - 1)
+    facets = tuple(
+        FacetDatum(tuple(div(x, denom) for x in total),
+                   div(sum(map(operator.mul, total, base)), denom * scale))
+        for total, base in atoms.values() if any(total))
+    if not _closes(facets, n):
+        raise GeometryError("facet area vectors do not close up")
     return facets
 
 
-def _nonzero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x != 0
-    return abs(x) > 1e-12
+def _hyperplane(normal: list, point) -> tuple:
+    """Key of the hyperplane through ``point`` normal to ``normal``: the
+    normal over its gcd (ints) or its largest entry (floats), signed so that
+    the largest entry is positive, and that vector's product with ``point``."""
+    lead = max(normal, key=abs)
+    if isinstance(lead, int):
+        g = math.gcd(*normal)
+        u = tuple(x // (g if lead > 0 else -g) for x in normal)
+    else:
+        u = tuple(x / lead for x in normal)
+    return u, sum(map(operator.mul, u, point))
+
+
+def _closes(facets, n: int) -> bool:
+    """Whether the area vectors sum to zero: exactly, or within 1e-12 for floats."""
+    sums = [sum(f.direction[i] for f in facets) for i in range(n)]
+    return all(s == 0 if isinstance(s, Fraction) else abs(s) <= 1e-12 for s in sums)
 
 
 def with_facets(p: Polytope) -> Polytope:
-    return Polytope(
-        p.dim, p.vertices, p.triangulation, p.aux_points,
-        surface_area_measure(p), p.kind, p.kind_data)
+    return replace(p, facets=surface_area_measure(p))
 
 
 # -- subspace volume --------------------------------------------------------------

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from valuta.errors import GeometryError
+from valuta.errors import GeometryError, ParseError
 from valuta.polytope import (
     Polytope,
     box,
@@ -22,7 +23,8 @@ from valuta.polytope import (
     volume,
     with_facets,
 )
-from valuta.symtensor import RMatrix
+from valuta.symtensor import RMatrix, vector_power
+from valuta.valuation_lab import transfer_check
 
 F = Fraction
 
@@ -114,6 +116,36 @@ class TestSurfaceAreaMeasure:
         sums = [sum(f.direction[i] for f in facets) for i in range(4)]
         assert sums == [0, 0, 0, 0]
 
+    def test_untriangulated_bodies_match_triangulated_twins(self):
+        tet = simplex([(0, 0, 0), (2, F(1, 3), 0), (1, 1, 1), (F(-1, 2), 0, 3)])
+        pentagon = polygon([(0, 0), (2, 0), (3, 1), (1, F(5, 2)), (-1, 1)])
+        for twin, atoms in ((tet, 4), (pentagon, 5)):
+            bare = Polytope(twin.dim, twin.vertices)
+            assert set(surface_area_measure(bare)) == set(surface_area_measure(twin))
+            assert len(surface_area_measure(bare)) == atoms
+
+    def test_untriangulated_body_needs_facets(self):
+        with pytest.raises(GeometryError):
+            surface_area_measure(Polytope(3, cube(3).vertices))
+
+    @pytest.mark.parametrize("body", [
+        simplex([(0, 0), (F(1, 3), 0), (F(1, 7), F(2, 5))]),
+        simplex([(0, 0, 0), (F(1, 3), 0, F(1, 9)), (0, F(2, 7), 0), (F(1, 5), F(1, 11), 1)]),
+        box([0, 0, 0], [F(1, 3), F(1, 7), F(2, 5)]),
+    ])
+    def test_float_atoms_match_exact(self, body):
+        exact = surface_area_measure(body)
+        as_float = surface_area_measure(Polytope(
+            body.dim, tuple(tuple(float(x) for x in v) for v in body.vertices),
+            body.triangulation))
+        assert len(as_float) == len(exact)
+        for f in exact:
+            g = min(as_float, key=lambda g: max(
+                abs(float(a) - b) for a, b in zip(f.direction, g.direction)))
+            assert all(isinstance(x, float) for x in g.direction + (g.offset,))
+            assert max(abs(float(a) - b) for a, b in zip(f.direction, g.direction)) <= 1e-12
+            assert abs(float(f.offset) - g.offset) <= 1e-12
+
     def test_offsets_dominate_vertices(self):
         for f in surface_area_measure(std_triangle):
             assert all(
@@ -189,6 +221,61 @@ class TestJson:
         q = Polytope.from_json_dict(c.to_json_dict())
         assert volume(q) == 2
 
+    @pytest.mark.parametrize("body", [
+        box([0, F(-1, 2), 1], [F(1, 3), 2, F(7, 4)]),
+        translate(crosspolytope([(1, 0, 0), (1, 2, 0), (0, F(1, 2), 3)]), (F(1, 3), -1, 2)),
+    ])
+    def test_box_and_cross_round_trips_with_facets(self, body):
+        p = with_facets(body)
+        q = Polytope.from_json_dict(p.to_json_dict())
+        assert set(q.facets) == set(p.facets)
+        assert volume(q) == volume(p)
+
+
+def _square_json(triangulation, facets=True, aux=()):
+    data = {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+            "triangulation": triangulation, "aux_points": [list(a) for a in aux]}
+    if facets:
+        data["facets"] = [{"normal": n, "measure": "1"}
+                          for n in ([1, 0], [-1, 0], [0, 1], [0, -1])]
+    return data
+
+
+class TestImportValidation:
+    overlapping = [[0, 1, 2], [0, 2, 3], [0, 1, 3]]
+
+    def test_valid_square_loads(self):
+        q = Polytope.from_json_dict(_square_json([[0, 1, 2], [0, 2, 3]]))
+        assert volume(q) == 1
+
+    def test_overlapping_cells_rejected_by_divergence_theorem(self):
+        # The three cells cover the square one and a half times: volume 3/2,
+        # while the facets' offsets sum to n * 1.
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict(_square_json(self.overlapping))
+
+    def test_overlapping_cells_have_no_surface_area_measure(self):
+        q = Polytope.from_json_dict(_square_json(self.overlapping, facets=False))
+        with pytest.raises(GeometryError):
+            surface_area_measure(q)
+
+    @pytest.mark.parametrize("triangulation, aux", [
+        ([[0, 1, 1]], ()),
+        ([[0, 1, 2], [0, 2]], ()),
+        ([[0, 1, 2, 3]], ()),
+        ([[0, 1, 2], [0, 2, 3], [0, 1, 4]], ((F(1, 2), 0),)),
+        ([[0, 1, 5]], ()),
+    ])
+    def test_bad_triangulations_rejected(self, triangulation, aux):
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict(_square_json(triangulation, facets=False, aux=aux))
+
+    def test_open_facets_rejected(self):
+        data = _square_json([[0, 1, 2], [0, 2, 3]])
+        data["facets"][0]["measure"] = "2"
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict(data)
+
 
 small_rats = st.builds(F, st.integers(min_value=-4, max_value=4),
                        st.integers(min_value=1, max_value=3))
@@ -251,9 +338,71 @@ def test_linear_image_matches_fraction_matvec(case):
     assert image.aux_points == tuple(_matvec(rows, v) for v in body.aux_points)
     assert all(isinstance(x, Fraction) for v in image.points for x in v)
     assert image.triangulation == body.triangulation
-    if body.kind == "crosspolytope":
-        assert image.kind_data == (_matvec(rows, body.kind_data[0]),)
-        assert image.kind_data[0] == image.aux_points[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=st.lists(small_rats, min_size=2, max_size=4), data=st.data())
+def test_box_atoms_are_side_products(lo, data):
+    """Independent of the triangulation: the facet normal to e_i has area
+    prod_{j != i} side_j and offsets area * hi_i and -area * lo_i."""
+    n = len(lo)
+    sides = data.draw(st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 4)),
+                               min_size=n, max_size=n))
+    hi = [a + s for a, s in zip(lo, sides)]
+    expected = set()
+    for i in range(n):
+        area = math.prod(sides[j] for j in range(n) if j != i)
+        e = tuple(area if j == i else 0 for j in range(n))
+        expected.add((e, area * hi[i]))
+        expected.add((tuple(-x for x in e), -area * lo[i]))
+    assert {(f.direction, f.offset) for f in surface_area_measure(box(lo, hi))} == expected
+
+
+@st.composite
+def full_bodies_and_invertible_maps(draw):
+    body, rows = draw(bodies_and_maps())
+    if body.dim == 2 and draw(st.booleans()):
+        try:
+            body = polygon(draw(st.lists(st.tuples(small_rats, small_rats), min_size=3,
+                                         max_size=7)))
+        except GeometryError:
+            pass
+    phi = RMatrix.from_rows(rows)
+    assume(phi.det != 0)
+    return body, rows, phi
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=full_bodies_and_invertible_maps())
+def test_image_atoms_are_mapped_area_vectors(case):
+    """The atoms of phi(P) are |det phi| phi^{-T} a_F at offsets <a', phi v>
+    for a vertex v on F, and each offset is the image's support value."""
+    body, rows, phi = case
+    inv_t = phi.inverse_transpose()
+    expected = set()
+    for f in surface_area_measure(body):
+        mapped = tuple(abs(phi.det) * x for x in inv_t.matvec(f.direction))
+        on_face = max(body.vertices, key=lambda v: sum(a * b for a, b in zip(f.direction, v)))
+        offset = sum(a * b for a, b in zip(mapped, _matvec(rows, on_face)))
+        expected.add((mapped, offset))
+    image = linear_image(phi, body)
+    atoms = surface_area_measure(image)
+    assert {(f.direction, f.offset) for f in atoms} == expected
+    assert all(f.offset == support(image, f.direction) for f in atoms)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, F(1, 2), 0], [0, 1, F(-3, 2)], [0, 0, 1]],
+    [[1, 0, 0, 0], [F(3, 2), 1, 0, 0], [0, 2, 1, F(-1, 2)], [0, 0, 0, 1]],
+])
+def test_transfer_on_sheared_box(rows):
+    n = len(rows)
+    body = box([F(-1, 2)] * n, [F(k + 1, 3) for k in range(n)])
+    phi = RMatrix.from_rows(rows)
+    assert len(surface_area_measure(linear_image(phi, body))) == 2 * n
+    corner = simplex([[0] * n] + [[int(i == k) for i in range(n)] for k in range(n)])
+    for f in (lambda v: vector_power(v, 2), lambda v: support(corner, v)):
+        assert transfer_check(f, phi, body).passed
 
 
 def test_linear_image_rejects_float_matrix():
@@ -280,7 +429,7 @@ def bodies_and_factors(draw):
 @given(case=bodies_and_factors())
 def test_scale_matches_linear_image_of_a_diagonal(case):
     """Dilation equals the image under lam times the identity: points,
-    kind (box and polygon become generic), crosspolytope centre, facets."""
+    crosspolytope centre, facets."""
     body, lam = case
     diag = RMatrix.diag([lam] * body.dim)
     for b in (body, with_facets(body)):
