@@ -1,10 +1,16 @@
-"""Exact linear algebra kernels over the rationals and Gaussian rationals.
+"""Exact linear algebra on one fraction-free elimination.
 
-Matrices are plain lists of lists of ``Fraction``; complex scalars are
-``(re, im)`` pairs of ``Fraction``.  Everything here is exact: no pivot
-thresholds, no rounding.  ``det`` is Bareiss's fraction-free elimination in
-Python ints, and takes float matrices through the same elimination; other
-float-mode linear algebra lives with its callers and uses numpy.
+Matrices are plain lists of lists of ints or ``Fraction``s; complex scalars
+are ``(re, im)`` pairs of them.  Determinant, rank, reduced row echelon
+form, nullspace, solve and inverse all run on ``_eliminate``, Bareiss's
+fraction-free elimination (Math. Comp. 22, 1968): the input is cleared of
+denominators once, eliminated in Python ints with exact ``//`` and divided
+once at the end, so exact input gives exact output, with no pivot
+thresholds and no rounding.  A matrix holding a float (``numpy.float32``
+too) runs the same elimination in floats, pivoting on the largest entry,
+and gives floats.  The complex routines use no complex arithmetic: ``crank``
+is the real rank of the realified rows, halved, and ``cdet`` reads
+det(X + iY) off the integer determinants det(X + tY) at t = 1..m+1.
 """
 
 from __future__ import annotations
@@ -82,34 +88,60 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     return d, [[int(x.numerator) * (d // int(x.denominator)) for x in row] for row in rows]
 
 
-def bareiss(m: list[list]):
-    """Determinant of a square matrix of ints, or of floats, by Bareiss's
-    fraction-free elimination (Math. Comp. 22, 1968); ``m`` is overwritten.
+def _floats(m: list[list]) -> bool:
+    return any(isinstance(x, float) for row in m for x in row)
 
-    After step k every entry is a (k+1)-minor, so dividing by the previous
-    pivot is exact and ``//`` keeps ints in integers; floats divide with
-    ``/`` and gain stability from pivoting on the largest entry.
+
+def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
+    """Bareiss's fraction-free elimination of a rectangular int or float
+    matrix in place; returns the sign of its row swaps and its pivot columns.
+
+    Columns without a pivot are skipped.  After each step every entry is a
+    minor of the input, so dividing by the previous pivot is exact and ``//``
+    keeps ints in integers; floats divide with ``/`` and pivot on the largest
+    entry, ints on the first nonzero one.  With ``jordan`` the rows above
+    each pivot are eliminated too (fraction-free Gauss-Jordan), and every
+    pivot entry of an int matrix ends equal to the last pivot.  Rows past
+    the rank end zero.
     """
-    n = len(m)
-    div = (operator.truediv if any(isinstance(x, float) for row in m for x in row)
-           else operator.floordiv)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if m[pivot][k] == 0:
-            return div(0, 1)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
+    nrows = len(m)
+    floats = _floats(m)
+    div = operator.truediv if floats else operator.floordiv
+    sign, prev, pivots = 1, 1, []
+    for c in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        if k == nrows:
+            break
+        if floats:
+            r = max(range(k, nrows), key=lambda i: abs(m[i][c]))
+            if m[r][c] == 0:
+                continue
+        else:
+            for r in range(k, nrows):
+                if m[r][c]:
+                    break
+            else:
+                continue
+        if r != k:
+            m[k], m[r] = m[r], m[k]
             sign = -sign
-        rowk = m[k]
-        p = rowk[k]
-        for i in range(k + 1, n):
-            a = m[i][k]
-            m[i] = [div(x * p - a * y, prev) if j > k else 0
-                    for j, (x, y) in enumerate(zip(m[i], rowk))]
+        top = m[k]
+        p = top[c]
+        for i in range(0 if jordan else k + 1, nrows):
+            if i != k:
+                a = m[i][c]
+                m[i] = [div(x * p - a * y, prev) for x, y in zip(m[i], top)]
+        pivots.append(c)
         prev = p
-    return sign * m[n - 1][n - 1] if n else 1
+    return sign, pivots
+
+
+def bareiss(m: list[list]):
+    """Determinant of a square matrix of ints, or of floats, by ``_eliminate``;
+    ``m`` is overwritten.  Its last entry ends as the last pivot, or as 0
+    when the matrix is singular."""
+    sign, _ = _eliminate(m)
+    return sign * m[-1][-1] if m else 1
 
 
 def det(rows: Sequence[Sequence]):
@@ -129,67 +161,68 @@ def det(rows: Sequence[Sequence]):
     return value / scale if isinstance(value, float) else Fraction(value, scale)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= len(m):
-            break
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        p = m[row][col]
-        m[row] = [x / p for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    return m, pivots
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank, exact for rational input; a float pivot counts unless it is 0."""
+    return len(_eliminate(clear_denominators(rows)[1])[1])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Basis of the right nullspace, exact."""
+def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and its pivot columns: fraction-free
+    Gauss-Jordan on the rows cleared of denominators, then each row divided
+    once by its pivot entry (exactly on int rows, with ``/`` on float rows)."""
+    _, m = clear_denominators(rows)
+    _, pivots = _eliminate(m, jordan=True)
+    div = operator.truediv if _floats(m) else Fraction
+    scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
+    return [[div(x, p) for x in row] for row, p in zip(m, scales)], pivots
+
+
+def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
+    """Basis of the right nullspace, one vector per free column of ``rref``."""
     if not rows:
         return []
     ncols = len(rows[0])
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fcol in free:
+    for free in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
-        v[fcol] = ONE
-        for i, pcol in enumerate(pivots):
-            v[pcol] = -red[i][fcol]
+        v[free] = ONE
+        for row, c in zip(red, pivots):
+            v[c] = -row[free]
         basis.append(tuple(v))
     return basis
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec:
-    """Solve a square nonsingular system exactly."""
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec:
+    """Solve a square nonsingular system: ``rref`` of [A | b]."""
     n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
     if pivots != list(range(n)):
         raise DimensionMismatch("singular system")
-    return tuple(red[i][n] for i in range(n))
+    return tuple(row[n] for row in red)
 
 
-def inv(rows: Sequence[Sequence[Fraction]]) -> Mat:
-    """Exact inverse of a square nonsingular matrix."""
+def inv(rows: Sequence[Sequence]) -> Mat:
+    """Inverse of a square nonsingular matrix: ``rref`` of [A | I]."""
     n = len(rows)
-    aug = [list(r) + ident_row for r, ident_row in zip(rows, identity(n))]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(r) + e for r, e in zip(rows, identity(n))])
     if pivots != list(range(n)):
         raise DimensionMismatch("matrix not invertible")
     return [row[n:] for row in red]
+
+
+_WEIGHTS: dict[int, tuple[tuple[tuple[int, ...], ...], int]] = {}
+
+
+def interpolation_weights(top: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Read-only (W, D), built once per ``top``: W / D is the inverse of the
+    Vandermonde matrix V[i][j] = (i + 1)^j on the nodes 1..top + 1, with W
+    an int matrix and D the lcm of the inverse's denominators."""
+    if top in _WEIGHTS:
+        return _WEIGHTS[top]
+    d, w = clear_denominators(inv([[k ** j for j in range(top + 1)] for k in range(1, top + 2)]))
+    _WEIGHTS[top] = weights = (tuple(map(tuple, w)), d)
+    return weights
 
 
 def exact_sqrt(q: Fraction) -> Fraction | None:
@@ -203,98 +236,54 @@ def exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-# -- Gaussian-rational scalars ------------------------------------------------
-
-C_ZERO: CNum = (ZERO, ZERO)
-C_ONE: CNum = (ONE, ZERO)
+# -- Gaussian-rational scalars and matrices ------------------------------------
 
 
 def cnum(re, im=0) -> CNum:
     return (frac(re), frac(im))
 
 
-def cadd(a: CNum, b: CNum) -> CNum:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def csub(a: CNum, b: CNum) -> CNum:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def cmul(a: CNum, b: CNum) -> CNum:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def cdiv(a: CNum, b: CNum) -> CNum:
-    d = b[0] * b[0] + b[1] * b[1]
-    if d == 0:
-        raise ZeroDivisionError("complex division by zero")
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
 
 
 def cabs2(a: CNum) -> Fraction:
     return a[0] * a[0] + a[1] * a[1]
 
 
+def _flat(rows: Sequence[Sequence[CNum]]) -> list[list]:
+    """Complex rows z = x + iy as the real rows [x | y]."""
+    return [[re for re, _ in row] + [im for _, im in row] for row in rows]
+
+
 def cdet(rows: Sequence[Sequence[CNum]]) -> CNum:
-    """Determinant of a complex matrix with Gaussian-rational entries."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    result = C_ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != C_ZERO), None)
-        if pivot is None:
-            return C_ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        p = m[col][col]
-        result = cmul(result, p)
-        for r in range(col + 1, n):
-            if m[r][col] != C_ZERO:
-                f = cdiv(m[r][col], p)
-                for c in range(col, n):
-                    m[r][c] = csub(m[r][c], cmul(f, m[col][c]))
-    if sign < 0:
-        result = (-result[0], -result[1])
-    return result
+    """Determinant of X + iY.  p(t) = det(X + tY) has degree <= m; [X | Y] is
+    cleared of denominators (lcm d) once, p is evaluated at t = 1..m+1 by
+    integer ``bareiss``, its coefficients are read off with
+    ``interpolation_weights(m)`` (W, D), and p(i) is their alternating sums
+    over D d^m."""
+    m = len(rows)
+    if any(len(r) != m for r in rows):
+        raise DimensionMismatch("determinant of non-square matrix")
+    d, xy = clear_denominators(_flat(rows))
+    values = [bareiss([[a + t * b for a, b in zip(row[:m], row[m:])] for row in xy])
+              for t in range(1, m + 2)]
+    w, big_d = interpolation_weights(m)
+    coeffs = [sum(map(operator.mul, wj, values)) for wj in w]
+    div = operator.truediv if _floats(xy) else Fraction
+    scale = big_d * d ** m
+    return (div(sum(coeffs[0::4]) - sum(coeffs[2::4]), scale),
+            div(sum(coeffs[1::4]) - sum(coeffs[3::4]), scale))
 
 
 def crank(rows: Sequence[Sequence[CNum]]) -> int:
-    """Rank over the complex rationals by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != C_ZERO), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        p = m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col] != C_ZERO:
-                f = cdiv(m[r][col], p)
-                for c in range(col, ncols):
-                    m[r][c] = csub(m[r][c], cmul(f, m[row][c]))
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank over C of complex rows: the real rank of the rows z and iz
+    flattened to [x | y] and [-y | x], halved."""
+    return rank(_flat(rows) + _flat([[(-im, re) for re, im in row] for row in rows])) // 2
 
 
 def cmat_mul(a: Sequence[Sequence[CNum]], b: Sequence[Sequence[CNum]]) -> list[list[CNum]]:
     if len(a[0]) != len(b):
         raise DimensionMismatch("complex matrix product shape mismatch")
-    n, k, p = len(a), len(b), len(b[0])
-    out = [[C_ZERO] * p for _ in range(n)]
-    for i in range(n):
-        for j in range(p):
-            acc = C_ZERO
-            for t in range(k):
-                acc = cadd(acc, cmul(a[i][t], b[t][j]))
-            out[i][j] = acc
-    return out
+    bt = list(zip(*b))
+    return [[tuple(map(sum, zip(*map(cmul, row, col)))) for col in bt] for row in a]

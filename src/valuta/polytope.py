@@ -215,10 +215,8 @@ def simplex(verts: Sequence[Sequence]) -> Polytope:
     if k > dim:
         raise GeometryError(f"{k}-simplex cannot fit in R^{dim}")
     edges = [tuple(a - b for a, b in zip(v, vertices[0])) for v in vertices[1:]]
-    if k > 0:
-        _, pivots = linalg.rref(edges)
-        if len(pivots) != k:
-            raise GeometryError("simplex vertices are affinely dependent")
+    if k > 0 and linalg.rank(edges) != k:
+        raise GeometryError("simplex vertices are affinely dependent")
     return Polytope(dim, vertices, triangulation=(tuple(range(k + 1)),))
 
 
@@ -255,8 +253,7 @@ def crosspolytope(vecs: Sequence[Sequence]) -> Polytope:
     spanning = [_vec(v) for v in vecs]
     j = len(spanning)
     dim = len(spanning[0])
-    _, pivots = linalg.rref(spanning)
-    if len(pivots) != j:
+    if linalg.rank(spanning) != j:
         raise GeometryError("crosspolytope vectors are linearly dependent")
     vertices = []
     for v in spanning:
@@ -453,9 +450,13 @@ def _hyperplane(normal: list, point) -> tuple:
 
 
 def _closes(facets, n: int) -> bool:
-    """Whether the area vectors sum to zero: exactly, or within 1e-12 for floats."""
+    """Whether the area vectors sum to zero: exactly, or for floats within
+    1e-12 times the summed magnitudes of their components."""
     sums = [sum(f.direction[i] for f in facets) for i in range(n)]
-    return all(s == 0 if isinstance(s, Fraction) else abs(s) <= 1e-12 for s in sums)
+    if all(isinstance(s, Fraction) for s in sums):
+        return not any(sums)
+    size = sum(abs(x) for f in facets for x in f.direction)
+    return all(abs(s) <= 1e-12 * size for s in sums)
 
 
 def with_facets(p: Polytope) -> Polytope:

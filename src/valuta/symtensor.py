@@ -373,10 +373,8 @@ class RMatrix:
 
     def inverse(self) -> "RMatrix":
         if not self.exact:
-            import numpy as np
-
             return RMatrix.from_rows(
-                np.linalg.inv(np.array(self.entries, dtype=float)).tolist(), exact=False)
+                linalg.inv([[float(x) for x in row] for row in self.entries]), exact=False)
         return RMatrix.from_rows(linalg.inv(self.entries))
 
     def inverse_transpose(self) -> "RMatrix":

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .cplx import CMatrix, Subspace, gram_schmidt_exact, realify
 from .errors import DimensionMismatch, GeometryError, ValutaError
-from .linalg import cabs2, exact_sqrt
+from .linalg import cabs2, exact_sqrt, interpolation_weights
 from .moment import moment_tensor
 from .polytope import (
     Polytope,
@@ -176,22 +176,6 @@ def _residual(a: SymTensor, b: SymTensor):
 
 
 # -- homogeneous decomposition ---------------------------------------------------
-
-
-_WEIGHTS: dict[int, tuple[tuple[tuple[int, ...], ...], int]] = {}
-
-
-def interpolation_weights(top: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Read-only (W, D), built once per ``top``: W / D is the inverse of the
-    Vandermonde matrix V[i][j] = (i + 1)^j on the nodes 1..top + 1, with W
-    an int matrix and D the lcm of the inverse's denominators."""
-    if top in _WEIGHTS:
-        return _WEIGHTS[top]
-    nodes = range(1, top + 2)
-    d, w = linalg.clear_denominators(
-        linalg.inv([[Fraction(k ** j) for j in range(top + 1)] for k in nodes]))
-    _WEIGHTS[top] = weights = (tuple(map(tuple, w)), d)
-    return weights
 
 
 def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:

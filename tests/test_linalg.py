@@ -84,3 +84,188 @@ def test_numpy_scalars_are_classified_by_type():
         with pytest.raises(TypeError):
             linalg.frac(value)
     assert linalg.frac("3/4") == F(3, 4)
+
+
+# -- oracles for rref, nullspace, solve, inv, cdet and crank ------------------------
+
+
+def to_sympy(rows, ncols=None):
+    sympy = pytest.importorskip("sympy")
+    ncols = len(rows[0]) if rows else (ncols or 0)
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(F(x).numerator, F(x).denominator)
+                                           for row in rows for x in row])
+
+
+def from_sympy(mat):
+    return [[F(int(e.p), int(e.q)) for e in mat.row(i)] for i in range(mat.rows)]
+
+
+@st.composite
+def rect_matrices(draw):
+    """Rational matrices up to 5 x 5, with rows that are combinations of
+    other rows and columns that are zero planted in some of them."""
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    rows = [[draw(rationals) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = draw(rationals), draw(rationals)
+        i, j = (draw(st.integers(min_value=0, max_value=nrows - 1)) for _ in range(2))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    zero = draw(st.sets(st.integers(min_value=0, max_value=ncols - 1), max_size=2))
+    rows = [[F(0) if c in zero else x for c, x in enumerate(row)] for row in rows]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=rect_matrices())
+def test_rref_matches_sympy(rows):
+    red, pivots = linalg.rref(rows)
+    want, want_pivots = to_sympy(rows).rref()
+    assert red == from_sympy(want)
+    assert pivots == list(want_pivots)
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=rect_matrices())
+def test_nullspace_is_a_kernel_basis(rows):
+    basis = linalg.nullspace(rows)
+    ncols = len(rows[0])
+    assert len(basis) == ncols - to_sympy(rows).rank()
+    for v in basis:
+        assert len(v) == ncols
+        assert all(x == 0 for x in linalg.mat_vec(rows, v))
+    if basis:
+        assert to_sympy(basis).rank() == len(basis)
+
+
+@st.composite
+def square_systems(draw):
+    """A square rational matrix (singular when planted so) and a right side."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(rationals)
+        rows[i] = [c * x for x in rows[j]]
+    return rows, [draw(rationals) for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=square_systems())
+def test_solve_and_inv_invert(system):
+    rows, rhs = system
+    n = len(rows)
+    if to_sympy(rows).det() == 0:
+        with pytest.raises(DimensionMismatch):
+            linalg.solve(rows, rhs)
+        with pytest.raises(DimensionMismatch):
+            linalg.inv(rows)
+        return
+    x = linalg.solve(rows, rhs)
+    assert list(linalg.mat_vec(rows, x)) == rhs
+    inverse = linalg.inv(rows)
+    assert linalg.mat_mul(rows, inverse) == linalg.identity(n)
+    assert all(type(v) is Fraction for row in inverse for v in row + list(x))
+
+
+def gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def gauss_leibniz(rows):
+    """Complex determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = (F(0), F(0))
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (F(-1) ** inversions, F(0))
+        for i, p in enumerate(perm):
+            term = gauss_mul(term, rows[i][p])
+        total = (total[0] + term[0], total[1] + term[1])
+    return total
+
+
+gaussian = st.tuples(rationals, st.sampled_from([F(0), F(0), F(1), F(-2, 3), F(5, 7)]))
+
+
+@st.composite
+def complex_matrices(draw, square=True):
+    """Gaussian-rational matrices, with complex multiples of other rows
+    planted in some of them."""
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=4))
+    rows = [[draw(gaussian) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(nrows)))[:2]
+        c = draw(gaussian)
+        rows[i] = [gauss_mul(c, x) for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=complex_matrices())
+def test_cdet_matches_gaussian_leibniz(rows):
+    got = linalg.cdet(rows)
+    assert got == gauss_leibniz(rows)
+    assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[(F(0), F(0))]],
+    [[(F(2, 3), F(-1, 5))]],
+    [[(F(0), F(0)), (F(1), F(2))], [(F(3), F(0)), (F(0), F(0))]],   # pivots off the diagonal
+    [[(F(0), F(1)), (F(0), F(0)), (F(0), F(0))],
+     [(F(0), F(0)), (F(0), F(0)), (F(1, 2), F(1))],
+     [(F(0), F(0)), (F(-3), F(0)), (F(0), F(0))]],                 # permutation pattern
+    [[(F(1), F(2)), (F(3), F(0))], [(F(-2), F(1)), (F(0), F(3))]],   # row 2 = i * row 1
+    [[(F(0), F(0)), (F(1), F(1))], [(F(0), F(0)), (F(2), F(0))]],   # zero column
+])
+def test_cdet_edge_cases(rows):
+    assert linalg.cdet(rows) == gauss_leibniz(rows)
+
+
+def sympy_complex_rank(rows):
+    sympy = pytest.importorskip("sympy")
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    return sympy.Matrix([[q(re) + sympy.I * q(im) for re, im in row] for row in rows]).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=complex_matrices(square=False))
+def test_crank_matches_sympy(rows):
+    assert linalg.crank(rows) == sympy_complex_rank(rows)
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([], 0),
+    ([[]], 0),
+    ([[(F(0), F(0)), (F(0), F(0))]], 0),
+    ([[(F(1), F(0)), (F(0), F(1))], [(F(0), F(1)), (F(-1), F(0))]], 1),   # row 2 = i * row 1
+    ([[(F(1), F(0)), (F(0), F(0))], [(F(0), F(1)), (F(0), F(0))]], 1),    # zero column
+    ([[(F(1), F(0)), (F(1), F(0))], [(F(1), F(0)), (F(0), F(1))]], 2),
+])
+def test_crank_edge_cases(rows, rank):
+    assert linalg.crank(rows) == rank
+
+
+def test_echelon_edge_cases():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[]]) == ([[]], [])
+    assert linalg.rref([[0, 0, 0], [0, 0, 0]]) == ([[0, 0, 0], [0, 0, 0]], [])
+    assert linalg.rref([[0, 2, 4], [0, 1, 2]]) == ([[0, 1, 2], [0, 0, 0]], [1])
+    assert linalg.nullspace([]) == []
+    assert linalg.nullspace([[]]) == []
+    assert linalg.nullspace([[0, 0]]) == [(1, 0), (0, 1)]
+    assert linalg.nullspace([[F(1, 2), 0, F(1, 3)]]) == [(0, 1, 0), (F(-2, 3), 0, 1)]
+    assert linalg.solve([], []) == ()
+    assert linalg.inv([]) == []
+    for singular in ([[0]], [[1, 2], [2, 4]], [[0, 1], [0, 3]]):
+        with pytest.raises(DimensionMismatch):
+            linalg.inv(singular)
+        with pytest.raises(DimensionMismatch):
+            linalg.solve(singular, [1] * len(singular))

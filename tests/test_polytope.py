@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from valuta.errors import GeometryError, ParseError
 from valuta.polytope import (
     Polytope,
+    _closes,
     box,
     crosspolytope,
     cube,
@@ -145,6 +148,27 @@ class TestSurfaceAreaMeasure:
             assert all(isinstance(x, float) for x in g.direction + (g.offset,))
             assert max(abs(float(a) - b) for a, b in zip(f.direction, g.direction)) <= 1e-12
             assert abs(float(f.offset) - g.offset) <= 1e-12
+
+    def test_large_float_tetrahedra_close_up(self):
+        # Area vectors of size ~1e6 sum to ~1e-10 in floats: an absolute
+        # 1e-12 closedness tolerance rejected nearly all of these.
+        rng = random.Random(7)
+        for _ in range(200):
+            pts = tuple(tuple(rng.uniform(-1000, 1000) for _ in range(3)) for _ in range(4))
+            atoms = surface_area_measure(Polytope(3, pts, ((0, 1, 2, 3),)))
+            assert len(atoms) == 4
+            assert all(isinstance(x, float) for f in atoms for x in f.direction)
+
+    def test_float_atoms_that_do_not_close_are_rejected(self):
+        square = ((0.0, 0.0), (1000.0, 0.0), (1000.0, 1000.0), (0.0, 1000.0))
+        with pytest.raises(GeometryError):
+            surface_area_measure(Polytope(2, square, ((0, 1, 2), (0, 2, 3), (0, 1, 3))))
+        pts = ((-310.5, 12.25, 998.0), (640.0, -75.5, 3.0), (2.5, 870.0, -41.0),
+               (-5.0, -600.25, -720.0))
+        atoms = surface_area_measure(Polytope(3, pts, ((0, 1, 2, 3),)))
+        assert _closes(atoms, 3)
+        bent = (replace(atoms[0], direction=tuple(x * (1 + 1e-9) for x in atoms[0].direction)),)
+        assert not _closes(bent + atoms[1:], 3)
 
     def test_offsets_dominate_vertices(self):
         for f in surface_area_measure(std_triangle):

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,17 @@ def test_console_script_targets_import():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), name
+
+
+def test_benchmark_tracer_layers_resolve():
+    """Every (module, name) the benchmark's tracer times is bound on that
+    valuta module, so removing or renaming one fails here rather than in
+    ``bench/run.py --trace 1``.  ``tracer.py`` is loaded by path."""
+    path = PYPROJECT.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("valuta_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.LAYERS.items():
+        home = importlib.import_module(f"valuta.{module}")
+        for name in names:
+            assert callable(getattr(home, name)), f"{module}.{name}"

@@ -317,3 +317,38 @@ def test_shift_expansion_rejects_bad_ranks():
         shift_expansion([e1, e1], [1, 1])
     with pytest.raises(DimensionMismatch):
         shift_expansion([e1, SymTensor.scalar(2, 1)], [1, 1, 1])
+
+
+@pytest.mark.parametrize("kind", ["random", "scaled", "orthogonal"])
+def test_float_inverse_matches_numpy(kind):
+    """A float ``RMatrix`` inverts through the same elimination as an exact
+    one; it agrees with ``numpy.linalg.inv`` to 1e-12 of the largest entry."""
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng({"random": 11, "scaled": 12, "orthogonal": 13}[kind])
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        a = rng.standard_normal((n, n))
+        if kind == "scaled":
+            a *= 10.0 ** int(rng.integers(-8, 9))
+        elif kind == "orthogonal":
+            a, _ = np.linalg.qr(a)
+        got = RMatrix.from_rows(a.tolist(), exact=False).inverse()
+        assert not got.exact and all(type(x) is float for row in got.entries for x in row)
+        want = np.linalg.inv(a)
+        assert np.abs(np.array(got.entries) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e-20, 1.0], [1.0, 1.0]],
+    [[1e-17, 1.0, 2.0], [1.0, 3.0, 1.0], [2.0, 1.0, 5.0]],
+])
+def test_float_inverse_pivots_past_tiny_leading_entries(rows):
+    np = pytest.importorskip("numpy")
+    got = np.array(RMatrix.from_rows(rows, exact=False).inverse().entries)
+    want = np.linalg.inv(np.array(rows))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_float_inverse_of_singular_matrix_raises():
+    with pytest.raises(DimensionMismatch):
+        RMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]], exact=False).inverse()
