@@ -11,7 +11,12 @@ splits a subspace L into its largest complex subspace U = L intersect J(L)
 and a totally real remainder, returning a basis (v_1, ..., v_d,
 J v_1, ..., J v_{j-d}) whose first d vectors are independent over C.
 
-Exact inputs stay exact throughout; sampling and the float paths use numpy.
+Matrices and subspaces take their mode from their entries: rational
+entries are kept as ``Fraction``s and stay exact throughout, any other
+real becomes a float.  numpy is left only for sampling, for the float QR
+of ``Subspace.span`` and for the two float rank decisions, which read
+singular values against ``RANK_TOL`` and refuse a verdict inside the
+``AMBIGUITY_BAND`` around it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, NumericalRankError, ValutaError
-from .linalg import CNum, cdet, cmul, cnum, crank, exact_sqrt, frac
+from .linalg import CNum, cdet, cmul, cnum, crank, exact_sqrt
 from .symtensor import RMatrix, format_rational, parse_rational
 
 RANK_TOL = 1e-8
@@ -35,27 +40,30 @@ AMBIGUITY_BAND = 1e2
 
 @dataclass(frozen=True)
 class CMatrix:
-    """Square complex matrix; exact entries are (re, im) Fraction pairs."""
+    """Square complex matrix of (re, im) pairs: rational parts are kept as
+    ``Fraction``s and any other real as a float; ``exact`` is read off the
+    entries."""
 
     entries: tuple[tuple[CNum, ...], ...]
-    exact: bool = True
 
     def __post_init__(self):
         m = len(self.entries)
-        rows = tuple(tuple(e) for e in self.entries)
+        rows = tuple(
+            tuple((linalg.real(re), linalg.real(im)) for re, im in row) for row in self.entries)
         if any(len(r) != m for r in rows):
             raise DimensionMismatch("CMatrix must be square")
-        if self.exact:
-            rows = tuple(
-                tuple((frac(re), frac(im)) for re, im in row) for row in rows)
         object.__setattr__(self, "entries", rows)
 
     @property
     def m(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def exact(self) -> bool:
+        return linalg.is_exact(x for row in self.entries for e in row for x in e)
+
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], exact: bool = True) -> "CMatrix":
+    def from_rows(rows: Sequence[Sequence]) -> "CMatrix":
         conv = []
         for row in rows:
             out = []
@@ -67,7 +75,7 @@ class CMatrix:
                 else:
                     out.append((e, 0))
             conv.append(tuple(out))
-        return CMatrix(tuple(conv), exact)
+        return CMatrix(tuple(conv))
 
     @staticmethod
     def identity(m: int) -> "CMatrix":
@@ -83,22 +91,12 @@ class CMatrix:
 
     @cached_property
     def det_c(self) -> CNum:
-        if not self.exact:
-            d = np.linalg.det(self.to_complex_array())
-            return (float(d.real), float(d.imag))
         return cdet(self.entries)
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.m != other.m:
             raise DimensionMismatch("complex matrix product size mismatch")
-        if self.exact and other.exact:
-            return CMatrix(tuple(map(tuple, linalg.cmat_mul(self.entries, other.entries))))
-        prod = self.to_complex_array() @ other.to_complex_array()
-        return CMatrix.from_rows(prod.tolist(), exact=False)
-
-    def to_complex_array(self) -> np.ndarray:
-        return np.array(
-            [[complex(float(re), float(im)) for re, im in row] for row in self.entries])
+        return CMatrix(tuple(map(tuple, linalg.cmat_mul(self.entries, other.entries))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,16 +134,11 @@ def j_apply(v: Sequence) -> tuple:
 def realify(a: CMatrix) -> RMatrix:
     """Real 2m x 2m block matrix of a complex matrix."""
     m = a.m
-    if a.exact:
-        re = [[a.entries[i][j][0] for j in range(m)] for i in range(m)]
-        im = [[a.entries[i][j][1] for j in range(m)] for i in range(m)]
-        rows = [re[i] + [-x for x in im[i]] for i in range(m)]
-        rows += [im[i] + re[i] for i in range(m)]
-        return RMatrix.from_rows(rows)
-    arr = a.to_complex_array()
-    top = np.hstack([arr.real, -arr.imag])
-    bot = np.hstack([arr.imag, arr.real])
-    return RMatrix.from_rows(np.vstack([top, bot]).tolist(), exact=False)
+    re = [[a.entries[i][j][0] for j in range(m)] for i in range(m)]
+    im = [[a.entries[i][j][1] for j in range(m)] for i in range(m)]
+    rows = [re[i] + [-x for x in im[i]] for i in range(m)]
+    rows += [im[i] + re[i] for i in range(m)]
+    return RMatrix.from_rows(rows)
 
 
 def det_identity_check(a: CMatrix) -> bool:
@@ -161,20 +154,23 @@ def det_identity_check(a: CMatrix) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Real subspace of R^2m given by an orthonormal basis (rows)."""
+    """Real subspace of R^2m given by an orthonormal basis (rows).  Rational
+    coordinates are kept as ``Fraction``s and any other real as a float;
+    ``exact`` is read off the coordinates."""
 
     ambient: int
     basis: tuple[tuple, ...]
-    exact: bool = True
     adapted: bool = False
     retries: int = 0
 
     def __post_init__(self):
         if self.ambient % 2 != 0:
             raise DimensionMismatch("ambient dimension must be even")
-        for b in self.basis:
+        basis = tuple(tuple(map(linalg.real, b)) for b in self.basis)
+        for b in basis:
             if len(b) != self.ambient:
                 raise DimensionMismatch("basis vector of wrong length")
+        object.__setattr__(self, "basis", basis)
 
     @property
     def m(self) -> int:
@@ -185,27 +181,33 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
+    def exact(self) -> bool:
+        return linalg.is_exact(x for b in self.basis for x in b)
+
+    @cached_property
     def complex_rank(self) -> int:
         return complex_rank(self)
 
     @staticmethod
-    def from_orthonormal(basis: Sequence[Sequence], exact: bool = True, **kw) -> "Subspace":
+    def from_orthonormal(basis: Sequence[Sequence], **kw) -> "Subspace":
+        """A subspace on the given basis; an exact one is checked to be
+        orthonormal."""
         basis = tuple(tuple(v) for v in basis)
-        if exact:
-            basis = tuple(tuple(frac(x) for x in v) for v in basis)
-            for i, u in enumerate(basis):
-                for j, v in enumerate(basis):
+        out = Subspace(len(basis[0]), basis, **kw)
+        if out.exact:
+            for i, u in enumerate(out.basis):
+                for j, v in enumerate(out.basis):
                     expected = 1 if i == j else 0
                     if linalg.dot(u, v) != expected:
                         raise GeometryError("basis is not orthonormal")
-        return Subspace(len(basis[0]), basis, exact, **kw)
+        return out
 
     @staticmethod
-    def span(vectors: Sequence[Sequence], exact: bool = True) -> "Subspace":
-        """Orthonormalize a spanning set (exact mode needs rational norms)."""
-        if exact:
-            vecs = [tuple(frac(x) for x in v) for v in vectors]
-            basis = gram_schmidt_exact(vecs)
+    def span(vectors: Sequence[Sequence]) -> "Subspace":
+        """Orthonormalize a spanning set: exactly for rational vectors (which
+        needs rational norms), by a QR decomposition otherwise."""
+        if linalg.is_exact(x for v in vectors for x in v):
+            basis = gram_schmidt_exact([linalg.vec(v) for v in vectors])
         else:
             arr = np.array(vectors, dtype=float).T
             q, r = np.linalg.qr(arr)
@@ -213,7 +215,7 @@ class Subspace:
             basis = [tuple(q[:, i]) for i in keep]
         if not basis:
             raise GeometryError("empty span")
-        return Subspace(len(basis[0]), tuple(basis), exact)
+        return Subspace(len(basis[0]), tuple(basis))
 
 
 def gram_schmidt_exact(vecs: list[tuple]) -> list[tuple]:
@@ -240,33 +242,29 @@ def _complex_rows(basis: Sequence[Sequence], m: int) -> list[list[CNum]]:
     return [[(v[k], v[m + k]) for k in range(m)] for v in basis]
 
 
+def _nonzero(sigma: np.ndarray) -> np.ndarray:
+    """Which singular values, on a scale where the largest possible is
+    about 1, count as nonzero; raises ``NumericalRankError`` when one sits
+    inside the ambiguity band around ``RANK_TOL``."""
+    if any(RANK_TOL / AMBIGUITY_BAND < s < RANK_TOL * AMBIGUITY_BAND for s in sigma):
+        raise NumericalRankError(
+            f"singular values {sigma} sit inside the rank ambiguity band at {RANK_TOL}")
+    return sigma > RANK_TOL
+
+
 def complex_rank(subspace_or_basis) -> int:
     """Rank over C of a real subspace's basis viewed as complex m-vectors."""
     basis = getattr(subspace_or_basis, "basis", subspace_or_basis)
     basis = [tuple(b) for b in basis]
     m = len(basis[0]) // 2
-    exact = all(isinstance(x, Fraction) for b in basis for x in b)
-    if exact:
+    if linalg.is_exact(x for b in basis for x in b):
         return crank(_complex_rows(basis, m))
     mat = np.array([[complex(b[k], b[m + k]) for k in range(m)] for b in basis])
     sigma = np.linalg.svd(mat, compute_uv=False)
     if len(sigma) == 0:
         return 0
     top = sigma[0] if sigma[0] > 0 else 1.0
-    rel = sigma / top
-    if any(RANK_TOL / AMBIGUITY_BAND < s < RANK_TOL * AMBIGUITY_BAND for s in rel):
-        raise NumericalRankError(
-            f"singular values {rel} sit inside the rank ambiguity band at {RANK_TOL}")
-    return int((rel > RANK_TOL).sum())
-
-
-def _norm_exact(v):
-    norm_sq = linalg.dot(v, v)
-    root = exact_sqrt(norm_sq)
-    if root is None:
-        raise ValutaError(
-            f"adapted basis needs perfect-square norms in exact mode, got {norm_sq}")
-    return root
+    return int(_nonzero(sigma / top).sum())
 
 
 def _hermitian_reduce(v, picked):
@@ -281,107 +279,73 @@ def _hermitian_reduce(v, picked):
     return tuple(w)
 
 
+def _unit(w, tol):
+    """w over its length, or None when the length is at most tol; an exact
+    w needs a rational length."""
+    norm_sq = linalg.dot(w, w)
+    if norm_sq <= tol * tol:
+        return None
+    if isinstance(norm_sq, float):
+        root = math.sqrt(norm_sq)
+    else:
+        root = exact_sqrt(norm_sq)
+        if root is None:
+            raise ValutaError(
+                f"adapted basis needs perfect-square norms in exact mode, got {norm_sq}")
+    return tuple(x / root for x in w)
+
+
 def adapted_basis(l: Subspace) -> Subspace:
     """Reorder and rebuild a basis of L as (v_1..v_d, J v_1..J v_{j-d}) with
-    v_1..v_d independent over C, splitting off U = L intersect J(L)."""
+    v_1..v_d independent over C, splitting off U = L intersect J(L).
+
+    With B the orthonormal basis and G[a][c] = <J b_a, b_c>, x = B c lies in
+    J(L) exactly when (B - JB G) c = 0, and the singular values of
+    B - JB G are the sines of the principal angles theta between L and
+    J(L).  Its nullspace is exact for rational input.  For floats it is read
+    off an SVD, with the rank band applied to tan(theta / 2): for a 2-plane
+    that is the singular value ratio ``complex_rank`` reads, so both float
+    decisions see one number.  The complex Gram-Schmidt of U and the real
+    one of the remainder are shared by both modes.
+    """
+    basis = list(l.basis)
+    j, n = len(basis), l.ambient
+    jb = [j_apply(v) for v in basis]
+    g = [[linalg.dot(a, b) for b in basis] for a in jb]
+    cols = [[x - sum(g[a][c] * jb[a][i] for a in range(j)) for i, x in enumerate(basis[c])]
+            for c in range(j)]
     if l.exact:
-        return _adapted_basis_exact(l)
-    return _adapted_basis_float(l)
-
-
-def _adapted_basis_exact(l: Subspace) -> Subspace:
-    basis = [tuple(v) for v in l.basis]
-    j = len(basis)
-    jl_basis = [j_apply(v) for v in basis]
-    # x = B c lies in J(L)  iff  (I - P_JL) B c = 0; P_JL is exact because
-    # J(B) is orthonormal whenever B is.
-    n = l.ambient
-    rows = []
-    for i in range(n):
-        row = []
-        for c in range(j):
-            val = basis[c][i]
-            for b in jl_basis:
-                val -= b[i] * linalg.dot(b, basis[c])
-            row.append(val)
-        rows.append(row)
-    null = linalg.nullspace(rows)
-    u_vectors = [
-        tuple(sum(c * basis[idx][i] for idx, c in enumerate(coeffs)) for i in range(n))
-        for coeffs in null
-    ]
+        null = linalg.nullspace(linalg.transpose(cols))
+        tol = 0
+    else:
+        _, sines, vt = np.linalg.svd(np.array(cols, dtype=float).T)
+        null = vt[~_nonzero(np.tan(np.arcsin(np.minimum(sines, 1.0)) / 2))].tolist()
+        # between the sines counted as zero (<= 2e-10) and the nonzero ones (>= 2e-6)
+        tol = 1e-9
+    bt = linalg.transpose(basis)
+    u_vectors = [linalg.mat_vec(bt, c) for c in null]
     if len(u_vectors) % 2 != 0:
         raise GeometryError("intersection with its J-image must be even-dimensional")
-    k = len(u_vectors) // 2
     u_basis: list[tuple] = []
-    pool = list(u_vectors)
-    while len(u_basis) < k:
-        candidate = None
-        for v in pool:
-            w = _hermitian_reduce(v, u_basis)
-            if any(x != 0 for x in w):
-                candidate = w
-                break
-        if candidate is None:
+    while len(u_basis) < len(u_vectors) // 2:
+        reduced = (_hermitian_reduce(v, u_basis) for v in u_vectors)
+        unit = _unit(max(reduced, key=lambda w: linalg.dot(w, w)), tol)
+        if unit is None:
             raise GeometryError("failed to span the complex part")
-        root = _norm_exact(candidate)
-        u_basis.append(tuple(x / root for x in candidate))
+        u_basis.append(unit)
     w_basis: list[tuple] = []
     for v in basis:
         w = _hermitian_reduce(v, u_basis)
         for b in w_basis:
             c = linalg.dot(w, b)
             w = tuple(x - c * y for x, y in zip(w, b))
-        if all(x == 0 for x in w):
-            continue
-        root = _norm_exact(w)
-        w_basis.append(tuple(x / root for x in w))
-    if len(w_basis) != j - 2 * k:
+        unit = _unit(w, tol)
+        if unit is not None:
+            w_basis.append(unit)
+    if len(w_basis) != j - 2 * len(u_basis):
         raise GeometryError("complex/real split dimensions do not add up")
     new_basis = u_basis + w_basis + [j_apply(u) for u in u_basis]
-    return Subspace(l.ambient, tuple(new_basis), exact=True, adapted=True,
-                    retries=l.retries)
-
-
-def _adapted_basis_float(l: Subspace) -> Subspace:
-    n = l.ambient
-    b = np.array(l.basis, dtype=float).T  # columns span L
-    jb = np.array([j_apply(col) for col in b.T]).T
-    p_l = b @ b.T
-    p_jl = jb @ jb.T
-    stacked = np.vstack([np.eye(n) - p_l, np.eye(n) - p_jl])
-    _, sigma, vt = np.linalg.svd(stacked)
-    rel = sigma / max(sigma[0], 1e-300)
-    if any(RANK_TOL / AMBIGUITY_BAND < s < RANK_TOL * AMBIGUITY_BAND for s in rel):
-        raise NumericalRankError(
-            f"singular values {rel} sit inside the rank ambiguity band at {RANK_TOL}")
-    null_mask = rel <= RANK_TOL
-    u_vectors = [tuple(v) for v in vt[null_mask]]
-    if len(u_vectors) % 2 != 0:
-        raise GeometryError("intersection with its J-image must be even-dimensional")
-    k = len(u_vectors) // 2
-    u_basis: list[tuple] = []
-    pool = list(u_vectors)
-    while len(u_basis) < k:
-        best = max(pool, key=lambda v: float(np.linalg.norm(_hermitian_reduce(v, u_basis))))
-        w = np.array(_hermitian_reduce(best, u_basis))
-        norm = np.linalg.norm(w)
-        if norm < 1e-10:
-            raise GeometryError("failed to span the complex part")
-        u_basis.append(tuple(w / norm))
-    w_basis: list[tuple] = []
-    for v in l.basis:
-        w = np.array(_hermitian_reduce(v, u_basis))
-        for prev in w_basis:
-            w = w - np.dot(w, prev) * np.array(prev)
-        norm = np.linalg.norm(w)
-        if norm > 1e-9:
-            w_basis.append(tuple(w / norm))
-    if len(w_basis) != l.dim - 2 * k:
-        raise GeometryError("complex/real split dimensions do not add up")
-    new_basis = u_basis + w_basis + [j_apply(u) for u in u_basis]
-    return Subspace(l.ambient, tuple(new_basis), exact=False, adapted=True,
-                    retries=l.retries)
+    return Subspace(n, tuple(new_basis), adapted=True, retries=l.retries)
 
 
 def sample_subspace(m: int, j: int, seed) -> Subspace:
@@ -404,7 +368,7 @@ def sample_subspace(m: int, j: int, seed) -> Subspace:
         except NumericalRankError:
             continue
         if rank == target:
-            return Subspace(2 * m, basis, exact=False, retries=attempt)
+            return Subspace(2 * m, basis, retries=attempt)
     raise ValutaError("subspace sampling exhausted its retry budget; this is a bug")
 
 
@@ -474,4 +438,4 @@ def _unitary_float(m: int, seed) -> CMatrix:
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     det = np.linalg.det(q)
     q = q * det ** (-1.0 / m)
-    return CMatrix.from_rows(q.tolist(), exact=False)
+    return CMatrix.from_rows(q.tolist())

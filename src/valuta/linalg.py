@@ -8,9 +8,11 @@ denominators once, eliminated in Python ints with exact ``//`` and divided
 once at the end, so exact input gives exact output, with no pivot
 thresholds and no rounding.  A matrix holding a float (``numpy.float32``
 too) runs the same elimination in floats, pivoting on the largest entry,
-and gives floats.  The complex routines use no complex arithmetic: ``crank``
-is the real rank of the realified rows, halved, and ``cdet`` reads
-det(X + iY) off the integer determinants det(X + tY) at t = 1..m+1.
+and gives floats.  The entries decide the mode: ``is_exact`` is the test,
+``real`` the coercion that constructors apply.  ``crank`` is the real rank
+of the realified rows, halved; exact ``cdet`` reads det(X + iY) off the
+integer determinants det(X + tY) at t = 1..m+1, and float ``cdet`` runs
+the elimination on Python ``complex`` entries.
 """
 
 from __future__ import annotations
@@ -46,6 +48,23 @@ def frac(x) -> Fraction:
     if isinstance(x, numbers.Real):
         raise TypeError(f"refusing to coerce {type(x).__name__} to exact rational")
     return Fraction(x)
+
+
+def is_exact(xs) -> bool:
+    """Whether every entry is rational (numpy integers too), so that work on
+    them runs exact."""
+    return all(issubclass(t, (int, Fraction)) or issubclass(t, numbers.Rational)
+               for t in set(map(type, xs)))
+
+
+def real(x):
+    """Coerce like ``frac``, except that a real that is not rational (float,
+    ``numpy.float32``) becomes a float."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+        return float(x)
+    return frac(x)
 
 
 def vec(xs: Sequence) -> Vec:
@@ -89,7 +108,8 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
 
 
 def _floats(m: list[list]) -> bool:
-    return any(isinstance(x, float) for row in m for x in row)
+    """Whether an entry is not an int: a float, or a complex from ``cdet``."""
+    return not all(isinstance(x, int) for row in m for x in row)
 
 
 def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
@@ -257,23 +277,27 @@ def _flat(rows: Sequence[Sequence[CNum]]) -> list[list]:
 
 
 def cdet(rows: Sequence[Sequence[CNum]]) -> CNum:
-    """Determinant of X + iY.  p(t) = det(X + tY) has degree <= m; [X | Y] is
-    cleared of denominators (lcm d) once, p is evaluated at t = 1..m+1 by
-    integer ``bareiss``, its coefficients are read off with
-    ``interpolation_weights(m)`` (W, D), and p(i) is their alternating sums
-    over D d^m."""
+    """Determinant of X + iY.  [X | Y] is cleared of denominators (lcm d)
+    once.  For rational input p(t) = det(X + tY), of degree <= m, is
+    evaluated at t = 1..m+1 by integer ``bareiss``, its coefficients are read
+    off with ``interpolation_weights(m)`` (W, D), and p(i) is their
+    alternating sums over D d^m.  Input holding a float runs ``bareiss`` on
+    the ``complex`` entries x + iy instead, since interpolating in floats
+    loses digits as m grows."""
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise DimensionMismatch("determinant of non-square matrix")
     d, xy = clear_denominators(_flat(rows))
+    if _floats(xy):
+        z = bareiss([[complex(a, b) for a, b in zip(row[:m], row[m:])] for row in xy])
+        return (z.real, z.imag)
     values = [bareiss([[a + t * b for a, b in zip(row[:m], row[m:])] for row in xy])
               for t in range(1, m + 2)]
     w, big_d = interpolation_weights(m)
     coeffs = [sum(map(operator.mul, wj, values)) for wj in w]
-    div = operator.truediv if _floats(xy) else Fraction
     scale = big_d * d ** m
-    return (div(sum(coeffs[0::4]) - sum(coeffs[2::4]), scale),
-            div(sum(coeffs[1::4]) - sum(coeffs[3::4]), scale))
+    return (Fraction(sum(coeffs[0::4]) - sum(coeffs[2::4]), scale),
+            Fraction(sum(coeffs[1::4]) - sum(coeffs[3::4]), scale))
 
 
 def crank(rows: Sequence[Sequence[CNum]]) -> int:

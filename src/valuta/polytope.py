@@ -164,7 +164,7 @@ def _check_import(p: Polytope) -> None:
     if p.facets is not None:
         if not _closes(p.facets, n):
             raise ParseError("facet area vectors do not close up")
-        exact = all(isinstance(x, Fraction) for f in p.facets for x in f.direction)
+        exact = linalg.is_exact(x for f in p.facets for x in f.direction)
         if vol is not None and exact and n * vol != sum(f.offset for f in p.facets):
             raise ParseError("volume differs from the facets' sum of offsets / n")
 
@@ -453,7 +453,7 @@ def _closes(facets, n: int) -> bool:
     """Whether the area vectors sum to zero: exactly, or for floats within
     1e-12 times the summed magnitudes of their components."""
     sums = [sum(f.direction[i] for f in facets) for i in range(n)]
-    if all(isinstance(s, Fraction) for s in sums):
+    if linalg.is_exact(sums):
         return not any(sums)
     size = sum(abs(x) for f in facets for x in f.direction)
     return all(abs(s) <= 1e-12 * size for s in sums)
@@ -478,7 +478,7 @@ def subspace_volume(p: Polytope, subspace):
     j = len(basis)
     if p.triangulation is None:
         raise GeometryError("subspace volume needs a triangulation")
-    exact = all(isinstance(x, Fraction) for b in basis for x in b)
+    exact = linalg.is_exact(x for b in basis for x in b)
     coords = []
     for pt in p.points:
         cs = [sum(a * b for a, b in zip(pt, bvec)) for bvec in basis]

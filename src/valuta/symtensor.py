@@ -35,11 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, ParseError
-from .linalg import frac
 
 MultiIndex = tuple[int, ...]
 
@@ -66,16 +65,6 @@ def tensor_dim(n: int, r: int) -> int:
     if n < 1 or r < 0:
         raise ValueError(f"tensor_dim(n={n}, r={r})")
     return math.comb(n + r - 1, r)
-
-
-def multi_indices(n: int, r: int) -> Iterator[MultiIndex]:
-    """All length-n multi-indices of degree r, in decreasing lexicographic order."""
-    if n == 1:
-        yield (r,)
-        return
-    for first in range(r, -1, -1):
-        for rest in multi_indices(n - 1, r - first):
-            yield (first,) + rest
 
 
 _TABLES: dict[tuple[int, int], tuple] = {}
@@ -321,27 +310,29 @@ def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
 
 @dataclass(frozen=True)
 class RMatrix:
-    """Square real matrix, exact (Fraction entries) or float-tagged."""
+    """Square real matrix.  Rational entries are kept as ``Fraction``s and
+    any other real as a float; ``exact`` is read off the entries."""
 
     entries: tuple[tuple, ...]
-    exact: bool = True
 
     def __post_init__(self):
         n = len(self.entries)
-        rows = tuple(tuple(r) for r in self.entries)
+        rows = tuple(tuple(map(linalg.real, r)) for r in self.entries)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("RMatrix must be square")
-        if self.exact:
-            rows = tuple(tuple(frac(x) for x in row) for row in rows)
         object.__setattr__(self, "entries", rows)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def exact(self) -> bool:
+        return linalg.is_exact(x for row in self.entries for x in row)
+
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], exact: bool = True) -> "RMatrix":
-        return RMatrix(tuple(tuple(r) for r in rows), exact)
+    def from_rows(rows: Sequence[Sequence]) -> "RMatrix":
+        return RMatrix(tuple(tuple(r) for r in rows))
 
     @staticmethod
     def identity(n: int) -> "RMatrix":
@@ -349,15 +340,13 @@ class RMatrix:
 
     @staticmethod
     def diag(values: Sequence) -> "RMatrix":
-        vals = [frac(v) for v in values]
-        n = len(vals)
+        n = len(values)
         return RMatrix.from_rows(
-            [[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @cached_property
     def det(self):
-        d = linalg.det(self.entries)
-        return d if self.exact else float(d)
+        return linalg.det(self.entries)
 
     def matvec(self, x: Sequence) -> tuple:
         return linalg.mat_vec(self.entries, x)
@@ -365,16 +354,12 @@ class RMatrix:
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.n != other.n:
             raise DimensionMismatch("matrix product size mismatch")
-        return RMatrix.from_rows(
-            linalg.mat_mul(self.entries, other.entries), self.exact and other.exact)
+        return RMatrix.from_rows(linalg.mat_mul(self.entries, other.entries))
 
     def transpose(self) -> "RMatrix":
-        return RMatrix.from_rows(linalg.transpose(self.entries), self.exact)
+        return RMatrix.from_rows(linalg.transpose(self.entries))
 
     def inverse(self) -> "RMatrix":
-        if not self.exact:
-            return RMatrix.from_rows(
-                linalg.inv([[float(x) for x in row] for row in self.entries]), exact=False)
         return RMatrix.from_rows(linalg.inv(self.entries))
 
     def inverse_transpose(self) -> "RMatrix":

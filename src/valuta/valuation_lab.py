@@ -135,8 +135,7 @@ def span_lebesgue_valuation(n: int, j: int) -> Valuation:
 
 
 def _span_basis(body: Polytope):
-    exact = all(isinstance(x, Fraction) for v in body.vertices for x in v)
-    if exact:
+    if linalg.is_exact(x for v in body.vertices for x in v):
         return gram_schmidt_exact([tuple(v) for v in body.vertices])
     import numpy as np
 
@@ -385,7 +384,7 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
     passed = (res == 0 if exact_mode
               else float(res) <= tol * max(1.0, float(base.max_abs_coeff()) * float(factor)))
     witness = {
-        "factor": format_rational(factor) if exact_mode else repr(factor),
+        "factor": format_rational(factor),
         "degree": j,
         "mode": "exact" if exact_mode else "float",
     }
@@ -427,4 +426,4 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope, tol: float = 1e-10) -
         res = abs(lhs - rhs)
     passed = res == 0 if isinstance(res, Fraction) else float(res) <= tol
     return CheckReport("surface-transfer", passed, res,
-                       [{"det": format_rational(phi.det) if phi.exact else repr(phi.det)}])
+                       [{"det": format_rational(phi.det)}])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from valuta.cplx import (
     sample_subspace,
     sl_mc_element,
 )
+from valuta.errors import NumericalRankError
 from valuta.linalg import cabs2, dot
 from valuta.symtensor import RMatrix
 
@@ -76,6 +78,38 @@ class TestDetIdentity:
         for _ in range(50):
             assert det_identity_check(rand_cmatrix(rng, m))
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_unitary_float(self, m):
+        a = sl_mc_element("unitary-float", m, seed=m)
+        assert not a.exact
+        assert det_identity_check(a)
+
+
+def gaussian_cmatrix(rng, m):
+    return CMatrix.from_rows(
+        (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))).tolist())
+
+
+class TestFloatCMatrix:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_det_matches_numpy(self, m):
+        """Float det_C eliminates in complex floats; reading it off real
+        determinants by interpolation loses up to 1e-9 relative at m = 6."""
+        rng = np.random.default_rng(60 + m)
+        for _ in range(200):
+            a = gaussian_cmatrix(rng, m)
+            want = np.linalg.det(np.array([[complex(*e) for e in row] for row in a.entries]))
+            got = complex(*a.det_c)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_realify_is_a_homomorphism(self):
+        rng = np.random.default_rng(5)
+        for m in (2, 3, 4):
+            a, b = gaussian_cmatrix(rng, m), gaussian_cmatrix(rng, m)
+            got = np.array(realify(a @ b).entries)
+            want = np.array((realify(a) @ realify(b)).entries)
+            assert np.abs(got - want).max() <= 1e-12
+
 
 class TestComplexRank:
     def test_complex_line(self):
@@ -90,8 +124,53 @@ class TestComplexRank:
     def test_float_matches_exact(self):
         exact = Subspace.span([E1, JE1, E2])
         floaty = Subspace.from_orthonormal(
-            [tuple(float(x) for x in b) for b in exact.basis], exact=False)
+            [tuple(float(x) for x in b) for b in exact.basis])
         assert complex_rank(floaty) == 2
+
+
+def kahler_plane(s):
+    """span(e1, s e2 + sqrt(1 - s^2) J e1) in R^4: a complex line as s -> 0."""
+    return Subspace.from_orthonormal([(1.0, 0.0, 0.0, 0.0), (0.0, s, math.sqrt(1 - s * s), 0.0)])
+
+
+class TestAmbiguityBand:
+    @pytest.mark.parametrize("s,rank", [(1e-3, 2), (1e-10, 1), (1e-13, 1)])
+    def test_decided(self, s, rank):
+        l = kahler_plane(s)
+        out = adapted_basis(l)
+        assert complex_rank(l) == rank
+        assert out.complex_rank == rank
+        if rank == 1:
+            assert out.basis[1] == pytest.approx(j_apply(out.basis[0]), abs=1e-12)
+        assert_adapted_invariants(l, out, tol=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-8])
+    def test_refused(self, s):
+        l = kahler_plane(s)
+        with pytest.raises(NumericalRankError):
+            adapted_basis(l)
+        with pytest.raises(NumericalRankError):
+            complex_rank(l)
+
+
+class TestModeFromEntries:
+    @pytest.mark.parametrize("vectors", [[E1, JE1], [E1, E2], [E1, JE1, E2]])
+    def test_float_coordinates_match_rational_twin(self, vectors):
+        exact = Subspace(4, vectors)
+        floaty = Subspace(4, [tuple(float(x) for x in v) for v in vectors])
+        assert exact.exact and not floaty.exact
+        assert floaty.complex_rank == exact.complex_rank
+        a, b = adapted_basis(exact), adapted_basis(floaty)
+        assert (b.dim, b.complex_rank) == (a.dim, a.complex_rank)
+        assert_adapted_invariants(floaty, b, tol=1e-12)
+
+    def test_rational_subspace_gets_exact_adapted_basis(self):
+        v = (F(3, 5), 0, F(4, 5), 0)
+        l = Subspace.from_orthonormal([v, E2, j_apply(v)])
+        assert l.exact and l.complex_rank == 2
+        out = adapted_basis(l)
+        assert out.exact and all(type(x) is Fraction for v in out.basis for x in v)
+        assert_adapted_invariants(l, out)
 
 
 def assert_adapted_invariants(original, adapted, tol=None):

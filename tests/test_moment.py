@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import multi_indices
 from valuta import linalg
 from valuta.cplx import sample_subspace
 from valuta.moment import covariance_expansion, monomial_integral_simplex, moment_tensor
@@ -20,7 +21,7 @@ from valuta.polytope import (
     translate,
     volume,
 )
-from valuta.symtensor import RMatrix, SymTensor, gl_action, multi_indices
+from valuta.symtensor import RMatrix, SymTensor, gl_action
 from valuta.valuation_lab import cube_probe
 
 F = Fraction

@@ -430,7 +430,7 @@ def test_transfer_on_sheared_box(rows):
 
 
 def test_linear_image_rejects_float_matrix():
-    phi = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]], exact=False)
+    phi = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(TypeError):
         linear_image(phi, std_triangle)
 

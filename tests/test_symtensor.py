@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import multi_indices
 from valuta.errors import DimensionMismatch
 from valuta.symtensor import (
     RMatrix,
     SymTensor,
     gl_action,
-    multi_indices,
+    monomial_tables,
     shift_expansion,
     sym_product,
     tensor_dim,
@@ -82,6 +83,24 @@ class TestTensorDim:
     @pytest.mark.parametrize("n,r", [(2, 3), (4, 2), (5, 4)])
     def test_counts_monomials(self, n, r):
         assert len(list(multi_indices(n, r))) == tensor_dim(n, r)
+
+
+def test_monomial_tables_match_enumeration():
+    """Level d holds exactly the degree-d multi-indices, and
+    steps[d][j][i] is the position of alpha_j + e_i at level d + 1."""
+    for n in range(1, 6):
+        for r in range(6):
+            levels, steps, _ = monomial_tables(n, r)
+            assert len(levels) == r + 1 and len(steps) == r
+            for d, level in enumerate(levels):
+                assert sorted(level) == sorted(multi_indices(n, d))
+                assert sorted(level.values()) == list(range(len(level)))
+            for d, step in enumerate(steps):
+                up = {pos: alpha for alpha, pos in levels[d + 1].items()}
+                for alpha, j in levels[d].items():
+                    for i in range(n):
+                        bumped = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                        assert up[step[j][i]] == bumped
 
 
 # -- property tests -----------------------------------------------------------
@@ -230,7 +249,7 @@ def test_kernel_outputs_are_well_formed(case, c, x):
 
 
 def test_gl_action_with_float_matrix_returns_floats():
-    phi = RMatrix.from_rows([[0.5, 1.0], [0.0, 2.0]], exact=False)
+    phi = RMatrix.from_rows([[0.5, 1.0], [0.0, 2.0]])
     out = gl_action(phi, t(2, 2, {(2, 0): F(1, 3), (1, 1): -2, (0, 2): 1}))
     assert all(isinstance(v, float) for v in out.coeffs.values())
     # e1 -> (1/2) e1, e2 -> e1 + 2 e2
@@ -332,7 +351,7 @@ def test_float_inverse_matches_numpy(kind):
             a *= 10.0 ** int(rng.integers(-8, 9))
         elif kind == "orthogonal":
             a, _ = np.linalg.qr(a)
-        got = RMatrix.from_rows(a.tolist(), exact=False).inverse()
+        got = RMatrix.from_rows(a.tolist()).inverse()
         assert not got.exact and all(type(x) is float for row in got.entries for x in row)
         want = np.linalg.inv(a)
         assert np.abs(np.array(got.entries) - want).max() <= 1e-12 * np.abs(want).max()
@@ -344,11 +363,11 @@ def test_float_inverse_matches_numpy(kind):
 ])
 def test_float_inverse_pivots_past_tiny_leading_entries(rows):
     np = pytest.importorskip("numpy")
-    got = np.array(RMatrix.from_rows(rows, exact=False).inverse().entries)
+    got = np.array(RMatrix.from_rows(rows).inverse().entries)
     want = np.linalg.inv(np.array(rows))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_float_inverse_of_singular_matrix_raises():
     with pytest.raises(DimensionMismatch):
-        RMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]], exact=False).inverse()
+        RMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]]).inverse()

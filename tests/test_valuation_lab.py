@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import multi_indices
 from valuta import linalg
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
@@ -20,7 +21,7 @@ from valuta.polytope import (
     support,
     volume,
 )
-from valuta.symtensor import RMatrix, SymTensor, multi_indices, sym_product, vector_power
+from valuta.symtensor import RMatrix, SymTensor, sym_product, vector_power
 from valuta.valuation_lab import (
     Valuation,
     _residual,
@@ -124,7 +125,7 @@ class TestKlain:
             klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l)
 
     def test_float_probe_mismatch_within_tol_accepted(self):
-        l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)], exact=False)
+        l = Subspace.span([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
 
         def run(body):
             vol = subspace_volume(body, l)
