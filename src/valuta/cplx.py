@@ -13,9 +13,11 @@ J v_1, ..., J v_{j-d}) whose first d vectors are independent over C.
 
 Matrices and subspaces take their mode from their entries: rational
 entries are kept as ``Fraction``s and stay exact throughout, any other
-real becomes a float.  numpy is left only for sampling, for the float QR
-of ``Subspace.span`` and for the two float rank decisions, which read
-singular values against ``RANK_TOL`` and refuse a verdict inside the
+real becomes a float.  Every orthonormal basis comes from one modified
+Gram-Schmidt, ``gram_schmidt``, exact for rational vectors and in floats
+otherwise.  numpy is used only for sampling and for the two float rank
+decisions (``complex_rank`` and the nullspace in ``adapted_basis``), which
+read singular values against ``RANK_TOL`` and refuse a verdict inside the
 ``AMBIGUITY_BAND`` around it.
 """
 
@@ -160,7 +162,6 @@ class Subspace:
 
     ambient: int
     basis: tuple[tuple, ...]
-    adapted: bool = False
     retries: int = 0
 
     def __post_init__(self):
@@ -189,53 +190,76 @@ class Subspace:
         return complex_rank(self)
 
     @staticmethod
-    def from_orthonormal(basis: Sequence[Sequence], **kw) -> "Subspace":
-        """A subspace on the given basis; an exact one is checked to be
-        orthonormal."""
+    def from_orthonormal(basis: Sequence[Sequence]) -> "Subspace":
+        """A subspace on the given basis, checked to be orthonormal: exactly
+        for an exact basis, within 1e-9 for a float one."""
         basis = tuple(tuple(v) for v in basis)
-        out = Subspace(len(basis[0]), basis, **kw)
-        if out.exact:
-            for i, u in enumerate(out.basis):
-                for j, v in enumerate(out.basis):
-                    expected = 1 if i == j else 0
-                    if linalg.dot(u, v) != expected:
-                        raise GeometryError("basis is not orthonormal")
+        out = Subspace(len(basis[0]), basis)
+        tol = 0 if out.exact else 1e-9
+        for i, u in enumerate(out.basis):
+            for k, v in enumerate(out.basis):
+                if abs(linalg.dot(u, v) - (i == k)) > tol:
+                    raise GeometryError("basis is not orthonormal")
         return out
 
     @staticmethod
     def span(vectors: Sequence[Sequence]) -> "Subspace":
-        """Orthonormalize a spanning set: exactly for rational vectors (which
-        needs rational norms), by a QR decomposition otherwise."""
-        if linalg.is_exact(x for v in vectors for x in v):
-            basis = gram_schmidt_exact([linalg.vec(v) for v in vectors])
-        else:
-            arr = np.array(vectors, dtype=float).T
-            q, r = np.linalg.qr(arr)
-            keep = [i for i in range(q.shape[1]) if abs(r[i, i]) > 1e-10]
-            basis = [tuple(q[:, i]) for i in keep]
+        """Orthonormalize a spanning set by ``gram_schmidt`` in input order,
+        with the drop cut of ``span_tol``; exact for rational vectors, which
+        needs rational norms."""
+        vectors = [tuple(map(linalg.real, v)) for v in vectors]
+        basis = gram_schmidt(vectors, span_tol(vectors))
         if not basis:
             raise GeometryError("empty span")
         return Subspace(len(basis[0]), tuple(basis))
 
 
-def gram_schmidt_exact(vecs: list[tuple]) -> list[tuple]:
-    """Orthonormal basis of the span of rational vectors, in order, exact;
-    dependent vectors are skipped, and an irrational norm raises."""
-    basis: list[tuple] = []
-    for v in vecs:
-        w = list(v)
-        for b in basis:
-            c = linalg.dot(w, b)
-            w = [x - c * y for x, y in zip(w, b)]
-        norm_sq = linalg.dot(w, w)
-        if norm_sq == 0:
-            continue
+def span_tol(vectors: Sequence[Sequence]):
+    """The remainder length at or below which a spanning vector counts as
+    dependent: 0 for rational vectors, so only exact zeros drop, and 1e-10
+    times the longest vector for floats."""
+    if linalg.is_exact(x for v in vectors for x in v):
+        return 0
+    return 1e-10 * max((math.hypot(*v) for v in vectors), default=0.0)
+
+
+def _reduce(v, basis) -> tuple:
+    """v minus its projections onto the orthonormal vectors of basis, taken
+    one after another (modified Gram-Schmidt)."""
+    w = tuple(v)
+    for b in basis:
+        c = linalg.dot(w, b)
+        w = tuple(x - c * y for x, y in zip(w, b))
+    return w
+
+
+def _unit(w, tol):
+    """w over its length, or None when the length is at most tol; an exact
+    w needs a rational length."""
+    norm_sq = linalg.dot(w, w)
+    if norm_sq <= tol * tol:
+        return None
+    if isinstance(norm_sq, float):
+        root = math.sqrt(norm_sq)
+    else:
         root = exact_sqrt(norm_sq)
         if root is None:
             raise ValutaError(
                 f"exact orthonormalization needs a perfect-square norm, got {norm_sq}")
-        basis.append(tuple(x / root for x in w))
-    return basis
+    return tuple(x / root for x in w)
+
+
+def gram_schmidt(vecs: Sequence[Sequence], tol, basis: Sequence[tuple] = ()) -> list[tuple]:
+    """Orthonormal vectors that extend the orthonormal ``basis`` to span
+    ``vecs`` too.  The vectors are taken in input order; each is reduced
+    against the ones so far and kept when its remainder is longer than
+    ``tol``.  Exact input stays exact and needs rational norms."""
+    out = list(basis)
+    for v in vecs:
+        unit = _unit(_reduce(v, out), tol)
+        if unit is not None:
+            out.append(unit)
+    return out[len(basis):]
 
 
 def _complex_rows(basis: Sequence[Sequence], m: int) -> list[list[CNum]]:
@@ -267,34 +291,6 @@ def complex_rank(subspace_or_basis) -> int:
     return int(_nonzero(sigma / top).sum())
 
 
-def _hermitian_reduce(v, picked):
-    """Remove the complex spans of the picked vectors from v (real arithmetic:
-    subtract the projections onto u and J u)."""
-    w = list(v)
-    for u in picked:
-        ju = j_apply(u)
-        a = linalg.dot(w, u)
-        b = linalg.dot(w, ju)
-        w = [x - a * y - b * z for x, y, z in zip(w, u, ju)]
-    return tuple(w)
-
-
-def _unit(w, tol):
-    """w over its length, or None when the length is at most tol; an exact
-    w needs a rational length."""
-    norm_sq = linalg.dot(w, w)
-    if norm_sq <= tol * tol:
-        return None
-    if isinstance(norm_sq, float):
-        root = math.sqrt(norm_sq)
-    else:
-        root = exact_sqrt(norm_sq)
-        if root is None:
-            raise ValutaError(
-                f"adapted basis needs perfect-square norms in exact mode, got {norm_sq}")
-    return tuple(x / root for x in w)
-
-
 def adapted_basis(l: Subspace) -> Subspace:
     """Reorder and rebuild a basis of L as (v_1..v_d, J v_1..J v_{j-d}) with
     v_1..v_d independent over C, splitting off U = L intersect J(L).
@@ -305,8 +301,10 @@ def adapted_basis(l: Subspace) -> Subspace:
     J(L).  Its nullspace is exact for rational input.  For floats it is read
     off an SVD, with the rank band applied to tan(theta / 2): for a 2-plane
     that is the singular value ratio ``complex_rank`` reads, so both float
-    decisions see one number.  The complex Gram-Schmidt of U and the real
-    one of the remainder are shared by both modes.
+    decisions see one number.  U gets pairs (u, J u), each u the longest
+    remainder of the nullspace vectors against the pairs so far; the
+    totally real rest is ``gram_schmidt`` of B extending the pairs.  Both
+    steps are shared by both modes.
     """
     basis = list(l.basis)
     j, n = len(basis), l.ambient
@@ -326,26 +324,17 @@ def adapted_basis(l: Subspace) -> Subspace:
     u_vectors = [linalg.mat_vec(bt, c) for c in null]
     if len(u_vectors) % 2 != 0:
         raise GeometryError("intersection with its J-image must be even-dimensional")
-    u_basis: list[tuple] = []
-    while len(u_basis) < len(u_vectors) // 2:
-        reduced = (_hermitian_reduce(v, u_basis) for v in u_vectors)
+    pairs: list[tuple] = []
+    while len(pairs) < len(u_vectors):
+        reduced = (_reduce(v, pairs) for v in u_vectors)
         unit = _unit(max(reduced, key=lambda w: linalg.dot(w, w)), tol)
         if unit is None:
             raise GeometryError("failed to span the complex part")
-        u_basis.append(unit)
-    w_basis: list[tuple] = []
-    for v in basis:
-        w = _hermitian_reduce(v, u_basis)
-        for b in w_basis:
-            c = linalg.dot(w, b)
-            w = tuple(x - c * y for x, y in zip(w, b))
-        unit = _unit(w, tol)
-        if unit is not None:
-            w_basis.append(unit)
-    if len(w_basis) != j - 2 * len(u_basis):
+        pairs += [unit, j_apply(unit)]
+    w_basis = gram_schmidt(basis, tol, pairs)
+    if len(w_basis) != j - len(pairs):
         raise GeometryError("complex/real split dimensions do not add up")
-    new_basis = u_basis + w_basis + [j_apply(u) for u in u_basis]
-    return Subspace(n, tuple(new_basis), adapted=True, retries=l.retries)
+    return Subspace(n, tuple(pairs[::2] + w_basis + pairs[1::2]), retries=l.retries)
 
 
 def sample_subspace(m: int, j: int, seed) -> Subspace:

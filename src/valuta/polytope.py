@@ -471,7 +471,8 @@ def subspace_volume(p: Polytope, subspace):
     dimension, computed in coordinates of its orthonormal basis.
 
     ``subspace`` is anything with an orthonormal ``basis`` attribute, or the
-    basis itself.  Exact for exact bases, float otherwise.
+    basis itself.  Exact for exact bases, float otherwise; a float point
+    lies in the subspace when its residual is at most 1e-8 of its length.
     """
     basis = getattr(subspace, "basis", subspace)
     basis = [tuple(b) for b in basis]
@@ -488,7 +489,7 @@ def subspace_volume(p: Polytope, subspace):
         if exact:
             if any(r != 0 for r in residual):
                 raise GeometryError("polytope does not lie in the subspace")
-        elif math.sqrt(sum(float(r) ** 2 for r in residual)) > 1e-8:
+        elif math.hypot(*residual) > 1e-8 * math.hypot(*pt):
             raise GeometryError("polytope does not lie in the subspace")
         coords.append(cs)
     total = _cells_volume(coords, p.triangulation, j)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .cplx import CMatrix, Subspace, gram_schmidt_exact, realify
+from .cplx import CMatrix, Subspace, gram_schmidt, realify, span_tol
 from .errors import DimensionMismatch, GeometryError, ValutaError
 from .linalg import cabs2, exact_sqrt, interpolation_weights
 from .moment import moment_tensor
@@ -124,7 +124,7 @@ def span_lebesgue_valuation(n: int, j: int) -> Valuation:
     zero on lower-dimensional bodies (the Klain identity probe)."""
 
     def run(body: Polytope) -> SymTensor:
-        basis = _span_basis(body)
+        basis = gram_schmidt(body.vertices, span_tol(body.vertices))
         if len(basis) < j:
             return SymTensor.scalar(n, Fraction(0))
         if len(basis) > j:
@@ -132,16 +132,6 @@ def span_lebesgue_valuation(n: int, j: int) -> Valuation:
         return SymTensor.scalar(n, subspace_volume(body, basis))
 
     return Valuation(f"lebesgue[{j}]", 0, n, run, parity="even", translation="none")
-
-
-def _span_basis(body: Polytope):
-    if linalg.is_exact(x for v in body.vertices for x in v):
-        return gram_schmidt_exact([tuple(v) for v in body.vertices])
-    import numpy as np
-
-    arr = np.array(body.vertices, dtype=float)
-    _, sigma, vt = np.linalg.svd(arr)
-    return [tuple(vt[i]) for i in range(len(sigma)) if sigma[i] > 1e-10]
 
 
 # -- reports -------------------------------------------------------------------

@@ -5,19 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from valuta import linalg
 from valuta.cplx import (
     CMatrix,
     Subspace,
     adapted_basis,
     complex_rank,
     det_identity_check,
+    gram_schmidt,
     j_apply,
     j_matrix,
     realify,
     sample_subspace,
     sl_mc_element,
+    span_tol,
 )
-from valuta.errors import NumericalRankError
+from valuta.errors import GeometryError, NumericalRankError, ValutaError
 from valuta.linalg import cabs2, dot
 from valuta.symtensor import RMatrix
 
@@ -133,6 +136,16 @@ def kahler_plane(s):
     return Subspace.from_orthonormal([(1.0, 0.0, 0.0, 0.0), (0.0, s, math.sqrt(1 - s * s), 0.0)])
 
 
+class TestFromOrthonormal:
+    def test_float_basis_is_checked(self):
+        with pytest.raises(GeometryError):
+            Subspace.from_orthonormal([(1.0, 0, 0, 0), (1.0, 1.0, 0, 0)])
+
+    def test_exact_basis_is_checked(self):
+        with pytest.raises(GeometryError):
+            Subspace.from_orthonormal([(1, 0, 0, 0), (F(1, 2), 1, 0, 0)])
+
+
 class TestAmbiguityBand:
     @pytest.mark.parametrize("s,rank", [(1e-3, 2), (1e-10, 1), (1e-13, 1)])
     def test_decided(self, s, rank):
@@ -173,10 +186,15 @@ class TestModeFromEntries:
         assert_adapted_invariants(l, out)
 
 
+def assert_orthonormal(vectors, tol=0):
+    for i, u in enumerate(vectors):
+        for k, v in enumerate(vectors):
+            assert abs(dot(u, v) - (i == k)) <= tol
+
+
 def assert_adapted_invariants(original, adapted, tol=None):
     j = original.dim
     d = adapted.complex_rank
-    assert adapted.adapted
     assert adapted.dim == j
     for l in range(j - d):
         expected = j_apply(adapted.basis[l])
@@ -185,14 +203,7 @@ def assert_adapted_invariants(original, adapted, tol=None):
             assert got == expected
         else:
             assert max(abs(a - b) for a, b in zip(got, expected)) <= tol
-    for i, u in enumerate(adapted.basis):
-        for k, v in enumerate(adapted.basis):
-            expected = 1 if i == k else 0
-            inner = dot(u, v)
-            if tol is None:
-                assert inner == expected
-            else:
-                assert abs(inner - expected) <= tol
+    assert_orthonormal(adapted.basis, tol or 0)
     # span preservation: each new vector is its own projection onto the old basis
     for v in adapted.basis:
         proj = [sum(dot(v, b) * b[i] for b in original.basis)
@@ -227,7 +238,8 @@ class TestAdaptedBasis:
             l = Subspace.span(vectors)
             assert adapted_basis(l).complex_rank == complex_rank(l)
 
-    @pytest.mark.parametrize("m,j", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("m,j", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 4), (3, 5),
+                                     (4, 2), (4, 3), (4, 5), (4, 7)])
     def test_float_sampled(self, m, j):
         rng = np.random.default_rng(100 * m + j)
         for _ in range(5):
@@ -235,6 +247,87 @@ class TestAdaptedBasis:
             out = adapted_basis(l)
             assert_adapted_invariants(l, out, tol=1e-10)
             assert out.complex_rank == min(j, m)
+
+
+def rational_orthogonal(rng, n):
+    """Cayley transform (I - A)(I + A)^-1 of a random integer skew matrix A:
+    an orthogonal matrix with rational entries."""
+    a = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            a[r][c] = rng.randint(-3, 3)
+            a[c][r] = -a[r][c]
+    eye = linalg.identity(n)
+    minus = [[eye[r][c] - a[r][c] for c in range(n)] for r in range(n)]
+    plus = [[eye[r][c] + a[r][c] for c in range(n)] for r in range(n)]
+    return linalg.mat_mul(minus, linalg.inv(plus))
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_exact_with_planted_dependents(self, n):
+        """Triangular rational combinations of the rows of a rational
+        orthogonal matrix have rational Gram-Schmidt norms; zero vectors and
+        combinations of earlier inputs are planted among them."""
+        rng = random.Random(n)
+        for _ in range(10):
+            q = rational_orthogonal(rng, n)
+            d = rng.randint(1, n)
+            vecs = []
+            for k in range(d):
+                coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+                coeffs.append(F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+                vecs.append(tuple(sum(c * row[i] for c, row in zip(coeffs, q))
+                                  for i in range(n)))
+                for _ in range(rng.randint(0, 2)):
+                    ws = [F(rng.randint(-2, 2)) for _ in vecs]
+                    vecs.append(tuple(sum(w * v[i] for w, v in zip(ws, vecs))
+                                      for i in range(n)))
+            out = gram_schmidt(vecs, 0)
+            assert len(out) == d
+            assert all(type(x) is Fraction for v in out for x in v)
+            assert_orthonormal(out)
+            assert linalg.rank(vecs + out) == len(out)
+            assert gram_schmidt(vecs, 0, out[:1]) == out[1:]
+
+    def test_first_output_parallel_to_first_nonzero_input(self):
+        for zero, v in (((0, 0, 0, 0), (3, 0, 4, 0)), ((0.0,) * 4, (3.0, 0.0, 4.0, 0.0))):
+            out = gram_schmidt([zero, v, (0, 1, 0, 0)], span_tol([v]))
+            assert out[0] == tuple(x / F(5) for x in v)
+
+    def test_irrational_norm_raises(self):
+        with pytest.raises(ValutaError, match="perfect-square"):
+            Subspace.span([(1, 1, 0, 0)])
+        # the hyperplane x2 = 0 on a rotated rational frame: the nullspace
+        # vector spanning e1 in its coordinates has squared length 2
+        frame = [(F(-1, 3), F(-2, 3), F(2, 3)), (F(-2, 3), F(2, 3), F(1, 3)),
+                 (F(2, 3), F(1, 3), F(2, 3))]
+        l = Subspace.from_orthonormal([(a, 0, b, c) for a, b, c in frame])
+        with pytest.raises(ValutaError, match="perfect-square"):
+            adapted_basis(l)
+
+    def test_floats_orthonormal(self):
+        rng = np.random.default_rng(3)
+        for n, k in ((4, 3), (6, 4), (8, 8)):
+            vecs = [tuple(v) for v in rng.standard_normal((k, n))]
+            vecs.append(tuple(np.array(vecs[0]) - 2 * np.array(vecs[-1])))
+            out = gram_schmidt(vecs, span_tol(vecs))
+            assert len(out) == k
+            assert_orthonormal(out, tol=1e-12)
+
+
+class TestSpan:
+    @pytest.mark.parametrize("scale", [1e-11, 1e-3])
+    def test_float_cut_is_relative(self, scale):
+        e1, je1 = (scale, 0.0, 0.0, 0.0), (0.0, 0.0, scale, 0.0)
+        assert Subspace.span([e1, je1]).dim == 2
+        dependent = (scale, 0.0, scale, 1e-14 * scale)
+        assert Subspace.span([e1, je1, dependent]).dim == 2
+
+    def test_exact_drops_only_zeros(self):
+        tiny = (0, 0, F(1, 10 ** 30), 0)
+        assert Subspace.span([E1, (1, 0, 0, 0), (0, 0, 0, 0), tiny]).basis == (
+            (1, 0, 0, 0), (0, 0, 1, 0))
 
 
 class TestSampling:

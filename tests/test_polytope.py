@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from valuta.cplx import gram_schmidt, sample_subspace
 from valuta.errors import GeometryError, ParseError
 from valuta.polytope import (
     Polytope,
@@ -27,7 +28,7 @@ from valuta.polytope import (
     with_facets,
 )
 from valuta.symtensor import RMatrix, vector_power
-from valuta.valuation_lab import transfer_check
+from valuta.valuation_lab import cube_probe, transfer_check
 
 F = Fraction
 
@@ -210,6 +211,27 @@ class TestSubspaceVolume:
         tri = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
         with pytest.raises(GeometryError):
             subspace_volume(tri, [(F(1), 0, 0, 0)])
+
+    @pytest.mark.parametrize("s", [1, 10 ** 3, 10 ** 6, 10 ** 9])
+    def test_float_residual_is_relative(self, s):
+        l = sample_subspace(3, 3, 1)
+        probe = cube_probe(l)
+        dilate = Polytope(6, tuple(tuple(s * x for x in v) for v in probe.vertices),
+                          probe.triangulation)
+        vol = subspace_volume(dilate, l)
+        assert vol / s ** 3 == pytest.approx(1, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1, 10 ** 9])
+    def test_float_point_off_by_1e6_relative_rejected(self, s):
+        l = sample_subspace(3, 3, 1)
+        normal = gram_schmidt([tuple(float(i == k) for k in range(6)) for i in range(6)],
+                              1e-9, l.basis)[0]
+        b1, b2, b3 = l.basis
+        apex = tuple(s * (x + 1e-6 * y) for x, y in zip(b3, normal))
+        tet = Polytope(6, ((0.0,) * 6, tuple(s * x for x in b1), tuple(s * x for x in b2), apex),
+                       ((0, 1, 2, 3),))
+        with pytest.raises(GeometryError, match="does not lie"):
+            subspace_volume(tet, l)
 
 
 class TestMixedVolumePairing:

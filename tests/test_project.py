@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -33,3 +34,19 @@ def test_benchmark_tracer_layers_resolve():
         home = importlib.import_module(f"valuta.{module}")
         for name in names:
             assert callable(getattr(home, name)), f"{module}.{name}"
+
+
+def test_numpy_only_in_cplx():
+    """Only ``cplx`` imports numpy (for sampling and its two float rank
+    decisions); every other module orthonormalises and eliminates on its
+    own."""
+    for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                assert path.stem == "cplx", f"{path.name} imports numpy"
