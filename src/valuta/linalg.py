@@ -107,6 +107,11 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     return d, [[int(x.numerator) * (d // int(x.denominator)) for x in row] for row in rows]
 
 
+def over(x, d: int):
+    """x / d for a sum of cleared entries: a ``Fraction`` for an int, a float for a float."""
+    return Fraction(x, d) if isinstance(x, int) else x / d
+
+
 def _floats(m: list[list]) -> bool:
     """Whether an entry is not an int: a float, or a complex from ``cdet``."""
     return not all(isinstance(x, int) for row in m for x in row)

@@ -316,7 +316,7 @@ def _cells_volume(points: Sequence[Sequence], cells, n: int):
             base = pts[cell[0]]
             total += abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
     denom = math.factorial(n) * scale ** n
-    return Fraction(total, denom) if isinstance(total, int) else total / denom
+    return linalg.over(total, denom)
 
 
 def volume(p: Polytope) -> Fraction:
@@ -345,29 +345,30 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
     triangulation carries over and facet data is dropped (the image's atoms
     are read off its triangulation, see ``surface_area_measure``).
 
-    Exact only (a float in phi or the body raises ``TypeError``): phi and the
-    points are each cleared of denominators once, the products are taken in
-    ints and each output coordinate is one ``Fraction``.
+    phi must be exact (a float raises ``TypeError``); phi and the points are
+    each cleared of denominators once, the products are taken in ints and
+    each output coordinate is one ``Fraction``, or a float for a float body.
     """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
     q, rows = linalg.clear_denominators([_vec(row) for row in phi.entries])
-    d, pts = linalg.clear_denominators([_vec(v) for v in p.points])
+    d, pts = linalg.clear_denominators(p.points)
     den = q * d
-    image = [tuple(Fraction(sum(map(operator.mul, row, v)), den) for row in rows) for v in pts]
+    image = [tuple(linalg.over(sum(map(operator.mul, row, v)), den) for row in rows)
+             for v in pts]
     nv = len(p.vertices)
     return Polytope(p.dim, tuple(image[:nv]), p.triangulation, tuple(image[nv:]))
 
 
 def scale(p: Polytope, lam) -> Polytope:
     """Dilation by lam about the origin: each point's coordinates times lam,
-    the body ``linear_image`` gives for lam times the identity (a float
-    raises ``TypeError``; the triangulation carries over, facet data is
-    dropped)."""
-    lam = frac(lam)
+    for exact lam the body ``linear_image`` gives for lam times the identity
+    (a float body or lam gives float points; the triangulation carries
+    over, facet data is dropped)."""
+    lam = linalg.real(lam)
 
     def dilate(points):
-        return tuple(tuple(lam * x for x in _vec(v)) for v in points)
+        return tuple(tuple(lam * linalg.real(x) for x in v) for v in points)
 
     return Polytope(p.dim, dilate(p.vertices), p.triangulation, dilate(p.aux_points))
 
@@ -425,11 +426,10 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
         total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
         for c, x in enumerate(normal):
             total[c] += -x if side > 0 else x
-    div = Fraction if isinstance(pts[0][0], int) else operator.truediv
     denom = math.factorial(n - 1) * scale ** (n - 1)
     facets = tuple(
-        FacetDatum(tuple(div(x, denom) for x in total),
-                   div(sum(map(operator.mul, total, base)), denom * scale))
+        FacetDatum(tuple(linalg.over(x, denom) for x in total),
+                   linalg.over(sum(map(operator.mul, total, base)), denom * scale))
         for total, base in atoms.values() if any(total))
     if not _closes(facets, n):
         raise GeometryError("facet area vectors do not close up")

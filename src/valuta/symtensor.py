@@ -109,8 +109,7 @@ def mul_form(vec: Sequence, step: Sequence[Sequence[int]], form: Sequence[tuple[
 def divide_totals(keys: Iterable[MultiIndex], totals: Iterable, denom: int) -> dict:
     """Each key's nonzero total over ``denom``: ints become ``Fraction``s,
     floats stay floats."""
-    return {k: Fraction(v, denom) if isinstance(v, int) else v / denom
-            for k, v in zip(keys, totals) if v}
+    return {k: linalg.over(v, denom) for k, v in zip(keys, totals) if v}
 
 
 def _add_keys(a: MultiIndex, b: MultiIndex) -> MultiIndex:

@@ -12,7 +12,8 @@ dilates 1..top + 1, depend only on top = n + rank; they are built once per
 top as an int matrix and one denominator, so a decomposition is one int sum
 per component and coefficient and one division.  The covariance cascade
 compares each translate against ``symtensor.shift_expansion``, the
-expansion sum_j Z^(r-j)(K) y^j / j! by Horner's rule in y, in ints.
+expansion sum_j Z^(r-j)(K) y^j / j! by Horner's rule in y, in ints; there
+the moments of each body share one kernel pass (``moment._shared_passes``).
 
 All checks report a residual; for exact inputs the expected residual is an
 exact zero, not merely a small number.
@@ -30,7 +31,7 @@ from . import linalg
 from .cplx import CMatrix, Subspace, gram_schmidt, realify, span_tol
 from .errors import DimensionMismatch, GeometryError, ValutaError
 from .linalg import cabs2, exact_sqrt, interpolation_weights
-from .moment import moment_tensor
+from .moment import _shared_passes, moment_tensor
 from .polytope import (
     Polytope,
     cube,
@@ -289,20 +290,21 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
     worst = Fraction(0)
     witnesses = []
     passed = True
-    at_body = [z(body) for z in zs]
-    for y in ys:
-        y = tuple(linalg.frac(c) for c in y)
-        shifted = translate(body, y)
-        for s, z in enumerate(zs):
-            res = _residual(z(shifted), shift_expansion(at_body[s:], y))
-            if res != 0:
-                passed = False
-            if res > worst:
-                worst = res
-                witnesses = [{
-                    "y": [format_rational(c) for c in y],
-                    "coefficient_rank": z.rank,
-                }]
+    with _shared_passes():
+        at_body = [z(body) for z in zs]
+        for y in ys:
+            y = tuple(linalg.frac(c) for c in y)
+            shifted = translate(body, y)
+            for s, z in enumerate(zs):
+                res = _residual(z(shifted), shift_expansion(at_body[s:], y))
+                if res != 0:
+                    passed = False
+                if res > worst:
+                    worst = res
+                    witnesses = [{
+                        "y": [format_rational(c) for c in y],
+                        "coefficient_rank": z.rank,
+                    }]
     return CheckReport("translation-covariance", passed, worst, witnesses)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,20 +10,23 @@ from hypothesis import strategies as st
 from oracles import multi_indices
 from valuta import linalg
 from valuta.cplx import sample_subspace
-from valuta.moment import covariance_expansion, monomial_integral_simplex, moment_tensor
+from valuta.errors import GeometryError
+from valuta.moment import (covariance_expansion, moment_family, moment_tensor,
+                           monomial_integral_simplex)
 from valuta.polytope import (
     Polytope,
     box,
     crosspolytope,
     cube,
     linear_image,
+    polygon,
     scale,
     simplex,
     translate,
     volume,
 )
 from valuta.symtensor import RMatrix, SymTensor, gl_action
-from valuta.valuation_lab import cube_probe
+from valuta.valuation_lab import Valuation, cube_probe, moment_valuation, verify_covariance
 
 F = Fraction
 
@@ -289,3 +293,134 @@ def test_moment_tensors_are_well_formed(body):
         assert t == SymTensor(t.dim, t.rank, dict(t.coeffs))
         assert all(isinstance(v, Fraction) and v != 0 for v in t.coeffs.values())
         assert all(len(k) == (t.dim if r else 0) for k in t.coeffs)
+
+
+# -- one kernel pass per body in a covariance cascade -------------------------------------
+
+
+def _fresh(body):
+    return Polytope(body.dim, body.vertices, body.triangulation, body.aux_points)
+
+
+def _random_bodies(seed):
+    rng = random.Random(seed)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    out = []
+    for n in (2, 3, 4):
+        out.append(simplex([[rat() for _ in range(n)] for _ in range(n + 1)]))
+        lo = [rat() for _ in range(n)]
+        out.append(box(lo, [a + F(rng.randint(1, 9), rng.randint(1, 5)) for a in lo]))
+        frame = [[F(int(i == k)) + (rat() if k == i + 1 else 0) for k in range(n)]
+                 for i in range(n)]
+        out.append(translate(crosspolytope(frame), [rat() for _ in range(n)]))
+    out.append(polygon([[rat(), rat()] for _ in range(8)]))
+    return [b for b in out if volume(b) != 0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_moment_family_matches_separate_ranks(seed):
+    """The family pass against one fresh single-degree pass per rank, outside
+    any scope; Fraction coefficients stay Fractions."""
+    for body in _random_bodies(seed):
+        r = 4 if body.dim < 4 else 2 + seed % 3
+        family = moment_family(body, r)
+        assert family == [moment_tensor(_fresh(body), s).tensor for s in range(r, -1, -1)]
+        assert [t.rank for t in family] == list(range(r, -1, -1))
+        assert all(type(v) is Fraction for t in family for v in t.coeffs.values())
+
+
+def test_moment_family_of_a_float_body_stays_float():
+    corners = ((0.1, -0.3, 0.2), (1.7, 0.2, 0.0), (0.4, 1.1, -0.5), (0.3, 0.6, 1.9))
+    as_float = Polytope(3, corners, ((0, 1, 2, 3),))
+    family = moment_family(as_float, 4)
+    assert family == [moment_tensor(_fresh(as_float), s).tensor for s in range(4, -1, -1)]
+    exact = Polytope(3, tuple(tuple(F(x) for x in v) for v in corners), ((0, 1, 2, 3),))
+    for got, want in zip(family, moment_family(exact, 4)):
+        _assert_close_floats(got, want)
+
+
+def _count_passes(monkeypatch, body):
+    """Kernel passes on ``body`` so far, read off the Bareiss calls: one per
+    cell and pass (every cell of the test bodies is full-dimensional)."""
+    calls = []
+    real = linalg.bareiss
+
+    def counted(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "bareiss", counted)
+    return lambda: F(len(calls), len(body.triangulation))
+
+
+CROSS2 = translate(crosspolytope([(1, F(1, 3)), (F(-1, 2), 1)]), (F(2, 3), F(-1, 4)))
+
+
+def test_repeated_calls_outside_a_check_run_one_pass_each(monkeypatch):
+    passes = _count_passes(monkeypatch, CROSS2)
+    first = moment_tensor(CROSS2, 2)
+    assert passes() == 1
+    assert moment_tensor(CROSS2, 2) == first
+    assert passes() == 2
+
+
+def _cascade(n, r):
+    return [moment_valuation(n, s) for s in range(r, -1, -1)]
+
+
+def test_no_scope_outlives_a_check(monkeypatch):
+    passes = _count_passes(monkeypatch, CROSS2)
+    assert verify_covariance(_cascade(2, 2), CROSS2, [(1, F(1, 2))]).passed
+    assert passes() == 2
+    moment_tensor(CROSS2, 1)
+    moment_tensor(CROSS2, 0)
+    assert passes() == 4
+
+    def fails_on_translates(body):
+        if body is not CROSS2:
+            raise GeometryError("planted failure")
+        return moment_tensor(body, 0).tensor
+
+    zs = _cascade(2, 1)[:1] + [Valuation("fails", 0, 2, fails_on_translates)]
+    with pytest.raises(GeometryError, match="planted failure"):
+        verify_covariance(zs, CROSS2, [(1, 0)])
+    assert passes() == 6
+    moment_tensor(CROSS2, 1)
+    moment_tensor(CROSS2, 1)
+    assert passes() == 8
+
+
+def test_nested_checks_keep_their_own_passes(monkeypatch):
+    """A valuation that runs a check of its own: the inner check neither
+    reads the outer memo nor leaves its own behind."""
+    other = simplex([(0, 0), (F(3, 2), F(1, 3)), (F(-1, 2), 2)])
+    passes = _count_passes(monkeypatch, CROSS2)
+    seen = []
+
+    def reads_other(body):
+        return moment_tensor(other, 0).tensor if body is CROSS2 else moment_tensor(body, 0).tensor
+
+    inner = _cascade(2, 1)[:1] + [Valuation("other-volume", 0, 2, reads_other)]
+
+    def nested(body):
+        if body is CROSS2:
+            before = passes()
+            # The outer memo holds CROSS2 up to rank 1 already: a leak would
+            # serve the inner check's body from it.
+            verify_covariance(inner, CROSS2, [(1, 0)])
+            seen.append(passes() - before)
+            before = passes()
+            moment_tensor(other, 0)
+            seen.append(passes() - before)
+        return moment_tensor(body, 0).tensor
+
+    zs = _cascade(2, 1)[:1] + [Valuation("nested", 0, 2, nested)]
+    report = verify_covariance(zs, CROSS2, [(F(1, 2), F(-1, 3))])
+    # Inner: CROSS2 and its translate, plus ``other`` (1 cell of 4).
+    assert seen[0] == 2 + F(1, 4)
+    # ``other`` is in no outer memo: the inner one ended with the inner check.
+    assert seen[1] == F(1, 4)
+    assert report.passed and report.max_residual == 0

@@ -216,9 +216,7 @@ class TestSubspaceVolume:
     def test_float_residual_is_relative(self, s):
         l = sample_subspace(3, 3, 1)
         probe = cube_probe(l)
-        dilate = Polytope(6, tuple(tuple(s * x for x in v) for v in probe.vertices),
-                          probe.triangulation)
-        vol = subspace_volume(dilate, l)
+        vol = subspace_volume(scale(probe, s), l)
         assert vol / s ** 3 == pytest.approx(1, abs=1e-9)
 
     @pytest.mark.parametrize("s", [1, 10 ** 9])
@@ -482,8 +480,28 @@ def test_scale_matches_linear_image_of_a_diagonal(case):
         assert scale(b, lam) == linear_image(diag, b)
 
 
-def test_scale_rejects_floats():
-    with pytest.raises(TypeError):
-        scale(Polytope(2, ((0.5, 0), (1, 0), (0, 1)), ((0, 1, 2),)), 2)
-    with pytest.raises(TypeError):
-        scale(std_triangle, 0.5)
+def _all_float(body):
+    return all(isinstance(x, float) for v in body.points for x in v)
+
+
+def test_scale_of_a_float_body_or_factor_is_float():
+    tri = Polytope(2, ((0.0, 0.0), (1.5, 0.0), (0.0, 1.0)), ((0, 1, 2),))
+    doubled = scale(tri, 2)
+    assert doubled.vertices == ((0.0, 0.0), (3.0, 0.0), (0.0, 2.0)) and _all_float(doubled)
+    halved = scale(std_triangle, 0.5)
+    assert halved.vertices == ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)) and _all_float(halved)
+    exact = scale(std_triangle, F(1, 2))
+    assert all(type(x) is Fraction for v in exact.vertices for x in v)
+    assert exact.vertices == halved.vertices
+
+
+def test_linear_image_of_a_float_body_is_float():
+    phi = RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, 0], [F(-1, 3), 0, 2]])
+    body = crosspolytope([(1, 0, 0), (0, 2, 0), (F(1, 2), 0, 1)])
+    as_float = Polytope(3, tuple(tuple(float(x) for x in v) for v in body.vertices),
+                        body.triangulation, tuple(tuple(float(x) for x in v)
+                                                  for v in body.aux_points))
+    got, want = linear_image(phi, as_float), linear_image(phi, body)
+    assert _all_float(got) and got.triangulation == want.triangulation
+    for a, b in zip(got.points, want.points, strict=True):
+        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12

@@ -12,6 +12,7 @@ from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_eleme
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
 from valuta.moment import moment_tensor
 from valuta.polytope import (
+    Polytope,
     crosspolytope,
     cube,
     linear_image,
@@ -19,6 +20,7 @@ from valuta.polytope import (
     simplex,
     subspace_volume,
     support,
+    translate,
     volume,
 )
 from valuta.symtensor import RMatrix, SymTensor, sym_product, vector_power
@@ -143,6 +145,13 @@ class TestKlain:
         assert subspace_volume(simplex_probe(l), l) == F(1, 2)
 
 
+SIMPLEX4 = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (F(1, 2), 2, 0, 0), (0, F(1, 3), 1, 0),
+                    (1, 1, F(2, 5), 3)])
+OFF_CROSS4 = translate(crosspolytope([(1, F(1, 2), 0, 0), (0, 1, F(-1, 3), 0), (0, 0, 1, 2),
+                                      (0, 0, 0, 1)]), (F(1, 3), 0, F(-2, 5), 1))
+OFF_CROSS2 = translate(crosspolytope([(1, F(1, 3)), (F(-1, 2), 1)]), (F(2, 3), F(-1, 4)))
+
+
 class TestCovariance:
     def test_moment_cascade_triangle(self):
         zs = [moment_valuation(2, 1), volume_valuation(2)]
@@ -175,6 +184,31 @@ class TestCovariance:
         assert report.passed and report.max_residual == 0
         # once on the body and once on each of the two translates
         assert sorted(calls) == sorted([3, 2, 1, 0] * 3)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("body", [SIMPLEX4, OFF_CROSS4], ids=["simplex4", "cross4"])
+    def test_one_kernel_pass_per_body(self, monkeypatch, body, r):
+        """Ranks r..0 of a body share one moment pass: one Bareiss call per
+        cell on the body and on each translate."""
+        calls = []
+        real = linalg.bareiss
+        monkeypatch.setattr(linalg, "bareiss", lambda m: calls.append(1) or real(m))
+        ys = [(1, F(-1, 2), 0, F(2, 3)), (F(1, 3), 2, F(-3, 2), 1), (0, 0, 1, F(1, 5))]
+        for k in (1, 2, 3):
+            calls.clear()
+            zs = [moment_valuation(4, s) for s in range(r, -1, -1)]
+            report = verify_covariance(zs, body, ys[:k])
+            assert report.passed and report.max_residual == 0
+            assert len(calls) == (1 + k) * len(body.triangulation)
+
+    def test_planted_rank1_factor_keeps_its_residual(self):
+        """moment[2], 2 * moment[1], volume: the rank-1 row is off by vol * y;
+        the residual is the one the per-rank evaluation gave."""
+        zs = [moment_valuation(2, 2), moment_valuation(2, 1).scaled(2), moment_valuation(2, 0)]
+        report = verify_covariance(zs, OFF_CROSS2, [(F(1, 2), F(-1, 3)), (F(3, 2), F(1, 5))])
+        assert not report.passed
+        assert report.max_residual == F(7, 2) == volume(OFF_CROSS2) * F(3, 2)
+        assert report.witnesses == [{"y": ["3/2", "1/5"], "coefficient_rank": 1}]
 
     def test_rank_order_enforced(self):
         with pytest.raises(DimensionMismatch):
@@ -285,6 +319,53 @@ class TestParitySplit:
         z = moment_valuation(2, 2)
         assert z.odd_part()(std_triangle).is_zero()
         assert z.even_part()(std_triangle) == z(std_triangle)
+
+
+FLOAT_CORNERS = [((0.1, -0.3), (1.7, 0.2), (0.4, 1.1)),
+                 ((0.1, -0.3, 0.2), (1.7, 0.2, 0.0), (0.4, 1.1, -0.5), (0.3, 0.6, 1.9))]
+
+
+def _float_and_exact_twin(corners):
+    cells = (tuple(range(len(corners))),)
+    n = len(corners[0])
+    return (Polytope(n, corners, cells),
+            Polytope(n, tuple(tuple(F(x) for x in v) for v in corners), cells))
+
+
+def _assert_float_twin(got: SymTensor, want: SymTensor):
+    assert all(isinstance(v, float) for v in got.coeffs.values())
+    assert all(isinstance(v, Fraction) for v in want.coeffs.values())
+    for k in {**got.coeffs, **want.coeffs}:
+        assert abs(got.coeff(k) - want.coeff(k)) <= 1e-12
+
+
+def _moment_plus_volume_e1(n):
+    """M^1 + vol * e_1: odd part M^1, even part vol * e_1."""
+    e1 = tuple(int(i == 0) for i in range(n))
+    return Valuation("moment[1]+vol*e1", 1, n, lambda b: moment_tensor(b, 1).tensor
+                     + SymTensor(n, 1, {e1: volume(b)}))
+
+
+@pytest.mark.parametrize("corners", FLOAT_CORNERS, ids=["triangle", "tetrahedron"])
+def test_float_body_decomposes_like_its_exact_twin(corners):
+    body, twin = _float_and_exact_twin(corners)
+    n = body.dim
+    for z in (volume_valuation(n), moment_valuation(n, 1), _moment_plus_volume_e1(n)):
+        got, want = mcmullen_decompose(z, body), mcmullen_decompose(z, twin)
+        assert len(got) == len(want) == n + z.rank + 1
+        for a, b in zip(got, want):
+            _assert_float_twin(a, b)
+
+
+@pytest.mark.parametrize("corners", FLOAT_CORNERS, ids=["triangle", "tetrahedron"])
+def test_float_body_parity_parts_match_its_exact_twin(corners):
+    body, twin = _float_and_exact_twin(corners)
+    n = body.dim
+    for z in (moment_valuation(n, 1), moment_valuation(n, 2), _moment_plus_volume_e1(n)):
+        for part in (z.even_part(), z.odd_part()):
+            _assert_float_twin(part(body), part(twin))
+    mixed = _moment_plus_volume_e1(n)
+    _assert_float_twin(mixed.odd_part()(body), moment_tensor(twin, 1).tensor)
 
 
 def test_report_json_shape():
