@@ -16,7 +16,18 @@ forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r
 (``symtensor.mul_form`` on the shared ``monomial_tables``).
 The body's points are first multiplied by D, the lcm of their coordinate
 denominators, so det E (Bareiss) and h_r are Python ints summed over all
-cells; each coefficient is divided once, by (n + r)! D^(n + r).  Float
+cells; each coefficient is divided once, by (n + r)! D^(n + r).
+
+Neighbouring cells share most of their vertices, so the cells are walked in
+sorted order as a prefix tree: a stack keeps h_0..h_r after each prefix of
+the last cell, and a cell reuses the state of its longest common prefix
+with it, running the recurrence only for the vertices after that prefix.
+At a leaf, |det E| times the state is added to the totals.  Any order of
+cells, and of the vertices in a cell, gives the same sums: h_r is symmetric
+in the vertices, and |det E| does not depend on which vertex is the base.
+A Kuhn n-box takes sum_k n!/(n - k)! recurrence steps per degree instead of
+n! (n + 1), a crosspolytope on j vectors 2^(j + 1) - 1 instead of
+2^j (j + 1); each cell still costs one Bareiss determinant.  Float
 bodies run through the same sums in floats with D = 1.  The pass holds every
 h_d, d <= r, so ``moment_family`` returns M^r, ..., M^0 from it; inside a
 ``_shared_passes`` scope (one ``valuation_lab.verify_covariance`` call)
@@ -43,24 +54,30 @@ from .symtensor import sym_product  # noqa: F401
 def _moment_totals(points: Sequence[Sequence], cells: Sequence[Sequence[int]],
                    n: int, r: int, lo: int) -> list[dict[MultiIndex, Fraction]]:
     """Sums over the full-dimensional cells of the closed form, one per degree
-    r, r - 1, ..., lo from one pass; keys are multi-indices, zeros left out."""
+    r, r - 1, ..., lo from one prefix-tree walk (module docstring); keys are
+    multi-indices, zeros left out."""
     scale, pts = linalg.clear_denominators(points)
     levels, steps, _ = monomial_tables(n, r)
+    forms = [[(t, x) for t, x in enumerate(p) if x] for p in pts]
     totals = [[0] * len(level) for level in levels[lo:]]
-    for cell in cells:
-        if len(cell) != n + 1:
-            continue
+    # stack[k] holds h_0..h_r of the first k vertices of the last cell walked.
+    stack, prev = [[[1]] + [[0] * len(level) for level in levels[1:]]], ()
+    for cell in sorted(tuple(c) for c in cells if len(c) == n + 1):
         base = pts[cell[0]]
         d = abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
         if d == 0:
             continue
-        # h[deg] holds |det E| times h_deg of the vertices seen so far.
-        h = [[d]] + [[0] * len(level) for level in levels[1:]]
-        for i in cell:
-            form = [(t, x) for t, x in enumerate(pts[i]) if x]
+        k = 0
+        while k < len(prev) and cell[k] == prev[k]:
+            k += 1
+        del stack[k + 1:]
+        for i in cell[k:]:
+            h = [list(hd) for hd in stack[-1]]
             for deg, step in enumerate(steps):
-                mul_form(h[deg], step, form, h[deg + 1])
-        totals = [[a + b for a, b in zip(t, hd)] for t, hd in zip(totals, h[lo:])]
+                mul_form(h[deg], step, forms[i], h[deg + 1])
+            stack.append(h)
+        prev = cell
+        totals = [[a + d * b for a, b in zip(t, hd)] for t, hd in zip(totals, stack[-1][lo:])]
     return [divide_totals(levels[s], t, math.factorial(n + s) * scale ** (n + s))
             for s, t in zip(range(r, lo - 1, -1), totals[::-1])]
 

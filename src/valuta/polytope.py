@@ -345,13 +345,13 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
     triangulation carries over and facet data is dropped (the image's atoms
     are read off its triangulation, see ``surface_area_measure``).
 
-    phi must be exact (a float raises ``TypeError``); phi and the points are
-    each cleared of denominators once, the products are taken in ints and
-    each output coordinate is one ``Fraction``, or a float for a float body.
+    phi and the points are each cleared of denominators once, the products
+    are taken in ints and each output coordinate is one ``Fraction``; a
+    float phi or a float body gives float points.
     """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
-    q, rows = linalg.clear_denominators([_vec(row) for row in phi.entries])
+    q, rows = linalg.clear_denominators(phi.entries)
     d, pts = linalg.clear_denominators(p.points)
     den = q * d
     image = [tuple(linalg.over(sum(map(operator.mul, row, v)), den) for row in rows)

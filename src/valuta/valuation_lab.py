@@ -158,11 +158,15 @@ class CheckReport:
 
 
 def _residual(a: SymTensor, b: SymTensor):
-    """max |a_k - b_k| over the keys of either tensor; exact 0 when a == b."""
+    """max |a_k - b_k| over the keys of either tensor: a float when either
+    tensor holds a float (0.0 when they agree), else a ``Fraction``."""
     if (a.dim, a.rank) != (b.dim, b.rank):
         raise DimensionMismatch(f"residual of T^{a.rank}(R^{a.dim}) and T^{b.rank}(R^{b.dim})")
-    diffs = (abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in {**a.coeffs, **b.coeffs})
-    return max((x for x in diffs if x), default=Fraction(0))
+    diffs = [abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in {**a.coeffs, **b.coeffs}]
+    # A key holding a float on either side gives a float difference, 0.0 included.
+    if not linalg.is_exact(diffs):
+        return float(max(diffs))
+    return max(filter(None, diffs), default=Fraction(0))
 
 
 # -- homogeneous decomposition ---------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import multi_indices
-from valuta import linalg
+from valuta import linalg, moment
 from valuta.cplx import sample_subspace
 from valuta.errors import GeometryError
 from valuta.moment import (covariance_expansion, moment_family, moment_tensor,
@@ -302,14 +302,16 @@ def _fresh(body):
     return Polytope(body.dim, body.vertices, body.triangulation, body.aux_points)
 
 
-def _random_bodies(seed):
+def _random_bodies(seed, dims=(2, 3, 4)):
+    """Random simplices, Kuhn boxes and off-centre crosspolytopes in R^n for
+    n in dims, and a polygon."""
     rng = random.Random(seed)
 
     def rat():
         return F(rng.randint(-9, 9), rng.randint(1, 7))
 
     out = []
-    for n in (2, 3, 4):
+    for n in dims:
         out.append(simplex([[rat() for _ in range(n)] for _ in range(n + 1)]))
         lo = [rat() for _ in range(n)]
         out.append(box(lo, [a + F(rng.randint(1, 9), rng.randint(1, 5)) for a in lo]))
@@ -424,3 +426,102 @@ def test_nested_checks_keep_their_own_passes(monkeypatch):
     # ``other`` is in no outer memo: the inner one ended with the inner check.
     assert seen[1] == F(1, 4)
     assert report.passed and report.max_residual == 0
+
+
+# -- the kernel walks the cells as a prefix tree ------------------------------------------
+
+
+def _kernel_bodies(seed):
+    """The random bodies in R^2..R^5, each with the highest rank tried in its
+    dimension."""
+    return [(b, {2: 4, 3: 4, 4: 3, 5: 2}[b.dim]) for b in _random_bodies(seed, (2, 3, 4, 5))]
+
+
+def _with_cells(body, cells):
+    return Polytope(body.dim, body.vertices, tuple(cells), body.aux_points)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_moment_family_is_free_of_cell_and_vertex_order(seed):
+    """Shuffled cells, and each cell's vertices rotated by a random step,
+    which changes every shared prefix: the same Fractions."""
+    rng = random.Random(100 + seed)
+    for body, r in _kernel_bodies(seed):
+        cells = list(body.triangulation)
+        rng.shuffle(cells)
+        rotated = [c[k:] + c[:k] for c in cells for k in [rng.randrange(len(c))]]
+        want = moment_family(body, r)
+        assert moment_family(_with_cells(body, cells), r) == want
+        assert moment_family(_with_cells(body, rotated), r) == want
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_body_moments_are_the_sum_over_its_cells(seed):
+    """Each cell as its own simplex, one kernel pass each with nothing shared."""
+    for body, r in _kernel_bodies(seed):
+        cells = [simplex([body.points[i] for i in c]) for c in body.triangulation]
+        for s in range(r + 1):
+            total = SymTensor.zero(body.dim, s)
+            for cell in cells:
+                total = total + moment_tensor(cell, s).tensor
+            assert moment_tensor(body, s).tensor == total
+
+
+def test_degenerate_and_short_cells_leave_the_walk_intact():
+    """Flat cells on the face y = lo of a Kuhn 3-box: in sorted order
+    (0, 1, 4, 5) sits between (0, 1, 3, 7) and (0, 1, 5, 7), sharing (0, 1)
+    with both, and (0, 1, 5, 4) shares (0, 1, 5) with the next cell, one
+    vertex more than the last full-dimensional one does; short cells sit
+    among them."""
+    body = box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2])
+    extra = [(0, 1, 4, 5), (0, 1, 5, 4), (0, 1, 3), (0, 1, 5), (0,), (1, 5, 4, 0)]
+    spliced = _with_cells(body, list(body.triangulation) + extra)
+    assert moment_family(spliced, 4) == moment_family(body, 4)
+    # The same splice as the last cells walked.
+    tail = _with_cells(body, list(body.triangulation) + [(7, 6, 5, 4), (7, 6)])
+    assert moment_family(tail, 3) == moment_family(body, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: box([F(-1, 2), F(1, 3), 0, F(-7, 5)], [F(5, 3), 2, F(3, 7), 1]),
+    lambda: translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 1, F(-2, 5), 0), (0, 0, 1, F(3, 2)),
+                                     (0, 0, 0, F(5, 7))]), (F(1, 3), F(-1, 2), 0, F(2, 9))),
+], ids=["box4", "off-centre-cross4"])
+def test_float_body_walks_like_its_exact_twin(make):
+    body = make()
+    as_float = Polytope(body.dim, tuple(tuple(float(x) for x in v) for v in body.vertices),
+                        body.triangulation, tuple(tuple(float(x) for x in v) for v in body.aux_points))
+    for got, want in zip(moment_family(as_float, 3), moment_family(body, 3)):
+        assert all(type(v) is float for v in got.coeffs.values())
+        for key in set(got.coeffs) | set(want.coeffs):
+            assert abs(got.coeff(key) - want.coeff(key)) <= 1e-12 * max(1, abs(want.coeff(key)))
+
+
+def _cross(j):
+    return crosspolytope([[F(int(i == k)) for k in range(j)] for i in range(j)])
+
+
+@pytest.mark.parametrize("make,r,steps", [
+    (lambda: cube(4), 3, 195),
+    (lambda: cube(4), 2, 2 * 65),
+    (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 978),
+    (lambda: _cross(6), 2, 254),
+    (lambda: _cross(3), 4, 4 * 15),
+    (lambda: std_triangle, 4, 4 * 3),
+    (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 3 * 6),
+], ids=["cube4-r3", "cube4-r2", "box5-r3", "cross6-r2", "cross3-r4", "triangle-r4", "simplex5-r3"])
+def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps):
+    """mul_form runs r times per distinct vertex prefix: sum_k n!/(n - k)!
+    prefixes for a Kuhn n-box, 2^(j + 1) - 1 for a crosspolytope on j
+    vectors, n + 1 for a simplex; still one Bareiss per cell."""
+    body = make()
+    calls, dets = [], []
+    real_mul, real_det = moment.mul_form, linalg.bareiss
+    monkeypatch.setattr(moment, "mul_form", lambda *a: calls.append(1) or real_mul(*a))
+    monkeypatch.setattr(linalg, "bareiss", lambda m: dets.append(1) or real_det(m))
+    moment_family(body, r)
+    assert len(calls) == steps
+    assert len(dets) == len(body.triangulation)
+    calls.clear()
+    moment_tensor(_fresh(body), r)
+    assert len(calls) == steps

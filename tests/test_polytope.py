@@ -449,10 +449,22 @@ def test_transfer_on_sheared_box(rows):
         assert transfer_check(f, phi, body).passed
 
 
-def test_linear_image_rejects_float_matrix():
-    phi = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(TypeError):
-        linear_image(phi, std_triangle)
+@pytest.mark.parametrize("body", [
+    std_triangle,
+    translate(crosspolytope([(1, F(1, 3), 0), (0, 2, F(-1, 2)), (0, 0, F(3, 7))]), (F(1, 5), 0, -1)),
+], ids=["triangle", "off-centre-cross3"])
+def test_linear_image_of_a_float_matrix_gives_float_points(body):
+    """A float phi maps to float points within 1e-12 of the exact twin's;
+    the exact twin still maps to Fractions."""
+    rows = [[F(int(i == k)) + (F(1, 2) if k == i + 1 else 0) - (F(1, 3) if k + 1 == i else 0)
+             for k in range(body.dim)] for i in range(body.dim)]
+    exact = linear_image(RMatrix.from_rows(rows), body)
+    floats = linear_image(RMatrix.from_rows([[float(x) for x in row] for row in rows]), body)
+    assert all(type(x) is Fraction for v in exact.points for x in v)
+    assert all(type(x) is float for v in floats.points for x in v)
+    assert floats.triangulation == exact.triangulation
+    for u, v in zip(floats.points, exact.points):
+        assert all(abs(a - b) <= 1e-12 * max(1, abs(b)) for a, b in zip(u, v))
 
 
 @st.composite

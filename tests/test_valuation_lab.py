@@ -381,11 +381,21 @@ def test_report_json_shape():
 @given(a=st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]), coeff_values),
        b=st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]), coeff_values))
 def test_residual_matches_difference_tensor(a, b):
-    """_residual(a, b) is the largest coefficient of a - b, with its type."""
+    """_residual(a, b) is the largest coefficient of a - b: a float when
+    either tensor holds a float, else a Fraction."""
     ta, tb = SymTensor(2, 2, a), SymTensor(2, 2, b)
     got, expected = _residual(ta, tb), (ta - tb).max_abs_coeff()
+    if any(type(x) is float for x in [*ta.coeffs.values(), *tb.coeffs.values()]):
+        expected = float(expected)
     assert got == expected
     assert type(got) is type(expected)
+
+
+def test_float_residual_of_equal_tensors_is_a_float_zero():
+    t = SymTensor(2, 1, {(1, 0): 0.5, (0, 1): F(1, 3)})
+    assert type(_residual(t, t)) is float and _residual(t, t) == 0
+    exact = SymTensor(2, 1, {(1, 0): F(1, 2)})
+    assert type(_residual(exact, exact)) is Fraction and _residual(exact, exact) == 0
 
 
 # -- cached interpolation weights ---------------------------------------------------
@@ -518,3 +528,40 @@ def test_float_scaling_flags_relative_error():
     report = scaling_relation_check(planted, 1, psi, BIG_TRIANGLE)
     assert report.witnesses[0]["mode"] == "float"
     assert not report.passed
+
+
+# -- float matrices reach the float branches ------------------------------------------------
+
+SIMPLEX4 = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+
+
+def test_scaling_relation_with_a_float_psi_runs_in_floats():
+    """psi = diag(1 + 0.5i, 1) with float entries: |det_C psi|^2 = 1.25."""
+    psi = CMatrix.from_rows([[1 + 0.5j, 0], [0, 1]])
+    assert not psi.exact
+    report = scaling_relation_check(volume_valuation(4), 4, psi, SIMPLEX4)
+    assert report.witnesses[0]["mode"] == "float"
+    assert report.passed
+    assert type(report.max_residual) is float and report.max_residual <= 1e-12
+    twice = Valuation("2vol", 0, 4, lambda b: SymTensor.scalar(4, 2 * volume(b) ** 2))
+    assert not scaling_relation_check(twice, 4, psi, SIMPLEX4).passed
+
+
+class TestFloatTransfer:
+    SHEAR = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
+
+    def test_float_shear_passes_with_a_float_residual(self):
+        for f in (lambda v: support(unit_square, v), lambda v: vector_power(v, 2)):
+            report = transfer_check(f, self.SHEAR, std_triangle)
+            assert report.passed
+            assert type(report.max_residual) is float and report.max_residual <= 1e-10
+            assert report.witnesses == [{"det": "1.0"}]
+
+    def test_float_determinant_within_rounding_is_unimodular(self):
+        phi = RMatrix.from_rows([[1.0 + 1e-14, 0.5], [0.0, 1.0]])
+        assert phi.det != 1 and transfer_check(lambda v: v[0], phi, std_triangle).passed
+
+    @pytest.mark.parametrize("rows", [[[2.0, 0.5], [0.0, 1.0]], [[1.0 + 1e-9, 0.0], [0.0, 1.0]]])
+    def test_float_non_unimodular_rejected(self, rows):
+        with pytest.raises(GeometryError, match="det"):
+            transfer_check(lambda v: v[0], RMatrix.from_rows(rows), std_triangle)
