@@ -15,10 +15,14 @@ Matrices and subspaces take their mode from their entries: rational
 entries are kept as ``Fraction``s and stay exact throughout, any other
 real becomes a float.  Every orthonormal basis comes from one modified
 Gram-Schmidt, ``gram_schmidt``, exact for rational vectors and in floats
-otherwise.  numpy is used only for sampling and for the two float rank
-decisions (``complex_rank`` and the nullspace in ``adapted_basis``), which
-read singular values against ``RANK_TOL`` and refuse a verdict inside the
-``AMBIGUITY_BAND`` around it.
+otherwise.  The exact path follows ``linalg``: the vectors are cleared of
+denominators once, projections run in Python ints on primitive directions,
+and a ``Fraction`` is built only for each unit vector returned, so the
+adapted basis and the orthonormality check of ``Subspace.from_orthonormal``
+take no ``Fraction`` dot product.  numpy is used only for sampling and for
+the two float rank decisions (``complex_rank`` and the nullspace in
+``adapted_basis``), which read singular values against ``RANK_TOL`` and
+refuse a verdict inside the ``AMBIGUITY_BAND`` around it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, NumericalRankError, ValutaError
-from .linalg import CNum, cdet, cmul, cnum, crank, exact_sqrt
+from .linalg import CNum, cdet, cmul, cnum, crank
 from .symtensor import RMatrix, format_rational, parse_rational
 
 RANK_TOL = 1e-8
@@ -192,14 +196,19 @@ class Subspace:
     @staticmethod
     def from_orthonormal(basis: Sequence[Sequence]) -> "Subspace":
         """A subspace on the given basis, checked to be orthonormal: exactly
-        for an exact basis, within 1e-9 for a float one."""
+        for an exact basis, cleared of denominators (D) once so that B B^T
+        is compared with D^2 I in ints, and within 1e-9 for a float one."""
         basis = tuple(tuple(v) for v in basis)
         out = Subspace(len(basis[0]), basis)
-        tol = 0 if out.exact else 1e-9
-        for i, u in enumerate(out.basis):
-            for k, v in enumerate(out.basis):
-                if abs(linalg.dot(u, v) - (i == k)) > tol:
-                    raise GeometryError("basis is not orthonormal")
+        if out.exact:
+            d, rows = linalg.clear_denominators(out.basis)
+            ok = all(linalg.dot(u, v) == (d * d if k == 0 else 0)
+                     for i, u in enumerate(rows) for k, v in enumerate(rows[i:]))
+        else:
+            ok = all(abs(linalg.dot(u, v) - (i == k)) <= 1e-9
+                     for i, u in enumerate(out.basis) for k, v in enumerate(out.basis))
+        if not ok:
+            raise GeometryError("basis is not orthonormal")
         return out
 
     @staticmethod
@@ -223,43 +232,67 @@ def span_tol(vectors: Sequence[Sequence]):
     return 1e-10 * max((math.hypot(*v) for v in vectors), default=0.0)
 
 
-def _reduce(v, basis) -> tuple:
-    """v minus its projections onto the orthonormal vectors of basis, taken
-    one after another (modified Gram-Schmidt)."""
-    w = tuple(v)
-    for b in basis:
-        c = linalg.dot(w, b)
-        w = tuple(x - c * y for x, y in zip(w, b))
+# A kept direction of ``gram_schmidt`` is (u, N, unit): for exact vectors a
+# primitive int vector u with N = |u|^2 and unit = u / sqrt(N) in Fractions,
+# for floats the unit vector itself with N = 1.
+
+
+def _reduce(w, dirs) -> list:
+    """N w - <w, u> u for each kept direction in turn (modified Gram-Schmidt):
+    w's remainder against them, times the product of their N."""
+    for u, n, _ in dirs:
+        c = linalg.dot(w, u)
+        w = [n * x - c * y for x, y in zip(w, u)]
     return w
 
 
-def _unit(w, tol):
-    """w over its length, or None when the length is at most tol; an exact
-    w needs a rational length."""
-    norm_sq = linalg.dot(w, w)
-    if norm_sq <= tol * tol:
+def _direction(w, tol):
+    """The kept direction of a remainder w, or None when w is at most tol
+    long: a float w over its length, an int w over its gcd, whose squared
+    length must then be a perfect square for its unit vector to be rational."""
+    n = sum(x * x for x in w)
+    if n <= tol * tol:
         return None
-    if isinstance(norm_sq, float):
-        root = math.sqrt(norm_sq)
-    else:
-        root = exact_sqrt(norm_sq)
-        if root is None:
-            raise ValutaError(
-                f"exact orthonormalization needs a perfect-square norm, got {norm_sq}")
-    return tuple(x / root for x in w)
+    if isinstance(n, float):
+        root = math.sqrt(n)
+        unit = tuple(x / root for x in w)
+        return unit, 1, unit
+    g = math.gcd(*w)
+    u = tuple(x // g for x in w)
+    n //= g * g
+    root = math.isqrt(n)
+    if root * root != n:
+        raise ValutaError(f"exact orthonormalization needs a perfect-square norm, got {n}")
+    return u, n, tuple(Fraction(x, root) for x in u)
+
+
+def _extend(rows, dirs: list, tol) -> list:
+    """Append to ``dirs`` the direction of each row's remainder against the
+    directions so far, unless it is at most ``tol`` long; returns ``dirs``."""
+    for w in rows:
+        d = _direction(_reduce(w, dirs), tol)
+        if d is not None:
+            dirs.append(d)
+    return dirs
 
 
 def gram_schmidt(vecs: Sequence[Sequence], tol, basis: Sequence[tuple] = ()) -> list[tuple]:
     """Orthonormal vectors that extend the orthonormal ``basis`` to span
     ``vecs`` too.  The vectors are taken in input order; each is reduced
     against the ones so far and kept when its remainder is longer than
-    ``tol``.  Exact input stays exact and needs rational norms."""
-    out = list(basis)
-    for v in vecs:
-        unit = _unit(_reduce(v, out), tol)
-        if unit is not None:
-            out.append(unit)
-    return out[len(basis):]
+    ``tol``.
+
+    Rational input is cleared of denominators once and reduced in ints,
+    each remainder over its gcd; a unit vector, which needs a perfect-square
+    norm, is the only ``Fraction`` built.  Exact remainders keep no common
+    length scale, so only zero ones drop (``span_tol`` gives 0 for them).
+    Input holding a float runs the same steps on floats and unit vectors.
+    """
+    exact = linalg.is_exact(x for v in (*basis, *vecs) for x in v)
+    _, rows = linalg.clear_denominators([*basis, *vecs])
+    k = len(basis)
+    dirs = [_direction(b, 0) if exact else (b, 1, b) for b in rows[:k]]
+    return [unit for _, _, unit in _extend(rows[k:], dirs, 0 if exact else tol)[k:]]
 
 
 def _complex_rows(basis: Sequence[Sequence], m: int) -> list[list[CNum]]:
@@ -302,18 +335,25 @@ def adapted_basis(l: Subspace) -> Subspace:
     off an SVD, with the rank band applied to tan(theta / 2): for a 2-plane
     that is the singular value ratio ``complex_rank`` reads, so both float
     decisions see one number.  U gets pairs (u, J u), each u the longest
-    remainder of the nullspace vectors against the pairs so far; the
-    totally real rest is ``gram_schmidt`` of B extending the pairs.  Both
-    steps are shared by both modes.
+    remainder of the nullspace vectors B^T c against the pairs so far; the
+    totally real rest is ``gram_schmidt`` of B extending the pairs.
+
+    A rational B is cleared of denominators once (D), so G and B - JB G are
+    taken as the ints D^2 G and D^3 (B - JB G), the nullspace vectors are
+    cleared to one common scale, and the pairs and the rest are reduced in
+    ints as ``gram_schmidt`` does.  The remainders of one round share a
+    scale, so the longest is the one the Fractions would pick.  Float B runs
+    the same steps with D = 1.
     """
-    basis = list(l.basis)
-    j, n = len(basis), l.ambient
+    j, n = l.dim, l.ambient
+    d, basis = linalg.clear_denominators(l.basis)
     jb = [j_apply(v) for v in basis]
     g = [[linalg.dot(a, b) for b in basis] for a in jb]
-    cols = [[x - sum(g[a][c] * jb[a][i] for a in range(j)) for i, x in enumerate(basis[c])]
+    d2 = d * d
+    cols = [[d2 * x - sum(g[a][c] * jb[a][i] for a in range(j)) for i, x in enumerate(basis[c])]
             for c in range(j)]
     if l.exact:
-        null = linalg.nullspace(linalg.transpose(cols))
+        _, null = linalg.clear_denominators(linalg.nullspace(linalg.transpose(cols)))
         tol = 0
     else:
         _, sines, vt = np.linalg.svd(np.array(cols, dtype=float).T)
@@ -321,20 +361,22 @@ def adapted_basis(l: Subspace) -> Subspace:
         # between the sines counted as zero (<= 2e-10) and the nonzero ones (>= 2e-6)
         tol = 1e-9
     bt = linalg.transpose(basis)
-    u_vectors = [linalg.mat_vec(bt, c) for c in null]
-    if len(u_vectors) % 2 != 0:
+    u_rows = [linalg.mat_vec(bt, c) for c in null]
+    if len(u_rows) % 2 != 0:
         raise GeometryError("intersection with its J-image must be even-dimensional")
-    pairs: list[tuple] = []
-    while len(pairs) < len(u_vectors):
-        reduced = (_reduce(v, pairs) for v in u_vectors)
-        unit = _unit(max(reduced, key=lambda w: linalg.dot(w, w)), tol)
-        if unit is None:
+    pairs: list = []
+    while len(pairs) < len(u_rows):
+        reduced = (_reduce(w, pairs) for w in u_rows)
+        best = _direction(max(reduced, key=lambda w: sum(x * x for x in w)), tol)
+        if best is None:
             raise GeometryError("failed to span the complex part")
-        pairs += [unit, j_apply(unit)]
-    w_basis = gram_schmidt(basis, tol, pairs)
-    if len(w_basis) != j - len(pairs):
+        u, norm, unit = best
+        pairs += [best, (j_apply(u), norm, j_apply(unit))]
+    units = [unit for _, _, unit in _extend(basis, list(pairs), tol)]
+    if len(units) != j:
         raise GeometryError("complex/real split dimensions do not add up")
-    return Subspace(n, tuple(pairs[::2] + w_basis + pairs[1::2]), retries=l.retries)
+    k = len(pairs)
+    return Subspace(n, tuple(units[:k:2] + units[k:] + units[1:k:2]), retries=l.retries)
 
 
 def sample_subspace(m: int, j: int, seed) -> Subspace:

@@ -2,13 +2,13 @@
 
 Matrices are plain lists of lists of ints or ``Fraction``s; complex scalars
 are ``(re, im)`` pairs of them.  Determinant, rank, reduced row echelon
-form, nullspace, solve and inverse all run on ``_eliminate``, Bareiss's
-fraction-free elimination (Math. Comp. 22, 1968): the input is cleared of
-denominators once, eliminated in Python ints with exact ``//`` and divided
-once at the end, so exact input gives exact output, with no pivot
-thresholds and no rounding.  A matrix holding a float (``numpy.float32``
-too) runs the same elimination in floats, pivoting on the largest entry,
-and gives floats.  The entries decide the mode: ``is_exact`` is the test,
+form, nullspace, solve, inverse and the hyperplane normal ``cross`` all
+run on ``_eliminate``, Bareiss's fraction-free elimination (Math. Comp. 22,
+1968): the input is cleared of denominators once, eliminated in Python
+ints with exact ``//`` and divided once at the end, so exact input gives
+exact output, with no pivot thresholds and no rounding.  A matrix holding
+a float (``numpy.float32`` too) runs the same elimination in floats,
+pivoting on the largest entry, and gives floats.  The entries decide the mode: ``is_exact`` is the test,
 ``real`` the coercion that constructors apply.  ``crank`` is the real rank
 of the realified rows, halved; exact ``cdet`` reads det(X + iY) off the
 integer determinants det(X + tY) at t = 1..m+1, and float ``cdet`` runs
@@ -167,6 +167,27 @@ def bareiss(m: list[list]):
     when the matrix is singular."""
     sign, _ = _eliminate(m)
     return sign * m[-1][-1] if m else 1
+
+
+def cross(m: list[list]) -> list:
+    """The n signed minors (-1)^c det(m without column c) of n - 1 rows of
+    ints or floats in R^n, a normal to the rows; all zero when the rows are
+    dependent.  ``m`` is overwritten.  One fraction-free Gauss-Jordan
+    ``_eliminate`` gives them all.  With s = (-1)^f times the swap sign,
+    the free column f's minor is s p, p the last pivot; every pivot entry
+    ends equal to p, so row k's pivot column gets -s times row k's entry in
+    column f."""
+    n = len(m) + 1
+    sign, pivots = _eliminate(m, jordan=True)
+    if len(pivots) < n - 1:
+        return [0] * n
+    free = next(c for c in range(n) if c not in pivots)
+    if free % 2:
+        sign = -sign
+    out = [sign * m[-1][pivots[-1]] if m else 1] * n
+    for row, c in zip(m, pivots):
+        out[c] = -sign * row[free]
+    return out
 
 
 def det(rows: Sequence[Sequence]):

@@ -389,8 +389,10 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     is the n signed (n-1)-minors of its edge vectors over (n-1)!, turned
     away from its cell's opposite vertex, and the faces on one hyperplane
     add up to one atom.  Exact points are cleared of denominators (D) once,
-    the minors (Bareiss) and sums run in ints and each atom is divided once
-    by (n-1)! D^(n-1); float points run the same sums in floats with D = 1.
+    the minors of a face come from one fraction-free Gauss-Jordan of its
+    n - 1 edge rows (``linalg.cross``), the sums run in ints and each atom
+    is divided once by (n-1)! D^(n-1); float points run the same steps in
+    floats with D = 1.
 
     An untriangulated body is read as the simplex on its vertices when it
     has n + 1 of them, as their polygon in the plane.  Other untriangulated
@@ -418,8 +420,7 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
             continue
         base = pts[face[0]]
         rows = [[a - b for a, b in zip(pts[i], base)] for i in face[1:]]
-        normal = [(-1) ** c * linalg.bareiss([row[:c] + row[c + 1:] for row in rows])
-                  for c in range(n)]
+        normal = linalg.cross(rows)
         side = sum(x * (a - b) for x, a, b in zip(normal, pts[opposite], base))
         if side == 0:
             raise GeometryError("degenerate triangulation cell")

@@ -241,10 +241,12 @@ def _map_points(points, basis):
 
 
 def cube_probe(l: Subspace) -> Polytope:
-    """Unit cube spanned by the subspace basis, Kuhn-triangulated."""
-    j = l.dim
-    model = cube(j)
-    return Polytope(l.ambient, _map_points(model.vertices, l.basis), model.triangulation)
+    """Unit cube spanned by the subspace basis, Kuhn-triangulated.  The
+    model cube's 0/1 coordinates are mapped as ints, so a float basis
+    multiplies no ``Fraction`` into a float."""
+    model = cube(l.dim)
+    corners = [tuple(map(int, v)) for v in model.vertices]
+    return Polytope(l.ambient, _map_points(corners, l.basis), model.triangulation)
 
 
 def simplex_probe(l: Subspace) -> Polytope:

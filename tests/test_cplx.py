@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import adapted_basis_fractions, gram_schmidt_fractions
 
 from valuta import linalg
 from valuta.cplx import (
@@ -144,6 +145,15 @@ class TestFromOrthonormal:
     def test_exact_basis_is_checked(self):
         with pytest.raises(GeometryError):
             Subspace.from_orthonormal([(1, 0, 0, 0), (F(1, 2), 1, 0, 0)])
+        for basis in ([(2, 0, 0, 0)], [(F(3, 5), F(4, 5), 0, 0), (0, 1, 0, 0)],
+                      [(F(3, 5), F(4, 5), 0, 0), (F(-4, 5), F(3, 5), 0, F(1, 10 ** 9))]):
+            with pytest.raises(GeometryError):
+                Subspace.from_orthonormal(basis)
+
+    def test_rational_frames_pass(self):
+        frame = unitary_frame(random.Random(4), 3)
+        for k in range(1, 6):
+            assert Subspace.from_orthonormal(frame[:k]).basis == tuple(frame[:k])
 
 
 class TestAmbiguityBand:
@@ -184,6 +194,12 @@ class TestModeFromEntries:
         out = adapted_basis(l)
         assert out.exact and all(type(x) is Fraction for v in out.basis for x in v)
         assert_adapted_invariants(l, out)
+
+
+def bits(vectors):
+    """Vectors with each float as its hex string, so that equal means the
+    same Fractions and the same float bits, signed zeros included."""
+    return [tuple(float.hex(x) if isinstance(x, float) else x for x in v) for v in vectors]
 
 
 def assert_orthonormal(vectors, tol=0):
@@ -289,6 +305,9 @@ class TestGramSchmidt:
             assert_orthonormal(out)
             assert linalg.rank(vecs + out) == len(out)
             assert gram_schmidt(vecs, 0, out[:1]) == out[1:]
+            assert bits(out) == bits(gram_schmidt_fractions(vecs, 0))
+            assert bits(gram_schmidt(vecs, 0, out[1:])) == bits(
+                gram_schmidt_fractions(vecs, 0, out[1:]))
 
     def test_first_output_parallel_to_first_nonzero_input(self):
         for zero, v in (((0, 0, 0, 0), (3, 0, 4, 0)), ((0.0,) * 4, (3.0, 0.0, 4.0, 0.0))):
@@ -314,6 +333,73 @@ class TestGramSchmidt:
             out = gram_schmidt(vecs, span_tol(vecs))
             assert len(out) == k
             assert_orthonormal(out, tol=1e-12)
+            assert bits(out) == bits(gram_schmidt_fractions(vecs, span_tol(vecs)))
+            assert bits(gram_schmidt(vecs[1:], span_tol(vecs), out[:1])) == bits(
+                gram_schmidt_fractions(vecs[1:], span_tol(vecs), out[:1]))
+
+
+def unitary_frame(rng, m):
+    """Columns of a rational orthogonal 2m x 2m matrix commuting with J: the
+    Cayley transform (I - A)(I + A)^-1 of a realified skew-Hermitian A, so
+    that column m + k is J times column k."""
+    def small():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    rows = [[(F(0), F(0))] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = (F(0), small())
+        for k in range(i + 1, m):
+            rows[i][k] = (small(), small())
+            rows[k][i] = (-rows[i][k][0], rows[i][k][1])
+    a = realify(CMatrix.from_rows(rows)).entries
+    eye = linalg.identity(2 * m)
+    minus = [[eye[i][k] - a[i][k] for k in range(2 * m)] for i in range(2 * m)]
+    plus = [[eye[i][k] + a[i][k] for k in range(2 * m)] for i in range(2 * m)]
+    q = linalg.mat_mul(minus, linalg.inv(plus))
+    return [tuple(row[c] for row in q) for c in range(2 * m)]
+
+
+# (m, j, d): every dimension j of a proper subspace of C^m and complex rank d
+SPLIT_TYPES = [(m, j, d) for m in (2, 3) for j in range(1, 2 * m)
+               for d in range((j + 1) // 2, min(j, m) + 1)]
+
+
+def _same_outcome(l):
+    """adapted_basis and the Fraction reference give the same basis, or
+    raise the same error."""
+    try:
+        want = adapted_basis_fractions(l).basis
+    except (GeometryError, ValutaError) as exc:
+        with pytest.raises(type(exc)):
+            adapted_basis(l)
+        return False
+    assert bits(adapted_basis(l).basis) == bits(want)
+    return True
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("m,j,d", SPLIT_TYPES)
+    def test_adapted_basis_on_unitary_frames(self, m, j, d):
+        """j - d columns with their J-images and 2d - j more columns of a
+        rational unitary frame span a subspace of complex rank d: its split
+        matches the Fraction reference bit for bit, as does the split of its
+        float twin.  A basis rotated inside the subspace by a rational
+        orthogonal matrix may need an irrational norm; then both raise."""
+        rng = random.Random(f"{m}-{j}-{d}")
+        pairs, singles = j - d, 2 * d - j
+        columns = list(range(pairs)) + [m + k for k in range(pairs)]
+        columns += list(range(pairs, pairs + singles))
+        for _ in range(4):
+            frame = unitary_frame(rng, m)
+            basis = [frame[c] for c in columns]
+            rotated = [tuple(sum(r * v[i] for r, v in zip(row, basis)) for i in range(2 * m))
+                       for row in rational_orthogonal(rng, j)]
+            l = Subspace.from_orthonormal(basis)
+            assert _same_outcome(l)
+            assert complex_rank(adapted_basis(l).basis[:d]) == d
+            _same_outcome(Subspace.from_orthonormal(rotated))
+            for vectors in (basis, rotated):
+                _same_outcome(Subspace(2 * m, [tuple(map(float, v)) for v in vectors]))
 
 
 class TestSpan:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from valuta import linalg
 from valuta.cplx import gram_schmidt, sample_subspace
 from valuta.errors import GeometryError, ParseError
 from valuta.polytope import (
@@ -136,6 +137,8 @@ class TestSurfaceAreaMeasure:
         simplex([(0, 0), (F(1, 3), 0), (F(1, 7), F(2, 5))]),
         simplex([(0, 0, 0), (F(1, 3), 0, F(1, 9)), (0, F(2, 7), 0), (F(1, 5), F(1, 11), 1)]),
         box([0, 0, 0], [F(1, 3), F(1, 7), F(2, 5)]),
+        simplex([(F(1, 2), 0, -1, 0), (1, F(1, 3), 0, F(-2, 7)), (0, 2, F(-1, 2), 0),
+                 (0, F(1, 5), F(3, 7), 1), (F(-1, 5), 0, 0, 1)]),
     ])
     def test_float_atoms_match_exact(self, body):
         exact = surface_area_measure(body)
@@ -170,6 +173,20 @@ class TestSurfaceAreaMeasure:
         assert _closes(atoms, 3)
         bent = (replace(atoms[0], direction=tuple(x * (1 + 1e-9) for x in atoms[0].direction)),)
         assert not _closes(bent + atoms[1:], 3)
+
+    @pytest.mark.parametrize("body, faces", [
+        (box([F(1, 3), F(-2, 7), 0, F(1, 2)], [F(5, 3), F(3, 7), 2, F(7, 4)]), 48),
+        (translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0), (0, 0, F(3, 7), 1),
+                                  (F(1, 5), 0, 0, 1)]), (F(1, 2), 0, -1, 0)), 16),
+    ], ids=["kuhn-box4", "cross4"])
+    def test_one_elimination_per_boundary_face(self, body, faces, monkeypatch):
+        """A Kuhn 4-box has 8 facets of 6 simplices each and a 4-crosspolytope
+        16 cones with one outer face: one elimination each gives all n minors."""
+        calls = []
+        real = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda *a, **k: calls.append(1) or real(*a, **k))
+        surface_area_measure(body)
+        assert len(calls) == faces
 
     def test_offsets_dominate_vertices(self):
         for f in surface_area_measure(std_triangle):

@@ -145,6 +145,27 @@ class TestKlain:
         assert subspace_volume(simplex_probe(l), l) == F(1, 2)
 
 
+@pytest.mark.parametrize("l", [
+    Subspace.from_orthonormal([(F(3, 5), 0, F(4, 5), 0, 0, 0), (0, 0, 0, 0, 1, 0),
+                               (F(-4, 5), 0, F(3, 5), 0, 0, 0)]),
+    sample_subspace(3, 5, 11),
+    sample_subspace(2, 3, 12),
+], ids=["exact", "float-5", "float-3"])
+def test_probe_points_are_the_fraction_coordinate_images(l):
+    """The probes map the model cube's and simplex's 0/1 coordinates as
+    ints: the same points, to the type and the float bits, as mapping them
+    as Fractions, the cube from its own vertices."""
+    def image(coords):
+        v = [0] * l.ambient
+        for c, b in zip(map(F, coords), l.basis):
+            v = [x + c * y for x, y in zip(v, b)]
+        return repr(tuple(v))
+
+    corners = [(0,) * l.dim] + [tuple(int(k == i) for k in range(l.dim)) for i in range(l.dim)]
+    for probe, model in ((cube_probe(l), cube(l.dim).vertices), (simplex_probe(l), corners)):
+        assert [repr(v) for v in probe.vertices] == [image(c) for c in model]
+
+
 SIMPLEX4 = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (F(1, 2), 2, 0, 0), (0, F(1, 3), 1, 0),
                     (1, 1, F(2, 5), 3)])
 OFF_CROSS4 = translate(crosspolytope([(1, F(1, 2), 0, 0), (0, 1, F(-1, 3), 0), (0, 0, 1, 2),
