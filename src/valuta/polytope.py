@@ -327,7 +327,7 @@ def volume(p: Polytope) -> Fraction:
 
 
 def translate(p: Polytope, y: Sequence) -> Polytope:
-    y = _vec(y)
+    y = tuple(map(linalg.real, y))
     if len(y) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
     facets = None
@@ -388,7 +388,9 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     A face that no other cell shares lies on the boundary.  Its area vector
     is the n signed (n-1)-minors of its edge vectors over (n-1)!, turned
     away from its cell's opposite vertex, and the faces on one hyperplane
-    add up to one atom.  Exact points are cleared of denominators (D) once,
+    add up to one atom; float faces are on one hyperplane when their keys
+    (``_hyperplane``) agree to 1e-9, the offset relative to the body's largest
+    |coordinate|.  Exact points are cleared of denominators (D) once,
     the minors of a face come from one fraction-free Gauss-Jordan of its
     n - 1 edge rows (``linalg.cross``), the sums run in ints and each atom
     is divided once by (n-1)! D^(n-1); float points run the same steps in
@@ -414,6 +416,7 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     faces = [(cell[:k] + cell[k + 1:], i) for cell in p.triangulation for k, i in enumerate(cell)]
     shared = Counter(frozenset(face) for face, _ in faces)
     scale, pts = linalg.clear_denominators(p.points)
+    near = 0 if isinstance(pts[0][0], int) else 1e-9 * max(abs(x) for pt in pts for x in pt)
     atoms: dict = {}
     for face, opposite in faces:
         if shared[frozenset(face)] > 1:
@@ -424,7 +427,11 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
         side = sum(x * (a - b) for x, a, b in zip(normal, pts[opposite], base))
         if side == 0:
             raise GeometryError("degenerate triangulation cell")
-        total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
+        key = _hyperplane(normal, base)
+        if near:  # rounding sets the float keys of one facet's faces apart
+            key = next((k for k in atoms if abs(k[1] - key[1]) <= near
+                        and max(map(abs, map(operator.sub, k[0], key[0]))) <= 1e-9), key)
+        total, _ = atoms.setdefault(key, ([0] * n, base))
         for c, x in enumerate(normal):
             total[c] += -x if side > 0 else x
     denom = math.factorial(n - 1) * scale ** (n - 1)

@@ -15,22 +15,26 @@ compares each translate against ``symtensor.shift_expansion``, the
 expansion sum_j Z^(r-j)(K) y^j / j! by Horner's rule in y, in ints; there
 the moments of each body share one kernel pass (``moment._shared_passes``).
 
-All checks report a residual; for exact inputs the expected residual is an
-exact zero, not merely a small number.
+Every check compares (a, b) tensor pairs and reaches its verdict by one
+rule (``_verdict``).  An exact residual max |a_k - b_k| passes only at 0; a
+float one passes at most ``FLOAT_TOL`` times max(1, the largest |coefficient|
+of a and b).  The check passes when every pair does, and reports its worst
+residual (a failing pair's first) with that pair's witness, in mode "exact"
+when every residual is a ``Fraction`` and "float" otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
 from .cplx import CMatrix, Subspace, gram_schmidt, realify, span_tol
 from .errors import DimensionMismatch, GeometryError, ValutaError
-from .linalg import cabs2, exact_sqrt, interpolation_weights
+from .linalg import cabs2, interpolation_weights
 from .moment import _shared_passes, moment_tensor
 from .polytope import (
     Polytope,
@@ -138,12 +142,16 @@ def span_lebesgue_valuation(n: int, j: int) -> Valuation:
 # -- reports -------------------------------------------------------------------
 
 
+FLOAT_TOL = 1e-9
+
+
 @dataclass
 class CheckReport:
     check: str
     passed: bool
-    max_residual: object = Fraction(0)
-    witnesses: list = field(default_factory=list)
+    max_residual: object
+    witnesses: list
+    mode: str
 
     def to_json_dict(self) -> dict:
         residual = self.max_residual
@@ -154,6 +162,7 @@ class CheckReport:
             "witnesses": self.witnesses,
             "max_residual": residual,
             "pass": self.passed,
+            "mode": self.mode,
         }
 
 
@@ -167,6 +176,22 @@ def _residual(a: SymTensor, b: SymTensor):
     if not linalg.is_exact(diffs):
         return float(max(diffs))
     return max(filter(None, diffs), default=Fraction(0))
+
+
+def _verdict(check: str, pairs) -> CheckReport:
+    """The report of a check on its (a, b, witness) pairs, by the rule in the
+    module docstring; on a tie the first pair's witness is kept."""
+    worst, witnesses, mode = (False, Fraction(0)), [], "exact"
+    for a, b, witness in pairs:
+        res = _residual(a, b)
+        if isinstance(res, Fraction):
+            bad = res != 0
+        else:
+            mode = "float"
+            bad = not res <= FLOAT_TOL * max(1, a.max_abs_coeff(), b.max_abs_coeff())
+        if not witnesses or (bad, res) > worst:
+            worst, witnesses = (bad, res), [witness]
+    return CheckReport(check, not worst[0], worst[1], witnesses, mode)
 
 
 # -- homogeneous decomposition ---------------------------------------------------
@@ -198,25 +223,15 @@ def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
 
 def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckReport:
     """Components extracted at a dilate scale like lambda^j against components
-    extracted at the body itself; exact equality expected."""
-    lam = linalg.frac(fresh_lambda)
+    extracted at the body itself, and their sum against z at the body."""
+    lam = linalg.real(fresh_lambda)
     base = mcmullen_decompose(z, body)
     dilated = mcmullen_decompose(z, scale(body, lam))
-    worst = Fraction(0)
-    witnesses = []
-    for j, (a, b) in enumerate(zip(base, dilated)):
-        res = _residual(b, a.scale(lam ** j))
-        if res > worst:
-            worst = res
-            witnesses = [{"degree": j, "lambda": format_rational(lam)}]
-    total = base[0]
-    for comp in base[1:]:
-        total = total + comp
-    sum_res = _residual(total, z(body))
-    if sum_res > worst:
-        worst = sum_res
-        witnesses = [{"degree": "sum-at-1", "lambda": format_rational(lam)}]
-    return CheckReport("mcmullen-rehomogeneity", worst == 0, worst, witnesses)
+    shown = format_rational(lam)
+    pairs = [(b, a.scale(lam ** j), {"degree": j, "lambda": shown})
+             for j, (a, b) in enumerate(zip(base, dilated))]
+    pairs.append((sum(base[1:], base[0]), z(body), {"degree": "sum-at-1", "lambda": shown}))
+    return _verdict("mcmullen-rehomogeneity", pairs)
 
 
 # -- Klain functions ---------------------------------------------------------------
@@ -257,10 +272,10 @@ def simplex_probe(l: Subspace) -> Polytope:
                     (tuple(range(j + 1)),))
 
 
-def klain(z: Valuation, j: int, l: Subspace, tol: float = 1e-9) -> KlainValue:
+def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
     """Klain value of a j-homogeneous valuation on a j-dimensional subspace,
-    cross-checked on a cube probe and a simplex probe.  Exact probe values
-    must agree exactly; ``tol`` bounds the mismatch of float ones."""
+    cross-checked on a cube probe and a simplex probe: their values per unit
+    j-volume must agree by the verdict rule, else ``ValutaError``."""
     if l.dim != j:
         raise DimensionMismatch(f"subspace has dimension {l.dim}, expected {j}")
     results = []
@@ -268,16 +283,12 @@ def klain(z: Valuation, j: int, l: Subspace, tol: float = 1e-9) -> KlainValue:
         vj = subspace_volume(probe, l)
         if vj == 0:
             raise GeometryError("degenerate probe body")
-        value = z(probe)
-        if isinstance(vj, Fraction):
-            results.append(value.scale(Fraction(1) / vj))
-        else:
-            results.append(value.scale(1.0 / vj))
-    mismatch = _residual(results[0], results[1])
-    if mismatch > (0 if isinstance(mismatch, Fraction) else tol):
+        results.append(z(probe).scale(1 / vj))
+    report = _verdict("klain", [(results[0], results[1], {"degree": j})])
+    if not report.passed:
         raise ValutaError(
-            f"Klain probes disagree by {format_rational(mismatch)}; valuation is not "
-            f"{j}-homogeneous on this subspace")
+            f"Klain probes disagree by {format_rational(report.max_residual)}; valuation "
+            f"is not {j}-homogeneous on this subspace")
     return KlainValue(l, results[0], j)
 
 
@@ -293,53 +304,34 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
     r = ranks[0]
     if ranks != list(range(r, -1, -1)):
         raise DimensionMismatch(f"ranks must descend r..0, got {ranks}")
-    worst = Fraction(0)
-    witnesses = []
-    passed = True
+    pairs = []
     with _shared_passes():
         at_body = [z(body) for z in zs]
         for y in ys:
-            y = tuple(linalg.frac(c) for c in y)
+            y = tuple(map(linalg.real, y))
             shifted = translate(body, y)
-            for s, z in enumerate(zs):
-                res = _residual(z(shifted), shift_expansion(at_body[s:], y))
-                if res != 0:
-                    passed = False
-                if res > worst:
-                    worst = res
-                    witnesses = [{
-                        "y": [format_rational(c) for c in y],
-                        "coefficient_rank": z.rank,
-                    }]
-    return CheckReport("translation-covariance", passed, worst, witnesses)
+            shown = [format_rational(c) for c in y]
+            pairs += [(z(shifted), shift_expansion(at_body[s:], y),
+                       {"y": shown, "coefficient_rank": z.rank}) for s, z in enumerate(zs)]
+    return _verdict("translation-covariance", pairs)
 
 
 # -- equivariance ----------------------------------------------------------------------
 
 
-def _as_real_matrix(sample) -> RMatrix:
-    if isinstance(sample, CMatrix):
-        return realify(sample)
-    return sample
-
-
 def verify_equivariance(z: Valuation, g_samples: Sequence, body: Polytope) -> CheckReport:
     """Residuals of z(phi K) against the tensor action of phi on z(K)."""
     base = z(body)
-    worst = Fraction(0)
-    witnesses = []
-    passed = True
+    pairs = []
     for idx, sample in enumerate(g_samples):
-        phi = _as_real_matrix(sample)
+        phi = realify(sample) if isinstance(sample, CMatrix) else sample
         if phi.exact and phi.det == 0:
             raise GeometryError("equivariance sample is singular")
-        res = _residual(z(linear_image(phi, body)), gl_action(phi, base))
-        if res != 0:
-            passed = False
-        if res > worst:
-            worst = res
-            witnesses = [{"sample_index": idx, "matrix": _matrix_witness(sample)}]
-    return CheckReport("group-equivariance", passed, worst, witnesses)
+        pairs.append((z(linear_image(phi, body)), gl_action(phi, base), {"sample_index": idx}))
+    report = _verdict("group-equivariance", pairs)
+    for witness in report.witnesses:  # only the reported sample's matrix is formatted
+        witness["matrix"] = _matrix_witness(g_samples[witness["sample_index"]])
+    return report
 
 
 def _matrix_witness(sample) -> dict:
@@ -352,41 +344,41 @@ def _matrix_witness(sample) -> dict:
 
 
 def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
-                           require_exact: bool = False, tol: float = 1e-9) -> CheckReport:
+                           require_exact: bool = False) -> CheckReport:
     """Check z(psi K) = |det_C psi|^(j/m) z(K) for a j-homogeneous z.
 
-    The factor is exact when j is a multiple of 2m, or when |det_C|^2 is a
-    perfect rational square and m divides j; otherwise the comparison runs
-    in floating point (rejected when require_exact is set), and passes when
-    the residual is at most tol * max(1, |z(K)|_max * factor).
+    With F = |det_C psi|^2 and j/(2m) = p/q in lowest terms, exact values are
+    compared as s(z(psi K)) = F^p s(z(K)) with the signed power
+    s(x) = x |x|^(q-1), which needs no root of F, so the verdict is exact at
+    every degree; the witness's factor is F^p, shown as (F^p)^(1/q) when
+    q > 1.  Float values (a float psi, body or valuation) are compared
+    directly against the float factor F^(j/(2m)).  ``require_exact`` only
+    refuses a float verdict, with ``ValutaError``; it stays while the
+    benchmark's workloads pass it, and goes with the next benchmark change.
     """
     m = psi.m
     factor_sq = cabs2(psi.det_c)  # equals det of the realification
-    factor = None
-    if psi.exact:
-        if j % (2 * m) == 0:
-            factor = factor_sq ** (j // (2 * m))
-        elif j % m == 0:
-            root = exact_sqrt(factor_sq)
-            if root is not None:
-                factor = root ** (j // m)
-    if factor is None:
-        if require_exact:
-            raise ValutaError(
-                f"|det_C|^({j}/{m}) is not rational here; only a float check is possible")
-        factor = float(factor_sq) ** (j / (2 * m))
-    image = linear_image(realify(psi), body)
-    base = z(body)
-    res = _residual(z(image), base.scale(factor))
-    exact_mode = isinstance(factor, Fraction)
-    passed = (res == 0 if exact_mode
-              else float(res) <= tol * max(1.0, float(base.max_abs_coeff()) * float(factor)))
-    witness = {
-        "factor": format_rational(factor),
-        "degree": j,
-        "mode": "exact" if exact_mode else "float",
-    }
-    return CheckReport("determinant-scaling", passed, res, [witness])
+    p, q = Fraction(j, 2 * m).as_integer_ratio()
+    image, base = z(linear_image(realify(psi), body)), z(body)
+    exact = linalg.is_exact([factor_sq, *image.coeffs.values(), *base.coeffs.values()])
+    if exact:
+        factor = factor_sq ** p
+        shown = format_rational(factor) if q == 1 else f"({format_rational(factor)})^(1/{q})"
+    elif require_exact:
+        raise ValutaError("psi, the body or the values are floats; only a float verdict is possible")
+    else:
+        factor, q = float(factor_sq) ** (j / (2 * m)), 1
+        shown = format_rational(factor)
+    witness = {"factor": shown, "degree": j, "mode": "exact" if exact else "float"}
+    return _verdict("determinant-scaling", [
+        (_signed_power(image, q), _signed_power(base, q).scale(factor), witness)])
+
+
+def _signed_power(t: SymTensor, q: int) -> SymTensor:
+    """Each coefficient x as x |x|^(q-1), which keeps the sign of x."""
+    if q == 1:
+        return t
+    return SymTensor._trusted(t.dim, t.rank, {k: x * abs(x) ** (q - 1) for k, x in t.coeffs.items()})
 
 
 # -- surface-area pairing --------------------------------------------------------------------
@@ -407,7 +399,7 @@ def surface_pairing(f: Callable, p: Polytope):
     return total
 
 
-def transfer_check(f: Callable, phi: RMatrix, p: Polytope, tol: float = 1e-10) -> CheckReport:
+def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     """Unimodular transfer: pairing f with the image body equals pairing
     f composed with the inverse transpose against the original."""
     if phi.exact:
@@ -418,10 +410,6 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope, tol: float = 1e-10) -
     phi_inv_t = phi.inverse_transpose()
     lhs = surface_pairing(f, linear_image(phi, p))
     rhs = surface_pairing(lambda v: f(phi_inv_t.matvec(v)), p)
-    if isinstance(lhs, SymTensor):
-        res = _residual(lhs, rhs)
-    else:
-        res = abs(lhs - rhs)
-    passed = res == 0 if isinstance(res, Fraction) else float(res) <= tol
-    return CheckReport("surface-transfer", passed, res,
-                       [{"det": format_rational(phi.det)}])
+    if not isinstance(lhs, SymTensor):
+        lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
+    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})])

@@ -139,6 +139,10 @@ class TestSurfaceAreaMeasure:
         box([0, 0, 0], [F(1, 3), F(1, 7), F(2, 5)]),
         simplex([(F(1, 2), 0, -1, 0), (1, F(1, 3), 0, F(-2, 7)), (0, 2, F(-1, 2), 0),
                  (0, F(1, 5), F(3, 7), 1), (F(-1, 5), 0, 0, 1)]),
+        # 8 atoms; rounding once split its float twin's facets into 20
+        linear_image(RMatrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, F(-3, 2)],
+                                        [F(1, 3), 0, 0, 1]]),
+                     box([F(-1, 2), 0, F(1, 3), 0], [1, F(2, 7), F(5, 3), 2])),
     ])
     def test_float_atoms_match_exact(self, body):
         exact = surface_area_measure(body)
@@ -152,6 +156,7 @@ class TestSurfaceAreaMeasure:
             assert all(isinstance(x, float) for x in g.direction + (g.offset,))
             assert max(abs(float(a) - b) for a, b in zip(f.direction, g.direction)) <= 1e-12
             assert abs(float(f.offset) - g.offset) <= 1e-12
+            assert math.isclose(g.measure, float(f.measure), rel_tol=1e-12)
 
     def test_large_float_tetrahedra_close_up(self):
         # Area vectors of size ~1e6 sum to ~1e-10 in floats: an absolute

@@ -50,3 +50,21 @@ def test_numpy_only_in_cplx():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 assert path.stem == "cplx", f"{path.name} imports numpy"
+
+
+def test_one_verdict_rule_in_valuation_lab():
+    """Only ``_verdict`` builds a ``CheckReport``, and no public function of
+    ``valuation_lab`` takes a ``tol``: every check reports by one rule."""
+    tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / "valuation_lab.py").read_text())
+
+    def builds(node):
+        return sum(isinstance(call, ast.Call) and "CheckReport" in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+            for call in ast.walk(node))
+
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    verdict = next(fn for fn in functions if fn.name == "_verdict")
+    assert builds(tree) == builds(verdict) >= 1
+    for fn in functions:
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        assert fn.name.startswith("_") or "tol" not in {a.arg for a in params}, fn.name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_eleme
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
 from valuta.moment import moment_tensor
 from valuta.polytope import (
+    FacetDatum,
     Polytope,
     crosspolytope,
     cube,
@@ -20,6 +22,7 @@ from valuta.polytope import (
     simplex,
     subspace_volume,
     support,
+    surface_area_measure,
     translate,
     volume,
 )
@@ -27,6 +30,7 @@ from valuta.symtensor import RMatrix, SymTensor, sym_product, vector_power
 from valuta.valuation_lab import (
     Valuation,
     _residual,
+    _verdict,
     cube_probe,
     euler_valuation,
     interpolation_weights,
@@ -52,6 +56,7 @@ coeff_values = st.one_of(
 
 std_triangle = simplex([(0, 0), (1, 0), (0, 1)])
 unit_square = cube(2)
+float_triangle = Polytope(2, ((0.1, 0.2), (1.3, 0.1), (0.4, 1.7)), ((0, 1, 2),))
 
 
 class TestMcMullen:
@@ -89,6 +94,11 @@ class TestMcMullen:
         assert float(report.max_residual) == 0.0
         assert report.max_residual == F(1, 10 ** 400)
         assert not report.passed
+
+    def test_float_body_passes_on_its_rounding_residual(self):
+        report = rehomogeneity_check(moment_valuation(2, 2), float_triangle, 3)
+        assert report.passed and report.mode == "float"
+        assert type(report.max_residual) is float and 0 < report.max_residual < 1e-10
 
 
 class TestKlain:
@@ -231,6 +241,13 @@ class TestCovariance:
         assert report.max_residual == F(7, 2) == volume(OFF_CROSS2) * F(3, 2)
         assert report.witnesses == [{"y": ["3/2", "1/5"], "coefficient_rank": 1}]
 
+    def test_float_shift_on_a_float_body(self):
+        zs = [moment_valuation(2, s) for s in (2, 1, 0)]
+        report = verify_covariance(zs, float_triangle, [(0.3, -0.7)])
+        assert report.passed and report.mode == "float"
+        assert type(report.max_residual) is float and report.max_residual < 1e-15
+        assert report.witnesses[0]["y"] == ["0.3", "-0.7"]
+
     def test_rank_order_enforced(self):
         with pytest.raises(DimensionMismatch):
             verify_covariance([volume_valuation(2), moment_valuation(2, 1)],
@@ -266,6 +283,13 @@ class TestEquivariance:
         assert not report.passed
         assert report.max_residual != 0
 
+    def test_float_shear_passes_on_its_rounding_residual(self):
+        shear = RMatrix.from_rows([[1.0, 0.3], [0.0, 1.0]])
+        body = simplex([(0, 0), (1, 0), (F(1, 3), 1)])
+        report = verify_equivariance(moment_valuation(2, 2), [shear], body)
+        assert report.passed and report.mode == "float"
+        assert type(report.max_residual) is float and 0 < report.max_residual < 1e-15
+
 
 class TestScalingRelation:
     def test_volume_diag(self):
@@ -285,6 +309,28 @@ class TestScalingRelation:
         report = scaling_relation_check(volume_valuation(4), 4, psi, CROSS4)
         assert report.passed
         assert report.witnesses[0]["factor"] == "2"
+
+    def test_root_of_the_factor_gets_an_exact_verdict(self):
+        """|det_C 2I|^(1/2) = 16^(1/4) at j = 1 in C^2: the signed fourth
+        powers of the widths are compared exactly, with no root taken."""
+        report = scaling_relation_check(_width(4), 1, CMatrix.diag([2, 2]), OFF_CROSS4, True)
+        assert report.passed and report.mode == "exact"
+        assert report.max_residual == 0 and type(report.max_residual) is Fraction
+        assert report.witnesses == [{"factor": "(16)^(1/4)", "degree": 1, "mode": "exact"}]
+
+    def test_wrong_root_is_flagged_exactly(self):
+        """diag(3, 2) stretches the e1-width by 3, not by 36^(1/4)."""
+        report = scaling_relation_check(_width(4), 1, CMatrix.diag([3, 2]), OFF_CROSS4)
+        assert not report.passed and report.mode == "exact"
+        assert type(report.max_residual) is Fraction
+        assert report.max_residual == (3 ** 4 - 36) * _width(4)(OFF_CROSS4).coeff(()) ** 4
+
+
+def _width(n):
+    """Width of a body along e_1: 1-homogeneous under scalings, exact."""
+    e1 = (1,) + (0,) * (n - 1)
+    return Valuation("width", 0, n, lambda b: SymTensor.scalar(
+        n, support(b, e1) + support(b, tuple(-x for x in e1))))
 
 
 class TestSurfacePairing:
@@ -393,9 +439,10 @@ def test_report_json_shape():
     zs = [moment_valuation(2, 1), volume_valuation(2)]
     report = verify_covariance(zs, std_triangle, [(1, 0)])
     data = report.to_json_dict()
-    assert set(data) == {"check", "witnesses", "max_residual", "pass"}
+    assert set(data) == {"check", "witnesses", "max_residual", "pass", "mode"}
     assert data["pass"] is True
     assert data["max_residual"] == "0"
+    assert data["mode"] == "exact"
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,6 +457,20 @@ def test_residual_matches_difference_tensor(a, b):
         expected = float(expected)
     assert got == expected
     assert type(got) is type(expected)
+
+
+def test_verdict_reports_the_worst_failure_over_a_larger_passing_residual():
+    """1e-5 on coefficients of 1e6 passes and 1e-8 on coefficients of 1 fails:
+    the report carries the failure; an exact nonzero residual fails at any size."""
+    big, small = SymTensor.scalar(2, 1e6), SymTensor.scalar(2, 1.0)
+    report = _verdict("c", [(big, SymTensor.scalar(2, 1e6 + 1e-5), "big"),
+                            (small, SymTensor.scalar(2, 1.0 + 1e-8), "small")])
+    assert (report.passed, report.witnesses, report.mode) == (False, ["small"], "float")
+    assert report.max_residual == pytest.approx(1e-8)
+    exact = _verdict("c", [(big, big, "float"), (SymTensor.scalar(2, F(1, 10 ** 400)),
+                                                 SymTensor.scalar(2, 0), "exact")])
+    assert (exact.passed, exact.witnesses, exact.max_residual) == (False, ["exact"], F(1, 10 ** 400))
+    assert _verdict("c", []).passed
 
 
 def test_float_residual_of_equal_tensors_is_a_float_zero():
@@ -586,3 +647,66 @@ class TestFloatTransfer:
     def test_float_non_unimodular_rejected(self, rows):
         with pytest.raises(GeometryError, match="det"):
             transfer_check(lambda v: v[0], RMatrix.from_rows(rows), std_triangle)
+
+
+# -- one verdict rule: a planted relative error of 1e-6 ----------------------------------------
+
+
+def _vol_plus_square(n, eps):
+    return Valuation("vol+eps*vol^2", 0, n, lambda b: SymTensor.scalar(
+        n, volume(b) + eps * volume(b) ** 2))
+
+
+def _rehomogeneity(eps):
+    return rehomogeneity_check(_vol_plus_square(2, eps), float_triangle, 3).passed
+
+
+def _covariance(eps):
+    zs = [moment_valuation(2, 1).scaled(1 + eps), volume_valuation(2)]
+    return verify_covariance(zs, float_triangle, [(0.3, -0.7)]).passed
+
+
+def _equivariance(eps):
+    """M^2 + eps vol e2^2: the shear moves e2."""
+    z = Valuation("M2+eps*vol*e2^2", 2, 2, lambda b: moment_tensor(b, 2).tensor + SymTensor(
+        2, 2, {(0, 2): eps * volume(b)}))
+    shear = RMatrix.from_rows([[1.0, 0.3], [0.0, 1.0]])
+    return verify_equivariance(z, [shear], float_triangle).passed
+
+
+def _scaling(eps):
+    psi = CMatrix.from_rows([[1 + 0.5j, 0], [0, 1]])
+    return scaling_relation_check(_vol_plus_square(4, eps), 4, psi, scale(SIMPLEX4, 3)).passed
+
+
+def _transfer(eps):
+    """The body carries facet data off by a factor 1 + eps; its image's
+    atoms are read off the triangulation."""
+    atoms = tuple(FacetDatum(tuple(x * (1 + eps) for x in f.direction), f.offset)
+                  for f in surface_area_measure(float_triangle))
+    shear = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
+    return transfer_check(lambda v: vector_power(v, 2), shear,
+                          dataclasses.replace(float_triangle, facets=atoms)).passed
+
+
+def _klain(eps):
+    l = Subspace.span([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
+
+    def run(body):
+        vol = subspace_volume(body, l)
+        return SymTensor.scalar(4, vol + eps * vol * vol)
+
+    try:
+        klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l)
+    except ValutaError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("check", [_rehomogeneity, _covariance, _equivariance, _scaling,
+                                   _transfer, _klain])
+def test_every_float_check_flags_a_relative_error_of_1e_6(check):
+    """Each float check passes on its rounding residual and flags a planted
+    relative error of 1e-6, on values of size about 1."""
+    assert check(0.0)
+    assert not check(1e-6)
