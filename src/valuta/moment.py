@@ -45,8 +45,7 @@ from typing import Sequence
 from . import linalg
 from .errors import GeometryError
 from .polytope import Polytope
-from .symtensor import (MultiIndex, SymTensor, divide_totals, monomial_tables, mul_form,
-                        shift_expansion)
+from .symtensor import MultiIndex, SymTensor, divide_totals, monomial_tables, mul_form
 # Kept in this namespace: the benchmark's tracer test expects moment to bind it.
 from .symtensor import sym_product  # noqa: F401
 
@@ -109,8 +108,6 @@ def moment_family(k: Polytope, r: int, lo: int = 0) -> list[SymTensor]:
     """[M^r(K), M^(r-1)(K), ..., M^lo(K)], exact, from one kernel pass."""
     if r < 0:
         raise ValueError("moment tensor rank must be non-negative")
-    if k.triangulation is None:
-        raise GeometryError("moment tensor needs a triangulation")
     totals = _moment_totals(k.points, k.triangulation, k.dim, r, lo)
     return [SymTensor._trusted(k.dim, s, c if s else {(): v for v in c.values()})
             for s, c in zip(range(r, lo - 1, -1), totals)]
@@ -147,11 +144,3 @@ def moment_tensor(k: Polytope, r: int) -> MomentResult:
         memo[id(k)] = k, family
     return MomentResult(family[len(family) - 1 - r], k, r)
 
-
-def covariance_expansion(k: Polytope, y: Sequence, r: int) -> SymTensor:
-    """Right-hand side of the translation-covariance expansion: the sum over
-    j of M^(r-j)(K) sym-times y^j / j!, by Horner's rule in y in Python ints
-    with one division per coefficient (``symtensor.shift_expansion``), on
-    the moments of one ``moment_family`` pass."""
-    y = tuple(linalg.frac(v) for v in y)
-    return shift_expansion(moment_family(k, r), y)

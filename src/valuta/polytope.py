@@ -1,28 +1,32 @@
 """Convex polytopes with exact rational vertices.
 
-Polytopes are built from generators with known combinatorics (simplices,
-boxes, crosspolytopes, 2D polygons) or imported with an explicit
-triangulation; there is no general convex-hull machinery beyond the plane.
-Triangulation cells index into ``points`` = vertices followed by auxiliary
-interior points (the crosspolytope triangulation cones over its center).
-Affine maps carry the points and keep the triangulation.
+A polytope is its points and its cells: ``points`` = vertices followed by
+auxiliary interior points (the crosspolytope triangulation cones over its
+center), and a triangulation whose cells index into them.  Polytopes are
+built from generators with known combinatorics (simplices, boxes,
+crosspolytopes, 2D polygons) or imported; there is no general convex-hull
+machinery beyond the plane.  Affine maps carry the points and keep the
+triangulation.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
 polytopes are rational even when facet measures are irrational (sqrt(2) edge
 lengths and the like), they sum to zero exactly, and they are all a
 1-homogeneous integrand ever needs.  They are read off the triangulation on
-demand, by one rule for every body (``surface_area_measure``), unless the
-body carries imported facet data.
+demand, by one rule for every body (``surface_area_measure``), and never
+stored.
 
 Polytope JSON:
 ``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...],
 "aux_points": [...], "facets": [{"normal": [...], "measure": "..."}]}``
-(triangulation, aux_points and facets optional).  Import rejects cells that
-repeat an index, differ in size or exceed dim + 1 points, full-dimensional
-cells of determinant 0, facets that do not sum to zero and, for exact
-full-dimensional bodies, a volume that differs from the sum of the facet
-offsets over n (divergence theorem).
+(facets are read, never written).  Without a triangulation the body is the
+simplex on n + 1 vertices, else their polygon in the plane; other bodies and
+aux_points without a triangulation are rejected.  So are cells that repeat
+an index, differ in size or exceed n + 1 points, full-dimensional cells of
+determinant 0, atoms that do not close up, a volume other than the sum of
+the atoms' offsets over n (divergence theorem; overlapping cells), and
+facets that are not the body's atoms as a multiset of area vectors: equal,
+or within 1e-12 relative for one ``_parse_facet`` rebuilds in floats.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -82,20 +86,13 @@ class FacetDatum:
         w = math.sqrt(float(self.measure_sq))
         return tuple(float(x) / w for x in self.direction)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "normal": [format_rational(x) for x in self.direction],
-            "measure": format_rational(self.measure),
-        }
-
 
 @dataclass(frozen=True)
 class Polytope:
     dim: int
     vertices: tuple[Vec, ...]
-    triangulation: tuple[tuple[int, ...], ...] | None = None
+    triangulation: tuple[tuple[int, ...], ...]
     aux_points: tuple[Vec, ...] = ()
-    facets: tuple[FacetDatum, ...] | None = None
 
     def __post_init__(self):
         if not self.vertices:
@@ -112,13 +109,10 @@ class Polytope:
         data: dict = {
             "dim": self.dim,
             "vertices": [[format_rational(x) for x in v] for v in self.vertices],
+            "triangulation": [list(c) for c in self.triangulation],
         }
-        if self.triangulation is not None:
-            data["triangulation"] = [list(c) for c in self.triangulation]
         if self.aux_points:
             data["aux_points"] = [[format_rational(x) for x in v] for v in self.aux_points]
-        if self.facets is not None:
-            data["facets"] = [f.to_json_dict() for f in self.facets]
         return data
 
     @staticmethod
@@ -129,44 +123,61 @@ class Polytope:
             tri = data.get("triangulation")
             if tri is not None:
                 tri = tuple(tuple(int(i) for i in cell) for cell in tri)
+            aux = tuple(
+                _vec([parse_rational(x) for x in v]) for v in data.get("aux_points", []))
+            facets = [_parse_facet(f, dim) for f in data["facets"]] if "facets" in data else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polytope JSON: {exc}") from exc
-        aux = tuple(
-            _vec([parse_rational(x) for x in v]) for v in data.get("aux_points", []))
-        facets = None
-        if "facets" in data:
-            directions = [_parse_facet(raw, dim) for raw in data["facets"]]
-            facets = tuple(
-                FacetDatum(d, max(linalg.dot(d, v) for v in vertices)) for d in directions)
-        p = Polytope(dim, vertices, tri, aux, facets)
-        _check_import(p)
+        p = Polytope(dim, vertices, tri or (), aux)
+        if tri is None:
+            if aux or not (len(vertices) == dim + 1 or dim == 2):
+                raise ParseError("untriangulated: need n + 1 vertices or dim 2, and no aux_points")
+            try:
+                p = simplex(vertices) if len(vertices) == dim + 1 else polygon(vertices)
+            except GeometryError as exc:
+                raise ParseError(f"bad untriangulated body: {exc}") from exc
+        _check_import(p, facets)
         return p
 
 
-def _check_import(p: Polytope) -> None:
-    """Raise ``ParseError`` unless the triangulation and the facets of an
-    imported body are consistent (see the module docstring)."""
-    n, tri, vol = p.dim, p.triangulation, None
-    if tri is not None:
-        sizes = {len(cell) for cell in tri}
-        if any(i < 0 or i >= len(p.points) for cell in tri for i in cell):
-            raise ParseError("triangulation index out of range")
-        if any(len(set(cell)) != len(cell) for cell in tri):
-            raise ParseError("triangulation cell repeats an index")
-        if len(sizes) > 1 or max(sizes, default=0) > n + 1:
-            raise ParseError(f"triangulation cells must share one size of at most {n + 1}")
-        if sizes == {n + 1}:
-            _, pts = linalg.clear_denominators(p.points)
-            if any(linalg.bareiss([[a - b for a, b in zip(pts[i], pts[c[0]])] for i in c[1:]]) == 0
-                   for c in tri):
-                raise ParseError("triangulation cell of determinant 0")
-            vol = volume(p)
-    if p.facets is not None:
-        if not _closes(p.facets, n):
-            raise ParseError("facet area vectors do not close up")
-        exact = linalg.is_exact(x for f in p.facets for x in f.direction)
-        if vol is not None and exact and n * vol != sum(f.offset for f in p.facets):
-            raise ParseError("volume differs from the facets' sum of offsets / n")
+def _check_import(p: Polytope, facets) -> None:
+    """Raise ``ParseError`` unless an imported body's triangulation is sound
+    and the area vectors ``facets`` (or None) are its atoms (module docstring)."""
+    n, tri = p.dim, p.triangulation
+    sizes = {len(cell) for cell in tri}
+    if any(i < 0 or i >= len(p.points) for cell in tri for i in cell):
+        raise ParseError("triangulation index out of range")
+    if any(len(set(cell)) != len(cell) for cell in tri):
+        raise ParseError("triangulation cell repeats an index")
+    if len(sizes) > 1 or max(sizes, default=0) > n + 1:
+        raise ParseError(f"triangulation cells must share one size of at most {n + 1}")
+    if sizes != {n + 1} and facets is None:
+        return  # lower-dimensional: no atoms
+    try:
+        atoms = surface_area_measure(p)
+    except GeometryError as exc:
+        raise ParseError(f"bad triangulation: {exc}") from exc
+    _, pts = linalg.clear_denominators(p.points)
+    if any(linalg.bareiss([[a - b for a, b in zip(pts[i], pts[c[0]])] for i in c[1:]]) == 0
+           for c in tri):
+        raise ParseError("triangulation cell of determinant 0")
+    if n * volume(p) != sum(f.offset for f in atoms):
+        raise ParseError("volume differs from the atoms' sum of offsets / n")
+    if facets is not None and not _same_atoms(facets, atoms):
+        raise ParseError("facets differ from the body's surface area measure")
+
+
+def _same_atoms(given, atoms) -> bool:
+    """Whether the area vectors ``given`` are those of ``atoms`` as a
+    multiset: equal, or within 1e-12 relative for a float vector."""
+    left = [f.direction for f in atoms]
+    for d in given:
+        hits = [i for i, a in enumerate(left) if d == a or not linalg.is_exact(d) and max(
+            map(abs, map(operator.sub, d, a))) <= 1e-12 * max(map(abs, a))]
+        if not hits:
+            return False
+        del left[hits[0]]
+    return not left
 
 
 def _parse_facet(data: Mapping, dim: int) -> tuple:
@@ -321,8 +332,6 @@ def _cells_volume(points: Sequence[Sequence], cells, n: int):
 
 def volume(p: Polytope) -> Fraction:
     """Full-dimensional volume; lower-dimensional bodies have volume 0."""
-    if p.triangulation is None:
-        raise GeometryError("volume needs a triangulation")
     return _cells_volume(p.points, p.triangulation, p.dim)
 
 
@@ -330,20 +339,14 @@ def translate(p: Polytope, y: Sequence) -> Polytope:
     y = tuple(map(linalg.real, y))
     if len(y) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
-    facets = None
-    if p.facets is not None:
-        facets = tuple(
-            FacetDatum(f.direction, f.offset + linalg.dot(f.direction, y))
-            for f in p.facets)
     return Polytope(
         p.dim, tuple(_add(v, y) for v in p.vertices), p.triangulation,
-        tuple(_add(v, y) for v in p.aux_points), facets)
+        tuple(_add(v, y) for v in p.aux_points))
 
 
 def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
-    """Image under an invertible linear map: the points are mapped, the
-    triangulation carries over and facet data is dropped (the image's atoms
-    are read off its triangulation, see ``surface_area_measure``).
+    """Image under an invertible linear map: the points are mapped and the
+    triangulation carries over.
 
     phi and the points are each cleared of denominators once, the products
     are taken in ints and each output coordinate is one ``Fraction``; a
@@ -364,7 +367,7 @@ def scale(p: Polytope, lam) -> Polytope:
     """Dilation by lam about the origin: each point's coordinates times lam,
     for exact lam the body ``linear_image`` gives for lam times the identity
     (a float body or lam gives float points; the triangulation carries
-    over, facet data is dropped)."""
+    over)."""
     lam = linalg.real(lam)
 
     def dilate(points):
@@ -382,8 +385,8 @@ def support(p: Polytope, u: Sequence):
 
 
 def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
-    """Atoms (outward area vectors) of the surface area measure: the body's
-    imported facet data, or else read off its triangulation.
+    """Atoms (outward area vectors) of the surface area measure, read off
+    the body's triangulation.
 
     A face that no other cell shares lies on the boundary.  Its area vector
     is the n signed (n-1)-minors of its edge vectors over (n-1)!, turned
@@ -396,21 +399,10 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     is divided once by (n-1)! D^(n-1); float points run the same steps in
     floats with D = 1.
 
-    An untriangulated body is read as the simplex on its vertices when it
-    has n + 1 of them, as their polygon in the plane.  Other untriangulated
-    bodies, cells of fewer than n + 1 points, degenerate cells and atoms
-    that do not sum to zero (overlapping cells) raise ``GeometryError``.
+    Cells of fewer than n + 1 points, degenerate cells and atoms that do
+    not sum to zero (overlapping cells) raise ``GeometryError``.
     """
-    if p.facets is not None:
-        return p.facets
     n = p.dim
-    if p.triangulation is None:
-        if len(p.vertices) == n + 1:
-            p = simplex(p.vertices)
-        elif n == 2:
-            p = polygon(p.vertices)
-        else:
-            raise GeometryError(f"surface area measure in R^{n} needs a triangulation or facets")
     if any(len(cell) != n + 1 for cell in p.triangulation):
         raise GeometryError("surface area measure needs full-dimensional cells")
     faces = [(cell[:k] + cell[k + 1:], i) for cell in p.triangulation for k, i in enumerate(cell)]
@@ -467,10 +459,6 @@ def _closes(facets, n: int) -> bool:
     return all(abs(s) <= 1e-12 * size for s in sums)
 
 
-def with_facets(p: Polytope) -> Polytope:
-    return replace(p, facets=surface_area_measure(p))
-
-
 # -- subspace volume --------------------------------------------------------------
 
 
@@ -485,8 +473,6 @@ def subspace_volume(p: Polytope, subspace):
     basis = getattr(subspace, "basis", subspace)
     basis = [tuple(b) for b in basis]
     j = len(basis)
-    if p.triangulation is None:
-        raise GeometryError("subspace volume needs a triangulation")
     exact = linalg.is_exact(x for b in basis for x in b)
     coords = []
     for pt in p.points:

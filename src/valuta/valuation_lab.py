@@ -20,7 +20,8 @@ rule (``_verdict``).  An exact residual max |a_k - b_k| passes only at 0; a
 float one passes at most ``FLOAT_TOL`` times max(1, the largest |coefficient|
 of a and b).  The check passes when every pair does, and reports its worst
 residual (a failing pair's first) with that pair's witness, in mode "exact"
-when every residual is a ``Fraction`` and "float" otherwise.
+when its inputs (body, matrix, shift, lambda, subspace) and residuals are
+rational, else "float" with float residuals, 0.0 included.
 """
 
 from __future__ import annotations
@@ -178,16 +179,19 @@ def _residual(a: SymTensor, b: SymTensor):
     return max(filter(None, diffs), default=Fraction(0))
 
 
-def _verdict(check: str, pairs) -> CheckReport:
-    """The report of a check on its (a, b, witness) pairs, by the rule in the
+def _verdict(check: str, pairs, *inputs) -> CheckReport:
+    """The report of a check on its (a, b, witness) pairs and the rows of
+    numbers it was given (body points, matrix rows, ...), by the rule in the
     module docstring; on a tie the first pair's witness is kept."""
-    worst, witnesses, mode = (False, Fraction(0)), [], "exact"
+    worst, witnesses = (False, Fraction(0)), []
+    floats = not linalg.is_exact(x for row in inputs for x in row)
+    mode = "float" if floats else "exact"
     for a, b, witness in pairs:
         res = _residual(a, b)
-        if isinstance(res, Fraction):
+        if isinstance(res, Fraction) and not floats:
             bad = res != 0
         else:
-            mode = "float"
+            mode, res = "float", float(res)
             bad = not res <= FLOAT_TOL * max(1, a.max_abs_coeff(), b.max_abs_coeff())
         if not witnesses or (bad, res) > worst:
             worst, witnesses = (bad, res), [witness]
@@ -231,7 +235,7 @@ def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckRepo
     pairs = [(b, a.scale(lam ** j), {"degree": j, "lambda": shown})
              for j, (a, b) in enumerate(zip(base, dilated))]
     pairs.append((sum(base[1:], base[0]), z(body), {"degree": "sum-at-1", "lambda": shown}))
-    return _verdict("mcmullen-rehomogeneity", pairs)
+    return _verdict("mcmullen-rehomogeneity", pairs, *body.points, [lam])
 
 
 # -- Klain functions ---------------------------------------------------------------
@@ -284,7 +288,7 @@ def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
         if vj == 0:
             raise GeometryError("degenerate probe body")
         results.append(z(probe).scale(1 / vj))
-    report = _verdict("klain", [(results[0], results[1], {"degree": j})])
+    report = _verdict("klain", [(results[0], results[1], {"degree": j})], *l.basis)
     if not report.passed:
         raise ValutaError(
             f"Klain probes disagree by {format_rational(report.max_residual)}; valuation "
@@ -313,7 +317,7 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
             shown = [format_rational(c) for c in y]
             pairs += [(z(shifted), shift_expansion(at_body[s:], y),
                        {"y": shown, "coefficient_rank": z.rank}) for s, z in enumerate(zs)]
-    return _verdict("translation-covariance", pairs)
+    return _verdict("translation-covariance", pairs, *body.points, *ys)
 
 
 # -- equivariance ----------------------------------------------------------------------
@@ -322,13 +326,14 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
 def verify_equivariance(z: Valuation, g_samples: Sequence, body: Polytope) -> CheckReport:
     """Residuals of z(phi K) against the tensor action of phi on z(K)."""
     base = z(body)
-    pairs = []
+    pairs, rows = [], list(body.points)
     for idx, sample in enumerate(g_samples):
         phi = realify(sample) if isinstance(sample, CMatrix) else sample
         if phi.exact and phi.det == 0:
             raise GeometryError("equivariance sample is singular")
         pairs.append((z(linear_image(phi, body)), gl_action(phi, base), {"sample_index": idx}))
-    report = _verdict("group-equivariance", pairs)
+        rows += phi.entries
+    report = _verdict("group-equivariance", pairs, *rows)
     for witness in report.witnesses:  # only the reported sample's matrix is formatted
         witness["matrix"] = _matrix_witness(g_samples[witness["sample_index"]])
     return report
@@ -360,7 +365,8 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
     factor_sq = cabs2(psi.det_c)  # equals det of the realification
     p, q = Fraction(j, 2 * m).as_integer_ratio()
     image, base = z(linear_image(realify(psi), body)), z(body)
-    exact = linalg.is_exact([factor_sq, *image.coeffs.values(), *base.coeffs.values()])
+    exact = linalg.is_exact([factor_sq, *image.coeffs.values(), *base.coeffs.values(),
+                             *(x for v in body.points for x in v)])
     if exact:
         factor = factor_sq ** p
         shown = format_rational(factor) if q == 1 else f"({format_rational(factor)})^(1/{q})"
@@ -371,7 +377,7 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
         shown = format_rational(factor)
     witness = {"factor": shown, "degree": j, "mode": "exact" if exact else "float"}
     return _verdict("determinant-scaling", [
-        (_signed_power(image, q), _signed_power(base, q).scale(factor), witness)])
+        (_signed_power(image, q), _signed_power(base, q).scale(factor), witness)], [factor])
 
 
 def _signed_power(t: SymTensor, q: int) -> SymTensor:
@@ -412,4 +418,5 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     rhs = surface_pairing(lambda v: f(phi_inv_t.matvec(v)), p)
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
-    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})])
+    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],
+                    *p.points, *phi.entries)

@@ -11,8 +11,7 @@ from oracles import multi_indices
 from valuta import linalg, moment
 from valuta.cplx import sample_subspace
 from valuta.errors import GeometryError
-from valuta.moment import (covariance_expansion, moment_family, moment_tensor,
-                           monomial_integral_simplex)
+from valuta.moment import moment_family, moment_tensor, monomial_integral_simplex
 from valuta.polytope import (
     Polytope,
     box,
@@ -25,7 +24,7 @@ from valuta.polytope import (
     translate,
     volume,
 )
-from valuta.symtensor import RMatrix, SymTensor, gl_action
+from valuta.symtensor import RMatrix, SymTensor, gl_action, shift_expansion
 from valuta.valuation_lab import Valuation, cube_probe, moment_valuation, verify_covariance
 
 F = Fraction
@@ -78,27 +77,31 @@ class TestMomentTensor:
 
 
 class TestCovarianceExpansion:
+    """The expansion sum_j M^(r-j)(K) y^j / j! of one ``moment_family`` pass."""
+
     def test_triangle_shift_rank1(self):
-        got = covariance_expansion(std_triangle, (1, 0), 1)
+        got = shift_expansion(moment_family(std_triangle, 1), (1, 0))
         assert got == SymTensor(2, 1, {(1, 0): F(2, 3), (0, 1): F(1, 6)})
 
     def test_zero_shift_is_moment(self):
-        assert covariance_expansion(std_triangle, (0, 0), 3) == \
+        assert shift_expansion(moment_family(std_triangle, 3), (0, 0)) == \
             moment_tensor(std_triangle, 3).tensor
 
     def test_rank0_translation_invariant(self):
-        assert covariance_expansion(std_triangle, (0, 1), 0) == SymTensor.scalar(2, F(1, 2))
+        assert shift_expansion(moment_family(std_triangle, 0), (0, 1)) == \
+            SymTensor.scalar(2, F(1, 2))
 
     def test_output_is_well_formed(self):
         body = crosspolytope([(1, 0, 0), (0, 2, 0), (0, 0, F(1, 3))])
         for r in range(4):
-            t = covariance_expansion(body, (F(1, 2), 0, -3), r)
+            t = shift_expansion(moment_family(body, r), (F(1, 2), 0, -3))
             assert t == SymTensor(t.dim, t.rank, dict(t.coeffs))
             assert all(isinstance(v, Fraction) and v != 0 for v in t.coeffs.values())
 
     def test_matches_translated_moment(self):
         shifted = translate(std_triangle, (1, 0))
-        assert moment_tensor(shifted, 1).tensor == covariance_expansion(std_triangle, (1, 0), 1)
+        assert moment_tensor(shifted, 1).tensor == \
+            shift_expansion(moment_family(std_triangle, 1), (1, 0))
 
 
 def _bodies_r2():
@@ -122,7 +125,8 @@ def _bodies_r4():
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
 def test_translation_covariance_exact(body, r):
     y = tuple([F(1, 2), F(-1, 3), F(2), F(1, 5)][: body.dim])
-    assert moment_tensor(translate(body, y), r).tensor == covariance_expansion(body, y, r)
+    assert moment_tensor(translate(body, y), r).tensor == \
+        shift_expansion(moment_family(body, r), y)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])

@@ -26,9 +26,8 @@ from valuta.polytope import (
     surface_area_measure,
     translate,
     volume,
-    with_facets,
 )
-from valuta.symtensor import RMatrix, vector_power
+from valuta.symtensor import RMatrix, format_rational, vector_power
 from valuta.valuation_lab import cube_probe, transfer_check
 
 F = Fraction
@@ -122,16 +121,23 @@ class TestSurfaceAreaMeasure:
         assert sums == [0, 0, 0, 0]
 
     def test_untriangulated_bodies_match_triangulated_twins(self):
+        """A JSON body without a triangulation is the simplex on its n + 1
+        vertices, or in the plane their polygon."""
         tet = simplex([(0, 0, 0), (2, F(1, 3), 0), (1, 1, 1), (F(-1, 2), 0, 3)])
         pentagon = polygon([(0, 0), (2, 0), (3, 1), (1, F(5, 2)), (-1, 1)])
         for twin, atoms in ((tet, 4), (pentagon, 5)):
-            bare = Polytope(twin.dim, twin.vertices)
+            bare = Polytope.from_json_dict(_untriangulated_json(twin))
             assert set(surface_area_measure(bare)) == set(surface_area_measure(twin))
             assert len(surface_area_measure(bare)) == atoms
+            assert volume(bare) == volume(twin)
 
     def test_untriangulated_body_needs_facets(self):
-        with pytest.raises(GeometryError):
-            surface_area_measure(Polytope(3, cube(3).vertices))
+        """Other untriangulated bodies are refused, with or without facets."""
+        data = _untriangulated_json(cube(3))
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict(data)
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict({**data, "facets": _facet_json(cube(3))["facets"]})
 
     @pytest.mark.parametrize("body", [
         simplex([(0, 0), (F(1, 3), 0), (F(1, 7), F(2, 5))]),
@@ -270,17 +276,38 @@ class TestMixedVolumePairing:
         assert pairing == mixed_twice
 
 
+def _facet_json(body) -> dict:
+    """The body's JSON with its atoms as facets, each written as its area
+    vector and that vector's length."""
+    return {**body.to_json_dict(), "facets": [
+        {"normal": [format_rational(x) for x in f.direction], "measure": format_rational(f.measure)}
+        for f in surface_area_measure(body)]}
+
+
+def _untriangulated_json(body) -> dict:
+    return {"dim": body.dim, "vertices": body.to_json_dict()["vertices"]}
+
+
 class TestJson:
     def test_round_trip_with_facets(self):
-        from valuta.polytope import with_facets
-
-        p = with_facets(std_triangle)
-        data = p.to_json_dict()
-        q = Polytope.from_json_dict(data)
+        p = std_triangle
+        assert "facets" not in p.to_json_dict()
+        q = Polytope.from_json_dict(_facet_json(p))
         assert q.vertices == p.vertices
         assert q.triangulation == p.triangulation
-        assert {f.direction for f in q.facets} == {f.direction for f in p.facets}
+        assert {f.direction for f in surface_area_measure(q)} == \
+            {f.direction for f in surface_area_measure(p)}
         assert volume(q) == volume(p)
+
+    def test_facet_json_with_float_measures_loads(self):
+        """Facets given as area vectors with their lengths, irrational ones as
+        floats, load as the body: each area vector is rebuilt exactly."""
+        data = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+                "triangulation": [[0, 1, 2]],
+                "facets": [{"normal": ["1", "1"], "measure": "1.4142135623730951"},
+                           {"normal": ["-1", "0"], "measure": "1"},
+                           {"normal": ["0", "-1"], "measure": "1"}]}
+        assert Polytope.from_json_dict(data) == std_triangle
 
     def test_cross_round_trip_keeps_aux(self):
         c = crosspolytope([(1, 0), (0, 1)])
@@ -292,10 +319,9 @@ class TestJson:
         translate(crosspolytope([(1, 0, 0), (1, 2, 0), (0, F(1, 2), 3)]), (F(1, 3), -1, 2)),
     ])
     def test_box_and_cross_round_trips_with_facets(self, body):
-        p = with_facets(body)
-        q = Polytope.from_json_dict(p.to_json_dict())
-        assert set(q.facets) == set(p.facets)
-        assert volume(q) == volume(p)
+        q = Polytope.from_json_dict(_facet_json(body))
+        assert set(surface_area_measure(q)) == set(surface_area_measure(body))
+        assert volume(q) == volume(body)
 
 
 def _square_json(triangulation, facets=True, aux=()):
@@ -321,9 +347,64 @@ class TestImportValidation:
             Polytope.from_json_dict(_square_json(self.overlapping))
 
     def test_overlapping_cells_have_no_surface_area_measure(self):
-        q = Polytope.from_json_dict(_square_json(self.overlapping, facets=False))
+        body = Polytope(2, unit_square.vertices, tuple(map(tuple, self.overlapping)))
         with pytest.raises(GeometryError):
-            surface_area_measure(q)
+            surface_area_measure(body)
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict(_square_json(self.overlapping, facets=False))
+
+    def test_double_cover_rejected_by_divergence_theorem(self):
+        """Every edge of the four triangles is shared, so the atoms are empty
+        and close up, while the volume is 2."""
+        double = [[0, 1, 2], [0, 2, 3], [0, 1, 3], [1, 2, 3]]
+        body = Polytope(2, unit_square.vertices, tuple(map(tuple, double)))
+        assert (volume(body), surface_area_measure(body)) == (2, ())
+        for facets in (False, True):
+            with pytest.raises(ParseError, match="offsets"):
+                Polytope.from_json_dict(_square_json(double, facets=facets))
+
+    def test_facets_of_another_body_rejected(self):
+        """The atoms of a 3/2 x 1/2 rectangle close up, but they are not the
+        unit square's."""
+        rectangle = box([0, 0], [F(3, 2), F(1, 2)])
+        data = {**_square_json([[0, 1, 2], [0, 2, 3]]), "facets": _facet_json(rectangle)["facets"]}
+        with pytest.raises(ParseError, match="surface area measure"):
+            Polytope.from_json_dict(data)
+        assert Polytope.from_json_dict({**data, **rectangle.to_json_dict()}) == rectangle
+
+    @pytest.mark.parametrize("bend, loads", [(0, True), (1e-13, True), (1e-9, False)])
+    def test_float_facet_within_1e_12_relative(self, bend, loads):
+        """A unit normal with an irrational measure can only be rebuilt in
+        floats; it must be an atom within 1e-12 relative."""
+        data = _facet_json(std_triangle)
+        c, measure = math.sqrt(0.5), math.sqrt(2) * (1 + bend)
+        data["facets"] = [f for f in data["facets"] if f["normal"] != ["1", "1"]] + [
+            {"normal": [repr(c), repr(c)], "measure": repr(measure)}]
+        if loads:
+            assert Polytope.from_json_dict(data) == std_triangle
+        else:
+            with pytest.raises(ParseError):
+                Polytope.from_json_dict(data)
+
+    @pytest.mark.parametrize("change", [
+        {"facets": []},
+        {"triangulation": [[0, 1, 2]]},
+        {"triangulation": [[0, 1]]},
+        {"aux_points": 5},
+        {"facets": 5},
+        {"facets": [5]},
+    ])
+    def test_facets_must_be_all_atoms_of_a_full_dimensional_body(self, change):
+        """No facets, the square's facets on a triangle or a segment, and
+        malformed aux_points or facets."""
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict({**_square_json([[0, 1, 2], [0, 2, 3]]), **change})
+
+    def test_aux_points_need_a_triangulation(self):
+        data = crosspolytope([(1, 0), (0, 1)]).to_json_dict()
+        del data["triangulation"]
+        with pytest.raises(ParseError, match="aux_points"):
+            Polytope.from_json_dict(data)
 
     @pytest.mark.parametrize("triangulation, aux", [
         ([[0, 1, 1]], ()),
@@ -506,12 +587,13 @@ def bodies_and_factors(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=bodies_and_factors())
 def test_scale_matches_linear_image_of_a_diagonal(case):
-    """Dilation equals the image under lam times the identity: points,
-    crosspolytope centre, facets."""
+    """Dilation equals the image under lam times the identity: points and
+    crosspolytope centre.  A body imported with its facets is the body
+    itself, since facets are checked and never stored."""
     body, lam = case
     diag = RMatrix.diag([lam] * body.dim)
-    for b in (body, with_facets(body)):
-        assert scale(b, lam) == linear_image(diag, b)
+    assert Polytope.from_json_dict(_facet_json(body)) == body
+    assert scale(body, lam) == linear_image(diag, body)
 
 
 def _all_float(body):

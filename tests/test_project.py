@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -68,3 +69,17 @@ def test_one_verdict_rule_in_valuation_lab():
     for fn in functions:
         params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
         assert fn.name.startswith("_") or "tol" not in {a.arg for a in params}, fn.name
+
+
+def test_a_polytope_is_its_points_and_cells():
+    """``Polytope`` stores its points and cells and nothing read off them:
+    facets are derived on demand, so no module reads a ``.facets``, and a
+    triangulation is always given."""
+    from valuta.polytope import Polytope
+
+    fields = {f.name: f for f in dataclasses.fields(Polytope)}
+    assert list(fields) == ["dim", "vertices", "triangulation", "aux_points"]
+    assert fields["triangulation"].default is dataclasses.MISSING
+    for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "facets"), path.name

@@ -2,18 +2,18 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import multi_indices
-from valuta import linalg
+from valuta import linalg, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
 from valuta.moment import moment_tensor
 from valuta.polytope import (
-    FacetDatum,
     Polytope,
     crosspolytope,
     cube,
@@ -680,13 +680,18 @@ def _scaling(eps):
 
 
 def _transfer(eps):
-    """The body carries facet data off by a factor 1 + eps; its image's
-    atoms are read off the triangulation."""
-    atoms = tuple(FacetDatum(tuple(x * (1 + eps) for x in f.direction), f.offset)
-                  for f in surface_area_measure(float_triangle))
+    """The original body's atoms are planted off by a factor 1 + eps; its
+    image's atoms are read off the triangulation."""
+    def planted(body):
+        atoms = surface_area_measure(body)
+        if body is not float_triangle:
+            return atoms
+        return tuple(dataclasses.replace(f, direction=tuple(x * (1 + eps) for x in f.direction))
+                     for f in atoms)
+
     shear = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
-    return transfer_check(lambda v: vector_power(v, 2), shear,
-                          dataclasses.replace(float_triangle, facets=atoms)).passed
+    with mock.patch.object(valuation_lab, "surface_area_measure", planted):
+        return transfer_check(lambda v: vector_power(v, 2), shear, float_triangle).passed
 
 
 def _klain(eps):
@@ -710,3 +715,50 @@ def test_every_float_check_flags_a_relative_error_of_1e_6(check):
     relative error of 1e-6, on values of size about 1."""
     assert check(0.0)
     assert not check(1e-6)
+
+
+# -- the mode is read off the inputs too ----------------------------------------------------
+
+
+def _zero(n, r):
+    return Valuation("zero", r, n, lambda b: SymTensor.zero(n, r))
+
+
+def test_float_transfer_with_all_zero_values_reports_float_mode():
+    """v -> v[0] pairs to 0 on any body, exactly (``SymTensor`` drops the
+    zeros), yet the shear and the triangle are floats."""
+    shear = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
+    tri = Polytope(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), ((0, 1, 2),))
+    report = transfer_check(lambda v: v[0], shear, tri)
+    assert (report.passed, report.mode, report.max_residual) == (True, "float", 0.0)
+    assert type(report.max_residual) is float
+
+
+@pytest.mark.parametrize("body, shear, mode", [
+    (std_triangle, [[1.0, 0.3], [0.0, 1.0]], "float"),
+    (float_triangle, [[1, F(3, 10)], [0, 1]], "float"),
+    (std_triangle, [[1, F(3, 10)], [0, 1]], "exact"),
+])
+def test_zero_valuation_equivariance_mode_follows_the_inputs(body, shear, mode):
+    report = verify_equivariance(_zero(2, 2), [RMatrix.from_rows(shear)], body)
+    assert (report.passed, report.mode) == (True, mode)
+    assert type(report.max_residual) is (float if mode == "float" else Fraction)
+
+
+def test_every_check_reads_float_mode_off_its_inputs():
+    """Float shift, lambda, body, psi and subspace each make the verdict a
+    float one, on a valuation that is 0 everywhere."""
+    z2 = _zero(2, 1)
+    assert verify_covariance([z2, _zero(2, 0)], std_triangle, [(0.5, 0)]).mode == "float"
+    assert verify_covariance([z2, _zero(2, 0)], std_triangle, [(F(1, 2), 0)]).mode == "exact"
+    assert rehomogeneity_check(z2, std_triangle, 1.5).mode == "float"
+    assert rehomogeneity_check(z2, float_triangle, 3).mode == "float"
+    assert rehomogeneity_check(z2, std_triangle, F(3, 2)).mode == "exact"
+    psi = CMatrix.from_rows([[1 + 0.5j, 0], [0, 1]])
+    report = scaling_relation_check(_zero(4, 0), 4, psi, SIMPLEX4)
+    assert (report.mode, report.witnesses[0]["mode"]) == ("float", "float")
+    float_body = Polytope(4, tuple(tuple(map(float, v)) for v in SIMPLEX4.vertices),
+                          SIMPLEX4.triangulation)
+    exact_psi = CMatrix.from_rows([[F(1), F(1, 2)], [0, 1]])
+    assert scaling_relation_check(_zero(4, 0), 4, exact_psi, float_body).mode == "float"
+    assert scaling_relation_check(_zero(4, 0), 4, exact_psi, SIMPLEX4).mode == "exact"
