@@ -113,8 +113,9 @@ def over(x, d: int):
 
 
 def _floats(m: list[list]) -> bool:
-    """Whether an entry is not an int: a float, or a complex from ``cdet``."""
-    return not all(isinstance(x, int) for row in m for x in row)
+    """Whether an entry is not an int: a float, or a complex from ``cdet``
+    (then the sum of the entries is not an int either)."""
+    return not isinstance(sum(map(sum, m)), int)
 
 
 def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:

@@ -126,9 +126,9 @@ class Polytope:
             aux = tuple(
                 _vec([parse_rational(x) for x in v]) for v in data.get("aux_points", []))
             facets = [_parse_facet(f, dim) for f in data["facets"]] if "facets" in data else None
-        except (KeyError, TypeError, ValueError) as exc:
+            p = Polytope(dim, vertices, tri or (), aux)
+        except (KeyError, TypeError, ValueError, GeometryError, DimensionMismatch) as exc:
             raise ParseError(f"bad polytope JSON: {exc}") from exc
-        p = Polytope(dim, vertices, tri or (), aux)
         if tri is None:
             if aux or not (len(vertices) == dim + 1 or dim == 2):
                 raise ParseError("untriangulated: need n + 1 vertices or dim 2, and no aux_points")
@@ -232,7 +232,13 @@ def simplex(verts: Sequence[Sequence]) -> Polytope:
 
 
 def box(lo: Sequence, hi: Sequence) -> Polytope:
-    """Axis-aligned box with the Kuhn triangulation into n! simplices."""
+    """Axis-aligned box with the Kuhn triangulation into n! simplices.
+
+    Vertex ``mask`` takes hi in the coordinates of its set bits.  The cell of
+    a permutation is its chain lo = 0, ..., 2^n - 1 = hi, listed as lo, hi,
+    then the inner vertices in chain order: every cell starts with (lo, hi),
+    and the two cells whose permutations differ in their last two entries
+    share their first n vertices (the moment kernel's prefix tree)."""
     lo, hi = _vec(lo), _vec(hi)
     n = len(lo)
     if len(hi) != n:
@@ -245,11 +251,11 @@ def box(lo: Sequence, hi: Sequence) -> Polytope:
     cells = []
     for perm in itertools.permutations(range(n)):
         mask = 0
-        chain = [0]
-        for i in perm:
+        chain = []
+        for i in perm[:-1]:
             mask |= 1 << i
             chain.append(mask)
-        cells.append(tuple(chain))
+        cells.append((0, (1 << n) - 1, *chain))
     return Polytope(n, tuple(vertices), tuple(cells))
 
 

@@ -22,6 +22,16 @@ def multi_indices(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def monomial_integral_simplex(s, alpha) -> Fraction:
+    """Exact integral of x^alpha over a full-dimensional simplex: alpha!
+    times the coefficient at alpha of its moment tensor of rank |alpha|."""
+    from valuta.moment import moment_tensor
+
+    alpha = tuple(alpha)
+    coeff = moment_tensor(s, sum(alpha)).tensor.coeff(alpha)
+    return math.prod(map(math.factorial, alpha)) * coeff
+
+
 # -- Gram-Schmidt and the adapted basis in Fractions ---------------------------------
 # The orthonormalisation as it ran before it cleared denominators: every
 # projection is a Fraction (or float) dot product against unit vectors.

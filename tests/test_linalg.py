@@ -70,6 +70,22 @@ def test_det_float_input_stays_float():
     assert mixed == pytest.approx(F(1, 3) * 2 - F(1, 4), abs=1e-15)
 
 
+@pytest.mark.parametrize("rows,want", [
+    ([[3, 1], [1, 0.5]], 0.5),                      # ``//`` would give 0.0
+    ([[1, 2, 3], [0, 1, 4], [5, 6, -0.0]], 1.0),    # one float, at the end
+    ([[1, 2], [3, 4 + 1j]], -2 + 1j),               # a complex, as ``cdet`` passes them
+    ([[2, 1], [1, complex(1, 0)]], 1 + 0j),
+])
+def test_any_float_or_complex_entry_takes_the_float_path(rows, want):
+    assert linalg._floats(rows)
+    got = linalg.bareiss([list(row) for row in rows])
+    assert got == want and type(got) is type(want)
+    assert not linalg._floats([[3, 1], [1, 2]]) and not linalg._floats([])
+    assert linalg.bareiss([[3, 1], [1, 2]]) == 5
+    assert linalg.cdet([[(0.5, 1.0), (0, 0)], [(0, 0), (2, 0)]]) == (1.0, 2.0)
+    assert all(type(x) is float for x in linalg.cdet([[(0.5, 1), (1, 0)], [(0, 3), (2, 0)]]))
+
+
 def test_numpy_scalars_are_classified_by_type():
     """numpy integers are exact; numpy floats that are not ``float``
     subclasses (float32, float16) take the float path or are refused."""

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import multi_indices
-from valuta import linalg, moment
+from oracles import monomial_integral_simplex, multi_indices
+from valuta import linalg, moment, symtensor
 from valuta.cplx import sample_subspace
 from valuta.errors import GeometryError
-from valuta.moment import moment_family, moment_tensor, monomial_integral_simplex
+from valuta.moment import moment_family, moment_tensor
 from valuta.polytope import (
     Polytope,
     box,
@@ -348,25 +348,19 @@ def test_moment_family_of_a_float_body_stays_float():
         _assert_close_floats(got, want)
 
 
-def _count_passes(monkeypatch, body):
-    """Kernel passes on ``body`` so far, read off the Bareiss calls: one per
-    cell and pass (every cell of the test bodies is full-dimensional)."""
+def _count_passes(monkeypatch):
+    """Kernel passes so far, on any body: the calls of ``_moment_totals``."""
     calls = []
-    real = linalg.bareiss
-
-    def counted(m):
-        calls.append(len(m))
-        return real(m)
-
-    monkeypatch.setattr(linalg, "bareiss", counted)
-    return lambda: F(len(calls), len(body.triangulation))
+    real = moment._moment_totals
+    monkeypatch.setattr(moment, "_moment_totals", lambda *a: calls.append(1) or real(*a))
+    return lambda: len(calls)
 
 
 CROSS2 = translate(crosspolytope([(1, F(1, 3)), (F(-1, 2), 1)]), (F(2, 3), F(-1, 4)))
 
 
 def test_repeated_calls_outside_a_check_run_one_pass_each(monkeypatch):
-    passes = _count_passes(monkeypatch, CROSS2)
+    passes = _count_passes(monkeypatch)
     first = moment_tensor(CROSS2, 2)
     assert passes() == 1
     assert moment_tensor(CROSS2, 2) == first
@@ -378,7 +372,7 @@ def _cascade(n, r):
 
 
 def test_no_scope_outlives_a_check(monkeypatch):
-    passes = _count_passes(monkeypatch, CROSS2)
+    passes = _count_passes(monkeypatch)
     assert verify_covariance(_cascade(2, 2), CROSS2, [(1, F(1, 2))]).passed
     assert passes() == 2
     moment_tensor(CROSS2, 1)
@@ -403,7 +397,7 @@ def test_nested_checks_keep_their_own_passes(monkeypatch):
     """A valuation that runs a check of its own: the inner check neither
     reads the outer memo nor leaves its own behind."""
     other = simplex([(0, 0), (F(3, 2), F(1, 3)), (F(-1, 2), 2)])
-    passes = _count_passes(monkeypatch, CROSS2)
+    passes = _count_passes(monkeypatch)
     seen = []
 
     def reads_other(body):
@@ -425,10 +419,10 @@ def test_nested_checks_keep_their_own_passes(monkeypatch):
 
     zs = _cascade(2, 1)[:1] + [Valuation("nested", 0, 2, nested)]
     report = verify_covariance(zs, CROSS2, [(F(1, 2), F(-1, 3))])
-    # Inner: CROSS2 and its translate, plus ``other`` (1 cell of 4).
-    assert seen[0] == 2 + F(1, 4)
+    # Inner: CROSS2 and its translate, plus ``other``.
+    assert seen[0] == 3
     # ``other`` is in no outer memo: the inner one ended with the inner check.
-    assert seen[1] == F(1, 4)
+    assert seen[1] == 1
     assert report.passed and report.max_residual == 0
 
 
@@ -471,18 +465,93 @@ def test_body_moments_are_the_sum_over_its_cells(seed):
             assert moment_tensor(body, s).tensor == total
 
 
+@st.composite
+def sibling_cells(draw):
+    """Two cells sharing their first n vertices in R^n, n = 2..6; in half the
+    draws the second one is flat, its last vertex an affine combination of
+    the shared ones."""
+    n = draw(st.integers(2, 6))
+    coord = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    shared = [[draw(coord) for _ in range(n)] for _ in range(n)]
+    last = [draw(coord) for _ in range(n)]
+    if draw(st.booleans()):
+        weights = [draw(coord) for _ in range(n - 1)]
+        other = [x + sum(w * (v[t] - x) for w, v in zip(weights, shared[1:]))
+                 for t, x in enumerate(shared[0])]
+    else:
+        other = [draw(coord) for _ in range(n)]
+    return n, shared, last, other
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sibling_cells())
+def test_shared_prefix_determinant_matches_det(case):
+    """Cells sharing n vertices take |det E| off the exterior product of the
+    shared edges, with no Bareiss: the volume is sum |linalg.det| / n!, a
+    flat cell adds nothing, and the rank-1 moment is the sum over the cells
+    taken as simplices on their own."""
+    n, shared, last, other = case
+    body = Polytope(n, tuple(map(tuple, shared + [last, other])),
+                    (tuple(range(n + 1)), tuple(range(n)) + (n + 1,)))
+    dets = [linalg.det([[a - b for a, b in zip(v, shared[0])] for v in shared[1:] + [tip]])
+            for tip in (last, other)]
+    with pytest.MonkeyPatch.context() as mp:
+        bareiss = []
+        real = linalg.bareiss
+        mp.setattr(linalg, "bareiss", lambda m: bareiss.append(1) or real(m))
+        first, volume_tensor = moment_family(body, 1)
+    assert bareiss == []
+    assert volume_tensor.coeff(()) == sum(map(abs, dets)) / math.factorial(n)
+    want = SymTensor.zero(n, 1)
+    for tip, d in zip((last, other), dets):
+        if d:
+            want = want + moment_tensor(simplex(shared + [tip]), 1).tensor
+    assert first == want
+
+
+def _imported_cube():
+    """A 3-box imported from JSON with its five-tetrahedron triangulation."""
+    corners = [[F(-1, 2), 0, F(1, 3)], [F(3, 2), F(5, 4), 2]]
+    verts = [[format(corners[m >> t & 1][t]) for t in range(3)] for m in range(8)]
+    cells = [[0, 3, 5, 6], [1, 0, 3, 5], [2, 0, 3, 6], [4, 0, 5, 6], [7, 3, 5, 6]]
+    return Polytope.from_json_dict({"dim": 3, "vertices": verts, "triangulation": cells})
+
+
+@pytest.mark.parametrize("make,r", [
+    (lambda: box([F(-1, 2), F(1, 3), 0, F(-7, 5)], [F(5, 3), 2, F(3, 7), 1]), 3),
+    (lambda: translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 1, F(-2, 5), 0), (0, 0, 1, F(3, 2)),
+                                      (0, 0, 0, F(5, 7))]), (F(1, 3), F(-1, 2), 0, F(2, 9))), 3),
+    (lambda: polygon([(0, 0), (F(9, 2), F(1, 3)), (5, 3), (F(3, 2), F(11, 2)), (-1, 2)]), 4),
+    (_imported_cube, 4),
+], ids=["box4", "off-centre-cross4", "polygon5", "imported-cube3"])
+def test_shuffled_cells_and_vertices_give_identical_moments(make, r):
+    """Each shuffle of the cells and of the vertices in every cell mixes
+    prefixes shared with a neighbour and lone ones: the same Fractions."""
+    body = make()
+    want = moment_family(body, r)
+    rng = random.Random(11)
+    for _ in range(6):
+        cells = [tuple(rng.sample(c, len(c))) for c in body.triangulation]
+        rng.shuffle(cells)
+        assert moment_family(_with_cells(body, cells), r) == want
+
+
 def test_degenerate_and_short_cells_leave_the_walk_intact():
-    """Flat cells on the face y = lo of a Kuhn 3-box: in sorted order
-    (0, 1, 4, 5) sits between (0, 1, 3, 7) and (0, 1, 5, 7), sharing (0, 1)
-    with both, and (0, 1, 5, 4) shares (0, 1, 5) with the next cell, one
-    vertex more than the last full-dimensional one does; short cells sit
-    among them."""
+    """Flat cells among those of a Kuhn 3-box, which all start (0, 7): in
+    sorted order (0, 7, 1, 6) follows (0, 7, 1, 5) and shares its first
+    three vertices, so its determinant, 0, comes off their exterior product;
+    (0, 7, 2, 5) shares (0, 7, 2) with both neighbours and (0, 7, 4, 3)
+    shares (0, 7, 4) with the next cell only.  The cells (0, 1, 4, 5) and
+    (0, 1, 5, 4) on the face y = lo sort before them; short cells sit among
+    them."""
     body = box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2])
-    extra = [(0, 1, 4, 5), (0, 1, 5, 4), (0, 1, 3), (0, 1, 5), (0,), (1, 5, 4, 0)]
+    assert body.triangulation[:2] == ((0, 7, 1, 3), (0, 7, 1, 5))
+    extra = [(0, 7, 1, 6), (0, 7, 2, 5), (0, 7, 4, 3), (0, 1, 4, 5), (0, 1, 5, 4), (0, 1, 3),
+             (0, 1, 5), (0,), (1, 5, 4, 0)]
     spliced = _with_cells(body, list(body.triangulation) + extra)
     assert moment_family(spliced, 4) == moment_family(body, 4)
-    # The same splice as the last cells walked.
-    tail = _with_cells(body, list(body.triangulation) + [(7, 6, 5, 4), (7, 6)])
+    # The same splice as the last cells walked, one of them twice.
+    tail = _with_cells(body, list(body.triangulation) + [(7, 6, 5, 4), (7, 6, 5, 4), (7, 6)])
     assert moment_family(tail, 3) == moment_family(body, 3)
 
 
@@ -490,42 +559,64 @@ def test_degenerate_and_short_cells_leave_the_walk_intact():
     lambda: box([F(-1, 2), F(1, 3), 0, F(-7, 5)], [F(5, 3), 2, F(3, 7), 1]),
     lambda: translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 1, F(-2, 5), 0), (0, 0, 1, F(3, 2)),
                                      (0, 0, 0, F(5, 7))]), (F(1, 3), F(-1, 2), 0, F(2, 9))),
-], ids=["box4", "off-centre-cross4"])
+    lambda: box([F(-3, 7), F(1, 9), 0, F(-7, 5), F(2, 3)], [F(5, 3), 2, F(3, 7), 1, F(13, 4)]),
+    lambda: translate(crosspolytope(
+        [[F(int(i == k)) + (F(i + 2, 7 * k + 3) if k == (i + 1) % 6 else 0) for k in range(6)]
+         for i in range(6)]), [F(k - 2, 9) for k in range(6)]),
+], ids=["box4", "off-centre-cross4", "box5", "off-centre-cross6"])
 def test_float_body_walks_like_its_exact_twin(make):
+    """Determinants off the exterior products, in floats: every coefficient
+    within 1e-12 of the exact one relative to the tensor's largest, and to
+    max(1, |coefficient|)."""
     body = make()
     as_float = Polytope(body.dim, tuple(tuple(float(x) for x in v) for v in body.vertices),
                         body.triangulation, tuple(tuple(float(x) for x in v) for v in body.aux_points))
     for got, want in zip(moment_family(as_float, 3), moment_family(body, 3)):
         assert all(type(v) is float for v in got.coeffs.values())
+        size = max(map(abs, want.coeffs.values()))
         for key in set(got.coeffs) | set(want.coeffs):
-            assert abs(got.coeff(key) - want.coeff(key)) <= 1e-12 * max(1, abs(want.coeff(key)))
+            error = abs(got.coeff(key) - want.coeff(key))
+            assert error <= 1e-12 * size and error <= 1e-12 * max(1, abs(want.coeff(key)))
 
 
 def _cross(j):
     return crosspolytope([[F(int(i == k)) for k in range(j)] for i in range(j)])
 
 
-@pytest.mark.parametrize("make,r,steps", [
-    (lambda: cube(4), 3, 195),
-    (lambda: cube(4), 2, 2 * 65),
-    (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 978),
-    (lambda: _cross(6), 2, 254),
-    (lambda: _cross(3), 4, 4 * 15),
-    (lambda: std_triangle, 4, 4 * 3),
-    (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 3 * 6),
-], ids=["cube4-r3", "cube4-r2", "box5-r3", "cross6-r2", "cross3-r4", "triangle-r4", "simplex5-r3"])
-def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps):
-    """mul_form runs r times per distinct vertex prefix: sum_k n!/(n - k)!
-    prefixes for a Kuhn n-box, 2^(j + 1) - 1 for a crosspolytope on j
-    vectors, n + 1 for a simplex; still one Bareiss per cell."""
+@pytest.mark.parametrize("make,r,steps,wedges,dets", [
+    (lambda: cube(4), 3, 3 * 42, 17, 0),
+    (lambda: cube(4), 2, 2 * 42, 17, 0),
+    (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 3 * 207, 86, 0),
+    (lambda: _cross(6), 2, 2 * 127, 62, 0),
+    (lambda: _cross(3), 4, 4 * 15, 6, 0),
+    (lambda: std_triangle, 4, 4 * 3, 0, 1),
+    (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 3 * 6,
+     0, 1),
+    (lambda: polygon([(0, 0), (4, 0), (5, 1), (5, 3), (3, 5), (0, 4), (-1, 2)]), 2, 2 * 11, 0, 5),
+], ids=["cube4-r3", "cube4-r2", "box5-r3", "cross6-r2", "cross3-r4", "triangle-r4", "simplex5-r3",
+        "polygon7-r2"])
+def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps, wedges, dets):
+    """The h-recurrence runs r times per distinct vertex prefix: 2 + sum_k
+    n!/(n - k)!, k = 1..n-1, prefixes for a Kuhn n-box, 2^(j + 1) - 1 for a
+    crosspolytope on j vectors, n + 1 for a simplex, 1 + 2m for a fan of m
+    triangles.  The exterior products run once per prefix of 2..n vertices
+    on a Kuhn box (1 + sum_k n!/(n - k)!, k = 1..n-2) and a crosspolytope
+    (2^j - 2), whose cells all share their first n vertices with a
+    neighbour, so neither calls Bareiss; a lone simplex and a fan, whose
+    cells share no n vertices, call it once per cell and build no wedge."""
     body = make()
-    calls, dets = [], []
+    calls, exterior, bareiss = [], [], []
+    h_steps = set(map(id, symtensor.monomial_tables(body.dim, r)[1]))
     real_mul, real_det = moment.mul_form, linalg.bareiss
-    monkeypatch.setattr(moment, "mul_form", lambda *a: calls.append(1) or real_mul(*a))
-    monkeypatch.setattr(linalg, "bareiss", lambda m: dets.append(1) or real_det(m))
+
+    def counted(*a):
+        (calls if id(a[1]) in h_steps else exterior).append(1)
+        return real_mul(*a)
+
+    monkeypatch.setattr(moment, "mul_form", counted)
+    monkeypatch.setattr(linalg, "bareiss", lambda m: bareiss.append(1) or real_det(m))
     moment_family(body, r)
-    assert len(calls) == steps
-    assert len(dets) == len(body.triangulation)
+    assert (len(calls), len(exterior), len(bareiss)) == (steps, wedges, dets)
     calls.clear()
     moment_tensor(_fresh(body), r)
     assert len(calls) == steps

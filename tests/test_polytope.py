@@ -406,6 +406,18 @@ class TestImportValidation:
         with pytest.raises(ParseError, match="aux_points"):
             Polytope.from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [
+        {"dim": 2, "vertices": []},
+        {"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]], "triangulation": [[0, 1, 2]]},
+        {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "aux_points": [[0]],
+         "triangulation": [[0, 1, 2]]},
+    ], ids=["no-vertices", "short-vertex", "short-aux-point"])
+    def test_malformed_points_raise_parse_error(self, data):
+        """No vertex, or a point of the wrong length: ``ParseError``, not the
+        constructor's ``GeometryError`` or ``DimensionMismatch``."""
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict(data)
+
     @pytest.mark.parametrize("triangulation, aux", [
         ([[0, 1, 1]], ()),
         ([[0, 1, 2], [0, 2]], ()),
