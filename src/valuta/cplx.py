@@ -99,6 +99,17 @@ class CMatrix:
     def det_c(self) -> CNum:
         return cdet(self.entries)
 
+    @cached_property
+    def realified(self) -> RMatrix:
+        """The real 2m x 2m block matrix [[Re, -Im], [Im, Re]], built once
+        per matrix, so its ``det`` and integer view are too (``realify``)."""
+        m = self.m
+        re = [[self.entries[i][j][0] for j in range(m)] for i in range(m)]
+        im = [[self.entries[i][j][1] for j in range(m)] for i in range(m)]
+        rows = [re[i] + [-x for x in im[i]] for i in range(m)]
+        rows += [im[i] + re[i] for i in range(m)]
+        return RMatrix.from_rows(rows)
+
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.m != other.m:
             raise DimensionMismatch("complex matrix product size mismatch")
@@ -138,13 +149,9 @@ def j_apply(v: Sequence) -> tuple:
 
 
 def realify(a: CMatrix) -> RMatrix:
-    """Real 2m x 2m block matrix of a complex matrix."""
-    m = a.m
-    re = [[a.entries[i][j][0] for j in range(m)] for i in range(m)]
-    im = [[a.entries[i][j][1] for j in range(m)] for i in range(m)]
-    rows = [re[i] + [-x for x in im[i]] for i in range(m)]
-    rows += [im[i] + re[i] for i in range(m)]
-    return RMatrix.from_rows(rows)
+    """Real 2m x 2m block matrix of a complex matrix: ``a.realified``, the
+    same object on every call."""
+    return a.realified
 
 
 def det_identity_check(a: CMatrix) -> bool:

@@ -107,6 +107,19 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     return d, [[int(x.numerator) * (d // int(x.denominator)) for x in row] for row in rows]
 
 
+def common_scale(views) -> tuple[int, list[list[list]]]:
+    """Integer views (D_i, rows_i), each what ``clear_denominators`` gives
+    for some rows, brought to one scale as clearing all the rows together
+    gives them: the lcm L of the D_i and each view's rows times L / D_i.
+    When a view holds a float, L = 1 and every entry is x / D_i, which is
+    float(x) bit for bit."""
+    views = list(views)
+    if is_exact(x for _, rows in views for row in rows for x in row):
+        big = math.lcm(*(d for d, _ in views))
+        return big, [[[x * (big // d) for x in row] for row in rows] for d, rows in views]
+    return 1, [[[x / d for x in row] for row in rows] for d, rows in views]
+
+
 def over(x, d: int):
     """x / d for a sum of cleared entries: a ``Fraction`` for an int, a float for a float."""
     return Fraction(x, d) if isinstance(x, int) else x / d

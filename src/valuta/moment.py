@@ -14,9 +14,11 @@ Berline, De Loera, Koeppe and Vergne (arXiv 0809.2083),
 with h_r the complete homogeneous polynomial of degree r in the linear
 forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r
 (``symtensor.mul_form`` on the shared ``monomial_tables``).
-The body's points are first multiplied by D, the lcm of their coordinate
-denominators, so det E and h_r are Python ints summed over all cells;
-each coefficient is divided once, by (n + r)! D^(n + r).
+The kernel reads the body's integer view ``Polytope.cleared``: its points
+times D, the lcm of their coordinate denominators, built once per body or
+seeded by the affine map that made it, so no pass clears them again.  det E
+and h_r are Python ints summed over all cells; each coefficient is divided
+once, by (n + r)! D^(n + r).
 
 Neighbouring cells share most of their vertices, so the cells are walked in
 sorted order as a prefix tree: a stack keeps h_0..h_r after each prefix of
@@ -88,12 +90,12 @@ def _wedge_tables(n: int) -> tuple:
     return tables
 
 
-def _moment_totals(points: Sequence[Sequence], cells: Sequence[Sequence[int]],
+def _moment_totals(view: tuple[int, Sequence], cells: Sequence[Sequence[int]],
                    n: int, r: int, lo: int) -> list[dict[MultiIndex, Fraction]]:
     """Sums over the full-dimensional cells of the closed form, one per degree
-    r, r - 1, ..., lo from one prefix-tree walk (module docstring); keys are
-    multi-indices, zeros left out."""
-    scale, pts = linalg.clear_denominators(points)
+    r, r - 1, ..., lo from one prefix-tree walk (module docstring) on the
+    points' integer view (D, pts); keys are multi-indices, zeros left out."""
+    scale, pts = view
     levels, steps, _ = monomial_tables(n, r)
     forms = [[(t, x) for t, x in enumerate(p) if x] for p in pts]
     totals = [[0] * len(level) for level in levels[lo:]]
@@ -147,7 +149,7 @@ def moment_family(k: Polytope, r: int, lo: int = 0) -> list[SymTensor]:
     """[M^r(K), M^(r-1)(K), ..., M^lo(K)], exact, from one kernel pass."""
     if r < 0:
         raise ValueError("moment tensor rank must be non-negative")
-    totals = _moment_totals(k.points, k.triangulation, k.dim, r, lo)
+    totals = _moment_totals(k.cleared, k.triangulation, k.dim, r, lo)
     return [SymTensor._trusted(k.dim, s, c if s else {(): v for v in c.values()})
             for s, c in zip(range(r, lo - 1, -1), totals)]
 

@@ -8,6 +8,22 @@ crosspolytopes, 2D polygons) or imported; there is no general convex-hull
 machinery beyond the plane.  Affine maps carry the points and keep the
 triangulation.
 
+Every reader that works in integers (volume, atoms, import checks, the
+moment kernel, affine maps) takes the points' integer view ``cleared`` =
+(D, ints), what ``linalg.clear_denominators`` gives for ``points`` (rows as
+tuples), built once per body and kept on it.  ``linear_image``, ``scale`` and
+``translate`` compute the image's ints N over a denominator den from the
+views of the body and of phi, lam or y, and seed the image's view with
+them, reduced by g = gcd(den, *N): the least L with every L N_k / den an
+integer is den / gcd(den, N_1, ..., N_K), so den / g is the lcm of the
+image's denominators and N / g is L times its points, as clearing would
+give.  A float on either side gives float points x / den and the view
+(1, points).  ``linear_image`` multiplies float rows by the other side's
+ints; ``translate`` and ``scale`` bring both views to one scale
+(``linalg.common_scale``), which turns both to floats, x / D being float(x)
+bit for bit, so their float points are the elementwise float sums and
+products.
+
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
 polytopes are rational even when facet measures are irrational (sqrt(2) edge
@@ -37,6 +53,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -49,10 +66,6 @@ Vec = tuple[Fraction, ...]
 
 def _vec(xs: Sequence) -> Vec:
     return tuple(frac(x) for x in xs)
-
-
-def _add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,14 @@ class Polytope:
     @property
     def points(self) -> tuple[Vec, ...]:
         return self.vertices + self.aux_points
+
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
+        """The points' integer view (D, ints): ``linalg.clear_denominators``
+        of ``points``, its rows as tuples, built once per body or seeded by
+        the affine map that made it (module docstring)."""
+        scale, rows = linalg.clear_denominators(self.points)
+        return scale, tuple(map(tuple, rows))
 
     def to_json_dict(self) -> dict:
         data: dict = {
@@ -157,11 +178,10 @@ def _check_import(p: Polytope, facets) -> None:
         atoms = surface_area_measure(p)
     except GeometryError as exc:
         raise ParseError(f"bad triangulation: {exc}") from exc
-    _, pts = linalg.clear_denominators(p.points)
-    if any(linalg.bareiss([[a - b for a, b in zip(pts[i], pts[c[0]])] for i in c[1:]]) == 0
-           for c in tri):
+    dets = _cell_dets(p.cleared, tri, n)
+    if 0 in dets:
         raise ParseError("triangulation cell of determinant 0")
-    if n * volume(p) != sum(f.offset for f in atoms):
+    if n * _volume(dets, p.cleared[0], n) != sum(f.offset for f in atoms):
         raise ParseError("volume differs from the atoms' sum of offsets / n")
     if facets is not None and not _same_atoms(facets, atoms):
         raise ParseError("facets differ from the body's surface area measure")
@@ -321,65 +341,76 @@ def hull_2d(points: Sequence[Vec]) -> list[Vec]:
 # -- basic operations -----------------------------------------------------------
 
 
-def _cells_volume(points: Sequence[Sequence], cells, n: int):
-    """Summed n-volume of the cells with n + 1 points.  The points are
-    multiplied once by D, the lcm of their denominators, the cells' |det|
-    (Bareiss) are summed in ints and the sum is divided once by n! D^n;
-    float points run the same sum in floats with D = 1."""
-    scale, pts = linalg.clear_denominators(points)
-    total = 0
-    for cell in cells:
-        if len(cell) == n + 1:
-            base = pts[cell[0]]
-            total += abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
-    denom = math.factorial(n) * scale ** n
-    return linalg.over(total, denom)
+def _cell_dets(view: tuple[int, Sequence], cells, n: int) -> list:
+    """|det E| of each cell of n + 1 points, by Bareiss on the view's points
+    (D, pts): D^n times n! the cell's volume, an int, or a float for float
+    points (D = 1)."""
+    _, pts = view
+    return [abs(linalg.bareiss([[a - b for a, b in zip(pts[i], pts[cell[0]])] for i in cell[1:]]))
+            for cell in cells if len(cell) == n + 1]
+
+
+def _volume(dets: list, scale: int, n: int):
+    """The summed volume of cells with these |det E|, divided once by n! D^n."""
+    return linalg.over(sum(dets), math.factorial(n) * scale ** n)
 
 
 def volume(p: Polytope) -> Fraction:
     """Full-dimensional volume; lower-dimensional bodies have volume 0."""
-    return _cells_volume(p.points, p.triangulation, p.dim)
+    return _volume(_cell_dets(p.cleared, p.triangulation, p.dim), p.cleared[0], p.dim)
+
+
+def _image(p: Polytope, den: int, rows: list[list]) -> Polytope:
+    """The body on p's cells whose points are ``rows`` over ``den``, its
+    view seeded with them: int rows reduced by g = gcd(den, *rows), float
+    rows as the float points and scale 1 (module docstring)."""
+    flat = [x for row in rows for x in row]
+    if linalg.is_exact(flat):
+        g = math.gcd(den, *flat)
+        den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
+        points = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+    else:
+        points = tuple(tuple(x / den for x in row) for row in rows)
+        den, rows = 1, points
+    nv = len(p.vertices)
+    image = Polytope(p.dim, points[:nv], p.triangulation, points[nv:])
+    object.__setattr__(image, "cleared", (den, rows))
+    return image
 
 
 def translate(p: Polytope, y: Sequence) -> Polytope:
+    """Translate by y: the body's view and y cleared, on their common scale
+    L (``linalg.common_scale``), added in ints over L."""
     y = tuple(map(linalg.real, y))
     if len(y) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
-    return Polytope(
-        p.dim, tuple(_add(v, y) for v in p.vertices), p.triangulation,
-        tuple(_add(v, y) for v in p.aux_points))
+    big, (pts, (ys,)) = linalg.common_scale([p.cleared, linalg.clear_denominators([y])])
+    return _image(p, big, [list(map(operator.add, v, ys)) for v in pts])
 
 
 def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
     """Image under an invertible linear map: the points are mapped and the
     triangulation carries over.
 
-    phi and the points are each cleared of denominators once, the products
-    are taken in ints and each output coordinate is one ``Fraction``; a
-    float phi or a float body gives float points.
+    The products of phi's view (q, rows) and the body's (d, pts) are taken
+    in ints, over q d; a float phi or a float body gives float points.
     """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
-    q, rows = linalg.clear_denominators(phi.entries)
-    d, pts = linalg.clear_denominators(p.points)
-    den = q * d
-    image = [tuple(linalg.over(sum(map(operator.mul, row, v)), den) for row in rows)
-             for v in pts]
-    nv = len(p.vertices)
-    return Polytope(p.dim, tuple(image[:nv]), p.triangulation, tuple(image[nv:]))
+    q, rows = phi.cleared
+    d, pts = p.cleared
+    return _image(p, q * d, [[sum(map(operator.mul, row, v)) for row in rows] for v in pts])
 
 
 def scale(p: Polytope, lam) -> Polytope:
-    """Dilation by lam about the origin: each point's coordinates times lam,
-    for exact lam the body ``linear_image`` gives for lam times the identity
-    (a float body or lam gives float points; the triangulation carries
-    over)."""
-    lam = linalg.real(lam)
-
-    def dilate(points):
-        return tuple(tuple(lam * linalg.real(x) for x in v) for v in points)
-
-    return Polytope(p.dim, dilate(p.vertices), p.triangulation, dilate(p.aux_points))
+    """Dilation by lam about the origin: the body's view and lam cleared, on
+    their common scale L (``linalg.common_scale``), multiplied in ints over
+    L^2; for exact lam the body ``linear_image`` gives for lam times the
+    identity (a float body or lam gives float points; the triangulation
+    carries over)."""
+    factor = linalg.clear_denominators([[linalg.real(lam)]])
+    big, (pts, ((lam,),)) = linalg.common_scale([p.cleared, factor])
+    return _image(p, big * big, [[x * lam for x in v] for v in pts])
 
 
 def support(p: Polytope, u: Sequence):
@@ -399,7 +430,7 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     away from its cell's opposite vertex, and the faces on one hyperplane
     add up to one atom; float faces are on one hyperplane when their keys
     (``_hyperplane``) agree to 1e-9, the offset relative to the body's largest
-    |coordinate|.  Exact points are cleared of denominators (D) once,
+    |coordinate|.  On the body's view (D, ints, ``Polytope.cleared``)
     the minors of a face come from one fraction-free Gauss-Jordan of its
     n - 1 edge rows (``linalg.cross``), the sums run in ints and each atom
     is divided once by (n-1)! D^(n-1); float points run the same steps in
@@ -413,7 +444,7 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
         raise GeometryError("surface area measure needs full-dimensional cells")
     faces = [(cell[:k] + cell[k + 1:], i) for cell in p.triangulation for k, i in enumerate(cell)]
     shared = Counter(frozenset(face) for face, _ in faces)
-    scale, pts = linalg.clear_denominators(p.points)
+    scale, pts = p.cleared
     near = 0 if isinstance(pts[0][0], int) else 1e-9 * max(abs(x) for pt in pts for x in pt)
     atoms: dict = {}
     for face, opposite in faces:
@@ -492,7 +523,8 @@ def subspace_volume(p: Polytope, subspace):
         elif math.hypot(*residual) > 1e-8 * math.hypot(*pt):
             raise GeometryError("polytope does not lie in the subspace")
         coords.append(cs)
-    total = _cells_volume(coords, p.triangulation, j)
+    view = linalg.clear_denominators(coords)
+    total = _volume(_cell_dets(view, p.triangulation, j), view[0], j)
     return total if exact else float(total)
 
 
@@ -503,5 +535,5 @@ def minkowski_sum_2d(p: Polytope, q: Polytope) -> Polytope:
     """Minkowski sum of two planar polytopes (supports the mixed-volume check)."""
     if p.dim != 2 or q.dim != 2:
         raise GeometryError("Minkowski sum implemented only in the plane")
-    sums = [_add(a, b) for a in p.vertices for b in q.vertices]
+    sums = [tuple(map(operator.add, a, b)) for a in p.vertices for b in q.vertices]
     return polygon(sums)

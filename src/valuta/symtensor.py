@@ -19,6 +19,11 @@ degree-d coefficient vector times a linear form, over the index tables of
 ``monomial_tables`` (cached per (n, r)).  Inputs are cleared of
 denominators once, the sums run in Python ints and each coefficient is
 divided once; floats run the same sums with scale 1 and stay floats.
+A tensor's coefficient values and a matrix's rows are cleared at most once
+per object: ``SymTensor.cleared`` and ``RMatrix.cleared`` keep the integer
+view (D, ints) that ``linalg.clear_denominators`` gives, so ``gl_action``
+on one z(K) under several matrices, or one matrix on several tensors and
+bodies, clears each only the first time.
 
 ``SymTensor(...)`` validates keys and drops zeros; ``SymTensor._trusted``
 skips both, so it takes only dicts whose keys are length-``dim`` multi-
@@ -214,6 +219,14 @@ class SymTensor:
             return Fraction(0)
         return max(abs(v) for v in self.coeffs.values())
 
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[tuple]]:
+        """The coefficient values' integer view (D, (ints,)), in ``coeffs``
+        order: ``linalg.clear_denominators`` of them as one row, as a tuple,
+        built once per tensor."""
+        scale, (ints,) = linalg.clear_denominators([self.coeffs.values()])
+        return scale, (tuple(ints),)
+
     def coeff(self, key: Iterable[int]):
         key = tuple(key)
         if self.rank == 0:
@@ -277,7 +290,8 @@ def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
     """The translation-covariance expansion sum_j T_j y^j / j! of tensors
     T_0, ..., T_R of ranks R, ..., 0, by Horner's rule in y.
 
-    With the tensors' coefficients cleared by M and y by q (y' = q y),
+    With the tensors' views (``SymTensor.cleared``) on their common scale M
+    (``linalg.common_scale``) and y cleared by q (y' = q y),
     N_0 = M T_R and N_(d+1) = c_(d+1) M T_(R-d-1) + N_d y', where c_0 = 1
     and c_(d+1) = c_d q (R - d).  Each T_j is multiplied by y once per step
     after it enters, for j steps with divisors j, ..., 1, so N_R is M c_R
@@ -291,18 +305,17 @@ def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
     q, (ys,) = linalg.clear_denominators([list(y)])
     form = [(i, v) for i, v in enumerate(ys) if v]
     by_rank = tensors[::-1]
-    scale, (flat,) = linalg.clear_denominators([[v for t in by_rank for v in t.coeffs.values()]])
+    scale, lifted = linalg.common_scale(t.cleared for t in by_rank)
     levels, steps, _ = monomial_tables(n, r)
-    values = iter(flat)
     acc, c = [0], 1
-    for d, t in enumerate(by_rank):
+    for d, (t, (values,)) in enumerate(zip(by_rank, lifted)):
         out = [0] * len(levels[d])
         if d:
             c *= q * (r - d + 1)
             mul_form(acc, steps[d - 1], form, out)
         index = levels[d]
-        for alpha in t.coeffs:
-            out[index[alpha] if d else 0] += c * next(values)
+        for alpha, x in zip(t.coeffs, values):
+            out[index[alpha] if d else 0] += c * x
         acc = out
     return SymTensor._trusted(n, r, divide_totals(levels[r] if r else [()], acc, scale * c))
 
@@ -344,11 +357,26 @@ class RMatrix:
             [[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @cached_property
+    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
+        """The rows' integer view (D, ints): ``linalg.clear_denominators``
+        of ``entries``, its rows as tuples, built once per matrix."""
+        scale, rows = linalg.clear_denominators(self.entries)
+        return scale, tuple(map(tuple, rows))
+
+    @cached_property
     def det(self):
         return linalg.det(self.entries)
 
     def matvec(self, x: Sequence) -> tuple:
-        return linalg.mat_vec(self.entries, x)
+        """phi x, equal to ``linalg.mat_vec`` of the entries: for an exact
+        matrix and vector the view's rows (D) times x cleared (q) are summed
+        in ints and each coordinate is divided once by D q; anything
+        holding a float takes ``linalg.mat_vec``, so its rounding is the same."""
+        if not (self.exact and linalg.is_exact(x)):
+            return linalg.mat_vec(self.entries, x)
+        d, rows = self.cleared
+        q, (xs,) = linalg.clear_denominators([x])
+        return tuple(Fraction(linalg.dot(row, xs), d * q) for row in rows)
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.n != other.n:
@@ -369,19 +397,21 @@ def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:
     """Natural GL(n) action on symmetric tensors: substitute phi(e_i) for e_i
     in every basis monomial and re-expand.
 
-    With phi's columns cleared by q and t's coefficients by L, each monomial
-    of degree < r maps to its parent's image times one column.  At degree r
-    the weighted parent images are summed per peeled index i, each sum is
-    multiplied by column i once, and the total is divided by L q^r.
+    On the views of phi (q, its rows transposed into columns) and of t's
+    coefficients (L), each monomial of degree < r maps to its parent's image
+    times one column.  At degree r the weighted parent images are summed
+    per peeled index i, each sum is multiplied by column i once, and the
+    total is divided by L q^r.  Neither view is cleared again when the same
+    matrix or tensor comes back.
     """
     if phi.n != t.dim:
         raise DimensionMismatch(f"matrix on R^{phi.n} acting on tensor over R^{t.dim}")
     n, r = t.dim, t.rank
     if r == 0 or not t.coeffs:
         return t
-    q, cols = linalg.clear_denominators(linalg.transpose(phi.entries))
-    forms = [[(k, x) for k, x in enumerate(col) if x] for col in cols]
-    scale, (weights,) = linalg.clear_denominators([list(t.coeffs.values())])
+    q, rows = phi.cleared
+    forms = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*rows)]
+    scale, (weights,) = t.cleared
     levels, steps, parents = monomial_tables(n, r)
     images = [[1]]
     for d in range(r - 1):

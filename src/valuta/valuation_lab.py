@@ -169,9 +169,13 @@ class CheckReport:
 
 def _residual(a: SymTensor, b: SymTensor):
     """max |a_k - b_k| over the keys of either tensor: a float when either
-    tensor holds a float (0.0 when they agree), else a ``Fraction``."""
+    tensor holds a float (0.0 when they agree), else a ``Fraction``.  Equal
+    coefficient maps subtract nothing; a float may equal a ``Fraction``, so
+    their zero still takes its mode from the values."""
     if (a.dim, a.rank) != (b.dim, b.rank):
         raise DimensionMismatch(f"residual of T^{a.rank}(R^{a.dim}) and T^{b.rank}(R^{b.dim})")
+    if a.coeffs == b.coeffs:
+        return Fraction(0) if linalg.is_exact([*a.coeffs.values(), *b.coeffs.values()]) else 0.0
     diffs = [abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in {**a.coeffs, **b.coeffs}]
     # A key holding a float on either side gives a float difference, 0.0 included.
     if not linalg.is_exact(diffs):
@@ -209,17 +213,19 @@ def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
     and to n + rank for translation-covariant tensor ones, so the returned
     list has n + rank + 1 entries.  Their sum reproduces z at the body.
 
-    The values' coefficients are cleared by their lcm L once, over the union
-    of their keys; component j at a key is sum_i W[j][i] v_i[key] in ints,
-    divided once by D L (``interpolation_weights``).  Float values run the
-    same sums with L = 1 and stay floats.
+    The values' integer views (``SymTensor.cleared``) are brought to their
+    common scale L (``linalg.common_scale``); over the union of their keys,
+    component j at a key is sum_i W[j][i] v_i[key] in ints, divided once by
+    D L (``interpolation_weights``).  Float values run the same sums with
+    L = 1 and stay floats.
     """
     top = body.dim + z.rank
     values = [z(scale(body, k)) for k in range(1, top + 2)]
     keys = list({k: None for val in values for k in val.coeffs})
-    lcm, rows = linalg.clear_denominators([[val.coeffs.get(k, 0) for k in keys] for val in values])
+    lcm, views = linalg.common_scale(val.cleared for val in values)
+    rows = [dict(zip(val.coeffs, ints)) for val, (ints,) in zip(values, views)]
+    columns = [[row.get(k, 0) for row in rows] for k in keys]
     weights, d = interpolation_weights(top)
-    columns = list(zip(*rows))
     return [SymTensor._trusted(z.dim, z.rank, divide_totals(
         keys, (sum(map(operator.mul, w, col)) for col in columns), d * lcm))
         for w in weights]

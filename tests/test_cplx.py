@@ -53,6 +53,15 @@ class TestRealify:
         assert realify(a).det == 1
         assert cabs2(a.det_c) == 1
 
+    def test_built_once_per_matrix(self):
+        """A matrix's realification, and with it its det and integer view,
+        is built once; an equal fresh matrix builds its own."""
+        a = CMatrix.from_rows([[(1, F(1, 2)), (0, 0)], [(F(-2, 3), 1), (1, 0)]])
+        assert realify(a) is realify(a) is a.realified
+        assert realify(a).cleared is realify(a).cleared
+        fresh = realify(CMatrix(a.entries))
+        assert fresh is not realify(a) and fresh == realify(a)
+
     def test_homomorphism(self):
         rng = random.Random(7)
         for _ in range(20):

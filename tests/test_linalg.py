@@ -334,3 +334,17 @@ def test_echelon_edge_cases():
             linalg.inv(singular)
         with pytest.raises(DimensionMismatch):
             linalg.solve(singular, [1] * len(singular))
+
+
+@settings(max_examples=80, deadline=None)
+@given(groups=st.lists(st.lists(st.lists(rationals | st.sampled_from([0.1, -2.5, 1 / 3]),
+                                         min_size=2, max_size=2), min_size=1, max_size=3),
+                       min_size=1, max_size=4))
+def test_common_scale_is_clearing_all_rows_together(groups):
+    """Views cleared one group of rows at a time and brought to one scale
+    equal the rows cleared together, float entries bit for bit."""
+    big, lifted = linalg.common_scale(linalg.clear_denominators(rows) for rows in groups)
+    together = linalg.clear_denominators([row for rows in groups for row in rows])
+    assert (big, [row for rows in lifted for row in rows]) == together
+    assert [type(x) for rows in lifted for row in rows for x in row] == \
+        [type(x) for row in together[1] for x in row]

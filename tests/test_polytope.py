@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from valuta import linalg
 from valuta.cplx import gram_schmidt, sample_subspace
 from valuta.errors import GeometryError, ParseError
+from valuta.moment import moment_family
 from valuta.polytope import (
     Polytope,
     _closes,
@@ -633,3 +634,73 @@ def test_linear_image_of_a_float_body_is_float():
     assert _all_float(got) and got.triangulation == want.triangulation
     for a, b in zip(got.points, want.points, strict=True):
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
+
+
+def test_import_takes_one_bareiss_per_cell(monkeypatch):
+    """Importing a Kuhn 4-box from JSON takes each of its 24 cells' |det|
+    once, for both the determinant-0 test and n vol = sum of offsets."""
+    data = _facet_json(box([F(-1, 2), 0, F(1, 3), 1], [1, F(2, 3), 2, F(7, 5)]))
+    calls = []
+    real = linalg.bareiss
+    monkeypatch.setattr(linalg, "bareiss", lambda m: calls.append(1) or real(m))
+    body = Polytope.from_json_dict(data)
+    assert len(calls) == 24
+    assert volume(body) == F(3, 2) * F(2, 3) * F(5, 3) * F(2, 5)
+
+
+def _floated(body):
+    return Polytope(body.dim, tuple(tuple(map(float, v)) for v in body.vertices),
+                    body.triangulation, tuple(tuple(map(float, v)) for v in body.aux_points))
+
+
+def _rebuilt(body):
+    """The body from its points alone, without a seeded integer view."""
+    return Polytope(body.dim, body.vertices, body.triangulation, body.aux_points)
+
+
+maybe_float = st.sampled_from([F, float])
+
+
+@st.composite
+def affine_images(draw):
+    """An exact or float body and its image under linear_image, scale or
+    translate, with an exact or float phi, lam or y."""
+    body, rows = draw(bodies_and_maps())
+    if draw(st.booleans()):
+        body = _floated(body)
+    kind, cast = draw(st.sampled_from(["linear", "scale", "translate"])), draw(maybe_float)
+    if kind == "linear":
+        phi = RMatrix.from_rows([[cast(x) for x in row] for row in rows])
+        assume(phi.det != 0)
+        return body, linear_image(phi, body)
+    if kind == "scale":
+        lam = cast(draw(small_rats))
+        assume(lam != 0)
+        return body, scale(body, lam)
+    return body, translate(body, [cast(x) for x in rows[0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=affine_images())
+def test_affine_maps_seed_the_cleared_view(case):
+    """The view an affine map seeds is exactly what clearing the image's
+    points gives: the same scale, the same entries of the same types."""
+    _, image = case
+    seeded = image.cleared
+    scale, rows = linalg.clear_denominators(image.points)
+    assert seeded == (scale, tuple(map(tuple, rows))) == _rebuilt(image).cleared
+    assert [type(x) for row in seeded[1] for x in row] == [type(x) for row in rows for x in row]
+    assert type(seeded[0]) is int
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=affine_images())
+def test_images_compute_as_their_rebuilt_twins(case):
+    """Moments up to rank 3, volume and atoms of an image equal those of
+    the same points rebuilt without a seeded view."""
+    _, image = case
+    twin = _rebuilt(image)
+    assert "cleared" not in vars(twin)
+    assert moment_family(image, 3) == moment_family(twin, 3)
+    assert volume(image) == volume(twin)
+    assert surface_area_measure(image) == surface_area_measure(twin)

@@ -83,3 +83,25 @@ def test_a_polytope_is_its_points_and_cells():
     for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             assert not (isinstance(node, ast.Attribute) and node.attr == "facets"), path.name
+
+
+def test_each_value_is_cleared_only_by_its_view():
+    """No call of ``clear_denominators`` in ``src/valuta`` takes a body's
+    ``.points``, a matrix's ``.entries`` or a tensor's ``.coeffs``, except
+    in the three ``cleared`` views that define them: every other reader
+    takes the view, so each value is cleared at most once per object."""
+    found = []
+    for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and "clear_denominators" in (
+                        getattr(call.func, "id", None), getattr(call.func, "attr", None))):
+                    continue
+                read = {node.attr for arg in call.args for node in ast.walk(arg)
+                        if isinstance(node, ast.Attribute)}
+                if read & {"points", "entries", "coeffs"}:
+                    found.append((path.stem, fn.name))
+    assert sorted(found) == [("polytope", "cleared"), ("symtensor", "cleared"),
+                             ("symtensor", "cleared")]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import multi_indices
+from valuta import linalg
 from valuta.errors import DimensionMismatch
 from valuta.symtensor import (
     RMatrix,
@@ -371,3 +372,35 @@ def test_float_inverse_pivots_past_tiny_leading_entries(rows):
 def test_float_inverse_of_singular_matrix_raises():
     with pytest.raises(DimensionMismatch):
         RMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]]).inverse()
+
+
+entries = rationals | dyadic_floats | st.sampled_from([0.1, -1 / 3, 2.7])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_matvec_matches_mat_vec(n, data):
+    """``matvec`` on the integer view gives exactly what ``linalg.mat_vec``
+    gives on the entries, values and types, for exact and float matrices
+    and vectors."""
+    kind = data.draw(st.sampled_from([rationals, entries]))
+    phi = RMatrix.from_rows(data.draw(st.lists(st.lists(kind, min_size=n, max_size=n),
+                                               min_size=n, max_size=n)))
+    x = data.draw(st.lists(st.sampled_from([rationals, entries]).flatmap(lambda s: s),
+                           min_size=n, max_size=n))
+    got, want = phi.matvec(x), linalg.mat_vec(phi.entries, x)
+    assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+def test_views_are_clear_denominators_built_once():
+    """A matrix's and a tensor's integer views are what clearing their rows
+    or coefficient values gives, as tuples, built once per object."""
+    phi = RMatrix.from_rows([[1, F(1, 2)], [F(-2, 3), 0.5]])
+    d, rows = linalg.clear_denominators(phi.entries)
+    assert phi.cleared == (d, tuple(map(tuple, rows))) and phi.cleared is phi.cleared
+    exact = RMatrix.from_rows([[1, F(1, 2)], [F(-2, 3), 5]])
+    assert exact.cleared == (6, ((6, 3), (-4, 30)))
+    a = t(2, 2, {(2, 0): F(1, 4), (1, 1): F(-5, 6), (0, 2): 3})
+    assert a.cleared == (12, ((3, -10, 36),)) and a.cleared is a.cleared
+    assert t(2, 1, {(1, 0): 0.5, (0, 1): F(1, 3)}).cleared == (1, ((0.5, 1 / 3),))
+    assert SymTensor.zero(3, 2).cleared == (1, ((),))

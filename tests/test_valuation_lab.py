@@ -15,6 +15,7 @@ from valuta.errors import DimensionMismatch, GeometryError, ValutaError
 from valuta.moment import moment_tensor
 from valuta.polytope import (
     Polytope,
+    box,
     crosspolytope,
     cube,
     linear_image,
@@ -762,3 +763,91 @@ def test_every_check_reads_float_mode_off_its_inputs():
     exact_psi = CMatrix.from_rows([[F(1), F(1, 2)], [0, 1]])
     assert scaling_relation_check(_zero(4, 0), 4, exact_psi, float_body).mode == "float"
     assert scaling_relation_check(_zero(4, 0), 4, exact_psi, SIMPLEX4).mode == "exact"
+
+
+class _NoSubFraction(Fraction):
+    def __sub__(self, other):
+        raise AssertionError("subtracted")
+
+    __rsub__ = __sub__
+
+
+class _NoSubFloat(float):
+    def __sub__(self, other):
+        raise AssertionError("subtracted")
+
+    __rsub__ = __sub__
+
+
+def test_residual_of_equal_coefficients_subtracts_nothing():
+    """Equal coefficient maps give a zero in the mode of their values,
+    without a subtraction: a Fraction zero when both are exact, a float
+    zero when either holds a float, even one equal to the other's Fraction."""
+    keys = [(2, 0), (1, 1)]
+    a = SymTensor._trusted(2, 2, {k: _NoSubFraction(v, 3) for k, v in zip(keys, (1, -2))})
+    b = SymTensor._trusted(2, 2, {k: _NoSubFraction(v, 3) for k, v in zip(keys, (1, -2))})
+    assert type(_residual(a, b)) is Fraction and _residual(a, b) == 0
+    half = SymTensor._trusted(2, 1, {(1, 0): _NoSubFloat(0.5)})
+    exact_half = SymTensor._trusted(2, 1, {(1, 0): _NoSubFraction(1, 2)})
+    for x, y in ((half, exact_half), (exact_half, half), (half, half)):
+        assert type(_residual(x, y)) is float and _residual(x, y) == 0
+    with pytest.raises(AssertionError, match="subtracted"):
+        _residual(a, SymTensor._trusted(2, 2, {(2, 0): _NoSubFraction(1, 3)}))
+
+
+_TRI = simplex([(0, 0), (F(5, 3), F(1, 7)), (F(-1, 2), 2)])
+_FTRI = Polytope(2, ((0.1, 0.2), (1.3, 0.1), (0.4, 1.7)), ((0, 1, 2),))
+_CROSS4 = translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0), (0, 0, F(3, 7), 1),
+                                   (F(1, 5), 0, 0, 1)]), (F(1, 5), 0, -1, F(2, 3)))
+_BOX3 = box([F(-1, 2), 0, F(1, 3)], [1, F(2, 3), 2])
+_FBOX3 = Polytope(3, tuple(tuple(map(float, v)) for v in _BOX3.vertices), _BOX3.triangulation)
+_SHEAR = sl_mc_element("shear", 2, params={"p": 0, "q": 1, "re": F(1, 2), "im": F(-3, 2)})
+_FSHEAR = RMatrix.from_rows([[1, 0.5, 0, 0], [0, 1, 0, 0], [0, 0.25, 1, 0.1], [0, 0, 0, 1]])
+_RSHEAR = RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, F(-3, 2)], [0, 0, 1]])
+_IDENTITY2 = SymTensor(4, 2, {tuple(2 * (k == i) for k in range(4)): 1 for i in range(4)})
+
+
+def _cascade_of(n, c=1):
+    zs = [moment_valuation(n, k) for k in range(3, -1, -1)]
+    return [z.scaled(c) if z.rank == 1 and c != 1 else z for z in zs]
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: verify_equivariance(moment_valuation(4, 2), [_SHEAR, _FSHEAR], _CROSS4),
+     (True, 1.1102230246251565e-16, [{"sample_index": 1}], "float")),
+    (lambda: verify_equivariance(moment_valuation(3, 3), [_RSHEAR], _FBOX3),
+     (True, 4.440892098500626e-16, [{"sample_index": 0}], "float")),
+    (lambda: verify_equivariance(Valuation("planted", 2, 4, lambda b: moment_tensor(b, 2).tensor
+                                           + _IDENTITY2.scale(volume(b))), [_SHEAR], _CROSS4),
+     (False, F(187, 105), [{"sample_index": 0}], "exact")),
+    (lambda: verify_covariance(_cascade_of(2), _FTRI, [[F(1, 3)] * 2, [F(-2, 5), 1]]),
+     (True, 4.440892098500626e-16, [{"y": ["-2/5", "1"], "coefficient_rank": 2}], "float")),
+    (lambda: verify_covariance(_cascade_of(3), _BOX3, [[0.3] * 3, [F(-2, 5), 1, 1]]),
+     (True, 1.3322676295501878e-15, [{"y": ["0.3", "0.3", "0.3"], "coefficient_rank": 1}],
+      "float")),
+    (lambda: verify_covariance(_cascade_of(3, F(3, 2)), _BOX3, [[F(1, 3)] * 3]),
+     (False, F(5, 12), [{"y": ["1/3", "1/3", "1/3"], "coefficient_rank": 2}], "exact")),
+    (lambda: rehomogeneity_check(moment_valuation(4, 2), _CROSS4, 0.7),
+     (True, 3.363109297222561e-11, [{"degree": 1, "lambda": "0.7"}], "float")),
+    (lambda: rehomogeneity_check(moment_valuation(2, 2), _FTRI, F(2, 7)),
+     (True, 1.1487107561454954e-13, [{"degree": 0, "lambda": "2/7"}], "float")),
+    (lambda: rehomogeneity_check(Valuation("vol+vol^2", 0, 3, lambda b: SymTensor.scalar(
+        3, volume(b) + volume(b) ** 2)), _BOX3, F(3, 2)),
+     (False, F(7938875, 96), [{"degree": 1, "lambda": "3/2"}], "exact")),
+    (lambda: transfer_check(lambda v: vector_power(v, 2), _RSHEAR, _FBOX3),
+     (True, 1.7763568394002505e-15, [{"det": "1"}], "float")),
+    (lambda: transfer_check(lambda v: vector_power(v, 2), _FSHEAR, _CROSS4),
+     (True, 4.440892098500626e-16, [{"det": "1.0"}], "float")),
+], ids=["equivariance-float-shear", "equivariance-float-body", "equivariance-planted",
+        "covariance-float-body", "covariance-float-shift", "covariance-planted",
+        "rehomogeneity-float-lambda", "rehomogeneity-float-body", "rehomogeneity-planted",
+        "transfer-float-body", "transfer-float-matrix"])
+def test_reports_on_fixed_inputs_are_unchanged(run, expected):
+    """Reports of the four checks on fixed exact and float inputs, planted
+    failures among them, to the last bit of every float residual: the
+    integer views change no arithmetic, only how often it is set up."""
+    report = run()
+    witnesses = [{k: v for k, v in w.items() if k != "matrix"} for w in report.witnesses]
+    got = (report.passed, report.max_residual, witnesses, report.mode)
+    assert got == expected
+    assert type(got[1]) is type(expected[1])
