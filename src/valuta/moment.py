@@ -17,8 +17,10 @@ forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r
 The kernel reads the body's integer view ``Polytope.cleared``: its points
 times D, the lcm of their coordinate denominators, built once per body or
 seeded by the affine map that made it, so no pass clears them again.  det E
-and h_r are Python ints summed over all cells; each coefficient is divided
-once, by (n + r)! D^(n + r).
+and h_r are Python ints summed over all cells, and each degree's totals
+become a tensor over (n + r)! D^(n + r) through ``SymTensor.from_totals``:
+the tensor is its integer view, and its ``Fraction`` coefficients are built
+only when ``coeffs`` is read.
 
 Neighbouring cells share most of their vertices, so the cells are walked in
 sorted order as a prefix tree: a stack keeps h_0..h_r after each prefix of
@@ -28,104 +30,54 @@ At a leaf, |det E| times the state is added to the totals.  Any order of
 cells, and of the vertices in a cell, gives the same sums: h_r is symmetric
 in the vertices, and |det E| does not depend on which vertex is the base.
 
-The determinant rides the same tree.  Beside the stack, ``wedge`` keeps the
-exterior product of a prefix's edges v - v_0 as its comb(n, k) k-minors;
-one more edge is one ``mul_form`` over the signed index table of
-``_wedge_tables``, and det E is the top coordinate after the n-th edge, an
-n-term sum.  Only a cell whose first n vertices a neighbour in sorted order
-shares takes its determinant this way, building the products of its
-prefixes that are not built yet; every other cell, a lone simplex or a
-triangle of a polygon's fan, costs one Bareiss determinant as before, and
-a flat cell (det E = 0) adds nothing.  ``polytope.box`` lists each Kuhn
-cell as lo, hi, then the inner vertices of its chain, so a Kuhn n-box
-takes 2 + sum_k n!/(n - k)!, k = 1..n-1, recurrence steps per degree
-(42 on a 4-box, 207 on a 5-box; n! (n + 1) without the tree) and
-1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps; a crosspolytope on j
-vectors takes 2^(j + 1) - 1 recurrence steps per degree (2^j (j + 1)
-without the tree) and 2^j - 2 exterior steps.  Neither calls Bareiss.  Float
-bodies run through the same sums in floats with D = 1.  The pass holds every
-h_d, d <= r, so ``moment_family`` returns M^r, ..., M^0 from it; inside a
-``_shared_passes`` scope (one ``valuation_lab.verify_covariance`` call)
-``moment_tensor`` keeps each body's family, looked up by identity.
+The determinants come from the same walk, ``polytope.cell_dets``, which
+also serves ``volume``, the import checks and ``subspace_volume``: a cell
+whose first n vertices a neighbour in sorted order shares reads det E off
+the exterior product of its edges, built one edge per shared prefix; every
+other cell, a lone simplex or a triangle of a polygon's fan, costs one
+Bareiss determinant, and a flat cell (det E = 0) adds nothing.
+``polytope.box`` lists each Kuhn cell as lo, hi, then the inner vertices of
+its chain, so a Kuhn n-box takes 2 + sum_k n!/(n - k)!, k = 1..n-1,
+recurrence steps per degree (42 on a 4-box, 207 on a 5-box; n! (n + 1)
+without the tree) and 1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps; a
+crosspolytope on j vectors takes 2^(j + 1) - 1 recurrence steps per degree
+(2^j (j + 1) without the tree) and 2^j - 2 exterior steps.  Neither calls
+Bareiss.  Float bodies run through the same sums in floats with D = 1.  The
+pass holds every h_d, d <= r, so ``moment_family`` returns M^r, ..., M^0
+from it; inside a ``_shared_passes`` scope (one
+``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps each
+body's family, looked up by identity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
-from .polytope import Polytope
-from .symtensor import MultiIndex, SymTensor, divide_totals, monomial_tables, mul_form
+from .polytope import Polytope, cell_dets
+from .symtensor import SymTensor, monomial_tables, mul_form
 # Kept in this namespace: the benchmark's tracer test expects moment to bind it.
 from .symtensor import sym_product  # noqa: F401
 
 
-_WEDGES: dict[int, tuple] = {}
-
-
-def _wedge_tables(n: int) -> tuple:
-    """Read-only signed index tables of the exterior powers of R^n, built
-    once per n: entry k is (``step``, C), C = comb(n, k + 1), and
-    ``step[j][i]`` is where e_S ^ e_i lands for S the j-th k-subset of
-    range(n) in lexicographic order: the position of S + {i} among the
-    (k + 1)-subsets when the sign (-1)^#{s in S : s > i} is +, C plus it
-    when it is -, and the sink 2C when i is in S.  Entries k = 0..n - 2."""
-    if n in _WEDGES:
-        return _WEDGES[n]
-    tables = []
-    for k in range(n - 1):
-        index = {s: j for j, s in enumerate(itertools.combinations(range(n), k + 1))}
-        size = len(index)
-        tables.append((tuple(
-            tuple(2 * size if i in s else index[tuple(sorted(s + (i,)))]
-                  + size * (sum(x > i for x in s) % 2) for i in range(n))
-            for s in itertools.combinations(range(n), k)), size))
-    _WEDGES[n] = tables = tuple(tables)
-    return tables
-
-
 def _moment_totals(view: tuple[int, Sequence], cells: Sequence[Sequence[int]],
-                   n: int, r: int, lo: int) -> list[dict[MultiIndex, Fraction]]:
-    """Sums over the full-dimensional cells of the closed form, one per degree
-    r, r - 1, ..., lo from one prefix-tree walk (module docstring) on the
-    points' integer view (D, pts); keys are multi-indices, zeros left out."""
-    scale, pts = view
+                   n: int, r: int, lo: int) -> list[list]:
+    """Sums over the full-dimensional cells of the closed form, one list per
+    degree r, r - 1, ..., lo, in ``monomial_tables`` order, from one
+    prefix-tree walk (module docstring) on the points' integer view
+    (D, pts), with |det E| from ``polytope.cell_dets``."""
+    _, pts = view
     levels, steps, _ = monomial_tables(n, r)
     forms = [[(t, x) for t, x in enumerate(p) if x] for p in pts]
     totals = [[0] * len(level) for level in levels[lo:]]
-    cells = sorted(tuple(c) for c in cells if len(c) == n + 1)
-    # stack[k] holds h_0..h_r of the first k vertices of the last cell,
-    # wedge[k] the exterior product of its first k edges; a flat cell is
-    # skipped with both cut back to its common prefix with the cell before.
-    stack, wedge, prev = [[[1]] + [[0] * len(level) for level in levels[1:]]], [[1]], ()
-    for cell, after in zip(cells, cells[1:] + [()]):
-        k = 0
-        while k < len(prev) and cell[k] == prev[k]:
-            k += 1
-        del stack[k + 1:], wedge[k or 1:]
-        prev = cell
-        base = pts[cell[0]]
-        if n and (k >= n or after[:n] == cell[:n]):  # the first n vertices are shared
-            while len(wedge) < n:
-                step, size = _wedge_tables(n)[len(wedge) - 1]
-                form = [(t, a - b) for t, (a, b) in enumerate(zip(pts[cell[len(wedge)]], base))
-                        if a != b]
-                out = mul_form(wedge[-1], step, form, [0] * (2 * size + 1))
-                wedge.append(list(map(operator.sub, out[:size], out[size:-1])))
-            # The (n-1)-subsets in order leave out n - 1, ..., 0: det E is the
-            # alternating sum of w_j times the last edge's entry n - 1 - j.
-            edge = [a - b for a, b in zip(pts[cell[n]], base)]
-            w = wedge[-1]
-            d = abs(sum(map(operator.mul, w[::2], edge[::-2]))
-                    - sum(map(operator.mul, w[1::2], edge[-2::-2])))
-        else:
-            d = abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
+    # stack[k] holds h_0..h_r of the first k vertices of the last cell; a
+    # flat cell is skipped with the stack cut back to its common prefix k
+    # with the cell before, and the next cell pushes from the stack's depth.
+    stack = [[[1]] + [[0] * len(level) for level in levels[1:]]]
+    for cell, d, k in cell_dets(view, cells, n):
+        del stack[k + 1:]
         if d == 0:
             continue
         for i in cell[len(stack) - 1:]:
@@ -134,8 +86,7 @@ def _moment_totals(view: tuple[int, Sequence], cells: Sequence[Sequence[int]],
                 mul_form(h[deg], step, forms[i], h[deg + 1])
             stack.append(h)
         totals = [[a + d * b for a, b in zip(t, hd)] for t, hd in zip(totals, stack[-1][lo:])]
-    return [divide_totals(levels[s], t, math.factorial(n + s) * scale ** (n + s))
-            for s, t in zip(range(r, lo - 1, -1), totals[::-1])]
+    return totals[::-1]
 
 
 @dataclass(frozen=True)
@@ -149,9 +100,12 @@ def moment_family(k: Polytope, r: int, lo: int = 0) -> list[SymTensor]:
     """[M^r(K), M^(r-1)(K), ..., M^lo(K)], exact, from one kernel pass."""
     if r < 0:
         raise ValueError("moment tensor rank must be non-negative")
-    totals = _moment_totals(k.cleared, k.triangulation, k.dim, r, lo)
-    return [SymTensor._trusted(k.dim, s, c if s else {(): v for v in c.values()})
-            for s, c in zip(range(r, lo - 1, -1), totals)]
+    n, scale = k.dim, k.cleared[0]
+    levels = monomial_tables(n, r)[0]
+    totals = _moment_totals(k.cleared, k.triangulation, n, r, lo)
+    return [SymTensor.from_totals(n, s, levels[s] if s else [()], t,
+                                  math.factorial(n + s) * scale ** (n + s))
+            for s, t in zip(range(r, lo - 1, -1), totals)]
 
 
 _PASSES: ContextVar[dict | None] = ContextVar("moment_passes", default=None)

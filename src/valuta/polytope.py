@@ -13,16 +13,24 @@ moment kernel, affine maps) takes the points' integer view ``cleared`` =
 (D, ints), what ``linalg.clear_denominators`` gives for ``points`` (rows as
 tuples), built once per body and kept on it.  ``linear_image``, ``scale`` and
 ``translate`` compute the image's ints N over a denominator den from the
-views of the body and of phi, lam or y, and seed the image's view with
-them, reduced by g = gcd(den, *N): the least L with every L N_k / den an
+views of the body and of phi, lam or y, and the exact image is that view,
+reduced by g = gcd(den, *N): the least L with every L N_k / den an
 integer is den / gcd(den, N_1, ..., N_K), so den / g is the lcm of the
 image's denominators and N / g is L times its points, as clearing would
-give.  A float on either side gives float points x / den and the view
-(1, points).  ``linear_image`` multiplies float rows by the other side's
-ints; ``translate`` and ``scale`` bring both views to one scale
-(``linalg.common_scale``), which turns both to floats, x / D being float(x)
-bit for bit, so their float points are the elementwise float sums and
-products.
+give.  Its ``Fraction`` ``vertices`` and ``aux_points`` are built from the
+view the first time they are read, so an image that only a moment, volume
+or atom reader sees never builds them.  A float on either side gives float
+points x / den at once and the view (1, points).  ``linear_image``
+multiplies float rows by the other side's ints; ``translate`` and ``scale``
+bring both views to one scale (``linalg.common_scale``), which turns both
+to floats, x / D being float(x) bit for bit, so their float points are the
+elementwise float sums and products.
+
+Cell determinants come from one walk, ``cell_dets``, shared by ``volume``,
+the import checks, ``subspace_volume`` and the moment kernel: the cells in
+sorted order form a prefix tree, and a cell whose first n vertices a
+neighbour shares takes |det E| off the exterior product of its edges, so
+Kuhn boxes and crosspolytopes take no Bareiss determinant.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
@@ -51,7 +59,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -59,7 +67,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
 from .linalg import exact_sqrt, frac
-from .symtensor import RMatrix, format_rational, parse_rational
+from .symtensor import RMatrix, format_rational, mul_form, parse_rational
 
 Vec = tuple[Fraction, ...]
 
@@ -105,7 +113,7 @@ class Polytope:
     dim: int
     vertices: tuple[Vec, ...]
     triangulation: tuple[tuple[int, ...], ...]
-    aux_points: tuple[Vec, ...] = ()
+    aux_points: tuple[Vec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if not self.vertices:
@@ -113,6 +121,18 @@ class Polytope:
         for v in self.vertices + self.aux_points:
             if len(v) != self.dim:
                 raise DimensionMismatch(f"point {v} not in R^{self.dim}")
+
+    def __getattr__(self, name):
+        """``vertices`` and ``aux_points`` of an exact image (``_image``),
+        built on first read from its view (D, ints): each int over D."""
+        nv = vars(self).get("_nv")
+        if name not in ("vertices", "aux_points") or nv is None:
+            raise AttributeError(name)
+        den, rows = self.cleared
+        points = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        object.__setattr__(self, "vertices", points[:nv])
+        object.__setattr__(self, "aux_points", points[nv:])
+        return vars(self)[name]
 
     @property
     def points(self) -> tuple[Vec, ...]:
@@ -178,8 +198,8 @@ def _check_import(p: Polytope, facets) -> None:
         atoms = surface_area_measure(p)
     except GeometryError as exc:
         raise ParseError(f"bad triangulation: {exc}") from exc
-    dets = _cell_dets(p.cleared, tri, n)
-    if 0 in dets:
+    dets = list(cell_dets(p.cleared, tri, n))
+    if any(d == 0 for _, d, _ in dets):
         raise ParseError("triangulation cell of determinant 0")
     if n * _volume(dets, p.cleared[0], n) != sum(f.offset for f in atoms):
         raise ParseError("volume differs from the atoms' sum of offsets / n")
@@ -341,40 +361,98 @@ def hull_2d(points: Sequence[Vec]) -> list[Vec]:
 # -- basic operations -----------------------------------------------------------
 
 
-def _cell_dets(view: tuple[int, Sequence], cells, n: int) -> list:
-    """|det E| of each cell of n + 1 points, by Bareiss on the view's points
-    (D, pts): D^n times n! the cell's volume, an int, or a float for float
-    points (D = 1)."""
+_WEDGES: dict[int, tuple] = {}
+
+
+def _wedge_tables(n: int) -> tuple:
+    """Read-only signed index tables of the exterior powers of R^n, built
+    once per n: entry k is (``step``, C), C = comb(n, k + 1), and
+    ``step[j][i]`` is where e_S ^ e_i lands for S the j-th k-subset of
+    range(n) in lexicographic order: the position of S + {i} among the
+    (k + 1)-subsets when the sign (-1)^#{s in S : s > i} is +, C plus it
+    when it is -, and the sink 2C when i is in S.  Entries k = 0..n - 2."""
+    if n in _WEDGES:
+        return _WEDGES[n]
+    tables = []
+    for k in range(n - 1):
+        index = {s: j for j, s in enumerate(itertools.combinations(range(n), k + 1))}
+        size = len(index)
+        tables.append((tuple(
+            tuple(2 * size if i in s else index[tuple(sorted(s + (i,)))]
+                  + size * (sum(x > i for x in s) % 2) for i in range(n))
+            for s in itertools.combinations(range(n), k)), size))
+    _WEDGES[n] = tables = tuple(tables)
+    return tables
+
+
+def cell_dets(view: tuple[int, Sequence], cells, n: int):
+    """Yield (cell, |det E|, k) for each cell of n + 1 points, in sorted
+    order, on the view's points (D, pts): |det E| is D^n times n! the cell's
+    volume, an int, or a float for float points (D = 1), and k the length
+    of the prefix the cell shares with the cell before it.
+
+    The cells are walked as a prefix tree (module docstring): ``wedge[k]``
+    keeps the exterior product of the first k edges v - v_0 of the last
+    cell as its comb(n, k) k-minors, and one more edge is one ``mul_form``
+    over ``_wedge_tables``.  A cell whose first n vertices a neighbour in
+    sorted order shares reads det E off its (n-1)-minors and last edge, an
+    n-term sum; any other cell takes one Bareiss determinant.
+    """
     _, pts = view
-    return [abs(linalg.bareiss([[a - b for a, b in zip(pts[i], pts[cell[0]])] for i in cell[1:]]))
-            for cell in cells if len(cell) == n + 1]
+    cells = sorted(tuple(c) for c in cells if len(c) == n + 1)
+    wedge, prev = [[1]], ()
+    for cell, after in zip(cells, cells[1:] + [()]):
+        k = 0
+        while k < len(prev) and cell[k] == prev[k]:
+            k += 1
+        del wedge[k or 1:]
+        prev = cell
+        base = pts[cell[0]]
+        if n and (k >= n or after[:n] == cell[:n]):  # the first n vertices are shared
+            while len(wedge) < n:
+                step, size = _wedge_tables(n)[len(wedge) - 1]
+                form = [(t, a - b) for t, (a, b) in enumerate(zip(pts[cell[len(wedge)]], base))
+                        if a != b]
+                out = mul_form(wedge[-1], step, form, [0] * (2 * size + 1))
+                wedge.append(list(map(operator.sub, out[:size], out[size:-1])))
+            # The (n-1)-subsets in order leave out n - 1, ..., 0: det E is the
+            # alternating sum of w_j times the last edge's entry n - 1 - j.
+            edge = [a - b for a, b in zip(pts[cell[n]], base)]
+            w = wedge[-1]
+            d = abs(sum(map(operator.mul, w[::2], edge[::-2]))
+                    - sum(map(operator.mul, w[1::2], edge[-2::-2])))
+        else:
+            d = abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
+        yield cell, d, k
 
 
-def _volume(dets: list, scale: int, n: int):
-    """The summed volume of cells with these |det E|, divided once by n! D^n."""
-    return linalg.over(sum(dets), math.factorial(n) * scale ** n)
+def _volume(dets, scale: int, n: int):
+    """The summed volume of the cells of ``cell_dets`` on points cleared by
+    D = ``scale``, divided once by n! D^n."""
+    return linalg.over(sum(d for _, d, _ in dets), math.factorial(n) * scale ** n)
 
 
 def volume(p: Polytope) -> Fraction:
     """Full-dimensional volume; lower-dimensional bodies have volume 0."""
-    return _volume(_cell_dets(p.cleared, p.triangulation, p.dim), p.cleared[0], p.dim)
+    return _volume(cell_dets(p.cleared, p.triangulation, p.dim), p.cleared[0], p.dim)
 
 
 def _image(p: Polytope, den: int, rows: list[list]) -> Polytope:
     """The body on p's cells whose points are ``rows`` over ``den``, its
-    view seeded with them: int rows reduced by g = gcd(den, *rows), float
-    rows as the float points and scale 1 (module docstring)."""
+    view seeded with them: int rows reduced by g = gcd(den, *rows), whose
+    ``Fraction`` points are built on first read, or float rows as the float
+    points and scale 1 (module docstring)."""
+    nv = vars(p).get("_nv") or len(p.vertices)
     flat = [x for row in rows for x in row]
     if linalg.is_exact(flat):
         g = math.gcd(den, *flat)
-        den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
-        points = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-    else:
-        points = tuple(tuple(x / den for x in row) for row in rows)
-        den, rows = 1, points
-    nv = len(p.vertices)
+        image = object.__new__(Polytope)
+        vars(image).update(dim=p.dim, triangulation=p.triangulation, _nv=nv, cleared=(
+            den // g, tuple(tuple(x // g for x in row) for row in rows)))
+        return image
+    points = tuple(tuple(x / den for x in row) for row in rows)
     image = Polytope(p.dim, points[:nv], p.triangulation, points[nv:])
-    object.__setattr__(image, "cleared", (den, rows))
+    object.__setattr__(image, "cleared", (1, points))
     return image
 
 
@@ -524,7 +602,7 @@ def subspace_volume(p: Polytope, subspace):
             raise GeometryError("polytope does not lie in the subspace")
         coords.append(cs)
     view = linalg.clear_denominators(coords)
-    total = _volume(_cell_dets(view, p.triangulation, j), view[0], j)
+    total = _volume(cell_dets(view, p.triangulation, j), view[0], j)
     return total if exact else float(total)
 
 

@@ -19,15 +19,26 @@ degree-d coefficient vector times a linear form, over the index tables of
 ``monomial_tables`` (cached per (n, r)).  Inputs are cleared of
 denominators once, the sums run in Python ints and each coefficient is
 divided once; floats run the same sums with scale 1 and stay floats.
-A tensor's coefficient values and a matrix's rows are cleared at most once
-per object: ``SymTensor.cleared`` and ``RMatrix.cleared`` keep the integer
-view (D, ints) that ``linalg.clear_denominators`` gives, so ``gl_action``
-on one z(K) under several matrices, or one matrix on several tensors and
-bodies, clears each only the first time.
+
+An exact value is its integer view.  Int sums over one denominator become a
+tensor only through ``SymTensor.from_totals``, which keeps them as they
+are: ``coeffs``, the ``Fraction`` map, is built the first time it is read,
+and ``cleared``, the view (D, ints) that ``linalg.clear_denominators``
+gives for the values, is the totals reduced by their gcd with the
+denominator.  The readers that work in ints take ``keys`` and ``cleared``
+and never ``coeffs``: ``gl_action``, ``shift_expansion``, the McMullen
+decomposition and ``is_zero``, and, on tensors made from int totals,
+``==`` and the checks' residuals (``view_distance``), so a check whose
+values agree builds no ``Fraction``.  A tensor
+given as a map, or holding floats, has its ``coeffs`` at once and its view
+built on first read, once per object, as does ``RMatrix.cleared``:
+``gl_action`` on one z(K) under several matrices, or one matrix on several
+tensors and bodies, clears each only the first time.
 
 ``SymTensor(...)`` validates keys and drops zeros; ``SymTensor._trusted``
-skips both, so it takes only dicts whose keys are length-``dim`` multi-
-indices of degree ``rank`` (``()`` at rank 0) and whose values are nonzero.
+and ``from_totals`` skip both, so they take only keys that are length-
+``dim`` multi-indices of degree ``rank`` (``()`` at rank 0), and
+``_trusted`` only nonzero values.
 
 Tensor JSON: ``{"dim": n, "rank": r, "coeffs": {"a1,a2,...,an": "p/q"}}``
 with keys ordered lexicographically and rationals in lowest terms.
@@ -111,12 +122,6 @@ def mul_form(vec: Sequence, step: Sequence[Sequence[int]], form: Sequence[tuple[
     return out
 
 
-def divide_totals(keys: Iterable[MultiIndex], totals: Iterable, denom: int) -> dict:
-    """Each key's nonzero total over ``denom``: ints become ``Fraction``s,
-    floats stay floats."""
-    return {k: linalg.over(v, denom) for k, v in zip(keys, totals) if v}
-
-
 def _add_keys(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     if not a:
         return b
@@ -164,6 +169,32 @@ class SymTensor:
         object.__setattr__(out, "coeffs", coeffs)
         return out
 
+    @classmethod
+    def from_totals(cls, dim: int, rank: int, keys: Iterable[MultiIndex], totals: list,
+                    den: int) -> "SymTensor":
+        """The tensor whose coefficient at each of ``keys`` is its total over
+        ``den``, zeros left out: the one way int sums become a tensor.  Int
+        totals are kept, and ``coeffs`` and ``cleared`` are built from them
+        on first read (module docstring); totals holding a float are divided
+        at once, an int into a ``Fraction`` and a float into a float."""
+        if not set(map(type, totals)) <= {int}:
+            return cls._trusted(
+                dim, rank, {k: linalg.over(x, den) for k, x in zip(keys, totals) if x})
+        out = object.__new__(cls)
+        vars(out).update(dim=dim, rank=rank, _totals=(tuple(keys), totals, den))
+        return out
+
+    def __getattr__(self, name):
+        """``coeffs`` of a tensor made by ``from_totals``, built on first
+        read: each nonzero total over the denominator as a ``Fraction``."""
+        raw = vars(self).get("_totals")
+        if name != "coeffs" or raw is None:
+            raise AttributeError(name)
+        keys, totals, den = raw
+        coeffs = {k: Fraction(x, den) for k, x in zip(keys, totals) if x}
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
+
     @staticmethod
     def zero(dim: int, rank: int) -> "SymTensor":
         return SymTensor._trusted(dim, rank, {})
@@ -205,13 +236,16 @@ class SymTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
             return NotImplemented
-        return (self.dim, self.rank) == (other.dim, other.rank) and self.coeffs == other.coeffs
+        if (self.dim, self.rank) != (other.dim, other.rank):
+            return False
+        distance = view_distance(self, other)
+        return self.coeffs == other.coeffs if distance is None else distance == 0
 
     def __hash__(self):
         return hash((self.dim, self.rank, frozenset(self.coeffs.items())))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.keys
 
     def max_abs_coeff(self):
         """Largest absolute coefficient; 0 for the zero tensor."""
@@ -221,11 +255,28 @@ class SymTensor:
 
     @cached_property
     def cleared(self) -> tuple[int, tuple[tuple]]:
-        """The coefficient values' integer view (D, (ints,)), in ``coeffs``
+        """The coefficient values' integer view (D, (ints,)), in ``keys``
         order: ``linalg.clear_denominators`` of them as one row, as a tuple,
-        built once per tensor."""
-        scale, (ints,) = linalg.clear_denominators([self.coeffs.values()])
-        return scale, (tuple(ints),)
+        built once per tensor.  Totals N over den (``from_totals``) give it
+        without a ``Fraction``: the least D with every D N_k / den an integer
+        is den / g, g = gcd(den, *N), and the ints are N / g."""
+        raw = vars(self).get("_totals")
+        if raw is None:
+            scale, (ints,) = linalg.clear_denominators([self.coeffs.values()])
+            return scale, (tuple(ints),)
+        _, totals, den = raw
+        ints = [x for x in totals if x]
+        g = math.gcd(den, *ints)
+        return den // g, (tuple(x // g for x in ints),)
+
+    @cached_property
+    def keys(self) -> tuple[MultiIndex, ...]:
+        """The keys of the nonzero coefficients in ``coeffs`` order, read
+        off the totals of a tensor made by ``from_totals``."""
+        raw = vars(self).get("_totals")
+        if raw is None:
+            return tuple(self.coeffs)
+        return tuple(k for k, x in zip(raw[0], raw[1]) if x)
 
     def coeff(self, key: Iterable[int]):
         key = tuple(key)
@@ -253,6 +304,23 @@ class SymTensor:
             key = () if key_str == "" else tuple(int(a) for a in key_str.split(","))
             coeffs[key] = parse_rational(val)
         return SymTensor(dim, rank, coeffs)
+
+
+def view_distance(a: SymTensor, b: SymTensor) -> Fraction | None:
+    """max |a_k - b_k| over the keys of either tensor when both are made
+    from int totals, else None.  Equal views give 0 with no arithmetic;
+    otherwise the views are brought to their common scale L
+    (``linalg.common_scale``), subtracted key by key in ints, and the
+    largest difference is divided once by L."""
+    if "_totals" not in vars(a) or "_totals" not in vars(b):
+        return None
+    if a.cleared == b.cleared and a.keys == b.keys:
+        return Fraction(0)
+    big, ((left,), (right,)) = linalg.common_scale([a.cleared, b.cleared])
+    diff = dict(zip(a.keys, left))
+    for k, x in zip(b.keys, right):
+        diff[k] = diff.get(k, 0) - x
+    return Fraction(max(map(abs, diff.values()), default=0), big)
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
@@ -283,7 +351,7 @@ def vector_power(x: Sequence, r: int) -> SymTensor:
     vec = [1]
     for d in range(r):
         vec = mul_form(vec, steps[d], form, [0] * len(levels[d + 1]))
-    return SymTensor._trusted(n, r, divide_totals(levels[r], vec, scale ** r))
+    return SymTensor.from_totals(n, r, levels[r], vec, scale ** r)
 
 
 def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
@@ -314,10 +382,10 @@ def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
             c *= q * (r - d + 1)
             mul_form(acc, steps[d - 1], form, out)
         index = levels[d]
-        for alpha, x in zip(t.coeffs, values):
+        for alpha, x in zip(t.keys, values):
             out[index[alpha] if d else 0] += c * x
         acc = out
-    return SymTensor._trusted(n, r, divide_totals(levels[r] if r else [()], acc, scale * c))
+    return SymTensor.from_totals(n, r, levels[r] if r else [()], acc, scale * c)
 
 
 @dataclass(frozen=True)
@@ -407,7 +475,7 @@ def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:
     if phi.n != t.dim:
         raise DimensionMismatch(f"matrix on R^{phi.n} acting on tensor over R^{t.dim}")
     n, r = t.dim, t.rank
-    if r == 0 or not t.coeffs:
+    if r == 0 or t.is_zero():
         return t
     q, rows = phi.cleared
     forms = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*rows)]
@@ -418,11 +486,11 @@ def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:
         size = len(levels[d + 1])
         images = [mul_form(images[j], steps[d], forms[i], [0] * size) for j, i in parents[d]]
     size, sums = len(levels[r - 1]), {}
-    for alpha, w in zip(t.coeffs, weights):
+    for alpha, w in zip(t.keys, weights):
         j, i = parents[r - 1][levels[r][alpha]]
         acc = sums.get(i) or [0] * size
         sums[i] = [a + w * v for a, v in zip(acc, images[j])]
     out = [0] * len(levels[r])
     for i, acc in sums.items():
         mul_form(acc, steps[r - 1], forms[i], out)
-    return SymTensor._trusted(n, r, divide_totals(levels[r], out, scale * q ** r))
+    return SymTensor.from_totals(n, r, levels[r], out, scale * q ** r)

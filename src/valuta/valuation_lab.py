@@ -50,10 +50,10 @@ from .polytope import (
 from .symtensor import (
     RMatrix,
     SymTensor,
-    divide_totals,
     format_rational,
     gl_action,
     shift_expansion,
+    view_distance,
 )
 
 
@@ -169,11 +169,16 @@ class CheckReport:
 
 def _residual(a: SymTensor, b: SymTensor):
     """max |a_k - b_k| over the keys of either tensor: a float when either
-    tensor holds a float (0.0 when they agree), else a ``Fraction``.  Equal
-    coefficient maps subtract nothing; a float may equal a ``Fraction``, so
-    their zero still takes its mode from the values."""
+    tensor holds a float (0.0 when they agree), else a ``Fraction``.  Two
+    tensors made from int totals are compared on their integer views
+    (``symtensor.view_distance``), building no ``Fraction`` coefficient.
+    Equal coefficient maps subtract nothing; a float may equal a
+    ``Fraction``, so their zero still takes its mode from the values."""
     if (a.dim, a.rank) != (b.dim, b.rank):
         raise DimensionMismatch(f"residual of T^{a.rank}(R^{a.dim}) and T^{b.rank}(R^{b.dim})")
+    distance = view_distance(a, b)
+    if distance is not None:
+        return distance
     if a.coeffs == b.coeffs:
         return Fraction(0) if linalg.is_exact([*a.coeffs.values(), *b.coeffs.values()]) else 0.0
     diffs = [abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in {**a.coeffs, **b.coeffs}]
@@ -221,14 +226,14 @@ def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
     """
     top = body.dim + z.rank
     values = [z(scale(body, k)) for k in range(1, top + 2)]
-    keys = list({k: None for val in values for k in val.coeffs})
+    keys = list({k: None for val in values for k in val.keys})
     lcm, views = linalg.common_scale(val.cleared for val in values)
-    rows = [dict(zip(val.coeffs, ints)) for val, (ints,) in zip(values, views)]
+    rows = [dict(zip(val.keys, ints)) for val, (ints,) in zip(values, views)]
     columns = [[row.get(k, 0) for row in rows] for k in keys]
     weights, d = interpolation_weights(top)
-    return [SymTensor._trusted(z.dim, z.rank, divide_totals(
-        keys, (sum(map(operator.mul, w, col)) for col in columns), d * lcm))
-        for w in weights]
+    return [SymTensor.from_totals(z.dim, z.rank, keys,
+                                  [sum(map(operator.mul, w, col)) for col in columns], d * lcm)
+            for w in weights]
 
 
 def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckReport:
@@ -371,7 +376,7 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
     factor_sq = cabs2(psi.det_c)  # equals det of the realification
     p, q = Fraction(j, 2 * m).as_integer_ratio()
     image, base = z(linear_image(realify(psi), body)), z(body)
-    exact = linalg.is_exact([factor_sq, *image.coeffs.values(), *base.coeffs.values(),
+    exact = linalg.is_exact([factor_sq, *image.cleared[1][0], *base.cleared[1][0],
                              *(x for v in body.points for x in v)])
     if exact:
         factor = factor_sq ** p

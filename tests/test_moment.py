@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import monomial_integral_simplex, multi_indices
-from valuta import linalg, moment, symtensor
+from valuta import linalg, moment, polytope, symtensor
 from valuta.cplx import sample_subspace
 from valuta.errors import GeometryError
 from valuta.moment import moment_family, moment_tensor
@@ -603,7 +603,9 @@ def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps, 
     on a Kuhn box (1 + sum_k n!/(n - k)!, k = 1..n-2) and a crosspolytope
     (2^j - 2), whose cells all share their first n vertices with a
     neighbour, so neither calls Bareiss; a lone simplex and a fan, whose
-    cells share no n vertices, call it once per cell and build no wedge."""
+    cells share no n vertices, call it once per cell and build no wedge.
+    ``volume`` takes its determinants from the same walk, with the same
+    exterior steps and Bareiss calls and no recurrence step."""
     body = make()
     calls, exterior, bareiss = [], [], []
     h_steps = set(map(id, symtensor.monomial_tables(body.dim, r)[1]))
@@ -614,9 +616,13 @@ def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps, 
         return real_mul(*a)
 
     monkeypatch.setattr(moment, "mul_form", counted)
+    monkeypatch.setattr(polytope, "mul_form", counted)
     monkeypatch.setattr(linalg, "bareiss", lambda m: bareiss.append(1) or real_det(m))
     moment_family(body, r)
     assert (len(calls), len(exterior), len(bareiss)) == (steps, wedges, dets)
     calls.clear()
     moment_tensor(_fresh(body), r)
     assert len(calls) == steps
+    calls.clear(), exterior.clear(), bareiss.clear()
+    volume(_fresh(body))
+    assert (len(calls), len(exterior), len(bareiss)) == (0, wedges, dets)

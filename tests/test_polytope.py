@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from valuta import linalg
+from valuta import linalg, polytope
 from valuta.cplx import gram_schmidt, sample_subspace
 from valuta.errors import GeometryError, ParseError
 from valuta.moment import moment_family
@@ -28,8 +28,15 @@ from valuta.polytope import (
     translate,
     volume,
 )
-from valuta.symtensor import RMatrix, format_rational, vector_power
-from valuta.valuation_lab import cube_probe, transfer_check
+from valuta.symtensor import (
+    RMatrix,
+    SymTensor,
+    format_rational,
+    gl_action,
+    shift_expansion,
+    vector_power,
+)
+from valuta.valuation_lab import cube_probe, mcmullen_decompose, moment_valuation, transfer_check
 
 F = Fraction
 
@@ -636,16 +643,21 @@ def test_linear_image_of_a_float_body_is_float():
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
 
 
-def test_import_takes_one_bareiss_per_cell(monkeypatch):
-    """Importing a Kuhn 4-box from JSON takes each of its 24 cells' |det|
-    once, for both the determinant-0 test and n vol = sum of offsets."""
+def test_import_of_a_kuhn_box_takes_no_bareiss(monkeypatch):
+    """Importing a Kuhn 4-box from JSON walks its 24 cells once
+    (``cell_dets``), for both the determinant-0 test and n vol = sum of
+    offsets, and every cell shares n vertices with a neighbour, so its
+    |det| comes off the exterior products with no Bareiss; nor does its
+    ``volume`` take one."""
     data = _facet_json(box([F(-1, 2), 0, F(1, 3), 1], [1, F(2, 3), 2, F(7, 5)]))
-    calls = []
-    real = linalg.bareiss
+    calls, walks = [], []
+    real, real_walk = linalg.bareiss, polytope.cell_dets
     monkeypatch.setattr(linalg, "bareiss", lambda m: calls.append(1) or real(m))
+    monkeypatch.setattr(polytope, "cell_dets", lambda *a: walks.append(1) or real_walk(*a))
     body = Polytope.from_json_dict(data)
-    assert len(calls) == 24
+    assert (len(calls), len(walks)) == (0, 1)
     assert volume(body) == F(3, 2) * F(2, 3) * F(5, 3) * F(2, 5)
+    assert len(calls) == 0
 
 
 def _floated(body):
@@ -704,3 +716,51 @@ def test_images_compute_as_their_rebuilt_twins(case):
     assert moment_family(image, 3) == moment_family(twin, 3)
     assert volume(image) == volume(twin)
     assert surface_area_measure(image) == surface_area_measure(twin)
+
+
+def _assert_tensor_twin(t):
+    """t equals its twin rebuilt from its Fractions in view, ==, hash and
+    coefficient values and types; the view is read before the Fractions."""
+    view, keys = t.cleared, t.keys
+    twin = SymTensor(t.dim, t.rank, dict(t.coeffs))
+    assert view == twin.cleared and keys == twin.keys == tuple(t.coeffs)
+    assert t == twin and twin == t and hash(t) == hash(twin)
+    assert t.coeffs == twin.coeffs
+    assert [type(x) for x in t.coeffs.values()] == [type(x) for x in twin.coeffs.values()]
+
+
+def _assert_body_twin(image):
+    """An image equals the body rebuilt from its points in view, ==, hash
+    and points (values and types); the view is read before the points."""
+    view = image.cleared
+    twin = _rebuilt(image)
+    assert view == twin.cleared
+    assert image == twin and hash(image) == hash(twin)
+    assert image.vertices == twin.vertices and image.aux_points == twin.aux_points
+    assert [type(x) for v in image.points for x in v] == [type(x) for v in twin.points for x in v]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=bodies_and_maps(), data=st.data())
+def test_every_value_equals_its_twin_rebuilt_from_fractions(case, data):
+    """Tensors from the five producers (moment_family, gl_action,
+    shift_expansion, mcmullen_decompose, vector_power) and images under
+    linear_image, scale and translate, on exact or float bodies, matrices,
+    shifts and lambdas, equal their twins rebuilt from Fractions or floats."""
+    body, rows = case
+    if data.draw(st.booleans()):
+        body = _floated(body)
+    cast = data.draw(maybe_float)
+    phi = RMatrix.from_rows([[cast(x) for x in row] for row in rows])
+    assume(phi.det != 0)
+    y = [data.draw(maybe_float)(x) for x in rows[0]]
+    lam = data.draw(maybe_float)(data.draw(small_rats))
+    assume(lam != 0)
+    images = [linear_image(phi, body), scale(body, lam), translate(body, y)]
+    for image in images:
+        _assert_body_twin(image)
+    family = moment_family(images[data.draw(st.integers(0, 2))], 2)
+    tensors = family + [gl_action(phi, family[0]), shift_expansion(family, y), vector_power(y, 2)]
+    tensors += mcmullen_decompose(moment_valuation(body.dim, 1), body)
+    for t in tensors:
+        _assert_tensor_twin(t)

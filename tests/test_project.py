@@ -105,3 +105,24 @@ def test_each_value_is_cleared_only_by_its_view():
                     found.append((path.stem, fn.name))
     assert sorted(found) == [("polytope", "cleared"), ("symtensor", "cleared"),
                              ("symtensor", "cleared")]
+
+
+def test_int_totals_become_a_tensor_only_through_from_totals():
+    """Int sums over a denominator become a tensor only through
+    ``SymTensor.from_totals``: ``linalg.over`` is called by it and by the two
+    scalar divisions of ``polytope`` (volume and atoms), ``divide_totals`` by
+    nothing, and the five producers of exact tensors call ``from_totals``."""
+    calls = {}
+    for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls[path.stem, fn.name] = {
+                    getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                    for call in ast.walk(fn) if isinstance(call, ast.Call)}
+    dividing = sorted(site for site, names in calls.items() if {"over", "divide_totals"} & names)
+    assert dividing == [("polytope", "_volume"), ("polytope", "surface_area_measure"),
+                        ("symtensor", "from_totals")]
+    for site in [("moment", "moment_family"), ("symtensor", "gl_action"),
+                 ("symtensor", "shift_expansion"), ("symtensor", "vector_power"),
+                 ("valuation_lab", "mcmullen_decompose")]:
+        assert "from_totals" in calls[site], site

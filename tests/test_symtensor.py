@@ -17,6 +17,7 @@ from valuta.symtensor import (
     sym_product,
     tensor_dim,
     vector_power,
+    view_distance,
 )
 
 F = Fraction
@@ -404,3 +405,25 @@ def test_views_are_clear_denominators_built_once():
     assert a.cleared == (12, ((3, -10, 36),)) and a.cleared is a.cleared
     assert t(2, 1, {(1, 0): 0.5, (0, 1): F(1, 3)}).cleared == (1, ((0.5, 1 / 3),))
     assert SymTensor.zero(3, 2).cleared == (1, ((),))
+
+
+def test_tensors_from_totals_compare_on_their_views():
+    """Tensors made from int totals hold their coefficients as totals over
+    one denominator until read: ``cleared`` is the totals over their gcd
+    with it, and ==, the view distance and ``is_zero`` work on views, in
+    any key order, building no Fraction."""
+    keys = [(2, 0), (1, 1), (0, 2)]
+    a = SymTensor.from_totals(2, 2, keys, [6, 0, -9], 12)
+    b = SymTensor.from_totals(2, 2, keys[::-1], [-6, 0, 4], 8)
+    c = SymTensor.from_totals(2, 2, keys, [1, 0, 0], 2)
+    assert a.cleared == (4, ((2, -3),)) and a.keys == ((2, 0), (0, 2))
+    assert b.cleared == (4, ((-3, 2),)) and b.keys == ((0, 2), (2, 0))
+    assert a == b and a != c and view_distance(a, b) == 0
+    assert view_distance(a, c) == F(3, 4)
+    assert view_distance(a, t(2, 2, {(2, 0): F(1, 2)})) is None
+    assert not a.is_zero() and SymTensor.from_totals(2, 2, keys, [0, 0, 0], 5).is_zero()
+    assert all("coeffs" not in vars(x) for x in (a, b, c))
+    assert a.coeffs == {(2, 0): F(1, 2), (0, 2): F(-3, 4)} and a == t(2, 2, a.coeffs)
+    assert a.scale(F(-2, 3)) == SymTensor.from_totals(2, 2, keys, [-2, 0, 3], 6)
+    floats = SymTensor.from_totals(2, 1, [(1, 0), (0, 1)], [1.5, 0], 3)
+    assert "coeffs" in vars(floats) and floats.coeffs == {(1, 0): 0.5}

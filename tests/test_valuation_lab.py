@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import multi_indices
-from valuta import linalg, moment, valuation_lab
+from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
 from valuta.moment import moment_tensor
@@ -851,3 +851,42 @@ def test_reports_on_fixed_inputs_are_unchanged(run, expected):
     got = (report.passed, report.max_residual, witnesses, report.mode)
     assert got == expected
     assert type(got[1]) is type(expected[1])
+
+
+def test_passing_exact_checks_build_no_fraction_for_their_values(monkeypatch):
+    """A passing exact equivariance check (a 6-simplex under 3 shears) and a
+    passing covariance cascade compare their values on integer views: no
+    moment, gl_action or shift_expansion tensor builds its Fraction
+    coefficients, and no image (``polytope._image``) its Fraction points."""
+    made, images = [], []
+
+    def kept(fn, out):
+        def run(*args):
+            result = fn(*args)
+            out.extend(result if isinstance(result, list) else [result])
+            return result
+        return run
+
+    monkeypatch.setattr(moment, "moment_family", kept(moment.moment_family, made))
+    monkeypatch.setattr(valuation_lab, "gl_action", kept(symtensor.gl_action, made))
+    monkeypatch.setattr(valuation_lab, "shift_expansion", kept(symtensor.shift_expansion, made))
+    monkeypatch.setattr(polytope, "_image", kept(polytope._image, images))
+    rng = random.Random(7)
+    body = simplex([[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(6)]
+                    for _ in range(7)])
+    shears = [sl_mc_element("shear", 3, params={"p": p, "q": q, "re": F(1, 2), "im": F(-3, 2)})
+              for p, q in ((0, 1), (1, 2), (2, 0))]
+    assert verify_equivariance(moment_valuation(6, 2), shears, body).passed
+    checked = images[:]
+    cascade = [moment_valuation(4, k) for k in (2, 1, 0)]
+    body4 = translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0),
+                                     (0, 0, F(3, 7), 1), (F(1, 5), 0, 0, 1)]), (F(1, 5), 0, -1, 2))
+    images.clear()  # body4 is built by a translate, but it is the check's input
+    shifts = [[F(1, 3), -1, 0, F(2, 5)], [2, F(-1, 7), 1, 0]]
+    assert verify_covariance(cascade, body4, shifts).passed
+    checked += images
+    # z(K), three z(phi K) and three gl_action images; then M^2..M^0 of the
+    # body and of two translates, and three expansions per translate.
+    assert len(made) == 1 + 3 + 3 + 3 + 2 * 3 + 2 * 3 and len(checked) == 3 + 2
+    assert not [t for t in made if "coeffs" in vars(t)]
+    assert not [p for p in checked if {"vertices", "aux_points"} & set(vars(p))]
