@@ -40,13 +40,13 @@ Bareiss determinant, and a flat cell (det E = 0) adds nothing.
 its chain, so a Kuhn n-box takes 2 + sum_k n!/(n - k)!, k = 1..n-1,
 recurrence steps per degree (42 on a 4-box, 207 on a 5-box; n! (n + 1)
 without the tree) and 1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps; a
-crosspolytope on j vectors takes 2^(j + 1) - 1 recurrence steps per degree
-(2^j (j + 1) without the tree) and 2^j - 2 exterior steps.  Neither calls
-Bareiss.  Float bodies run through the same sums in floats with D = 1.  The
-pass holds every h_d, d <= r, so ``moment_family`` returns M^r, ..., M^0
-from it; inside a ``_shared_passes`` scope (one
-``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps each
-body's family, looked up by identity.
+crosspolytope on j vectors, pulled from +v_1 into 2^(j - 1) cells, takes 2^j
+recurrence steps per degree (2^(j - 1) (j + 1) without the tree) and
+2^(j - 1) - 1 exterior steps.  Neither calls Bareiss.  Float bodies run
+through the same sums in floats with D = 1.  The pass holds every h_d,
+d <= r, so ``moment_family`` returns M^r, ..., M^0 from it; inside a
+``_shared_passes`` scope (one ``valuation_lab.verify_covariance`` call)
+``moment_tensor`` keeps each body's family, looked up by identity.
 """
 
 from __future__ import annotations

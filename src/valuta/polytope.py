@@ -1,30 +1,28 @@
 """Convex polytopes with exact rational vertices.
 
-A polytope is its points and its cells: ``points`` = vertices followed by
-auxiliary interior points (the crosspolytope triangulation cones over its
-center), and a triangulation whose cells index into them.  Polytopes are
-built from generators with known combinatorics (simplices, boxes,
-crosspolytopes, 2D polygons) or imported; there is no general convex-hull
-machinery beyond the plane.  Affine maps carry the points and keep the
-triangulation.
+A polytope is its vertices and its cells: a triangulation whose cells index
+into the vertices.  Polytopes are built from generators with known
+combinatorics (simplices, boxes, crosspolytopes, 2D polygons) or imported;
+there is no general convex-hull machinery beyond the plane.  Affine maps
+carry the vertices and keep the triangulation.
 
 Every reader that works in integers (volume, atoms, import checks, the
-moment kernel, affine maps) takes the points' integer view ``cleared`` =
-(D, ints), what ``linalg.clear_denominators`` gives for ``points`` (rows as
-tuples), built once per body and kept on it.  ``linear_image``, ``scale`` and
-``translate`` compute the image's ints N over a denominator den from the
+moment kernel, affine maps) takes the vertices' integer view ``cleared`` =
+(D, ints), what ``linalg.clear_denominators`` gives for ``vertices`` (rows
+as tuples), built once per body and kept on it.  ``linear_image``, ``scale``
+and ``translate`` compute the image's ints N over a denominator den from the
 views of the body and of phi, lam or y, and the exact image is that view,
 reduced by g = gcd(den, *N): the least L with every L N_k / den an
 integer is den / gcd(den, N_1, ..., N_K), so den / g is the lcm of the
-image's denominators and N / g is L times its points, as clearing would
-give.  Its ``Fraction`` ``vertices`` and ``aux_points`` are built from the
-view the first time they are read, so an image that only a moment, volume
-or atom reader sees never builds them.  A float on either side gives float
-points x / den at once and the view (1, points).  ``linear_image``
-multiplies float rows by the other side's ints; ``translate`` and ``scale``
-bring both views to one scale (``linalg.common_scale``), which turns both
-to floats, x / D being float(x) bit for bit, so their float points are the
-elementwise float sums and products.
+image's denominators and N / g is L times its vertices, as clearing would
+give.  Its ``Fraction`` ``vertices`` are built from the view the first time
+they are read, so an image that only a moment, volume or atom reader sees
+never builds them.  A float on either side gives float vertices x / den at
+once and the view (1, vertices).  ``linear_image`` multiplies float rows by
+the other side's ints; ``translate`` and ``scale`` bring both views to one
+scale (``linalg.common_scale``), which turns both to floats, x / D being
+float(x) bit for bit, so their float vertices are the elementwise float sums
+and products.
 
 Cell determinants come from one walk, ``cell_dets``, shared by ``volume``,
 the import checks, ``subspace_volume`` and the moment kernel: the cells in
@@ -41,16 +39,16 @@ demand, by one rule for every body (``surface_area_measure``), and never
 stored.
 
 Polytope JSON:
-``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...],
-"aux_points": [...], "facets": [{"normal": [...], "measure": "..."}]}``
-(facets are read, never written).  Without a triangulation the body is the
-simplex on n + 1 vertices, else their polygon in the plane; other bodies and
-aux_points without a triangulation are rejected.  So are cells that repeat
-an index, differ in size or exceed n + 1 points, full-dimensional cells of
-determinant 0, atoms that do not close up, a volume other than the sum of
-the atoms' offsets over n (divergence theorem; overlapping cells), and
-facets that are not the body's atoms as a multiset of area vectors: equal,
-or within 1e-12 relative for one ``_parse_facet`` rebuilds in floats.
+``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``.
+An ``"aux_points"`` list, which older bodies wrote for a crosspolytope's
+centre, is read as more vertices after the listed ones; a ``"facets"`` key
+is refused, since facets are read off the triangulation.  Without a
+triangulation the body is the simplex on n + 1 vertices, else their polygon
+in the plane; other bodies, and aux_points without a triangulation, are
+rejected.  So are cells that repeat an index, differ in size or exceed
+n + 1 points, full-dimensional cells of determinant 0, atoms that do not
+close up, and a volume other than the sum of the atoms' offsets over n
+(divergence theorem; overlapping cells).
 """
 
 from __future__ import annotations
@@ -59,21 +57,15 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
-from .linalg import exact_sqrt, frac
+from .linalg import Vec, exact_sqrt, vec
 from .symtensor import RMatrix, format_rational, mul_form, parse_rational
-
-Vec = tuple[Fraction, ...]
-
-
-def _vec(xs: Sequence) -> Vec:
-    return tuple(frac(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -113,61 +105,51 @@ class Polytope:
     dim: int
     vertices: tuple[Vec, ...]
     triangulation: tuple[tuple[int, ...], ...]
-    aux_points: tuple[Vec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if not self.vertices:
             raise GeometryError("polytope needs at least one vertex")
-        for v in self.vertices + self.aux_points:
+        for v in self.vertices:
             if len(v) != self.dim:
                 raise DimensionMismatch(f"point {v} not in R^{self.dim}")
 
     def __getattr__(self, name):
-        """``vertices`` and ``aux_points`` of an exact image (``_image``),
-        built on first read from its view (D, ints): each int over D."""
-        nv = vars(self).get("_nv")
-        if name not in ("vertices", "aux_points") or nv is None:
+        """``vertices`` of an exact image (``_image``), built on first read
+        from its view (D, ints): each int over D."""
+        if name != "vertices" or "cleared" not in vars(self):
             raise AttributeError(name)
         den, rows = self.cleared
-        points = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-        object.__setattr__(self, "vertices", points[:nv])
-        object.__setattr__(self, "aux_points", points[nv:])
-        return vars(self)[name]
-
-    @property
-    def points(self) -> tuple[Vec, ...]:
-        return self.vertices + self.aux_points
+        vertices = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        object.__setattr__(self, "vertices", vertices)
+        return vertices
 
     @cached_property
     def cleared(self) -> tuple[int, tuple[tuple, ...]]:
-        """The points' integer view (D, ints): ``linalg.clear_denominators``
-        of ``points``, its rows as tuples, built once per body or seeded by
+        """The vertices' integer view (D, ints): ``linalg.clear_denominators``
+        of ``vertices``, its rows as tuples, built once per body or seeded by
         the affine map that made it (module docstring)."""
-        scale, rows = linalg.clear_denominators(self.points)
+        scale, rows = linalg.clear_denominators(self.vertices)
         return scale, tuple(map(tuple, rows))
 
     def to_json_dict(self) -> dict:
-        data: dict = {
+        return {
             "dim": self.dim,
             "vertices": [[format_rational(x) for x in v] for v in self.vertices],
             "triangulation": [list(c) for c in self.triangulation],
         }
-        if self.aux_points:
-            data["aux_points"] = [[format_rational(x) for x in v] for v in self.aux_points]
-        return data
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "Polytope":
         try:
             dim = int(data["dim"])
-            vertices = tuple(_vec([parse_rational(x) for x in v]) for v in data["vertices"])
+            if "facets" in data:
+                raise ParseError("facets are read off the triangulation, never imported")
+            aux = list(data.get("aux_points", ()))  # older documents' extra points
+            vertices = tuple(tuple(map(parse_rational, v)) for v in [*data["vertices"], *aux])
             tri = data.get("triangulation")
             if tri is not None:
                 tri = tuple(tuple(int(i) for i in cell) for cell in tri)
-            aux = tuple(
-                _vec([parse_rational(x) for x in v]) for v in data.get("aux_points", []))
-            facets = [_parse_facet(f, dim) for f in data["facets"]] if "facets" in data else None
-            p = Polytope(dim, vertices, tri or (), aux)
+            p = Polytope(dim, vertices, tri or ())
         except (KeyError, TypeError, ValueError, GeometryError, DimensionMismatch) as exc:
             raise ParseError(f"bad polytope JSON: {exc}") from exc
         if tri is None:
@@ -177,22 +159,22 @@ class Polytope:
                 p = simplex(vertices) if len(vertices) == dim + 1 else polygon(vertices)
             except GeometryError as exc:
                 raise ParseError(f"bad untriangulated body: {exc}") from exc
-        _check_import(p, facets)
+        _check_import(p)
         return p
 
 
-def _check_import(p: Polytope, facets) -> None:
+def _check_import(p: Polytope) -> None:
     """Raise ``ParseError`` unless an imported body's triangulation is sound
-    and the area vectors ``facets`` (or None) are its atoms (module docstring)."""
+    (module docstring)."""
     n, tri = p.dim, p.triangulation
     sizes = {len(cell) for cell in tri}
-    if any(i < 0 or i >= len(p.points) for cell in tri for i in cell):
+    if any(i < 0 or i >= len(p.vertices) for cell in tri for i in cell):
         raise ParseError("triangulation index out of range")
     if any(len(set(cell)) != len(cell) for cell in tri):
         raise ParseError("triangulation cell repeats an index")
     if len(sizes) > 1 or max(sizes, default=0) > n + 1:
         raise ParseError(f"triangulation cells must share one size of at most {n + 1}")
-    if sizes != {n + 1} and facets is None:
+    if sizes != {n + 1}:
         return  # lower-dimensional: no atoms
     try:
         atoms = surface_area_measure(p)
@@ -203,56 +185,6 @@ def _check_import(p: Polytope, facets) -> None:
         raise ParseError("triangulation cell of determinant 0")
     if n * _volume(dets, p.cleared[0], n) != sum(f.offset for f in atoms):
         raise ParseError("volume differs from the atoms' sum of offsets / n")
-    if facets is not None and not _same_atoms(facets, atoms):
-        raise ParseError("facets differ from the body's surface area measure")
-
-
-def _same_atoms(given, atoms) -> bool:
-    """Whether the area vectors ``given`` are those of ``atoms`` as a
-    multiset: equal, or within 1e-12 relative for a float vector."""
-    left = [f.direction for f in atoms]
-    for d in given:
-        hits = [i for i, a in enumerate(left) if d == a or not linalg.is_exact(d) and max(
-            map(abs, map(operator.sub, d, a))) <= 1e-12 * max(map(abs, a))]
-        if not hits:
-            return False
-        del left[hits[0]]
-    return not left
-
-
-def _parse_facet(data: Mapping, dim: int) -> tuple:
-    """Reconstruct a facet's area vector from its (normal, measure) pair."""
-    try:
-        raw_normal = data["normal"]
-        raw_measure = data["measure"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad facet JSON: {exc}") from exc
-    if len(raw_normal) != dim:
-        raise ParseError("facet normal has wrong length")
-    try:
-        direction = _vec([parse_rational(x) for x in raw_normal])
-        norm_sq = sum(x * x for x in direction)
-        if norm_sq == 0:
-            raise ParseError("zero facet normal")
-        try:
-            measure = parse_rational(raw_measure)
-            measure_float = float(measure)
-        except ParseError:
-            measure_float = float(raw_measure)
-            measure = None
-        # If the stated measure is the direction's own length, the direction
-        # already is the area vector; keep it exact.
-        if abs(measure_float * measure_float - float(norm_sq)) <= 1e-18 + 1e-12 * float(norm_sq):
-            return direction
-        if measure is not None:
-            ratio_sq = measure * measure / norm_sq
-            root = exact_sqrt(ratio_sq)
-            if root is not None:
-                return tuple(x * root for x in direction)
-        factor = measure_float / math.sqrt(float(norm_sq))
-        return tuple(float(x) * factor for x in direction)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad facet JSON: {exc}") from exc
 
 
 # -- generators ----------------------------------------------------------------
@@ -260,7 +192,7 @@ def _parse_facet(data: Mapping, dim: int) -> tuple:
 
 def simplex(verts: Sequence[Sequence]) -> Polytope:
     """Simplex on affinely independent vertices (any affine dimension)."""
-    vertices = tuple(_vec(v) for v in verts)
+    vertices = tuple(vec(v) for v in verts)
     dim = len(vertices[0])
     k = len(vertices) - 1
     if k > dim:
@@ -279,7 +211,7 @@ def box(lo: Sequence, hi: Sequence) -> Polytope:
     then the inner vertices in chain order: every cell starts with (lo, hi),
     and the two cells whose permutations differ in their last two entries
     share their first n vertices (the moment kernel's prefix tree)."""
-    lo, hi = _vec(lo), _vec(hi)
+    lo, hi = vec(lo), vec(hi)
     n = len(lo)
     if len(hi) != n:
         raise DimensionMismatch("box corners of different lengths")
@@ -306,27 +238,25 @@ def cube(n: int) -> Polytope:
 
 def crosspolytope(vecs: Sequence[Sequence]) -> Polytope:
     """Convex hull of +-v_1, ..., +-v_j for linearly independent v_i,
-    triangulated into the 2^j cones over its center."""
-    spanning = [_vec(v) for v in vecs]
+    pulled from +v_1 (De Loera, Rambau and Santos, *Triangulations*, 2010):
+    +v_1 coned over the 2^(j-1) facets that miss it, the cells
+    (+v_1, -v_1, +-v_2, ..., +-v_j).  Vertex 2i is +v_(i+1) and 2i + 1 is
+    -v_(i+1), so each cell lists its vertices in increasing order, and the
+    two cells that differ only in the sign of v_j share their first j
+    vertices (the moment kernel's prefix tree)."""
+    spanning = [vec(v) for v in vecs]
     j = len(spanning)
-    dim = len(spanning[0])
     if linalg.rank(spanning) != j:
         raise GeometryError("crosspolytope vectors are linearly dependent")
-    vertices = []
-    for v in spanning:
-        vertices.append(v)
-        vertices.append(tuple(-x for x in v))
-    center = tuple(Fraction(0) for _ in range(dim))
-    aux_idx = 2 * j
-    cells = []
-    for mask in range(1 << j):
-        cells.append((aux_idx,) + tuple(2 * i + (mask >> i & 1) for i in range(j)))
-    return Polytope(dim, tuple(vertices), tuple(cells), aux_points=(center,))
+    vertices = tuple(w for v in spanning for w in (v, tuple(-x for x in v)))
+    cells = tuple((0, 1, *(2 * i + s for i, s in enumerate(signs, 1)))
+                  for signs in itertools.product((0, 1), repeat=j - 1))
+    return Polytope(len(spanning[0]), vertices, cells)
 
 
 def polygon(points: Sequence[Sequence]) -> Polytope:
     """Convex hull of points in the plane, fan-triangulated."""
-    pts = [_vec(p) for p in points]
+    pts = [vec(p) for p in points]
     if any(len(p) != 2 for p in pts):
         raise DimensionMismatch("polygon points must be planar")
     hull = hull_2d(pts)
@@ -438,21 +368,20 @@ def volume(p: Polytope) -> Fraction:
 
 
 def _image(p: Polytope, den: int, rows: list[list]) -> Polytope:
-    """The body on p's cells whose points are ``rows`` over ``den``, its
+    """The body on p's cells whose vertices are ``rows`` over ``den``, its
     view seeded with them: int rows reduced by g = gcd(den, *rows), whose
-    ``Fraction`` points are built on first read, or float rows as the float
-    points and scale 1 (module docstring)."""
-    nv = vars(p).get("_nv") or len(p.vertices)
+    ``Fraction`` vertices are built on first read, or float rows as the
+    float vertices and scale 1 (module docstring)."""
     flat = [x for row in rows for x in row]
     if linalg.is_exact(flat):
         g = math.gcd(den, *flat)
         image = object.__new__(Polytope)
-        vars(image).update(dim=p.dim, triangulation=p.triangulation, _nv=nv, cleared=(
+        vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(
             den // g, tuple(tuple(x // g for x in row) for row in rows)))
         return image
-    points = tuple(tuple(x / den for x in row) for row in rows)
-    image = Polytope(p.dim, points[:nv], p.triangulation, points[nv:])
-    object.__setattr__(image, "cleared", (1, points))
+    vertices = tuple(tuple(x / den for x in row) for row in rows)
+    image = Polytope(p.dim, vertices, p.triangulation)
+    object.__setattr__(image, "cleared", (1, vertices))
     return image
 
 
@@ -590,7 +519,7 @@ def subspace_volume(p: Polytope, subspace):
     j = len(basis)
     exact = linalg.is_exact(x for b in basis for x in b)
     coords = []
-    for pt in p.points:
+    for pt in p.vertices:
         cs = [sum(a * b for a, b in zip(pt, bvec)) for bvec in basis]
         residual = list(pt)
         for c, bvec in zip(cs, basis):

@@ -246,7 +246,7 @@ def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckRepo
     pairs = [(b, a.scale(lam ** j), {"degree": j, "lambda": shown})
              for j, (a, b) in enumerate(zip(base, dilated))]
     pairs.append((sum(base[1:], base[0]), z(body), {"degree": "sum-at-1", "lambda": shown}))
-    return _verdict("mcmullen-rehomogeneity", pairs, *body.points, [lam])
+    return _verdict("mcmullen-rehomogeneity", pairs, *body.vertices, [lam])
 
 
 # -- Klain functions ---------------------------------------------------------------
@@ -328,7 +328,7 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
             shown = [format_rational(c) for c in y]
             pairs += [(z(shifted), shift_expansion(at_body[s:], y),
                        {"y": shown, "coefficient_rank": z.rank}) for s, z in enumerate(zs)]
-    return _verdict("translation-covariance", pairs, *body.points, *ys)
+    return _verdict("translation-covariance", pairs, *body.vertices, *ys)
 
 
 # -- equivariance ----------------------------------------------------------------------
@@ -337,7 +337,7 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
 def verify_equivariance(z: Valuation, g_samples: Sequence, body: Polytope) -> CheckReport:
     """Residuals of z(phi K) against the tensor action of phi on z(K)."""
     base = z(body)
-    pairs, rows = [], list(body.points)
+    pairs, rows = [], list(body.vertices)
     for idx, sample in enumerate(g_samples):
         phi = realify(sample) if isinstance(sample, CMatrix) else sample
         if phi.exact and phi.det == 0:
@@ -377,7 +377,7 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
     p, q = Fraction(j, 2 * m).as_integer_ratio()
     image, base = z(linear_image(realify(psi), body)), z(body)
     exact = linalg.is_exact([factor_sq, *image.cleared[1][0], *base.cleared[1][0],
-                             *(x for v in body.points for x in v)])
+                             *(x for v in body.vertices for x in v)])
     if exact:
         factor = factor_sq ** p
         shown = format_rational(factor) if q == 1 else f"({format_rational(factor)})^(1/{q})"
@@ -430,4 +430,4 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
     return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],
-                    *p.points, *phi.entries)
+                    *p.vertices, *phi.entries)

@@ -32,6 +32,19 @@ def monomial_integral_simplex(s, alpha) -> Fraction:
     return math.prod(map(math.factorial, alpha)) * coeff
 
 
+def centre_cone_crosspolytope(vecs):
+    """The crosspolytope on ``vecs`` as the 2^j cones over its centre: the
+    vertices +-v_i at 2i, 2i + 1, then the centre at 2j, in every cell
+    first."""
+    from valuta.polytope import Polytope
+
+    j, n = len(vecs), len(vecs[0])
+    points = [tuple(s * Fraction(x) for x in v) for v in vecs for s in (1, -1)]
+    cells = tuple((2 * j,) + tuple(2 * i + (mask >> i & 1) for i in range(j))
+                  for mask in range(1 << j))
+    return Polytope(n, tuple(points) + ((Fraction(0),) * n,), cells)
+
+
 # -- Gram-Schmidt and the adapted basis in Fractions ---------------------------------
 # The orthonormalisation as it ran before it cleared denominators: every
 # projection is a Fraction (or float) dot product against unit vectors.

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import centre_cone_crosspolytope
 from valuta import linalg, polytope
 from valuta.cplx import gram_schmidt, sample_subspace
 from valuta.errors import GeometryError, ParseError
@@ -65,7 +67,7 @@ class TestGenerators:
 
     def test_cross_r4_volume(self):
         c = crosspolytope([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-        assert len(c.triangulation) == 16
+        assert len(c.triangulation) == 8
         assert volume(c) == F(2, 3)
 
     def test_cross_stretched(self):
@@ -81,6 +83,40 @@ class TestGenerators:
     def test_standard_simplex_r4(self):
         verts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
         assert volume(simplex(verts)) == F(1, 24)
+
+
+def _frame(j, n):
+    """j rational vectors in R^n, each e_i plus (i + 1)/3 e_(i+1)."""
+    return [[F(int(i == k)) + (F(i + 1, 3) if k == (i + 1) % n and n > 1 else 0)
+             for k in range(n)] for i in range(j)]
+
+
+@pytest.mark.parametrize("j, n, shift", [
+    (1, 1, None), (1, 1, [F(2, 3)]), (2, 2, None), (2, 2, [F(-1, 2), F(1, 5)]),
+    (3, 3, None), (3, 3, [F(1, 3), -1, F(2, 7)]), (4, 4, None),
+    (4, 4, [F(1, 2), 0, F(-3, 4), 1]), (5, 5, None), (5, 5, [F(k - 2, 7) for k in range(5)]),
+    (2, 3, [1, F(1, 2), F(-1, 3)]),
+])
+def test_crosspolytope_matches_centre_cones(j, n, shift):
+    """Pulled from +v_1, with no centre, a crosspolytope has exactly the
+    volume, moments up to rank 3 and atoms (as a multiset) of the 2^j cones
+    over its centre, centred or translated; a flat one (j < n) has volume 0
+    and no atoms on either triangulation."""
+    vecs = _frame(j, n)
+    pulled, cones = crosspolytope(vecs), centre_cone_crosspolytope(vecs)
+    assert len(pulled.triangulation) == 2 ** (j - 1) and len(pulled.vertices) == 2 * j
+    if shift is not None:
+        pulled, cones = translate(pulled, shift), translate(cones, shift)
+    assert volume(pulled) == volume(cones)
+    assert moment_family(pulled, 3) == moment_family(cones, 3)
+    if j < n:
+        assert volume(pulled) == 0
+        for body in (pulled, cones):
+            with pytest.raises(GeometryError, match="full-dimensional"):
+                surface_area_measure(body)
+    else:
+        assert volume(pulled) == F(2 ** j, math.factorial(j)) * abs(linalg.det(vecs))
+        assert Counter(surface_area_measure(pulled)) == Counter(surface_area_measure(cones))
 
 
 class TestAffineMaps:
@@ -285,8 +321,8 @@ class TestMixedVolumePairing:
 
 
 def _facet_json(body) -> dict:
-    """The body's JSON with its atoms as facets, each written as its area
-    vector and that vector's length."""
+    """The body's JSON with its atoms added as facets, each written as its
+    area vector and that vector's length."""
     return {**body.to_json_dict(), "facets": [
         {"normal": [format_rational(x) for x in f.direction], "measure": format_rational(f.measure)}
         for f in surface_area_measure(body)]}
@@ -296,49 +332,61 @@ def _untriangulated_json(body) -> dict:
     return {"dim": body.dim, "vertices": body.to_json_dict()["vertices"]}
 
 
+def _centred_cross_json(vecs) -> dict:
+    """A crosspolytope as bodies that stored its centre wrote it: the 2^j
+    cones over the centre, written as the one aux point (index 2j)."""
+    data = centre_cone_crosspolytope(vecs).to_json_dict()
+    data["aux_points"] = [data["vertices"].pop()]
+    return data
+
+
 class TestJson:
     def test_round_trip_with_facets(self):
+        """A body's JSON holds no facets and reads back as the body; with its
+        atoms added as facets it is refused, facets being read off the
+        triangulation."""
         p = std_triangle
-        assert "facets" not in p.to_json_dict()
-        q = Polytope.from_json_dict(_facet_json(p))
-        assert q.vertices == p.vertices
-        assert q.triangulation == p.triangulation
-        assert {f.direction for f in surface_area_measure(q)} == \
-            {f.direction for f in surface_area_measure(p)}
-        assert volume(q) == volume(p)
-
-    def test_facet_json_with_float_measures_loads(self):
-        """Facets given as area vectors with their lengths, irrational ones as
-        floats, load as the body: each area vector is rebuilt exactly."""
-        data = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
-                "triangulation": [[0, 1, 2]],
-                "facets": [{"normal": ["1", "1"], "measure": "1.4142135623730951"},
-                           {"normal": ["-1", "0"], "measure": "1"},
-                           {"normal": ["0", "-1"], "measure": "1"}]}
-        assert Polytope.from_json_dict(data) == std_triangle
+        assert set(p.to_json_dict()) == {"dim", "vertices", "triangulation"}
+        q = Polytope.from_json_dict(p.to_json_dict())
+        assert q == p
+        assert surface_area_measure(q) == surface_area_measure(p)
+        with pytest.raises(ParseError, match="facets"):
+            Polytope.from_json_dict(_facet_json(p))
 
     def test_cross_round_trip_keeps_aux(self):
-        c = crosspolytope([(1, 0), (0, 1)])
-        q = Polytope.from_json_dict(c.to_json_dict())
-        assert volume(q) == 2
+        """A crosspolytope written with its centre as an aux point imports
+        with the centre as one more vertex: the same volume and moments as
+        the crosspolytope without it, which round-trips as itself."""
+        vecs = [(1, F(1, 3), 0), (0, 2, F(-1, 2)), (F(1, 5), 0, F(3, 7))]
+        legacy = Polytope.from_json_dict(_centred_cross_json(vecs))
+        c = crosspolytope(vecs)
+        assert legacy.vertices == c.vertices + ((0, 0, 0),)
+        assert (len(legacy.triangulation), len(c.triangulation)) == (8, 4)
+        assert volume(legacy) == volume(c) == F(8, 6) * abs(linalg.det(vecs))
+        assert moment_family(legacy, 3) == moment_family(c, 3)
+        assert Polytope.from_json_dict(c.to_json_dict()) == c
 
     @pytest.mark.parametrize("body", [
         box([0, F(-1, 2), 1], [F(1, 3), 2, F(7, 4)]),
         translate(crosspolytope([(1, 0, 0), (1, 2, 0), (0, F(1, 2), 3)]), (F(1, 3), -1, 2)),
     ])
     def test_box_and_cross_round_trips_with_facets(self, body):
-        q = Polytope.from_json_dict(_facet_json(body))
+        """A box and a crosspolytope read back as themselves, and are refused
+        with their atoms added as facets."""
+        q = Polytope.from_json_dict(body.to_json_dict())
+        assert q == body
         assert set(surface_area_measure(q)) == set(surface_area_measure(body))
         assert volume(q) == volume(body)
+        with pytest.raises(ParseError, match="facets"):
+            Polytope.from_json_dict(_facet_json(body))
 
 
-def _square_json(triangulation, facets=True, aux=()):
-    data = {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+def _square_json(triangulation, aux=()):
+    return {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
             "triangulation": triangulation, "aux_points": [list(a) for a in aux]}
-    if facets:
-        data["facets"] = [{"normal": n, "measure": "1"}
-                          for n in ([1, 0], [-1, 0], [0, 1], [0, -1])]
-    return data
+
+
+_SQUARE_FACETS = [{"normal": n, "measure": "1"} for n in ([1, 0], [-1, 0], [0, 1], [0, -1])]
 
 
 class TestImportValidation:
@@ -350,7 +398,7 @@ class TestImportValidation:
 
     def test_overlapping_cells_rejected_by_divergence_theorem(self):
         # The three cells cover the square one and a half times: volume 3/2,
-        # while the facets' offsets sum to n * 1.
+        # and their atoms do not close up.
         with pytest.raises(ParseError):
             Polytope.from_json_dict(_square_json(self.overlapping))
 
@@ -359,7 +407,7 @@ class TestImportValidation:
         with pytest.raises(GeometryError):
             surface_area_measure(body)
         with pytest.raises(ParseError):
-            Polytope.from_json_dict(_square_json(self.overlapping, facets=False))
+            Polytope.from_json_dict(_square_json(self.overlapping))
 
     def test_double_cover_rejected_by_divergence_theorem(self):
         """Every edge of the four triangles is shared, so the atoms are empty
@@ -367,49 +415,31 @@ class TestImportValidation:
         double = [[0, 1, 2], [0, 2, 3], [0, 1, 3], [1, 2, 3]]
         body = Polytope(2, unit_square.vertices, tuple(map(tuple, double)))
         assert (volume(body), surface_area_measure(body)) == (2, ())
-        for facets in (False, True):
-            with pytest.raises(ParseError, match="offsets"):
-                Polytope.from_json_dict(_square_json(double, facets=facets))
+        with pytest.raises(ParseError, match="offsets"):
+            Polytope.from_json_dict(_square_json(double))
 
     def test_facets_of_another_body_rejected(self):
-        """The atoms of a 3/2 x 1/2 rectangle close up, but they are not the
-        unit square's."""
+        """The atoms of a 3/2 x 1/2 rectangle, given as facets of the unit
+        square, are refused, as is any facets key; the rectangle's own JSON
+        loads as the rectangle."""
         rectangle = box([0, 0], [F(3, 2), F(1, 2)])
         data = {**_square_json([[0, 1, 2], [0, 2, 3]]), "facets": _facet_json(rectangle)["facets"]}
-        with pytest.raises(ParseError, match="surface area measure"):
+        with pytest.raises(ParseError, match="facets"):
             Polytope.from_json_dict(data)
-        assert Polytope.from_json_dict({**data, **rectangle.to_json_dict()}) == rectangle
+        assert Polytope.from_json_dict(rectangle.to_json_dict()) == rectangle
 
-    @pytest.mark.parametrize("bend, loads", [(0, True), (1e-13, True), (1e-9, False)])
-    def test_float_facet_within_1e_12_relative(self, bend, loads):
-        """A unit normal with an irrational measure can only be rebuilt in
-        floats; it must be an atom within 1e-12 relative."""
-        data = _facet_json(std_triangle)
-        c, measure = math.sqrt(0.5), math.sqrt(2) * (1 + bend)
-        data["facets"] = [f for f in data["facets"] if f["normal"] != ["1", "1"]] + [
-            {"normal": [repr(c), repr(c)], "measure": repr(measure)}]
-        if loads:
-            assert Polytope.from_json_dict(data) == std_triangle
-        else:
-            with pytest.raises(ParseError):
-                Polytope.from_json_dict(data)
-
-    @pytest.mark.parametrize("change", [
-        {"facets": []},
-        {"triangulation": [[0, 1, 2]]},
-        {"triangulation": [[0, 1]]},
-        {"aux_points": 5},
-        {"facets": 5},
-        {"facets": [5]},
-    ])
-    def test_facets_must_be_all_atoms_of_a_full_dimensional_body(self, change):
-        """No facets, the square's facets on a triangle or a segment, and
-        malformed aux_points or facets."""
-        with pytest.raises(ParseError):
-            Polytope.from_json_dict({**_square_json([[0, 1, 2], [0, 2, 3]]), **change})
+    def test_facets_key_is_refused(self):
+        """Whatever a facets key holds, the body's own atoms among it, and on
+        whatever body: ``ParseError``."""
+        for facets in ([], 5, [5], _SQUARE_FACETS, _facet_json(unit_square)["facets"]):
+            for triangulation in ([[0, 1, 2], [0, 2, 3]], [[0, 1, 2]], [[0, 1]]):
+                with pytest.raises(ParseError, match="facets"):
+                    Polytope.from_json_dict({**_square_json(triangulation), "facets": facets})
+        with pytest.raises(ParseError, match="facets"):
+            Polytope.from_json_dict({**_untriangulated_json(std_triangle), "facets": []})
 
     def test_aux_points_need_a_triangulation(self):
-        data = crosspolytope([(1, 0), (0, 1)]).to_json_dict()
+        data = _centred_cross_json([(1, 0), (0, 1)])
         del data["triangulation"]
         with pytest.raises(ParseError, match="aux_points"):
             Polytope.from_json_dict(data)
@@ -419,10 +449,17 @@ class TestImportValidation:
         {"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]], "triangulation": [[0, 1, 2]]},
         {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "aux_points": [[0]],
          "triangulation": [[0, 1, 2]]},
-    ], ids=["no-vertices", "short-vertex", "short-aux-point"])
+        {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "aux_points": 5,
+         "triangulation": [[0, 1, 2]]},
+    ], ids=["no-vertices", "short-vertex", "short-aux-point", "aux-points-not-a-list"])
     def test_malformed_points_raise_parse_error(self, data):
         """No vertex, or a point of the wrong length: ``ParseError``, not the
         constructor's ``GeometryError`` or ``DimensionMismatch``."""
+        with pytest.raises(ParseError):
+            Polytope.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [5, None, "x", [], [("dim", 2)]])
+    def test_non_mapping_raises_parse_error(self, data):
         with pytest.raises(ParseError):
             Polytope.from_json_dict(data)
 
@@ -435,12 +472,13 @@ class TestImportValidation:
     ])
     def test_bad_triangulations_rejected(self, triangulation, aux):
         with pytest.raises(ParseError):
-            Polytope.from_json_dict(_square_json(triangulation, facets=False, aux=aux))
+            Polytope.from_json_dict(_square_json(triangulation, aux=aux))
 
     def test_open_facets_rejected(self):
-        data = _square_json([[0, 1, 2], [0, 2, 3]])
+        """Facets that do not close up are refused, as any facets key is."""
+        data = {**_square_json([[0, 1, 2], [0, 2, 3]]), "facets": [dict(f) for f in _SQUARE_FACETS]}
         data["facets"][0]["measure"] = "2"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="facets"):
             Polytope.from_json_dict(data)
 
 
@@ -502,8 +540,7 @@ def test_linear_image_matches_fraction_matvec(case):
     body, rows = case
     image = linear_image(RMatrix.from_rows(rows), body)
     assert image.vertices == tuple(_matvec(rows, v) for v in body.vertices)
-    assert image.aux_points == tuple(_matvec(rows, v) for v in body.aux_points)
-    assert all(isinstance(x, Fraction) for v in image.points for x in v)
+    assert all(isinstance(x, Fraction) for v in image.vertices for x in v)
     assert image.triangulation == body.triangulation
 
 
@@ -583,10 +620,10 @@ def test_linear_image_of_a_float_matrix_gives_float_points(body):
              for k in range(body.dim)] for i in range(body.dim)]
     exact = linear_image(RMatrix.from_rows(rows), body)
     floats = linear_image(RMatrix.from_rows([[float(x) for x in row] for row in rows]), body)
-    assert all(type(x) is Fraction for v in exact.points for x in v)
-    assert all(type(x) is float for v in floats.points for x in v)
+    assert all(type(x) is Fraction for v in exact.vertices for x in v)
+    assert all(type(x) is float for v in floats.vertices for x in v)
     assert floats.triangulation == exact.triangulation
-    for u, v in zip(floats.points, exact.points):
+    for u, v in zip(floats.vertices, exact.vertices):
         assert all(abs(a - b) <= 1e-12 * max(1, abs(b)) for a, b in zip(u, v))
 
 
@@ -607,17 +644,16 @@ def bodies_and_factors(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=bodies_and_factors())
 def test_scale_matches_linear_image_of_a_diagonal(case):
-    """Dilation equals the image under lam times the identity: points and
-    crosspolytope centre.  A body imported with its facets is the body
-    itself, since facets are checked and never stored."""
+    """Dilation equals the image under lam times the identity, vertex by
+    vertex; a body read back from its JSON is the body itself."""
     body, lam = case
     diag = RMatrix.diag([lam] * body.dim)
-    assert Polytope.from_json_dict(_facet_json(body)) == body
+    assert Polytope.from_json_dict(body.to_json_dict()) == body
     assert scale(body, lam) == linear_image(diag, body)
 
 
 def _all_float(body):
-    return all(isinstance(x, float) for v in body.points for x in v)
+    return all(isinstance(x, float) for v in body.vertices for x in v)
 
 
 def test_scale_of_a_float_body_or_factor_is_float():
@@ -635,11 +671,10 @@ def test_linear_image_of_a_float_body_is_float():
     phi = RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, 0], [F(-1, 3), 0, 2]])
     body = crosspolytope([(1, 0, 0), (0, 2, 0), (F(1, 2), 0, 1)])
     as_float = Polytope(3, tuple(tuple(float(x) for x in v) for v in body.vertices),
-                        body.triangulation, tuple(tuple(float(x) for x in v)
-                                                  for v in body.aux_points))
+                        body.triangulation)
     got, want = linear_image(phi, as_float), linear_image(phi, body)
     assert _all_float(got) and got.triangulation == want.triangulation
-    for a, b in zip(got.points, want.points, strict=True):
+    for a, b in zip(got.vertices, want.vertices, strict=True):
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
 
 
@@ -649,7 +684,7 @@ def test_import_of_a_kuhn_box_takes_no_bareiss(monkeypatch):
     offsets, and every cell shares n vertices with a neighbour, so its
     |det| comes off the exterior products with no Bareiss; nor does its
     ``volume`` take one."""
-    data = _facet_json(box([F(-1, 2), 0, F(1, 3), 1], [1, F(2, 3), 2, F(7, 5)]))
+    data = box([F(-1, 2), 0, F(1, 3), 1], [1, F(2, 3), 2, F(7, 5)]).to_json_dict()
     calls, walks = [], []
     real, real_walk = linalg.bareiss, polytope.cell_dets
     monkeypatch.setattr(linalg, "bareiss", lambda m: calls.append(1) or real(m))
@@ -662,12 +697,12 @@ def test_import_of_a_kuhn_box_takes_no_bareiss(monkeypatch):
 
 def _floated(body):
     return Polytope(body.dim, tuple(tuple(map(float, v)) for v in body.vertices),
-                    body.triangulation, tuple(tuple(map(float, v)) for v in body.aux_points))
+                    body.triangulation)
 
 
 def _rebuilt(body):
-    """The body from its points alone, without a seeded integer view."""
-    return Polytope(body.dim, body.vertices, body.triangulation, body.aux_points)
+    """The body from its vertices alone, without a seeded integer view."""
+    return Polytope(body.dim, body.vertices, body.triangulation)
 
 
 maybe_float = st.sampled_from([F, float])
@@ -696,10 +731,10 @@ def affine_images(draw):
 @given(case=affine_images())
 def test_affine_maps_seed_the_cleared_view(case):
     """The view an affine map seeds is exactly what clearing the image's
-    points gives: the same scale, the same entries of the same types."""
+    vertices gives: the same scale, the same entries of the same types."""
     _, image = case
     seeded = image.cleared
-    scale, rows = linalg.clear_denominators(image.points)
+    scale, rows = linalg.clear_denominators(image.vertices)
     assert seeded == (scale, tuple(map(tuple, rows))) == _rebuilt(image).cleared
     assert [type(x) for row in seeded[1] for x in row] == [type(x) for row in rows for x in row]
     assert type(seeded[0]) is int
@@ -730,14 +765,15 @@ def _assert_tensor_twin(t):
 
 
 def _assert_body_twin(image):
-    """An image equals the body rebuilt from its points in view, ==, hash
-    and points (values and types); the view is read before the points."""
+    """An image equals the body rebuilt from its vertices in view, ==, hash
+    and vertices (values and types); the view is read before the vertices."""
     view = image.cleared
     twin = _rebuilt(image)
     assert view == twin.cleared
     assert image == twin and hash(image) == hash(twin)
-    assert image.vertices == twin.vertices and image.aux_points == twin.aux_points
-    assert [type(x) for v in image.points for x in v] == [type(x) for v in twin.points for x in v]
+    assert image.vertices == twin.vertices
+    assert [type(x) for v in image.vertices for x in v] == \
+        [type(x) for v in twin.vertices for x in v]
 
 
 @settings(max_examples=40, deadline=None)

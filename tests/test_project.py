@@ -72,22 +72,24 @@ def test_one_verdict_rule_in_valuation_lab():
 
 
 def test_a_polytope_is_its_points_and_cells():
-    """``Polytope`` stores its points and cells and nothing read off them:
+    """``Polytope`` stores its vertices and cells and nothing read off them:
     facets are derived on demand, so no module reads a ``.facets``, and a
-    triangulation is always given."""
+    triangulation is always given.  There is no second point list: no
+    module reads a ``.points`` or ``.aux_points``."""
     from valuta.polytope import Polytope
 
     fields = {f.name: f for f in dataclasses.fields(Polytope)}
-    assert list(fields) == ["dim", "vertices", "triangulation", "aux_points"]
-    assert fields["triangulation"].default is dataclasses.MISSING
+    assert list(fields) == ["dim", "vertices", "triangulation"]
+    assert all(f.default is f.default_factory is dataclasses.MISSING for f in fields.values())
     for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            assert not (isinstance(node, ast.Attribute) and node.attr == "facets"), path.name
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("facets", "points", "aux_points")), path.name
 
 
 def test_each_value_is_cleared_only_by_its_view():
     """No call of ``clear_denominators`` in ``src/valuta`` takes a body's
-    ``.points``, a matrix's ``.entries`` or a tensor's ``.coeffs``, except
+    ``.vertices``, a matrix's ``.entries`` or a tensor's ``.coeffs``, except
     in the three ``cleared`` views that define them: every other reader
     takes the view, so each value is cleared at most once per object."""
     found = []
@@ -101,7 +103,7 @@ def test_each_value_is_cleared_only_by_its_view():
                     continue
                 read = {node.attr for arg in call.args for node in ast.walk(arg)
                         if isinstance(node, ast.Attribute)}
-                if read & {"points", "entries", "coeffs"}:
+                if read & {"vertices", "entries", "coeffs"}:
                     found.append((path.stem, fn.name))
     assert sorted(found) == [("polytope", "cleared"), ("symtensor", "cleared"),
                              ("symtensor", "cleared")]
