@@ -40,15 +40,18 @@ stored.
 
 Polytope JSON:
 ``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``.
-An ``"aux_points"`` list, which older bodies wrote for a crosspolytope's
-centre, is read as more vertices after the listed ones; a ``"facets"`` key
-is refused, since facets are read off the triangulation.  Without a
-triangulation the body is the simplex on n + 1 vertices, else their polygon
-in the plane; other bodies, and aux_points without a triangulation, are
-rejected.  So are cells that repeat an index, differ in size or exceed
-n + 1 points, full-dimensional cells of determinant 0, atoms that do not
-close up, and a volume other than the sum of the atoms' offsets over n
-(divergence theorem; overlapping cells).
+``dim`` and the indices are JSON integers and each vertex and cell is a
+list; a float, a string or a bool in their place is refused, never
+truncated or read character by character.  An ``"aux_points"`` list, which
+older bodies wrote for a crosspolytope's centre, is read as more vertices
+after the listed ones; a ``"facets"`` key is refused, since facets are read
+off the triangulation.  Without a triangulation the body is the simplex on
+n + 1 vertices, else their polygon in the plane; other bodies, and
+aux_points without a triangulation, are rejected.  So are cells that
+repeat an index, differ in size or exceed n + 1 points, full-dimensional
+cells of determinant 0, atoms that do not close up, and a volume other
+than the sum of the atoms' offsets over n (divergence theorem; overlapping
+cells).
 """
 
 from __future__ import annotations
@@ -141,14 +144,15 @@ class Polytope:
     @staticmethod
     def from_json_dict(data: Mapping) -> "Polytope":
         try:
-            dim = int(data["dim"])
+            dim = _json_int(data["dim"])
             if "facets" in data:
                 raise ParseError("facets are read off the triangulation, never imported")
             aux = list(data.get("aux_points", ()))  # older documents' extra points
-            vertices = tuple(tuple(map(parse_rational, v)) for v in [*data["vertices"], *aux])
+            vertices = tuple(tuple(map(parse_rational, _json_list(v)))
+                             for v in [*data["vertices"], *aux])
             tri = data.get("triangulation")
             if tri is not None:
-                tri = tuple(tuple(int(i) for i in cell) for cell in tri)
+                tri = tuple(tuple(map(_json_int, _json_list(cell))) for cell in tri)
             p = Polytope(dim, vertices, tri or ())
         except (KeyError, TypeError, ValueError, GeometryError, DimensionMismatch) as exc:
             raise ParseError(f"bad polytope JSON: {exc}") from exc
@@ -161,6 +165,22 @@ class Polytope:
                 raise ParseError(f"bad untriangulated body: {exc}") from exc
         _check_import(p)
         return p
+
+
+def _json_int(x) -> int:
+    """A JSON integer as an int; a float, a string or a bool raises
+    ``ParseError`` rather than being truncated or read as 0 or 1."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_list(x) -> list:
+    """A JSON array; anything else, a string included, raises
+    ``ParseError`` rather than being read item by item."""
+    if not isinstance(x, (list, tuple)):
+        raise ParseError(f"expected a list, got {x!r}")
+    return x
 
 
 def _check_import(p: Polytope) -> None:
@@ -441,21 +461,26 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     the minors of a face come from one fraction-free Gauss-Jordan of its
     n - 1 edge rows (``linalg.cross``), the sums run in ints and each atom
     is divided once by (n-1)! D^(n-1); float points run the same steps in
-    floats with D = 1.
+    floats with D = 1.  The faces are matched on their sorted indices.
 
     Cells of fewer than n + 1 points, degenerate cells and atoms that do
-    not sum to zero (overlapping cells) raise ``GeometryError``.
+    not sum to zero (overlapping cells) raise ``GeometryError``.  Exact
+    atoms are summed as their int totals, which share the denominator, and
+    close only at 0; float atoms close within 1e-12 of their summed
+    magnitudes (``_closes``).
     """
     n = p.dim
     if any(len(cell) != n + 1 for cell in p.triangulation):
         raise GeometryError("surface area measure needs full-dimensional cells")
     faces = [(cell[:k] + cell[k + 1:], i) for cell in p.triangulation for k, i in enumerate(cell)]
-    shared = Counter(frozenset(face) for face, _ in faces)
+    keys = [tuple(sorted(face)) for face, _ in faces]
+    shared = Counter(keys)
     scale, pts = p.cleared
-    near = 0 if isinstance(pts[0][0], int) else 1e-9 * max(abs(x) for pt in pts for x in pt)
+    exact = isinstance(pts[0][0], int)
+    near = 0 if exact else 1e-9 * max(abs(x) for pt in pts for x in pt)
     atoms: dict = {}
-    for face, opposite in faces:
-        if shared[frozenset(face)] > 1:
+    for (face, opposite), face_key in zip(faces, keys):
+        if shared[face_key] > 1:
             continue
         base = pts[face[0]]
         rows = [[a - b for a, b in zip(pts[i], base)] for i in face[1:]]
@@ -475,7 +500,11 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
         FacetDatum(tuple(linalg.over(x, denom) for x in total),
                    linalg.over(sum(map(operator.mul, total, base)), denom * scale))
         for total, base in atoms.values() if any(total))
-    if not _closes(facets, n):
+    if exact:
+        closes = not any(map(sum, zip(*(total for total, _ in atoms.values()))))
+    else:
+        closes = _closes(facets, n)
+    if not closes:
         raise GeometryError("facet area vectors do not close up")
     return facets
 
@@ -494,11 +523,9 @@ def _hyperplane(normal: list, point) -> tuple:
 
 
 def _closes(facets, n: int) -> bool:
-    """Whether the area vectors sum to zero: exactly, or for floats within
-    1e-12 times the summed magnitudes of their components."""
+    """Whether float area vectors sum to zero within 1e-12 times the summed
+    magnitudes of their components."""
     sums = [sum(f.direction[i] for f in facets) for i in range(n)]
-    if linalg.is_exact(sums):
-        return not any(sums)
     size = sum(abs(x) for f in facets for x in f.direction)
     return all(abs(s) <= 1e-12 * size for s in sums)
 

@@ -27,9 +27,9 @@ and ``cleared``, the view (D, ints) that ``linalg.clear_denominators``
 gives for the values, is the totals reduced by their gcd with the
 denominator.  The readers that work in ints take ``keys`` and ``cleared``
 and never ``coeffs``: ``gl_action``, ``shift_expansion``, the McMullen
-decomposition and ``is_zero``, and, on tensors made from int totals,
-``==`` and the checks' residuals (``view_distance``), so a check whose
-values agree builds no ``Fraction``.  A tensor
+decomposition, ``is_zero``, the n-ary sum ``tensor_sum`` and, on tensors
+made from int totals, ``==`` and the checks' residuals (``view_distance``),
+so a check whose values agree builds no ``Fraction``.  A tensor
 given as a map, or holding floats, has its ``coeffs`` at once and its view
 built on first read, once per object, as does ``RMatrix.cleared``:
 ``gl_action`` on one z(K) under several matrices, or one matrix on several
@@ -321,6 +321,27 @@ def view_distance(a: SymTensor, b: SymTensor) -> Fraction | None:
     for k, x in zip(b.keys, right):
         diff[k] = diff.get(k, 0) - x
     return Fraction(max(map(abs, diff.values()), default=0), big)
+
+
+def tensor_sum(values: Sequence[SymTensor]) -> SymTensor:
+    """The sum of one or more tensors of one space, equal to folding them
+    with ``+``.  Exact values are added in one int pass: their views
+    (``SymTensor.cleared``) are brought to their common scale L
+    (``linalg.common_scale``), summed key by key over the union of their
+    keys and made one tensor over L (``from_totals``), so no ``Fraction``
+    is built.  Values holding a float are folded with ``+`` in order, so
+    their rounding is that of pairwise ``+``."""
+    first, *rest = values
+    for t in rest:
+        first._same_space(t)
+    if not all("_totals" in vars(t) or linalg.is_exact(t.coeffs.values()) for t in values):
+        return sum(rest, first)
+    big, views = linalg.common_scale(t.cleared for t in values)
+    totals: dict[MultiIndex, int] = {}
+    for t, (ints,) in zip(values, views):
+        for k, x in zip(t.keys, ints):
+            totals[k] = totals.get(k, 0) + x
+    return SymTensor.from_totals(first.dim, first.rank, list(totals), list(totals.values()), big)
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:

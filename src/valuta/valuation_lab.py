@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .cplx import CMatrix, Subspace, gram_schmidt, realify, span_tol
 from .errors import DimensionMismatch, GeometryError, ValutaError
-from .linalg import cabs2, interpolation_weights
+from .linalg import cabs2, exact_sqrt, interpolation_weights
 from .moment import _shared_passes, moment_tensor
 from .polytope import (
     Polytope,
@@ -53,6 +53,7 @@ from .symtensor import (
     format_rational,
     gl_action,
     shift_expansion,
+    tensor_sum,
     view_distance,
 )
 
@@ -287,18 +288,30 @@ def simplex_probe(l: Subspace) -> Polytope:
                     (tuple(range(j + 1)),))
 
 
+def _gram_root(basis):
+    """sqrt(det G) for the Gram matrix G of the basis rows: the j-volume of
+    the parallelotope they span, exact when det G is a rational square (1
+    on an exact orthonormal basis), else a float."""
+    det = linalg.det([[linalg.dot(a, b) for b in basis] for a in basis])
+    root = exact_sqrt(det) if isinstance(det, Fraction) else None
+    return math.sqrt(max(det, 0)) if root is None else root
+
+
 def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
     """Klain value of a j-homogeneous valuation on a j-dimensional subspace,
     cross-checked on a cube probe and a simplex probe: their values per unit
-    j-volume must agree by the verdict rule, else ``ValutaError``."""
+    j-volume must agree by the verdict rule, else ``ValutaError``.
+
+    Both probes are images of the model cube and simplex under the basis, so
+    their j-volumes are sqrt(det G) and sqrt(det G) / j! (``_gram_root``),
+    taken without walking their cells; det G = 0 raises ``GeometryError``."""
     if l.dim != j:
         raise DimensionMismatch(f"subspace has dimension {l.dim}, expected {j}")
-    results = []
-    for probe in (cube_probe(l), simplex_probe(l)):
-        vj = subspace_volume(probe, l)
-        if vj == 0:
-            raise GeometryError("degenerate probe body")
-        results.append(z(probe).scale(1 / vj))
+    unit = _gram_root(l.basis)
+    if unit == 0:
+        raise GeometryError("degenerate probe body")
+    results = [z(cube_probe(l)).scale(1 / unit),
+               z(simplex_probe(l)).scale(math.factorial(j) / unit)]
     report = _verdict("klain", [(results[0], results[1], {"degree": j})], *l.basis)
     if not report.passed:
         raise ValutaError(
@@ -407,13 +420,16 @@ def surface_pairing(f: Callable, p: Polytope):
 
     By 1-homogeneity that equals the sum of f over the outward area
     vectors, which keeps rational inputs exact.  f may return scalars or
-    tensors.
+    tensors.  Tensor values are summed by ``tensor_sum``, exact ones in one
+    int pass; scalars are added in facet order with ``+``.  A body with no
+    atoms gives None.
     """
-    total = None
-    for facet in surface_area_measure(p):
-        value = f(facet.direction)
-        total = value if total is None else total + value
-    return total
+    values = [f(facet.direction) for facet in surface_area_measure(p)]
+    if not values:
+        return None
+    if all(isinstance(v, SymTensor) for v in values):
+        return tensor_sum(values)
+    return sum(values[1:], values[0])
 
 
 def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:

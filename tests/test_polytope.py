@@ -403,8 +403,9 @@ class TestImportValidation:
             Polytope.from_json_dict(_square_json(self.overlapping))
 
     def test_overlapping_cells_have_no_surface_area_measure(self):
+        """Exact atoms that do not close up are refused on their int totals."""
         body = Polytope(2, unit_square.vertices, tuple(map(tuple, self.overlapping)))
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="do not close up"):
             surface_area_measure(body)
         with pytest.raises(ParseError):
             Polytope.from_json_dict(_square_json(self.overlapping))
@@ -451,12 +452,36 @@ class TestImportValidation:
          "triangulation": [[0, 1, 2]]},
         {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "aux_points": 5,
          "triangulation": [[0, 1, 2]]},
-    ], ids=["no-vertices", "short-vertex", "short-aux-point", "aux-points-not-a-list"])
+        {"dim": 2, "vertices": ["00", "10", "01"]},
+        {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "aux_points": ["11"],
+         "triangulation": [[0, 1, 2]]},
+        {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "triangulation": ["012"]},
+    ], ids=["no-vertices", "short-vertex", "short-aux-point", "aux-points-not-a-list",
+            "string-vertices", "string-aux-point", "string-cell"])
     def test_malformed_points_raise_parse_error(self, data):
-        """No vertex, or a point of the wrong length: ``ParseError``, not the
-        constructor's ``GeometryError`` or ``DimensionMismatch``."""
+        """No vertex, a point of the wrong length, or a vertex or cell that
+        is not a list (a string would be read character by character, and
+        "00", "10", "01" would load as the unit triangle): ``ParseError``,
+        not the constructor's ``GeometryError`` or ``DimensionMismatch``."""
         with pytest.raises(ParseError):
             Polytope.from_json_dict(data)
+
+    @pytest.mark.parametrize("dim, triangulation", [
+        (2.9, None), (2.9, [[0, 1, 2]]), (2.0, [[0, 1, 2]]), ("2", None), (True, None),
+        (2, [[0, 1.7, 2.2]]), (2, [[0, 1.0, 2]]), (2, [[0, "1", 2]]), (2, [[False, 1, 2]]),
+    ], ids=["dim-2.9", "dim-2.9-cells", "dim-2.0", "dim-string", "dim-bool",
+            "index-1.7", "index-1.0", "index-string", "index-bool"])
+    def test_non_integer_dim_or_index_raises_parse_error(self, dim, triangulation):
+        """``dim`` and triangulation indices must be JSON integers: int()
+        would truncate dim 2.9 and indices [0, 1.7, 2.2] to the triangle
+        ((0, 1, 2),) in R^2."""
+        data = {"dim": dim, "vertices": [[0, 0], [1, 0], [0, 1]]}
+        if triangulation is not None:
+            data["triangulation"] = triangulation
+        with pytest.raises(ParseError, match="integer"):
+            Polytope.from_json_dict(data)
+        assert Polytope.from_json_dict({**data, "dim": 2, "triangulation": [[0, 1, 2]]}) \
+            == std_triangle
 
     @pytest.mark.parametrize("data", [5, None, "x", [], [("dim", 2)]])
     def test_non_mapping_raises_parse_error(self, data):

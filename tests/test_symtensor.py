@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from valuta.symtensor import (
     shift_expansion,
     sym_product,
     tensor_dim,
+    tensor_sum,
     vector_power,
     view_distance,
 )
@@ -427,3 +429,50 @@ def test_tensors_from_totals_compare_on_their_views():
     assert a.scale(F(-2, 3)) == SymTensor.from_totals(2, 2, keys, [-2, 0, 3], 6)
     floats = SymTensor.from_totals(2, 1, [(1, 0), (0, 1)], [1.5, 0], 3)
     assert "coeffs" in vars(floats) and floats.coeffs == {(1, 0): 0.5}
+
+
+@settings(max_examples=30, deadline=None)
+@given(xs=st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=6),
+       r=st.integers(min_value=0, max_value=3))
+def test_tensor_sum_equals_pairwise_sum(xs, r):
+    """Vector powers with mixed denominators, and each one's negation after
+    them: the one int pass gives what folding with + gives, to the
+    coefficient, builds no Fraction, and the full list cancels to zero."""
+    values = [vector_power(x, r) for x in xs]
+    total = tensor_sum(values)
+    assert "coeffs" not in vars(total)
+    assert total.coeffs == reduce(SymTensor.__add__, values).coeffs
+    zero = tensor_sum(values + [-v for v in values])
+    assert zero.is_zero() and zero == SymTensor.zero(3, r) and zero.keys == ()
+
+
+def test_tensor_sum_of_maps_totals_and_scalars():
+    """Tensors given as maps beside tensors made from totals, a single value
+    and rank-0 scalars all sum as pairwise + does."""
+    values = [vector_power((F(1, 3), F(-2, 5)), 2), t(2, 2, {(2, 0): F(1, 7), (1, 1): F(-3, 4)}),
+              SymTensor.from_totals(2, 2, [(0, 2), (1, 1)], [7, 5], 9), t(2, 2, {(0, 2): 2})]
+    assert tensor_sum(values).coeffs == reduce(SymTensor.__add__, values).coeffs
+    assert tensor_sum(values[1:2]) == values[1]
+    scalars = [SymTensor.scalar(2, F(1, 3)), SymTensor.scalar(2, F(1, 6))]
+    assert tensor_sum(scalars) == SymTensor.scalar(2, F(1, 2))
+    assert tensor_sum(scalars + [SymTensor.scalar(2, F(-1, 2))]).is_zero()
+
+
+def test_tensor_sum_of_floats_is_the_pairwise_fold():
+    """A value holding a float sends the sum through + in order, so the
+    coefficients are the pairwise fold's to the bit."""
+    values = [vector_power((0.1, 0.7), 2), vector_power((F(1, 3), 1), 2),
+              t(2, 2, {(2, 0): 1e-17, (0, 2): 0.3})]
+    fold = reduce(SymTensor.__add__, values)
+    total = tensor_sum(values)
+    assert repr(sorted(total.coeffs.items())) == repr(sorted(fold.coeffs.items()))
+
+
+@pytest.mark.parametrize("values", [
+    [vector_power((1, 2), 2), vector_power((1, 2), 1)],
+    [vector_power((1, 2), 2), vector_power((1, 2, 3), 2)],
+    [vector_power((0.5, 2), 2), vector_power((1, 2), 1)],
+], ids=["ranks", "dims", "float-ranks"])
+def test_tensor_sum_refuses_mixed_spaces(values):
+    with pytest.raises(DimensionMismatch):
+        tensor_sum(values)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,35 @@ class TestKlain:
 
         assert subspace_volume(cube_probe(l), l) == 1
         assert subspace_volume(simplex_probe(l), l) == F(1, 2)
+
+    def test_degenerate_probe_rejected(self):
+        """A basis with det G = 0 spans no j-dimensional probe."""
+        l = Subspace(4, ((1, 0, 0, 0), (2, 0, 0, 0)))
+        with pytest.raises(GeometryError, match="degenerate probe body"):
+            klain(span_lebesgue_valuation(4, 2), 2, l)
+
+
+@pytest.mark.parametrize("l", [
+    Subspace.from_orthonormal([(F(3, 5), 0, F(4, 5), 0, 0, 0), (0, 0, 0, 0, 1, 0),
+                               (F(-4, 5), 0, F(3, 5), 0, 0, 0)]),
+    Subspace.from_orthonormal([(F(2, 3), F(1, 3), F(2, 3), 0), (F(-2, 3), F(2, 3), F(1, 3), 0)]),
+    sample_subspace(3, 5, 11),
+    sample_subspace(3, 2, 13),
+    sample_subspace(2, 3, 12),
+], ids=["exact-3", "exact-2", "float-5", "float-2", "float-3"])
+def test_probe_volumes_are_model_volumes_times_gram_root(l):
+    """The probes' j-volumes, which ``klain`` takes without walking their
+    cells, are the model cube's and simplex's times sqrt(det G), G the
+    basis Gram matrix: exactly 1 and 1/j! on an exact orthonormal subspace,
+    within 1e-12 on a sampled one (det G by numpy)."""
+    b = np.array([[float(x) for x in v] for v in l.basis])
+    root = F(1) if l.exact else math.sqrt(np.linalg.det(b @ b.T))
+    for probe, model in ((cube_probe(l), 1), (simplex_probe(l), F(1, math.factorial(l.dim)))):
+        vol = subspace_volume(probe, l)
+        if l.exact:
+            assert vol == model and type(vol) is F
+        else:
+            assert abs(vol - model * root) <= 1e-12
 
 
 @pytest.mark.parametrize("l", [
@@ -350,6 +380,28 @@ class TestSurfacePairing:
     def test_tensor_valued_linear_zero(self):
         out = surface_pairing(lambda v: SymTensor.from_vector(v), std_triangle)
         assert out.is_zero()
+
+    @pytest.mark.parametrize("f", [lambda v: vector_power(v, 2), lambda v: v[0] * v[1] - 3 * v[2]],
+                             ids=["square", "scalar"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_pairing_is_the_fold_over_the_atoms(self, f, exact):
+        """Exact tensor values are summed in one int pass and build no
+        Fraction; float tensor values and scalars are added with + in facet
+        order.  Each equals the fold of f over the atoms, float bits too."""
+        body = linear_image(RMatrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 1, F(-2, 3)], [0, 0, 0, 1]]),
+                            crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0),
+                                           (0, 0, F(3, 7), 1), (F(1, 5), 0, 0, 1)]))
+        if not exact:
+            body = Polytope(4, tuple(tuple(map(float, v)) for v in body.vertices),
+                            body.triangulation)
+        values = [f(atom.direction) for atom in surface_area_measure(body)]
+        fold = sum(values[1:], values[0])
+        out = surface_pairing(f, body)
+        if isinstance(fold, SymTensor):
+            assert ("coeffs" not in vars(out)) == exact
+            out, fold = sorted(out.coeffs.items()), sorted(fold.coeffs.items())
+        assert repr(out) == repr(fold)
 
 
 class TestTransfer:
