@@ -18,7 +18,7 @@ Gram-Schmidt, ``gram_schmidt``, exact for rational vectors and in floats
 otherwise.  The exact path follows ``linalg``: the vectors are cleared of
 denominators once, projections run in Python ints on primitive directions,
 and a ``Fraction`` is built only for each unit vector returned, so the
-adapted basis and the orthonormality check of ``Subspace.from_orthonormal``
+adapted basis and the orthonormality check ``linalg.check_orthonormal``
 take no ``Fraction`` dot product.  numpy is used only for sampling and for
 the two float rank decisions (``complex_rank`` and the nullspace in
 ``adapted_basis``), which read singular values against ``RANK_TOL`` and
@@ -202,20 +202,11 @@ class Subspace:
 
     @staticmethod
     def from_orthonormal(basis: Sequence[Sequence]) -> "Subspace":
-        """A subspace on the given basis, checked to be orthonormal: exactly
-        for an exact basis, cleared of denominators (D) once so that B B^T
-        is compared with D^2 I in ints, and within 1e-9 for a float one."""
+        """A subspace on the given basis, checked to be orthonormal by
+        ``linalg.check_orthonormal``."""
         basis = tuple(tuple(v) for v in basis)
         out = Subspace(len(basis[0]), basis)
-        if out.exact:
-            d, rows = linalg.clear_denominators(out.basis)
-            ok = all(linalg.dot(u, v) == (d * d if k == 0 else 0)
-                     for i, u in enumerate(rows) for k, v in enumerate(rows[i:]))
-        else:
-            ok = all(abs(linalg.dot(u, v) - (i == k)) <= 1e-9
-                     for i, u in enumerate(out.basis) for k, v in enumerate(out.basis))
-        if not ok:
-            raise GeometryError("basis is not orthonormal")
+        linalg.check_orthonormal(out.basis)
         return out
 
     @staticmethod

@@ -23,7 +23,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GeometryError
 
 Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
@@ -105,6 +105,18 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
         return 1, [[float(x) for x in row] for row in rows]
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return d, [[int(x.numerator) * (d // int(x.denominator)) for x in row] for row in rows]
+
+
+def check_orthonormal(rows: Sequence[Sequence]) -> None:
+    """Raise ``GeometryError`` unless the rows are orthonormal: exactly for
+    rational rows, cleared of denominators (D) once so that B B^T is compared
+    with D^2 I in ints, and within 1e-9 for float ones (D = 1)."""
+    exact = is_exact(x for row in rows for x in row)
+    d, rows = clear_denominators(rows) if exact else (1, rows)
+    tol = 0 if exact else 1e-9
+    if any(abs(sum(map(operator.mul, u, v)) - (d * d if k == i else 0)) > tol
+           for i, u in enumerate(rows) for k, v in enumerate(rows[i:], i)):
+        raise GeometryError("basis is not orthonormal")
 
 
 def common_scale(views) -> tuple[int, list[list[list]]]:

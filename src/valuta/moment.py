@@ -22,13 +22,32 @@ become a tensor over (n + r)! D^(n + r) through ``SymTensor.from_totals``:
 the tensor is its integer view, and its ``Fraction`` coefficients are built
 only when ``coeffs`` is read.
 
-Neighbouring cells share most of their vertices, so the cells are walked in
-sorted order as a prefix tree: a stack keeps h_0..h_r after each prefix of
-the last cell, and a cell reuses the state of its longest common prefix
-with it, running the recurrence only for the vertices after that prefix.
-At a leaf, |det E| times the state is added to the totals.  Any order of
-cells, and of the vertices in a cell, gives the same sums: h_r is symmetric
-in the vertices, and |det E| does not depend on which vertex is the base.
+h_0..h_r of a cell are the degrees of the product over its vertices of the
+geometric series 1/(1 - <v, e>) cut at degree r, one factor being one
+geometric step (r ``mul_form``s).  The totals sum |det E| times it over the
+cells' vertex words, taken in sorted order, on one of two walks:
+
+- Bottom-up on the words' minimal DAG, equal suffixes merged (Daciuk,
+  Mihov, Watson and Watson, Comput. Linguist. 26, 2000), when r >= 2 and
+  two cells end in the same vertex with the same |det E|: two subtrees can
+  be equal only then, and at r = 1 a geometric step costs less than the
+  DAG's bookkeeping for the node it saves.  Flat cells do not count, so a
+  body of flat cells alone takes the tree and sums to zero.  A node closes
+  when the walk leaves it: with one edge and no weight it folds into its
+  parent's edge as a chain of vertices, else it is registered by its
+  weight (the summed |det E| of the cells ending there) and its edges, so
+  equal subtrees are one node.  Each distinct (chain, node) costs the
+  chain's geometric steps once, in word order, and a node's value is its
+  weight plus the sum of its edges' values.
+- Otherwise, as for a lone simplex or a polygon's fan, top-down on the
+  words' prefix tree: a stack keeps h_0..h_r after each prefix of the last
+  cell, a cell steps only through the vertices after its longest common
+  prefix with it, and at a leaf |det E| times the state joins the totals.
+
+Any order of cells, and of the vertices in a cell, gives the same sums: h_r
+is symmetric in the vertices, and |det E| does not depend on which vertex is
+the base.  Float bodies run through the same sums in floats with D = 1, on
+the DAG in another order than on the tree.
 
 The determinants come from the same walk, ``polytope.cell_dets``, which
 also serves ``volume``, the import checks and ``subspace_volume``: a cell
@@ -37,16 +56,17 @@ the exterior product of its edges, built one edge per shared prefix; every
 other cell, a lone simplex or a triangle of a polygon's fan, costs one
 Bareiss determinant, and a flat cell (det E = 0) adds nothing.
 ``polytope.box`` lists each Kuhn cell as lo, hi, then the inner vertices of
-its chain, so a Kuhn n-box takes 2 + sum_k n!/(n - k)!, k = 1..n-1,
-recurrence steps per degree (42 on a 4-box, 207 on a 5-box; n! (n + 1)
-without the tree) and 1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps; a
-crosspolytope on j vectors, pulled from +v_1 into 2^(j - 1) cells, takes 2^j
-recurrence steps per degree (2^(j - 1) (j + 1) without the tree) and
-2^(j - 1) - 1 exterior steps.  Neither calls Bareiss.  Float bodies run
-through the same sums in floats with D = 1.  The pass holds every h_d,
-d <= r, so ``moment_family`` returns M^r, ..., M^0 from it; inside a
-``_shared_passes`` scope (one ``valuation_lab.verify_covariance`` call)
-``moment_tensor`` keeps each body's family, looked up by identity.
+its chain, whose rest depends only on its last vertex, so a Kuhn n-box
+takes 2^n geometric steps per degree on the DAG (16 on a 4-box, 32 on a
+5-box; 2 + sum_k n!/(n - k)!, k = 1..n-1, 42 and 207, on the tree) and
+1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps; a crosspolytope on j
+vectors, pulled from +v_1 into 2^(j - 1) cells, takes 2j geometric steps
+per degree (2^j on the tree) and 2^(j - 1) - 1 exterior steps.  Neither
+calls Bareiss.  A simplex takes n + 1 geometric steps per degree and a fan
+of m triangles 1 + 2m.  The pass holds every h_d, d <= r, so
+``moment_family`` returns M^r, ..., M^0 from it; inside a ``_shared_passes``
+scope (one ``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps
+each body's family, looked up by identity.
 """
 
 from __future__ import annotations
@@ -62,21 +82,13 @@ from .symtensor import SymTensor, monomial_tables, mul_form
 from .symtensor import sym_product  # noqa: F401
 
 
-def _moment_totals(view: tuple[int, Sequence], cells: Sequence[Sequence[int]],
-                   n: int, r: int, lo: int) -> list[list]:
-    """Sums over the full-dimensional cells of the closed form, one list per
-    degree r, r - 1, ..., lo, in ``monomial_tables`` order, from one
-    prefix-tree walk (module docstring) on the points' integer view
-    (D, pts), with |det E| from ``polytope.cell_dets``."""
-    _, pts = view
-    levels, steps, _ = monomial_tables(n, r)
-    forms = [[(t, x) for t, x in enumerate(p) if x] for p in pts]
-    totals = [[0] * len(level) for level in levels[lo:]]
-    # stack[k] holds h_0..h_r of the first k vertices of the last cell; a
-    # flat cell is skipped with the stack cut back to its common prefix k
-    # with the cell before, and the next cell pushes from the stack's depth.
-    stack = [[[1]] + [[0] * len(level) for level in levels[1:]]]
-    for cell, d, k in cell_dets(view, cells, n):
+def _trie_totals(walk, forms, steps, unit, lo) -> list[list]:
+    """The totals of degrees lo..r on the prefix tree (module docstring).  A
+    flat cell cuts the stack back to its common prefix k with the cell
+    before, and the next cell pushes from the stack's depth."""
+    totals = [[0] * len(hd) for hd in unit[lo:]]
+    stack = [unit]
+    for cell, d, k in walk:
         del stack[k + 1:]
         if d == 0:
             continue
@@ -86,7 +98,70 @@ def _moment_totals(view: tuple[int, Sequence], cells: Sequence[Sequence[int]],
                 mul_form(h[deg], step, forms[i], h[deg + 1])
             stack.append(h)
         totals = [[a + d * b for a, b in zip(t, hd)] for t, hd in zip(totals, stack[-1][lo:])]
-    return totals[::-1]
+    return totals
+
+
+def _dag_totals(walk: list, forms, steps, unit, lo) -> list[list]:
+    """The totals of degrees lo..r on the minimal DAG (module docstring).
+    A node's value is the sum over its suffixes of their leaf weight times
+    their vertices' geometric series."""
+    nodes: dict[tuple, int] = {}  # (weight, edges) -> index in values
+    values: list[list] = []
+    chained: dict[tuple, list] = {}  # (chain, node) -> the chain's series times h
+
+    def value(weight, edges):
+        parts = [[[weight]] + unit[1:]] if weight else []
+        for edge in edges:
+            if edge not in chained:
+                h = values[edge[1]]
+                for i in edge[0]:
+                    h = [list(hd) for hd in h]
+                    for deg, step in enumerate(steps):
+                        mul_form(h[deg], step, forms[i], h[deg + 1])
+                chained[edge] = h
+            parts.append(chained[edge])
+        return [list(map(sum, zip(*hds))) for hds in zip(*parts)]
+
+    # open_[k] is [vertex, weight, edges] of the node after the first k
+    # vertices of the last cell, open_[0] the root's.  The walk ends with a
+    # flat cell that shares no prefix, which closes every node but the root.
+    open_ = [[None, 0, []]]
+    for cell, d, k in walk + [((), 0, 0)]:
+        while len(open_) > k + 1:
+            label, weight, edges = open_.pop()
+            if weight or len(edges) > 1:
+                key = weight, tuple(edges)
+                if key not in nodes:
+                    nodes[key] = len(values)
+                    values.append(value(weight, edges))
+                open_[-1][2].append(((label,), nodes[key]))
+            else:
+                chain, node = edges[0]
+                open_[-1][2].append(((label, *chain), node))
+        if d:
+            open_.extend([i, 0, []] for i in cell[len(open_) - 1:])
+            open_[-1][1] += d
+    return value(0, open_[0][2])[lo:]
+
+
+def _moment_totals(view: tuple[int, Sequence], cells: Sequence[Sequence[int]],
+                   n: int, r: int, lo: int) -> list[list]:
+    """Sums over the full-dimensional cells of the closed form, one list per
+    degree r, r - 1, ..., lo, in ``monomial_tables`` order, on the points'
+    integer view (D, pts) with |det E| from ``polytope.cell_dets``: on the
+    cells' minimal DAG when r >= 2 and two of them end in the same vertex
+    with the same |det E|, else on their prefix tree (module docstring)."""
+    _, pts = view
+    levels, steps, _ = monomial_tables(n, r)
+    forms = [[(t, x) for t, x in enumerate(p) if x] for p in pts]
+    unit = [[1]] + [[0] * len(level) for level in levels[1:]]
+    walk = cell_dets(view, cells, n)
+    if r >= 2 and len(cells) > 1:
+        walk = list(walk)
+        ends = [(cell[-1], d) for cell, d, _ in walk if d]
+        if len(set(ends)) < len(ends):
+            return _dag_totals(walk, forms, steps, unit, lo)[::-1]
+    return _trie_totals(walk, forms, steps, unit, lo)[::-1]
 
 
 @dataclass(frozen=True)

@@ -538,11 +538,13 @@ def subspace_volume(p: Polytope, subspace):
     dimension, computed in coordinates of its orthonormal basis.
 
     ``subspace`` is anything with an orthonormal ``basis`` attribute, or the
-    basis itself.  Exact for exact bases, float otherwise; a float point
-    lies in the subspace when its residual is at most 1e-8 of its length.
+    basis itself, checked by ``linalg.check_orthonormal``.  Exact for exact
+    bases, float otherwise; a float point lies in the subspace when its
+    residual is at most 1e-8 of its length.
     """
     basis = getattr(subspace, "basis", subspace)
     basis = [tuple(b) for b in basis]
+    linalg.check_orthonormal(basis)
     j = len(basis)
     exact = linalg.is_exact(x for b in basis for x in b)
     coords = []

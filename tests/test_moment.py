@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -25,7 +26,13 @@ from valuta.polytope import (
     volume,
 )
 from valuta.symtensor import RMatrix, SymTensor, gl_action, shift_expansion
-from valuta.valuation_lab import Valuation, cube_probe, moment_valuation, verify_covariance
+from valuta.valuation_lab import (
+    Valuation,
+    cube_probe,
+    moment_valuation,
+    rehomogeneity_check,
+    verify_covariance,
+)
 
 F = Fraction
 
@@ -579,16 +586,117 @@ def test_float_body_walks_like_its_exact_twin(make):
             assert error <= 1e-12 * size and error <= 1e-12 * max(1, abs(want.coeff(key)))
 
 
+# -- bodies whose cells end alike take the minimal DAG --------------------------------------
+
+
+def _cell_sum(body, s):
+    """M^s as the sum over the body's cells, each its own simplex; a flat
+    cell adds nothing and a repeated one adds again."""
+    total = SymTensor.zero(body.dim, s)
+    for c in body.triangulation:
+        pts = [body.vertices[i] for i in c]
+        if linalg.det([[a - b for a, b in zip(v, pts[0])] for v in pts[1:]]):
+            total = total + moment_tensor(simplex(pts), s).tensor
+    return total
+
+
+def _parallelogram_fan():
+    """Four triangles of equal area coned from a parallelogram's centre,
+    vertex 4: every cell ends in 4 with the same |det E| after a different
+    prefix, so the DAG shares only their leaf."""
+    p, a, b = (F(1, 3), F(-1, 2)), (F(5, 2), F(1, 3)), (F(-2, 3), F(7, 4))
+    corners = [p, tuple(map(operator.add, p, a)), tuple(x + y + z for x, y, z in zip(p, a, b)),
+               tuple(map(operator.add, p, b))]
+    centre = tuple(x + (y + z) / 2 for x, y, z in zip(p, a, b))
+    return Polytope(2, tuple(corners) + (centre,), ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)))
+
+
+def _unequal_siblings():
+    """(0, 1, 2) and (0, 1, 3) share (0, 1) with |det E| 11 and 17, so that
+    node sums children of different weights; (4, 5, 2) is (0, 1, 2) with
+    its base slid along its own line, ending in 2 with |det E| 11 too."""
+    verts = ((0, 0), (3, 1), (1, 4), (2, -5), (F(3, 2), F(1, 2)), (F(9, 2), F(3, 2)))
+    return Polytope(2, tuple(tuple(map(F, v)) for v in verts), ((0, 1, 2), (0, 1, 3), (4, 5, 2)))
+
+
+def _box_with_repeat_and_flat():
+    """A Kuhn 3-box with (0, 7, 2, 6) listed twice and the flat (0, 7, 1, 6)
+    between (0, 7, 1, 5) and (0, 7, 2, 3) in sorted order."""
+    body = box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2])
+    assert (0, 7, 2, 6) in body.triangulation
+    return _with_cells(body, body.triangulation + ((0, 7, 2, 6), (0, 7, 1, 6)))
+
+
+def _dag_calls(monkeypatch):
+    calls = []
+    real = moment._dag_totals
+    monkeypatch.setattr(moment, "_dag_totals", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("make,r", [
+    (_parallelogram_fan, 4),
+    (_unequal_siblings, 4),
+    (_imported_cube, 3),
+    (_box_with_repeat_and_flat, 4),
+], ids=["leaf-merge-only", "unequal-siblings", "imported-cube3", "box3-repeat-and-flat"])
+def test_dag_sums_like_the_cells(monkeypatch, make, r):
+    """Bodies with two cells that end in the same vertex with the same
+    |det E| take the DAG, and give the exact sum over their cells."""
+    body = make()
+    dag = _dag_calls(monkeypatch)
+    family = moment_family(body, r)
+    assert dag == [1]
+    assert family == [_cell_sum(body, s) for s in range(r, -1, -1)]
+    assert family[-1].coeff(()) == volume(body)
+
+
+@pytest.mark.parametrize("make,r,lo,dag", [
+    (lambda: box([F(-1, 2), F(1, 3), 0, F(-7, 5)], [F(5, 3), 2, F(3, 7), 1]), 3, 1, True),
+    (lambda: translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 1, F(-2, 5), 0), (0, 0, 1, F(3, 2)),
+                                      (0, 0, 0, F(5, 7))]), (F(1, 3), F(-1, 2), 0, F(2, 9))), 4, 2,
+     True),
+    (lambda: box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), 4, 4, True),
+    (lambda: box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), 1, 0, False),
+    (lambda: polygon([(0, 0), (F(9, 2), F(1, 3)), (5, 3), (F(3, 2), F(11, 2)), (-1, 2)]), 4, 2,
+     False),
+], ids=["box4-3..1", "off-centre-cross4-4..2", "box3-4..4", "box3-1..0", "polygon5-4..2"])
+def test_families_from_lo_sum_like_the_cells(monkeypatch, make, r, lo, dag):
+    """``moment_family(body, r, lo)`` on either walk: M^r..M^lo as the sums
+    over the cells.  The walk is chosen by the cells' ends and by r alone: at
+    r = 1 a Kuhn box keeps the prefix tree."""
+    body = make()
+    calls = _dag_calls(monkeypatch)
+    family = moment_family(body, r, lo)
+    assert calls == ([1] if dag else [])
+    assert family == [_cell_sum(body, s) for s in range(r, lo - 1, -1)]
+
+
+@pytest.mark.parametrize("zero", [0, 0.0], ids=["exact", "float"])
+def test_a_body_of_flat_cells_alone_has_zero_moments(monkeypatch, zero):
+    """A Kuhn box scaled by 0 keeps its six cells, which end in only three
+    vertices, all with det E = 0: flat cells do not choose the DAG, and the
+    tree sums them to zero."""
+    body = scale(box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), zero)
+    calls = _dag_calls(monkeypatch)
+    family = moment_family(body, 3)
+    assert calls == []
+    assert family == [SymTensor.zero(3, s) for s in range(3, -1, -1)]
+    assert moment_tensor(scale(cube(3), zero), 2).tensor == SymTensor.zero(3, 2)
+    report = rehomogeneity_check(moment_valuation(3, 2), cube(3), zero)
+    assert report.passed and report.max_residual == 0
+
+
 def _cross(j):
     return crosspolytope([[F(int(i == k)) for k in range(j)] for i in range(j)])
 
 
 @pytest.mark.parametrize("make,r,steps,wedges,dets", [
-    (lambda: cube(4), 3, 3 * 42, 17, 0),
-    (lambda: cube(4), 2, 2 * 42, 17, 0),
-    (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 3 * 207, 86, 0),
-    (lambda: _cross(6), 2, 2 * 64, 31, 0),
-    (lambda: _cross(3), 4, 4 * 8, 3, 0),
+    (lambda: cube(4), 3, 3 * 16, 17, 0),
+    (lambda: cube(4), 2, 2 * 16, 17, 0),
+    (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 3 * 32, 86, 0),
+    (lambda: _cross(6), 2, 2 * 12, 31, 0),
+    (lambda: _cross(3), 4, 4 * 6, 3, 0),
     (lambda: std_triangle, 4, 4 * 3, 0, 1),
     (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 3 * 6,
      0, 1),
@@ -596,10 +704,13 @@ def _cross(j):
 ], ids=["cube4-r3", "cube4-r2", "box5-r3", "cross6-r2", "cross3-r4", "triangle-r4", "simplex5-r3",
         "polygon7-r2"])
 def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps, wedges, dets):
-    """The h-recurrence runs r times per distinct vertex prefix: 2 + sum_k
-    n!/(n - k)!, k = 1..n-1, prefixes for a Kuhn n-box, 2^j for a
-    crosspolytope on j vectors, n + 1 for a simplex, 1 + 2m for a fan of m
-    triangles.  The exterior products run once per prefix of 2..n vertices
+    """At r >= 2 the h-recurrence runs r times per distinct chain vertex of
+    the cells' minimal DAG on bodies whose cells end in the same vertex with
+    the same |det E|: 2^n for a Kuhn n-box (lo, hi and one per inner vertex),
+    2j for a crosspolytope on j vectors (+-v_1, then both signs of each later
+    vector).  Other bodies keep the prefix tree, r steps per distinct vertex
+    prefix: n + 1 for a simplex, 1 + 2m for a fan of m triangles.  The
+    exterior products run once per prefix of 2..n vertices
     on a Kuhn box (1 + sum_k n!/(n - k)!, k = 1..n-2) and a crosspolytope
     (2^(j-1) - 1), whose cells all share their first n vertices with a
     neighbour, so neither calls Bareiss; a lone simplex and a fan, whose

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import centre_cone_crosspolytope
 from valuta import linalg, polytope
-from valuta.cplx import gram_schmidt, sample_subspace
+from valuta.cplx import Subspace, gram_schmidt, sample_subspace
 from valuta.errors import GeometryError, ParseError
 from valuta.moment import moment_family
 from valuta.polytope import (
@@ -302,6 +302,26 @@ class TestSubspaceVolume:
                        ((0, 1, 2, 3),))
         with pytest.raises(GeometryError, match="does not lie"):
             subspace_volume(tet, l)
+
+    @pytest.mark.parametrize("basis", [
+        ((1, 0, 0, 0), (0, 2, 0, 0)),
+        ((1, 0, 0, 0), (F(1, 2), 1, 0, 0)),
+        ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0 + 1e-8, 0.0, 0.0)),
+        ((1.0, 0.0, 0.0, 0.0), (1e-8, 1.0, 0.0, 0.0)),
+    ], ids=["exact-long", "exact-skew", "float-long", "float-skew"])
+    def test_rejects_a_basis_that_is_not_orthonormal(self, basis):
+        """A hand-built ``Subspace`` is not checked on construction: on a
+        basis that is not orthonormal, ``subspace_volume`` refuses the
+        subspace's own cube probe for the basis, not for the probe."""
+        l = Subspace(4, basis)
+        with pytest.raises(GeometryError, match="basis is not orthonormal"):
+            subspace_volume(cube_probe(l), l)
+        with pytest.raises(GeometryError, match="basis is not orthonormal"):
+            subspace_volume(cube_probe(l), basis)
+
+    def test_orthonormal_basis_within_float_tolerance_is_accepted(self):
+        l = Subspace(4, ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0 + 1e-12, 0.0, 0.0)))
+        assert subspace_volume(cube_probe(l), l) == pytest.approx(1, abs=1e-9)
 
 
 class TestMixedVolumePairing:
