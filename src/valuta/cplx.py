@@ -36,9 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, GeometryError, NumericalRankError, ValutaError
+from .errors import DimensionMismatch, GeometryError, NumericalRankError, ParseError, ValutaError
 from .linalg import CNum, cdet, cmul, cnum, crank
-from .symtensor import RMatrix, format_rational, parse_rational
+from .symtensor import RMatrix, _json_int, _json_list, format_rational, parse_rational
 
 RANK_TOL = 1e-8
 AMBIGUITY_BAND = 1e2
@@ -126,11 +126,15 @@ class CMatrix:
 
     @staticmethod
     def from_json_dict(data) -> "CMatrix":
-        rows = [
-            [(parse_rational(e["re"]), parse_rational(e["im"])) for e in row]
-            for row in data["entries"]
-        ]
-        return CMatrix.from_rows(rows)
+        """The matrix ``to_json_dict`` wrote; malformed input raises ``ParseError``."""
+        try:
+            rows = [[(parse_rational(e["re"]), parse_rational(e["im"])) for e in _json_list(row)]
+                    for row in _json_list(data["entries"])]
+            if _json_int(data.get("m", len(rows))) != len(rows):
+                raise ParseError(f"m = {data['m']} but {len(rows)} rows")
+            return CMatrix.from_rows(rows)
+        except (KeyError, TypeError, DimensionMismatch) as exc:
+            raise ParseError(f"bad complex matrix JSON: {exc}") from exc
 
 
 def j_matrix(m: int) -> RMatrix:

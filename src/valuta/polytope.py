@@ -68,7 +68,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
 from .linalg import Vec, exact_sqrt, vec
-from .symtensor import RMatrix, format_rational, mul_form, parse_rational
+from .symtensor import RMatrix, _json_int, _json_list, format_rational, mul_form, parse_rational
 
 
 @dataclass(frozen=True)
@@ -165,22 +165,6 @@ class Polytope:
                 raise ParseError(f"bad untriangulated body: {exc}") from exc
         _check_import(p)
         return p
-
-
-def _json_int(x) -> int:
-    """A JSON integer as an int; a float, a string or a bool raises
-    ``ParseError`` rather than being truncated or read as 0 or 1."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(f"expected an integer, got {x!r}")
-    return x
-
-
-def _json_list(x) -> list:
-    """A JSON array; anything else, a string included, raises
-    ``ParseError`` rather than being read item by item."""
-    if not isinstance(x, (list, tuple)):
-        raise ParseError(f"expected a list, got {x!r}")
-    return x
 
 
 def _check_import(p: Polytope) -> None:

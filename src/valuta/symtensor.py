@@ -7,9 +7,15 @@ usual 1/r! normalization of the symmetric product, multiplying two basis
 elements just adds their multi-indices, so the symmetric product of tensors
 is a convolution of coefficient maps (polynomial multiplication).
 
-Coefficients are ``Fraction`` by default; floats are tolerated so that
-harness code can divide by floating normalizations, but nothing in this
-module introduces them.  Rank-0 tensors carry the single empty key ``()``.
+A tensor is one form in both modes: ``keys``, the multi-indices of its
+nonzero coefficients, and beside them totals over one denominator, ints over
+an int for an exact tensor and float values over 1 for a float one.
+``exact`` is read once, when the tensor is made, by one of two constructors:
+``SymTensor(dim, rank, coeffs)`` validates the map, merges duplicate keys,
+drops zeros and clears the values of denominators once (a map holding a
+float gives a float tensor), and ``from_totals`` takes int or float sums
+over a denominator as they are, dropping zeros.  Rank-0 tensors carry the
+single empty key ``()``.
 
 A tensor is a polynomial in e_1..e_n, so the GL(n) action is the
 substitution e_i -> phi(e_i) and a vector power the power of one linear
@@ -20,38 +26,39 @@ degree-d coefficient vector times a linear form, over the index tables of
 denominators once, the sums run in Python ints and each coefficient is
 divided once; floats run the same sums with scale 1 and stay floats.
 
-An exact value is its integer view.  Int sums over one denominator become a
-tensor only through ``SymTensor.from_totals``, which keeps them as they
-are: ``coeffs``, the ``Fraction`` map, is built the first time it is read,
-and ``cleared``, the view (D, ints) that ``linalg.clear_denominators``
-gives for the values, is the totals reduced by their gcd with the
-denominator.  The readers that work in ints take ``keys`` and ``cleared``
-and never ``coeffs``: ``gl_action``, ``shift_expansion``, the McMullen
-decomposition, ``is_zero``, the n-ary sum ``tensor_sum`` and, on tensors
-made from int totals, ``==`` and the checks' residuals (``view_distance``),
-so a check whose values agree builds no ``Fraction``.  A tensor
-given as a map, or holding floats, has its ``coeffs`` at once and its view
-built on first read, once per object, as does ``RMatrix.cleared``:
-``gl_action`` on one z(K) under several matrices, or one matrix on several
-tensors and bodies, clears each only the first time.
-
-``SymTensor(...)`` validates keys and drops zeros; ``SymTensor._trusted``
-and ``from_totals`` skip both, so they take only keys that are length-
-``dim`` multi-indices of degree ``rank`` (``()`` at rank 0), and
-``_trusted`` only nonzero values.
+An exact value is its integer view ``cleared``, (D, ints), the totals
+reduced by their gcd with the denominator, as ``linalg.clear_denominators``
+gives it for the values; ``coeffs``, the map of ``Fraction``s or floats, is
+built only when read.  Each is built once per object, as is
+``RMatrix.cleared``.  Every reader but ``coeff``, hashing and serialization
+works on the keys and views: ``gl_action``, ``shift_expansion``,
+``sym_product``, ``-``, ``scale``, the sum ``tensor_sum`` (``+`` is the sum
+of two), ``max_abs_coeff``, the McMullen decomposition, ``==`` of exact
+tensors and the residual ``view_distance`` of every check, so exact work
+whose values agree builds no ``Fraction``.  Beside a float, an exact value
+enters as x / D, which is float(Fraction(x, D)) bit for bit, so floats round
+as the same arithmetic on the ``Fraction`` map would.
 
 Tensor JSON: ``{"dim": n, "rank": r, "coeffs": {"a1,a2,...,an": "p/q"}}``
-with keys ordered lexicographically and rationals in lowest terms.
+with keys ordered lexicographically and rationals in lowest terms.  ``dim``
+and ``rank`` are JSON integers, ``coeffs`` an object, each key numerals
+without leading zeros joined by commas (``""`` at rank 0) and each value a
+rational string or number; anything else, or a key the constructor refuses,
+raises ``ParseError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import operator
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, ParseError
@@ -70,10 +77,41 @@ def format_rational(q) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    """A rational from a string or a JSON number; a bool raises
+    ``ParseError`` rather than being read as 0 or 1."""
     try:
+        if isinstance(s, bool):
+            raise TypeError("a bool is no rational")
         return Fraction(s)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"bad rational {s!r}") from exc
+
+
+def _json_int(x) -> int:
+    """A JSON integer as an int; a float, a string or a bool raises
+    ``ParseError`` rather than being truncated or read as 0 or 1."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_list(x) -> list:
+    """A JSON array; anything else, a string included, raises
+    ``ParseError`` rather than being read item by item."""
+    if not isinstance(x, (list, tuple)):
+        raise ParseError(f"expected a list, got {x!r}")
+    return x
+
+
+_JSON_KEY = re.compile(r"|(0|[1-9][0-9]*)(,(0|[1-9][0-9]*))*")
+
+
+def _json_key(s) -> MultiIndex:
+    """A tensor key as ``to_json_dict`` writes it: ``""``, or numerals
+    without leading zeros joined by commas, so two strings never name one key."""
+    if not (isinstance(s, str) and _JSON_KEY.fullmatch(s)):
+        raise ParseError(f"bad tensor key {s!r}")
+    return tuple(map(int, s.split(","))) if s else ()
 
 
 def tensor_dim(n: int, r: int) -> int:
@@ -122,82 +160,55 @@ def mul_form(vec: Sequence, step: Sequence[Sequence[int]], form: Sequence[tuple[
     return out
 
 
-def _add_keys(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SymTensor:
-    """Element of the rank-`rank` symmetric tensor space over R^`dim`."""
+    """Element of the rank-`rank` symmetric tensor space over R^`dim`: the
+    nonzero coefficients as ``keys`` and totals over one denominator, exact
+    or float (module docstring)."""
 
     dim: int
     rank: int
-    coeffs: Mapping[MultiIndex, Fraction] = field(default_factory=dict)
+    keys: tuple[MultiIndex, ...]
+    exact: bool
+    _totals: tuple
+    _den: int
 
-    def __post_init__(self):
-        clean: dict[MultiIndex, Fraction] = {}
-        for key, val in self.coeffs.items():
+    def __init__(self, dim: int, rank: int, coeffs: Mapping | None = None):
+        if dim < 1 or rank < 0:
+            raise DimensionMismatch(f"no tensor space T^{rank}(R^{dim})")
+        merged: dict = {}
+        for key, val in (coeffs or {}).items():
             key = tuple(key)
-            if self.rank == 0:
-                if key and any(key):
-                    raise DimensionMismatch(f"rank-0 tensor with key {key}")
+            if rank == 0 and not any(key):
                 key = ()
-            else:
-                if len(key) != self.dim:
-                    raise DimensionMismatch(
-                        f"key {key} has length {len(key)}, expected {self.dim}")
-                if sum(key) != self.rank:
-                    raise DimensionMismatch(
-                        f"key {key} has degree {sum(key)}, expected rank {self.rank}")
+            elif len(key) != dim or sum(key) != rank or min(key) < 0:
+                raise DimensionMismatch(f"key {key} is no multi-index of degree {rank} in R^{dim}")
             if val != 0:
-                clean[key] = clean.get(key, Fraction(0)) + val
-        object.__setattr__(self, "coeffs", {k: v for k, v in clean.items() if v != 0})
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, dim: int, rank: int, coeffs: dict) -> "SymTensor":
-        """Construct without validation; see the module docstring for the
-        contract ``coeffs`` must meet."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "rank", rank)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
+                merged[key] = merged.get(key, 0) + val
+        den, (totals,) = linalg.clear_denominators([merged.values()])
+        self._store(dim, rank, merged, totals, den)
 
     @classmethod
-    def from_totals(cls, dim: int, rank: int, keys: Iterable[MultiIndex], totals: list,
+    def from_totals(cls, dim: int, rank: int, keys: Iterable[MultiIndex], totals: Collection,
                     den: int) -> "SymTensor":
         """The tensor whose coefficient at each of ``keys`` is its total over
-        ``den``, zeros left out: the one way int sums become a tensor.  Int
-        totals are kept, and ``coeffs`` and ``cleared`` are built from them
-        on first read (module docstring); totals holding a float are divided
-        at once, an int into a ``Fraction`` and a float into a float."""
-        if not set(map(type, totals)) <= {int}:
-            return cls._trusted(
-                dim, rank, {k: linalg.over(x, den) for k, x in zip(keys, totals) if x})
-        out = object.__new__(cls)
-        vars(out).update(dim=dim, rank=rank, _totals=(tuple(keys), totals, den))
-        return out
+        ``den``, zeros left out, without validation: ``keys`` are length-
+        ``dim`` multi-indices of degree ``rank`` (``()`` at rank 0).  Int
+        totals are kept over ``den``; totals holding a float are divided at
+        once and kept over 1."""
+        return object.__new__(cls)._store(dim, rank, keys, totals, den)
 
-    def __getattr__(self, name):
-        """``coeffs`` of a tensor made by ``from_totals``, built on first
-        read: each nonzero total over the denominator as a ``Fraction``."""
-        raw = vars(self).get("_totals")
-        if name != "coeffs" or raw is None:
-            raise AttributeError(name)
-        keys, totals, den = raw
-        coeffs = {k: Fraction(x, den) for k, x in zip(keys, totals) if x}
-        object.__setattr__(self, "coeffs", coeffs)
-        return coeffs
+    def _store(self, dim, rank, keys, totals, den) -> "SymTensor":
+        keys, totals = tuple(compress(keys, totals)), tuple(filter(None, totals))
+        exact = set(map(type, totals)) <= {int}
+        if not exact:
+            totals, den = tuple(x / den for x in totals), 1
+        vars(self).update(dim=dim, rank=rank, keys=keys, exact=exact, _totals=totals, _den=den)
+        return self
 
     @staticmethod
     def zero(dim: int, rank: int) -> "SymTensor":
-        return SymTensor._trusted(dim, rank, {})
+        return SymTensor.from_totals(dim, rank, (), (), 1)
 
     @staticmethod
     def scalar(dim: int, value) -> "SymTensor":
@@ -207,6 +218,28 @@ class SymTensor:
     def from_vector(x: Sequence) -> "SymTensor":
         return vector_power(x, 1)
 
+    # -- views ------------------------------------------------------------------
+
+    @cached_property
+    def coeffs(self) -> Mapping[MultiIndex, Fraction]:
+        """The coefficient map, built on first read: each total over the
+        denominator, a ``Fraction`` for an int and a float for a float."""
+        return {k: linalg.over(x, self._den) for k, x in zip(self.keys, self._totals)}
+
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[tuple]]:
+        """The coefficient values' integer view (D, (ints,)), in ``keys``
+        order, as ``linalg.clear_denominators`` gives it for the values,
+        built once per tensor: the least D with every D N_k / den an
+        integer is den / g, g = gcd(den, *N), and the ints are N / g.  A
+        float tensor's view is (1, (values,))."""
+        g = math.gcd(self._den, *self._totals) if self.exact else 1
+        return self._den // g, (tuple(x // g for x in self._totals) if g > 1 else self._totals,)
+
+    def _floats(self) -> list:
+        """The values in float arithmetic: x / den, float(Fraction(x, den)) bit for bit."""
+        return [x / self._den for x in self._totals]
+
     # -- ring-ish structure ---------------------------------------------------
 
     def _same_space(self, other: "SymTensor"):
@@ -215,31 +248,35 @@ class SymTensor:
                 f"tensors in T^{self.rank}(R^{self.dim}) vs T^{other.rank}(R^{other.dim})")
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._same_space(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return SymTensor._trusted(self.dim, self.rank, {k: v for k, v in out.items() if v})
+        return tensor_sum([self, other])
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self + (-other)
+        return tensor_sum([self, -other])
 
     def __neg__(self) -> "SymTensor":
-        return SymTensor._trusted(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
+        return SymTensor.from_totals(self.dim, self.rank, self.keys,
+                                     [-x for x in self._totals], self._den)
 
     def scale(self, c) -> "SymTensor":
+        """c times the tensor: exact for a rational c on an exact tensor,
+        else each value times c in floats."""
         if c == 0:
             return SymTensor.zero(self.dim, self.rank)
-        return SymTensor._trusted(
-            self.dim, self.rank, {k: p for k, v in self.coeffs.items() if (p := v * c)})
+        if self.exact and isinstance(c, numbers.Rational):
+            p, q = int(c.numerator), int(c.denominator)
+            return SymTensor.from_totals(self.dim, self.rank, self.keys,
+                                         [x * p for x in self._totals], self._den * q)
+        return SymTensor.from_totals(self.dim, self.rank, self.keys,
+                                     [x * c for x in self._floats()], 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
             return NotImplemented
         if (self.dim, self.rank) != (other.dim, other.rank):
             return False
-        distance = view_distance(self, other)
-        return self.coeffs == other.coeffs if distance is None else distance == 0
+        if self.exact and other.exact:
+            return view_distance(self, other) == 0
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.dim, self.rank, frozenset(self.coeffs.items())))
@@ -249,34 +286,9 @@ class SymTensor:
 
     def max_abs_coeff(self):
         """Largest absolute coefficient; 0 for the zero tensor."""
-        if not self.coeffs:
-            return Fraction(0)
-        return max(abs(v) for v in self.coeffs.values())
-
-    @cached_property
-    def cleared(self) -> tuple[int, tuple[tuple]]:
-        """The coefficient values' integer view (D, (ints,)), in ``keys``
-        order: ``linalg.clear_denominators`` of them as one row, as a tuple,
-        built once per tensor.  Totals N over den (``from_totals``) give it
-        without a ``Fraction``: the least D with every D N_k / den an integer
-        is den / g, g = gcd(den, *N), and the ints are N / g."""
-        raw = vars(self).get("_totals")
-        if raw is None:
-            scale, (ints,) = linalg.clear_denominators([self.coeffs.values()])
-            return scale, (tuple(ints),)
-        _, totals, den = raw
-        ints = [x for x in totals if x]
-        g = math.gcd(den, *ints)
-        return den // g, (tuple(x // g for x in ints),)
-
-    @cached_property
-    def keys(self) -> tuple[MultiIndex, ...]:
-        """The keys of the nonzero coefficients in ``coeffs`` order, read
-        off the totals of a tensor made by ``from_totals``."""
-        raw = vars(self).get("_totals")
-        if raw is None:
-            return tuple(self.coeffs)
-        return tuple(k for k, x in zip(raw[0], raw[1]) if x)
+        if self.exact:
+            return Fraction(max(map(abs, self._totals), default=0), self._den)
+        return max(map(abs, self._totals))
 
     def coeff(self, key: Iterable[int]):
         key = tuple(key)
@@ -295,65 +307,76 @@ class SymTensor:
     @staticmethod
     def from_json_dict(data: Mapping) -> "SymTensor":
         try:
-            dim, rank = int(data["dim"]), int(data["rank"])
-            raw = data["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
+            dim, rank, raw = _json_int(data["dim"]), _json_int(data["rank"]), data["coeffs"]
+            if not isinstance(raw, Mapping):
+                raise ParseError(f"expected an object of coefficients, got {raw!r}")
+            return SymTensor(dim, rank, {_json_key(k): parse_rational(v) for k, v in raw.items()})
+        except (KeyError, TypeError, DimensionMismatch) as exc:
             raise ParseError(f"bad tensor JSON: {exc}") from exc
-        coeffs = {}
-        for key_str, val in raw.items():
-            key = () if key_str == "" else tuple(int(a) for a in key_str.split(","))
-            coeffs[key] = parse_rational(val)
-        return SymTensor(dim, rank, coeffs)
 
 
-def view_distance(a: SymTensor, b: SymTensor) -> Fraction | None:
-    """max |a_k - b_k| over the keys of either tensor when both are made
-    from int totals, else None.  Equal views give 0 with no arithmetic;
-    otherwise the views are brought to their common scale L
-    (``linalg.common_scale``), subtracted key by key in ints, and the
-    largest difference is divided once by L."""
-    if "_totals" not in vars(a) or "_totals" not in vars(b):
-        return None
-    if a.cleared == b.cleared and a.keys == b.keys:
-        return Fraction(0)
+def view_distance(a: SymTensor, b: SymTensor):
+    """max |a_k - b_k| over the keys of either tensor, the residual of every
+    check: a ``Fraction`` when both are exact, else a float, 0.0 included;
+    tensors of two spaces raise ``DimensionMismatch``.  Equal views give 0
+    with no arithmetic; otherwise the views are brought to their common
+    scale L (``linalg.common_scale``, which puts an exact view in floats
+    beside a float one), subtracted key by key, and the largest difference
+    is divided once by L."""
+    a._same_space(b)
+    exact = a.exact and b.exact
+    if a.keys == b.keys and a.cleared == b.cleared:
+        return Fraction(0) if exact else 0.0
     big, ((left,), (right,)) = linalg.common_scale([a.cleared, b.cleared])
     diff = dict(zip(a.keys, left))
     for k, x in zip(b.keys, right):
         diff[k] = diff.get(k, 0) - x
-    return Fraction(max(map(abs, diff.values()), default=0), big)
+    worst = max(map(abs, diff.values()))
+    return Fraction(worst, big) if exact else worst
 
 
 def tensor_sum(values: Sequence[SymTensor]) -> SymTensor:
     """The sum of one or more tensors of one space, equal to folding them
-    with ``+``.  Exact values are added in one int pass: their views
-    (``SymTensor.cleared``) are brought to their common scale L
-    (``linalg.common_scale``), summed key by key over the union of their
-    keys and made one tensor over L (``from_totals``), so no ``Fraction``
-    is built.  Values holding a float are folded with ``+`` in order, so
-    their rounding is that of pairwise ``+``."""
+    with ``+`` (which is this sum of two).  The exact values before the
+    first float one are added in one int pass: their views
+    (``SymTensor.cleared``) are brought to the lcm L of their scales,
+    summed key by key over the union of their keys and made one tensor over
+    L, so no ``Fraction`` is built.  From the first float value on, each
+    value is added to the running sum in floats, in order, so the rounding
+    is that of pairwise ``+``."""
     first, *rest = values
     for t in rest:
         first._same_space(t)
-    if not all("_totals" in vars(t) or linalg.is_exact(t.coeffs.values()) for t in values):
-        return sum(rest, first)
-    big, views = linalg.common_scale(t.cleared for t in values)
+    start = next((i for i, t in enumerate(values) if not t.exact), len(values))
+    views = [t.cleared for t in values[:start]]
+    big = math.lcm(*(d for d, _ in views))
     totals: dict[MultiIndex, int] = {}
-    for t, (ints,) in zip(values, views):
+    for t, (d, (ints,)) in zip(values, views):
+        m = big // d
         for k, x in zip(t.keys, ints):
-            totals[k] = totals.get(k, 0) + x
-    return SymTensor.from_totals(first.dim, first.rank, list(totals), list(totals.values()), big)
+            totals[k] = totals.get(k, 0) + m * x
+    total = SymTensor.from_totals(first.dim, first.rank, totals, totals.values(), big)
+    for t in values[start:]:
+        acc = dict(zip(total.keys, total._floats()))
+        for k, x in zip(t.keys, t._floats()):
+            acc[k] = acc.get(k, 0) + x
+        total = SymTensor.from_totals(first.dim, first.rank, acc, acc.values(), 1)
+    return total
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Symmetric product; in the monomial basis a convolution of coefficients."""
+    """Symmetric product; in the monomial basis a convolution of
+    coefficients, run on the views brought to one scale L
+    (``linalg.common_scale``) and divided once by L^2."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"sym_product in dims {a.dim} and {b.dim}")
-    out: dict[MultiIndex, Fraction] = {}
-    for ka, va in a.coeffs.items():
-        for kb, vb in b.coeffs.items():
-            k = _add_keys(ka, kb)
-            out[k] = out.get(k, 0) + va * vb
-    return SymTensor._trusted(a.dim, a.rank + b.rank, {k: v for k, v in out.items() if v})
+    big, ((left,), (right,)) = linalg.common_scale([a.cleared, b.cleared])
+    out: dict[MultiIndex, object] = {}
+    for ka, x in zip(a.keys, left):
+        for kb, y in zip(b.keys, right):
+            k = tuple(map(operator.add, ka, kb)) if ka and kb else ka or kb
+            out[k] = out.get(k, 0) + x * y
+    return SymTensor.from_totals(a.dim, a.rank + b.rank, out, out.values(), big * big)
 
 
 def vector_power(x: Sequence, r: int) -> SymTensor:

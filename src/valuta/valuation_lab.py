@@ -16,12 +16,15 @@ expansion sum_j Z^(r-j)(K) y^j / j! by Horner's rule in y, in ints; there
 the moments of each body share one kernel pass (``moment._shared_passes``).
 
 Every check compares (a, b) tensor pairs and reaches its verdict by one
-rule (``_verdict``).  An exact residual max |a_k - b_k| passes only at 0; a
-float one passes at most ``FLOAT_TOL`` times max(1, the largest |coefficient|
-of a and b).  The check passes when every pair does, and reports its worst
-residual (a failing pair's first) with that pair's witness, in mode "exact"
-when its inputs (body, matrix, shift, lambda, subspace) and residuals are
-rational, else "float" with float residuals, 0.0 included.
+rule (``_verdict``).  The residual of a pair is ``symtensor.view_distance``,
+max |a_k - b_k| on the tensors' integer views: a ``Fraction`` when both are
+exact, from one int difference per key, and a float (0.0 included) when
+either holds a float; equal views subtract nothing.  An exact residual
+passes only at 0; a float one passes at most ``FLOAT_TOL`` times max(1, the
+largest |coefficient| of a and b).  The check passes when every pair does,
+and reports its worst residual (a failing pair's first) with that pair's
+witness, in mode "exact" when its inputs (body, matrix, shift, lambda,
+subspace) and residuals are rational, else "float" with float residuals.
 """
 
 from __future__ import annotations
@@ -168,27 +171,6 @@ class CheckReport:
         }
 
 
-def _residual(a: SymTensor, b: SymTensor):
-    """max |a_k - b_k| over the keys of either tensor: a float when either
-    tensor holds a float (0.0 when they agree), else a ``Fraction``.  Two
-    tensors made from int totals are compared on their integer views
-    (``symtensor.view_distance``), building no ``Fraction`` coefficient.
-    Equal coefficient maps subtract nothing; a float may equal a
-    ``Fraction``, so their zero still takes its mode from the values."""
-    if (a.dim, a.rank) != (b.dim, b.rank):
-        raise DimensionMismatch(f"residual of T^{a.rank}(R^{a.dim}) and T^{b.rank}(R^{b.dim})")
-    distance = view_distance(a, b)
-    if distance is not None:
-        return distance
-    if a.coeffs == b.coeffs:
-        return Fraction(0) if linalg.is_exact([*a.coeffs.values(), *b.coeffs.values()]) else 0.0
-    diffs = [abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in {**a.coeffs, **b.coeffs}]
-    # A key holding a float on either side gives a float difference, 0.0 included.
-    if not linalg.is_exact(diffs):
-        return float(max(diffs))
-    return max(filter(None, diffs), default=Fraction(0))
-
-
 def _verdict(check: str, pairs, *inputs) -> CheckReport:
     """The report of a check on its (a, b, witness) pairs and the rows of
     numbers it was given (body points, matrix rows, ...), by the rule in the
@@ -197,7 +179,7 @@ def _verdict(check: str, pairs, *inputs) -> CheckReport:
     floats = not linalg.is_exact(x for row in inputs for x in row)
     mode = "float" if floats else "exact"
     for a, b, witness in pairs:
-        res = _residual(a, b)
+        res = view_distance(a, b)
         if isinstance(res, Fraction) and not floats:
             bad = res != 0
         else:
@@ -246,7 +228,7 @@ def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckRepo
     shown = format_rational(lam)
     pairs = [(b, a.scale(lam ** j), {"degree": j, "lambda": shown})
              for j, (a, b) in enumerate(zip(base, dilated))]
-    pairs.append((sum(base[1:], base[0]), z(body), {"degree": "sum-at-1", "lambda": shown}))
+    pairs.append((tensor_sum(base), z(body), {"degree": "sum-at-1", "lambda": shown}))
     return _verdict("mcmullen-rehomogeneity", pairs, *body.vertices, [lam])
 
 
@@ -389,8 +371,8 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
     factor_sq = cabs2(psi.det_c)  # equals det of the realification
     p, q = Fraction(j, 2 * m).as_integer_ratio()
     image, base = z(linear_image(realify(psi), body)), z(body)
-    exact = linalg.is_exact([factor_sq, *image.cleared[1][0], *base.cleared[1][0],
-                             *(x for v in body.vertices for x in v)])
+    exact = image.exact and base.exact and linalg.is_exact(
+        [factor_sq, *(x for v in body.vertices for x in v)])
     if exact:
         factor = factor_sq ** p
         shown = format_rational(factor) if q == 1 else f"({format_rational(factor)})^(1/{q})"
@@ -408,7 +390,9 @@ def _signed_power(t: SymTensor, q: int) -> SymTensor:
     """Each coefficient x as x |x|^(q-1), which keeps the sign of x."""
     if q == 1:
         return t
-    return SymTensor._trusted(t.dim, t.rank, {k: x * abs(x) ** (q - 1) for k, x in t.coeffs.items()})
+    d, (values,) = t.cleared
+    return SymTensor.from_totals(t.dim, t.rank, t.keys, [x * abs(x) ** (q - 1) for x in values],
+                                 d ** q)
 
 
 # -- surface-area pairing --------------------------------------------------------------------

@@ -121,3 +121,34 @@ def adapted_basis_fractions(l):
     if len(w_basis) != j - len(pairs):
         raise GeometryError("complex/real split dimensions do not add up")
     return Subspace(n, tuple(pairs[::2] + w_basis + pairs[1::2]), retries=l.retries)
+
+
+# -- symmetric tensors as plain maps --------------------------------------------------
+# A tensor as a dict from multi-index to its nonzero Fraction or float value,
+# and the operations of ``symtensor`` on such maps in Python's arithmetic.
+
+
+def map_scale(m: dict, c) -> dict:
+    return {k: v * c for k, v in m.items() if v * c}
+
+
+def map_sum(maps) -> dict:
+    """The maps folded pairwise with +, as tensors add: the values at a key
+    added in Python's arithmetic, and a sum with a float in it, the sum of
+    a float tensor, held in floats throughout; zeros dropped."""
+    total: dict = {}
+    for m in maps:
+        total = {k: total.get(k, 0) + m.get(k, 0) for k in {**total, **m}}
+        if any(isinstance(v, float) for v in total.values()):
+            total = {k: float(v) for k, v in total.items()}
+        total = {k: v for k, v in total.items() if v}
+    return total
+
+
+def map_distance(a: dict, b: dict):
+    """max |a_k - b_k| over the keys of either map; 0 when both are empty."""
+    return max((abs(a.get(k, 0) - b.get(k, 0)) for k in {**a, **b}), default=Fraction(0))
+
+
+def map_max_abs(m: dict):
+    return max(map(abs, m.values()), default=Fraction(0))

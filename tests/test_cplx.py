@@ -21,7 +21,7 @@ from valuta.cplx import (
     sl_mc_element,
     span_tol,
 )
-from valuta.errors import GeometryError, NumericalRankError, ValutaError
+from valuta.errors import GeometryError, NumericalRankError, ParseError, ValutaError
 from valuta.linalg import cabs2, dot
 from valuta.symtensor import RMatrix
 
@@ -468,3 +468,19 @@ class TestSlmcElements:
     def test_json_round_trip(self):
         a = sl_mc_element("shear", 2, params={"count": 3}, seed=9)
         assert CMatrix.from_json_dict(a.to_json_dict()).entries == a.entries
+
+    @pytest.mark.parametrize("data", [
+        {"m": 1},
+        {"entries": [[{"re": "1"}]]},
+        {"entries": [[{"re": "1", "im": "0"}, {"re": "0", "im": "0"}], [{"re": "1", "im": "0"}]]},
+        {"entries": ["ab"]},
+        {"entries": [[["1", "0"]]]},
+        {"entries": [[{"re": "x", "im": "0"}]]},
+        {"entries": [[{"re": True, "im": "0"}]]},
+        {"m": 3, "entries": [[{"re": "1", "im": "0"}]]},
+        {"m": True, "entries": [[{"re": "1", "im": "0"}]]},
+    ], ids=["no-entries", "no-im", "ragged", "string-row", "list-entry", "bad-rational",
+            "bool-entry", "wrong-m", "bool-m"])
+    def test_malformed_json_raises_parse_error(self, data):
+        with pytest.raises(ParseError):
+            CMatrix.from_json_dict(data)

@@ -87,16 +87,28 @@ def test_a_polytope_is_its_points_and_cells():
                         and node.attr in ("facets", "points", "aux_points")), path.name
 
 
+def _functions(path):
+    return [fn for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)]
+
+
+def _called(node) -> set:
+    return {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+SOURCES = sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py"))
+
+
 def test_each_value_is_cleared_only_by_its_view():
     """No call of ``clear_denominators`` in ``src/valuta`` takes a body's
     ``.vertices``, a matrix's ``.entries`` or a tensor's ``.coeffs``, except
-    in the three ``cleared`` views that define them: every other reader
-    takes the view, so each value is cleared at most once per object."""
+    in the ``cleared`` views of bodies and matrices that define them, and
+    ``SymTensor`` clears the values it is given once, in ``__init__``:
+    its ``cleared`` view reduces the stored totals, so every other reader
+    takes a view, and each value is cleared at most once per object."""
     found = []
-    for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
+    for path in SOURCES:
+        for fn in _functions(path):
             for call in ast.walk(fn):
                 if not (isinstance(call, ast.Call) and "clear_denominators" in (
                         getattr(call.func, "id", None), getattr(call.func, "attr", None))):
@@ -105,26 +117,53 @@ def test_each_value_is_cleared_only_by_its_view():
                         if isinstance(node, ast.Attribute)}
                 if read & {"vertices", "entries", "coeffs"}:
                     found.append((path.stem, fn.name))
-    assert sorted(found) == [("polytope", "cleared"), ("symtensor", "cleared"),
-                             ("symtensor", "cleared")]
+    assert sorted(found) == [("polytope", "cleared"), ("symtensor", "cleared")]
+    tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / "symtensor.py").read_text())
+    cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "SymTensor")
+    clearing = {fn.name for fn in ast.walk(cls)
+                if isinstance(fn, ast.FunctionDef) and "clear_denominators" in _called(fn)}
+    assert clearing == {"__init__"}
 
 
 def test_int_totals_become_a_tensor_only_through_from_totals():
     """Int sums over a denominator become a tensor only through
-    ``SymTensor.from_totals``: ``linalg.over`` is called by it and by the two
-    scalar divisions of ``polytope`` (volume and atoms), ``divide_totals`` by
-    nothing, and the five producers of exact tensors call ``from_totals``."""
-    calls = {}
-    for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef):
-                calls[path.stem, fn.name] = {
-                    getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-                    for call in ast.walk(fn) if isinstance(call, ast.Call)}
+    ``SymTensor.from_totals``, and every producer of tensors calls it.  The
+    sums are divided only where a reader asks for a value: ``linalg.over``
+    is called by the two scalar divisions of ``polytope`` (volume and atoms)
+    and by ``SymTensor.coeffs``, ``divide_totals`` by nothing, and only
+    ``max_abs_coeff``, ``coeff`` and ``view_distance`` build a tensor's
+    ``Fraction``."""
+    calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
     dividing = sorted(site for site, names in calls.items() if {"over", "divide_totals"} & names)
     assert dividing == [("polytope", "_volume"), ("polytope", "surface_area_measure"),
-                        ("symtensor", "from_totals")]
+                        ("symtensor", "coeffs")]
     for site in [("moment", "moment_family"), ("symtensor", "gl_action"),
                  ("symtensor", "shift_expansion"), ("symtensor", "vector_power"),
-                 ("valuation_lab", "mcmullen_decompose")]:
+                 ("symtensor", "sym_product"), ("symtensor", "tensor_sum"),
+                 ("symtensor", "scale"), ("symtensor", "__neg__"),
+                 ("valuation_lab", "mcmullen_decompose"), ("valuation_lab", "_signed_power")]:
         assert "from_totals" in calls[site], site
+    tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / "symtensor.py").read_text())
+    building = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and "Fraction" in _called(fn)}
+    assert building == {"max_abs_coeff", "coeff", "view_distance", "format_rational",
+                        "parse_rational", "matvec", "vector_power"}
+
+
+def test_one_tensor_representation():
+    """``SymTensor`` is its keys and totals over one denominator: it has no
+    second constructor (``_trusted``) and no ``__getattr__`` hook, and no
+    module but ``symtensor`` reads a tensor's stored totals or denominator
+    or makes one with ``object.__new__(SymTensor)``."""
+    from valuta.symtensor import SymTensor
+
+    assert not hasattr(SymTensor, "_trusted") and "__getattr__" not in vars(SymTensor)
+    for path in SOURCES:
+        if path.stem == "symtensor":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("_totals", "_den", "_store")), path.name
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+                assert not any(getattr(arg, "id", None) == "SymTensor" for arg in node.args), \
+                    path.name

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multi_indices
+from oracles import map_distance, map_max_abs, map_scale, map_sum, multi_indices
 from valuta import linalg
-from valuta.errors import DimensionMismatch
+from valuta.errors import DimensionMismatch, ParseError
 from valuta.symtensor import (
     RMatrix,
     SymTensor,
@@ -178,6 +179,109 @@ def test_scalar_json_uses_empty_key():
     data = s.to_json_dict()
     assert data["coeffs"] == {"": "1/2"}
     assert SymTensor.from_json_dict(data) == s
+
+
+@pytest.mark.parametrize("dim, rank, coeffs", [
+    (2, 1, {(2, -1): 1}), (2, -1, {(-1, 0): 1}), (2, -1, {}), (2, 0, {(1, -1): 1}),
+    (2, 2, {(1, 0): 1}), (2, 1, {(1, 0, 0): 1}), (0, 0, {}),
+], ids=["negative-entry", "negative-rank", "negative-rank-empty", "rank0-negative-entry",
+        "wrong-degree", "wrong-length", "no-dimension"])
+def test_constructor_refuses_what_is_no_multi_index(dim, rank, coeffs):
+    """A negative rank or key entry used to be accepted and to fail later,
+    as a ``KeyError`` in ``gl_action``; every key is checked on entry."""
+    with pytest.raises(DimensionMismatch):
+        SymTensor(dim, rank, coeffs)
+
+
+@pytest.mark.parametrize("data", [
+    {"dim": 2.9, "rank": 1, "coeffs": {"1,0": "1"}},
+    {"dim": "2", "rank": True, "coeffs": {"1,0": "1"}},
+    {"dim": 2, "rank": 1, "coeffs": [["1,0", "1"]]},
+    {"dim": 2, "rank": 1, "coeffs": {"1.0,0": "1"}},
+    {"dim": 2, "rank": 1, "coeffs": {"01,0": "1"}},
+    {"dim": 2, "rank": 1, "coeffs": {"2,-1": "1"}},
+    {"dim": 2, "rank": 1, "coeffs": {"1,0,0": "1"}},
+    {"dim": 2, "rank": 1, "coeffs": {"1,0": "one"}},
+    {"dim": 2, "rank": 1, "coeffs": {"1,0": True}},
+    {"dim": 2, "rank": 1},
+    [2, 1, {}],
+], ids=["float-dim", "string-dim-bool-rank", "coeffs-list", "float-key", "leading-zero-key",
+        "negative-key", "long-key", "bad-rational", "bool-coefficient", "no-coeffs",
+        "not-an-object"])
+def test_from_json_dict_refuses_malformed_input(data):
+    """Nothing malformed is truncated, read as a bool or let through as a
+    bare ``AttributeError`` or ``ValueError``: each raises ``ParseError``."""
+    with pytest.raises(ParseError):
+        SymTensor.from_json_dict(data)
+
+
+# -- the view arithmetic against plain maps ---------------------------------------------
+
+
+@st.composite
+def exact_tensors(draw, dim, rank):
+    """(tensor, its map): the tensor made by ``SymTensor(...)`` from the map
+    with zeros in it, or by ``from_totals`` in a shuffled key order over an
+    unreduced denominator, zero totals included."""
+    keys = sorted(multi_indices(dim, rank)) if rank else [()]
+    vals = draw(st.lists(st.none() | st.just(F(0)) | rationals,
+                         min_size=len(keys), max_size=len(keys)))
+    m = {k: v for k, v in zip(keys, vals) if v}
+    if draw(st.booleans()):
+        return SymTensor(dim, rank, {k: v for k, v in zip(keys, vals) if v is not None}), m
+    den = math.lcm(*(v.denominator for v in m.values())) * draw(st.integers(1, 4))
+    keys = draw(st.permutations(keys))
+    return SymTensor.from_totals(dim, rank, keys, [int(m.get(k, 0) * den) for k in keys], den), m
+
+
+def _view_map(t):
+    d, (ints,) = t.cleared
+    return {k: F(x, d) for k, x in zip(t.keys, ints)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 3), rank=st.integers(0, 2), c=rationals, data=st.data())
+def test_exact_operations_match_the_map_oracle(dim, rank, c, data):
+    """+, binary and unary -, scale by a rational, the n-ary sum, ==, the
+    view distance and the largest coefficient agree with the same
+    operations on plain maps of Fractions, and none builds a ``coeffs``."""
+    (a, ma), (b, mb), (e, me) = (data.draw(exact_tensors(dim, rank)) for _ in range(3))
+    results = [(a + b, map_sum([ma, mb])), (a - b, map_sum([ma, map_scale(mb, -1)])),
+               (-a, map_scale(ma, -1)), (a.scale(c), map_scale(ma, c)),
+               (tensor_sum([a, b, e]), map_sum([ma, mb, me]))]
+    for got, want in results:
+        assert got.exact and "coeffs" not in vars(got)
+        assert _view_map(got) == want
+    assert (a == b) == (ma == mb) and a == a.scale(1) and (a == a.scale(2)) == (not ma)
+    distance = view_distance(a, b)
+    assert type(distance) is Fraction and distance == map_distance(ma, mb)
+    assert a.max_abs_coeff() == map_max_abs(ma)
+    assert not any("coeffs" in vars(t) for t in (a, b, e))
+
+
+floats = (st.floats(min_value=-10, max_value=10, allow_nan=False).filter(bool)
+          | st.sampled_from([0.1, -1 / 3, 1e-17, 2.5]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 3), rank=st.integers(0, 2), data=st.data())
+def test_float_sums_keep_the_pairwise_fold_bits(dim, rank, data):
+    """Sums of exact and float tensors in any order: + and ``tensor_sum``
+    give the fold of the maps pairwise in Python's arithmetic, to the bit."""
+    keys = sorted(multi_indices(dim, rank)) if rank else [()]
+    tensors, maps = [], []
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            t, m = data.draw(exact_tensors(dim, rank))
+        else:
+            vals = data.draw(st.lists(st.none() | floats, min_size=len(keys), max_size=len(keys)))
+            m = {k: v for k, v in zip(keys, vals) if v is not None}
+            t = SymTensor(dim, rank, m)
+        tensors.append(t)
+        maps.append(m)
+    want = repr(sorted(map_sum(maps).items()))
+    assert repr(sorted(reduce(operator.add, tensors).coeffs.items())) == want
+    assert repr(sorted(tensor_sum(tensors).coeffs.items())) == want
 
 
 # -- substitution kernel against independent oracles -----------------------------
@@ -410,25 +514,27 @@ def test_views_are_clear_denominators_built_once():
 
 
 def test_tensors_from_totals_compare_on_their_views():
-    """Tensors made from int totals hold their coefficients as totals over
-    one denominator until read: ``cleared`` is the totals over their gcd
+    """Tensors hold their coefficients as totals over one denominator until
+    read, however they were made: ``cleared`` is the totals over their gcd
     with it, and ==, the view distance and ``is_zero`` work on views, in
-    any key order, building no Fraction."""
+    any key order, building no Fraction.  Float totals are divided at once
+    and held over 1."""
     keys = [(2, 0), (1, 1), (0, 2)]
     a = SymTensor.from_totals(2, 2, keys, [6, 0, -9], 12)
     b = SymTensor.from_totals(2, 2, keys[::-1], [-6, 0, 4], 8)
     c = SymTensor.from_totals(2, 2, keys, [1, 0, 0], 2)
+    m = t(2, 2, {(2, 0): F(1, 2)})
     assert a.cleared == (4, ((2, -3),)) and a.keys == ((2, 0), (0, 2))
     assert b.cleared == (4, ((-3, 2),)) and b.keys == ((0, 2), (2, 0))
     assert a == b and a != c and view_distance(a, b) == 0
-    assert view_distance(a, c) == F(3, 4)
-    assert view_distance(a, t(2, 2, {(2, 0): F(1, 2)})) is None
+    assert view_distance(a, c) == F(3, 4) and view_distance(a, m) == F(3, 4) and m == c
     assert not a.is_zero() and SymTensor.from_totals(2, 2, keys, [0, 0, 0], 5).is_zero()
-    assert all("coeffs" not in vars(x) for x in (a, b, c))
+    assert all("coeffs" not in vars(x) for x in (a, b, c, m))
     assert a.coeffs == {(2, 0): F(1, 2), (0, 2): F(-3, 4)} and a == t(2, 2, a.coeffs)
     assert a.scale(F(-2, 3)) == SymTensor.from_totals(2, 2, keys, [-2, 0, 3], 6)
     floats = SymTensor.from_totals(2, 1, [(1, 0), (0, 1)], [1.5, 0], 3)
-    assert "coeffs" in vars(floats) and floats.coeffs == {(1, 0): 0.5}
+    assert not floats.exact and floats.cleared == (1, ((0.5,),)) and "coeffs" not in vars(floats)
+    assert floats.coeffs == {(1, 0): 0.5}
 
 
 @settings(max_examples=30, deadline=None)
@@ -460,12 +566,16 @@ def test_tensor_sum_of_maps_totals_and_scalars():
 
 def test_tensor_sum_of_floats_is_the_pairwise_fold():
     """A value holding a float sends the sum through + in order, so the
-    coefficients are the pairwise fold's to the bit."""
+    coefficients are the pairwise fold's to the bit; exact values before it
+    are summed exactly, 1/10 + 1/5 to 0.3 and not 0.1 + 0.2."""
     values = [vector_power((0.1, 0.7), 2), vector_power((F(1, 3), 1), 2),
               t(2, 2, {(2, 0): 1e-17, (0, 2): 0.3})]
     fold = reduce(SymTensor.__add__, values)
     total = tensor_sum(values)
     assert repr(sorted(total.coeffs.items())) == repr(sorted(fold.coeffs.items()))
+    tenths = [t(2, 1, {(1, 0): F(1, 10)}), t(2, 1, {(1, 0): F(1, 5)}), t(2, 1, {(0, 1): 0.5})]
+    assert tensor_sum(tenths).coeffs == reduce(SymTensor.__add__, tenths).coeffs == {
+        (1, 0): 0.3, (0, 1): 0.5}
 
 
 @pytest.mark.parametrize("values", [

@@ -28,10 +28,9 @@ from valuta.polytope import (
     translate,
     volume,
 )
-from valuta.symtensor import RMatrix, SymTensor, sym_product, vector_power
+from valuta.symtensor import RMatrix, SymTensor, sym_product, vector_power, view_distance
 from valuta.valuation_lab import (
     Valuation,
-    _residual,
     _verdict,
     cube_probe,
     euler_valuation,
@@ -385,9 +384,10 @@ class TestSurfacePairing:
                              ids=["square", "scalar"])
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_pairing_is_the_fold_over_the_atoms(self, f, exact):
-        """Exact tensor values are summed in one int pass and build no
-        Fraction; float tensor values and scalars are added with + in facet
-        order.  Each equals the fold of f over the atoms, float bits too."""
+        """Exact tensor values are summed in one int pass, float ones in
+        facet order as + adds them, and neither builds its coefficient map;
+        scalars are added with + in facet order.  Each equals the fold of f
+        over the atoms, float bits too."""
         body = linear_image(RMatrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0],
                                                [0, 0, 1, F(-2, 3)], [0, 0, 0, 1]]),
                             crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0),
@@ -399,7 +399,7 @@ class TestSurfacePairing:
         fold = sum(values[1:], values[0])
         out = surface_pairing(f, body)
         if isinstance(fold, SymTensor):
-            assert ("coeffs" not in vars(out)) == exact
+            assert out.exact == exact and "coeffs" not in vars(out)
             out, fold = sorted(out.coeffs.items()), sorted(fold.coeffs.items())
         assert repr(out) == repr(fold)
 
@@ -502,10 +502,10 @@ def test_report_json_shape():
 @given(a=st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]), coeff_values),
        b=st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]), coeff_values))
 def test_residual_matches_difference_tensor(a, b):
-    """_residual(a, b) is the largest coefficient of a - b: a float when
-    either tensor holds a float, else a Fraction."""
+    """The residual view_distance(a, b) is the largest coefficient of
+    a - b: a float when either tensor holds a float, else a Fraction."""
     ta, tb = SymTensor(2, 2, a), SymTensor(2, 2, b)
-    got, expected = _residual(ta, tb), (ta - tb).max_abs_coeff()
+    got, expected = view_distance(ta, tb), (ta - tb).max_abs_coeff()
     if any(type(x) is float for x in [*ta.coeffs.values(), *tb.coeffs.values()]):
         expected = float(expected)
     assert got == expected
@@ -528,9 +528,9 @@ def test_verdict_reports_the_worst_failure_over_a_larger_passing_residual():
 
 def test_float_residual_of_equal_tensors_is_a_float_zero():
     t = SymTensor(2, 1, {(1, 0): 0.5, (0, 1): F(1, 3)})
-    assert type(_residual(t, t)) is float and _residual(t, t) == 0
+    assert type(view_distance(t, t)) is float and view_distance(t, t) == 0
     exact = SymTensor(2, 1, {(1, 0): F(1, 2)})
-    assert type(_residual(exact, exact)) is Fraction and _residual(exact, exact) == 0
+    assert type(view_distance(exact, exact)) is Fraction and view_distance(exact, exact) == 0
 
 
 # -- cached interpolation weights ---------------------------------------------------
@@ -817,34 +817,25 @@ def test_every_check_reads_float_mode_off_its_inputs():
     assert scaling_relation_check(_zero(4, 0), 4, exact_psi, SIMPLEX4).mode == "exact"
 
 
-class _NoSubFraction(Fraction):
-    def __sub__(self, other):
+def test_residual_of_equal_coefficients_subtracts_nothing(monkeypatch):
+    """Equal views give a zero in the mode of their values without being
+    brought to one scale or subtracted: a Fraction zero when both are
+    exact, over any denominator, a float zero when both hold floats.  A
+    float equal to the other's Fraction gives a float zero too."""
+    def refused(views):
         raise AssertionError("subtracted")
 
-    __rsub__ = __sub__
-
-
-class _NoSubFloat(float):
-    def __sub__(self, other):
-        raise AssertionError("subtracted")
-
-    __rsub__ = __sub__
-
-
-def test_residual_of_equal_coefficients_subtracts_nothing():
-    """Equal coefficient maps give a zero in the mode of their values,
-    without a subtraction: a Fraction zero when both are exact, a float
-    zero when either holds a float, even one equal to the other's Fraction."""
-    keys = [(2, 0), (1, 1)]
-    a = SymTensor._trusted(2, 2, {k: _NoSubFraction(v, 3) for k, v in zip(keys, (1, -2))})
-    b = SymTensor._trusted(2, 2, {k: _NoSubFraction(v, 3) for k, v in zip(keys, (1, -2))})
-    assert type(_residual(a, b)) is Fraction and _residual(a, b) == 0
-    half = SymTensor._trusted(2, 1, {(1, 0): _NoSubFloat(0.5)})
-    exact_half = SymTensor._trusted(2, 1, {(1, 0): _NoSubFraction(1, 2)})
-    for x, y in ((half, exact_half), (exact_half, half), (half, half)):
-        assert type(_residual(x, y)) is float and _residual(x, y) == 0
+    a = SymTensor.from_totals(2, 2, [(2, 0), (1, 1)], [2, -4], 6)
+    b = SymTensor(2, 2, {(2, 0): F(1, 3), (1, 1): F(-2, 3)})
+    half = SymTensor(2, 1, {(1, 0): 0.5})
+    exact_half = SymTensor.from_totals(2, 1, [(1, 0), (0, 1)], [3, 0], 6)
+    for x, y in ((half, exact_half), (exact_half, half)):
+        assert type(view_distance(x, y)) is float and view_distance(x, y) == 0
+    monkeypatch.setattr(linalg, "common_scale", refused)
+    assert type(view_distance(a, b)) is Fraction and view_distance(a, b) == 0
+    assert type(view_distance(half, half)) is float and view_distance(half, half) == 0
     with pytest.raises(AssertionError, match="subtracted"):
-        _residual(a, SymTensor._trusted(2, 2, {(2, 0): _NoSubFraction(1, 3)}))
+        view_distance(a, SymTensor(2, 2, {(2, 0): F(1, 3)}))
 
 
 _TRI = simplex([(0, 0), (F(5, 3), F(1, 7)), (F(-1, 2), 2)])
