@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, NumericalRankError, ParseError, ValutaError
 from .linalg import CNum, cdet, cmul, cnum, crank
-from .symtensor import RMatrix, _json_int, _json_list, format_rational, parse_rational
+from .symtensor import RMatrix, _json_int, _json_list, json_rational, parse_rational
 
 RANK_TOL = 1e-8
 AMBIGUITY_BAND = 1e2
@@ -119,7 +119,7 @@ class CMatrix:
         return {
             "m": self.m,
             "entries": [
-                [{"re": format_rational(re), "im": format_rational(im)} for re, im in row]
+                [{"re": json_rational(re), "im": json_rational(im)} for re, im in row]
                 for row in self.entries
             ],
         }

@@ -60,11 +60,9 @@ def is_exact(xs) -> bool:
 def real(x):
     """Coerce like ``frac``, except that a real that is not rational (float,
     ``numpy.float32``) becomes a float."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
-        return float(x)
-    return frac(x)
+    if isinstance(x, (Fraction, int)) or not isinstance(x, numbers.Real):
+        return frac(x)
+    return frac(x) if isinstance(x, numbers.Rational) else float(x)
 
 
 def vec(xs: Sequence) -> Vec:
@@ -100,11 +98,12 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     """The lcm D of the entries' denominators and the rows times D, as ints.
     Rows holding an entry that is not rational (float, ``numpy.float32``)
     come back as floats with D = 1; numpy integers count as rational."""
-    if not all(isinstance(x, (int, Fraction)) or isinstance(x, numbers.Rational)
-               for row in rows for x in row):
+    types = {type(x) for row in rows for x in row} - {int, Fraction}
+    if types and not all(issubclass(t, numbers.Rational) for t in types):
         return 1, [[float(x) for x in row] for row in rows]
+    rows = [list(map(frac, row)) for row in rows] if types else rows
     d = math.lcm(*(x.denominator for row in rows for x in row))
-    return d, [[int(x.numerator) * (d // int(x.denominator)) for x in row] for row in rows]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def check_orthonormal(rows: Sequence[Sequence]) -> None:
@@ -122,13 +121,14 @@ def check_orthonormal(rows: Sequence[Sequence]) -> None:
 def common_scale(views) -> tuple[int, list[list[list]]]:
     """Integer views (D_i, rows_i), each what ``clear_denominators`` gives
     for some rows, brought to one scale as clearing all the rows together
-    gives them: the lcm L of the D_i and each view's rows times L / D_i.
-    When a view holds a float, L = 1 and every entry is x / D_i, which is
-    float(x) bit for bit."""
+    gives them: the lcm L of the D_i and each view's rows times L / D_i,
+    a view already at scale L passed through uncopied.  When a view holds a
+    float, L = 1 and every entry is x / D_i, which is float(x) bit for bit."""
     views = list(views)
     if is_exact(x for _, rows in views for row in rows for x in row):
         big = math.lcm(*(d for d, _ in views))
-        return big, [[[x * (big // d) for x in row] for row in rows] for d, rows in views]
+        return big, [rows if d == big else [[x * (big // d) for x in row] for row in rows]
+                     for d, rows in views]
     return 1, [[[x / d for x in row] for row in rows] for d, rows in views]
 
 

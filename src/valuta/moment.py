@@ -85,20 +85,24 @@ from .symtensor import sym_product  # noqa: F401
 def _trie_totals(walk, forms, steps, unit, lo) -> list[list]:
     """The totals of degrees lo..r on the prefix tree (module docstring).  A
     flat cell cuts the stack back to its common prefix k with the cell
-    before, and the next cell pushes from the stack's depth."""
-    totals = [[0] * len(hd) for hd in unit[lo:]]
-    stack = [unit]
+    before, and the next cell pushes from the stack's depth.  The totals
+    start as the first cell's, zeros only when every cell is flat."""
+    totals, stack, degrees = None, [unit], list(enumerate(steps, 1))
     for cell, d, k in walk:
         del stack[k + 1:]
         if d == 0:
             continue
+        h = stack[-1]
         for i in cell[len(stack) - 1:]:
-            h = [list(hd) for hd in stack[-1]]
-            for deg, step in enumerate(steps):
-                mul_form(h[deg], step, forms[i], h[deg + 1])
+            form, h = forms[i], [h[0], *map(list, h[1:])]  # h_0 = [1] is never written
+            for deg, step in degrees:
+                mul_form(h[deg - 1], step, form, h[deg])
             stack.append(h)
-        totals = [[a + d * b for a, b in zip(t, hd)] for t, hd in zip(totals, stack[-1][lo:])]
-    return totals
+        if totals is None:
+            totals = [[d * b for b in hd] for hd in h[lo:]]
+        else:
+            totals = [[a + d * b for a, b in zip(t, hd)] for t, hd in zip(totals, h[lo:])]
+    return totals or [[0] * len(hd) for hd in unit[lo:]]
 
 
 def _dag_totals(walk: list, forms, steps, unit, lo) -> list[list]:

@@ -10,19 +10,19 @@ Every reader that works in integers (volume, atoms, import checks, the
 moment kernel, affine maps) takes the vertices' integer view ``cleared`` =
 (D, ints), what ``linalg.clear_denominators`` gives for ``vertices`` (rows
 as tuples), built once per body and kept on it.  ``linear_image``, ``scale``
-and ``translate`` compute the image's ints N over a denominator den from the
-views of the body and of phi, lam or y, and the exact image is that view,
-reduced by g = gcd(den, *N): the least L with every L N_k / den an
-integer is den / gcd(den, N_1, ..., N_K), so den / g is the lcm of the
-image's denominators and N / g is L times its vertices, as clearing would
-give.  Its ``Fraction`` ``vertices`` are built from the view the first time
-they are read, so an image that only a moment, volume or atom reader sees
-never builds them.  A float on either side gives float vertices x / den at
-once and the view (1, vertices).  ``linear_image`` multiplies float rows by
-the other side's ints; ``translate`` and ``scale`` bring both views to one
-scale (``linalg.common_scale``), which turns both to floats, x / D being
-float(x) bit for bit, so their float vertices are the elementwise float sums
-and products.
+and ``translate`` compute the image's ints N over a denominator den in one
+pass off the body's view (D, pts): phi's view (q, rows) times pts over q D,
+a pts over D b for lam = a / b, or pts and y's numerators brought to
+L = lcm(D, y's denominators) and added over L.  The exact image is that
+view, reduced by g = gcd(den, *N) when g > 1: the least L with every
+L N_k / den an integer is den / g, so den / g is the lcm of the image's
+denominators and N / g is L times its vertices, as clearing would give.
+Its ``Fraction`` ``vertices`` are built from the view the first time they
+are read, so an image that only a moment, volume or atom reader sees never
+builds them.  A float on either side gives float vertices x / den at once
+and the view (1, vertices): ``linear_image`` multiplies float rows by the
+other side's ints, and a float ``translate`` or ``scale`` turns both views
+to floats (``linalg.common_scale``), x / D being float(x) bit for bit.
 
 Cell determinants come from one walk, ``cell_dets``, shared by ``volume``,
 the import checks, ``subspace_volume`` and the moment kernel: the cells in
@@ -39,7 +39,8 @@ demand, by one rule for every body (``surface_area_measure``), and never
 stored.
 
 Polytope JSON:
-``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``.
+``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``,
+float coordinates written as JSON numbers (``symtensor.json_rational``).
 ``dim`` and the indices are JSON integers and each vertex and cell is a
 list; a float, a string or a bool in their place is refused, never
 truncated or read character by character.  An ``"aux_points"`` list, which
@@ -68,7 +69,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
 from .linalg import Vec, exact_sqrt, vec
-from .symtensor import RMatrix, _json_int, _json_list, format_rational, mul_form, parse_rational
+from .symtensor import RMatrix, _json_int, _json_list, json_rational, mul_form, parse_rational
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ class Polytope:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [[format_rational(x) for x in v] for v in self.vertices],
+            "vertices": [[json_rational(x) for x in v] for v in self.vertices],
             "triangulation": [list(c) for c in self.triangulation],
         }
 
@@ -371,17 +372,21 @@ def volume(p: Polytope) -> Fraction:
     return _volume(cell_dets(p.cleared, p.triangulation, p.dim), p.cleared[0], p.dim)
 
 
-def _image(p: Polytope, den: int, rows: list[list]) -> Polytope:
+def _exact(view: tuple[int, Sequence]) -> bool:
+    """Whether a body's view is in ints; it is all ints or all floats."""
+    return all(type(x) is int for x in view[1][0])
+
+
+def _image(p: Polytope, den: int, rows, exact: bool) -> Polytope:
     """The body on p's cells whose vertices are ``rows`` over ``den``, its
-    view seeded with them: int rows reduced by g = gcd(den, *rows), whose
-    ``Fraction`` vertices are built on first read, or float rows as the
-    float vertices and scale 1 (module docstring)."""
-    flat = [x for row in rows for x in row]
-    if linalg.is_exact(flat):
-        g = math.gcd(den, *flat)
+    view seeded with them: ``exact`` int rows (tuples) reduced by their gcd
+    with den, or float rows as the vertices and scale 1 (module docstring)."""
+    if exact:
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g > 1:
+            den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
         image = object.__new__(Polytope)
-        vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(
-            den // g, tuple(tuple(x // g for x in row) for row in rows)))
+        vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(den, rows))
         return image
     vertices = tuple(tuple(x / den for x in row) for row in rows)
     image = Polytope(p.dim, vertices, p.triangulation)
@@ -390,13 +395,19 @@ def _image(p: Polytope, den: int, rows: list[list]) -> Polytope:
 
 
 def translate(p: Polytope, y: Sequence) -> Polytope:
-    """Translate by y: the body's view and y cleared, on their common scale
-    L (``linalg.common_scale``), added in ints over L."""
+    """Translate by y: for exact y and body, the view's pts and y's
+    numerators brought to L = lcm(D, y's denominators) and added over L in
+    one pass, else both in floats (module docstring)."""
     y = tuple(map(linalg.real, y))
     if len(y) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
-    big, (pts, (ys,)) = linalg.common_scale([p.cleared, linalg.clear_denominators([y])])
-    return _image(p, big, [list(map(operator.add, v, ys)) for v in pts])
+    if _exact(p.cleared) and linalg.is_exact(y):
+        den, pts = p.cleared
+        big = math.lcm(den, *(c.denominator for c in y))
+        m, ys = big // den, [c.numerator * (big // c.denominator) for c in y]
+        return _image(p, big, tuple(tuple(x * m + c for x, c in zip(v, ys)) for v in pts), True)
+    _, (pts, (ys,)) = linalg.common_scale([p.cleared, linalg.clear_denominators([y])])
+    return _image(p, 1, [list(map(operator.add, v, ys)) for v in pts], False)
 
 
 def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
@@ -410,18 +421,21 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
         raise DimensionMismatch("matrix size does not match polytope dimension")
     q, rows = phi.cleared
     d, pts = p.cleared
-    return _image(p, q * d, [[sum(map(operator.mul, row, v)) for row in rows] for v in pts])
+    return _image(p, q * d, tuple(tuple(sum(map(operator.mul, row, v)) for row in rows)
+                                  for v in pts), phi.exact and _exact(p.cleared))
 
 
 def scale(p: Polytope, lam) -> Polytope:
-    """Dilation by lam about the origin: the body's view and lam cleared, on
-    their common scale L (``linalg.common_scale``), multiplied in ints over
-    L^2; for exact lam the body ``linear_image`` gives for lam times the
-    identity (a float body or lam gives float points; the triangulation
-    carries over)."""
-    factor = linalg.clear_denominators([[linalg.real(lam)]])
-    big, (pts, ((lam,),)) = linalg.common_scale([p.cleared, factor])
-    return _image(p, big * big, [[x * lam for x in v] for v in pts])
+    """Dilation by lam about the origin: for exact lam = a / b and body, a
+    times the view's pts over D b (``linear_image`` of lam times the
+    identity), else both in floats (module docstring)."""
+    lam = linalg.real(lam)
+    if isinstance(lam, Fraction) and _exact(p.cleared):
+        den, pts = p.cleared
+        a = lam.numerator
+        return _image(p, den * lam.denominator, tuple(tuple(x * a for x in v) for v in pts), True)
+    _, (pts, ((lam,),)) = linalg.common_scale([p.cleared, linalg.clear_denominators([[lam]])])
+    return _image(p, 1, [[x * lam for x in v] for v in pts], False)
 
 
 def support(p: Polytope, u: Sequence):
@@ -460,7 +474,7 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     keys = [tuple(sorted(face)) for face, _ in faces]
     shared = Counter(keys)
     scale, pts = p.cleared
-    exact = isinstance(pts[0][0], int)
+    exact = _exact(p.cleared)
     near = 0 if exact else 1e-9 * max(abs(x) for pt in pts for x in pt)
     atoms: dict = {}
     for (face, opposite), face_key in zip(faces, keys):

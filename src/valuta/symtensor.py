@@ -26,24 +26,26 @@ degree-d coefficient vector times a linear form, over the index tables of
 denominators once, the sums run in Python ints and each coefficient is
 divided once; floats run the same sums with scale 1 and stay floats.
 
-An exact value is its integer view ``cleared``, (D, ints), the totals
-reduced by their gcd with the denominator, as ``linalg.clear_denominators``
-gives it for the values; ``coeffs``, the map of ``Fraction``s or floats, is
-built only when read.  Each is built once per object, as is
-``RMatrix.cleared``.  Every reader but ``coeff``, hashing and serialization
-works on the keys and views: ``gl_action``, ``shift_expansion``,
-``sym_product``, ``-``, ``scale``, the sum ``tensor_sum`` (``+`` is the sum
-of two), ``max_abs_coeff``, the McMullen decomposition, ``==`` of exact
-tensors and the residual ``view_distance`` of every check, so exact work
-whose values agree builds no ``Fraction``.  Beside a float, an exact value
-enters as x / D, which is float(Fraction(x, D)) bit for bit, so floats round
-as the same arithmetic on the ``Fraction`` map would.
+An exact tensor's totals and denominator, reduced by their gcd when it is
+made, are its integer view ``cleared``, (D, ints), as
+``linalg.clear_denominators`` gives it for the values; ``coeffs``, the map
+of ``Fraction``s or floats, is built once, when read.  Every reader but
+``coeff``, hashing and serialization works on the keys and views:
+``gl_action``, ``shift_expansion``, ``sym_product``, ``-``, ``scale``, the
+sum ``tensor_sum`` (``+`` is the sum of two), ``max_abs_coeff``, the
+McMullen decomposition, ``==`` of exact tensors and the residual
+``view_distance`` of every check, so exact work whose values agree builds
+no ``Fraction``.  Beside a float, an exact value enters as x / D, which is
+float(Fraction(x, D)) bit for bit, so floats round as the same arithmetic
+on the ``Fraction`` map would.
 
 Tensor JSON: ``{"dim": n, "rank": r, "coeffs": {"a1,a2,...,an": "p/q"}}``
-with keys ordered lexicographically and rationals in lowest terms.  ``dim``
-and ``rank`` are JSON integers, ``coeffs`` an object, each key numerals
-without leading zeros joined by commas (``""`` at rank 0) and each value a
-rational string or number; anything else, or a key the constructor refuses,
+with keys ordered lexicographically and rationals in lowest terms; a float
+tensor writes its values as JSON numbers, read back as the exact rationals
+they are, so the tensor read back compares equal to it.  ``dim`` and
+``rank`` are JSON integers, ``coeffs`` an object, each key numerals without
+leading zeros joined by commas (``""`` at rank 0) and each value a rational
+string or a finite number; anything else, or a key the constructor refuses,
 raises ``ParseError``.
 """
 
@@ -76,14 +78,20 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def json_rational(x):
+    """A value as ``to_json_dict`` writes it: a float as a JSON number, read
+    back as the exact value it is, else ``format_rational``."""
+    return x if isinstance(x, float) else format_rational(x)
+
+
 def parse_rational(s) -> Fraction:
-    """A rational from a string or a JSON number; a bool raises
-    ``ParseError`` rather than being read as 0 or 1."""
+    """A rational from a string or a JSON number; a bool, or a float that is
+    not finite, raises ``ParseError`` rather than being read as a number."""
     try:
         if isinstance(s, bool):
             raise TypeError("a bool is no rational")
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad rational {s!r}") from exc
 
 
@@ -170,8 +178,10 @@ class SymTensor:
     rank: int
     keys: tuple[MultiIndex, ...]
     exact: bool
-    _totals: tuple
-    _den: int
+    # The values' integer view (D, (ints,)), in ``keys`` order, as
+    # ``linalg.clear_denominators`` gives it for them: the totals over
+    # their denominator, in lowest terms; (1, (values,)) for a float tensor.
+    cleared: tuple[int, tuple[tuple]]
 
     def __init__(self, dim: int, rank: int, coeffs: Mapping | None = None):
         if dim < 1 or rank < 0:
@@ -194,8 +204,9 @@ class SymTensor:
         """The tensor whose coefficient at each of ``keys`` is its total over
         ``den``, zeros left out, without validation: ``keys`` are length-
         ``dim`` multi-indices of degree ``rank`` (``()`` at rank 0).  Int
-        totals are kept over ``den``; totals holding a float are divided at
-        once and kept over 1."""
+        totals over ``den``, both divided by their gcd, are the view
+        ``cleared``; totals holding a float are divided at once and kept
+        over 1."""
         return object.__new__(cls)._store(dim, rank, keys, totals, den)
 
     def _store(self, dim, rank, keys, totals, den) -> "SymTensor":
@@ -203,7 +214,9 @@ class SymTensor:
         exact = set(map(type, totals)) <= {int}
         if not exact:
             totals, den = tuple(x / den for x in totals), 1
-        vars(self).update(dim=dim, rank=rank, keys=keys, exact=exact, _totals=totals, _den=den)
+        elif (g := math.gcd(den, *totals)) > 1:
+            totals, den = tuple(x // g for x in totals), den // g
+        vars(self).update(dim=dim, rank=rank, keys=keys, exact=exact, cleared=(den, (totals,)))
         return self
 
     @staticmethod
@@ -224,21 +237,13 @@ class SymTensor:
     def coeffs(self) -> Mapping[MultiIndex, Fraction]:
         """The coefficient map, built on first read: each total over the
         denominator, a ``Fraction`` for an int and a float for a float."""
-        return {k: linalg.over(x, self._den) for k, x in zip(self.keys, self._totals)}
-
-    @cached_property
-    def cleared(self) -> tuple[int, tuple[tuple]]:
-        """The coefficient values' integer view (D, (ints,)), in ``keys``
-        order, as ``linalg.clear_denominators`` gives it for the values,
-        built once per tensor: the least D with every D N_k / den an
-        integer is den / g, g = gcd(den, *N), and the ints are N / g.  A
-        float tensor's view is (1, (values,))."""
-        g = math.gcd(self._den, *self._totals) if self.exact else 1
-        return self._den // g, (tuple(x // g for x in self._totals) if g > 1 else self._totals,)
+        den, (totals,) = self.cleared
+        return {k: linalg.over(x, den) for k, x in zip(self.keys, totals)}
 
     def _floats(self) -> list:
         """The values in float arithmetic: x / den, float(Fraction(x, den)) bit for bit."""
-        return [x / self._den for x in self._totals]
+        den, (totals,) = self.cleared
+        return [x / den for x in totals]
 
     # -- ring-ish structure ---------------------------------------------------
 
@@ -254,8 +259,8 @@ class SymTensor:
         return tensor_sum([self, -other])
 
     def __neg__(self) -> "SymTensor":
-        return SymTensor.from_totals(self.dim, self.rank, self.keys,
-                                     [-x for x in self._totals], self._den)
+        den, (totals,) = self.cleared
+        return SymTensor.from_totals(self.dim, self.rank, self.keys, [-x for x in totals], den)
 
     def scale(self, c) -> "SymTensor":
         """c times the tensor: exact for a rational c on an exact tensor,
@@ -264,8 +269,9 @@ class SymTensor:
             return SymTensor.zero(self.dim, self.rank)
         if self.exact and isinstance(c, numbers.Rational):
             p, q = int(c.numerator), int(c.denominator)
+            den, (totals,) = self.cleared
             return SymTensor.from_totals(self.dim, self.rank, self.keys,
-                                         [x * p for x in self._totals], self._den * q)
+                                         [x * p for x in totals], den * q)
         return SymTensor.from_totals(self.dim, self.rank, self.keys,
                                      [x * c for x in self._floats()], 1)
 
@@ -286,9 +292,10 @@ class SymTensor:
 
     def max_abs_coeff(self):
         """Largest absolute coefficient; 0 for the zero tensor."""
+        den, (totals,) = self.cleared
         if self.exact:
-            return Fraction(max(map(abs, self._totals), default=0), self._den)
-        return max(map(abs, self._totals))
+            return Fraction(max(map(abs, totals), default=0), den)
+        return max(map(abs, totals))
 
     def coeff(self, key: Iterable[int]):
         key = tuple(key)
@@ -301,7 +308,7 @@ class SymTensor:
     def to_json_dict(self) -> dict:
         coeffs = {}
         for key in sorted(self.coeffs):
-            coeffs[",".join(str(a) for a in key)] = format_rational(self.coeffs[key])
+            coeffs[",".join(str(a) for a in key)] = json_rational(self.coeffs[key])
         return {"dim": self.dim, "rank": self.rank, "coeffs": coeffs}
 
     @staticmethod

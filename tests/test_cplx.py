@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -468,6 +469,15 @@ class TestSlmcElements:
     def test_json_round_trip(self):
         a = sl_mc_element("shear", 2, params={"count": 3}, seed=9)
         assert CMatrix.from_json_dict(a.to_json_dict()).entries == a.entries
+
+    def test_float_json_round_trip(self):
+        """Float parts are written as JSON numbers and read back as the
+        exact rationals they are, so the matrix read back compares equal."""
+        a = sl_mc_element("unitary-float", 2, seed=3)
+        data = a.to_json_dict()
+        assert all(type(x) is float for row in data["entries"] for e in row for x in e.values())
+        back = CMatrix.from_json_dict(json.loads(json.dumps(data)))
+        assert back.exact and back == a
 
     @pytest.mark.parametrize("data", [
         {"m": 1},

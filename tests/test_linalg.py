@@ -336,6 +336,67 @@ def test_echelon_edge_cases():
             linalg.solve(singular, [1] * len(singular))
 
 
+@st.composite
+def stair_matrices(draw):
+    """Int matrices of 1..5 rows and 1..6 columns, mostly zeros, with some
+    columns zeroed and, in some, a row planted as a combination of two
+    others: the elimination skips columns without a pivot and swaps rows."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 7, 10 ** 12])
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1)):
+        for row in rows:
+            row[c] = 0
+    if nrows > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[draw(st.integers(2, nrows - 1))] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=stair_matrices())
+def test_rank_of_int_matrices_matches_sympy(rows):
+    """The rank matches sympy's on rectangular int matrices with pivot-free
+    columns and row swaps."""
+    sympy = pytest.importorskip("sympy")
+    assert linalg.rank(rows) == sympy.Matrix(rows).rank()
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[0, 0, 1], [0, 2, 3], [1, 0, 0]], 3),                   # swaps at every pivot
+    ([[0, 0, 0, 4], [0, 0, 2, 1], [0, 0, 6, 3]], 2),          # two pivot-free columns first
+    ([[0, 1, 2, 3], [0, 2, 4, 7], [0, 0, 0, 5], [0, 3, 6, 9]], 2),
+    ([[1, 2], [2, 4], [0, 0], [3, 6]], 1),
+    ([[0, 0], [0, 0]], 0),
+])
+def test_rank_edge_cases(rows, rank):
+    assert linalg.rank(rows) == rank
+
+
+# Float and complex matrices that need row swaps, with the determinant and
+# rank the whole-row elimination gave, pinned bit for bit (float.hex).
+FLOAT_PINS = [
+    ([[0.1, 2.0, -1.3], [3.7, -0.2, 0.9], [1.1, 4.4, 0.25]], "-0x1.5b89374bc6a80p+4", 3),
+    ([[0.0, 1.5, 2.5, -0.75], [2.2, -3.25, 0.1, 1.0], [-4.1, 0.7, 1e-3, 0.3],
+      [0.6, 2.0, -0.3, 5.5]], "-0x1.7fd96a161e4f9p+7", 4),
+]
+COMPLEX_PIN = ([[(0.5, -1.25), (2.0, 0.0), (0.1, 0.3)], [(3.0, 2.5), (-1.0, 0.75), (0.0, -2.0)],
+                [(-0.2, 0.4), (1.5, 1.5), (2.25, -0.5)]],
+               ("-0x1.9d0f5c28f5c2ap+3", "0x1.2fae147ae147bp+1"), 3)
+
+
+@pytest.mark.parametrize("rows, det, rank", FLOAT_PINS)
+def test_float_elimination_is_pinned_bit_for_bit(rows, det, rank):
+    assert linalg.det(rows).hex() == det
+    assert linalg.rank(rows) == rank
+
+
+def test_float_cdet_is_pinned_bit_for_bit():
+    rows, det, rank = COMPLEX_PIN
+    assert tuple(x.hex() for x in linalg.cdet(rows)) == det
+    assert linalg.crank(rows) == rank
+
+
 @settings(max_examples=80, deadline=None)
 @given(groups=st.lists(st.lists(st.lists(rationals | st.sampled_from([0.1, -2.5, 1 / 3]),
                                          min_size=2, max_size=2), min_size=1, max_size=3),

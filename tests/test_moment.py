@@ -687,6 +687,23 @@ def test_a_body_of_flat_cells_alone_has_zero_moments(monkeypatch, zero):
     assert report.passed and report.max_residual == 0
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_a_lone_simplex_takes_one_bareiss(monkeypatch, r):
+    """``moment_tensor`` of a lone simplex, and of its exact dilate and
+    translate, costs one Bareiss determinant, its cell's |det E|, and the
+    affine maps cost none."""
+    body = simplex([[F(1, 3), 0, F(-2, 7), 1], [F(5, 2), F(1, 12), 0, 0], [0, 1, F(7, 97), 2],
+                    [F(-1, 30), 0, 1, F(1, 2)], [1, 1, 1, F(3, 4)]])
+    body.cleared
+    dets = []
+    real = linalg.bareiss
+    monkeypatch.setattr(linalg, "bareiss", lambda m: dets.append(len(m)) or real(m))
+    for image in (body, scale(body, F(-3, 2)), translate(body, (F(1, 5), 0, -1, F(2, 3)))):
+        dets.clear()
+        moment_tensor(image, r)
+        assert dets == [4]
+
+
 def _cross(j):
     return crosspolytope([[F(int(i == k)) for k in range(j)] for i in range(j)])
 

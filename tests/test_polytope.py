@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -699,6 +700,57 @@ def test_scale_matches_linear_image_of_a_diagonal(case):
 
 def _all_float(body):
     return all(isinstance(x, float) for v in body.vertices for x in v)
+
+
+def test_float_body_survives_its_json_round_trip():
+    """Float coordinates are written as JSON numbers and read back as the
+    exact rationals they are, so the body read back compares equal."""
+    tri = Polytope(2, ((0.1, 0.0), (1.5, 0.2), (0.0, 1.0)), ((0, 1, 2),))
+    data = tri.to_json_dict()
+    assert data["vertices"] == [[0.1, 0.0], [1.5, 0.2], [0.0, 1.0]]
+    back = Polytope.from_json_dict(json.loads(json.dumps(data)))
+    assert back == tri and not _all_float(back)
+    assert back.vertices[0][0] == F(0.1) != F(1, 10)
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap each named function of ``module`` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("body", [
+    simplex([(F(1, 3), F(-2, 7)), (F(5, 2), F(1, 12)), (F(-1, 30), F(7, 97))]),
+    crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0), (0, 0, F(3, 7), 1),
+                   (F(1, 5), 0, 0, 1)]),
+    cube(3),
+])
+def test_exact_dilates_and_translates_take_no_view_set_up(monkeypatch, body):
+    """An exact scale or translate builds the image's ints off the body's
+    view and lam's or y's numerators and denominators in one pass: no
+    ``common_scale`` and no ``clear_denominators``.  The images are those
+    of the body rebuilt from its vertices."""
+    view = body.cleared
+    calls = _count_calls(monkeypatch, linalg, ["common_scale", "clear_denominators"])
+    y = [F(k, 2 * k + 1) for k in range(body.dim)]
+    images = [scale(body, 3), scale(body, F(-5, 12)), scale(body, 0), translate(body, y),
+              translate(body, [0] * body.dim)]
+    assert calls == {"common_scale": 0, "clear_denominators": 0}
+    monkeypatch.undo()
+    twin = _rebuilt(body)
+    assert twin.cleared == view
+    assert images == [scale(twin, 3), scale(twin, F(-5, 12)), scale(twin, 0), translate(twin, y),
+                      translate(twin, [0] * body.dim)]
+    for image in images:
+        _assert_body_twin(image)
 
 
 def test_scale_of_a_float_body_or_factor_is_float():

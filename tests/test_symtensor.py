@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 from fractions import Fraction
@@ -172,6 +173,20 @@ def test_json_round_trip():
     data = x.to_json_dict()
     assert data == {"dim": 2, "rank": 2, "coeffs": {"0,2": "-5/7", "2,0": "1/3"}}
     assert SymTensor.from_json_dict(data) == x
+
+
+def test_float_tensor_survives_its_json_round_trip():
+    """A float value is written as a JSON number, not as its repr in a
+    string, and read back as the exact rational it is: the tensor read back
+    compares equal to the float one, through a JSON text too."""
+    x = t(2, 1, {(1, 0): 0.1, (0, 1): -2.5})
+    data = x.to_json_dict()
+    assert data["coeffs"] == {"0,1": -2.5, "1,0": 0.1}
+    back = SymTensor.from_json_dict(json.loads(json.dumps(data)))
+    assert back.exact and back == x and x == back
+    assert back.coeff((1, 0)) == F(0.1) != F(1, 10)
+    with pytest.raises(ParseError):
+        SymTensor.from_json_dict({"dim": 2, "rank": 1, "coeffs": {"1,0": math.inf}})
 
 
 def test_scalar_json_uses_empty_key():
