@@ -157,7 +157,6 @@ def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
     """
     nrows = len(m)
     floats = _floats(m)
-    div = operator.truediv if floats else operator.floordiv
     sign, prev, pivots = 1, 1, []
     for c in range(len(m[0]) if m else 0):
         k = len(pivots)
@@ -181,7 +180,10 @@ def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
         for i in range(0 if jordan else k + 1, nrows):
             if i != k:
                 a = m[i][c]
-                m[i] = [div(x * p - a * y, prev) for x, y in zip(m[i], top)]
+                if floats:
+                    m[i] = [(x * p - a * y) / prev for x, y in zip(m[i], top)]
+                else:
+                    m[i] = [(x * p - a * y) // prev for x, y in zip(m[i], top)]
         pivots.append(c)
         prev = p
     return sign, pivots

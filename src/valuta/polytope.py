@@ -11,8 +11,9 @@ moment kernel, affine maps) takes the vertices' integer view ``cleared`` =
 (D, ints), what ``linalg.clear_denominators`` gives for ``vertices`` (rows
 as tuples), built once per body and kept on it.  ``linear_image``, ``scale``
 and ``translate`` compute the image's ints N over a denominator den in one
-pass off the body's view (D, pts): phi's view (q, rows) times pts over q D,
-a pts over D b for lam = a / b, or pts and y's numerators brought to
+pass off the body's view (D, pts): pts scattered through the nonzero
+entries of phi's columns (``RMatrix.columns``, over q) over q D, a pts over
+D b for lam = a / b, or pts and y's numerators brought to
 L = lcm(D, y's denominators) and added over L.  The exact image is that
 view, reduced by g = gcd(den, *N) when g > 1: the least L with every
 L N_k / den an integer is den / g, so den / g is the lcm of the image's
@@ -20,9 +21,10 @@ denominators and N / g is L times its vertices, as clearing would give.
 Its ``Fraction`` ``vertices`` are built from the view the first time they
 are read, so an image that only a moment, volume or atom reader sees never
 builds them.  A float on either side gives float vertices x / den at once
-and the view (1, vertices): ``linear_image`` multiplies float rows by the
-other side's ints, and a float ``translate`` or ``scale`` turns both views
-to floats (``linalg.common_scale``), x / D being float(x) bit for bit.
+and the view (1, vertices): ``linear_image`` multiplies the float side,
+columns or points, by the other side's ints, and a float ``translate`` or
+``scale`` turns both views to floats (``linalg.common_scale``), x / D being
+float(x) bit for bit.
 
 Cell determinants come from one walk, ``cell_dets``, shared by ``volume``,
 the import checks, ``subspace_volume`` and the moment kernel: the cells in
@@ -414,15 +416,25 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
     """Image under an invertible linear map: the points are mapped and the
     triangulation carries over.
 
-    The products of phi's view (q, rows) and the body's (d, pts) are taken
-    in ints, over q d; a float phi or a float body gives float points.
+    Each point of the body's view (d, pts) is scattered through phi's
+    columns (``RMatrix.columns``, q): coordinate i times the nonzero entries
+    of column i, so each image coordinate sums its terms in column order and
+    only exact zeros are left out.  The sums are ints over q d, or floats
+    when phi or the body holds a float.
     """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
-    q, rows = phi.cleared
+    q, cols = phi.columns
     d, pts = p.cleared
-    return _image(p, q * d, tuple(tuple(sum(map(operator.mul, row, v)) for row in rows)
-                                  for v in pts), phi.exact and _exact(p.cleared))
+    images = []
+    for v in pts:
+        out = [0] * p.dim
+        for c, col in zip(v, cols):
+            if c:
+                for k, x in col:
+                    out[k] += c * x
+        images.append(tuple(out))
+    return _image(p, q * d, tuple(images), phi.exact and _exact(p.cleared))
 
 
 def scale(p: Polytope, lam) -> Polytope:

@@ -19,19 +19,22 @@ single empty key ``()``.
 
 A tensor is a polynomial in e_1..e_n, so the GL(n) action is the
 substitution e_i -> phi(e_i) and a vector power the power of one linear
-form.  Both, the moment kernel and the translation-covariance expansion
-``shift_expansion`` run on one step, ``mul_form``: a dense
+form.  Both, the moment kernel and the translation-covariance expansions
+``shift_expansions`` run on one step, ``mul_form``: a dense
 degree-d coefficient vector times a linear form, over the index tables of
-``monomial_tables`` (cached per (n, r)).  Inputs are cleared of
-denominators once, the sums run in Python ints and each coefficient is
-divided once; floats run the same sums with scale 1 and stay floats.
+``monomial_tables`` (cached per (n, r)).  ``gl_action`` runs it by
+Horner's rule on the tree of first parents of those tables, with phi's
+columns as sparse forms (``RMatrix.columns``), so a shear pays only for its
+nonzeros.  Inputs are cleared of denominators once, the sums run in Python
+ints and each coefficient is divided once; floats run the same sums with
+scale 1 and stay floats.
 
 An exact tensor's totals and denominator, reduced by their gcd when it is
 made, are its integer view ``cleared``, (D, ints), as
 ``linalg.clear_denominators`` gives it for the values; ``coeffs``, the map
 of ``Fraction``s or floats, is built once, when read.  Every reader but
 ``coeff``, hashing and serialization works on the keys and views:
-``gl_action``, ``shift_expansion``, ``sym_product``, ``-``, ``scale``, the
+``gl_action``, ``shift_expansions``, ``sym_product``, ``-``, ``scale``, the
 sum ``tensor_sum`` (``+`` is the sum of two), ``max_abs_coeff``, the
 McMullen decomposition, ``==`` of exact tensors and the residual
 ``view_distance`` of every check, so exact work whose values agree builds
@@ -69,13 +72,13 @@ MultiIndex = tuple[int, ...]
 
 
 def format_rational(q) -> str:
-    """Serialize a coefficient: `"p/q"` in lowest terms, `"p"` for integers."""
+    """Serialize a coefficient: `"p/q"` in lowest terms, `"p"` for integers.
+    That is the ``str`` of a ``Fraction`` or an int; a bool or a numpy
+    integer is made a ``Fraction`` first, and a float is written as its
+    ``repr``."""
     if isinstance(q, float):
         return repr(q)
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(q if type(q) is int or type(q) is Fraction else Fraction(q))
 
 
 def json_rational(x):
@@ -407,15 +410,25 @@ def vector_power(x: Sequence, r: int) -> SymTensor:
 
 def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
     """The translation-covariance expansion sum_j T_j y^j / j! of tensors
-    T_0, ..., T_R of ranks R, ..., 0, by Horner's rule in y.
+    T_0, ..., T_R of ranks R, ..., 0, by Horner's rule in y: the first of
+    ``shift_expansions``."""
+    return shift_expansions(tensors, y)[0]
 
-    With the tensors' views (``SymTensor.cleared``) on their common scale M
-    (``linalg.common_scale``) and y cleared by q (y' = q y),
-    N_0 = M T_R and N_(d+1) = c_(d+1) M T_(R-d-1) + N_d y', where c_0 = 1
-    and c_(d+1) = c_d q (R - d).  Each T_j is multiplied by y once per step
+
+def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTensor]:
+    """The expansions of every suffix, ``shift_expansion(tensors[s:], y)``
+    for s = 0..R, from one clearing of y and one common scale of the views.
+
+    With the suffix's views (``SymTensor.cleared``) on a common scale M
+    (``linalg.common_scale``) and y cleared by q (y' = q y), a suffix of
+    tensors T_0, ..., T_R of ranks R, ..., 0 runs N_0 = M T_R and
+    N_(d+1) = c_(d+1) M T_(R-d-1) + N_d y', where c_0 = 1 and
+    c_(d+1) = c_d q (R - d).  Each T_j is multiplied by y once per step
     after it enters, for j steps with divisors j, ..., 1, so N_R is M c_R
-    times the expansion and is divided once by M c_R = M q^R R!.  Floats run
-    the same sums with scale 1 and stay floats.
+    times the expansion and is divided once by M c_R = M q^R R!.  When y and
+    the tensors are exact, M is the lcm of all the scales and serves every
+    suffix; otherwise each suffix is brought to its own scale, as on its own,
+    and the sums run in floats and stay floats.
     """
     r = len(tensors) - 1
     n = len(y)
@@ -423,26 +436,34 @@ def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
         raise DimensionMismatch(f"shift expansion needs ranks {r}..0 over R^{n}")
     q, (ys,) = linalg.clear_denominators([list(y)])
     form = [(i, v) for i, v in enumerate(ys) if v]
-    by_rank = tensors[::-1]
-    scale, lifted = linalg.common_scale(t.cleared for t in by_rank)
+    views = [t.cleared for t in tensors]
+    exact = all(t.exact for t in tensors) and linalg.is_exact(ys)
+    shared = linalg.common_scale(views) if exact else None
     levels, steps, _ = monomial_tables(n, r)
-    acc, c = [0], 1
-    for d, (t, (values,)) in enumerate(zip(by_rank, lifted)):
-        out = [0] * len(levels[d])
-        if d:
-            c *= q * (r - d + 1)
-            mul_form(acc, steps[d - 1], form, out)
-        index = levels[d]
-        for alpha, x in zip(t.keys, values):
-            out[index[alpha] if d else 0] += c * x
-        acc = out
-    return SymTensor.from_totals(n, r, levels[r] if r else [()], acc, scale * c)
+    expansions = []
+    for s in range(r + 1):
+        scale, lifted = (shared[0], shared[1][s:]) if shared else linalg.common_scale(views[s:])
+        acc, c = [0], 1
+        for d, (t, (values,)) in enumerate(zip(reversed(tensors[s:]), reversed(lifted))):
+            out = [0] * len(levels[d])
+            if d:
+                c *= q * (r - s - d + 1)
+                mul_form(acc, steps[d - 1], form, out)
+            index = levels[d]
+            for alpha, x in zip(t.keys, values):
+                out[index[alpha] if d else 0] += c * x
+            acc = out
+        expansions.append(SymTensor.from_totals(n, r - s, levels[r - s] if r > s else [()],
+                                                acc, scale * c))
+    return expansions
 
 
 @dataclass(frozen=True)
 class RMatrix:
     """Square real matrix.  Rational entries are kept as ``Fraction``s and
-    any other real as a float; ``exact`` is read off the entries."""
+    any other real as a float; ``exact`` is read off the entries.  Its
+    integer views, built once per matrix, are the rows (``cleared``) and the
+    columns as sparse (row, entry) pairs over the same scale (``columns``)."""
 
     entries: tuple[tuple, ...]
 
@@ -483,6 +504,15 @@ class RMatrix:
         return scale, tuple(map(tuple, rows))
 
     @cached_property
+    def columns(self) -> tuple[int, tuple[tuple[tuple[int, object], ...], ...]]:
+        """The columns of the view ``cleared`` (q, rows) as (row, nonzero
+        entry) pairs, so phi e_i is the sum of x e_row over the pairs of
+        column i, over q; built once per matrix and read by ``gl_action``
+        and ``polytope.linear_image``."""
+        q, rows = self.cleared
+        return q, tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*rows))
+
+    @cached_property
     def det(self):
         return linalg.det(self.entries)
 
@@ -516,11 +546,16 @@ def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:
     """Natural GL(n) action on symmetric tensors: substitute phi(e_i) for e_i
     in every basis monomial and re-expand.
 
-    On the views of phi (q, its rows transposed into columns) and of t's
-    coefficients (L), each monomial of degree < r maps to its parent's image
-    times one column.  At degree r the weighted parent images are summed
-    per peeled index i, each sum is multiplied by column i once, and the
-    total is divided by L q^r.  Neither view is cleared again when the same
+    By Horner's rule on the monomial tree of ``monomial_tables``, whose
+    level-(d + 1) monomial k hangs under j through index i, (j, i) =
+    ``parents[d][k]``: the leaves are t's weights on the view's scale L,
+    each node is the sum over its children of phi e_i times the child's
+    value, on column i of phi's view (``RMatrix.columns``, q), and the root,
+    of degree r, is divided once by L q^r.  A leaf's parent adds its weight
+    times the column itself (e_k is position k of degree 1), every higher
+    node one ``mul_form`` per child.  That is about nnz(column) sum_d N_d
+    N_(r-d) multiply-adds for N_d monomials of degree d, so a sparse phi
+    pays only for its nonzeros.  Neither view is cleared again when the same
     matrix or tensor comes back.
     """
     if phi.n != t.dim:
@@ -528,20 +563,19 @@ def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:
     n, r = t.dim, t.rank
     if r == 0 or t.is_zero():
         return t
-    q, rows = phi.cleared
-    forms = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*rows)]
+    q, forms = phi.columns
     scale, (weights,) = t.cleared
     levels, steps, parents = monomial_tables(n, r)
-    images = [[1]]
-    for d in range(r - 1):
-        size = len(levels[d + 1])
-        images = [mul_form(images[j], steps[d], forms[i], [0] * size) for j, i in parents[d]]
-    size, sums = len(levels[r - 1]), {}
+    index, nodes = levels[r], {}
     for alpha, w in zip(t.keys, weights):
-        j, i = parents[r - 1][levels[r][alpha]]
-        acc = sums.get(i) or [0] * size
-        sums[i] = [a + w * v for a, v in zip(acc, images[j])]
-    out = [0] * len(levels[r])
-    for i, acc in sums.items():
-        mul_form(acc, steps[r - 1], forms[i], out)
-    return SymTensor.from_totals(n, r, levels[r], out, scale * q ** r)
+        j, i = parents[r - 1][index[alpha]]
+        out = nodes.get(j) or nodes.setdefault(j, [0] * n)
+        for k, x in forms[i]:
+            out[k] += w * x
+    for d in range(r - 2, -1, -1):
+        step, size, up = steps[r - d - 1], len(levels[r - d]), {}
+        for k, vec in nodes.items():
+            j, i = parents[d][k]
+            mul_form(vec, step, forms[i], up.get(j) or up.setdefault(j, [0] * size))
+        nodes = up
+    return SymTensor.from_totals(n, r, index, nodes[0], scale * q ** r)

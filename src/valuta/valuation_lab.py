@@ -11,9 +11,10 @@ The interpolation weights, the inverse of the Vandermonde matrix on the
 dilates 1..top + 1, depend only on top = n + rank; they are built once per
 top as an int matrix and one denominator, so a decomposition is one int sum
 per component and coefficient and one division.  The covariance cascade
-compares each translate against ``symtensor.shift_expansion``, the
-expansion sum_j Z^(r-j)(K) y^j / j! by Horner's rule in y, in ints; there
-the moments of each body share one kernel pass (``moment._shared_passes``).
+compares each translate against ``symtensor.shift_expansions``, the
+expansions sum_j Z^(r-j)(K) y^j / j! of every suffix of the cascade by
+Horner's rule in y, in ints, from one clearing of y per shift; there the
+moments of each body share one kernel pass (``moment._shared_passes``).
 
 Every check compares (a, b) tensor pairs and reaches its verdict by one
 rule (``_verdict``).  The residual of a pair is ``symtensor.view_distance``,
@@ -55,7 +56,7 @@ from .symtensor import (
     SymTensor,
     format_rational,
     gl_action,
-    shift_expansion,
+    shift_expansions,
     tensor_sum,
     view_distance,
 )
@@ -307,9 +308,10 @@ def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
 
 def verify_covariance(zs: Sequence[Valuation], body: Polytope,
                       ys: Sequence[Sequence]) -> CheckReport:
-    """Check the covariance cascade: for every prefix, the valuation of the
-    translated body equals the binomial-type expansion in the shift
-    (``shift_expansion`` of the values at the body)."""
+    """Check the covariance cascade: for every suffix of the cascade, the
+    valuation of the translated body equals the binomial-type expansion in
+    the shift of the values at the body (``shift_expansions``, all suffixes
+    of one shift at once)."""
     ranks = [z.rank for z in zs]
     r = ranks[0]
     if ranks != list(range(r, -1, -1)):
@@ -321,8 +323,8 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
             y = tuple(map(linalg.real, y))
             shifted = translate(body, y)
             shown = [format_rational(c) for c in y]
-            pairs += [(z(shifted), shift_expansion(at_body[s:], y),
-                       {"y": shown, "coefficient_rank": z.rank}) for s, z in enumerate(zs)]
+            pairs += [(z(shifted), expansion, {"y": shown, "coefficient_rank": z.rank})
+                      for z, expansion in zip(zs, shift_expansions(at_body, y))]
     return _verdict("translation-covariance", pairs, *body.vertices, *ys)
 
 

@@ -590,6 +590,35 @@ def test_linear_image_matches_fraction_matvec(case):
     assert image.triangulation == body.triangulation
 
 
+def _sparse_maps(n):
+    """An elementary shear, a permutation and a permuted shear of R^n."""
+    shear = [[F(int(i == k)) for k in range(n)] for i in range(n)]
+    shear[0][n - 1], shear[n - 1][1] = F(-3, 2), F(2, 7)
+    perm = [[F(int(k == (i + 2) % n)) for k in range(n)] for i in range(n)]
+    return [shear, perm, [shear[(i + 2) % n] for i in range(n)]]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_linear_image_of_sparse_maps_matches_matvec(n):
+    """On shears and permutations, which skip most terms of the column
+    scatter, each image vertex is the dense matrix-vector product; a float
+    body maps to floats within 1e-12 of the dense product in floats."""
+    rng = random.Random(n)
+    body = simplex([[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+                    for _ in range(n + 1)])
+    as_float = Polytope(n, tuple(tuple(map(float, v)) for v in body.vertices),
+                        body.triangulation)
+    for rows in _sparse_maps(n):
+        image = linear_image(RMatrix.from_rows(rows), body)
+        assert image.vertices == tuple(_matvec(rows, v) for v in body.vertices)
+        assert all(type(x) is Fraction for v in image.vertices for x in v)
+        floats = linear_image(RMatrix.from_rows(rows), as_float)
+        assert _all_float(floats) and floats.triangulation == body.triangulation
+        for got, v in zip(floats.vertices, as_float.vertices, strict=True):
+            want = [sum(float(a) * b for a, b in zip(row, v)) for row in rows]
+            assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(lo=st.lists(small_rats, min_size=2, max_size=4), data=st.data())
 def test_box_atoms_are_side_products(lo, data):

@@ -138,7 +138,7 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
     assert dividing == [("polytope", "_volume"), ("polytope", "surface_area_measure"),
                         ("symtensor", "coeffs")]
     for site in [("moment", "moment_family"), ("symtensor", "gl_action"),
-                 ("symtensor", "shift_expansion"), ("symtensor", "vector_power"),
+                 ("symtensor", "shift_expansions"), ("symtensor", "vector_power"),
                  ("symtensor", "sym_product"), ("symtensor", "tensor_sum"),
                  ("symtensor", "scale"), ("symtensor", "__neg__"),
                  ("valuation_lab", "mcmullen_decompose"), ("valuation_lab", "_signed_power")]:

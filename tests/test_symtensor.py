@@ -4,6 +4,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,11 @@ from valuta.errors import DimensionMismatch, ParseError
 from valuta.symtensor import (
     RMatrix,
     SymTensor,
+    format_rational,
     gl_action,
     monomial_tables,
     shift_expansion,
+    shift_expansions,
     sym_product,
     tensor_dim,
     tensor_sum,
@@ -189,6 +192,15 @@ def test_float_tensor_survives_its_json_round_trip():
         SymTensor.from_json_dict({"dim": 2, "rank": 1, "coeffs": {"1,0": math.inf}})
 
 
+@pytest.mark.parametrize("value, text", [
+    (3, "3"), (F(-7, 4), "-7/4"), (F(4, 2), "2"), (True, "1"), (np.int64(3), "3"), (0.1, "0.1"),
+])
+def test_format_rational_outputs(value, text):
+    """An int or a Fraction is written as its str, a bool and a numpy
+    integer as the rational they are, a float as its repr."""
+    assert format_rational(value) == text
+
+
 def test_scalar_json_uses_empty_key():
     s = SymTensor.scalar(4, F(1, 2))
     data = s.to_json_dict()
@@ -330,8 +342,26 @@ def action_cases(draw):
     return RMatrix.from_rows(rows), draw(_sparse_tensors(n, 3))
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=action_cases())
+@st.composite
+def sparse_action_cases(draw):
+    """Elementary shears, permutations and diagonals with zero entries, so
+    most columns of phi hold one nonzero or none, at n <= 6 and ranks <= 4."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["shear", "permutation", "diagonal"] if n > 1 else ["diagonal"]))
+    rows = [[F(int(i == k)) for k in range(n)] for i in range(n)]
+    if kind == "shear":
+        p, q = draw(st.permutations(range(n)))[:2]
+        rows[p][q] = draw(rationals)
+    elif kind == "permutation":
+        rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    else:
+        for i, x in enumerate(draw(st.lists(st.just(F(0)) | rationals, min_size=n, max_size=n))):
+            rows[i][i] = x
+    return RMatrix.from_rows(rows), draw(_sparse_tensors(n, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=action_cases() | sparse_action_cases())
 def test_gl_action_matches_sympy_substitution(case):
     phi, a = case
     n = a.dim
@@ -369,6 +399,24 @@ def test_kernel_outputs_are_well_formed(case, c, x):
     for out in (b, vector_power(x[:a.dim], a.rank), sym_product(a, b), a + b, a - a, -b,
                 b.scale(c), SymTensor.zero(a.dim, a.rank)):
         _assert_well_formed(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=action_cases() | sparse_action_cases())
+def test_float_gl_action_is_within_rounding_of_the_exact(case):
+    """A float phi sums the same products as its exact twin, the rationals
+    its floats are, in another order: each coefficient is within 1e-12 of
+    the exact one, relative to the action of |phi| on |t|."""
+    phi, a = case
+    floats = RMatrix.from_rows([[float(x) for x in row] for row in phi.entries])
+    twin = RMatrix.from_rows([[F(float(x)) for x in row] for row in phi.entries])
+    got, want = gl_action(floats, a), gl_action(twin, a)
+    assert all(type(v) is float for v in got.coeffs.values())
+    absolute = gl_action(RMatrix.from_rows([[abs(x) for x in row] for row in twin.entries]),
+                         SymTensor(a.dim, a.rank, {k: abs(v) for k, v in a.coeffs.items()}))
+    size = max([1.0] + [float(v) for v in absolute.coeffs.values()])
+    for k in {**got.coeffs, **want.coeffs}:
+        assert got.coeff(k) == pytest.approx(float(want.coeff(k)), abs=1e-12 * size)
 
 
 def test_gl_action_with_float_matrix_returns_floats():
@@ -442,6 +490,21 @@ def test_shift_expansion_matches_product_sum(case):
     size = max([1.0] + [float(v) for v in absolute.coeffs.values()])
     for k in {**got.coeffs, **want.coeffs}:
         assert got.coeff(k) == pytest.approx(float(want.coeff(k)), abs=1e-12 * size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=expansion_cases())
+def test_shift_expansions_are_those_of_each_suffix(case):
+    """Every suffix's expansion, from one clearing of y and one common
+    scale, is the suffix's own ``shift_expansion`` to the last bit, exact or
+    float alike, a mix of exact and float tensors included."""
+    ts, y = case
+    got = shift_expansions(ts, y)
+    assert len(got) == len(ts)
+    for s, expansion in enumerate(got):
+        want = shift_expansion(ts[s:], y)
+        assert expansion.exact == want.exact and expansion.keys == want.keys
+        assert expansion.cleared == want.cleared
 
 
 def test_shift_expansion_small_cases():

@@ -313,6 +313,25 @@ class TestEquivariance:
         assert not report.passed
         assert report.max_residual != 0
 
+    def test_moment_rank4_at_m5_is_exact(self):
+        """At m = 5 (R^10), rank 4, a rational 10-simplex under a realified
+        SL(5,C) shear: moment[4] passes with an exact zero residual, and
+        moment[4] + vol Q^2 with Q = sum e_i^2, which only O(10) fixes,
+        fails with a nonzero exact residual."""
+        rng = random.Random(10)
+        body = simplex([[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(10)]
+                        for _ in range(11)])
+        shear = sl_mc_element("shear", 5, params={"p": 1, "q": 3, "re": F(1, 2), "im": F(-3, 2)})
+        report = verify_equivariance(moment_valuation(10, 4), [realify(shear)], body)
+        assert report.passed and report.mode == "exact"
+        assert type(report.max_residual) is Fraction and report.max_residual == 0
+        q = SymTensor(10, 2, {tuple(2 * (k == i) for k in range(10)): 1 for i in range(10)})
+        planted = Valuation("moment[4]+vol*Q^2", 4, 10, lambda b: moment_tensor(b, 4).tensor
+                            + sym_product(q, q).scale(volume(b)))
+        report = verify_equivariance(planted, [shear], body)
+        assert not report.passed and report.mode == "exact"
+        assert type(report.max_residual) is Fraction and report.max_residual != 0
+
     def test_float_shear_passes_on_its_rounding_residual(self):
         shear = RMatrix.from_rows([[1.0, 0.3], [0.0, 1.0]])
         body = simplex([(0, 0), (1, 0), (F(1, 3), 1)])
@@ -902,7 +921,7 @@ def test_reports_on_fixed_inputs_are_unchanged(run, expected):
 def test_passing_exact_checks_build_no_fraction_for_their_values(monkeypatch):
     """A passing exact equivariance check (a 6-simplex under 3 shears) and a
     passing covariance cascade compare their values on integer views: no
-    moment, gl_action or shift_expansion tensor builds its Fraction
+    moment, gl_action or shift_expansions tensor builds its Fraction
     coefficients, and no image (``polytope._image``) its Fraction vertices."""
     made, images = [], []
 
@@ -915,7 +934,7 @@ def test_passing_exact_checks_build_no_fraction_for_their_values(monkeypatch):
 
     monkeypatch.setattr(moment, "moment_family", kept(moment.moment_family, made))
     monkeypatch.setattr(valuation_lab, "gl_action", kept(symtensor.gl_action, made))
-    monkeypatch.setattr(valuation_lab, "shift_expansion", kept(symtensor.shift_expansion, made))
+    monkeypatch.setattr(valuation_lab, "shift_expansions", kept(symtensor.shift_expansions, made))
     monkeypatch.setattr(polytope, "_image", kept(polytope._image, images))
     rng = random.Random(7)
     body = simplex([[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(6)]
