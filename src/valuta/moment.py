@@ -49,10 +49,11 @@ is symmetric in the vertices, and |det E| does not depend on which vertex is
 the base.  Float bodies run through the same sums in floats with D = 1, on
 the DAG in another order than on the tree.
 
-The determinants come from the same walk, ``polytope.cell_dets``, which
-also serves ``volume``, the import checks and ``subspace_volume``: a cell
-whose first n vertices a neighbour in sorted order shares reads det E off
-the exterior product of its edges, built one edge per shared prefix; every
+The determinants, and the prefix each cell shares with the one before,
+are the body's walk ``Polytope.walk``, kept on the body and also read by
+``volume`` and the import checks: ``polytope.cell_dets`` reads det E of a
+cell whose first n vertices a neighbour in sorted order shares off the
+exterior product of its edges, built one edge per shared prefix; every
 other cell, a lone simplex or a triangle of a polygon's fan, costs one
 Bareiss determinant, and a flat cell (det E = 0) adds nothing.
 ``polytope.box`` lists each Kuhn cell as lo, hi, then the inner vertices of
@@ -67,6 +68,11 @@ of m triangles 1 + 2m.  The pass holds every h_d, d <= r, so
 ``moment_family`` returns M^r, ..., M^0 from it; inside a ``_shared_passes``
 scope (one ``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps
 each body's family, looked up by identity.
+
+An exact image under ``linear_image``, ``scale`` or ``translate`` takes its
+source's walk times the map's |det| over the image's reduction
+(``polytope`` module docstring), so phi K, t K and K + y walk nothing of
+their own: an equivariance check on s samples walks one body, not 1 + s.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polytope import Polytope, cell_dets
+from .polytope import Polytope
 from .symtensor import SymTensor, monomial_tables, mul_form
 # Kept in this namespace: the benchmark's tracer test expects moment to bind it.
 from .symtensor import sym_product  # noqa: F401
@@ -105,7 +111,7 @@ def _trie_totals(walk, forms, steps, unit, lo) -> list[list]:
     return totals or [[0] * len(hd) for hd in unit[lo:]]
 
 
-def _dag_totals(walk: list, forms, steps, unit, lo) -> list[list]:
+def _dag_totals(walk: Sequence, forms, steps, unit, lo) -> list[list]:
     """The totals of degrees lo..r on the minimal DAG (module docstring).
     A node's value is the sum over its suffixes of their leaf weight times
     their vertices' geometric series."""
@@ -130,7 +136,7 @@ def _dag_totals(walk: list, forms, steps, unit, lo) -> list[list]:
     # vertices of the last cell, open_[0] the root's.  The walk ends with a
     # flat cell that shares no prefix, which closes every node but the root.
     open_ = [[None, 0, []]]
-    for cell, d, k in walk + [((), 0, 0)]:
+    for cell, d, k in (*walk, ((), 0, 0)):
         while len(open_) > k + 1:
             label, weight, edges = open_.pop()
             if weight or len(edges) > 1:
@@ -148,20 +154,19 @@ def _dag_totals(walk: list, forms, steps, unit, lo) -> list[list]:
     return value(0, open_[0][2])[lo:]
 
 
-def _moment_totals(view: tuple[int, Sequence], cells: Sequence[Sequence[int]],
+def _moment_totals(view: tuple[int, Sequence], walk: Sequence[tuple],
                    n: int, r: int, lo: int) -> list[list]:
     """Sums over the full-dimensional cells of the closed form, one list per
     degree r, r - 1, ..., lo, in ``monomial_tables`` order, on the points'
-    integer view (D, pts) with |det E| from ``polytope.cell_dets``: on the
-    cells' minimal DAG when r >= 2 and two of them end in the same vertex
-    with the same |det E|, else on their prefix tree (module docstring)."""
+    integer view (D, pts) and the body's determinant walk
+    (``Polytope.walk``): on the cells' minimal DAG when r >= 2 and two of
+    them end in the same vertex with the same |det E|, else on their prefix
+    tree (module docstring)."""
     _, pts = view
     levels, steps, _ = monomial_tables(n, r)
     forms = [[(t, x) for t, x in enumerate(p) if x] for p in pts]
     unit = [[1]] + [[0] * len(level) for level in levels[1:]]
-    walk = cell_dets(view, cells, n)
-    if r >= 2 and len(cells) > 1:
-        walk = list(walk)
+    if r >= 2 and len(walk) > 1:
         ends = [(cell[-1], d) for cell, d, _ in walk if d]
         if len(set(ends)) < len(ends):
             return _dag_totals(walk, forms, steps, unit, lo)[::-1]
@@ -181,7 +186,7 @@ def moment_family(k: Polytope, r: int, lo: int = 0) -> list[SymTensor]:
         raise ValueError("moment tensor rank must be non-negative")
     n, scale = k.dim, k.cleared[0]
     levels = monomial_tables(n, r)[0]
-    totals = _moment_totals(k.cleared, k.triangulation, n, r, lo)
+    totals = _moment_totals(k.cleared, k.walk, n, r, lo)
     return [SymTensor.from_totals(n, s, levels[s] if s else [()], t,
                                   math.factorial(n + s) * scale ** (n + s))
             for s, t in zip(range(r, lo - 1, -1), totals)]

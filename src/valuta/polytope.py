@@ -26,11 +26,22 @@ columns or points, by the other side's ints, and a float ``translate`` or
 ``scale`` turns both views to floats (``linalg.common_scale``), x / D being
 float(x) bit for bit.
 
-Cell determinants come from one walk, ``cell_dets``, shared by ``volume``,
-the import checks, ``subspace_volume`` and the moment kernel: the cells in
-sorted order form a prefix tree, and a cell whose first n vertices a
-neighbour shares takes |det E| off the exterior product of its edges, so
-Kuhn boxes and crosspolytopes take no Bareiss determinant.
+Cell determinants come from one walk, ``cell_dets``: the cells in sorted
+order form a prefix tree, and a cell whose first n vertices a neighbour
+shares takes |det E| off the exterior product of its edges, so Kuhn boxes
+and crosspolytopes take no Bareiss determinant.  A body keeps its walk,
+(cell, |det E|, k) per full-dimensional cell, as ``Polytope.walk``, which
+``volume``, the import checks and the moment kernel read; ``subspace_volume``
+walks its own coordinate view.  An exact image does not walk: the int map A
+that built its ints N from the source's, before the reduction by g, scales
+every edge matrix, so its |det E| is |det A| |det E_source| / g^n, an exact
+division since g divides every entry of N.  |det A| is q^n |det phi| for
+``linear_image`` (|det phi| read off the cached ``RMatrix.det`` only when
+the walk is), |a|^n for ``scale`` by a / b and m^n for ``translate``, with
+m = L / D.  ``_image`` keeps that seed until the walk is read, and a seed
+on an image that has not walked yet is composed onto that image's own
+source, so a chain of maps reads one body's walk; a float body or map
+walks its own points.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
@@ -137,6 +148,20 @@ class Polytope:
         scale, rows = linalg.clear_denominators(self.vertices)
         return scale, tuple(map(tuple, rows))
 
+    @cached_property
+    def walk(self) -> tuple[tuple[tuple, object, int], ...]:
+        """The cells' determinant walk, ``cell_dets`` on the view ``cleared``:
+        (cell, |det E|, k) per full-dimensional cell in sorted order, built
+        once per body, or for an exact image off its source's walk times the
+        factor its seed holds (``_image``; module docstring)."""
+        seed = vars(self).pop("_seed", None)
+        if seed is None:
+            return tuple(cell_dets(self.cleared, self.triangulation, self.dim))
+        source, a, b, maps = seed
+        for phi in maps:
+            a, b = a * abs(phi.det.numerator), b * phi.det.denominator
+        return tuple((cell, d * a // b, k) for cell, d, k in source.walk)
+
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -187,10 +212,9 @@ def _check_import(p: Polytope) -> None:
         atoms = surface_area_measure(p)
     except GeometryError as exc:
         raise ParseError(f"bad triangulation: {exc}") from exc
-    dets = list(cell_dets(p.cleared, tri, n))
-    if any(d == 0 for _, d, _ in dets):
+    if any(d == 0 for _, d, _ in p.walk):
         raise ParseError("triangulation cell of determinant 0")
-    if n * _volume(dets, p.cleared[0], n) != sum(f.offset for f in atoms):
+    if n * _volume(p.walk, p.cleared[0], n) != sum(f.offset for f in atoms):
         raise ParseError("volume differs from the atoms' sum of offsets / n")
 
 
@@ -371,7 +395,7 @@ def _volume(dets, scale: int, n: int):
 
 def volume(p: Polytope) -> Fraction:
     """Full-dimensional volume; lower-dimensional bodies have volume 0."""
-    return _volume(cell_dets(p.cleared, p.triangulation, p.dim), p.cleared[0], p.dim)
+    return _volume(p.walk, p.cleared[0], p.dim)
 
 
 def _exact(view: tuple[int, Sequence]) -> bool:
@@ -379,16 +403,27 @@ def _exact(view: tuple[int, Sequence]) -> bool:
     return all(type(x) is int for x in view[1][0])
 
 
-def _image(p: Polytope, den: int, rows, exact: bool) -> Polytope:
+def _image(p: Polytope, den: int, rows, exact: bool, f: int = 1, maps: tuple = ()) -> Polytope:
     """The body on p's cells whose vertices are ``rows`` over ``den``, its
     view seeded with them: ``exact`` int rows (tuples) reduced by their gcd
-    with den, or float rows as the vertices and scale 1 (module docstring)."""
+    with den, or float rows as the vertices and scale 1 (module docstring).
+
+    An exact image's walk is seeded as (source, a, b, maps): its |det E|
+    are the source's times a / b = f / g^n, f the |det| of the int map that
+    made the rows, and times |det phi| of each phi in ``maps``, read when
+    the walk is.  When p has not walked yet and holds a seed itself, the
+    image takes p's source and multiplies the two seeds, so the source a
+    seed names never holds one."""
     if exact:
         g = math.gcd(den, *itertools.chain.from_iterable(rows))
         if g > 1:
             den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
+        source, a, b, before = vars(p).get("_seed", (p, 1, 1, ()))
+        a, b = a * f, b * g ** p.dim
+        c = math.gcd(a, b)
         image = object.__new__(Polytope)
-        vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(den, rows))
+        vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(den, rows),
+                           _seed=(source, a // c, b // c, before + maps))
         return image
     vertices = tuple(tuple(x / den for x in row) for row in rows)
     image = Polytope(p.dim, vertices, p.triangulation)
@@ -407,7 +442,8 @@ def translate(p: Polytope, y: Sequence) -> Polytope:
         den, pts = p.cleared
         big = math.lcm(den, *(c.denominator for c in y))
         m, ys = big // den, [c.numerator * (big // c.denominator) for c in y]
-        return _image(p, big, tuple(tuple(x * m + c for x, c in zip(v, ys)) for v in pts), True)
+        return _image(p, big, tuple(tuple(x * m + c for x, c in zip(v, ys)) for v in pts), True,
+                      m ** p.dim)
     _, (pts, (ys,)) = linalg.common_scale([p.cleared, linalg.clear_denominators([y])])
     return _image(p, 1, [list(map(operator.add, v, ys)) for v in pts], False)
 
@@ -434,7 +470,8 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
                 for k, x in col:
                     out[k] += c * x
         images.append(tuple(out))
-    return _image(p, q * d, tuple(images), phi.exact and _exact(p.cleared))
+    return _image(p, q * d, tuple(images), phi.exact and _exact(p.cleared), q ** p.dim,
+                  (phi,))
 
 
 def scale(p: Polytope, lam) -> Polytope:
@@ -445,7 +482,8 @@ def scale(p: Polytope, lam) -> Polytope:
     if isinstance(lam, Fraction) and _exact(p.cleared):
         den, pts = p.cleared
         a = lam.numerator
-        return _image(p, den * lam.denominator, tuple(tuple(x * a for x in v) for v in pts), True)
+        return _image(p, den * lam.denominator, tuple(tuple(x * a for x in v) for v in pts), True,
+                      abs(a) ** p.dim)
     _, (pts, ((lam,),)) = linalg.common_scale([p.cleared, linalg.clear_denominators([[lam]])])
     return _image(p, 1, [[x * lam for x in v] for v in pts], False)
 

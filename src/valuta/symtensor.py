@@ -411,8 +411,12 @@ def vector_power(x: Sequence, r: int) -> SymTensor:
 def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
     """The translation-covariance expansion sum_j T_j y^j / j! of tensors
     T_0, ..., T_R of ranks R, ..., 0, by Horner's rule in y: the first of
-    ``shift_expansions``."""
-    return shift_expansions(tensors, y)[0]
+    ``shift_expansions``, from one clearing of y and one common scale."""
+    q, form, views, _ = _shift_inputs(tensors, y)
+    scale, lifted = linalg.common_scale(views)
+    acc, c = _suffix_totals(tensors, lifted, q, form)
+    r, n = len(tensors) - 1, len(y)
+    return SymTensor.from_totals(n, r, monomial_tables(n, r)[0][r] if r else [()], acc, scale * c)
 
 
 def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTensor]:
@@ -430,32 +434,47 @@ def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTenso
     suffix; otherwise each suffix is brought to its own scale, as on its own,
     and the sums run in floats and stay floats.
     """
-    r = len(tensors) - 1
-    n = len(y)
-    if any(t.dim != n or t.rank != r - j for j, t in enumerate(tensors)):
-        raise DimensionMismatch(f"shift expansion needs ranks {r}..0 over R^{n}")
-    q, (ys,) = linalg.clear_denominators([list(y)])
-    form = [(i, v) for i, v in enumerate(ys) if v]
-    views = [t.cleared for t in tensors]
-    exact = all(t.exact for t in tensors) and linalg.is_exact(ys)
+    q, form, views, exact = _shift_inputs(tensors, y)
     shared = linalg.common_scale(views) if exact else None
-    levels, steps, _ = monomial_tables(n, r)
+    r, n = len(tensors) - 1, len(y)
+    levels = monomial_tables(n, r)[0]
     expansions = []
     for s in range(r + 1):
         scale, lifted = (shared[0], shared[1][s:]) if shared else linalg.common_scale(views[s:])
-        acc, c = [0], 1
-        for d, (t, (values,)) in enumerate(zip(reversed(tensors[s:]), reversed(lifted))):
-            out = [0] * len(levels[d])
-            if d:
-                c *= q * (r - s - d + 1)
-                mul_form(acc, steps[d - 1], form, out)
-            index = levels[d]
-            for alpha, x in zip(t.keys, values):
-                out[index[alpha] if d else 0] += c * x
-            acc = out
+        acc, c = _suffix_totals(tensors[s:], lifted, q, form)
         expansions.append(SymTensor.from_totals(n, r - s, levels[r - s] if r > s else [()],
                                                 acc, scale * c))
     return expansions
+
+
+def _shift_inputs(tensors: Sequence[SymTensor], y: Sequence):
+    """(q, y' as a linear form, the tensors' views, whether all are exact)
+    for the expansions in y of tensors of ranks R..0 (``shift_expansions``)."""
+    r = len(tensors) - 1
+    if any(t.dim != len(y) or t.rank != r - j for j, t in enumerate(tensors)):
+        raise DimensionMismatch(f"shift expansion needs ranks {r}..0 over R^{len(y)}")
+    q, (ys,) = linalg.clear_denominators([list(y)])
+    form = [(i, v) for i, v in enumerate(ys) if v]
+    exact = all(t.exact for t in tensors) and linalg.is_exact(ys)
+    return q, form, [t.cleared for t in tensors], exact
+
+
+def _suffix_totals(tensors: Sequence[SymTensor], lifted, q: int, form) -> tuple[list, int]:
+    """(N_R, c_R) of the tensors of ranks R..0 on their views ``lifted`` over
+    one scale, by the recurrence of ``shift_expansions``."""
+    r = len(tensors) - 1
+    levels, steps, _ = monomial_tables(tensors[0].dim, r)
+    acc, c = [0], 1
+    for d, (t, (values,)) in enumerate(zip(reversed(tensors), reversed(lifted))):
+        out = [0] * len(levels[d])
+        if d:
+            c *= q * (r - d + 1)
+            mul_form(acc, steps[d - 1], form, out)
+        index = levels[d]
+        for alpha, x in zip(t.keys, values):
+            out[index[alpha] if d else 0] += c * x
+        acc = out
+    return acc, c
 
 
 @dataclass(frozen=True)

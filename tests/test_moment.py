@@ -687,21 +687,57 @@ def test_a_body_of_flat_cells_alone_has_zero_moments(monkeypatch, zero):
     assert report.passed and report.max_residual == 0
 
 
+def test_a_singular_image_inherits_flat_cells(monkeypatch):
+    """A Kuhn box under a singular map inherits its walk with every
+    |det E| = 0, so the kernel keeps the tree and sums to zero, as on the
+    image's points rebuilt as a body."""
+    body = box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2])
+    body.walk
+    image = linear_image(RMatrix.from_rows([[1, 2, 0], [0, F(1, 3), 1], [1, F(7, 3), 1]]), body)
+    calls = _dag_calls(monkeypatch)
+    family = moment_family(image, 3)
+    assert calls == [] and len(image.walk) == 6
+    assert image.walk == _fresh(image).walk and all(d == 0 for _, d, _ in image.walk)
+    assert family == [SymTensor.zero(3, s) for s in range(3, -1, -1)]
+
+
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_a_lone_simplex_takes_one_bareiss(monkeypatch, r):
-    """``moment_tensor`` of a lone simplex, and of its exact dilate and
-    translate, costs one Bareiss determinant, its cell's |det E|, and the
-    affine maps cost none."""
+    """``moment_tensor`` of a lone simplex costs one Bareiss determinant,
+    its cell's |det E|.  Its exact dilate, translate and linear image take
+    none: their walks are the body's times the map's determinant (phi's is
+    kept on the matrix), and the affine maps cost none."""
     body = simplex([[F(1, 3), 0, F(-2, 7), 1], [F(5, 2), F(1, 12), 0, 0], [0, 1, F(7, 97), 2],
                     [F(-1, 30), 0, 1, F(1, 2)], [1, 1, 1, F(3, 4)]])
-    body.cleared
+    phi = RMatrix.from_rows([[1, 0, F(-3, 2), 0], [0, 1, 0, 0], [0, F(2, 7), 1, 0],
+                             [0, 0, 0, -1]])
+    body.cleared, phi.det
     dets = []
     real = linalg.bareiss
     monkeypatch.setattr(linalg, "bareiss", lambda m: dets.append(len(m)) or real(m))
-    for image in (body, scale(body, F(-3, 2)), translate(body, (F(1, 5), 0, -1, F(2, 3)))):
+    images = [scale(body, F(-3, 2)), translate(body, (F(1, 5), 0, -1, F(2, 3))),
+              linear_image(phi, body)]
+    assert dets == []
+    moment_tensor(body, r)
+    assert dets == [4]
+    for image in images:
         dets.clear()
-        moment_tensor(image, r)
-        assert dets == [4]
+        got = moment_tensor(image, r).tensor
+        assert dets == []
+        assert got == moment_tensor(_fresh(image), r).tensor
+
+
+def test_a_chain_of_translates_reads_its_walk_without_recursion():
+    """Each image's walk is seeded off the body that walks, never off
+    another seed, so the last of 2000 translates reads its walk off the
+    body's in one step."""
+    body = simplex([(0, 0), (F(1, 2), 0), (0, F(1, 3))])
+    image = body
+    for k in range(2000):
+        image = translate(image, (F(1, k + 2), -1))
+    assert "walk" not in vars(body)
+    assert image.walk == _fresh(image).walk
+    assert volume(image) == F(1, 12)
 
 
 def _cross(j):
@@ -714,7 +750,7 @@ def _cross(j):
     (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 3 * 32, 86, 0),
     (lambda: _cross(6), 2, 2 * 12, 31, 0),
     (lambda: _cross(3), 4, 4 * 6, 3, 0),
-    (lambda: std_triangle, 4, 4 * 3, 0, 1),
+    (lambda: simplex([(0, 0), (1, 0), (0, 1)]), 4, 4 * 3, 0, 1),
     (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 3 * 6,
      0, 1),
     (lambda: polygon([(0, 0), (4, 0), (5, 1), (5, 3), (3, 5), (0, 4), (-1, 2)]), 2, 2 * 11, 0, 5),

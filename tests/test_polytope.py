@@ -926,3 +926,66 @@ def test_every_value_equals_its_twin_rebuilt_from_fractions(case, data):
     tensors += mcmullen_decompose(moment_valuation(body.dim, 1), body)
     for t in tensors:
         _assert_tensor_twin(t)
+
+
+@st.composite
+def exact_map_chains(draw):
+    """An exact body and a chain of 1 to 5 exact affine maps drawn from
+    shears, permutations, maps of det -1, singular and dense maps, dilates
+    (by 0 and negative factors too) and translates, each applied to the
+    last image."""
+    body, _ = draw(bodies_and_maps())
+    n = body.dim
+    point = st.lists(small_rats, min_size=n, max_size=n)
+    images = [body]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["shear", "perm", "flip", "singular", "dense", "scale",
+                                     "translate"]))
+        last = images[-1]
+        if kind in ("scale", "translate"):
+            images.append(scale(last, draw(small_rats)) if kind == "scale"
+                          else translate(last, draw(point)))
+            continue
+        rows = [[F(int(i == k)) for k in range(n)] for i in range(n)]
+        if kind == "shear":
+            i, k = draw(st.permutations(range(n)))[:2]
+            rows[i][k] = draw(small_rats)
+        elif kind == "perm":
+            rows = [rows[i] for i in draw(st.permutations(range(n)))]
+        elif kind == "flip":
+            i = draw(st.integers(0, n - 1))
+            rows[i][i] = F(-1)
+        elif kind == "singular":
+            rows = draw(st.lists(point, min_size=n - 1, max_size=n - 1))
+            rows.insert(draw(st.integers(0, n - 1)), [2 * x for x in rows[0]])
+        else:
+            rows = draw(st.lists(point, min_size=n, max_size=n))
+        images.append(linear_image(RMatrix.from_rows(rows), last))
+    return images
+
+
+@settings(max_examples=80, deadline=None)
+@given(images=exact_map_chains(), data=st.data())
+def test_seeded_walks_are_the_walks_of_the_images(images, data):
+    """The walk an exact image inherits from its source, scaled by the
+    map's determinant, is the walk of its vertices rebuilt as a body:
+    whichever image is read first, and whether or not the body walked
+    before the maps were applied; after a singular map or a dilate by 0,
+    every |det E| is 0 on both sides."""
+    if data.draw(st.booleans()):
+        images[0].walk
+    for i in data.draw(st.permutations(range(len(images)))):
+        assert images[i].walk == _rebuilt(images[i]).walk
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=affine_images())
+def test_float_images_walk_their_float_points(case):
+    """An image holding a float is seeded with no walk: it walks its own
+    float points, bit for bit the walk of its vertices rebuilt as a body."""
+    _, image = case
+    assume(not polytope._exact(image.cleared))
+    assert "_seed" not in vars(image)
+    assert image.walk == tuple(polytope.cell_dets(image.cleared, image.triangulation, image.dim))
+    assert image.walk == _rebuilt(image).walk
+    assert all(type(d) is float for _, d, _ in image.walk)

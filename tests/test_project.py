@@ -167,3 +167,13 @@ def test_one_tensor_representation():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
                 assert not any(getattr(arg, "id", None) == "SymTensor" for arg in node.args), \
                     path.name
+
+
+def test_cell_determinants_are_walked_only_by_the_memo():
+    """``polytope.cell_dets`` is called only by ``Polytope.walk``, which keeps
+    each body's walk and derives an exact image's from its source's, and by
+    ``subspace_volume`` on its own coordinate view: no reader of a body's
+    determinants walks its cells past the memo."""
+    calling = sorted((path.stem, fn.name) for path in SOURCES for fn in _functions(path)
+                     if "cell_dets" in _called(fn))
+    assert calling == [("polytope", "subspace_volume"), ("polytope", "walk")]

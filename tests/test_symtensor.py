@@ -507,6 +507,22 @@ def test_shift_expansions_are_those_of_each_suffix(case):
         assert expansion.cleared == want.cleared
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=expansion_cases())
+def test_shift_expansion_is_the_first_suffix_built_alone(case):
+    """``shift_expansion`` is the first of ``shift_expansions`` to the last
+    bit, and builds that one tensor alone: one ``from_totals`` call."""
+    ts, y = case
+    want = shift_expansions(ts, y)[0]
+    built, real = [], SymTensor.from_totals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SymTensor, "from_totals",
+                   classmethod(lambda cls, *a: built.append(1) or real(*a)))
+        got = shift_expansion(ts, y)
+    assert len(built) == 1
+    assert got.exact == want.exact and got.keys == want.keys and got.cleared == want.cleared
+
+
 def test_shift_expansion_small_cases():
     a = t(2, 1, {(1, 0): F(2, 3)})
     one = SymTensor.scalar(2, F(1, 2))
