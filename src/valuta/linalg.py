@@ -2,8 +2,8 @@
 
 Matrices are plain lists of lists of ints or ``Fraction``s; complex scalars
 are ``(re, im)`` pairs of them.  Determinant, rank, reduced row echelon
-form, nullspace, solve, inverse and the hyperplane normal ``cross`` all
-run on ``_eliminate``, Bareiss's fraction-free elimination (Math. Comp. 22,
+form, nullspace, solve and inverse (``inverse_view``) all run on
+``_eliminate``, Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): the input is cleared of denominators once, eliminated in Python
 ints with exact ``//`` and divided once at the end, so exact input gives
 exact output, with no pivot thresholds and no rounding.  A matrix holding
@@ -197,27 +197,6 @@ def bareiss(m: list[list]):
     return sign * m[-1][-1] if m else 1
 
 
-def cross(m: list[list]) -> list:
-    """The n signed minors (-1)^c det(m without column c) of n - 1 rows of
-    ints or floats in R^n, a normal to the rows; all zero when the rows are
-    dependent.  ``m`` is overwritten.  One fraction-free Gauss-Jordan
-    ``_eliminate`` gives them all.  With s = (-1)^f times the swap sign,
-    the free column f's minor is s p, p the last pivot; every pivot entry
-    ends equal to p, so row k's pivot column gets -s times row k's entry in
-    column f."""
-    n = len(m) + 1
-    sign, pivots = _eliminate(m, jordan=True)
-    if len(pivots) < n - 1:
-        return [0] * n
-    free = next(c for c in range(n) if c not in pivots)
-    if free % 2:
-        sign = -sign
-    out = [sign * m[-1][pivots[-1]] if m else 1] * n
-    for row, c in zip(m, pivots):
-        out[c] = -sign * row[free]
-    return out
-
-
 def det(rows: Sequence[Sequence]):
     """Determinant: each row is cleared of denominators, Bareiss runs in
     integers, and one division by the row scales ends it.  Rational input
@@ -276,13 +255,29 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec:
     return tuple(row[n] for row in red)
 
 
-def inv(rows: Sequence[Sequence]) -> Mat:
-    """Inverse of a square nonsingular matrix: ``rref`` of [A | I]."""
-    n = len(rows)
-    red, pivots = rref([list(r) + e for r, e in zip(rows, identity(n))])
+def inverse_view(m: Sequence[Sequence]) -> tuple[object, list[list]]:
+    """(p, R) with m^-1 = R / p, for a square nonsingular matrix of ints:
+    one fraction-free Gauss-Jordan ``_eliminate`` of [m | I] ends with every
+    pivot entry equal to the last pivot p = +-det m, so its right half R is
+    p m^-1, the adjugate up to sign.  A float matrix gives p = 1 and R =
+    m^-1, each row divided by its own pivot entry, as ``rref`` divides it.
+    A singular m raises ``DimensionMismatch``."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    _, pivots = _eliminate(aug, jordan=True)
     if pivots != list(range(n)):
         raise DimensionMismatch("matrix not invertible")
-    return [row[n:] for row in red]
+    if _floats(aug):
+        return 1, [[x / row[c] for x in row[n:]] for row, c in zip(aug, pivots)]
+    return (aug[-1][n - 1] if n else 1), [row[n:] for row in aug]
+
+
+def inv(rows: Sequence[Sequence]) -> Mat:
+    """Inverse of a square nonsingular matrix: ``inverse_view`` of the rows
+    cleared of denominators (d), each entry of d R divided once by p."""
+    d, m = clear_denominators(rows)
+    p, r = inverse_view(m)
+    return [[over(d * x, p) for x in row] for row in r]
 
 
 _WEIGHTS: dict[int, tuple[tuple[tuple[int, ...], ...], int]] = {}

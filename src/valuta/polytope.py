@@ -46,10 +46,14 @@ walks its own points.
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
 polytopes are rational even when facet measures are irrational (sqrt(2) edge
-lengths and the like), they sum to zero exactly, and they are all a
-1-homogeneous integrand ever needs.  They are read off the triangulation on
-demand, by one rule for every body (``surface_area_measure``), and never
-stored.
+lengths and the like), and they sum to zero exactly.  ``atom_totals`` reads
+them off the triangulation: the faces that no other cell shares, in sorted
+order, form a prefix tree like the cells, and one exterior-product walk over
+it (``_face_normals``, the stack of ``cell_dets``) gives each face's n
+signed (n-1)-minors as ints on the body's view.  A body keeps no atoms;
+``surface_area_measure`` builds its ``FacetDatum``s from those totals,
+``validate`` compares them with the cells' walk, and the surface-area
+pairing of ``valuation_lab`` reads the totals themselves.
 
 Polytope JSON:
 ``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``,
@@ -61,11 +65,8 @@ older bodies wrote for a crosspolytope's centre, is read as more vertices
 after the listed ones; a ``"facets"`` key is refused, since facets are read
 off the triangulation.  Without a triangulation the body is the simplex on
 n + 1 vertices, else their polygon in the plane; other bodies, and
-aux_points without a triangulation, are rejected.  So are cells that
-repeat an index, differ in size or exceed n + 1 points, full-dimensional
-cells of determinant 0, atoms that do not close up, and a volume other
-than the sum of the atoms' offsets over n (divergence theorem; overlapping
-cells).
+aux_points without a triangulation, are rejected.  An imported body is then
+``validate``d, which a body built in code can ask for too.
 """
 
 from __future__ import annotations
@@ -191,31 +192,40 @@ class Polytope:
                 p = simplex(vertices) if len(vertices) == dim + 1 else polygon(vertices)
             except GeometryError as exc:
                 raise ParseError(f"bad untriangulated body: {exc}") from exc
-        _check_import(p)
+        try:
+            validate(p)
+        except GeometryError as exc:
+            raise ParseError(f"bad triangulation: {exc}") from exc
         return p
 
 
-def _check_import(p: Polytope) -> None:
-    """Raise ``ParseError`` unless an imported body's triangulation is sound
-    (module docstring)."""
+def validate(p: Polytope) -> None:
+    """Raise ``GeometryError`` unless p's triangulation is sound: every cell
+    indexes the vertices without repeats and the cells share one size of at
+    most n + 1.  A full-dimensional one must also have atoms that close up
+    (``atom_totals``), no cell of determinant 0, and a volume equal to the
+    sum of the atoms' offsets over n (divergence theorem; overlapping cells
+    break it): sum |det E| of the walk against sum <total, base> over the
+    atoms, both over (n-1)! D^n, in ints, or for float points within 1e-12
+    of their summed magnitudes.  Imports run it; the constructor does not,
+    since every affine map builds a body."""
     n, tri = p.dim, p.triangulation
     sizes = {len(cell) for cell in tri}
-    if any(i < 0 or i >= len(p.vertices) for cell in tri for i in cell):
-        raise ParseError("triangulation index out of range")
+    if any(i < 0 or i >= len(p.cleared[1]) for cell in tri for i in cell):
+        raise GeometryError("triangulation index out of range")
     if any(len(set(cell)) != len(cell) for cell in tri):
-        raise ParseError("triangulation cell repeats an index")
+        raise GeometryError("triangulation cell repeats an index")
     if len(sizes) > 1 or max(sizes, default=0) > n + 1:
-        raise ParseError(f"triangulation cells must share one size of at most {n + 1}")
+        raise GeometryError(f"triangulation cells must share one size of at most {n + 1}")
     if sizes != {n + 1}:
         return  # lower-dimensional: no atoms
-    try:
-        atoms = surface_area_measure(p)
-    except GeometryError as exc:
-        raise ParseError(f"bad triangulation: {exc}") from exc
-    if any(d == 0 for _, d, _ in p.walk):
-        raise ParseError("triangulation cell of determinant 0")
-    if n * _volume(p.walk, p.cleared[0], n) != sum(f.offset for f in atoms):
-        raise ParseError("volume differs from the atoms' sum of offsets / n")
+    _, atoms = atom_totals(p)
+    dets = [d for _, d, _ in p.walk]
+    if not all(dets):
+        raise GeometryError("triangulation cell of determinant 0")
+    terms = dets + [-sum(map(operator.mul, total, base)) for total, base in atoms]
+    if abs(sum(terms)) > (0 if _exact(p.cleared) else 1e-12 * sum(map(abs, terms))):
+        raise GeometryError("volume differs from the atoms' sum of offsets / n")
 
 
 # -- generators ----------------------------------------------------------------
@@ -346,45 +356,73 @@ def _wedge_tables(n: int) -> tuple:
     return tables
 
 
+def _prefix_walk(words):
+    """Yield (word, k, wedge) for each word in turn: k is the length of the
+    prefix it shares with the word before, and ``wedge`` the walk's one
+    exterior-product stack (``_extend_wedge``), cut back to the entries
+    that prefix fixes, or to [[1]] when the first vertex changes."""
+    wedge, prev = [[1]], ()
+    for word in words:
+        k = 0
+        while k < len(prev) and word[k] == prev[k]:
+            k += 1
+        del wedge[k or 1:]
+        prev = word
+        yield word, k, wedge
+
+
+def _extend_wedge(wedge: list, pts, word, n: int) -> list:
+    """Extend the stack over the word's first n vertices and return its top.
+    ``wedge[k]`` keeps the exterior product of the first k edges
+    pts[v] - pts[word[0]] as its comb(n, k) k-minors, and one more edge is
+    one ``mul_form`` over ``_wedge_tables``.  The top, ``wedge[n - 1]``,
+    holds the (n-1)-minors, the subsets leaving out n - 1, ..., 0 in order."""
+    base = pts[word[0]]
+    tables = _wedge_tables(n)
+    while len(wedge) < n:
+        step, size = tables[len(wedge) - 1]
+        form = [(t, a - b) for t, (a, b) in enumerate(zip(pts[word[len(wedge)]], base)) if a != b]
+        out = mul_form(wedge[-1], step, form, [0] * (2 * size + 1))
+        wedge.append(list(map(operator.sub, out[:size], out[size:-1])))
+    return wedge[-1]
+
+
 def cell_dets(view: tuple[int, Sequence], cells, n: int):
     """Yield (cell, |det E|, k) for each cell of n + 1 points, in sorted
     order, on the view's points (D, pts): |det E| is D^n times n! the cell's
     volume, an int, or a float for float points (D = 1), and k the length
     of the prefix the cell shares with the cell before it.
 
-    The cells are walked as a prefix tree (module docstring): ``wedge[k]``
-    keeps the exterior product of the first k edges v - v_0 of the last
-    cell as its comb(n, k) k-minors, and one more edge is one ``mul_form``
-    over ``_wedge_tables``.  A cell whose first n vertices a neighbour in
-    sorted order shares reads det E off its (n-1)-minors and last edge, an
-    n-term sum; any other cell takes one Bareiss determinant.
+    The cells are walked as a prefix tree (module docstring, ``_prefix_walk``).
+    A cell whose first n vertices a neighbour in sorted order shares reads
+    det E off the (n-1)-minors of its first n - 1 edges (``_extend_wedge``)
+    and its last edge, an n-term sum; any other cell takes one Bareiss
+    determinant.
     """
     _, pts = view
     cells = sorted(tuple(c) for c in cells if len(c) == n + 1)
-    wedge, prev = [[1]], ()
-    for cell, after in zip(cells, cells[1:] + [()]):
-        k = 0
-        while k < len(prev) and cell[k] == prev[k]:
-            k += 1
-        del wedge[k or 1:]
-        prev = cell
+    for (cell, k, wedge), after in zip(_prefix_walk(cells), cells[1:] + [()]):
         base = pts[cell[0]]
         if n and (k >= n or after[:n] == cell[:n]):  # the first n vertices are shared
-            while len(wedge) < n:
-                step, size = _wedge_tables(n)[len(wedge) - 1]
-                form = [(t, a - b) for t, (a, b) in enumerate(zip(pts[cell[len(wedge)]], base))
-                        if a != b]
-                out = mul_form(wedge[-1], step, form, [0] * (2 * size + 1))
-                wedge.append(list(map(operator.sub, out[:size], out[size:-1])))
-            # The (n-1)-subsets in order leave out n - 1, ..., 0: det E is the
-            # alternating sum of w_j times the last edge's entry n - 1 - j.
+            w = _extend_wedge(wedge, pts, cell, n)
+            # det E is the alternating sum of w_j times the last edge's
+            # entry n - 1 - j.
             edge = [a - b for a, b in zip(pts[cell[n]], base)]
-            w = wedge[-1]
             d = abs(sum(map(operator.mul, w[::2], edge[::-2]))
                     - sum(map(operator.mul, w[1::2], edge[-2::-2])))
         else:
             d = abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
         yield cell, d, k
+
+
+def _face_normals(pts, faces, n: int):
+    """Yield, for each face of n point indices in turn, the normal to its
+    edges pts[v] - pts[face[0]]: (-1)^c times their (n-1)-minor without
+    column c, all zero when they are dependent.  The faces share one prefix
+    walk, so faces in sorted order share the minors of their common prefix."""
+    for face, _, wedge in _prefix_walk(faces):
+        w = _extend_wedge(wedge, pts, face, n)
+        yield [-x if c % 2 else x for c, x in enumerate(reversed(w))]
 
 
 def _volume(dets, scale: int, n: int):
@@ -496,25 +534,24 @@ def support(p: Polytope, u: Sequence):
 # -- facet / surface area data ---------------------------------------------------
 
 
-def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
-    """Atoms (outward area vectors) of the surface area measure, read off
-    the body's triangulation.
+def atom_totals(p: Polytope) -> tuple[object, list[tuple[list, Sequence]]]:
+    """The atoms (outward area vectors) of the surface area measure as
+    totals over one denominator, read off the body's triangulation:
+    (den, [(total, base), ...]), base a point of the atom's facet on the
+    body's view (D, pts, ``Polytope.cleared``) and den = (n-1)! D^(n-1).
 
     A face that no other cell shares lies on the boundary.  Its area vector
-    is the n signed (n-1)-minors of its edge vectors over (n-1)!, turned
-    away from its cell's opposite vertex, and the faces on one hyperplane
-    add up to one atom; float faces are on one hyperplane when their keys
-    (``_hyperplane``) agree to 1e-9, the offset relative to the body's largest
-    |coordinate|.  On the body's view (D, ints, ``Polytope.cleared``)
-    the minors of a face come from one fraction-free Gauss-Jordan of its
-    n - 1 edge rows (``linalg.cross``), the sums run in ints and each atom
-    is divided once by (n-1)! D^(n-1); float points run the same steps in
-    floats with D = 1.  The faces are matched on their sorted indices.
+    is its normal (``_face_normals``, one walk over the sorted boundary
+    faces) over (n-1)!, turned away from its cell's opposite vertex, and the
+    faces on one hyperplane add up to one atom, in the order their first
+    face has among the cells; float faces are on one hyperplane when their
+    keys (``_hyperplane``) agree to 1e-9, the offset relative to the body's
+    largest |coordinate|.  The sums run in ints, or in floats for float
+    points (D = 1).  Atoms that sum to 0 are left out.
 
     Cells of fewer than n + 1 points, degenerate cells and atoms that do
     not sum to zero (overlapping cells) raise ``GeometryError``.  Exact
-    atoms are summed as their int totals, which share the denominator, and
-    close only at 0; float atoms close within 1e-12 of their summed
+    atoms close only at 0; float atoms close within 1e-12 of their summed
     magnitudes (``_closes``).
     """
     n = p.dim
@@ -523,38 +560,42 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     faces = [(cell[:k] + cell[k + 1:], i) for cell in p.triangulation for k, i in enumerate(cell)]
     keys = [tuple(sorted(face)) for face, _ in faces]
     shared = Counter(keys)
+    boundary = sorted(key for key, count in shared.items() if count == 1)
     scale, pts = p.cleared
+    normals = dict(zip(boundary, _face_normals(pts, boundary, n)))
     exact = _exact(p.cleared)
     near = 0 if exact else 1e-9 * max(abs(x) for pt in pts for x in pt)
     atoms: dict = {}
     for (face, opposite), face_key in zip(faces, keys):
-        if shared[face_key] > 1:
+        normal = normals.get(face_key)
+        if normal is None:
             continue
         base = pts[face[0]]
-        rows = [[a - b for a, b in zip(pts[i], base)] for i in face[1:]]
-        normal = linalg.cross(rows)
-        side = sum(x * (a - b) for x, a, b in zip(normal, pts[opposite], base))
+        side = sum(map(operator.mul, normal, map(operator.sub, pts[opposite], base)))
         if side == 0:
             raise GeometryError("degenerate triangulation cell")
         key = _hyperplane(normal, base)
         if near:  # rounding sets the float keys of one facet's faces apart
             key = next((k for k in atoms if abs(k[1] - key[1]) <= near
                         and max(map(abs, map(operator.sub, k[0], key[0]))) <= 1e-9), key)
-        total, _ = atoms.setdefault(key, ([0] * n, base))
-        for c, x in enumerate(normal):
-            total[c] += -x if side > 0 else x
-    denom = math.factorial(n - 1) * scale ** (n - 1)
-    facets = tuple(
-        FacetDatum(tuple(linalg.over(x, denom) for x in total),
-                   linalg.over(sum(map(operator.mul, total, base)), denom * scale))
-        for total, base in atoms.values() if any(total))
-    if exact:
-        closes = not any(map(sum, zip(*(total for total, _ in atoms.values()))))
-    else:
-        closes = _closes(facets, n)
+        total, _ = atoms.setdefault(key, ([0 if exact else 0.0] * n, base))
+        total[:] = map(operator.sub if side > 0 else operator.add, total, normal)
+    atoms = [(total, base) for total, base in atoms.values() if any(total)]
+    totals = [total for total, _ in atoms]
+    closes = not any(map(sum, zip(*totals))) if exact else _closes(totals)
     if not closes:
         raise GeometryError("facet area vectors do not close up")
-    return facets
+    return math.factorial(n - 1) * scale ** (n - 1), atoms
+
+
+def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
+    """The atoms of ``atom_totals`` as ``FacetDatum``s: each total over den
+    and its offset <total, base> over den D, one division each."""
+    den, atoms = atom_totals(p)
+    scale = p.cleared[0]
+    return tuple(FacetDatum(tuple(linalg.over(x, den) for x in total),
+                            linalg.over(sum(map(operator.mul, total, base)), den * scale))
+                 for total, base in atoms)
 
 
 def _hyperplane(normal: list, point) -> tuple:
@@ -570,12 +611,11 @@ def _hyperplane(normal: list, point) -> tuple:
     return u, sum(map(operator.mul, u, point))
 
 
-def _closes(facets, n: int) -> bool:
-    """Whether float area vectors sum to zero within 1e-12 times the summed
+def _closes(vectors) -> bool:
+    """Whether float vectors sum to zero within 1e-12 times the summed
     magnitudes of their components."""
-    sums = [sum(f.direction[i] for f in facets) for i in range(n)]
-    size = sum(abs(x) for f in facets for x in f.direction)
-    return all(abs(s) <= 1e-12 * size for s in sums)
+    size = sum(abs(x) for v in vectors for x in v)
+    return all(abs(sum(col)) <= 1e-12 * size for col in zip(*vectors))
 
 
 # -- subspace volume --------------------------------------------------------------

@@ -43,11 +43,11 @@ from .linalg import cabs2, exact_sqrt, interpolation_weights
 from .moment import _shared_passes, moment_tensor
 from .polytope import (
     Polytope,
+    atom_totals,
     cube,
     linear_image,
     scale,
     subspace_volume,
-    surface_area_measure,
     translate,
     volume,
 )
@@ -401,16 +401,24 @@ def _signed_power(t: SymTensor, q: int) -> SymTensor:
 
 
 def surface_pairing(f: Callable, p: Polytope):
-    """Pair a 1-homogeneous integrand with the surface area measure:
-    the sum over facets of f at the unit normal times the facet measure.
+    """Pair an integrand with the surface area measure: the sum of f over
+    the outward area vectors (``polytope.atom_totals``), each built once as
+    its totals over their shared denominator.
 
-    By 1-homogeneity that equals the sum of f over the outward area
-    vectors, which keeps rational inputs exact.  f may return scalars or
-    tensors.  Tensor values are summed by ``tensor_sum``, exact ones in one
-    int pass; scalars are added in facet order with ``+``.  A body with no
-    atoms gives None.
+    For a 1-homogeneous f that is the sum over facets of f at the unit
+    normal times the facet measure, an integral against S(K) that rational
+    inputs keep exact; any other f is paired the same way.  f may return
+    scalars or tensors.  Tensor values are summed by ``tensor_sum``, exact
+    ones in one int pass; scalars are added in facet order with ``+``.  A
+    body with no atoms gives None.
     """
-    values = [f(facet.direction) for facet in surface_area_measure(p)]
+    den, atoms = atom_totals(p)
+    return _pair(f, [tuple(linalg.over(x, den) for x in total) for total, _ in atoms])
+
+
+def _pair(f: Callable, directions):
+    """f at each direction, folded as ``surface_pairing`` folds; None for none."""
+    values = [f(u) for u in directions]
     if not values:
         return None
     if all(isinstance(v, SymTensor) for v in values):
@@ -420,15 +428,32 @@ def surface_pairing(f: Callable, p: Polytope):
 
 def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     """Unimodular transfer: pairing f with the image body equals pairing
-    f composed with the inverse transpose against the original."""
+    f composed with the inverse transpose against the original.
+
+    For |det phi| = 1 the atoms of phi K are phi^-T of those of K, one to
+    one (Schneider, *Convex Bodies*, 2014, sec. 4.2), so the transfer holds
+    for any integrand; 1-homogeneity only makes each side an integral
+    against the surface area measure.  Each body's atoms come off its own
+    points.  phi^-T is applied to K's int totals t: with phi's view (q, A)
+    and A^-1 = R / p (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t
+    is q R^T t over p den, one division per coordinate.  A body with no
+    atoms raises ``GeometryError``.
+    """
     if phi.exact:
         if abs(phi.det) != 1:
             raise GeometryError(f"transfer needs det +-1, got {phi.det}")
     elif not math.isclose(abs(phi.det), 1.0, rel_tol=1e-12):
         raise GeometryError(f"transfer needs det +-1, got {phi.det}")
-    phi_inv_t = phi.inverse_transpose()
+    den, atoms = atom_totals(p)
+    if not atoms:
+        raise GeometryError("transfer needs surface area atoms; this body's triangulation "
+                            "has no boundary face, or its area vectors cancel")
+    q, rows = phi.cleared
+    last, adj = linalg.inverse_view(rows)
+    cols = list(zip(*adj))
     lhs = surface_pairing(f, linear_image(phi, p))
-    rhs = surface_pairing(lambda v: f(phi_inv_t.matvec(v)), p)
+    rhs = _pair(f, [tuple(linalg.over(q * sum(map(operator.mul, col, t)), last * den)
+                          for col in cols) for t, _ in atoms])
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
     return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],

@@ -3,6 +3,7 @@ and reference versions of routines the library computes another way."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -10,6 +11,9 @@ from typing import Iterator
 import numpy as np
 
 from valuta.errors import GeometryError, ValutaError
+from valuta.polytope import linear_image, surface_area_measure
+from valuta.symtensor import SymTensor, format_rational, tensor_sum
+from valuta.valuation_lab import _verdict
 
 
 def multi_indices(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -152,3 +156,43 @@ def map_distance(a: dict, b: dict):
 
 def map_max_abs(m: dict):
     return max(map(abs, m.values()), default=Fraction(0))
+
+
+# -- the surface-area transfer, paired on FacetDatum directions --------------------------
+
+
+def transfer_check_fractions(f, phi, p):
+    """``valuation_lab.transfer_check`` as it paired before the atoms' int
+    totals: f over each ``FacetDatum`` direction of phi K, against f over
+    ``inverse_transpose().matvec`` of each direction of K, folded as
+    ``surface_pairing`` folds and judged by ``_verdict``."""
+    def pairing(g, body):
+        values = [g(facet.direction) for facet in surface_area_measure(body)]
+        if all(isinstance(v, SymTensor) for v in values):
+            return tensor_sum(values)
+        return sum(values[1:], values[0])
+
+    phi_inv_t = phi.inverse_transpose()
+    lhs = pairing(f, linear_image(phi, p))
+    rhs = pairing(lambda v: f(phi_inv_t.matvec(v)), p)
+    if not isinstance(lhs, SymTensor):
+        lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
+    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],
+                    *p.vertices, *phi.entries)
+
+
+def cofactor_normal(rows) -> list:
+    """(-1)^c det(rows without column c) for n - 1 rows in R^n, a normal to
+    the rows, each minor by Leibniz's sum over permutations."""
+    n = len(rows) + 1
+
+    def leibniz(m):
+        total = 0
+        for perm in itertools.permutations(range(len(m))):
+            term = (-1) ** sum(perm[j] > perm[i] for i in range(len(m)) for j in range(i))
+            for row, p in zip(m, perm):
+                term *= row[p]
+            total += term
+        return total
+
+    return [(-1) ** c * leibniz([row[:c] + row[c + 1:] for row in rows]) for c in range(n)]

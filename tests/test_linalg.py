@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -186,6 +185,22 @@ def test_solve_and_inv_invert(system):
     assert all(type(v) is Fraction for row in inverse for v in row + list(x))
 
 
+@settings(max_examples=80, deadline=None)
+@given(system=square_systems())
+def test_inverse_view_is_the_adjugate_over_the_last_pivot(system):
+    """On the rows cleared of denominators, ``inverse_view`` gives ints R and
+    p = +-det with m R = p I, and refuses a singular m."""
+    _, m = linalg.clear_denominators(system[0])
+    det = leibniz(m)
+    if det == 0:
+        with pytest.raises(DimensionMismatch):
+            linalg.inverse_view(m)
+        return
+    p, r = linalg.inverse_view(m)
+    assert abs(p) == abs(det) and all(type(x) is int for row in r for x in row)
+    assert linalg.mat_mul(m, r) == [[p * (i == j) for j in range(len(m))] for i in range(len(m))]
+
+
 def gauss_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
@@ -268,54 +283,6 @@ def test_crank_matches_sympy(rows):
 ])
 def test_crank_edge_cases(rows, rank):
     assert linalg.crank(rows) == rank
-
-
-@st.composite
-def hyperplane_rows(draw):
-    """n - 1 rows in R^n, n = 1..5, as ints, as rationals cleared of
-    denominators, or as floats; some with a row planted as a combination of
-    two others, or as a multiple of one."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    rows = [[draw(rationals) for _ in range(n)] for _ in range(n - 1)]
-    if n >= 3 and draw(st.booleans()):
-        a, b = draw(rationals), draw(rationals) if n >= 4 else F(0)
-        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2 if n >= 4 else 0])]
-    kind = draw(st.sampled_from(["int", "cleared", "float"]))
-    if kind == "int":
-        rows = [[int(x.numerator) for x in row] for row in rows]
-    elif kind == "cleared":
-        rows = linalg.clear_denominators(rows)[1]
-    else:
-        rows = [[float(x) for x in row] for row in rows]
-    return n, rows
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=hyperplane_rows())
-def test_cross_is_the_cofactor_vector(case):
-    """cross gives (-1)^c det(rows without column c), each minor expanded by
-    Leibniz: equal in ints, within rounding of their size in floats, and all
-    zero for dependent int rows."""
-    n, rows = case
-    want = [(-1) ** c * leibniz([row[:c] + row[c + 1:] for row in rows]) for c in range(n)]
-    got = linalg.cross([list(row) for row in rows])
-    assert len(got) == n
-    if linalg.is_exact(x for row in rows for x in row):
-        assert got == want and all(type(x) is int for x in got)
-        if linalg.rank(rows) < n - 1:
-            assert got == [0] * n
-    else:
-        size = math.prod(max(1.0, sum(abs(x) for x in row)) for row in rows)
-        assert all(abs(a - b) <= 1e-12 * size for a, b in zip(got, want))
-
-
-def test_cross_edge_cases():
-    assert linalg.cross([]) == [1]
-    assert linalg.cross([[0, 5]]) == [5, 0]
-    assert linalg.cross([[3, 0]]) == [0, -3]
-    assert linalg.cross([[1, 0, 0], [0, 1, 0]]) == [0, 0, 1]
-    assert linalg.cross([[1, 2, 3], [2, 4, 6]]) == [0, 0, 0]
-    assert linalg.cross([[0, 0, 0], [1, 2, 3]]) == [0, 0, 0]
 
 
 def test_echelon_edge_cases():

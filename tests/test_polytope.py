@@ -1,15 +1,15 @@
+import itertools
 import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import centre_cone_crosspolytope
+from oracles import centre_cone_crosspolytope, cofactor_normal
 from valuta import linalg, polytope
 from valuta.cplx import Subspace, gram_schmidt, sample_subspace
 from valuta.errors import GeometryError, ParseError
@@ -29,6 +29,7 @@ from valuta.polytope import (
     support,
     surface_area_measure,
     translate,
+    validate,
     volume,
 )
 from valuta.symtensor import (
@@ -225,24 +226,33 @@ class TestSurfaceAreaMeasure:
             surface_area_measure(Polytope(2, square, ((0, 1, 2), (0, 2, 3), (0, 1, 3))))
         pts = ((-310.5, 12.25, 998.0), (640.0, -75.5, 3.0), (2.5, 870.0, -41.0),
                (-5.0, -600.25, -720.0))
-        atoms = surface_area_measure(Polytope(3, pts, ((0, 1, 2, 3),)))
-        assert _closes(atoms, 3)
-        bent = (replace(atoms[0], direction=tuple(x * (1 + 1e-9) for x in atoms[0].direction)),)
-        assert not _closes(bent + atoms[1:], 3)
+        directions = [f.direction for f in surface_area_measure(Polytope(3, pts, ((0, 1, 2, 3),)))]
+        assert _closes(directions)
+        bent = [tuple(x * (1 + 1e-9) for x in directions[0])]
+        assert not _closes(bent + directions[1:])
 
     @pytest.mark.parametrize("body, faces", [
         (box([F(1, 3), F(-2, 7), 0, F(1, 2)], [F(5, 3), F(3, 7), 2, F(7, 4)]), 48),
         (translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0), (0, 0, F(3, 7), 1),
                                   (F(1, 5), 0, 0, 1)]), (F(1, 2), 0, -1, 0)), 16),
     ], ids=["kuhn-box4", "cross4"])
-    def test_one_elimination_per_boundary_face(self, body, faces, monkeypatch):
-        """A Kuhn 4-box has 8 facets of 6 simplices each and a 4-crosspolytope
-        16 cones with one outer face: one elimination each gives all n minors."""
-        calls = []
-        real = linalg._eliminate
-        monkeypatch.setattr(linalg, "_eliminate", lambda *a, **k: calls.append(1) or real(*a, **k))
+    def test_atoms_extend_each_face_prefix_once(self, body, faces, monkeypatch):
+        """The boundary faces (48 of a Kuhn 4-box, 16 of a 4-crosspolytope)
+        are walked in sorted order with no elimination: each distinct prefix
+        of 2..n vertices extends the exterior product once (one
+        ``mul_form``), so faces that share a prefix share its minors."""
+        calls, eliminations = [], []
+        real_form, real_eliminate = polytope.mul_form, linalg._eliminate
+        monkeypatch.setattr(polytope, "mul_form", lambda *a: calls.append(1) or real_form(*a))
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda *a, **k: eliminations.append(1) or real_eliminate(*a, **k))
         surface_area_measure(body)
-        assert len(calls) == faces
+        n = body.dim
+        shared = Counter(tuple(sorted(c[:k] + c[k + 1:])) for c in body.triangulation
+                         for k in range(n + 1))
+        boundary = [face for face, count in shared.items() if count == 1]
+        assert len(boundary) == faces and not eliminations
+        assert len(calls) == len({face[:j] for face in boundary for j in range(2, n + 1)})
 
     def test_offsets_dominate_vertices(self):
         for f in surface_area_measure(std_triangle):
@@ -989,3 +999,120 @@ def test_float_images_walk_their_float_points(case):
     assert image.walk == tuple(polytope.cell_dets(image.cleared, image.triangulation, image.dim))
     assert image.walk == _rebuilt(image).walk
     assert all(type(d) is float for _, d, _ in image.walk)
+
+
+# -- face normals off the exterior-product walk ------------------------------------------
+
+
+@st.composite
+def face_walks(draw):
+    """n + 2 points in R^n, n = 1..5, as ints, as rationals cleared of
+    denominators, or as floats, some with a point planted on the affine
+    span of two or three others so that the faces through them are
+    dependent; and every face of n of the points, in sorted order (so that
+    they share prefixes) or shuffled."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    small = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 5, 7, 360]))
+    pts = [[draw(small) for _ in range(n)] for _ in range(n + 2)]
+    if n >= 3 and draw(st.booleans()):
+        a, b = draw(small), draw(small) if n >= 4 else F(0)
+        pts[-1] = [p + a * (q - p) + b * (r - p) for p, q, r in zip(pts[0], pts[1], pts[2])]
+    kind = draw(st.sampled_from(["int", "cleared", "float"]))
+    if kind == "int":
+        pts = [[int(x.numerator) for x in pt] for pt in pts]
+    elif kind == "cleared":
+        pts = linalg.clear_denominators(pts)[1]
+    else:
+        pts = [[float(x) for x in pt] for pt in pts]
+    faces = list(itertools.combinations(range(n + 2), n))
+    if draw(st.booleans()):
+        faces = draw(st.permutations(faces))
+    return n, pts, faces
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=face_walks())
+def test_face_normals_are_the_cofactor_vector(case):
+    """Each face's normal off the walk is (-1)^c det(edges without column c),
+    each minor by Leibniz (``oracles.cofactor_normal``): equal in ints, all
+    zero for dependent edges, and within rounding of their size in floats,
+    whether or not the faces come in the order that shares prefixes."""
+    n, pts, faces = case
+    for face, got in zip(faces, polytope._face_normals(pts, faces, n), strict=True):
+        rows = [[a - b for a, b in zip(pts[i], pts[face[0]])] for i in face[1:]]
+        want = cofactor_normal(rows)
+        assert len(got) == n
+        if linalg.is_exact(x for pt in pts for x in pt):
+            assert got == want and all(type(x) is int for x in got)
+            if linalg.rank(rows) < n - 1:
+                assert got == [0] * n
+        else:
+            size = math.prod(max(1.0, sum(abs(x) for x in row)) for row in rows)
+            assert all(abs(a - b) <= 1e-12 * size for a, b in zip(got, want))
+
+
+def test_face_normal_edge_cases():
+    def normal(*rows):
+        pts = [[0] * (len(rows) + 1), *rows]
+        (got,) = polytope._face_normals(pts, [tuple(range(len(pts)))], len(rows) + 1)
+        return got
+
+    assert normal() == [1]
+    assert normal([0, 5]) == [5, 0]
+    assert normal([3, 0]) == [0, -3]
+    assert normal([1, 0, 0], [0, 1, 0]) == [0, 0, 1]
+    assert normal([1, 2, 3], [2, 4, 6]) == [0, 0, 0]
+    assert normal([0, 0, 0], [1, 2, 3]) == [0, 0, 0]
+
+
+# -- validate ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("body", [
+    std_triangle, unit_square, box([F(-1, 2), 0, F(1, 3)], [1, F(2, 3), 2]),
+    crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0), (0, 0, F(3, 7), 1),
+                   (F(1, 5), 0, 0, 1)]),
+    linear_image(RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, 0], [F(1, 3), 0, -1]]), cube(3)),
+    Polytope(3, tuple(tuple(float(x) for x in v) for v in cube(3).vertices),
+             cube(3).triangulation),
+    simplex([(0, 0, 0), (1, 0, 0)]),
+], ids=["triangle", "square", "box3", "cross4", "image", "float-cube3", "segment-in-r3"])
+def test_sound_bodies_validate(body):
+    validate(body)
+
+
+@pytest.mark.parametrize("cells, match", [
+    (((0, 1, 2), (0, 2, 3), (0, 1, 3)), "close up"),
+    (((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3)), "offsets"),
+    (((0, 1, 2), (0, 2, 4)), "out of range"),
+    (((0, 1, 1),), "repeats"),
+    (((0, 1, 2), (0, 2)), "one size"),
+], ids=["overlapping", "double-cover", "index", "repeat", "sizes"])
+def test_hand_built_bodies_are_validated(cells, match):
+    """A body built in code is checked when ``validate`` is asked: the
+    overlapping square, whose volume reads 3/2, and the double cover, whose
+    volume reads 2 with no atoms, raise ``GeometryError``; its import raises
+    ``ParseError`` on top of it."""
+    body = Polytope(2, unit_square.vertices, cells)
+    with pytest.raises(GeometryError, match=match):
+        validate(body)
+    with pytest.raises(ParseError, match=match):
+        Polytope.from_json_dict(body.to_json_dict())
+
+
+def test_validate_reads_float_bodies_within_rounding():
+    """A far-off float simplex passes on its rounding; a float double cover
+    of the square still fails on its volume."""
+    rng = random.Random(3)
+    for _ in range(50):
+        pts = tuple(tuple(rng.uniform(-1000, 1000) + 1e6 for _ in range(3)) for _ in range(4))
+        validate(Polytope(3, pts, ((0, 1, 2, 3),)))
+    square = tuple(tuple(map(float, v)) for v in unit_square.vertices)
+    with pytest.raises(GeometryError, match="offsets"):
+        validate(Polytope(2, square, ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))))
+
+
+def test_degenerate_cells_fail_validation():
+    flat = Polytope(2, ((0, 0), (1, 0), (2, 0), (0, 1)), ((0, 1, 2), (0, 2, 3)))
+    with pytest.raises(GeometryError, match="degenerate"):
+        validate(flat)

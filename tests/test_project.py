@@ -129,14 +129,17 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
     """Int sums over a denominator become a tensor only through
     ``SymTensor.from_totals``, and every producer of tensors calls it.  The
     sums are divided only where a reader asks for a value: ``linalg.over``
-    is called by the two scalar divisions of ``polytope`` (volume and atoms)
-    and by ``SymTensor.coeffs``, ``divide_totals`` by nothing, and only
-    ``max_abs_coeff``, ``coeff`` and ``view_distance`` build a tensor's
-    ``Fraction``."""
+    is called by ``linalg.inv`` (the inverse's entries), by the two scalar
+    divisions of ``polytope`` (volume and ``FacetDatum``s), by the
+    surface-area pairing's directions (``surface_pairing`` and
+    ``transfer_check``) and by ``SymTensor.coeffs``, ``divide_totals`` by
+    nothing, and only ``max_abs_coeff``, ``coeff`` and ``view_distance``
+    build a tensor's ``Fraction``."""
     calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
     dividing = sorted(site for site, names in calls.items() if {"over", "divide_totals"} & names)
-    assert dividing == [("polytope", "_volume"), ("polytope", "surface_area_measure"),
-                        ("symtensor", "coeffs")]
+    assert dividing == [("linalg", "inv"), ("polytope", "_volume"),
+                        ("polytope", "surface_area_measure"), ("symtensor", "coeffs"),
+                        ("valuation_lab", "surface_pairing"), ("valuation_lab", "transfer_check")]
     for site in [("moment", "moment_family"), ("symtensor", "gl_action"),
                  ("symtensor", "shift_expansions"), ("symtensor", "vector_power"),
                  ("symtensor", "sym_product"), ("symtensor", "tensor_sum"),
@@ -177,3 +180,18 @@ def test_cell_determinants_are_walked_only_by_the_memo():
     calling = sorted((path.stem, fn.name) for path in SOURCES for fn in _functions(path)
                      if "cell_dets" in _called(fn))
     assert calling == [("polytope", "subspace_volume"), ("polytope", "walk")]
+
+
+def test_one_prefix_wedge_loop():
+    """The exterior-product stack of a prefix walk is extended only by
+    ``polytope._extend_wedge``, which both walks call (the cells'
+    determinants and the boundary faces' normals), and no per-face
+    elimination (``linalg.cross``) is left."""
+    from valuta import linalg
+
+    calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
+    assert sorted(site for site, names in calls.items() if "mul_form" in names
+                  and site[0] == "polytope") == [("polytope", "_extend_wedge")]
+    assert sorted(site for site, names in calls.items() if "_extend_wedge" in names) == [
+        ("polytope", "_face_normals"), ("polytope", "cell_dets")]
+    assert not hasattr(linalg, "cross")

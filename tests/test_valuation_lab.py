@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multi_indices
+from oracles import multi_indices, transfer_check_fractions
 from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
@@ -447,6 +446,84 @@ class TestTransfer:
         with pytest.raises(GeometryError):
             transfer_check(lambda v: v[0], RMatrix.diag([2, 1]), std_triangle)
 
+    def test_body_without_atoms_is_refused(self):
+        """The double cover of the square has every edge in two cells, so no
+        atoms: the transfer says so rather than pairing nothing."""
+        double = Polytope(2, unit_square.vertices, ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3)))
+        with pytest.raises(GeometryError, match="atoms"):
+            transfer_check(lambda v: vector_power(v, 2), RMatrix.from_rows([[1, 1], [0, 1]]),
+                           double)
+
+    def test_transpose_in_place_of_inverse_transpose_fails(self, monkeypatch):
+        """Planted: phi^T applied to K's atoms where phi^-T belongs (phi is
+        an int shear, so its view is phi over 1): the exact check fails with
+        a nonzero residual."""
+        phi = RMatrix.from_rows([[1, 2, 0], [0, 1, -1], [0, 0, 1]])
+        body = crosspolytope([(1, F(1, 3), 0), (0, 2, F(-1, 2)), (F(1, 5), 0, 1)])
+        assert transfer_check(lambda v: vector_power(v, 2), phi, body).passed
+        monkeypatch.setattr(linalg, "inverse_view", lambda m: (1, m))
+        report = transfer_check(lambda v: vector_power(v, 2), phi, body)
+        assert not report.passed and report.mode == "exact"
+        assert type(report.max_residual) is F and report.max_residual != 0
+
+    def test_each_side_walks_its_own_points(self, monkeypatch):
+        """The atom walk runs once on K's points and once on phi K's own
+        points: phi K's atoms are never K's mapped by the cofactor rule."""
+        seen = []
+        real = polytope._face_normals
+        monkeypatch.setattr(polytope, "_face_normals",
+                            lambda pts, faces, n: seen.append(pts) or real(pts, faces, n))
+        phi = RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, 0], [0, F(-2, 3), -1]])
+        body = box([0, F(-1, 2), F(1, 3)], [1, 1, 2])
+        assert transfer_check(lambda v: vector_power(v, 2), phi, body).passed
+        image = linear_image(phi, body)
+        assert seen == [body.cleared[1], image.cleared[1]] and seen[0] != seen[1]
+
+
+@st.composite
+def transfer_cases(draw):
+    """An exact simplex, crosspolytope or Kuhn box in R^2..R^4, perhaps moved
+    by a rational shear and a translation, and a map of det +-1: a shear
+    times a permutation, perhaps times a reflection."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    small = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["simplex", "cross", "box"]))
+    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    if kind == "simplex":
+        body = simplex([(0,) * n, *units])
+    elif kind == "cross":
+        body = crosspolytope(units)
+    else:
+        lo = [draw(small) for _ in range(n)]
+        body = box(lo, [x + 1 + abs(draw(small)) for x in lo])
+
+    def shear():
+        i, j = draw(st.permutations(range(n)))[:2]
+        return RMatrix.from_rows([[1 if a == b else draw(small) if (a, b) == (i, j) else 0
+                                   for b in range(n)] for a in range(n)])
+
+    if draw(st.booleans()):
+        body = translate(linear_image(shear(), body), [draw(small) for _ in range(n)])
+    perm = draw(st.permutations(range(n)))
+    phi = shear() @ RMatrix.from_rows([[int(perm[a] == b) for b in range(n)] for a in range(n)])
+    if draw(st.booleans()):
+        phi = phi @ RMatrix.diag([-1] + [1] * (n - 1))
+    return body, phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=transfer_cases(), square=st.booleans())
+def test_transfer_reports_equal_the_fraction_pairing(case, square):
+    """The report paired on the atoms' int totals equals the one paired on
+    ``FacetDatum`` directions with ``inverse_transpose().matvec``
+    (``oracles.transfer_check_fractions``), for a tensor and a scalar
+    integrand."""
+    body, phi = case
+
+    def f(v):
+        return vector_power(v, 2) if square else v[0] * v[-1] - 3 * v[1] ** 3
+    assert transfer_check(f, phi, body) == transfer_check_fractions(f, phi, body)
+
 
 class TestParitySplit:
     def test_moment_rank1_is_odd(self):
@@ -755,14 +832,13 @@ def _transfer(eps):
     """The original body's atoms are planted off by a factor 1 + eps; its
     image's atoms are read off the triangulation."""
     def planted(body):
-        atoms = surface_area_measure(body)
+        den, atoms = polytope.atom_totals(body)
         if body is not float_triangle:
-            return atoms
-        return tuple(dataclasses.replace(f, direction=tuple(x * (1 + eps) for x in f.direction))
-                     for f in atoms)
+            return den, atoms
+        return den, [([x * (1 + eps) for x in total], base) for total, base in atoms]
 
     shear = RMatrix.from_rows([[1.0, 0.5], [0.0, 1.0]])
-    with mock.patch.object(valuation_lab, "surface_area_measure", planted):
+    with mock.patch.object(valuation_lab, "atom_totals", planted):
         return transfer_check(lambda v: vector_power(v, 2), shear, float_triangle).passed
 
 
@@ -896,10 +972,12 @@ def _cascade_of(n, c=1):
     (lambda: rehomogeneity_check(Valuation("vol+vol^2", 0, 3, lambda b: SymTensor.scalar(
         3, volume(b) + volume(b) ** 2)), _BOX3, F(3, 2)),
      (False, F(7938875, 96), [{"degree": 1, "lambda": "3/2"}], "exact")),
+    # The float atoms' normals are sums of products of edge entries (the
+    # exterior-product walk), and these two residuals round with them.
     (lambda: transfer_check(lambda v: vector_power(v, 2), _RSHEAR, _FBOX3),
-     (True, 1.7763568394002505e-15, [{"det": "1"}], "float")),
+     (True, 4.440892098500626e-16, [{"det": "1"}], "float")),
     (lambda: transfer_check(lambda v: vector_power(v, 2), _FSHEAR, _CROSS4),
-     (True, 4.440892098500626e-16, [{"det": "1.0"}], "float")),
+     (True, 1.3322676295501878e-15, [{"det": "1.0"}], "float")),
 ], ids=["equivariance-float-shear", "equivariance-float-body", "equivariance-planted",
         "covariance-float-body", "covariance-float-shift", "covariance-planted",
         "rehomogeneity-float-lambda", "rehomogeneity-float-body", "rehomogeneity-planted",
