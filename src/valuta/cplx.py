@@ -28,6 +28,7 @@ refuse a verdict inside the ``AMBIGUITY_BAND`` around it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, NumericalRankError, ParseError, ValutaError
-from .linalg import CNum, cdet, cmul, cnum, crank
+from .linalg import CNum, cdet, cnum, crank
 from .symtensor import RMatrix, _json_int, _json_list, json_rational, parse_rational
 
 RANK_TOL = 1e-8
@@ -70,18 +71,10 @@ class CMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "CMatrix":
-        conv = []
-        for row in rows:
-            out = []
-            for e in row:
-                if isinstance(e, tuple):
-                    out.append(e)
-                elif isinstance(e, complex):
-                    out.append((e.real, e.imag))
-                else:
-                    out.append((e, 0))
-            conv.append(tuple(out))
-        return CMatrix(tuple(conv))
+        def pair(e):
+            return e if isinstance(e, tuple) else (
+                (e.real, e.imag) if isinstance(e, complex) else (e, 0))
+        return CMatrix(tuple(tuple(map(pair, row)) for row in rows))
 
     @staticmethod
     def identity(m: int) -> "CMatrix":
@@ -243,7 +236,7 @@ def _reduce(w, dirs) -> list:
     """N w - <w, u> u for each kept direction in turn (modified Gram-Schmidt):
     w's remainder against them, times the product of their N."""
     for u, n, _ in dirs:
-        c = linalg.dot(w, u)
+        c = sum(map(operator.mul, w, u))
         w = [n * x - c * y for x, y in zip(w, u)]
     return w
 
@@ -350,7 +343,7 @@ def adapted_basis(l: Subspace) -> Subspace:
     j, n = l.dim, l.ambient
     d, basis = linalg.clear_denominators(l.basis)
     jb = [j_apply(v) for v in basis]
-    g = [[linalg.dot(a, b) for b in basis] for a in jb]
+    g = [[sum(map(operator.mul, a, b)) for b in basis] for a in jb]
     d2 = d * d
     cols = [[d2 * x - sum(g[a][c] * jb[a][i] for a in range(j)) for i, x in enumerate(basis[c])]
             for c in range(j)]
@@ -363,7 +356,7 @@ def adapted_basis(l: Subspace) -> Subspace:
         # between the sines counted as zero (<= 2e-10) and the nonzero ones (>= 2e-6)
         tol = 1e-9
     bt = linalg.transpose(basis)
-    u_rows = [linalg.mat_vec(bt, c) for c in null]
+    u_rows = [[sum(map(operator.mul, row, c)) for row in bt] for c in null]
     if len(u_rows) % 2 != 0:
         raise GeometryError("intersection with its J-image must be even-dimensional")
     pairs: list = []
@@ -428,10 +421,10 @@ def _shear(m: int, params, seed) -> CMatrix:
         if p == q or not (0 <= p < m and 0 <= q < m):
             raise ValueError("shear needs distinct indices inside range")
         entry = cnum(params.get("re", 0), params.get("im", 0))
-        return _single_shear(m, p, q, entry)
+        return CMatrix.from_rows(_single_shear(m, p, q, entry))
     count = (params or {}).get("count", 1)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    out = CMatrix.identity(m)
+    out = CMatrix.identity(m).entries
     for _ in range(count):
         p = rng.randrange(m)
         q = (p + 1 + rng.randrange(m - 1)) % m
@@ -440,14 +433,14 @@ def _shear(m: int, params, seed) -> CMatrix:
             im = Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
             if re != 0 or im != 0:
                 break
-        out = out @ _single_shear(m, p, q, (re, im))
-    return out
+        out = linalg.cmat_mul(out, _single_shear(m, p, q, (re, im)))
+    return CMatrix(tuple(map(tuple, out)))
 
 
-def _single_shear(m: int, p: int, q: int, entry: CNum) -> CMatrix:
+def _single_shear(m: int, p: int, q: int, entry: CNum) -> list[list[CNum]]:
     rows = [[(1, 0) if i == j else (0, 0) for j in range(m)] for i in range(m)]
     rows[p][q] = entry
-    return CMatrix.from_rows(rows)
+    return rows
 
 
 def _sl_diag(m: int, params) -> CMatrix:
@@ -456,12 +449,10 @@ def _sl_diag(m: int, params) -> CMatrix:
     values = [cnum(*v) if isinstance(v, (tuple, list)) else cnum(v) for v in params["values"]]
     if len(values) != m:
         raise ValueError(f"need {m} diagonal values")
-    prod = (Fraction(1), Fraction(0))
-    for v in values:
-        prod = cmul(prod, v)
-    if prod != (Fraction(1), Fraction(0)):
+    diag = CMatrix.diag(values)
+    if diag.det_c != (1, 0):
         raise ValueError("diagonal values must multiply to 1")
-    return CMatrix.diag(values)
+    return diag
 
 
 def _unitary_float(m: int, seed) -> CMatrix:

@@ -12,7 +12,10 @@ pivoting on the largest entry, and gives floats.  The entries decide the mode: `
 ``real`` the coercion that constructors apply.  ``crank`` is the real rank
 of the realified rows, halved; exact ``cdet`` reads det(X + iY) off the
 integer determinants det(X + tY) at t = 1..m+1, and float ``cdet`` runs
-the elimination on Python ``complex`` entries.
+the elimination on Python ``complex`` entries.  Products of rows and
+columns (``mat_mul``, ``mat_vec``, ``dot``, ``cmat_mul``) run on the
+operands' views at one scale (``products``): one int dot product and one
+division per entry; with a float operand the same sums run in floats.
 """
 
 from __future__ import annotations
@@ -70,20 +73,24 @@ def vec(xs: Sequence) -> Vec:
 
 
 def dot(a: Sequence, b: Sequence):
-    if len(a) != len(b):
-        raise DimensionMismatch(f"dot of lengths {len(a)} and {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return mat_vec([a], b)[0]
 
 
 def mat_vec(rows: Sequence[Sequence], x: Sequence) -> tuple:
-    return tuple(dot(row, x) for row in rows)
+    if any(len(row) != len(x) for row in rows):
+        raise DimensionMismatch("matrix-vector product shape mismatch")
+    return tuple(y for y, in products(clear_denominators(rows), clear_denominators([x])))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    if len(a[0]) != len(b):
+    _check_product(a, b)
+    return products(clear_denominators(a), clear_denominators(transpose(b)))
+
+
+def _check_product(a, b) -> None:
+    """Refuse a and b unless every row of a has len(b) entries and b's rows one length."""
+    if any(len(row) != len(b) for row in a) or len(set(map(len, b))) > 1:
         raise DimensionMismatch("matrix product shape mismatch")
-    bt = list(zip(*b))
-    return [[dot(row, col) for col in bt] for row in a]
 
 
 def identity(n: int) -> Mat:
@@ -121,15 +128,28 @@ def check_orthonormal(rows: Sequence[Sequence]) -> None:
 def common_scale(views) -> tuple[int, list[list[list]]]:
     """Integer views (D_i, rows_i), each what ``clear_denominators`` gives
     for some rows, brought to one scale as clearing all the rows together
-    gives them: the lcm L of the D_i and each view's rows times L / D_i,
-    a view already at scale L passed through uncopied.  When a view holds a
-    float, L = 1 and every entry is x / D_i, which is float(x) bit for bit."""
+    brings them: the lcm L of the D_i and each view's rows times L / D_i, a
+    view already at scale L passed through uncopied.  When a view holds a
+    float, L = 1, float views pass through and each int view's entries are
+    x / D_i, float(x / D_i) bit for bit, so a float times an exact entry
+    rounds as in Python."""
     views = list(views)
-    if is_exact(x for _, rows in views for row in rows for x in row):
-        big = math.lcm(*(d for d, _ in views))
-        return big, [rows if d == big else [[x * (big // d) for x in row] for row in rows]
-                     for d, rows in views]
-    return 1, [[[x / d for x in row] for row in rows] for d, rows in views]
+    floats = [_floats(rows) for _, rows in views]
+    if any(floats):
+        return 1, [rows if f else [[x / d for x in row] for row in rows]
+                   for (d, rows), f in zip(views, floats)]
+    big = math.lcm(*(d for d, _ in views))
+    return big, [rows if d == big else [[x * (big // d) for x in row] for row in rows]
+                 for d, rows in views]
+
+
+def products(va, vb) -> list[list]:
+    """<a, b> for each row a of the view va and b of vb, on their common
+    scale L (``common_scale``): one int dot product per pair, in index
+    order, and one ``over`` by L^2; float views run the same sums, so they
+    round as the entries' own products do."""
+    big, (a, b) = common_scale([va, vb])
+    return [[over(sum(map(operator.mul, row, col)), big * big) for col in b] for row in a]
 
 
 def over(x, d: int):
@@ -312,10 +332,6 @@ def cnum(re, im=0) -> CNum:
     return (frac(re), frac(im))
 
 
-def cmul(a: CNum, b: CNum) -> CNum:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def cabs2(a: CNum) -> Fraction:
     return a[0] * a[0] + a[1] * a[1]
 
@@ -356,7 +372,13 @@ def crank(rows: Sequence[Sequence[CNum]]) -> int:
 
 
 def cmat_mul(a: Sequence[Sequence[CNum]], b: Sequence[Sequence[CNum]]) -> list[list[CNum]]:
-    if len(a[0]) != len(b):
-        raise DimensionMismatch("complex matrix product shape mismatch")
-    bt = list(zip(*b))
-    return [[tuple(map(sum, zip(*map(cmul, row, col)))) for col in bt] for row in a]
+    """On a's rows [x | y] and b's columns [u | v] at one scale L (views):
+    re = sum(x u - y v), im = sum(x v + y u), k in order, over L^2."""
+    _check_product(a, b)
+    k, mul = len(b), operator.mul
+    big, (a, b) = common_scale([clear_denominators(_flat(a)),
+                                clear_denominators(_flat(transpose(b)))])
+    b, d = [(col[:k], col[k:]) for col in b], big * big
+    return [[(over(sum(map(operator.sub, map(mul, x, u), map(mul, y, v))), d),
+              over(sum(map(operator.add, map(mul, x, v), map(mul, y, u))), d))
+             for u, v in b] for x, y in ((row[:k], row[k:]) for row in a)]

@@ -527,8 +527,8 @@ def scale(p: Polytope, lam) -> Polytope:
 
 
 def support(p: Polytope, u: Sequence):
-    """Support function h_P(u) = max over vertices of <u, v>."""
-    return max(sum(a * b for a, b in zip(u, v)) for v in p.vertices)
+    """Support function h_P(u) = max <u, v> over the vertices (``linalg.products``)."""
+    return max(linalg.products(linalg.clear_denominators([u]), p.cleared)[0])
 
 
 # -- facet / surface area data ---------------------------------------------------
@@ -623,33 +623,31 @@ def _closes(vectors) -> bool:
 
 def subspace_volume(p: Polytope, subspace):
     """Volume of a polytope inside a linear subspace, in the subspace's own
-    dimension, computed in coordinates of its orthonormal basis.
-
-    ``subspace`` is anything with an orthonormal ``basis`` attribute, or the
-    basis itself, checked by ``linalg.check_orthonormal``.  Exact for exact
-    bases, float otherwise; a float point lies in the subspace when its
-    residual is at most 1e-8 of its length.
-    """
-    basis = getattr(subspace, "basis", subspace)
-    basis = [tuple(b) for b in basis]
+    dimension, in coordinates of its orthonormal ``basis`` (the argument's
+    attribute, or the argument), checked by ``linalg.check_orthonormal``.
+    On the views of the body P and of an exact basis B at one scale L
+    (``linalg.common_scale``) the coordinates are the ints <P, B_i> over
+    L^2, and a point lies in the subspace when L^2 P = sum <P, B_i> B_i.
+    Floats run the same sums, and a float point lies in the subspace when
+    its residual is at most 1e-8 of its length."""
+    basis = [tuple(b) for b in getattr(subspace, "basis", subspace)]
     linalg.check_orthonormal(basis)
     j = len(basis)
-    exact = linalg.is_exact(x for b in basis for x in b)
+    big, (pts, basis) = linalg.common_scale([p.cleared, linalg.clear_denominators(basis)])
+    exact, d2 = _exact((big, pts)), big * big
     coords = []
-    for pt in p.vertices:
-        cs = [sum(a * b for a, b in zip(pt, bvec)) for bvec in basis]
-        residual = list(pt)
-        for c, bvec in zip(cs, basis):
-            residual = [r - c * b for r, b in zip(residual, bvec)]
+    for pt in pts:
+        cs = [sum(map(operator.mul, pt, b)) for b in basis]
+        residual = [d2 * x for x in pt] if exact else list(pt)
+        for c, b in zip(cs, basis):
+            residual = [r - c * x for r, x in zip(residual, b)]
         if exact:
-            if any(r != 0 for r in residual):
+            if any(residual):
                 raise GeometryError("polytope does not lie in the subspace")
         elif math.hypot(*residual) > 1e-8 * math.hypot(*pt):
             raise GeometryError("polytope does not lie in the subspace")
         coords.append(cs)
-    view = linalg.clear_denominators(coords)
-    total = _volume(cell_dets(view, p.triangulation, j), view[0], j)
-    return total if exact else float(total)
+    return _volume(cell_dets((d2, coords), p.triangulation, j), d2, j)
 
 
 # -- planar Minkowski sums ---------------------------------------------------------

@@ -535,30 +535,10 @@ class RMatrix:
     def det(self):
         return linalg.det(self.entries)
 
-    def matvec(self, x: Sequence) -> tuple:
-        """phi x, equal to ``linalg.mat_vec`` of the entries: for an exact
-        matrix and vector the view's rows (D) times x cleared (q) are summed
-        in ints and each coordinate is divided once by D q; anything
-        holding a float takes ``linalg.mat_vec``, so its rounding is the same."""
-        if not (self.exact and linalg.is_exact(x)):
-            return linalg.mat_vec(self.entries, x)
-        d, rows = self.cleared
-        q, (xs,) = linalg.clear_denominators([x])
-        return tuple(Fraction(linalg.dot(row, xs), d * q) for row in rows)
-
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.n != other.n:
             raise DimensionMismatch("matrix product size mismatch")
         return RMatrix.from_rows(linalg.mat_mul(self.entries, other.entries))
-
-    def transpose(self) -> "RMatrix":
-        return RMatrix.from_rows(linalg.transpose(self.entries))
-
-    def inverse(self) -> "RMatrix":
-        return RMatrix.from_rows(linalg.inv(self.entries))
-
-    def inverse_transpose(self) -> "RMatrix":
-        return self.inverse().transpose()
 
 
 def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:

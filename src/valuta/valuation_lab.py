@@ -243,14 +243,17 @@ class KlainValue:
     degree: int
 
 
-def _map_points(points, basis):
-    n = len(basis[0])
+def _map_points(points, l: Subspace):
+    """sum c_i b_i, in i order, for each point's int coordinates c on l's basis:
+    on the basis's view, one ``Fraction`` per coordinate, when l is exact."""
+    exact = l.exact
+    d, rows = linalg.clear_denominators(l.basis) if exact else (1, l.basis)
     out = []
     for coords in points:
-        v = [0] * n
-        for c, b in zip(coords, basis):
+        v = [0] * l.ambient
+        for c, b in zip(coords, rows):
             v = [x + c * y for x, y in zip(v, b)]
-        out.append(tuple(v))
+        out.append(tuple(Fraction(x, d) for x in v) if exact else tuple(v))
     return tuple(out)
 
 
@@ -260,14 +263,14 @@ def cube_probe(l: Subspace) -> Polytope:
     multiplies no ``Fraction`` into a float."""
     model = cube(l.dim)
     corners = [tuple(map(int, v)) for v in model.vertices]
-    return Polytope(l.ambient, _map_points(corners, l.basis), model.triangulation)
+    return Polytope(l.ambient, _map_points(corners, l), model.triangulation)
 
 
 def simplex_probe(l: Subspace) -> Polytope:
     j = l.dim
     corners = [tuple([0] * j)] + [
         tuple(1 if k == i else 0 for k in range(j)) for i in range(j)]
-    return Polytope(l.ambient, _map_points(corners, l.basis),
+    return Polytope(l.ambient, _map_points(corners, l),
                     (tuple(range(j + 1)),))
 
 
@@ -275,7 +278,9 @@ def _gram_root(basis):
     """sqrt(det G) for the Gram matrix G of the basis rows: the j-volume of
     the parallelotope they span, exact when det G is a rational square (1
     on an exact orthonormal basis), else a float."""
-    det = linalg.det([[linalg.dot(a, b) for b in basis] for a in basis])
+    d, rows = linalg.clear_denominators(basis)
+    gram = [[sum(map(operator.mul, a, b)) for b in rows] for a in rows]
+    det = linalg.over(linalg.bareiss(gram), d ** (2 * len(rows)))
     root = exact_sqrt(det) if isinstance(det, Fraction) else None
     return math.sqrt(max(det, 0)) if root is None else root
 

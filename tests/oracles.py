@@ -10,8 +10,9 @@ from typing import Iterator
 
 import numpy as np
 
+from valuta import linalg
 from valuta.errors import GeometryError, ValutaError
-from valuta.polytope import linear_image, surface_area_measure
+from valuta.polytope import _volume, cell_dets, linear_image, surface_area_measure
 from valuta.symtensor import SymTensor, format_rational, tensor_sum
 from valuta.valuation_lab import _verdict
 
@@ -94,7 +95,6 @@ def gram_schmidt_fractions(vecs, tol, basis=()) -> list[tuple]:
 def adapted_basis_fractions(l):
     """The split L = U + W of ``cplx.adapted_basis``, in Fractions for an
     exact basis and in floats otherwise."""
-    from valuta import linalg
     from valuta.cplx import Subspace, _nonzero, j_apply
 
     basis = list(l.basis)
@@ -125,6 +125,57 @@ def adapted_basis_fractions(l):
     if len(w_basis) != j - len(pairs):
         raise GeometryError("complex/real split dimensions do not add up")
     return Subspace(n, tuple(pairs[::2] + w_basis + pairs[1::2]), retries=l.retries)
+
+
+# -- products of rows and columns, schoolbook ----------------------------------------
+# Each entry the sum of its row-by-column products in k order, as the library
+# summed them before it cleared denominators: in Fractions when every entry is
+# rational (ints made Fractions), else on the entries as given, in Python's
+# own arithmetic.
+
+
+def _schoolbook(entries):
+    """The entries as Fractions when all are rational, else unchanged, and
+    the converter used."""
+    exact = all(isinstance(x, (int, Fraction)) for x in entries)
+    return Fraction if exact else (lambda x: x)
+
+
+def mat_mul_fractions(a, b) -> list[list]:
+    conv = _schoolbook([x for m in (a, b) for row in m for x in row])
+    return [[sum((conv(x) * conv(y) for x, y in zip(row, col)), conv(0)) for col in zip(*b)]
+            for row in a]
+
+
+def cmat_mul_fractions(a, b) -> list[list[tuple]]:
+    """re = sum(x u - y v) and im = sum(x v + y u) over k, per entry."""
+    conv = _schoolbook([x for m in (a, b) for row in m for z in row for x in z])
+    out = []
+    for row in a:
+        out.append([])
+        for col in zip(*b):
+            terms = [((conv(x), conv(y)), (conv(u), conv(v))) for (x, y), (u, v) in zip(row, col)]
+            out[-1].append((sum((x * u - y * v for (x, y), (u, v) in terms), conv(0)),
+                            sum((x * v + y * u for (x, y), (u, v) in terms), conv(0))))
+    return out
+
+
+def subspace_volume_generators(p, basis):
+    """``polytope.subspace_volume`` as it ran on a body's vertices with
+    generator sums: coordinates <v, b> per basis vector, the residual
+    reduced one basis vector at a time, then the coordinates cleared."""
+    basis = [tuple(b) for b in basis]
+    coords = []
+    for pt in p.vertices:
+        cs = [sum(a * b for a, b in zip(pt, bvec)) for bvec in basis]
+        residual = list(pt)
+        for c, bvec in zip(cs, basis):
+            residual = [r - c * b for r, b in zip(residual, bvec)]
+        if math.hypot(*residual) > 1e-8 * math.hypot(*pt):
+            raise GeometryError("polytope does not lie in the subspace")
+        coords.append(cs)
+    view = linalg.clear_denominators(coords)
+    return _volume(cell_dets(view, p.triangulation, len(basis)), view[0], len(basis))
 
 
 # -- symmetric tensors as plain maps --------------------------------------------------
@@ -164,17 +215,18 @@ def map_max_abs(m: dict):
 def transfer_check_fractions(f, phi, p):
     """``valuation_lab.transfer_check`` as it paired before the atoms' int
     totals: f over each ``FacetDatum`` direction of phi K, against f over
-    ``inverse_transpose().matvec`` of each direction of K, folded as
-    ``surface_pairing`` folds and judged by ``_verdict``."""
+    phi^-T times each direction of K (``linalg.inv``, ``linalg.transpose``
+    and ``linalg.mat_vec``), folded as ``surface_pairing`` folds and judged
+    by ``_verdict``."""
     def pairing(g, body):
         values = [g(facet.direction) for facet in surface_area_measure(body)]
         if all(isinstance(v, SymTensor) for v in values):
             return tensor_sum(values)
         return sum(values[1:], values[0])
 
-    phi_inv_t = phi.inverse_transpose()
+    phi_inv_t = linalg.transpose(linalg.inv(phi.entries))
     lhs = pairing(f, linear_image(phi, p))
-    rhs = pairing(lambda v: f(phi_inv_t.matvec(v)), p)
+    rhs = pairing(lambda v: f(linalg.mat_vec(phi_inv_t, v)), p)
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
     return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],

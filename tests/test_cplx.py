@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import adapted_basis_fractions, gram_schmidt_fractions
+from oracles import adapted_basis_fractions, gram_schmidt_fractions, mat_mul_fractions
 
 from valuta import linalg
 from valuta.cplx import (
@@ -275,18 +275,29 @@ class TestAdaptedBasis:
             assert out.complex_rank == min(j, m)
 
 
+def _cayley_factors(a):
+    """I - A and I + A."""
+    eye = linalg.identity(len(a))
+    return ([[e - x for e, x in zip(er, ar)] for er, ar in zip(eye, a)],
+            [[e + x for e, x in zip(er, ar)] for er, ar in zip(eye, a)])
+
+
+def _cayley(a):
+    """The Cayley transform (I - A)(I + A)^-1 by ``linalg.mat_mul`` and
+    ``linalg.inv``: rational orthogonal for a rational skew-symmetric A."""
+    minus, plus = _cayley_factors(a)
+    return linalg.mat_mul(minus, linalg.inv(plus))
+
+
 def rational_orthogonal(rng, n):
-    """Cayley transform (I - A)(I + A)^-1 of a random integer skew matrix A:
-    an orthogonal matrix with rational entries."""
+    """Cayley transform of a random integer skew matrix A: an orthogonal
+    matrix with rational entries."""
     a = [[0] * n for _ in range(n)]
     for r in range(n):
         for c in range(r + 1, n):
             a[r][c] = rng.randint(-3, 3)
             a[c][r] = -a[r][c]
-    eye = linalg.identity(n)
-    minus = [[eye[r][c] - a[r][c] for c in range(n)] for r in range(n)]
-    plus = [[eye[r][c] + a[r][c] for c in range(n)] for r in range(n)]
-    return linalg.mat_mul(minus, linalg.inv(plus))
+    return _cayley(a)
 
 
 class TestGramSchmidt:
@@ -348,10 +359,8 @@ class TestGramSchmidt:
                 gram_schmidt_fractions(vecs[1:], span_tol(vecs), out[:1]))
 
 
-def unitary_frame(rng, m):
-    """Columns of a rational orthogonal 2m x 2m matrix commuting with J: the
-    Cayley transform (I - A)(I + A)^-1 of a realified skew-Hermitian A, so
-    that column m + k is J times column k."""
+def skew_hermitian(rng, m):
+    """The realification of a random skew-Hermitian m x m matrix."""
     def small():
         return F(rng.randint(-3, 3), rng.randint(1, 3))
 
@@ -361,12 +370,33 @@ def unitary_frame(rng, m):
         for k in range(i + 1, m):
             rows[i][k] = (small(), small())
             rows[k][i] = (-rows[i][k][0], rows[i][k][1])
-    a = realify(CMatrix.from_rows(rows)).entries
-    eye = linalg.identity(2 * m)
-    minus = [[eye[i][k] - a[i][k] for k in range(2 * m)] for i in range(2 * m)]
-    plus = [[eye[i][k] + a[i][k] for k in range(2 * m)] for i in range(2 * m)]
-    q = linalg.mat_mul(minus, linalg.inv(plus))
+    return realify(CMatrix.from_rows(rows)).entries
+
+
+def unitary_frame(rng, m):
+    """Columns of a rational orthogonal 2m x 2m matrix commuting with J: the
+    Cayley transform of a realified skew-Hermitian A, so that column m + k
+    is J times column k."""
+    q = _cayley(skew_hermitian(rng, m))
     return [tuple(row[c] for row in q) for c in range(2 * m)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exact_cayley_frame_is_orthogonal_and_commutes_with_j(m):
+    """The Cayley frame of a realified skew-Hermitian A, multiplied on
+    integer views, is the schoolbook product in Fractions (``oracles``),
+    and Q^T Q = I and Q J = J Q hold exactly."""
+    rng = random.Random(f"cayley-{m}")
+    j = [list(row) for row in j_matrix(m).entries]
+    eye = [[F(int(r == c)) for c in range(2 * m)] for r in range(2 * m)]
+    for _ in range(4):
+        a = skew_hermitian(rng, m)
+        minus, plus = _cayley_factors(a)
+        q = _cayley(a)
+        assert q == mat_mul_fractions(minus, linalg.inv(plus))
+        assert all(type(x) is F for row in q for x in row)
+        assert mat_mul_fractions(linalg.transpose(q), q) == eye
+        assert mat_mul_fractions(q, j) == mat_mul_fractions(j, q)
 
 
 # (m, j, d): every dimension j of a proper subspace of C^m and complex rank d

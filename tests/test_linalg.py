@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cmat_mul_fractions, mat_mul_fractions
 
 from valuta import linalg
 from valuta.errors import DimensionMismatch
@@ -376,3 +377,113 @@ def test_common_scale_is_clearing_all_rows_together(groups):
     assert (big, [row for rows in lifted for row in rows]) == together
     assert [type(x) for rows in lifted for row in rows for x in row] == \
         [type(x) for row in together[1] for x in row]
+
+
+# -- products of rows and columns on integer views ------------------------------------
+
+small_ints = st.integers(min_value=-20, max_value=20)
+plain_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False) | st.sampled_from(
+    [0.1, -1 / 3, 2.7, -0.0])
+
+
+@st.composite
+def product_operands(draw, entries_a, entries_b, pair=lambda s: s):
+    """An n x k and a k x p matrix, 0 <= n, p <= 4 and 1 <= k <= 4, with
+    entries drawn from ``pair(entries)``: plain entries, or (re, im) pairs."""
+    n, k, p = (draw(st.integers(min_value=lo, max_value=4)) for lo in (0, 1, 0))
+    a = [[draw(pair(entries_a)) for _ in range(k)] for _ in range(n)]
+    b = [[draw(pair(entries_b)) for _ in range(p)] for _ in range(k)]
+    return a, b
+
+
+EXACT_ENTRIES = {"int": small_ints, "fraction": rationals, "mixed": small_ints | rationals}
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(EXACT_ENTRIES)))
+def test_exact_products_equal_the_schoolbook_fractions(data, kind):
+    """``mat_mul``, ``mat_vec``, ``dot`` and ``cmat_mul`` on integer views
+    equal the schoolbook sums in Fractions (``oracles``), value and type:
+    every entry a ``Fraction``, ints included."""
+    entries = EXACT_ENTRIES[kind]
+    a, b = data.draw(product_operands(entries, entries))
+    got, want = linalg.mat_mul(a, b), mat_mul_fractions(a, b)
+    assert got == want and all(type(x) is F for row in got for x in row)
+    x = data.draw(st.lists(entries, min_size=len(b), max_size=len(b)))
+    want = [row[0] for row in mat_mul_fractions(a, [[y] for y in x])]
+    got = linalg.mat_vec(a, x)
+    assert list(got) == want and all(type(y) is F for y in got)
+    assert [linalg.dot(row, x) for row in a] == want
+    assert all(type(linalg.dot(row, x)) is F for row in a)
+    ca, cb = data.draw(product_operands(entries, entries, lambda s: st.tuples(s, s)))
+    got, want = linalg.cmat_mul(ca, cb), cmat_mul_fractions(ca, cb)
+    assert got == want and all(type(x) is F for row in got for z in row for x in z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mixed=st.booleans(), swap=st.booleans())
+def test_float_products_are_bit_identical(data, mixed, swap):
+    """Float products (``mat_mul``, ``mat_vec``, ``cmat_mul``) run the
+    schoolbook sums in the same order, bit for bit: on float matrices with
+    small ints among the floats, and on a float matrix times an exact or
+    mixed one (every term then has a float factor)."""
+    floats = plain_floats | small_ints
+    other = (small_ints | rationals | plain_floats) if mixed else floats
+    if mixed:
+        floats = plain_floats
+    pick = (other, floats) if swap else (floats, other)
+    a, b = data.draw(product_operands(*pick))
+    has_float = any(isinstance(x, float) for m in (a, b) for row in m for x in row)
+    got, want = linalg.mat_mul(a, b), mat_mul_fractions(a, b)
+    assert [list(map(_bits, row)) for row in got] == [list(map(_bits, row)) for row in want]
+    if has_float:
+        assert all(type(x) is float for row in got for x in row)
+    x = data.draw(st.lists(pick[1], min_size=len(b), max_size=len(b)))
+    want = [row[0] for row in mat_mul_fractions(a, [[y] for y in x])]
+    assert list(map(_bits, linalg.mat_vec(a, x))) == list(map(_bits, want))
+    ca, cb = data.draw(product_operands(*pick, lambda s: st.tuples(s, s)))
+    got, want = linalg.cmat_mul(ca, cb), cmat_mul_fractions(ca, cb)
+    assert [[tuple(map(_bits, z)) for z in row] for row in got] == \
+        [[tuple(map(_bits, z)) for z in row] for row in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["a", "b"]))
+def test_ragged_operands_raise(data, which):
+    """A row of a shorter or longer than len(b), or rows of b of unequal
+    lengths, raise ``DimensionMismatch`` rather than being truncated."""
+    a, b = data.draw(product_operands(rationals, rationals))
+    a = a or [[F(1)] * len(b)]
+    m = a if which == "a" else b
+    i = data.draw(st.integers(min_value=0, max_value=len(m) - 1))
+    if which == "b" and len(m) == 1:
+        b = b + [b[0] + [F(1)]]
+        a = [row + [F(1)] for row in a]
+    elif data.draw(st.booleans()) or not m[i]:
+        m[i] = m[i] + [F(2)]
+    else:
+        m[i] = m[i][:-1]
+
+    def pairs(rows):
+        return [[(x, -x) for x in row] for row in rows]
+
+    with pytest.raises(DimensionMismatch):
+        linalg.mat_mul(a, b)
+    with pytest.raises(DimensionMismatch):
+        linalg.cmat_mul(pairs(a), pairs(b))
+    if which == "a":
+        with pytest.raises(DimensionMismatch):
+            linalg.mat_vec(a, [row[0] if row else F(0) for row in b])
+
+
+def test_ragged_examples_raise():
+    """Unchecked, ``map`` and ``zip`` truncate these to a [[(3, 0)], [(3, 0)]]
+    product and a 2 x 1 one."""
+    with pytest.raises(DimensionMismatch):
+        linalg.cmat_mul([[(1, 0), (2, 0)], [(3, 0)]], [[(1, 0)], [(1, 0)]])
+    with pytest.raises(DimensionMismatch):
+        linalg.mat_mul([[1, 2], [3, 4]], [[1, 5], [1]])

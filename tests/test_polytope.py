@@ -667,10 +667,10 @@ def test_image_atoms_are_mapped_area_vectors(case):
     """The atoms of phi(P) are |det phi| phi^{-T} a_F at offsets <a', phi v>
     for a vertex v on F, and each offset is the image's support value."""
     body, rows, phi = case
-    inv_t = phi.inverse_transpose()
+    inv_t = linalg.transpose(linalg.inv(rows))
     expected = set()
     for f in surface_area_measure(body):
-        mapped = tuple(abs(phi.det) * x for x in inv_t.matvec(f.direction))
+        mapped = tuple(abs(phi.det) * x for x in linalg.mat_vec(inv_t, f.direction))
         on_face = max(body.vertices, key=lambda v: sum(a * b for a, b in zip(f.direction, v)))
         offset = sum(a * b for a, b in zip(mapped, _matvec(rows, on_face)))
         expected.add((mapped, offset))

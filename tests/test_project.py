@@ -129,16 +129,19 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
     """Int sums over a denominator become a tensor only through
     ``SymTensor.from_totals``, and every producer of tensors calls it.  The
     sums are divided only where a reader asks for a value: ``linalg.over``
-    is called by ``linalg.inv`` (the inverse's entries), by the two scalar
-    divisions of ``polytope`` (volume and ``FacetDatum``s), by the
+    is called by ``linalg.inv`` (the inverse's entries), by the products of
+    rows and columns (``linalg.products`` and ``cmat_mul``, one division
+    per entry), by the two scalar divisions of ``polytope`` (volume and
+    ``FacetDatum``s), by the Gram determinant of ``_gram_root``, by the
     surface-area pairing's directions (``surface_pairing`` and
     ``transfer_check``) and by ``SymTensor.coeffs``, ``divide_totals`` by
     nothing, and only ``max_abs_coeff``, ``coeff`` and ``view_distance``
     build a tensor's ``Fraction``."""
     calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
     dividing = sorted(site for site, names in calls.items() if {"over", "divide_totals"} & names)
-    assert dividing == [("linalg", "inv"), ("polytope", "_volume"),
-                        ("polytope", "surface_area_measure"), ("symtensor", "coeffs"),
+    assert dividing == [("linalg", "cmat_mul"), ("linalg", "inv"), ("linalg", "products"),
+                        ("polytope", "_volume"), ("polytope", "surface_area_measure"),
+                        ("symtensor", "coeffs"), ("valuation_lab", "_gram_root"),
                         ("valuation_lab", "surface_pairing"), ("valuation_lab", "transfer_check")]
     for site in [("moment", "moment_family"), ("symtensor", "gl_action"),
                  ("symtensor", "shift_expansions"), ("symtensor", "vector_power"),
@@ -150,7 +153,24 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
     building = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                 and "Fraction" in _called(fn)}
     assert building == {"max_abs_coeff", "coeff", "view_distance", "format_rational",
-                        "parse_rational", "matvec", "vector_power"}
+                        "parse_rational", "vector_power"}
+
+
+def test_no_generator_sums_of_products_over_zip():
+    """No function in ``src/valuta`` sums a generator of products over a
+    ``zip``, ``sum(x * y for x, y in zip(a, b))``: a product of rows and
+    columns runs on integer views (``linalg.products``) or, on a view
+    already in ints, as ``sum(map(operator.mul, a, b))``."""
+    found = []
+    for path in SOURCES:
+        for fn in _functions(path):
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "sum"
+                        and call.args and isinstance(gen := call.args[0], ast.GeneratorExp)
+                        and isinstance(gen.elt, ast.BinOp) and isinstance(gen.elt.op, ast.Mult)
+                        and any("zip" in _called(comp.iter) for comp in gen.generators)):
+                    found.append((path.stem, fn.name))
+    assert found == []
 
 
 def test_one_tensor_representation():

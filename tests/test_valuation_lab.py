@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multi_indices, transfer_check_fractions
+from oracles import multi_indices, subspace_volume_generators, transfer_check_fractions
 from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
@@ -203,6 +203,62 @@ def test_probe_points_are_the_fraction_coordinate_images(l):
     corners = [(0,) * l.dim] + [tuple(int(k == i) for k in range(l.dim)) for i in range(l.dim)]
     for probe, model in ((cube_probe(l), cube(l.dim).vertices), (simplex_probe(l), corners)):
         assert [repr(v) for v in probe.vertices] == [image(c) for c in model]
+
+
+def cayley_columns(rng, n):
+    """The columns of the Cayley transform (I - A)(I + A)^-1 of a random
+    integer skew-symmetric A: an exact orthonormal frame of R^n."""
+    a = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            a[r][c] = rng.randint(-3, 3)
+            a[c][r] = -a[r][c]
+    minus = [[int(r == c) - a[r][c] for c in range(n)] for r in range(n)]
+    plus = [[int(r == c) + a[r][c] for c in range(n)] for r in range(n)]
+    return linalg.transpose(linalg.mat_mul(minus, linalg.inv(plus)))
+
+
+@pytest.mark.parametrize("n, j", [(4, 2), (4, 3), (6, 2), (6, 3), (6, 5)])
+def test_probe_volumes_on_cayley_columns_are_gram_roots(n, j):
+    """On j columns of an exact Cayley frame, and on a rational shear M of
+    them, ``subspace_volume`` of the probes is exactly ``_gram_root``'s
+    sqrt(det G) (= |det M|) and its 1/j!, and ``klain`` of the volume on
+    the frame's own subspace is exactly 1."""
+    rng = random.Random(f"{n}-{j}")
+    for _ in range(3):
+        l = Subspace.from_orthonormal(cayley_columns(rng, n)[:j])
+        m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if c > r else F(int(r == c) * (r + 2))
+              for c in range(j)] for r in range(j)]
+        sheared = Subspace(n, tuple(map(tuple, linalg.mat_mul(m, l.basis))))
+        for sub in (l, sheared):
+            root = valuation_lab._gram_root(sub.basis)
+            assert type(root) is F and root == abs(linalg.det(m) if sub is sheared else 1)
+            assert subspace_volume(cube_probe(sub), l) == root
+            assert subspace_volume(simplex_probe(sub), l) == root / math.factorial(j)
+        value = klain(span_lebesgue_valuation(n, j), j, l).value.coeff(())
+        assert type(value) is F and value == 1
+
+
+@pytest.mark.parametrize("m, j, seed", [(2, 2, 3), (2, 3, 4), (3, 2, 5), (3, 3, 6), (3, 5, 7)])
+def test_float_probes_and_volumes_are_the_generator_forms_bit_for_bit(m, j, seed):
+    """On a sampled float subspace the probe points are the generator sums
+    x + c y of the coordinates on the basis, and ``subspace_volume`` of the
+    probes and of their dilates is the generator form's
+    (``oracles.subspace_volume_generators``), both bit for bit."""
+    l = sample_subspace(m, j, seed)
+    corners = [tuple(map(int, v)) for v in cube(j).vertices]
+    want = []
+    for coords in corners:
+        v = [0] * l.ambient
+        for c, b in zip(coords, l.basis):
+            v = [x + c * y for x, y in zip(v, b)]
+        want.append(tuple(v))
+    assert [tuple(map(float.hex, v)) for v in cube_probe(l).vertices] == \
+        [tuple(map(float.hex, v)) for v in want]
+    for probe in (cube_probe(l), simplex_probe(l), scale(cube_probe(l), F(7, 3))):
+        got = subspace_volume(probe, l)
+        assert type(got) is float
+        assert got.hex() == subspace_volume_generators(probe, l.basis).hex()
 
 
 SIMPLEX4 = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (F(1, 2), 2, 0, 0), (0, F(1, 3), 1, 0),
