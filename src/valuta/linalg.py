@@ -13,9 +13,9 @@ pivoting on the largest entry, and gives floats.  The entries decide the mode: `
 of the realified rows, halved; exact ``cdet`` reads det(X + iY) off the
 integer determinants det(X + tY) at t = 1..m+1, and float ``cdet`` runs
 the elimination on Python ``complex`` entries.  Products of rows and
-columns (``mat_mul``, ``mat_vec``, ``dot``, ``cmat_mul``) run on the
-operands' views at one scale (``products``): one int dot product and one
-division per entry; with a float operand the same sums run in floats.
+columns (``mat_mul``, ``mat_vec``, ``cmat_mul``) run on the operands'
+views at one scale (``_operands``): one int dot product and one division
+per entry; with a float operand the same sums run on the entries as given.
 """
 
 from __future__ import annotations
@@ -72,19 +72,16 @@ def vec(xs: Sequence) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def dot(a: Sequence, b: Sequence):
-    return mat_vec([a], b)[0]
-
-
 def mat_vec(rows: Sequence[Sequence], x: Sequence) -> tuple:
-    if any(len(row) != len(x) for row in rows):
-        raise DimensionMismatch("matrix-vector product shape mismatch")
-    return tuple(y for y, in products(clear_denominators(rows), clear_denominators([x])))
+    return tuple(y for y, in mat_mul(rows, [[y] for y in x]))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """Each entry the sum of its row-by-column products in index order, on
+    the rows and columns ``_operands`` gives and divided as it says."""
     _check_product(a, b)
-    return products(clear_denominators(a), clear_denominators(transpose(b)))
+    a, b, div = _operands(a, transpose(b))
+    return [[div(sum(map(operator.mul, r, c))) for c in b] for r in a]
 
 
 def _check_product(a, b) -> None:
@@ -105,9 +102,14 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     """The lcm D of the entries' denominators and the rows times D, as ints.
     Rows holding an entry that is not rational (float, ``numpy.float32``)
     come back as floats with D = 1; numpy integers count as rational."""
+    return _int_view(rows) or (1, [[float(x) for x in row] for row in rows])
+
+
+def _int_view(rows: Sequence[Sequence]) -> tuple[int, list[list]] | None:
+    """``clear_denominators`` of rational rows; None when an entry is not rational."""
     types = {type(x) for row in rows for x in row} - {int, Fraction}
     if types and not all(issubclass(t, numbers.Rational) for t in types):
-        return 1, [[float(x) for x in row] for row in rows]
+        return None
     rows = [list(map(frac, row)) for row in rows] if types else rows
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
@@ -143,13 +145,18 @@ def common_scale(views) -> tuple[int, list[list[list]]]:
                  for d, rows in views]
 
 
-def products(va, vb) -> list[list]:
-    """<a, b> for each row a of the view va and b of vb, on their common
-    scale L (``common_scale``): one int dot product per pair, in index
-    order, and one ``over`` by L^2; float views run the same sums, so they
-    round as the entries' own products do."""
+def _operands(a: Sequence[Sequence], b: Sequence[Sequence]):
+    """Exact a and b as their views at one scale L (``common_scale``), with
+    ``over`` by L^2 for their int sums; a and b as given when either holds
+    a float, sums untouched, so each term is Python's product of its two
+    entries, exact beside exact, as the schoolbook sum of products has it."""
+    vb = _int_view(b)
+    va = vb and _int_view(a)
+    if not va:
+        return a, b, lambda x: x
     big, (a, b) = common_scale([va, vb])
-    return [[over(sum(map(operator.mul, row, col)), big * big) for col in b] for row in a]
+    d = big * big
+    return a, b, lambda x: over(x, d)
 
 
 def over(x, d: int):
@@ -372,13 +379,12 @@ def crank(rows: Sequence[Sequence[CNum]]) -> int:
 
 
 def cmat_mul(a: Sequence[Sequence[CNum]], b: Sequence[Sequence[CNum]]) -> list[list[CNum]]:
-    """On a's rows [x | y] and b's columns [u | v] at one scale L (views):
-    re = sum(x u - y v), im = sum(x v + y u), k in order, over L^2."""
+    """re = sum(x u - y v) and im = sum(x v + y u), k in order, on a's rows
+    [x | y] and b's columns [u | v] as ``_operands`` gives them."""
     _check_product(a, b)
     k, mul = len(b), operator.mul
-    big, (a, b) = common_scale([clear_denominators(_flat(a)),
-                                clear_denominators(_flat(transpose(b)))])
-    b, d = [(col[:k], col[k:]) for col in b], big * big
-    return [[(over(sum(map(operator.sub, map(mul, x, u), map(mul, y, v))), d),
-              over(sum(map(operator.add, map(mul, x, v), map(mul, y, u))), d))
+    a, b, div = _operands(_flat(a), _flat(transpose(b)))
+    b = [(col[:k], col[k:]) for col in b]
+    return [[(div(sum(map(operator.sub, map(mul, x, u), map(mul, y, v)))),
+              div(sum(map(operator.add, map(mul, x, v), map(mul, y, u)))))
              for u, v in b] for x, y in ((row[:k], row[k:]) for row in a)]

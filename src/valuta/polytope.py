@@ -527,8 +527,8 @@ def scale(p: Polytope, lam) -> Polytope:
 
 
 def support(p: Polytope, u: Sequence):
-    """Support function h_P(u) = max <u, v> over the vertices (``linalg.products``)."""
-    return max(linalg.products(linalg.clear_denominators([u]), p.cleared)[0])
+    """Support function h_P(u) = max <u, v> over the vertices (``linalg.mat_vec``)."""
+    return max(linalg.mat_vec(p.vertices, u))
 
 
 # -- facet / surface area data ---------------------------------------------------
@@ -628,26 +628,27 @@ def subspace_volume(p: Polytope, subspace):
     On the views of the body P and of an exact basis B at one scale L
     (``linalg.common_scale``) the coordinates are the ints <P, B_i> over
     L^2, and a point lies in the subspace when L^2 P = sum <P, B_i> B_i.
-    Floats run the same sums, and a float point lies in the subspace when
-    its residual is at most 1e-8 of its length."""
+    With a float among them the same sums run on the vertices and the basis
+    as given, and a point lies in the subspace when its residual is at most
+    1e-8 of its length."""
     basis = [tuple(b) for b in getattr(subspace, "basis", subspace)]
     linalg.check_orthonormal(basis)
     j = len(basis)
-    big, (pts, basis) = linalg.common_scale([p.cleared, linalg.clear_denominators(basis)])
+    big, (pts, rows) = linalg.common_scale([p.cleared, linalg.clear_denominators(basis)])
     exact, d2 = _exact((big, pts)), big * big
+    if not exact:
+        pts, rows = p.vertices, basis
     coords = []
     for pt in pts:
-        cs = [sum(map(operator.mul, pt, b)) for b in basis]
-        residual = [d2 * x for x in pt] if exact else list(pt)
-        for c, b in zip(cs, basis):
+        cs = [sum(map(operator.mul, pt, b)) for b in rows]
+        residual = [d2 * x for x in pt]
+        for c, b in zip(cs, rows):
             residual = [r - c * x for r, x in zip(residual, b)]
-        if exact:
-            if any(residual):
-                raise GeometryError("polytope does not lie in the subspace")
-        elif math.hypot(*residual) > 1e-8 * math.hypot(*pt):
+        if any(residual) if exact else math.hypot(*residual) > 1e-8 * math.hypot(*pt):
             raise GeometryError("polytope does not lie in the subspace")
         coords.append(cs)
-    return _volume(cell_dets((d2, coords), p.triangulation, j), d2, j)
+    view = (d2, coords) if exact else linalg.clear_denominators(coords)
+    return _volume(cell_dets(view, p.triangulation, j), view[0], j)
 
 
 # -- planar Minkowski sums ---------------------------------------------------------

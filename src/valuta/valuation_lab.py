@@ -244,17 +244,10 @@ class KlainValue:
 
 
 def _map_points(points, l: Subspace):
-    """sum c_i b_i, in i order, for each point's int coordinates c on l's basis:
-    on the basis's view, one ``Fraction`` per coordinate, when l is exact."""
-    exact = l.exact
-    d, rows = linalg.clear_denominators(l.basis) if exact else (1, l.basis)
-    out = []
-    for coords in points:
-        v = [0] * l.ambient
-        for c, b in zip(coords, rows):
-            v = [x + c * y for x, y in zip(v, b)]
-        out.append(tuple(Fraction(x, d) for x in v) if exact else tuple(v))
-    return tuple(out)
+    """sum c_i b_i for each point's int coordinates c on l's basis
+    (``linalg.mat_mul``: on the basis's view when l is exact, else the
+    same sums, in i order, on its entries)."""
+    return tuple(map(tuple, linalg.mat_mul(points, l.basis)))
 
 
 def cube_probe(l: Subspace) -> Polytope:

@@ -23,7 +23,7 @@ from valuta.cplx import (
     span_tol,
 )
 from valuta.errors import GeometryError, NumericalRankError, ParseError, ValutaError
-from valuta.linalg import cabs2, dot
+from valuta.linalg import cabs2, mat_vec
 from valuta.symtensor import RMatrix
 
 F = Fraction
@@ -215,7 +215,7 @@ def bits(vectors):
 def assert_orthonormal(vectors, tol=0):
     for i, u in enumerate(vectors):
         for k, v in enumerate(vectors):
-            assert abs(dot(u, v) - (i == k)) <= tol
+            assert abs(mat_vec([u], v)[0] - (i == k)) <= tol
 
 
 def assert_adapted_invariants(original, adapted, tol=None):
@@ -232,7 +232,7 @@ def assert_adapted_invariants(original, adapted, tol=None):
     assert_orthonormal(adapted.basis, tol or 0)
     # span preservation: each new vector is its own projection onto the old basis
     for v in adapted.basis:
-        proj = [sum(dot(v, b) * b[i] for b in original.basis)
+        proj = [sum(mat_vec([v], b)[0] * b[i] for b in original.basis)
                 for i in range(original.ambient)]
         if tol is None:
             assert tuple(proj) == tuple(v)

@@ -406,7 +406,7 @@ def _bits(x) -> str:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(EXACT_ENTRIES)))
 def test_exact_products_equal_the_schoolbook_fractions(data, kind):
-    """``mat_mul``, ``mat_vec``, ``dot`` and ``cmat_mul`` on integer views
+    """``mat_mul``, ``mat_vec`` and ``cmat_mul`` on integer views
     equal the schoolbook sums in Fractions (``oracles``), value and type:
     every entry a ``Fraction``, ints included."""
     entries = EXACT_ENTRIES[kind]
@@ -417,38 +417,56 @@ def test_exact_products_equal_the_schoolbook_fractions(data, kind):
     want = [row[0] for row in mat_mul_fractions(a, [[y] for y in x])]
     got = linalg.mat_vec(a, x)
     assert list(got) == want and all(type(y) is F for y in got)
-    assert [linalg.dot(row, x) for row in a] == want
-    assert all(type(linalg.dot(row, x)) is F for row in a)
     ca, cb = data.draw(product_operands(entries, entries, lambda s: st.tuples(s, s)))
     got, want = linalg.cmat_mul(ca, cb), cmat_mul_fractions(ca, cb)
     assert got == want and all(type(x) is F for row in got for z in row for x in z)
 
 
-@settings(max_examples=60, deadline=None)
+big_ints = st.integers(min_value=2 ** 53 - 9, max_value=2 ** 60) | st.integers(
+    min_value=-(2 ** 60), max_value=-(2 ** 53 - 9))
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data(), mixed=st.booleans(), swap=st.booleans())
 def test_float_products_are_bit_identical(data, mixed, swap):
-    """Float products (``mat_mul``, ``mat_vec``, ``cmat_mul``) run the
-    schoolbook sums in the same order, bit for bit: on float matrices with
-    small ints among the floats, and on a float matrix times an exact or
-    mixed one (every term then has a float factor)."""
+    """Products holding a float (``mat_mul``, ``mat_vec``, ``cmat_mul``) are
+    the schoolbook sums on the entries as given, bit for bit and type for
+    type: float matrices with ints among the floats, and (``mixed``) a float
+    matrix times one of ints, large ints and Fractions, with floats, large
+    ints and Fractions on both sides, so that some terms have two exact
+    factors and stay exact until the sum meets a float."""
     floats = plain_floats | small_ints
-    other = (small_ints | rationals | plain_floats) if mixed else floats
+    other = (small_ints | big_ints | rationals | plain_floats) if mixed else floats
     if mixed:
-        floats = plain_floats
+        floats = plain_floats | big_ints | rationals
     pick = (other, floats) if swap else (floats, other)
     a, b = data.draw(product_operands(*pick))
-    has_float = any(isinstance(x, float) for m in (a, b) for row in m for x in row)
+    if not any(isinstance(x, float) for m in (a, b) for row in m for x in row):
+        a = [[0.5] + row[1:] for row in a] or [[0.5] * len(b)]
     got, want = linalg.mat_mul(a, b), mat_mul_fractions(a, b)
-    assert [list(map(_bits, row)) for row in got] == [list(map(_bits, row)) for row in want]
-    if has_float:
-        assert all(type(x) is float for row in got for x in row)
+    assert [[(type(x), _bits(x)) for x in row] for row in got] == \
+        [[(type(x), _bits(x)) for x in row] for row in want]
     x = data.draw(st.lists(pick[1], min_size=len(b), max_size=len(b)))
     want = [row[0] for row in mat_mul_fractions(a, [[y] for y in x])]
-    assert list(map(_bits, linalg.mat_vec(a, x))) == list(map(_bits, want))
+    assert [(type(y), _bits(y)) for y in linalg.mat_vec(a, x)] == \
+        [(type(y), _bits(y)) for y in want]
     ca, cb = data.draw(product_operands(*pick, lambda s: st.tuples(s, s)))
+    if not any(isinstance(x, float) for m in (ca, cb) for row in m for z in row for x in z):
+        ca = [[(0.5, 0.5)] + row[1:] for row in ca] or [[(0.5, 0.5)] * len(cb)]
     got, want = linalg.cmat_mul(ca, cb), cmat_mul_fractions(ca, cb)
-    assert [[tuple(map(_bits, z)) for z in row] for row in got] == \
-        [[tuple(map(_bits, z)) for z in row] for row in want]
+    assert [[tuple((type(x), _bits(x)) for x in z) for z in row] for row in got] == \
+        [[tuple((type(x), _bits(x)) for x in z) for z in row] for row in want]
+
+
+def test_exact_terms_stay_exact_in_a_float_product():
+    """(2^53 + 1) 3 is exact, and the sum meets the float 0.5 * 0.0 only
+    after it: float(3 * 2^53 + 3) rounds up to 3 * 2^53 + 4.  Rounding the
+    int first, float(2^53 + 1) * 3.0, would give 3 * 2^53.  A Fraction term
+    stays exact the same way: 1/10 * 3 is 3/10, which is 0.3 as a float,
+    where 0.1 * 3.0 is 0.30000000000000004."""
+    assert linalg.mat_mul([[2 ** 53 + 1, 0.5]], [[3], [0.0]]) == [[float(3 * 2 ** 53 + 4)]]
+    assert linalg.mat_vec([[F(1, 10), 0.5]], [3, 0.0]) == (0.3,)
+    assert linalg.cmat_mul([[(2 ** 53 + 1, 0.0)]], [[(3, 0)]]) == [[(float(3 * 2 ** 53 + 4), 0.0)]]
 
 
 @settings(max_examples=40, deadline=None)

@@ -130,8 +130,7 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
     ``SymTensor.from_totals``, and every producer of tensors calls it.  The
     sums are divided only where a reader asks for a value: ``linalg.over``
     is called by ``linalg.inv`` (the inverse's entries), by the products of
-    rows and columns (``linalg.products`` and ``cmat_mul``, one division
-    per entry), by the two scalar divisions of ``polytope`` (volume and
+    rows and columns (``linalg._operands``, one division per entry), by the two scalar divisions of ``polytope`` (volume and
     ``FacetDatum``s), by the Gram determinant of ``_gram_root``, by the
     surface-area pairing's directions (``surface_pairing`` and
     ``transfer_check``) and by ``SymTensor.coeffs``, ``divide_totals`` by
@@ -139,7 +138,7 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
     build a tensor's ``Fraction``."""
     calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
     dividing = sorted(site for site, names in calls.items() if {"over", "divide_totals"} & names)
-    assert dividing == [("linalg", "cmat_mul"), ("linalg", "inv"), ("linalg", "products"),
+    assert dividing == [("linalg", "_operands"), ("linalg", "inv"),
                         ("polytope", "_volume"), ("polytope", "surface_area_measure"),
                         ("symtensor", "coeffs"), ("valuation_lab", "_gram_root"),
                         ("valuation_lab", "surface_pairing"), ("valuation_lab", "transfer_check")]
@@ -159,7 +158,7 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
 def test_no_generator_sums_of_products_over_zip():
     """No function in ``src/valuta`` sums a generator of products over a
     ``zip``, ``sum(x * y for x, y in zip(a, b))``: a product of rows and
-    columns runs on integer views (``linalg.products``) or, on a view
+    columns runs on integer views (``linalg.mat_mul``) or, on a view
     already in ints, as ``sum(map(operator.mul, a, b))``."""
     found = []
     for path in SOURCES:

@@ -189,11 +189,14 @@ def test_probe_volumes_are_model_volumes_times_gram_root(l):
                                (F(-4, 5), 0, F(3, 5), 0, 0, 0)]),
     sample_subspace(3, 5, 11),
     sample_subspace(2, 3, 12),
-], ids=["exact", "float-5", "float-3"])
+    Subspace.from_orthonormal([(F(3, 5), F(4, 5), 0, 0), (F(-4, 5), F(3, 5), 0, 0),
+                               (0, 0, 0.6, 0.8)]),
+], ids=["exact", "float-5", "float-3", "mixed"])
 def test_probe_points_are_the_fraction_coordinate_images(l):
     """The probes map the model cube's and simplex's 0/1 coordinates as
     ints: the same points, to the type and the float bits, as mapping them
-    as Fractions, the cube from its own vertices."""
+    as Fractions, the cube from its own vertices.  On a float basis with
+    rational vectors in it the rational terms stay exact."""
     def image(coords):
         v = [0] * l.ambient
         for c, b in zip(map(F, coords), l.basis):
@@ -571,7 +574,8 @@ def transfer_cases(draw):
 @given(case=transfer_cases(), square=st.booleans())
 def test_transfer_reports_equal_the_fraction_pairing(case, square):
     """The report paired on the atoms' int totals equals the one paired on
-    ``FacetDatum`` directions with ``inverse_transpose().matvec``
+    ``FacetDatum`` directions with phi^-T from ``linalg.inv`` and
+    ``linalg.transpose``, applied by ``linalg.mat_vec``
     (``oracles.transfer_check_fractions``), for a tensor and a scalar
     integrand."""
     body, phi = case
