@@ -402,14 +402,11 @@ def sample_subspace(m: int, j: int, seed) -> Subspace:
 
 
 def sl_mc_element(kind: str, m: int, params=None, seed=None) -> CMatrix:
-    """Determinant-one complex matrices: exact shears and diagonals, or a
-    float unitary sample for smoke tests."""
+    """Determinant-one complex matrices: exact shears and diagonals."""
     if kind == "shear":
         return _shear(m, params, seed)
     if kind == "diag":
         return _sl_diag(m, params)
-    if kind == "unitary-float":
-        return _unitary_float(m, seed)
     raise ValueError(f"unknown element kind {kind!r}")
 
 
@@ -454,12 +451,3 @@ def _sl_diag(m: int, params) -> CMatrix:
         raise ValueError("diagonal values must multiply to 1")
     return diag
 
-
-def _unitary_float(m: int, seed) -> CMatrix:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(g)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    det = np.linalg.det(q)
-    q = q * det ** (-1.0 / m)
-    return CMatrix.from_rows(q.tolist())

@@ -2,7 +2,7 @@
 
 Matrices are plain lists of lists of ints or ``Fraction``s; complex scalars
 are ``(re, im)`` pairs of them.  Determinant, rank, reduced row echelon
-form, nullspace, solve and inverse (``inverse_view``) all run on
+form, nullspace and inverse (``inverse_view``) all run on
 ``_eliminate``, Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): the input is cleared of denominators once, eliminated in Python
 ints with exact ``//`` and divided once at the end, so exact input gives
@@ -13,7 +13,7 @@ pivoting on the largest entry, and gives floats.  The entries decide the mode: `
 of the realified rows, halved; exact ``cdet`` reads det(X + iY) off the
 integer determinants det(X + tY) at t = 1..m+1, and float ``cdet`` runs
 the elimination on Python ``complex`` entries.  Products of rows and
-columns (``mat_mul``, ``mat_vec``, ``cmat_mul``) run on the operands'
+columns (``mat_mul``, ``cmat_mul``) run on the operands'
 views at one scale (``_operands``): one int dot product and one division
 per entry; with a float operand the same sums run on the entries as given.
 """
@@ -70,10 +70,6 @@ def real(x):
 
 def vec(xs: Sequence) -> Vec:
     return tuple(frac(x) for x in xs)
-
-
-def mat_vec(rows: Sequence[Sequence], x: Sequence) -> tuple:
-    return tuple(y for y, in mat_mul(rows, [[y] for y in x]))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -271,15 +267,6 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
             v[c] = -row[free]
         basis.append(tuple(v))
     return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec:
-    """Solve a square nonsingular system: ``rref`` of [A | b]."""
-    n = len(rows)
-    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        raise DimensionMismatch("singular system")
-    return tuple(row[n] for row in red)
 
 
 def inverse_view(m: Sequence[Sequence]) -> tuple[object, list[list]]:

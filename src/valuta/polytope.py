@@ -36,12 +36,12 @@ walks its own coordinate view.  An exact image does not walk: the int map A
 that built its ints N from the source's, before the reduction by g, scales
 every edge matrix, so its |det E| is |det A| |det E_source| / g^n, an exact
 division since g divides every entry of N.  |det A| is q^n |det phi| for
-``linear_image`` (|det phi| read off the cached ``RMatrix.det`` only when
-the walk is), |a|^n for ``scale`` by a / b and m^n for ``translate``, with
-m = L / D.  ``_image`` keeps that seed until the walk is read, and a seed
-on an image that has not walked yet is composed onto that image's own
-source, so a chain of maps reads one body's walk; a float body or map
-walks its own points.
+``linear_image``, read off the cached ``RMatrix.det`` u / w as the int
+(q^n / w) |u|, |a|^n for ``scale`` by a / b and m^n for ``translate``, with
+m = L / D.  ``_image`` keeps |det A| / g^n in lowest terms as the seed
+(source, a, b) until the walk is read, and a seed on an image that has
+not walked yet is composed onto that image's own source, so a chain of
+maps reads one body's walk; a float body or map walks its own points.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
@@ -82,7 +82,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
-from .linalg import Vec, exact_sqrt, vec
+from .linalg import Vec, vec
 from .symtensor import RMatrix, _json_int, _json_list, json_rational, mul_form, parse_rational
 
 
@@ -90,32 +90,12 @@ from .symtensor import RMatrix, _json_int, _json_list, json_rational, mul_form, 
 class FacetDatum:
     """One atom of a polytope's surface area measure.
 
-    ``direction`` is the outward area vector; its Euclidean length is the
-    facet measure, so the exact square of the measure is |direction|^2.
-    ``offset`` is the support value max <direction, v> over the vertices.
+    ``direction`` is the outward area vector, whose Euclidean length is the
+    facet measure; ``offset`` is max <direction, v> over the vertices.
     """
 
     direction: tuple
     offset: Fraction
-
-    @property
-    def measure_sq(self):
-        return sum(x * x for x in self.direction)
-
-    @property
-    def measure(self):
-        """Facet (n-1)-volume, exact when |direction|^2 is a perfect square."""
-        msq = self.measure_sq
-        if isinstance(msq, Fraction):
-            root = exact_sqrt(msq)
-            if root is not None:
-                return root
-        return math.sqrt(float(msq))
-
-    @property
-    def unit_normal(self) -> tuple[float, ...]:
-        w = math.sqrt(float(self.measure_sq))
-        return tuple(float(x) / w for x in self.direction)
 
 
 @dataclass(frozen=True)
@@ -154,13 +134,11 @@ class Polytope:
         """The cells' determinant walk, ``cell_dets`` on the view ``cleared``:
         (cell, |det E|, k) per full-dimensional cell in sorted order, built
         once per body, or for an exact image off its source's walk times the
-        factor its seed holds (``_image``; module docstring)."""
+        factor a / b its seed holds (``_image``; module docstring)."""
         seed = vars(self).pop("_seed", None)
         if seed is None:
             return tuple(cell_dets(self.cleared, self.triangulation, self.dim))
-        source, a, b, maps = seed
-        for phi in maps:
-            a, b = a * abs(phi.det.numerator), b * phi.det.denominator
+        source, a, b = seed
         return tuple((cell, d * a // b, k) for cell, d, k in source.walk)
 
     def to_json_dict(self) -> dict:
@@ -441,27 +419,26 @@ def _exact(view: tuple[int, Sequence]) -> bool:
     return all(type(x) is int for x in view[1][0])
 
 
-def _image(p: Polytope, den: int, rows, exact: bool, f: int = 1, maps: tuple = ()) -> Polytope:
+def _image(p: Polytope, den: int, rows, exact: bool, f: int = 1) -> Polytope:
     """The body on p's cells whose vertices are ``rows`` over ``den``, its
     view seeded with them: ``exact`` int rows (tuples) reduced by their gcd
     with den, or float rows as the vertices and scale 1 (module docstring).
 
-    An exact image's walk is seeded as (source, a, b, maps): its |det E|
-    are the source's times a / b = f / g^n, f the |det| of the int map that
-    made the rows, and times |det phi| of each phi in ``maps``, read when
-    the walk is.  When p has not walked yet and holds a seed itself, the
-    image takes p's source and multiplies the two seeds, so the source a
-    seed names never holds one."""
+    An exact image's walk is seeded as (source, a, b): its |det E| are the
+    source's times a / b = f / g^n in lowest terms, f the |det| of the int
+    map that made the rows.  When p has not walked yet and holds a seed
+    itself, the image takes p's source and multiplies the two seeds, so the
+    source a seed names never holds one."""
     if exact:
         g = math.gcd(den, *itertools.chain.from_iterable(rows))
         if g > 1:
             den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
-        source, a, b, before = vars(p).get("_seed", (p, 1, 1, ()))
+        source, a, b = vars(p).get("_seed", (p, 1, 1))
         a, b = a * f, b * g ** p.dim
         c = math.gcd(a, b)
         image = object.__new__(Polytope)
         vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(den, rows),
-                           _seed=(source, a // c, b // c, before + maps))
+                           _seed=(source, a // c, b // c))
         return image
     vertices = tuple(tuple(x / den for x in row) for row in rows)
     image = Polytope(p.dim, vertices, p.triangulation)
@@ -500,6 +477,7 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
         raise DimensionMismatch("matrix size does not match polytope dimension")
     q, cols = phi.columns
     d, pts = p.cleared
+    exact = phi.exact and _exact(p.cleared)
     images = []
     for v in pts:
         out = [0] * p.dim
@@ -508,8 +486,8 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
                 for k, x in col:
                     out[k] += c * x
         images.append(tuple(out))
-    return _image(p, q * d, tuple(images), phi.exact and _exact(p.cleared), q ** p.dim,
-                  (phi,))
+    f = q ** p.dim // phi.det.denominator * abs(phi.det.numerator) if exact else 1
+    return _image(p, q * d, tuple(images), exact, f)
 
 
 def scale(p: Polytope, lam) -> Polytope:
@@ -524,11 +502,6 @@ def scale(p: Polytope, lam) -> Polytope:
                       abs(a) ** p.dim)
     _, (pts, ((lam,),)) = linalg.common_scale([p.cleared, linalg.clear_denominators([[lam]])])
     return _image(p, 1, [[x * lam for x in v] for v in pts], False)
-
-
-def support(p: Polytope, u: Sequence):
-    """Support function h_P(u) = max <u, v> over the vertices (``linalg.mat_vec``)."""
-    return max(linalg.mat_vec(p.vertices, u))
 
 
 # -- facet / surface area data ---------------------------------------------------
@@ -649,14 +622,3 @@ def subspace_volume(p: Polytope, subspace):
         coords.append(cs)
     view = (d2, coords) if exact else linalg.clear_denominators(coords)
     return _volume(cell_dets(view, p.triangulation, j), view[0], j)
-
-
-# -- planar Minkowski sums ---------------------------------------------------------
-
-
-def minkowski_sum_2d(p: Polytope, q: Polytope) -> Polytope:
-    """Minkowski sum of two planar polytopes (supports the mixed-volume check)."""
-    if p.dim != 2 or q.dim != 2:
-        raise GeometryError("Minkowski sum implemented only in the plane")
-    sums = [tuple(map(operator.add, a, b)) for a in p.vertices for b in q.vertices]
-    return polygon(sums)

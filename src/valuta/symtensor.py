@@ -125,13 +125,6 @@ def _json_key(s) -> MultiIndex:
     return tuple(map(int, s.split(","))) if s else ()
 
 
-def tensor_dim(n: int, r: int) -> int:
-    """Dimension of the space of symmetric rank-r tensors on R^n."""
-    if n < 1 or r < 0:
-        raise ValueError(f"tensor_dim(n={n}, r={r})")
-    return math.comb(n + r - 1, r)
-
-
 _TABLES: dict[tuple[int, int], tuple] = {}
 
 
@@ -229,10 +222,6 @@ class SymTensor:
     @staticmethod
     def scalar(dim: int, value) -> "SymTensor":
         return SymTensor(dim, 0, {(): value})
-
-    @staticmethod
-    def from_vector(x: Sequence) -> "SymTensor":
-        return vector_power(x, 1)
 
     # -- views ------------------------------------------------------------------
 
@@ -408,20 +397,11 @@ def vector_power(x: Sequence, r: int) -> SymTensor:
     return SymTensor.from_totals(n, r, levels[r], vec, scale ** r)
 
 
-def shift_expansion(tensors: Sequence[SymTensor], y: Sequence) -> SymTensor:
-    """The translation-covariance expansion sum_j T_j y^j / j! of tensors
-    T_0, ..., T_R of ranks R, ..., 0, by Horner's rule in y: the first of
-    ``shift_expansions``, from one clearing of y and one common scale."""
-    q, form, views, _ = _shift_inputs(tensors, y)
-    scale, lifted = linalg.common_scale(views)
-    acc, c = _suffix_totals(tensors, lifted, q, form)
-    r, n = len(tensors) - 1, len(y)
-    return SymTensor.from_totals(n, r, monomial_tables(n, r)[0][r] if r else [()], acc, scale * c)
-
-
 def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTensor]:
-    """The expansions of every suffix, ``shift_expansion(tensors[s:], y)``
-    for s = 0..R, from one clearing of y and one common scale of the views.
+    """The translation-covariance expansions sum_j T_j y^j / j! of tensors
+    T_0, ..., T_R of ranks R, ..., 0 and of every suffix of them,
+    ``tensors[s:]`` for s = 0..R, by Horner's rule in y, from one clearing
+    of y and one common scale of the views.
 
     With the suffix's views (``SymTensor.cleared``) on a common scale M
     (``linalg.common_scale``) and y cleared by q (y' = q y), a suffix of
@@ -434,9 +414,14 @@ def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTenso
     suffix; otherwise each suffix is brought to its own scale, as on its own,
     and the sums run in floats and stay floats.
     """
-    q, form, views, exact = _shift_inputs(tensors, y)
-    shared = linalg.common_scale(views) if exact else None
     r, n = len(tensors) - 1, len(y)
+    if any(t.dim != n or t.rank != r - j for j, t in enumerate(tensors)):
+        raise DimensionMismatch(f"shift expansion needs ranks {r}..0 over R^{n}")
+    q, (ys,) = linalg.clear_denominators([list(y)])
+    form = [(i, v) for i, v in enumerate(ys) if v]
+    views = [t.cleared for t in tensors]
+    exact = all(t.exact for t in tensors) and linalg.is_exact(ys)
+    shared = linalg.common_scale(views) if exact else None
     levels = monomial_tables(n, r)[0]
     expansions = []
     for s in range(r + 1):
@@ -445,18 +430,6 @@ def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTenso
         expansions.append(SymTensor.from_totals(n, r - s, levels[r - s] if r > s else [()],
                                                 acc, scale * c))
     return expansions
-
-
-def _shift_inputs(tensors: Sequence[SymTensor], y: Sequence):
-    """(q, y' as a linear form, the tensors' views, whether all are exact)
-    for the expansions in y of tensors of ranks R..0 (``shift_expansions``)."""
-    r = len(tensors) - 1
-    if any(t.dim != len(y) or t.rank != r - j for j, t in enumerate(tensors)):
-        raise DimensionMismatch(f"shift expansion needs ranks {r}..0 over R^{len(y)}")
-    q, (ys,) = linalg.clear_denominators([list(y)])
-    form = [(i, v) for i, v in enumerate(ys) if v]
-    exact = all(t.exact for t in tensors) and linalg.is_exact(ys)
-    return q, form, [t.cleared for t in tensors], exact
 
 
 def _suffix_totals(tensors: Sequence[SymTensor], lifted, q: int, form) -> tuple[list, int]:

@@ -222,8 +222,13 @@ def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
 
 def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckReport:
     """Components extracted at a dilate scale like lambda^j against components
-    extracted at the body itself, and their sum against z at the body."""
+    extracted at the body itself, and their sum against z at the body.
+    McMullen's z(lambda K) = sum_j lambda^j z_j(K) holds only for lambda > 0
+    (lambda < 0 adds a point reflection), and lambda = 1 compares the body
+    with itself, so lambda <= 0 and lambda = 1 raise ``ValueError``."""
     lam = linalg.real(fresh_lambda)
+    if lam <= 0 or lam == 1:
+        raise ValueError(f"rehomogeneity needs lambda > 0 other than 1, got {lam}")
     base = mcmullen_decompose(z, body)
     dilated = mcmullen_decompose(z, scale(body, lam))
     shown = format_rational(lam)
@@ -309,11 +314,13 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
     """Check the covariance cascade: for every suffix of the cascade, the
     valuation of the translated body equals the binomial-type expansion in
     the shift of the values at the body (``shift_expansions``, all suffixes
-    of one shift at once)."""
+    of one shift at once).  No shift raises ``ValueError``."""
     ranks = [z.rank for z in zs]
     r = ranks[0]
     if ranks != list(range(r, -1, -1)):
         raise DimensionMismatch(f"ranks must descend r..0, got {ranks}")
+    if not ys:
+        raise ValueError("translation covariance needs at least one shift")
     pairs = []
     with _shared_passes():
         at_body = [z(body) for z in zs]
@@ -330,7 +337,10 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
 
 
 def verify_equivariance(z: Valuation, g_samples: Sequence, body: Polytope) -> CheckReport:
-    """Residuals of z(phi K) against the tensor action of phi on z(K)."""
+    """Residuals of z(phi K) against the tensor action of phi on z(K).  No
+    sample raises ``ValueError``, a singular exact one ``GeometryError``."""
+    if not g_samples:
+        raise ValueError("equivariance needs at least one group sample")
     base = z(body)
     pairs, rows = [], list(body.vertices)
     for idx, sample in enumerate(g_samples):
@@ -363,12 +373,16 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
     s(x) = x |x|^(q-1), which needs no root of F, so the verdict is exact at
     every degree; the witness's factor is F^p, shown as (F^p)^(1/q) when
     q > 1.  Float values (a float psi, body or valuation) are compared
-    directly against the float factor F^(j/(2m)).  ``require_exact`` only
-    refuses a float verdict, with ``ValutaError``; it stays while the
-    benchmark's workloads pass it, and goes with the next benchmark change.
+    directly against the float factor F^(j/(2m)).  A singular psi (F = 0)
+    raises ``GeometryError``, as a singular equivariance sample does.
+    ``require_exact`` only refuses a float verdict, with ``ValutaError``; it
+    stays while the benchmark's workloads pass it, and goes with the next
+    benchmark change.
     """
     m = psi.m
     factor_sq = cabs2(psi.det_c)  # equals det of the realification
+    if factor_sq == 0:
+        raise GeometryError("scaling relation needs a nonsingular psi")
     p, q = Fraction(j, 2 * m).as_integer_ratio()
     image, base = z(linear_image(realify(psi), body)), z(body)
     exact = image.exact and base.exact and linalg.is_exact(

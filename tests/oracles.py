@@ -147,6 +147,16 @@ def mat_mul_fractions(a, b) -> list[list]:
             for row in a]
 
 
+def mat_vec_fractions(rows, x) -> tuple:
+    """The rows times the column x, schoolbook as ``mat_mul_fractions``."""
+    return tuple(y for y, in mat_mul_fractions(rows, [[y] for y in x]))
+
+
+def support(p, u):
+    """Support function h_P(u) = max <u, v> over the body's vertices."""
+    return max(mat_vec_fractions(p.vertices, u))
+
+
 def cmat_mul_fractions(a, b) -> list[list[tuple]]:
     """re = sum(x u - y v) and im = sum(x v + y u) over k, per entry."""
     conv = _schoolbook([x for m in (a, b) for row in m for z in row for x in z])
@@ -216,7 +226,7 @@ def transfer_check_fractions(f, phi, p):
     """``valuation_lab.transfer_check`` as it paired before the atoms' int
     totals: f over each ``FacetDatum`` direction of phi K, against f over
     phi^-T times each direction of K (``linalg.inv``, ``linalg.transpose``
-    and ``linalg.mat_vec``), folded as ``surface_pairing`` folds and judged
+    and ``mat_vec_fractions``), folded as ``surface_pairing`` folds and judged
     by ``_verdict``."""
     def pairing(g, body):
         values = [g(facet.direction) for facet in surface_area_measure(body)]
@@ -226,7 +236,7 @@ def transfer_check_fractions(f, phi, p):
 
     phi_inv_t = linalg.transpose(linalg.inv(phi.entries))
     lhs = pairing(f, linear_image(phi, p))
-    rhs = pairing(lambda v: f(linalg.mat_vec(phi_inv_t, v)), p)
+    rhs = pairing(lambda v: f(mat_vec_fractions(phi_inv_t, v)), p)
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
     return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],

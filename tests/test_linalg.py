@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cmat_mul_fractions, mat_mul_fractions
+from oracles import cmat_mul_fractions, mat_mul_fractions, mat_vec_fractions
 
 from valuta import linalg
 from valuta.errors import DimensionMismatch
@@ -151,7 +151,7 @@ def test_nullspace_is_a_kernel_basis(rows):
     assert len(basis) == ncols - to_sympy(rows).rank()
     for v in basis:
         assert len(v) == ncols
-        assert all(x == 0 for x in linalg.mat_vec(rows, v))
+        assert all(x == 0 for x in mat_vec_fractions(rows, v))
     if basis:
         assert to_sympy(basis).rank() == len(basis)
 
@@ -171,19 +171,21 @@ def square_systems(draw):
 @settings(max_examples=80, deadline=None)
 @given(system=square_systems())
 def test_solve_and_inv_invert(system):
+    """A nonsingular system is solved by its inverse and has no kernel; a
+    singular one has no inverse and a nonzero kernel."""
     rows, rhs = system
     n = len(rows)
     if to_sympy(rows).det() == 0:
         with pytest.raises(DimensionMismatch):
-            linalg.solve(rows, rhs)
-        with pytest.raises(DimensionMismatch):
             linalg.inv(rows)
+        assert linalg.nullspace(rows)
         return
-    x = linalg.solve(rows, rhs)
-    assert list(linalg.mat_vec(rows, x)) == rhs
     inverse = linalg.inv(rows)
+    x = [y for y, in linalg.mat_mul(inverse, [[b] for b in rhs])]
+    assert list(mat_vec_fractions(rows, x)) == rhs
     assert linalg.mat_mul(rows, inverse) == linalg.identity(n)
-    assert all(type(v) is Fraction for row in inverse for v in row + list(x))
+    assert linalg.nullspace(rows) == []
+    assert all(type(v) is Fraction for row in inverse for v in row + x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,13 +297,11 @@ def test_echelon_edge_cases():
     assert linalg.nullspace([[]]) == []
     assert linalg.nullspace([[0, 0]]) == [(1, 0), (0, 1)]
     assert linalg.nullspace([[F(1, 2), 0, F(1, 3)]]) == [(0, 1, 0), (F(-2, 3), 0, 1)]
-    assert linalg.solve([], []) == ()
     assert linalg.inv([]) == []
     for singular in ([[0]], [[1, 2], [2, 4]], [[0, 1], [0, 3]]):
         with pytest.raises(DimensionMismatch):
             linalg.inv(singular)
-        with pytest.raises(DimensionMismatch):
-            linalg.solve(singular, [1] * len(singular))
+        assert len(linalg.nullspace(singular)) == 1
 
 
 @st.composite
@@ -406,7 +406,7 @@ def _bits(x) -> str:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(EXACT_ENTRIES)))
 def test_exact_products_equal_the_schoolbook_fractions(data, kind):
-    """``mat_mul``, ``mat_vec`` and ``cmat_mul`` on integer views
+    """``mat_mul``, on a column too, and ``cmat_mul`` on integer views
     equal the schoolbook sums in Fractions (``oracles``), value and type:
     every entry a ``Fraction``, ints included."""
     entries = EXACT_ENTRIES[kind]
@@ -415,8 +415,8 @@ def test_exact_products_equal_the_schoolbook_fractions(data, kind):
     assert got == want and all(type(x) is F for row in got for x in row)
     x = data.draw(st.lists(entries, min_size=len(b), max_size=len(b)))
     want = [row[0] for row in mat_mul_fractions(a, [[y] for y in x])]
-    got = linalg.mat_vec(a, x)
-    assert list(got) == want and all(type(y) is F for y in got)
+    got = [y for y, in linalg.mat_mul(a, [[y] for y in x])]
+    assert got == want and all(type(y) is F for y in got)
     ca, cb = data.draw(product_operands(entries, entries, lambda s: st.tuples(s, s)))
     got, want = linalg.cmat_mul(ca, cb), cmat_mul_fractions(ca, cb)
     assert got == want and all(type(x) is F for row in got for z in row for x in z)
@@ -429,7 +429,7 @@ big_ints = st.integers(min_value=2 ** 53 - 9, max_value=2 ** 60) | st.integers(
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), mixed=st.booleans(), swap=st.booleans())
 def test_float_products_are_bit_identical(data, mixed, swap):
-    """Products holding a float (``mat_mul``, ``mat_vec``, ``cmat_mul``) are
+    """Products holding a float (``mat_mul``, on a column too, ``cmat_mul``) are
     the schoolbook sums on the entries as given, bit for bit and type for
     type: float matrices with ints among the floats, and (``mixed``) a float
     matrix times one of ints, large ints and Fractions, with floats, large
@@ -448,7 +448,7 @@ def test_float_products_are_bit_identical(data, mixed, swap):
         [[(type(x), _bits(x)) for x in row] for row in want]
     x = data.draw(st.lists(pick[1], min_size=len(b), max_size=len(b)))
     want = [row[0] for row in mat_mul_fractions(a, [[y] for y in x])]
-    assert [(type(y), _bits(y)) for y in linalg.mat_vec(a, x)] == \
+    assert [(type(y), _bits(y)) for y, in linalg.mat_mul(a, [[y] for y in x])] == \
         [(type(y), _bits(y)) for y in want]
     ca, cb = data.draw(product_operands(*pick, lambda s: st.tuples(s, s)))
     if not any(isinstance(x, float) for m in (ca, cb) for row in m for z in row for x in z):
@@ -465,7 +465,7 @@ def test_exact_terms_stay_exact_in_a_float_product():
     stays exact the same way: 1/10 * 3 is 3/10, which is 0.3 as a float,
     where 0.1 * 3.0 is 0.30000000000000004."""
     assert linalg.mat_mul([[2 ** 53 + 1, 0.5]], [[3], [0.0]]) == [[float(3 * 2 ** 53 + 4)]]
-    assert linalg.mat_vec([[F(1, 10), 0.5]], [3, 0.0]) == (0.3,)
+    assert linalg.mat_mul([[F(1, 10), 0.5]], [[3], [0.0]]) == [[0.3]]
     assert linalg.cmat_mul([[(2 ** 53 + 1, 0.0)]], [[(3, 0)]]) == [[(float(3 * 2 ** 53 + 4), 0.0)]]
 
 
@@ -493,9 +493,6 @@ def test_ragged_operands_raise(data, which):
         linalg.mat_mul(a, b)
     with pytest.raises(DimensionMismatch):
         linalg.cmat_mul(pairs(a), pairs(b))
-    if which == "a":
-        with pytest.raises(DimensionMismatch):
-            linalg.mat_vec(a, [row[0] if row else F(0) for row in b])
 
 
 def test_ragged_examples_raise():

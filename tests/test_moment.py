@@ -25,7 +25,7 @@ from valuta.polytope import (
     translate,
     volume,
 )
-from valuta.symtensor import RMatrix, SymTensor, gl_action, shift_expansion
+from valuta.symtensor import RMatrix, SymTensor, gl_action, shift_expansions
 from valuta.valuation_lab import (
     Valuation,
     cube_probe,
@@ -87,28 +87,28 @@ class TestCovarianceExpansion:
     """The expansion sum_j M^(r-j)(K) y^j / j! of one ``moment_family`` pass."""
 
     def test_triangle_shift_rank1(self):
-        got = shift_expansion(moment_family(std_triangle, 1), (1, 0))
+        got = shift_expansions(moment_family(std_triangle, 1), (1, 0))[0]
         assert got == SymTensor(2, 1, {(1, 0): F(2, 3), (0, 1): F(1, 6)})
 
     def test_zero_shift_is_moment(self):
-        assert shift_expansion(moment_family(std_triangle, 3), (0, 0)) == \
+        assert shift_expansions(moment_family(std_triangle, 3), (0, 0))[0] == \
             moment_tensor(std_triangle, 3).tensor
 
     def test_rank0_translation_invariant(self):
-        assert shift_expansion(moment_family(std_triangle, 0), (0, 1)) == \
+        assert shift_expansions(moment_family(std_triangle, 0), (0, 1))[0] == \
             SymTensor.scalar(2, F(1, 2))
 
     def test_output_is_well_formed(self):
         body = crosspolytope([(1, 0, 0), (0, 2, 0), (0, 0, F(1, 3))])
         for r in range(4):
-            t = shift_expansion(moment_family(body, r), (F(1, 2), 0, -3))
+            t = shift_expansions(moment_family(body, r), (F(1, 2), 0, -3))[0]
             assert t == SymTensor(t.dim, t.rank, dict(t.coeffs))
             assert all(isinstance(v, Fraction) and v != 0 for v in t.coeffs.values())
 
     def test_matches_translated_moment(self):
         shifted = translate(std_triangle, (1, 0))
         assert moment_tensor(shifted, 1).tensor == \
-            shift_expansion(moment_family(std_triangle, 1), (1, 0))
+            shift_expansions(moment_family(std_triangle, 1), (1, 0))[0]
 
 
 def _bodies_r2():
@@ -133,7 +133,7 @@ def _bodies_r4():
 def test_translation_covariance_exact(body, r):
     y = tuple([F(1, 2), F(-1, 3), F(2), F(1, 5)][: body.dim])
     assert moment_tensor(translate(body, y), r).tensor == \
-        shift_expansion(moment_family(body, r), y)
+        shift_expansions(moment_family(body, r), y)[0]
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
@@ -683,8 +683,8 @@ def test_a_body_of_flat_cells_alone_has_zero_moments(monkeypatch, zero):
     assert calls == []
     assert family == [SymTensor.zero(3, s) for s in range(3, -1, -1)]
     assert moment_tensor(scale(cube(3), zero), 2).tensor == SymTensor.zero(3, 2)
-    report = rehomogeneity_check(moment_valuation(3, 2), cube(3), zero)
-    assert report.passed and report.max_residual == 0
+    with pytest.raises(ValueError, match="lambda > 0"):
+        rehomogeneity_check(moment_valuation(3, 2), cube(3), zero)
 
 
 def test_a_singular_image_inherits_flat_cells(monkeypatch):
@@ -704,19 +704,22 @@ def test_a_singular_image_inherits_flat_cells(monkeypatch):
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_a_lone_simplex_takes_one_bareiss(monkeypatch, r):
     """``moment_tensor`` of a lone simplex costs one Bareiss determinant,
-    its cell's |det E|.  Its exact dilate, translate and linear image take
-    none: their walks are the body's times the map's determinant (phi's is
-    kept on the matrix), and the affine maps cost none."""
+    its cell's |det E|.  Its exact dilate, translate and linear image, and
+    a chain of the three, take none: their walks are the body's times the
+    maps' determinants (phi's is kept on the matrix), each equal to
+    ``cell_dets`` on the image's own view, and the affine maps cost none."""
     body = simplex([[F(1, 3), 0, F(-2, 7), 1], [F(5, 2), F(1, 12), 0, 0], [0, 1, F(7, 97), 2],
                     [F(-1, 30), 0, 1, F(1, 2)], [1, 1, 1, F(3, 4)]])
     phi = RMatrix.from_rows([[1, 0, F(-3, 2), 0], [0, 1, 0, 0], [0, F(2, 7), 1, 0],
                              [0, 0, 0, -1]])
-    body.cleared, phi.det
+    psi = RMatrix.diag([F(5, 3), 1, F(-2, 7), 3])
+    body.cleared, phi.det, psi.det
     dets = []
     real = linalg.bareiss
     monkeypatch.setattr(linalg, "bareiss", lambda m: dets.append(len(m)) or real(m))
     images = [scale(body, F(-3, 2)), translate(body, (F(1, 5), 0, -1, F(2, 3))),
-              linear_image(phi, body)]
+              linear_image(phi, body),
+              translate(scale(linear_image(psi, body), F(-2, 7)), (F(1, 7), 0, 1, F(-1, 4)))]
     assert dets == []
     moment_tensor(body, r)
     assert dets == [4]
@@ -725,6 +728,8 @@ def test_a_lone_simplex_takes_one_bareiss(monkeypatch, r):
         got = moment_tensor(image, r).tensor
         assert dets == []
         assert got == moment_tensor(_fresh(image), r).tensor
+        own = polytope.cell_dets(image.cleared, image.triangulation, image.dim)
+        assert image.walk == tuple(own)
 
 
 def test_a_chain_of_translates_reads_its_walk_without_recursion():

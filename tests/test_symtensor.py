@@ -18,10 +18,8 @@ from valuta.symtensor import (
     format_rational,
     gl_action,
     monomial_tables,
-    shift_expansion,
     shift_expansions,
     sym_product,
-    tensor_dim,
     tensor_sum,
     vector_power,
     view_distance,
@@ -84,14 +82,21 @@ class TestGlAction:
         assert gl_action(phi, sq) == t(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
+def tensor_dim(n: int, r: int) -> int:
+    """Dimension of the space of symmetric rank-r tensors on R^n."""
+    return math.comb(n + r - 1, r)
+
+
 class TestTensorDim:
+    """The degree-r level of ``monomial_tables`` spans the whole space."""
+
     @pytest.mark.parametrize("n,r,expected", [(4, 2, 10), (7, 0, 1), (4, 3, 20)])
     def test_values(self, n, r, expected):
-        assert tensor_dim(n, r) == expected
+        assert len(monomial_tables(n, r)[0][r]) == expected
 
     @pytest.mark.parametrize("n,r", [(2, 3), (4, 2), (5, 4)])
     def test_counts_monomials(self, n, r):
-        assert len(list(multi_indices(n, r))) == tensor_dim(n, r)
+        assert len(list(multi_indices(n, r))) == len(monomial_tables(n, r)[0][r])
 
 
 def test_monomial_tables_match_enumeration():
@@ -473,8 +478,15 @@ def _expansion_oracle(ts, y):
 @settings(max_examples=80, deadline=None)
 @given(case=expansion_cases())
 def test_shift_expansion_matches_product_sum(case):
+    """The first expansion of ``shift_expansions``, on the tensors and on
+    each suffix of them, is the sum of symmetric products."""
     ts, y = case
-    got, want = shift_expansion(ts, y), _expansion_oracle(ts, y)
+    for s in range(len(ts)):
+        _assert_expansion(shift_expansions(ts[s:], y)[0], ts[s:], y)
+
+
+def _assert_expansion(got, ts, y):
+    want = _expansion_oracle(ts, y)
     float_coeffs = any(isinstance(v, float) for t in ts for v in t.coeffs.values())
     if not float_coeffs and not any(isinstance(c, float) for c in y):
         assert got == want
@@ -496,48 +508,32 @@ def test_shift_expansion_matches_product_sum(case):
 @given(case=expansion_cases())
 def test_shift_expansions_are_those_of_each_suffix(case):
     """Every suffix's expansion, from one clearing of y and one common
-    scale, is the suffix's own ``shift_expansion`` to the last bit, exact or
-    float alike, a mix of exact and float tensors included."""
+    scale, is the first expansion of the suffix alone to the last bit,
+    exact or float alike, a mix of exact and float tensors included."""
     ts, y = case
     got = shift_expansions(ts, y)
     assert len(got) == len(ts)
     for s, expansion in enumerate(got):
-        want = shift_expansion(ts[s:], y)
+        want = shift_expansions(ts[s:], y)[0]
         assert expansion.exact == want.exact and expansion.keys == want.keys
         assert expansion.cleared == want.cleared
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=expansion_cases())
-def test_shift_expansion_is_the_first_suffix_built_alone(case):
-    """``shift_expansion`` is the first of ``shift_expansions`` to the last
-    bit, and builds that one tensor alone: one ``from_totals`` call."""
-    ts, y = case
-    want = shift_expansions(ts, y)[0]
-    built, real = [], SymTensor.from_totals
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SymTensor, "from_totals",
-                   classmethod(lambda cls, *a: built.append(1) or real(*a)))
-        got = shift_expansion(ts, y)
-    assert len(built) == 1
-    assert got.exact == want.exact and got.keys == want.keys and got.cleared == want.cleared
 
 
 def test_shift_expansion_small_cases():
     a = t(2, 1, {(1, 0): F(2, 3)})
     one = SymTensor.scalar(2, F(1, 2))
     # (2/3) e1 + (1/2) y with y = (3, -1/5)
-    assert shift_expansion([a, one], [3, F(-1, 5)]) == t(2, 1, {(1, 0): F(13, 6),
-                                                               (0, 1): F(-1, 10)})
-    assert shift_expansion([one], [F(7), F(1, 3)]) == one
-    assert shift_expansion([a, one], [0, 0]) == a
+    assert shift_expansions([a, one], [3, F(-1, 5)])[0] == t(2, 1, {(1, 0): F(13, 6),
+                                                                   (0, 1): F(-1, 10)})
+    assert shift_expansions([one], [F(7), F(1, 3)]) == [one]
+    assert shift_expansions([a, one], [0, 0]) == [a, one]
 
 
 def test_shift_expansion_rejects_bad_ranks():
     with pytest.raises(DimensionMismatch):
-        shift_expansion([e1, e1], [1, 1])
+        shift_expansions([e1, e1], [1, 1])
     with pytest.raises(DimensionMismatch):
-        shift_expansion([e1, SymTensor.scalar(2, 1)], [1, 1, 1])
+        shift_expansions([e1, SymTensor.scalar(2, 1)], [1, 1, 1])
 
 
 @pytest.mark.parametrize("kind", ["random", "scaled", "orthogonal"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multi_indices, subspace_volume_generators, transfer_check_fractions
+from oracles import multi_indices, subspace_volume_generators, support, transfer_check_fractions
 from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
@@ -22,7 +22,6 @@ from valuta.polytope import (
     scale,
     simplex,
     subspace_volume,
-    support,
     surface_area_measure,
     translate,
     volume,
@@ -454,7 +453,7 @@ class TestSurfacePairing:
         assert pairing == 2
 
     def test_tensor_valued_linear_zero(self):
-        out = surface_pairing(lambda v: SymTensor.from_vector(v), std_triangle)
+        out = surface_pairing(lambda v: vector_power(v, 1), std_triangle)
         assert out.is_zero()
 
     @pytest.mark.parametrize("f", [lambda v: vector_power(v, 2), lambda v: v[0] * v[1] - 3 * v[2]],
@@ -923,6 +922,49 @@ def test_every_float_check_flags_a_relative_error_of_1e_6(check):
     relative error of 1e-6, on values of size about 1."""
     assert check(0.0)
     assert not check(1e-6)
+
+
+# -- vacuous and invalid inputs are refused -------------------------------------------------
+
+_TETRAHEDRON = simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+@pytest.mark.parametrize("run, error", [
+    (lambda z: verify_equivariance(z, [], SIMPLEX4), ValueError),
+    (lambda z: verify_covariance([z], SIMPLEX4, []), ValueError),
+    (lambda z: scaling_relation_check(z, 4, CMatrix.from_rows([[1, 2], [2, 4]]), SIMPLEX4),
+     GeometryError),
+    (lambda z: rehomogeneity_check(z, SIMPLEX4, 1), ValueError),
+    (lambda z: rehomogeneity_check(z, SIMPLEX4, 1.0), ValueError),
+], ids=["equivariance-no-sample", "covariance-no-shift", "scaling-singular-psi",
+        "rehomogeneity-lambda-1", "rehomogeneity-float-lambda-1"])
+def test_vacuous_inputs_are_refused(run, error):
+    """No sample, no shift, a singular psi (det_C psi = 0) and lambda = 1
+    leave nothing to compare, or compare z(K) with itself: each let the
+    planted vol + vol^2 in R^4, which is not homogeneous, pass, with
+    residual 0 or a float rounding residual.  Each raises instead; on valid
+    inputs the same valuation fails."""
+    planted = _vol_plus_square(4, 1)
+    with pytest.raises(error):
+        run(planted)
+    assert not rehomogeneity_check(planted, SIMPLEX4, F(3, 2)).passed
+    assert not scaling_relation_check(planted, 4, CMatrix.diag([2, 1]), SIMPLEX4).passed
+
+
+@pytest.mark.parametrize("z, homogeneous", [
+    (volume_valuation(3), True), (moment_valuation(3, 1), True), (moment_valuation(3, 2), True),
+    (_vol_plus_square(3, 1), False),
+], ids=["volume", "moment1", "moment2", "planted"])
+def test_lambda_at_most_0_is_refused(z, homogeneous):
+    """lambda K for lambda < 0 is |lambda| K reflected in the origin, and
+    McMullen's z(lambda K) = sum_j lambda^j z_j(K) holds only for
+    lambda > 0: at lambda = -1 it failed volume, moment[1] and moment[2] on
+    a tetrahedron.  Every lambda <= 0 raises, whatever the valuation; at
+    lambda = 3/2 the homogeneous ones pass and the planted vol + vol^2 fails."""
+    for lam in (-1, F(-2, 3), 0, -0.5):
+        with pytest.raises(ValueError, match="lambda > 0"):
+            rehomogeneity_check(z, _TETRAHEDRON, lam)
+    assert rehomogeneity_check(z, _TETRAHEDRON, F(3, 2)).passed == homogeneous
 
 
 # -- the mode is read off the inputs too ----------------------------------------------------
