@@ -11,9 +11,11 @@ splits a subspace L into its largest complex subspace U = L intersect J(L)
 and a totally real remainder, returning a basis (v_1, ..., v_d,
 J v_1, ..., J v_{j-d}) whose first d vectors are independent over C.
 
-Matrices and subspaces take their mode from their entries: rational
-entries are kept as ``Fraction``s and stay exact throughout, any other
-real becomes a float.  Every orthonormal basis comes from one modified
+Matrices are exact: a ``CMatrix`` holds rational parts, and a float or
+``complex`` entry raises ``TypeError``.  Floats come only from bodies,
+tensors and subspaces.  A subspace takes its mode from its coordinates:
+rational ones are kept as ``Fraction``s and stay exact throughout, any
+other real becomes a float.  Every orthonormal basis comes from one modified
 Gram-Schmidt, ``gram_schmidt``, exact for rational vectors and in floats
 otherwise.  The exact path follows ``linalg``: the vectors are cleared of
 denominators once, projections run in Python ints on primitive directions,
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, NumericalRankError, ParseError, ValutaError
-from .linalg import CNum, cdet, cnum, crank
+from .linalg import CNum, cabs2, cdet, cnum, crank
 from .symtensor import RMatrix, _json_int, _json_list, json_rational, parse_rational
 
 RANK_TOL = 1e-8
@@ -47,16 +49,15 @@ AMBIGUITY_BAND = 1e2
 
 @dataclass(frozen=True)
 class CMatrix:
-    """Square complex matrix of (re, im) pairs: rational parts are kept as
-    ``Fraction``s and any other real as a float; ``exact`` is read off the
-    entries."""
+    """Square complex matrix of (re, im) pairs, each part coerced once by
+    ``linalg.frac``, so a float or ``complex`` raises ``TypeError``."""
 
     entries: tuple[tuple[CNum, ...], ...]
 
     def __post_init__(self):
         m = len(self.entries)
         rows = tuple(
-            tuple((linalg.real(re), linalg.real(im)) for re, im in row) for row in self.entries)
+            tuple((linalg.frac(re), linalg.frac(im)) for re, im in row) for row in self.entries)
         if any(len(r) != m for r in rows):
             raise DimensionMismatch("CMatrix must be square")
         object.__setattr__(self, "entries", rows)
@@ -65,28 +66,20 @@ class CMatrix:
     def m(self) -> int:
         return len(self.entries)
 
-    @cached_property
-    def exact(self) -> bool:
-        return linalg.is_exact(x for row in self.entries for e in row for x in e)
-
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "CMatrix":
-        def pair(e):
-            return e if isinstance(e, tuple) else (
-                (e.real, e.imag) if isinstance(e, complex) else (e, 0))
-        return CMatrix(tuple(tuple(map(pair, row)) for row in rows))
+        """Rows of (re, im) pairs or of reals, a real x read as (x, 0)."""
+        return CMatrix(tuple(tuple(e if isinstance(e, tuple) else (e, 0) for e in row)
+                             for row in rows))
 
     @staticmethod
     def identity(m: int) -> "CMatrix":
-        return CMatrix.from_rows(
-            [[(1, 0) if i == j else (0, 0) for j in range(m)] for i in range(m)])
+        return CMatrix.diag([1] * m)
 
     @staticmethod
     def diag(values: Sequence) -> "CMatrix":
         m = len(values)
-        vals = [v if isinstance(v, tuple) else (v, 0) for v in values]
-        return CMatrix.from_rows(
-            [[vals[i] if i == j else (0, 0) for j in range(m)] for i in range(m)])
+        return CMatrix.from_rows([[values[i] if i == j else 0 for j in range(m)] for i in range(m)])
 
     @cached_property
     def det_c(self) -> CNum:
@@ -152,11 +145,8 @@ def realify(a: CMatrix) -> RMatrix:
 
 
 def det_identity_check(a: CMatrix) -> bool:
-    """det of the realification equals |det_C|^2."""
-    dc = a.det_c
-    if a.exact:
-        return realify(a).det == dc[0] * dc[0] + dc[1] * dc[1]
-    return math.isclose(realify(a).det, dc[0] ** 2 + dc[1] ** 2, rel_tol=1e-9, abs_tol=1e-12)
+    """det of the realification equals |det_C|^2, exactly."""
+    return realify(a).det == cabs2(a.det_c)
 
 
 # -- subspaces -----------------------------------------------------------------
@@ -200,8 +190,10 @@ class Subspace:
     @staticmethod
     def from_orthonormal(basis: Sequence[Sequence]) -> "Subspace":
         """A subspace on the given basis, checked to be orthonormal by
-        ``linalg.check_orthonormal``."""
+        ``linalg.check_orthonormal``; no vector raises ``GeometryError``."""
         basis = tuple(tuple(v) for v in basis)
+        if not basis:
+            raise GeometryError("empty span")
         out = Subspace(len(basis[0]), basis)
         linalg.check_orthonormal(out.basis)
         return out
@@ -402,7 +394,10 @@ def sample_subspace(m: int, j: int, seed) -> Subspace:
 
 
 def sl_mc_element(kind: str, m: int, params=None, seed=None) -> CMatrix:
-    """Determinant-one complex matrices: exact shears and diagonals."""
+    """Determinant-one complex matrices: exact shears and diagonals, for
+    the paper's m >= 2; a smaller m raises ``ValueError``."""
+    if m < 2:
+        raise ValueError(f"SL(m, C) samples need m >= 2, got m = {m}")
     if kind == "shear":
         return _shear(m, params, seed)
     if kind == "diag":

@@ -6,16 +6,17 @@ form, nullspace and inverse (``inverse_view``) all run on
 ``_eliminate``, Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): the input is cleared of denominators once, eliminated in Python
 ints with exact ``//`` and divided once at the end, so exact input gives
-exact output, with no pivot thresholds and no rounding.  A matrix holding
-a float (``numpy.float32`` too) runs the same elimination in floats,
-pivoting on the largest entry, and gives floats.  The entries decide the mode: ``is_exact`` is the test,
-``real`` the coercion that constructors apply.  ``crank`` is the real rank
-of the realified rows, halved; exact ``cdet`` reads det(X + iY) off the
-integer determinants det(X + tY) at t = 1..m+1, and float ``cdet`` runs
-the elimination on Python ``complex`` entries.  Products of rows and
-columns (``mat_mul``, ``cmat_mul``) run on the operands'
-views at one scale (``_operands``): one int dot product and one division
-per entry; with a float operand the same sums run on the entries as given.
+exact output, with no pivot thresholds and no rounding.  Matrices are
+exact: ``det``, ``cdet`` and ``inv`` refuse a float, ``numpy.float32`` or
+``complex`` entry with ``TypeError``.  Floats come only from bodies,
+tensors and subspaces, for which ``rank``, ``rref`` and ``bareiss`` run the
+elimination in floats, pivoting on the largest entry; ``is_exact`` is the
+test, ``real`` the coercion their constructors apply.  ``crank`` is the
+real rank of the realified rows, halved; ``cdet`` reads det(X + iY) off the
+integer determinants det(X + tY) at t = 1..m+1.  Products of rows and
+columns (``mat_mul``, ``cmat_mul``) run on the operands' views at one scale
+(``_operands``): one int dot product and one division per entry; with a
+float operand (a subspace basis) the same sums run on the entries as given.
 """
 
 from __future__ import annotations
@@ -111,6 +112,13 @@ def _int_view(rows: Sequence[Sequence]) -> tuple[int, list[list]] | None:
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
+def _exact_view(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
+    """``_int_view`` of a matrix's rows, which must be rational, else ``TypeError``."""
+    if (view := _int_view(rows)) is None:
+        raise TypeError("matrix entries must be rational, not float or complex")
+    return view
+
+
 def check_orthonormal(rows: Sequence[Sequence]) -> None:
     """Raise ``GeometryError`` unless the rows are orthonormal: exactly for
     rational rows, cleared of denominators (D) once so that B B^T is compared
@@ -161,8 +169,7 @@ def over(x, d: int):
 
 
 def _floats(m: list[list]) -> bool:
-    """Whether an entry is not an int: a float, or a complex from ``cdet``
-    (then the sum of the entries is not an int either)."""
+    """Whether an entry is not an int (then the sum of the entries is not an int either)."""
     return not isinstance(sum(map(sum, m)), int)
 
 
@@ -220,21 +227,14 @@ def bareiss(m: list[list]):
     return sign * m[-1][-1] if m else 1
 
 
-def det(rows: Sequence[Sequence]):
-    """Determinant: each row is cleared of denominators, Bareiss runs in
-    integers, and one division by the row scales ends it.  Rational input
-    gives a ``Fraction``, input holding a float a float."""
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of rational rows: each row is cleared of denominators,
+    Bareiss runs in integers, and one division by the row scales ends it."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant of non-square matrix")
-    scale = 1
-    m = []
-    for row in rows:
-        d, (cleared,) = clear_denominators([row])
-        scale *= d
-        m.append(cleared)
-    value = bareiss(m)
-    return value / scale if isinstance(value, float) else Fraction(value, scale)
+    views = [_exact_view([row]) for row in rows]
+    return Fraction(bareiss([cleared for _, (cleared,) in views]), math.prod(d for d, _ in views))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -273,23 +273,20 @@ def inverse_view(m: Sequence[Sequence]) -> tuple[object, list[list]]:
     """(p, R) with m^-1 = R / p, for a square nonsingular matrix of ints:
     one fraction-free Gauss-Jordan ``_eliminate`` of [m | I] ends with every
     pivot entry equal to the last pivot p = +-det m, so its right half R is
-    p m^-1, the adjugate up to sign.  A float matrix gives p = 1 and R =
-    m^-1, each row divided by its own pivot entry, as ``rref`` divides it.
-    A singular m raises ``DimensionMismatch``."""
+    p m^-1, the adjugate up to sign.  A singular m raises
+    ``DimensionMismatch``."""
     n = len(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     _, pivots = _eliminate(aug, jordan=True)
     if pivots != list(range(n)):
         raise DimensionMismatch("matrix not invertible")
-    if _floats(aug):
-        return 1, [[x / row[c] for x in row[n:]] for row, c in zip(aug, pivots)]
     return (aug[-1][n - 1] if n else 1), [row[n:] for row in aug]
 
 
 def inv(rows: Sequence[Sequence]) -> Mat:
-    """Inverse of a square nonsingular matrix: ``inverse_view`` of the rows
-    cleared of denominators (d), each entry of d R divided once by p."""
-    d, m = clear_denominators(rows)
+    """Inverse of a square nonsingular rational matrix: ``inverse_view`` of
+    the rows cleared of denominators (d), each entry of d R divided once by p."""
+    d, m = _exact_view(rows)
     p, r = inverse_view(m)
     return [[over(d * x, p) for x in row] for row in r]
 
@@ -336,20 +333,15 @@ def _flat(rows: Sequence[Sequence[CNum]]) -> list[list]:
 
 
 def cdet(rows: Sequence[Sequence[CNum]]) -> CNum:
-    """Determinant of X + iY.  [X | Y] is cleared of denominators (lcm d)
-    once.  For rational input p(t) = det(X + tY), of degree <= m, is
+    """Determinant of X + iY for rational X and Y.  [X | Y] is cleared of
+    denominators (lcm d) once, p(t) = det(X + tY), of degree <= m, is
     evaluated at t = 1..m+1 by integer ``bareiss``, its coefficients are read
     off with ``interpolation_weights(m)`` (W, D), and p(i) is their
-    alternating sums over D d^m.  Input holding a float runs ``bareiss`` on
-    the ``complex`` entries x + iy instead, since interpolating in floats
-    loses digits as m grows."""
+    alternating sums over D d^m."""
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise DimensionMismatch("determinant of non-square matrix")
-    d, xy = clear_denominators(_flat(rows))
-    if _floats(xy):
-        z = bareiss([[complex(a, b) for a, b in zip(row[:m], row[m:])] for row in xy])
-        return (z.real, z.imag)
+    d, xy = _exact_view(_flat(rows))
     values = [bareiss([[a + t * b for a, b in zip(row[:m], row[m:])] for row in xy])
               for t in range(1, m + 2)]
     w, big_d = interpolation_weights(m)

@@ -20,11 +20,11 @@ L N_k / den an integer is den / g, so den / g is the lcm of the image's
 denominators and N / g is L times its vertices, as clearing would give.
 Its ``Fraction`` ``vertices`` are built from the view the first time they
 are read, so an image that only a moment, volume or atom reader sees never
-builds them.  A float on either side gives float vertices x / den at once
-and the view (1, vertices): ``linear_image`` multiplies the float side,
-columns or points, by the other side's ints, and a float ``translate`` or
-``scale`` turns both views to floats (``linalg.common_scale``), x / D being
-float(x) bit for bit.
+builds them.  Matrices are exact (``RMatrix``), so floats come only from
+a float body, shift or lambda, and give float vertices x / den at once and
+the view (1, vertices): ``linear_image`` multiplies the float points by the
+matrix's ints, and a float ``translate`` or ``scale`` turns both views to
+floats (``linalg.common_scale``), x / D being float(x) bit for bit.
 
 Cell determinants come from one walk, ``cell_dets``: the cells in sorted
 order form a prefix tree, and a cell whose first n vertices a neighbour
@@ -41,7 +41,7 @@ division since g divides every entry of N.  |det A| is q^n |det phi| for
 m = L / D.  ``_image`` keeps |det A| / g^n in lowest terms as the seed
 (source, a, b) until the walk is read, and a seed on an image that has
 not walked yet is composed onto that image's own source, so a chain of
-maps reads one body's walk; a float body or map walks its own points.
+maps reads one body's walk; a float body walks its own points.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
@@ -471,13 +471,13 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
     columns (``RMatrix.columns``, q): coordinate i times the nonzero entries
     of column i, so each image coordinate sums its terms in column order and
     only exact zeros are left out.  The sums are ints over q d, or floats
-    when phi or the body holds a float.
+    for a float body.
     """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
     q, cols = phi.columns
     d, pts = p.cleared
-    exact = phi.exact and _exact(p.cleared)
+    exact = _exact(p.cleared)
     images = []
     for v in pts:
         out = [0] * p.dim

@@ -26,8 +26,8 @@ degree-d coefficient vector times a linear form, over the index tables of
 Horner's rule on the tree of first parents of those tables, with phi's
 columns as sparse forms (``RMatrix.columns``), so a shear pays only for its
 nonzeros.  Inputs are cleared of denominators once, the sums run in Python
-ints and each coefficient is divided once; floats run the same sums with
-scale 1 and stay floats.
+ints and each coefficient is divided once.  The matrix is exact
+(``RMatrix``); a float tensor or vector runs the same sums with scale 1.
 
 An exact tensor's totals and denominator, reduced by their gcd when it is
 made, are its integer view ``cleared``, (D, ints), as
@@ -452,16 +452,17 @@ def _suffix_totals(tensors: Sequence[SymTensor], lifted, q: int, form) -> tuple[
 
 @dataclass(frozen=True)
 class RMatrix:
-    """Square real matrix.  Rational entries are kept as ``Fraction``s and
-    any other real as a float; ``exact`` is read off the entries.  Its
+    """Square rational matrix: each entry is coerced once by ``linalg.frac``,
+    so a float, numpy float or ``complex`` raises ``TypeError``; a matrix is
+    exact, and floats come only from bodies, tensors and subspaces.  Its
     integer views, built once per matrix, are the rows (``cleared``) and the
     columns as sparse (row, entry) pairs over the same scale (``columns``)."""
 
-    entries: tuple[tuple, ...]
+    entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         n = len(self.entries)
-        rows = tuple(tuple(map(linalg.real, r)) for r in self.entries)
+        rows = tuple(tuple(map(linalg.frac, r)) for r in self.entries)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("RMatrix must be square")
         object.__setattr__(self, "entries", rows)
@@ -469,10 +470,6 @@ class RMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def exact(self) -> bool:
-        return linalg.is_exact(x for row in self.entries for x in row)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RMatrix":
@@ -505,7 +502,7 @@ class RMatrix:
         return q, tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*rows))
 
     @cached_property
-    def det(self):
+    def det(self) -> Fraction:
         return linalg.det(self.entries)
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":

@@ -38,14 +38,20 @@ E2 = (0, 1, 0, 0)
 JE1 = (0, 0, 1, 0)
 
 
-def unitary_float(m, seed) -> CMatrix:
-    """A float unitary of det 1: the QR factor of a complex Gaussian matrix,
-    its phases set by R's diagonal, divided by an m-th root of its det."""
+def unitary_float(m, seed) -> list:
+    """Rows of Python complex numbers of a float unitary of det 1: the QR
+    factor of a complex Gaussian matrix, its phases set by R's diagonal,
+    divided by an m-th root of its det."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     q, r = np.linalg.qr(g)
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return CMatrix.from_rows((q * np.linalg.det(q) ** (-1.0 / m)).tolist())
+    return (q * np.linalg.det(q) ** (-1.0 / m)).tolist()
+
+
+def dyadic(rows) -> CMatrix:
+    """The dyadic twin of complex float rows: each part the rational its float is."""
+    return CMatrix.from_rows([[(F(z.real), F(z.imag)) for z in row] for row in rows])
 
 
 def rand_cmatrix(rng, m):
@@ -109,21 +115,25 @@ class TestDetIdentity:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_unitary_float(self, m):
-        a = unitary_float(m, seed=m)
-        assert not a.exact
-        assert det_identity_check(a)
+        """A float unitary is refused; its dyadic twin meets the identity exactly."""
+        rows = unitary_float(m, seed=m)
+        with pytest.raises(TypeError):
+            CMatrix.from_rows(rows)
+        assert det_identity_check(dyadic(rows))
 
 
 def gaussian_cmatrix(rng, m):
-    return CMatrix.from_rows(
-        (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))).tolist())
+    return dyadic((rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))).tolist())
 
 
 class TestFloatCMatrix:
+    """Float-sampled matrices enter as their dyadic twins, since ``CMatrix``
+    refuses floats; every result on them is exact."""
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_det_matches_numpy(self, m):
-        """Float det_C eliminates in complex floats; reading it off real
-        determinants by interpolation loses up to 1e-9 relative at m = 6."""
+        """The exact det_C of a Gaussian matrix's twin, rounded, is within
+        1e-12 relative of numpy's float determinant of the same matrix."""
         rng = np.random.default_rng(60 + m)
         for _ in range(200):
             a = gaussian_cmatrix(rng, m)
@@ -135,9 +145,7 @@ class TestFloatCMatrix:
         rng = np.random.default_rng(5)
         for m in (2, 3, 4):
             a, b = gaussian_cmatrix(rng, m), gaussian_cmatrix(rng, m)
-            got = np.array(realify(a @ b).entries)
-            want = np.array((realify(a) @ realify(b)).entries)
-            assert np.abs(got - want).max() <= 1e-12
+            assert realify(a @ b).entries == (realify(a) @ realify(b)).entries
 
 
 class TestComplexRank:
@@ -174,6 +182,10 @@ class TestFromOrthonormal:
                       [(F(3, 5), F(4, 5), 0, 0), (F(-4, 5), F(3, 5), 0, F(1, 10 ** 9))]):
             with pytest.raises(GeometryError):
                 Subspace.from_orthonormal(basis)
+
+    def test_empty_basis_is_refused(self):
+        with pytest.raises(GeometryError, match="empty span"):
+            Subspace.from_orthonormal([])
 
     def test_rational_frames_pass(self):
         frame = unitary_frame(random.Random(4), 3)
@@ -510,13 +522,20 @@ class TestSlmcElements:
         assert CMatrix.from_json_dict(a.to_json_dict()).entries == a.entries
 
     def test_float_json_round_trip(self):
-        """Float parts are written as JSON numbers and read back as the
-        exact rationals they are, so the matrix read back compares equal."""
-        a = unitary_float(2, seed=3)
-        data = a.to_json_dict()
-        assert all(type(x) is float for row in data["entries"] for e in row for x in e.values())
-        back = CMatrix.from_json_dict(json.loads(json.dumps(data)))
-        assert back.exact and back == a
+        """Float parts given as JSON numbers are read as the exact rationals
+        they are, and the matrix written back, as rational strings, reads
+        back equal."""
+        rows = unitary_float(2, seed=3)
+        data = {"m": 2, "entries": [[{"re": z.real, "im": z.imag} for z in row] for row in rows]}
+        a = CMatrix.from_json_dict(json.loads(json.dumps(data)))
+        assert a == dyadic(rows)
+        assert CMatrix.from_json_dict(json.loads(json.dumps(a.to_json_dict()))) == a
+
+    @pytest.mark.parametrize("kind, params", [("shear", None), ("diag", {"values": [1]})])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_m_below_2_is_refused(self, kind, params, m):
+        with pytest.raises(ValueError, match="m >= 2"):
+            sl_mc_element(kind, m, params, 0)
 
     @pytest.mark.parametrize("data", [
         {"m": 1},

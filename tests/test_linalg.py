@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from oracles import cmat_mul_fractions, mat_mul_fractions, mat_vec_fractions
 
 from valuta import linalg
+from valuta.cplx import CMatrix
 from valuta.errors import DimensionMismatch
+from valuta.symtensor import RMatrix
 
 F = Fraction
 
@@ -61,19 +63,48 @@ def test_det_rejects_non_square():
 
 
 def test_det_float_input_stays_float():
-    got = linalg.det([[0.5, 1.0], [1.0, 0.3]])
+    """The determinant of float rows, as of a float subspace's Gram matrix,
+    is ``bareiss``; ``det`` takes matrices, which are exact."""
+    got = linalg.bareiss([[0.5, 1.0], [1.0, 0.3]])
     assert isinstance(got, float)
     assert got == -0.85
-    assert isinstance(linalg.det([[1.0, 2.0], [2.0, 4.0]]), float)
-    mixed = linalg.det([[F(1, 3), 1], [0.25, 2]])
+    assert isinstance(linalg.bareiss([[1.0, 2.0], [2.0, 4.0]]), float)
+    mixed = linalg.bareiss([[F(1, 3), 1], [0.25, 2]])
     assert isinstance(mixed, float)
     assert mixed == pytest.approx(F(1, 3) * 2 - F(1, 4), abs=1e-15)
+
+
+ENTRY_POINTS = {
+    "RMatrix": lambda x: RMatrix.from_rows([[1, x], [0, 1]]),
+    "CMatrix": lambda x: CMatrix.from_rows([[1, x], [0, 1]]),
+    "det": lambda x: linalg.det([[1, x], [0, 1]]),
+    "cdet": lambda x: linalg.cdet([[(1, 0), (x, 0)], [(0, 0), (1, 0)]]),
+    "inv": lambda x: linalg.inv([[1, x], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("value", ["float", "numpy-float64", "numpy-float32", "complex"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_matrix_entry_points_refuse_floats_and_complex(monkeypatch, entry, value):
+    """Matrices are exact: a float, numpy float or ``complex`` entry raises
+    ``TypeError`` where it enters, before any elimination runs."""
+    np = pytest.importorskip("numpy")
+    x = {"float": 0.5, "numpy-float64": np.float64(0.5), "numpy-float32": np.float32(0.5),
+         "complex": 0.5 + 0j}[value]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(linalg, "_eliminate", refused)
+    monkeypatch.setattr(linalg, "bareiss", refused)
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[entry](x)
 
 
 @pytest.mark.parametrize("rows,want", [
     ([[3, 1], [1, 0.5]], 0.5),                      # ``//`` would give 0.0
     ([[1, 2, 3], [0, 1, 4], [5, 6, -0.0]], 1.0),    # one float, at the end
-    ([[1, 2], [3, 4 + 1j]], -2 + 1j),               # a complex, as ``cdet`` passes them
+    ([[1, 2], [3, 4 + 1j]], -2 + 1j),               # a complex entry
     ([[2, 1], [1, complex(1, 0)]], 1 + 0j),
 ])
 def test_any_float_or_complex_entry_takes_the_float_path(rows, want):
@@ -82,17 +113,18 @@ def test_any_float_or_complex_entry_takes_the_float_path(rows, want):
     assert got == want and type(got) is type(want)
     assert not linalg._floats([[3, 1], [1, 2]]) and not linalg._floats([])
     assert linalg.bareiss([[3, 1], [1, 2]]) == 5
-    assert linalg.cdet([[(0.5, 1.0), (0, 0)], [(0, 0), (2, 0)]]) == (1.0, 2.0)
-    assert all(type(x) is float for x in linalg.cdet([[(0.5, 1), (1, 0)], [(0, 3), (2, 0)]]))
 
 
 def test_numpy_scalars_are_classified_by_type():
     """numpy integers are exact; numpy floats that are not ``float``
-    subclasses (float32, float16) take the float path or are refused."""
+    subclasses (float32, float16) take the float path of clearing or are
+    refused, by ``frac`` and by ``det``, whose matrices are exact."""
     np = pytest.importorskip("numpy")
-    got = linalg.det([[np.float32(1.5), 0], [0, 1]])
-    assert isinstance(got, float) and got == 1.5
-    assert isinstance(linalg.det([[np.float16(0.5), 1], [2, np.float64(3)]]), float)
+    got = linalg.clear_denominators([[np.float32(1.5), 1]])
+    assert got == (1, [[1.5, 1.0]]) and all(type(x) is float for x in got[1][0])
+    for rows in ([[np.float32(1.5), 0], [0, 1]], [[np.float16(0.5), 1], [2, np.float64(3)]]):
+        with pytest.raises(TypeError):
+            linalg.det(rows)
     exact = linalg.det([[np.int64(3), np.int32(1)], [np.uint8(2), np.int8(5)]])
     assert exact == 13 and type(exact) is Fraction and type(exact.numerator) is int
     assert linalg.clear_denominators([[np.int64(2), F(1, 3)]]) == (3, [[6, 1]])
@@ -341,28 +373,19 @@ def test_rank_edge_cases(rows, rank):
     assert linalg.rank(rows) == rank
 
 
-# Float and complex matrices that need row swaps, with the determinant and
+# Float matrices that need row swaps, with the determinant (``bareiss``) and
 # rank the whole-row elimination gave, pinned bit for bit (float.hex).
 FLOAT_PINS = [
     ([[0.1, 2.0, -1.3], [3.7, -0.2, 0.9], [1.1, 4.4, 0.25]], "-0x1.5b89374bc6a80p+4", 3),
     ([[0.0, 1.5, 2.5, -0.75], [2.2, -3.25, 0.1, 1.0], [-4.1, 0.7, 1e-3, 0.3],
       [0.6, 2.0, -0.3, 5.5]], "-0x1.7fd96a161e4f9p+7", 4),
 ]
-COMPLEX_PIN = ([[(0.5, -1.25), (2.0, 0.0), (0.1, 0.3)], [(3.0, 2.5), (-1.0, 0.75), (0.0, -2.0)],
-                [(-0.2, 0.4), (1.5, 1.5), (2.25, -0.5)]],
-               ("-0x1.9d0f5c28f5c2ap+3", "0x1.2fae147ae147bp+1"), 3)
 
 
 @pytest.mark.parametrize("rows, det, rank", FLOAT_PINS)
 def test_float_elimination_is_pinned_bit_for_bit(rows, det, rank):
-    assert linalg.det(rows).hex() == det
+    assert linalg.bareiss([list(row) for row in rows]).hex() == det
     assert linalg.rank(rows) == rank
-
-
-def test_float_cdet_is_pinned_bit_for_bit():
-    rows, det, rank = COMPLEX_PIN
-    assert tuple(x.hex() for x in linalg.cdet(rows)) == det
-    assert linalg.crank(rows) == rank
 
 
 @settings(max_examples=80, deadline=None)

@@ -191,6 +191,21 @@ def test_one_tensor_representation():
                     path.name
 
 
+def test_matrices_are_exact():
+    """``RMatrix`` and ``CMatrix`` hold rationals and carry no ``exact``
+    flag, and the determinants and the inverse run no float branch: none
+    of ``linalg.det``, ``linalg.cdet`` and ``linalg.inverse_view`` asks
+    ``_floats`` which mode its rows are in."""
+    from valuta.cplx import CMatrix
+    from valuta.symtensor import RMatrix
+
+    assert not hasattr(RMatrix, "exact") and not hasattr(CMatrix, "exact")
+    calls = {fn.name: _called(fn) for fn in _functions(PYPROJECT.parent / "src" / "valuta"
+                                                       / "linalg.py")}
+    for name in ("det", "cdet", "inverse_view"):
+        assert "_floats" not in calls[name], name
+
+
 def test_cell_determinants_are_walked_only_by_the_memo():
     """``polytope.cell_dets`` is called only by ``Polytope.walk``, which keeps
     each body's walk and derives an exact image's from its source's, and by

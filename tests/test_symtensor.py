@@ -409,24 +409,25 @@ def test_kernel_outputs_are_well_formed(case, c, x):
 @settings(max_examples=40, deadline=None)
 @given(case=action_cases() | sparse_action_cases())
 def test_float_gl_action_is_within_rounding_of_the_exact(case):
-    """A float phi sums the same products as its exact twin, the rationals
-    its floats are, in another order: each coefficient is within 1e-12 of
-    the exact one, relative to the action of |phi| on |t|."""
+    """A float tensor under the exact phi sums the same products as its
+    exact twin, the rationals its floats are, in another order: each
+    coefficient is within 1e-12 of the exact one, relative to the action of
+    |phi| on |t|."""
     phi, a = case
-    floats = RMatrix.from_rows([[float(x) for x in row] for row in phi.entries])
-    twin = RMatrix.from_rows([[F(float(x)) for x in row] for row in phi.entries])
-    got, want = gl_action(floats, a), gl_action(twin, a)
+    floats = SymTensor(a.dim, a.rank, {k: float(v) for k, v in a.coeffs.items()})
+    twin = SymTensor(a.dim, a.rank, {k: F(float(v)) for k, v in a.coeffs.items()})
+    got, want = gl_action(phi, floats), gl_action(phi, twin)
     assert all(type(v) is float for v in got.coeffs.values())
-    absolute = gl_action(RMatrix.from_rows([[abs(x) for x in row] for row in twin.entries]),
-                         SymTensor(a.dim, a.rank, {k: abs(v) for k, v in a.coeffs.items()}))
+    absolute = gl_action(RMatrix.from_rows([[abs(x) for x in row] for row in phi.entries]),
+                         SymTensor(a.dim, a.rank, {k: abs(v) for k, v in twin.coeffs.items()}))
     size = max([1.0] + [float(v) for v in absolute.coeffs.values()])
     for k in {**got.coeffs, **want.coeffs}:
         assert got.coeff(k) == pytest.approx(float(want.coeff(k)), abs=1e-12 * size)
 
 
-def test_gl_action_with_float_matrix_returns_floats():
-    phi = RMatrix.from_rows([[0.5, 1.0], [0.0, 2.0]])
-    out = gl_action(phi, t(2, 2, {(2, 0): F(1, 3), (1, 1): -2, (0, 2): 1}))
+def test_gl_action_of_a_float_tensor_returns_floats():
+    phi = RMatrix.from_rows([[F(1, 2), 1], [0, 2]])
+    out = gl_action(phi, t(2, 2, {(2, 0): 1 / 3, (1, 1): -2.0, (0, 2): 1.0}))
     assert all(isinstance(v, float) for v in out.coeffs.values())
     # e1 -> (1/2) e1, e2 -> e1 + 2 e2
     assert out.coeffs == pytest.approx({(2, 0): 1 / 12 - 1 + 1, (1, 1): -2 + 4, (0, 2): 4})
@@ -538,9 +539,9 @@ def test_shift_expansion_rejects_bad_ranks():
 
 @pytest.mark.parametrize("kind", ["random", "scaled", "orthogonal"])
 def test_float_inverse_matches_numpy(kind):
-    """A float matrix inverts (``linalg.inv``) through the same elimination
-    as an exact one; it agrees with ``numpy.linalg.inv`` to 1e-12 of the
-    largest entry."""
+    """``linalg.inv`` refuses a float matrix; the exact inverse of its
+    dyadic twin, the rationals its floats are, agrees with
+    ``numpy.linalg.inv`` to 1e-12 of the largest entry."""
     np = pytest.importorskip("numpy")
     rng = np.random.default_rng({"random": 11, "scaled": 12, "orthogonal": 13}[kind])
     for _ in range(200):
@@ -550,10 +551,12 @@ def test_float_inverse_matches_numpy(kind):
             a *= 10.0 ** int(rng.integers(-8, 9))
         elif kind == "orthogonal":
             a, _ = np.linalg.qr(a)
-        got = linalg.inv(a.tolist())
-        assert all(type(x) is float for row in got for x in row)
+        with pytest.raises(TypeError):
+            linalg.inv(a.tolist())
+        got = linalg.inv([[F(x) for x in row] for row in a.tolist()])
+        assert all(type(x) is F for row in got for x in row)
         want = np.linalg.inv(a)
-        assert np.abs(np.array(got) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(np.array(got, dtype=float) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("rows", [
@@ -561,21 +564,31 @@ def test_float_inverse_matches_numpy(kind):
     [[1e-17, 1.0, 2.0], [1.0, 3.0, 1.0], [2.0, 1.0, 5.0]],
 ])
 def test_float_inverse_pivots_past_tiny_leading_entries(rows):
+    """The float elimination that float bodies and subspaces run pivots on
+    the largest entry: Gauss-Jordan (``rref``) of [A | I] ends in the
+    inverse.  ``linalg.inv`` takes exact matrices only."""
     np = pytest.importorskip("numpy")
-    got = np.array(linalg.inv(rows))
+    n = len(rows)
+    augmented = [row + [float(i == k) for k in range(n)] for i, row in enumerate(rows)]
+    red, pivots = linalg.rref(augmented)
+    assert pivots == list(range(n))
+    got = np.array([row[n:] for row in red])
     want = np.linalg.inv(np.array(rows))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_float_inverse_of_singular_matrix_raises():
-    with pytest.raises(DimensionMismatch):
+    """A float matrix is refused, its exact twin as singular."""
+    with pytest.raises(TypeError):
         linalg.inv([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(DimensionMismatch):
+        linalg.inv([[1, 2], [2, 4]])
 
 
 def test_views_are_clear_denominators_built_once():
     """A matrix's and a tensor's integer views are what clearing their rows
     or coefficient values gives, as tuples, built once per object."""
-    phi = RMatrix.from_rows([[1, F(1, 2)], [F(-2, 3), 0.5]])
+    phi = RMatrix.from_rows([[1, F(1, 2)], [F(-2, 3), F(1, 2)]])
     d, rows = linalg.clear_denominators(phi.entries)
     assert phi.cleared == (d, tuple(map(tuple, rows))) and phi.cleared is phi.cleared
     exact = RMatrix.from_rows([[1, F(1, 2)], [F(-2, 3), 5]])
