@@ -11,40 +11,34 @@ splits a subspace L into its largest complex subspace U = L intersect J(L)
 and a totally real remainder, returning a basis (v_1, ..., v_d,
 J v_1, ..., J v_{j-d}) whose first d vectors are independent over C.
 
-Matrices are exact: a ``CMatrix`` holds rational parts, and a float or
-``complex`` entry raises ``TypeError``.  Floats come only from bodies,
-tensors and subspaces.  A subspace takes its mode from its coordinates:
-rational ones are kept as ``Fraction``s and stay exact throughout, any
-other real becomes a float.  Every orthonormal basis comes from one modified
-Gram-Schmidt, ``gram_schmidt``, exact for rational vectors and in floats
-otherwise.  The exact path follows ``linalg``: the vectors are cleared of
+Matrices and subspaces are exact: a ``CMatrix`` holds rational parts and a
+``Subspace`` rational coordinates, so a float or ``complex`` raises
+``TypeError`` where it enters.  Floats come only from bodies and tensors.
+Every orthonormal basis comes from one modified Gram-Schmidt,
+``gram_schmidt``, which follows ``linalg``: the vectors are cleared of
 denominators once, projections run in Python ints on primitive directions,
-and a ``Fraction`` is built only for each unit vector returned, so the
-adapted basis and the orthonormality check ``linalg.check_orthonormal``
-take no ``Fraction`` dot product.  numpy is used only for sampling and for
-the two float rank decisions (``complex_rank`` and the nullspace in
-``adapted_basis``), which read singular values against ``RANK_TOL`` and
-refuse a verdict inside the ``AMBIGUITY_BAND`` around it.
+and a ``Fraction`` is built only for each unit vector returned, which needs
+a perfect-square norm.  So the adapted basis and the orthonormality check
+``linalg.check_orthonormal`` take no ``Fraction`` dot product, and both
+rank decisions (``complex_rank`` and the nullspace in ``adapted_basis``)
+are exact eliminations.  ``sample_subspace`` draws rational orthonormal
+frames: columns of Cayley transforms of integer skew-symmetric matrices.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
-from .errors import DimensionMismatch, GeometryError, NumericalRankError, ParseError, ValutaError
+from .errors import DimensionMismatch, GeometryError, ParseError, ValutaError
 from .linalg import CNum, cabs2, cdet, cnum, crank
 from .symtensor import RMatrix, _json_int, _json_list, json_rational, parse_rational
-
-RANK_TOL = 1e-8
-AMBIGUITY_BAND = 1e2
 
 
 @dataclass(frozen=True)
@@ -154,9 +148,9 @@ def det_identity_check(a: CMatrix) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Real subspace of R^2m given by an orthonormal basis (rows).  Rational
-    coordinates are kept as ``Fraction``s and any other real as a float;
-    ``exact`` is read off the coordinates."""
+    """Real subspace of R^2m given by an orthonormal basis (rows), each
+    coordinate coerced once by ``linalg.frac``, so a float or ``complex``
+    raises ``TypeError``."""
 
     ambient: int
     basis: tuple[tuple, ...]
@@ -165,7 +159,7 @@ class Subspace:
     def __post_init__(self):
         if self.ambient % 2 != 0:
             raise DimensionMismatch("ambient dimension must be even")
-        basis = tuple(tuple(map(linalg.real, b)) for b in self.basis)
+        basis = tuple(tuple(map(linalg.frac, b)) for b in self.basis)
         for b in basis:
             if len(b) != self.ambient:
                 raise DimensionMismatch("basis vector of wrong length")
@@ -178,10 +172,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def exact(self) -> bool:
-        return linalg.is_exact(x for b in self.basis for x in b)
 
     @cached_property
     def complex_rank(self) -> int:
@@ -200,28 +190,16 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Sequence[Sequence]) -> "Subspace":
-        """Orthonormalize a spanning set by ``gram_schmidt`` in input order,
-        with the drop cut of ``span_tol``; exact for rational vectors, which
-        needs rational norms."""
-        vectors = [tuple(map(linalg.real, v)) for v in vectors]
-        basis = gram_schmidt(vectors, span_tol(vectors))
+        """Orthonormalize a rational spanning set by ``gram_schmidt`` in
+        input order, which needs rational norms."""
+        basis = gram_schmidt([tuple(map(linalg.frac, v)) for v in vectors])
         if not basis:
             raise GeometryError("empty span")
         return Subspace(len(basis[0]), tuple(basis))
 
 
-def span_tol(vectors: Sequence[Sequence]):
-    """The remainder length at or below which a spanning vector counts as
-    dependent: 0 for rational vectors, so only exact zeros drop, and 1e-10
-    times the longest vector for floats."""
-    if linalg.is_exact(x for v in vectors for x in v):
-        return 0
-    return 1e-10 * max((math.hypot(*v) for v in vectors), default=0.0)
-
-
-# A kept direction of ``gram_schmidt`` is (u, N, unit): for exact vectors a
-# primitive int vector u with N = |u|^2 and unit = u / sqrt(N) in Fractions,
-# for floats the unit vector itself with N = 1.
+# A kept direction of ``gram_schmidt`` is (u, N, unit): a primitive int
+# vector u with N = |u|^2 and unit = u / sqrt(N) in Fractions.
 
 
 def _reduce(w, dirs) -> list:
@@ -233,82 +211,56 @@ def _reduce(w, dirs) -> list:
     return w
 
 
-def _direction(w, tol):
-    """The kept direction of a remainder w, or None when w is at most tol
-    long: a float w over its length, an int w over its gcd, whose squared
-    length must then be a perfect square for its unit vector to be rational."""
-    n = sum(x * x for x in w)
-    if n <= tol * tol:
-        return None
-    if isinstance(n, float):
-        root = math.sqrt(n)
-        unit = tuple(x / root for x in w)
-        return unit, 1, unit
+def _direction(w):
+    """The kept direction of an int remainder w, or None when w is zero: w
+    over its gcd, whose squared length must be a perfect square for its unit
+    vector to be rational."""
     g = math.gcd(*w)
+    if g == 0:
+        return None
     u = tuple(x // g for x in w)
-    n //= g * g
+    n = sum(x * x for x in u)
     root = math.isqrt(n)
     if root * root != n:
         raise ValutaError(f"exact orthonormalization needs a perfect-square norm, got {n}")
     return u, n, tuple(Fraction(x, root) for x in u)
 
 
-def _extend(rows, dirs: list, tol) -> list:
+def _extend(rows, dirs: list) -> list:
     """Append to ``dirs`` the direction of each row's remainder against the
-    directions so far, unless it is at most ``tol`` long; returns ``dirs``."""
+    directions so far, unless it is zero; returns ``dirs``."""
     for w in rows:
-        d = _direction(_reduce(w, dirs), tol)
+        d = _direction(_reduce(w, dirs))
         if d is not None:
             dirs.append(d)
     return dirs
 
 
-def gram_schmidt(vecs: Sequence[Sequence], tol, basis: Sequence[tuple] = ()) -> list[tuple]:
-    """Orthonormal vectors that extend the orthonormal ``basis`` to span
-    ``vecs`` too.  The vectors are taken in input order; each is reduced
-    against the ones so far and kept when its remainder is longer than
-    ``tol``.
+def gram_schmidt(vecs: Sequence[Sequence], basis: Sequence[tuple] = ()) -> list[tuple]:
+    """Orthonormal vectors that extend the orthonormal ``basis`` to span the
+    rational ``vecs`` too; a float raises ``TypeError``.  The vectors are
+    taken in input order; each is reduced against the ones so far and kept
+    unless its remainder is zero.
 
-    Rational input is cleared of denominators once and reduced in ints,
-    each remainder over its gcd; a unit vector, which needs a perfect-square
-    norm, is the only ``Fraction`` built.  Exact remainders keep no common
-    length scale, so only zero ones drop (``span_tol`` gives 0 for them).
-    Input holding a float runs the same steps on floats and unit vectors.
+    The input is cleared of denominators once and reduced in ints, each
+    remainder over its gcd; a unit vector, which needs a perfect-square
+    norm, is the only ``Fraction`` built.
     """
-    exact = linalg.is_exact(x for v in (*basis, *vecs) for x in v)
-    _, rows = linalg.clear_denominators([*basis, *vecs])
+    _, rows = linalg._exact_view([*basis, *vecs])
     k = len(basis)
-    dirs = [_direction(b, 0) if exact else (b, 1, b) for b in rows[:k]]
-    return [unit for _, _, unit in _extend(rows[k:], dirs, 0 if exact else tol)[k:]]
+    dirs = [_direction(b) for b in rows[:k]]
+    return [unit for _, _, unit in _extend(rows[k:], dirs)[k:]]
 
 
 def _complex_rows(basis: Sequence[Sequence], m: int) -> list[list[CNum]]:
     return [[(v[k], v[m + k]) for k in range(m)] for v in basis]
 
 
-def _nonzero(sigma: np.ndarray) -> np.ndarray:
-    """Which singular values, on a scale where the largest possible is
-    about 1, count as nonzero; raises ``NumericalRankError`` when one sits
-    inside the ambiguity band around ``RANK_TOL``."""
-    if any(RANK_TOL / AMBIGUITY_BAND < s < RANK_TOL * AMBIGUITY_BAND for s in sigma):
-        raise NumericalRankError(
-            f"singular values {sigma} sit inside the rank ambiguity band at {RANK_TOL}")
-    return sigma > RANK_TOL
-
-
 def complex_rank(subspace_or_basis) -> int:
-    """Rank over C of a real subspace's basis viewed as complex m-vectors."""
-    basis = getattr(subspace_or_basis, "basis", subspace_or_basis)
-    basis = [tuple(b) for b in basis]
-    m = len(basis[0]) // 2
-    if linalg.is_exact(x for b in basis for x in b):
-        return crank(_complex_rows(basis, m))
-    mat = np.array([[complex(b[k], b[m + k]) for k in range(m)] for b in basis])
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    if len(sigma) == 0:
-        return 0
-    top = sigma[0] if sigma[0] > 0 else 1.0
-    return int(_nonzero(sigma / top).sum())
+    """Rank over C of a real subspace's rational basis viewed as complex
+    m-vectors (``linalg.crank``)."""
+    basis = [tuple(b) for b in getattr(subspace_or_basis, "basis", subspace_or_basis)]
+    return crank(_complex_rows(basis, len(basis[0]) // 2))
 
 
 def adapted_basis(l: Subspace) -> Subspace:
@@ -316,21 +268,17 @@ def adapted_basis(l: Subspace) -> Subspace:
     v_1..v_d independent over C, splitting off U = L intersect J(L).
 
     With B the orthonormal basis and G[a][c] = <J b_a, b_c>, x = B c lies in
-    J(L) exactly when (B - JB G) c = 0, and the singular values of
-    B - JB G are the sines of the principal angles theta between L and
-    J(L).  Its nullspace is exact for rational input.  For floats it is read
-    off an SVD, with the rank band applied to tan(theta / 2): for a 2-plane
-    that is the singular value ratio ``complex_rank`` reads, so both float
-    decisions see one number.  U gets pairs (u, J u), each u the longest
-    remainder of the nullspace vectors B^T c against the pairs so far; the
-    totally real rest is ``gram_schmidt`` of B extending the pairs.
+    J(L) exactly when (B - JB G) c = 0, an exact nullspace.  U gets pairs
+    (u, J u), each u the longest remainder of the nullspace vectors B^T c
+    against the pairs so far; the totally real rest is ``gram_schmidt`` of
+    B extending the pairs.  Each unit vector needs a perfect-square norm,
+    else ``ValutaError``, which a generic subspace with m < j < 2m meets.
 
-    A rational B is cleared of denominators once (D), so G and B - JB G are
-    taken as the ints D^2 G and D^3 (B - JB G), the nullspace vectors are
-    cleared to one common scale, and the pairs and the rest are reduced in
-    ints as ``gram_schmidt`` does.  The remainders of one round share a
-    scale, so the longest is the one the Fractions would pick.  Float B runs
-    the same steps with D = 1.
+    B is cleared of denominators once (D), so G and B - JB G are taken as
+    the ints D^2 G and D^3 (B - JB G), the nullspace vectors are cleared to
+    one common scale, and the pairs and the rest are reduced in ints as
+    ``gram_schmidt`` does.  The remainders of one round share a scale, so
+    the longest is the one the Fractions would pick.
     """
     j, n = l.dim, l.ambient
     d, basis = linalg.clear_denominators(l.basis)
@@ -339,14 +287,7 @@ def adapted_basis(l: Subspace) -> Subspace:
     d2 = d * d
     cols = [[d2 * x - sum(g[a][c] * jb[a][i] for a in range(j)) for i, x in enumerate(basis[c])]
             for c in range(j)]
-    if l.exact:
-        _, null = linalg.clear_denominators(linalg.nullspace(linalg.transpose(cols)))
-        tol = 0
-    else:
-        _, sines, vt = np.linalg.svd(np.array(cols, dtype=float).T)
-        null = vt[~_nonzero(np.tan(np.arcsin(np.minimum(sines, 1.0)) / 2))].tolist()
-        # between the sines counted as zero (<= 2e-10) and the nonzero ones (>= 2e-6)
-        tol = 1e-9
+    _, null = linalg.clear_denominators(linalg.nullspace(linalg.transpose(cols)))
     bt = linalg.transpose(basis)
     u_rows = [[sum(map(operator.mul, row, c)) for row in bt] for c in null]
     if len(u_rows) % 2 != 0:
@@ -354,12 +295,12 @@ def adapted_basis(l: Subspace) -> Subspace:
     pairs: list = []
     while len(pairs) < len(u_rows):
         reduced = (_reduce(w, pairs) for w in u_rows)
-        best = _direction(max(reduced, key=lambda w: sum(x * x for x in w)), tol)
+        best = _direction(max(reduced, key=lambda w: sum(x * x for x in w)))
         if best is None:
             raise GeometryError("failed to span the complex part")
         u, norm, unit = best
         pairs += [best, (j_apply(u), norm, j_apply(unit))]
-    units = [unit for _, _, unit in _extend(basis, list(pairs), tol)]
+    units = [unit for _, _, unit in _extend(basis, list(pairs))]
     if len(units) != j:
         raise GeometryError("complex/real split dimensions do not add up")
     k = len(pairs)
@@ -367,26 +308,31 @@ def adapted_basis(l: Subspace) -> Subspace:
 
 
 def sample_subspace(m: int, j: int, seed) -> Subspace:
-    """Uniform-ish j-dimensional subspace of R^2m with maximal complex rank.
+    """A j-dimensional subspace of R^2m of maximal complex rank min(j, m),
+    with an exactly orthonormal rational basis.
 
-    Draws Gaussian frames and retries when the complex rank is below
-    min(j, m); lower-rank frames have measure zero, so hitting the retry
-    bound signals a bug rather than bad luck.
+    The basis is the first j columns of the Cayley transform
+    (I - A)(I + A)^-1 = 2 (I + A)^-1 - I, an orthogonal matrix, of a random
+    skew-symmetric A with entries in -3..3 drawn from ``seed`` (an int or a
+    ``random.Random``); I + A is invertible for every real skew-symmetric A.
+    A draw of lower complex rank is retried and counted in ``retries``;
+    hitting the retry bound signals a bug rather than bad luck.
     """
     if not 1 <= j <= 2 * m - 1:
         raise ValueError(f"subspace dimension {j} out of range for m={m}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    target = min(j, m)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    n = 2 * m
     for attempt in range(100):
-        g = rng.standard_normal((2 * m, j))
-        q, _ = np.linalg.qr(g)
-        basis = tuple(tuple(q[:, i]) for i in range(j))
-        try:
-            rank = complex_rank(basis)
-        except NumericalRankError:
-            continue
-        if rank == target:
-            return Subspace(2 * m, basis, retries=attempt)
+        a = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r + 1, n):
+                a[r][c] = rng.randint(-3, 3)
+                a[c][r] = -a[r][c]
+        inv = linalg.inv([[int(r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)])
+        basis = tuple(tuple(2 * row[c] - int(r == c) for r, row in enumerate(inv))
+                      for c in range(j))
+        if complex_rank(basis) == min(j, m):
+            return Subspace(n, basis, retries=attempt)
     raise ValutaError("subspace sampling exhausted its retry budget; this is a bug")
 
 
@@ -406,8 +352,6 @@ def sl_mc_element(kind: str, m: int, params=None, seed=None) -> CMatrix:
 
 
 def _shear(m: int, params, seed) -> CMatrix:
-    import random
-
     if params and "p" in params:
         p, q = params["p"], params["q"]
         if p == q or not (0 <= p < m and 0 <= q < m):

@@ -13,9 +13,5 @@ class GeometryError(ValutaError):
     """Degenerate or unsupported geometric input."""
 
 
-class NumericalRankError(ValutaError):
-    """A floating-point rank decision fell inside the ambiguity band."""
-
-
 class ParseError(ValutaError):
     """Malformed serialized input."""

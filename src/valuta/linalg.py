@@ -6,17 +6,17 @@ form, nullspace and inverse (``inverse_view``) all run on
 ``_eliminate``, Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): the input is cleared of denominators once, eliminated in Python
 ints with exact ``//`` and divided once at the end, so exact input gives
-exact output, with no pivot thresholds and no rounding.  Matrices are
-exact: ``det``, ``cdet`` and ``inv`` refuse a float, ``numpy.float32`` or
-``complex`` entry with ``TypeError``.  Floats come only from bodies,
-tensors and subspaces, for which ``rank``, ``rref`` and ``bareiss`` run the
+exact output, with no pivot thresholds and no rounding.  Matrices and
+subspace bases are exact: ``det``, ``cdet``, ``inv``, ``rref``, ``crank``,
+the products and ``check_orthonormal`` refuse a float, ``numpy.float32`` or
+``complex`` entry with ``TypeError`` (``_exact_view``).  Floats come only
+from bodies and tensors, for which ``rank`` and ``bareiss`` run the
 elimination in floats, pivoting on the largest entry; ``is_exact`` is the
 test, ``real`` the coercion their constructors apply.  ``crank`` is the
 real rank of the realified rows, halved; ``cdet`` reads det(X + iY) off the
 integer determinants det(X + tY) at t = 1..m+1.  Products of rows and
 columns (``mat_mul``, ``cmat_mul``) run on the operands' views at one scale
-(``_operands``): one int dot product and one division per entry; with a
-float operand (a subspace basis) the same sums run on the entries as given.
+(``_operands``): one int dot product and one division per entry.
 """
 
 from __future__ import annotations
@@ -120,13 +120,10 @@ def _exact_view(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
 
 
 def check_orthonormal(rows: Sequence[Sequence]) -> None:
-    """Raise ``GeometryError`` unless the rows are orthonormal: exactly for
-    rational rows, cleared of denominators (D) once so that B B^T is compared
-    with D^2 I in ints, and within 1e-9 for float ones (D = 1)."""
-    exact = is_exact(x for row in rows for x in row)
-    d, rows = clear_denominators(rows) if exact else (1, rows)
-    tol = 0 if exact else 1e-9
-    if any(abs(sum(map(operator.mul, u, v)) - (d * d if k == i else 0)) > tol
+    """Raise ``GeometryError`` unless the rational rows are orthonormal:
+    cleared of denominators (D) once, B B^T is compared with D^2 I in ints."""
+    d, rows = _exact_view(rows)
+    if any(sum(map(operator.mul, u, v)) != (d * d if k == i else 0)
            for i, u in enumerate(rows) for k, v in enumerate(rows[i:], i)):
         raise GeometryError("basis is not orthonormal")
 
@@ -150,15 +147,9 @@ def common_scale(views) -> tuple[int, list[list[list]]]:
 
 
 def _operands(a: Sequence[Sequence], b: Sequence[Sequence]):
-    """Exact a and b as their views at one scale L (``common_scale``), with
-    ``over`` by L^2 for their int sums; a and b as given when either holds
-    a float, sums untouched, so each term is Python's product of its two
-    entries, exact beside exact, as the schoolbook sum of products has it."""
-    vb = _int_view(b)
-    va = vb and _int_view(a)
-    if not va:
-        return a, b, lambda x: x
-    big, (a, b) = common_scale([va, vb])
+    """Rational a and b as their views at one scale L (``common_scale``),
+    with the division by L^2 of their int sums."""
+    big, (a, b) = common_scale([_exact_view(a), _exact_view(b)])
     d = big * big
     return a, b, lambda x: over(x, d)
 
@@ -238,19 +229,19 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank, exact for rational input; a float pivot counts unless it is 0."""
+    """Rank, exact for rational input; a float pivot (a float body's edge)
+    counts unless it is 0."""
     return len(_eliminate(clear_denominators(rows)[1])[1])
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and its pivot columns: fraction-free
-    Gauss-Jordan on the rows cleared of denominators, then each row divided
-    once by its pivot entry (exactly on int rows, with ``/`` on float rows)."""
-    _, m = clear_denominators(rows)
+    """Reduced row echelon form of rational rows and its pivot columns:
+    fraction-free Gauss-Jordan on the rows cleared of denominators, then
+    each row divided once by its pivot entry."""
+    _, m = _exact_view(rows)
     _, pivots = _eliminate(m, jordan=True)
-    div = operator.truediv if _floats(m) else Fraction
     scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
-    return [[div(x, p) for x in row] for row, p in zip(m, scales)], pivots
+    return [[Fraction(x, p) for x in row] for row, p in zip(m, scales)], pivots
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
@@ -352,9 +343,10 @@ def cdet(rows: Sequence[Sequence[CNum]]) -> CNum:
 
 
 def crank(rows: Sequence[Sequence[CNum]]) -> int:
-    """Rank over C of complex rows: the real rank of the rows z and iz
-    flattened to [x | y] and [-y | x], halved."""
-    return rank(_flat(rows) + _flat([[(-im, re) for re, im in row] for row in rows])) // 2
+    """Rank over C of rational complex rows: the real rank of the rows z and
+    iz flattened to [x | y] and [-y | x], halved."""
+    _, m = _exact_view(_flat(rows) + _flat([[(-im, re) for re, im in row] for row in rows]))
+    return len(_eliminate(m)[1]) // 2
 
 
 def cmat_mul(a: Sequence[Sequence[CNum]], b: Sequence[Sequence[CNum]]) -> list[list[CNum]]:

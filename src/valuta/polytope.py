@@ -596,13 +596,14 @@ def _closes(vectors) -> bool:
 
 def subspace_volume(p: Polytope, subspace):
     """Volume of a polytope inside a linear subspace, in the subspace's own
-    dimension, in coordinates of its orthonormal ``basis`` (the argument's
-    attribute, or the argument), checked by ``linalg.check_orthonormal``.
-    On the views of the body P and of an exact basis B at one scale L
+    dimension, in coordinates of its rational orthonormal ``basis`` (the
+    argument's attribute, or the argument), checked by
+    ``linalg.check_orthonormal``, which refuses a float with ``TypeError``.
+    On the views of the body P and of B at one scale L
     (``linalg.common_scale``) the coordinates are the ints <P, B_i> over
     L^2, and a point lies in the subspace when L^2 P = sum <P, B_i> B_i.
-    With a float among them the same sums run on the vertices and the basis
-    as given, and a point lies in the subspace when its residual is at most
+    For a float body the same sums run on the vertices and the basis as
+    given, and a point lies in the subspace when its residual is at most
     1e-8 of its length."""
     basis = [tuple(b) for b in getattr(subspace, "basis", subspace)]
     linalg.check_orthonormal(basis)

@@ -454,7 +454,7 @@ def _suffix_totals(tensors: Sequence[SymTensor], lifted, q: int, form) -> tuple[
 class RMatrix:
     """Square rational matrix: each entry is coerced once by ``linalg.frac``,
     so a float, numpy float or ``complex`` raises ``TypeError``; a matrix is
-    exact, and floats come only from bodies, tensors and subspaces.  Its
+    exact, and floats come only from bodies and tensors.  Its
     integer views, built once per matrix, are the rows (``cleared``) and the
     columns as sparse (row, entry) pairs over the same scale (``columns``)."""
 

@@ -25,9 +25,9 @@ passes only at 0; a float one passes at most ``FLOAT_TOL`` times max(1, the
 largest |coefficient| of a and b).  The check passes when every pair does,
 and reports its worst residual (a failing pair's first) with that pair's
 witness, in mode "exact" when its inputs and residuals are rational, else
-"float" with float residuals.  Matrices (``RMatrix``, ``CMatrix``) are
-exact, so the inputs scanned for floats are the body, shift, lambda and
-subspace only.
+"float" with float residuals.  Matrices (``RMatrix``, ``CMatrix``) and
+subspaces (``Subspace``) are exact, so the inputs scanned for floats are
+the body, shift and lambda only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .cplx import CMatrix, Subspace, gram_schmidt, realify, span_tol
+from .cplx import CMatrix, Subspace, gram_schmidt, realify
 from .errors import DimensionMismatch, GeometryError, ValutaError
 from .linalg import cabs2, exact_sqrt, interpolation_weights
 from .moment import _shared_passes, moment_tensor
@@ -134,10 +134,11 @@ def euler_valuation(n: int) -> Valuation:
 
 def span_lebesgue_valuation(n: int, j: int) -> Valuation:
     """j-dimensional volume of bodies spanning a j-dimensional linear subspace;
-    zero on lower-dimensional bodies (the Klain identity probe)."""
+    zero on lower-dimensional bodies (the Klain identity probe).  The span is
+    orthonormalised by ``gram_schmidt``, so a float body raises ``TypeError``."""
 
     def run(body: Polytope) -> SymTensor:
-        basis = gram_schmidt(body.vertices, span_tol(body.vertices))
+        basis = gram_schmidt(body.vertices)
         if len(basis) < j:
             return SymTensor.scalar(n, Fraction(0))
         if len(basis) > j:
@@ -252,15 +253,13 @@ class KlainValue:
 
 def _map_points(points, l: Subspace):
     """sum c_i b_i for each point's int coordinates c on l's basis
-    (``linalg.mat_mul``: on the basis's view when l is exact, else the
-    same sums, in i order, on its entries)."""
+    (``linalg.mat_mul``, on the basis's integer view)."""
     return tuple(map(tuple, linalg.mat_mul(points, l.basis)))
 
 
 def cube_probe(l: Subspace) -> Polytope:
-    """Unit cube spanned by the subspace basis, Kuhn-triangulated.  The
-    model cube's 0/1 coordinates are mapped as ints, so a float basis
-    multiplies no ``Fraction`` into a float."""
+    """Unit cube spanned by the subspace basis, Kuhn-triangulated; the model
+    cube's 0/1 coordinates are mapped as ints."""
     model = cube(l.dim)
     corners = [tuple(map(int, v)) for v in model.vertices]
     return Polytope(l.ambient, _map_points(corners, l), model.triangulation)
@@ -275,14 +274,14 @@ def simplex_probe(l: Subspace) -> Polytope:
 
 
 def _gram_root(basis):
-    """sqrt(det G) for the Gram matrix G of the basis rows: the j-volume of
-    the parallelotope they span, exact when det G is a rational square (1
-    on an exact orthonormal basis), else a float."""
+    """sqrt(det G) for the Gram matrix G of the rational basis rows: the
+    j-volume of the parallelotope they span, exact when det G is a rational
+    square (1 on an orthonormal basis), else a float."""
     d, rows = linalg.clear_denominators(basis)
     gram = [[sum(map(operator.mul, a, b)) for b in rows] for a in rows]
     det = linalg.over(linalg.bareiss(gram), d ** (2 * len(rows)))
-    root = exact_sqrt(det) if isinstance(det, Fraction) else None
-    return math.sqrt(max(det, 0)) if root is None else root
+    root = exact_sqrt(det)
+    return math.sqrt(det) if root is None else root
 
 
 def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
@@ -300,7 +299,7 @@ def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
         raise GeometryError("degenerate probe body")
     results = [z(cube_probe(l)).scale(1 / unit),
                z(simplex_probe(l)).scale(math.factorial(j) / unit)]
-    report = _verdict("klain", [(results[0], results[1], {"degree": j})], *l.basis)
+    report = _verdict("klain", [(results[0], results[1], {"degree": j})])
     if not report.passed:
         raise ValutaError(
             f"Klain probes disagree by {format_rational(report.max_residual)}; valuation "

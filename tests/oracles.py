@@ -8,8 +8,6 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from valuta import linalg
 from valuta.errors import GeometryError, ValutaError
 from valuta.polytope import _volume, cell_dets, linear_image, surface_area_measure
@@ -52,7 +50,7 @@ def centre_cone_crosspolytope(vecs):
 
 # -- Gram-Schmidt and the adapted basis in Fractions ---------------------------------
 # The orthonormalisation as it ran before it cleared denominators: every
-# projection is a Fraction (or float) dot product against unit vectors.
+# projection is a Fraction dot product against unit vectors.
 
 
 def reduce_fractions(v, basis) -> tuple:
@@ -65,37 +63,29 @@ def reduce_fractions(v, basis) -> tuple:
     return w
 
 
-def unit_fractions(w, tol):
-    """w over its length, or None when the length is at most tol; an exact
-    w needs a rational length."""
-    norm_sq = sum(x * x for x in w)
-    if norm_sq <= tol * tol:
+def unit_fractions(w):
+    """w over its length, which must be rational, or None when w is zero."""
+    norm_sq = Fraction(sum(x * x for x in w))
+    if norm_sq == 0:
         return None
-    if isinstance(norm_sq, float):
-        root = math.sqrt(norm_sq)
-    else:
-        root = Fraction(norm_sq)
-        rn, rd = math.isqrt(root.numerator), math.isqrt(root.denominator)
-        if rn * rn != root.numerator or rd * rd != root.denominator:
-            raise ValutaError(
-                f"exact orthonormalization needs a perfect-square norm, got {norm_sq}")
-        root = Fraction(rn, rd)
-    return tuple(x / root for x in w)
+    rn, rd = math.isqrt(norm_sq.numerator), math.isqrt(norm_sq.denominator)
+    if rn * rn != norm_sq.numerator or rd * rd != norm_sq.denominator:
+        raise ValutaError(f"exact orthonormalization needs a perfect-square norm, got {norm_sq}")
+    return tuple(x / Fraction(rn, rd) for x in w)
 
 
-def gram_schmidt_fractions(vecs, tol, basis=()) -> list[tuple]:
+def gram_schmidt_fractions(vecs, basis=()) -> list[tuple]:
     out = list(basis)
     for v in vecs:
-        unit = unit_fractions(reduce_fractions(v, out), tol)
+        unit = unit_fractions(reduce_fractions(v, out))
         if unit is not None:
             out.append(unit)
     return out[len(basis):]
 
 
 def adapted_basis_fractions(l):
-    """The split L = U + W of ``cplx.adapted_basis``, in Fractions for an
-    exact basis and in floats otherwise."""
-    from valuta.cplx import Subspace, _nonzero, j_apply
+    """The split L = U + W of ``cplx.adapted_basis``, in Fractions."""
+    from valuta.cplx import Subspace, j_apply
 
     basis = list(l.basis)
     j, n = len(basis), l.ambient
@@ -103,13 +93,7 @@ def adapted_basis_fractions(l):
     g = [[sum(x * y for x, y in zip(a, b)) for b in basis] for a in jb]
     cols = [[x - sum(g[a][c] * jb[a][i] for a in range(j)) for i, x in enumerate(basis[c])]
             for c in range(j)]
-    if l.exact:
-        null = linalg.nullspace(linalg.transpose(cols))
-        tol = 0
-    else:
-        _, sines, vt = np.linalg.svd(np.array(cols, dtype=float).T)
-        null = vt[~_nonzero(np.tan(np.arcsin(np.minimum(sines, 1.0)) / 2))].tolist()
-        tol = 1e-9
+    null = linalg.nullspace(linalg.transpose(cols))
     u_vectors = [tuple(sum(x * y for x, y in zip(col, c)) for col in zip(*basis))
                  for c in null]
     if len(u_vectors) % 2 != 0:
@@ -117,11 +101,11 @@ def adapted_basis_fractions(l):
     pairs: list[tuple] = []
     while len(pairs) < len(u_vectors):
         reduced = (reduce_fractions(v, pairs) for v in u_vectors)
-        unit = unit_fractions(max(reduced, key=lambda w: sum(x * x for x in w)), tol)
+        unit = unit_fractions(max(reduced, key=lambda w: sum(x * x for x in w)))
         if unit is None:
             raise GeometryError("failed to span the complex part")
         pairs += [unit, j_apply(unit)]
-    w_basis = gram_schmidt_fractions(basis, tol, pairs)
+    w_basis = gram_schmidt_fractions(basis, pairs)
     if len(w_basis) != j - len(pairs):
         raise GeometryError("complex/real split dimensions do not add up")
     return Subspace(n, tuple(pairs[::2] + w_basis + pairs[1::2]), retries=l.retries)

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -25,9 +24,8 @@ from valuta.cplx import (
     realify,
     sample_subspace,
     sl_mc_element,
-    span_tol,
 )
-from valuta.errors import GeometryError, NumericalRankError, ParseError, ValutaError
+from valuta.errors import GeometryError, ParseError, ValutaError
 from valuta.linalg import cabs2
 from valuta.symtensor import RMatrix
 
@@ -158,22 +156,15 @@ class TestComplexRank:
     def test_three_dims_cap_at_m(self):
         assert complex_rank(Subspace.span([E1, JE1, E2])) == 2
 
-    def test_float_matches_exact(self):
-        exact = Subspace.span([E1, JE1, E2])
-        floaty = Subspace.from_orthonormal(
-            [tuple(float(x) for x in b) for b in exact.basis])
-        assert complex_rank(floaty) == 2
-
-
-def kahler_plane(s):
-    """span(e1, s e2 + sqrt(1 - s^2) J e1) in R^4: a complex line as s -> 0."""
-    return Subspace.from_orthonormal([(1.0, 0.0, 0.0, 0.0), (0.0, s, math.sqrt(1 - s * s), 0.0)])
-
 
 class TestFromOrthonormal:
     def test_float_basis_is_checked(self):
-        with pytest.raises(GeometryError):
+        """A float coordinate is refused where it enters, before the basis's
+        orthonormality is read; its exact twin is checked and refused."""
+        with pytest.raises(TypeError):
             Subspace.from_orthonormal([(1.0, 0, 0, 0), (1.0, 1.0, 0, 0)])
+        with pytest.raises(GeometryError):
+            Subspace.from_orthonormal([(1, 0, 0, 0), (1, 1, 0, 0)])
 
     def test_exact_basis_is_checked(self):
         with pytest.raises(GeometryError):
@@ -193,78 +184,42 @@ class TestFromOrthonormal:
             assert Subspace.from_orthonormal(frame[:k]).basis == tuple(frame[:k])
 
 
-class TestAmbiguityBand:
-    @pytest.mark.parametrize("s,rank", [(1e-3, 2), (1e-10, 1), (1e-13, 1)])
-    def test_decided(self, s, rank):
-        l = kahler_plane(s)
-        out = adapted_basis(l)
-        assert complex_rank(l) == rank
-        assert out.complex_rank == rank
-        if rank == 1:
-            assert out.basis[1] == pytest.approx(j_apply(out.basis[0]), abs=1e-12)
-        assert_adapted_invariants(l, out, tol=1e-9)
-
-    @pytest.mark.parametrize("s", [1e-6, 1e-8])
-    def test_refused(self, s):
-        l = kahler_plane(s)
-        with pytest.raises(NumericalRankError):
-            adapted_basis(l)
-        with pytest.raises(NumericalRankError):
-            complex_rank(l)
-
-
-class TestModeFromEntries:
-    @pytest.mark.parametrize("vectors", [[E1, JE1], [E1, E2], [E1, JE1, E2]])
-    def test_float_coordinates_match_rational_twin(self, vectors):
-        exact = Subspace(4, vectors)
-        floaty = Subspace(4, [tuple(float(x) for x in v) for v in vectors])
-        assert exact.exact and not floaty.exact
-        assert floaty.complex_rank == exact.complex_rank
-        a, b = adapted_basis(exact), adapted_basis(floaty)
-        assert (b.dim, b.complex_rank) == (a.dim, a.complex_rank)
-        assert_adapted_invariants(floaty, b, tol=1e-12)
-
-    def test_rational_subspace_gets_exact_adapted_basis(self):
-        v = (F(3, 5), 0, F(4, 5), 0)
-        l = Subspace.from_orthonormal([v, E2, j_apply(v)])
-        assert l.exact and l.complex_rank == 2
-        out = adapted_basis(l)
-        assert out.exact and all(type(x) is Fraction for v in out.basis for x in v)
-        assert_adapted_invariants(l, out)
-
-
-def bits(vectors):
-    """Vectors with each float as its hex string, so that equal means the
-    same Fractions and the same float bits, signed zeros included."""
-    return [tuple(float.hex(x) if isinstance(x, float) else x for x in v) for v in vectors]
-
-
-def assert_orthonormal(vectors, tol=0):
+def assert_orthonormal(vectors):
     for i, u in enumerate(vectors):
         for k, v in enumerate(vectors):
-            assert abs(mat_vec_fractions([u], v)[0] - (i == k)) <= tol
+            assert mat_vec_fractions([u], v)[0] == (i == k)
 
 
-def assert_adapted_invariants(original, adapted, tol=None):
+def assert_adapted_invariants(original, adapted):
     j = original.dim
     d = adapted.complex_rank
     assert adapted.dim == j
     for l in range(j - d):
-        expected = j_apply(adapted.basis[l])
-        got = adapted.basis[d + l]
-        if tol is None:
-            assert got == expected
-        else:
-            assert max(abs(a - b) for a, b in zip(got, expected)) <= tol
-    assert_orthonormal(adapted.basis, tol or 0)
+        assert adapted.basis[d + l] == j_apply(adapted.basis[l])
+    assert_orthonormal(adapted.basis)
     # span preservation: each new vector is its own projection onto the old basis
     for v in adapted.basis:
         proj = [sum(mat_vec_fractions([v], b)[0] * b[i] for b in original.basis)
                 for i in range(original.ambient)]
-        if tol is None:
-            assert tuple(proj) == tuple(v)
-        else:
-            assert max(abs(a - b) for a, b in zip(proj, v)) <= tol
+        assert tuple(proj) == tuple(v)
+
+
+# (m, j) pairs of the sampled adapted-basis cases, below and past j = m
+SAMPLED = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 4), (3, 5), (4, 2), (4, 3), (4, 5), (4, 7)]
+
+
+def generic_unitary_span(rng, m, j):
+    """For m < j < 2m, a subspace of complex rank m with an exact adapted
+    basis: the j - m complex lines (f_k, J f_k) of a rational unitary frame,
+    then the first 2m - j columns of the rest of the frame, the complement
+    of those lines, rotated by a rational orthogonal matrix."""
+    frame = unitary_frame(rng, m)
+    pairs = j - m
+    rest = [frame[k] for k in range(pairs, m)] + [frame[m + k] for k in range(pairs, m)]
+    turn = rational_orthogonal(rng, len(rest))
+    rotated = [tuple(sum(turn[r][c] * v[i] for r, v in enumerate(rest)) for i in range(2 * m))
+               for c in range(2 * m - j)]
+    return Subspace.from_orthonormal(frame[:pairs] + frame[m:m + pairs] + rotated)
 
 
 class TestAdaptedBasis:
@@ -291,15 +246,37 @@ class TestAdaptedBasis:
             l = Subspace.span(vectors)
             assert adapted_basis(l).complex_rank == complex_rank(l)
 
-    @pytest.mark.parametrize("m,j", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 4), (3, 5),
-                                     (4, 2), (4, 3), (4, 5), (4, 7)])
-    def test_float_sampled(self, m, j):
-        rng = np.random.default_rng(100 * m + j)
+    def test_rational_subspace_gets_exact_adapted_basis(self):
+        v = (F(3, 5), 0, F(4, 5), 0)
+        l = Subspace.from_orthonormal([v, E2, j_apply(v)])
+        assert l.complex_rank == 2
+        out = adapted_basis(l)
+        assert all(type(x) is Fraction for v in out.basis for x in v)
+        assert_adapted_invariants(l, out)
+
+    @pytest.mark.parametrize("m,j", SAMPLED)
+    def test_sampled(self, m, j):
+        """Exact draws at every (m, j) the adapted basis is sampled at: a
+        Cayley ``sample_subspace`` for j <= m, and for m < j < 2m a
+        rational unitary frame's j - m complex lines (U, listed first)
+        beside 2m - j columns of U's complement rotated by a rational
+        orthogonal matrix, so that W sits in generic position.  Each draw
+        gets complex rank min(j, m) and an exact adapted basis."""
+        rng = random.Random(100 * m + j)
         for _ in range(5):
-            l = sample_subspace(m, j, rng)
+            l = sample_subspace(m, j, rng) if j <= m else generic_unitary_span(rng, m, j)
             out = adapted_basis(l)
-            assert_adapted_invariants(l, out, tol=1e-10)
-            assert out.complex_rank == min(j, m)
+            assert complex_rank(l) == out.complex_rank == min(j, m)
+            assert_adapted_invariants(l, out)
+
+    @pytest.mark.parametrize("m,j", [(m, j) for m, j in SAMPLED if j > m])
+    def test_generic_cayley_span_past_m_is_refused(self, m, j):
+        """A Cayley ``sample_subspace`` with m < j < 2m generically meets
+        U = L ∩ J(L) in vectors of irrational length (at (2, 3) about one
+        draw in six does not): ``adapted_basis`` refuses such a draw for the
+        norm that is not a perfect square, and never answers in floats."""
+        with pytest.raises(ValutaError, match="perfect-square"):
+            adapted_basis(sample_subspace(m, j, 3))
 
 
 def _cayley_factors(a):
@@ -347,20 +324,19 @@ class TestGramSchmidt:
                     ws = [F(rng.randint(-2, 2)) for _ in vecs]
                     vecs.append(tuple(sum(w * v[i] for w, v in zip(ws, vecs))
                                       for i in range(n)))
-            out = gram_schmidt(vecs, 0)
+            out = gram_schmidt(vecs)
             assert len(out) == d
             assert all(type(x) is Fraction for v in out for x in v)
             assert_orthonormal(out)
             assert linalg.rank(vecs + out) == len(out)
-            assert gram_schmidt(vecs, 0, out[:1]) == out[1:]
-            assert bits(out) == bits(gram_schmidt_fractions(vecs, 0))
-            assert bits(gram_schmidt(vecs, 0, out[1:])) == bits(
-                gram_schmidt_fractions(vecs, 0, out[1:]))
+            assert gram_schmidt(vecs, out[:1]) == out[1:]
+            assert out == gram_schmidt_fractions(vecs)
+            assert gram_schmidt(vecs, out[1:]) == gram_schmidt_fractions(vecs, out[1:])
 
     def test_first_output_parallel_to_first_nonzero_input(self):
-        for zero, v in (((0, 0, 0, 0), (3, 0, 4, 0)), ((0.0,) * 4, (3.0, 0.0, 4.0, 0.0))):
-            out = gram_schmidt([zero, v, (0, 1, 0, 0)], span_tol([v]))
-            assert out[0] == tuple(x / F(5) for x in v)
+        v = (3, 0, 4, 0)
+        out = gram_schmidt([(0, 0, 0, 0), v, (0, 1, 0, 0)])
+        assert out[0] == tuple(x / F(5) for x in v)
 
     def test_irrational_norm_raises(self):
         with pytest.raises(ValutaError, match="perfect-square"):
@@ -372,18 +348,6 @@ class TestGramSchmidt:
         l = Subspace.from_orthonormal([(a, 0, b, c) for a, b, c in frame])
         with pytest.raises(ValutaError, match="perfect-square"):
             adapted_basis(l)
-
-    def test_floats_orthonormal(self):
-        rng = np.random.default_rng(3)
-        for n, k in ((4, 3), (6, 4), (8, 8)):
-            vecs = [tuple(v) for v in rng.standard_normal((k, n))]
-            vecs.append(tuple(np.array(vecs[0]) - 2 * np.array(vecs[-1])))
-            out = gram_schmidt(vecs, span_tol(vecs))
-            assert len(out) == k
-            assert_orthonormal(out, tol=1e-12)
-            assert bits(out) == bits(gram_schmidt_fractions(vecs, span_tol(vecs)))
-            assert bits(gram_schmidt(vecs[1:], span_tol(vecs), out[:1])) == bits(
-                gram_schmidt_fractions(vecs[1:], span_tol(vecs), out[:1]))
 
 
 def skew_hermitian(rng, m):
@@ -440,7 +404,7 @@ def _same_outcome(l):
         with pytest.raises(type(exc)):
             adapted_basis(l)
         return False
-    assert bits(adapted_basis(l).basis) == bits(want)
+    assert adapted_basis(l).basis == want
     return True
 
 
@@ -449,9 +413,9 @@ class TestAgainstFractionReference:
     def test_adapted_basis_on_unitary_frames(self, m, j, d):
         """j - d columns with their J-images and 2d - j more columns of a
         rational unitary frame span a subspace of complex rank d: its split
-        matches the Fraction reference bit for bit, as does the split of its
-        float twin.  A basis rotated inside the subspace by a rational
-        orthogonal matrix may need an irrational norm; then both raise."""
+        matches the Fraction reference.  A basis rotated inside the subspace
+        by a rational orthogonal matrix may need an irrational norm; then
+        both raise."""
         rng = random.Random(f"{m}-{j}-{d}")
         pairs, singles = j - d, 2 * d - j
         columns = list(range(pairs)) + [m + k for k in range(pairs)]
@@ -465,18 +429,9 @@ class TestAgainstFractionReference:
             assert _same_outcome(l)
             assert complex_rank(adapted_basis(l).basis[:d]) == d
             _same_outcome(Subspace.from_orthonormal(rotated))
-            for vectors in (basis, rotated):
-                _same_outcome(Subspace(2 * m, [tuple(map(float, v)) for v in vectors]))
 
 
 class TestSpan:
-    @pytest.mark.parametrize("scale", [1e-11, 1e-3])
-    def test_float_cut_is_relative(self, scale):
-        e1, je1 = (scale, 0.0, 0.0, 0.0), (0.0, 0.0, scale, 0.0)
-        assert Subspace.span([e1, je1]).dim == 2
-        dependent = (scale, 0.0, scale, 1e-14 * scale)
-        assert Subspace.span([e1, je1, dependent]).dim == 2
-
     def test_exact_drops_only_zeros(self):
         tiny = (0, 0, F(1, 10 ** 30), 0)
         assert Subspace.span([E1, (1, 0, 0, 0), (0, 0, 0, 0), tiny]).basis == (
@@ -488,7 +443,7 @@ class TestSampling:
         assert sample_subspace(2, 1, 0).retries == 0
 
     def test_plane_samples_maximal(self):
-        rng = np.random.default_rng(42)
+        rng = random.Random(42)
         for _ in range(50):
             s = sample_subspace(2, 2, rng)
             assert s.retries == 0
@@ -496,6 +451,27 @@ class TestSampling:
 
     def test_hyperplane_rank(self):
         assert sample_subspace(2, 3, 5).complex_rank == 2
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_exactly_orthonormal_with_maximal_complex_rank(self, m):
+        """Every dimension 1..2m-1 draws a rational basis that
+        ``check_orthonormal`` passes exactly, of complex rank min(j, m)."""
+        for j in range(1, 2 * m):
+            l = sample_subspace(m, j, 10 * m + j)
+            assert (l.ambient, l.dim) == (2 * m, j)
+            assert all(type(x) is Fraction for v in l.basis for x in v)
+            linalg.check_orthonormal(l.basis)
+            assert complex_rank(l) == min(j, m)
+
+    def test_seeded_by_an_int_or_a_random(self):
+        """One int seed gives one basis; a ``random.Random`` is drawn from,
+        so a second draw from it differs, and a fresh one seeded alike
+        repeats the first."""
+        assert sample_subspace(3, 4, 7) == sample_subspace(3, 4, 7)
+        assert sample_subspace(3, 4, 7) != sample_subspace(3, 4, 8)
+        rng = random.Random(7)
+        first, second = sample_subspace(3, 4, rng), sample_subspace(3, 4, rng)
+        assert first != second and sample_subspace(3, 4, random.Random(7)) == first
 
 
 class TestSlmcElements:

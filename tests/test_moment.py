@@ -257,15 +257,16 @@ def test_float_triangle_gives_float_moments():
 
 
 def test_float_cube_probe_gives_float_moments():
-    """A cube probe on a float sampled subspace of R^4, coned to a unit
-    normal so that the body is full-dimensional: volume 1/4."""
+    """The float twin of a cube probe on a sampled subspace of R^4, coned to
+    a float unit normal so that the body is full-dimensional: volume 1/4."""
     sub = sample_subspace(2, 3, 11)
-    assert not sub.exact
     probe = cube_probe(sub)
-    normal = tuple(float(x) for x in np.linalg.svd(np.array(sub.basis, dtype=float))[2][-1])
+    (w,) = linalg.nullspace(sub.basis)
+    normal = tuple(float(x) / math.sqrt(sum(x * x for x in w)) for x in w)
     apex = len(probe.vertices)
     cells = tuple(cell + (apex,) for cell in probe.triangulation)
-    as_float = Polytope(4, probe.vertices + (normal,), cells)
+    corners = tuple(tuple(map(float, v)) for v in probe.vertices)
+    as_float = Polytope(4, corners + (normal,), cells)
     exact = Polytope(4, tuple(tuple(F(x) for x in v) for v in as_float.vertices), cells)
     vol = volume(as_float)
     assert isinstance(vol, float)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import centre_cone_crosspolytope, cofactor_normal, mat_vec_fractions, support
 from valuta import linalg, polytope
-from valuta.cplx import Subspace, gram_schmidt, sample_subspace
+from valuta.cplx import Subspace, sample_subspace
 from valuta.errors import GeometryError, ParseError
 from valuta.moment import moment_family
 from valuta.polytope import (
@@ -301,17 +301,24 @@ class TestSubspaceVolume:
 
     @pytest.mark.parametrize("s", [1, 10 ** 3, 10 ** 6, 10 ** 9])
     def test_float_residual_is_relative(self, s):
+        """The float twin of a sampled subspace's cube probe, dilated by s,
+        lies in the exact subspace within the cut relative to its points."""
         l = sample_subspace(3, 3, 1)
         probe = cube_probe(l)
-        vol = subspace_volume(scale(probe, s), l)
+        twin = Polytope(6, tuple(tuple(map(float, v)) for v in probe.vertices),
+                        probe.triangulation)
+        vol = subspace_volume(scale(twin, s), l)
+        assert type(vol) is float
         assert vol / s ** 3 == pytest.approx(1, abs=1e-9)
 
     @pytest.mark.parametrize("s", [1, 10 ** 9])
     def test_float_point_off_by_1e6_relative_rejected(self, s):
+        """A float body one of whose points leaves the exact subspace along a
+        unit normal by 1e-6 of its length is refused at every scale."""
         l = sample_subspace(3, 3, 1)
-        normal = gram_schmidt([tuple(float(i == k) for k in range(6)) for i in range(6)],
-                              1e-9, l.basis)[0]
-        b1, b2, b3 = l.basis
+        w = linalg.nullspace(l.basis)[0]
+        normal = [float(x) / math.sqrt(sum(y * y for y in w)) for x in w]
+        b1, b2, b3 = ([float(x) for x in b] for b in l.basis)
         apex = tuple(s * (x + 1e-6 * y) for x, y in zip(b3, normal))
         tet = Polytope(6, ((0.0,) * 6, tuple(s * x for x in b1), tuple(s * x for x in b2), apex),
                        ((0, 1, 2, 3),))
@@ -321,9 +328,7 @@ class TestSubspaceVolume:
     @pytest.mark.parametrize("basis", [
         ((1, 0, 0, 0), (0, 2, 0, 0)),
         ((1, 0, 0, 0), (F(1, 2), 1, 0, 0)),
-        ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0 + 1e-8, 0.0, 0.0)),
-        ((1.0, 0.0, 0.0, 0.0), (1e-8, 1.0, 0.0, 0.0)),
-    ], ids=["exact-long", "exact-skew", "float-long", "float-skew"])
+    ], ids=["exact-long", "exact-skew"])
     def test_rejects_a_basis_that_is_not_orthonormal(self, basis):
         """A hand-built ``Subspace`` is not checked on construction: on a
         basis that is not orthonormal, ``subspace_volume`` refuses the
@@ -333,10 +338,6 @@ class TestSubspaceVolume:
             subspace_volume(cube_probe(l), l)
         with pytest.raises(GeometryError, match="basis is not orthonormal"):
             subspace_volume(cube_probe(l), basis)
-
-    def test_orthonormal_basis_within_float_tolerance_is_accepted(self):
-        l = Subspace(4, ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0 + 1e-12, 0.0, 0.0)))
-        assert subspace_volume(cube_probe(l), l) == pytest.approx(1, abs=1e-9)
 
 
 def _minkowski_sum_2d(p, q):

@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,10 +39,10 @@ def test_benchmark_tracer_layers_resolve():
             assert callable(getattr(home, name)), f"{module}.{name}"
 
 
-def test_numpy_only_in_cplx():
-    """Only ``cplx`` imports numpy (for sampling and its two float rank
-    decisions); every other module orthonormalises and eliminates on its
-    own."""
+def test_no_module_imports_numpy():
+    """No module of ``valuta`` imports numpy: subspaces are sampled,
+    orthonormalised and ranked in exact arithmetic, so numpy is a test
+    dependency only (the ``test`` extra), not a dependency of the package."""
     for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -49,8 +51,26 @@ def test_numpy_only_in_cplx():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                assert path.stem == "cplx", f"{path.name} imports numpy"
+            assert not any(name.split(".")[0] == "numpy" for name in names), \
+                f"{path.name} imports numpy"
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert not any(dep.startswith("numpy") for dep in project.get("dependencies", []))
+
+
+def test_every_module_imports_without_numpy():
+    """Every module of ``valuta`` imports, and samples a subspace, in a
+    fresh interpreter where importing numpy fails."""
+    src = PYPROJECT.parent / "src"
+    modules = sorted(p.stem for p in (src / "valuta").glob("*.py"))
+    code = "\n".join([
+        "import importlib, sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "sys.modules['numpy'] = None",
+        *(f"importlib.import_module('valuta.{m}')" for m in modules),
+        "from valuta.cplx import sample_subspace",
+        "assert sample_subspace(3, 4, 1).complex_rank == 3",
+    ])
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_one_verdict_rule_in_valuation_lab():

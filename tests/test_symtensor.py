@@ -563,18 +563,18 @@ def test_float_inverse_matches_numpy(kind):
     [[1e-20, 1.0], [1.0, 1.0]],
     [[1e-17, 1.0, 2.0], [1.0, 3.0, 1.0], [2.0, 1.0, 5.0]],
 ])
-def test_float_inverse_pivots_past_tiny_leading_entries(rows):
-    """The float elimination that float bodies and subspaces run pivots on
-    the largest entry: Gauss-Jordan (``rref``) of [A | I] ends in the
-    inverse.  ``linalg.inv`` takes exact matrices only."""
+def test_float_elimination_pivots_past_tiny_leading_entries(rows):
+    """The float elimination that float bodies run (``bareiss``, ``rank``)
+    pivots on the largest entry, past a tiny leading one: the determinant
+    is numpy's to 1e-12 relative and the rank is full.  ``linalg.inv`` and
+    ``rref`` take exact matrices only."""
     np = pytest.importorskip("numpy")
-    n = len(rows)
-    augmented = [row + [float(i == k) for k in range(n)] for i, row in enumerate(rows)]
-    red, pivots = linalg.rref(augmented)
-    assert pivots == list(range(n))
-    got = np.array([row[n:] for row in red])
-    want = np.linalg.inv(np.array(rows))
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got = linalg.bareiss([list(row) for row in rows])
+    want = np.linalg.det(np.array(rows))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert linalg.rank(rows) == len(rows)
+    with pytest.raises(TypeError):
+        linalg.rref(rows)
 
 
 def test_float_inverse_of_singular_matrix_raises():

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,11 +116,29 @@ class TestKlain:
         kv = klain(volume_valuation(4), 4, l)
         assert kv.value == SymTensor.scalar(4, 1)
 
-    def test_probes_agree_on_sampled_subspaces(self):
-        for seed in range(3):
-            l = sample_subspace(2, 2, seed)
-            kv = klain(span_lebesgue_valuation(4, 2), 2, l)
-            assert float(kv.value.coeff(())) == pytest.approx(1, abs=1e-9)
+    def test_probes_agree_on_sampled_subspaces(self, monkeypatch):
+        """On sampled subspaces the probes agree in mode "exact" and the
+        Klain value of the volume is exactly 1."""
+        reports, verdict = [], valuation_lab._verdict
+
+        def recording(*args):
+            reports.append(verdict(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(valuation_lab, "_verdict", recording)
+        for m, j, seed in [(2, 2, 0), (2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 5, 4)]:
+            l = sample_subspace(m, j, seed)
+            value = klain(span_lebesgue_valuation(2 * m, j), j, l).value.coeff(())
+            assert type(value) is F and value == 1
+            assert reports[-1].mode == "exact" and reports[-1].max_residual == 0
+
+    def test_float_body_is_refused_by_the_span_volume(self):
+        """``span_lebesgue_valuation`` orthonormalises the body's span by
+        ``gram_schmidt``, which refuses a float body; the standard triangle
+        has volume 1/2."""
+        with pytest.raises(TypeError):
+            span_lebesgue_valuation(2, 2)(float_triangle)
+        assert span_lebesgue_valuation(2, 2)(std_triangle) == SymTensor.scalar(2, F(1, 2))
 
     def test_exact_probe_mismatch_rejected(self):
         """The cube probe reads 1 + 10^-12 and the simplex probe 1 + 10^-12 / 2:
@@ -136,7 +153,8 @@ class TestKlain:
             klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l)
 
     def test_float_probe_mismatch_within_tol_accepted(self):
-        l = Subspace.span([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
+        """Float values on an exact subspace are compared in floats."""
+        l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
 
         def run(body):
             vol = subspace_volume(body, l)
@@ -167,20 +185,15 @@ class TestKlain:
     sample_subspace(3, 5, 11),
     sample_subspace(3, 2, 13),
     sample_subspace(2, 3, 12),
-], ids=["exact-3", "exact-2", "float-5", "float-2", "float-3"])
+], ids=["exact-3", "exact-2", "sampled-5", "sampled-2", "sampled-3"])
 def test_probe_volumes_are_model_volumes_times_gram_root(l):
     """The probes' j-volumes, which ``klain`` takes without walking their
     cells, are the model cube's and simplex's times sqrt(det G), G the
-    basis Gram matrix: exactly 1 and 1/j! on an exact orthonormal subspace,
-    within 1e-12 on a sampled one (det G by numpy)."""
-    b = np.array([[float(x) for x in v] for v in l.basis])
-    root = F(1) if l.exact else math.sqrt(np.linalg.det(b @ b.T))
+    basis Gram matrix: exactly 1 and 1/j! on an orthonormal subspace, a
+    sampled one included."""
     for probe, model in ((cube_probe(l), 1), (simplex_probe(l), F(1, math.factorial(l.dim)))):
         vol = subspace_volume(probe, l)
-        if l.exact:
-            assert vol == model and type(vol) is F
-        else:
-            assert abs(vol - model * root) <= 1e-12
+        assert vol == model and type(vol) is F
 
 
 @pytest.mark.parametrize("l", [
@@ -188,14 +201,11 @@ def test_probe_volumes_are_model_volumes_times_gram_root(l):
                                (F(-4, 5), 0, F(3, 5), 0, 0, 0)]),
     sample_subspace(3, 5, 11),
     sample_subspace(2, 3, 12),
-    Subspace.from_orthonormal([(F(3, 5), F(4, 5), 0, 0), (F(-4, 5), F(3, 5), 0, 0),
-                               (0, 0, 0.6, 0.8)]),
-], ids=["exact", "float-5", "float-3", "mixed"])
+], ids=["exact", "sampled-5", "sampled-3"])
 def test_probe_points_are_the_fraction_coordinate_images(l):
     """The probes map the model cube's and simplex's 0/1 coordinates as
-    ints: the same points, to the type and the float bits, as mapping them
-    as Fractions, the cube from its own vertices.  On a float basis with
-    rational vectors in it the rational terms stay exact."""
+    ints on the basis's integer view: the same points, to the type, as
+    mapping them as Fractions, the cube from its own vertices."""
     def image(coords):
         v = [0] * l.ambient
         for c, b in zip(map(F, coords), l.basis):
@@ -243,10 +253,11 @@ def test_probe_volumes_on_cayley_columns_are_gram_roots(n, j):
 
 @pytest.mark.parametrize("m, j, seed", [(2, 2, 3), (2, 3, 4), (3, 2, 5), (3, 3, 6), (3, 5, 7)])
 def test_float_probes_and_volumes_are_the_generator_forms_bit_for_bit(m, j, seed):
-    """On a sampled float subspace the probe points are the generator sums
-    x + c y of the coordinates on the basis, and ``subspace_volume`` of the
-    probes and of their dilates is the generator form's
-    (``oracles.subspace_volume_generators``), both bit for bit."""
+    """On a sampled subspace the probe points are the generator sums
+    x + c y of the coordinates on the basis, exactly.  ``subspace_volume``
+    of the probes' float twins and of their dilates, float bodies in the
+    exact subspace, is the generator form's
+    (``oracles.subspace_volume_generators``) bit for bit."""
     l = sample_subspace(m, j, seed)
     corners = [tuple(map(int, v)) for v in cube(j).vertices]
     want = []
@@ -255,12 +266,13 @@ def test_float_probes_and_volumes_are_the_generator_forms_bit_for_bit(m, j, seed
         for c, b in zip(coords, l.basis):
             v = [x + c * y for x, y in zip(v, b)]
         want.append(tuple(v))
-    assert [tuple(map(float.hex, v)) for v in cube_probe(l).vertices] == \
-        [tuple(map(float.hex, v)) for v in want]
+    assert list(cube_probe(l).vertices) == want
     for probe in (cube_probe(l), simplex_probe(l), scale(cube_probe(l), F(7, 3))):
-        got = subspace_volume(probe, l)
+        twin = Polytope(l.ambient, tuple(tuple(map(float, v)) for v in probe.vertices),
+                        probe.triangulation)
+        got = subspace_volume(twin, l)
         assert type(got) is float
-        assert got.hex() == subspace_volume_generators(probe, l.basis).hex()
+        assert got.hex() == subspace_volume_generators(twin, l.basis).hex()
 
 
 SKEW_SIMPLEX4 = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (F(1, 2), 2, 0, 0), (0, F(1, 3), 1, 0),
@@ -875,7 +887,8 @@ def _transfer(eps):
 
 
 def _klain(eps):
-    l = Subspace.span([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
+    """vol + eps vol^2 on an exact plane: float values for a float eps."""
+    l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
 
     def run(body):
         vol = subspace_volume(body, l)
@@ -893,7 +906,7 @@ def _klain(eps):
 def test_every_float_check_flags_a_relative_error_of_1e_6(check):
     """Each float check passes on its rounding residual and flags a planted
     relative error of 1e-6, on values of size about 1.  Its floats come from
-    the body, shift, lambda, subspace or values; its matrices are exact."""
+    the body, shift, lambda or values; its matrices and subspaces are exact."""
     assert check(0.0)
     assert not check(1e-6)
 
