@@ -11,9 +11,9 @@ splits a subspace L into its largest complex subspace U = L intersect J(L)
 and a totally real remainder, returning a basis (v_1, ..., v_d,
 J v_1, ..., J v_{j-d}) whose first d vectors are independent over C.
 
-Matrices and subspaces are exact: a ``CMatrix`` holds rational parts and a
+Every number is rational: a ``CMatrix`` holds rational parts and a
 ``Subspace`` rational coordinates, so a float or ``complex`` raises
-``TypeError`` where it enters.  Floats come only from bodies and tensors.
+``TypeError`` where it enters.
 Every orthonormal basis comes from one modified Gram-Schmidt,
 ``gram_schmidt``, which follows ``linalg``: the vectors are cleared of
 denominators once, projections run in Python ints on primitive directions,
@@ -38,7 +38,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError, ValutaError
 from .linalg import CNum, cabs2, cdet, cnum, crank
-from .symtensor import RMatrix, _json_int, _json_list, json_rational, parse_rational
+from .symtensor import RMatrix, _json_int, _json_list, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class CMatrix:
         return {
             "m": self.m,
             "entries": [
-                [{"re": json_rational(re), "im": json_rational(im)} for re, im in row]
+                [{"re": format_rational(re), "im": format_rational(im)} for re, im in row]
                 for row in self.entries
             ],
         }
@@ -246,7 +246,7 @@ def gram_schmidt(vecs: Sequence[Sequence], basis: Sequence[tuple] = ()) -> list[
     remainder over its gcd; a unit vector, which needs a perfect-square
     norm, is the only ``Fraction`` built.
     """
-    _, rows = linalg._exact_view([*basis, *vecs])
+    _, rows = linalg.clear_denominators([*basis, *vecs])
     k = len(basis)
     dirs = [_direction(b) for b in rows[:k]]
     return [unit for _, _, unit in _extend(rows[k:], dirs)[k:]]
@@ -258,9 +258,9 @@ def _complex_rows(basis: Sequence[Sequence], m: int) -> list[list[CNum]]:
 
 def complex_rank(subspace_or_basis) -> int:
     """Rank over C of a real subspace's rational basis viewed as complex
-    m-vectors (``linalg.crank``)."""
+    m-vectors (``linalg.crank``); no basis vector has rank 0."""
     basis = [tuple(b) for b in getattr(subspace_or_basis, "basis", subspace_or_basis)]
-    return crank(_complex_rows(basis, len(basis[0]) // 2))
+    return crank(_complex_rows(basis, len(basis[0]) // 2)) if basis else 0
 
 
 def adapted_basis(l: Subspace) -> Subspace:

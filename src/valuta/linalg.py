@@ -5,18 +5,15 @@ are ``(re, im)`` pairs of them.  Determinant, rank, reduced row echelon
 form, nullspace and inverse (``inverse_view``) all run on
 ``_eliminate``, Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): the input is cleared of denominators once, eliminated in Python
-ints with exact ``//`` and divided once at the end, so exact input gives
-exact output, with no pivot thresholds and no rounding.  Matrices and
-subspace bases are exact: ``det``, ``cdet``, ``inv``, ``rref``, ``crank``,
-the products and ``check_orthonormal`` refuse a float, ``numpy.float32`` or
-``complex`` entry with ``TypeError`` (``_exact_view``).  Floats come only
-from bodies and tensors, for which ``rank`` and ``bareiss`` run the
-elimination in floats, pivoting on the largest entry; ``is_exact`` is the
-test, ``real`` the coercion their constructors apply.  ``crank`` is the
-real rank of the realified rows, halved; ``cdet`` reads det(X + iY) off the
-integer determinants det(X + tY) at t = 1..m+1.  Products of rows and
-columns (``mat_mul``, ``cmat_mul``) run on the operands' views at one scale
-(``_operands``): one int dot product and one division per entry.
+ints with exact ``//`` and divided once at the end, so the output is
+exact, with no pivot thresholds and no rounding.  Every number is
+rational: ``clear_denominators``, which every reader of rows runs first,
+refuses a float, ``numpy.float32`` or ``complex`` entry with
+``TypeError``.  ``crank`` is the real rank of the realified rows, halved;
+``cdet`` reads det(X + iY) off the integer determinants det(X + tY) at
+t = 1..m+1.  Products of rows and columns (``mat_mul``, ``cmat_mul``) run
+on the operands' views at one scale (``_operands``): one int dot product
+and one division per entry.
 """
 
 from __future__ import annotations
@@ -54,31 +51,16 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def is_exact(xs) -> bool:
-    """Whether every entry is rational (numpy integers too), so that work on
-    them runs exact."""
-    return all(issubclass(t, (int, Fraction)) or issubclass(t, numbers.Rational)
-               for t in set(map(type, xs)))
-
-
-def real(x):
-    """Coerce like ``frac``, except that a real that is not rational (float,
-    ``numpy.float32``) becomes a float."""
-    if isinstance(x, (Fraction, int)) or not isinstance(x, numbers.Real):
-        return frac(x)
-    return frac(x) if isinstance(x, numbers.Rational) else float(x)
-
-
 def vec(xs: Sequence) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """Each entry the sum of its row-by-column products in index order, on
-    the rows and columns ``_operands`` gives and divided as it says."""
+    the rows and columns ``_operands`` gives, over the denominator it gives."""
     _check_product(a, b)
-    a, b, div = _operands(a, transpose(b))
-    return [[div(sum(map(operator.mul, r, c))) for c in b] for r in a]
+    a, b, d = _operands(a, transpose(b))
+    return [[Fraction(sum(map(operator.mul, r, c)), d) for c in b] for r in a]
 
 
 def _check_product(a, b) -> None:
@@ -96,33 +78,23 @@ def transpose(rows: Sequence[Sequence]) -> list[list]:
 
 
 def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
-    """The lcm D of the entries' denominators and the rows times D, as ints.
-    Rows holding an entry that is not rational (float, ``numpy.float32``)
-    come back as floats with D = 1; numpy integers count as rational."""
-    return _int_view(rows) or (1, [[float(x) for x in row] for row in rows])
-
-
-def _int_view(rows: Sequence[Sequence]) -> tuple[int, list[list]] | None:
-    """``clear_denominators`` of rational rows; None when an entry is not rational."""
+    """The integer view (D, ints) of rational rows: the lcm D of the
+    entries' denominators and the rows times D.  numpy integers count as
+    rational; a float, ``numpy.float32`` or ``complex`` entry raises
+    ``TypeError``."""
     types = {type(x) for row in rows for x in row} - {int, Fraction}
-    if types and not all(issubclass(t, numbers.Rational) for t in types):
-        return None
-    rows = [list(map(frac, row)) for row in rows] if types else rows
+    if types:
+        if not all(issubclass(t, numbers.Rational) for t in types):
+            raise TypeError("entries must be rational, not float or complex")
+        rows = [list(map(frac, row)) for row in rows]
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
-def _exact_view(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
-    """``_int_view`` of a matrix's rows, which must be rational, else ``TypeError``."""
-    if (view := _int_view(rows)) is None:
-        raise TypeError("matrix entries must be rational, not float or complex")
-    return view
 
 
 def check_orthonormal(rows: Sequence[Sequence]) -> None:
     """Raise ``GeometryError`` unless the rational rows are orthonormal:
     cleared of denominators (D) once, B B^T is compared with D^2 I in ints."""
-    d, rows = _exact_view(rows)
+    d, rows = clear_denominators(rows)
     if any(sum(map(operator.mul, u, v)) != (d * d if k == i else 0)
            for i, u in enumerate(rows) for k, v in enumerate(rows[i:], i)):
         raise GeometryError("basis is not orthonormal")
@@ -132,15 +104,8 @@ def common_scale(views) -> tuple[int, list[list[list]]]:
     """Integer views (D_i, rows_i), each what ``clear_denominators`` gives
     for some rows, brought to one scale as clearing all the rows together
     brings them: the lcm L of the D_i and each view's rows times L / D_i, a
-    view already at scale L passed through uncopied.  When a view holds a
-    float, L = 1, float views pass through and each int view's entries are
-    x / D_i, float(x / D_i) bit for bit, so a float times an exact entry
-    rounds as in Python."""
+    view already at scale L passed through uncopied."""
     views = list(views)
-    floats = [_floats(rows) for _, rows in views]
-    if any(floats):
-        return 1, [rows if f else [[x / d for x in row] for row in rows]
-                   for (d, rows), f in zip(views, floats)]
     big = math.lcm(*(d for d, _ in views))
     return big, [rows if d == big else [[x * (big // d) for x in row] for row in rows]
                  for d, rows in views]
@@ -148,51 +113,33 @@ def common_scale(views) -> tuple[int, list[list[list]]]:
 
 def _operands(a: Sequence[Sequence], b: Sequence[Sequence]):
     """Rational a and b as their views at one scale L (``common_scale``),
-    with the division by L^2 of their int sums."""
-    big, (a, b) = common_scale([_exact_view(a), _exact_view(b)])
-    d = big * big
-    return a, b, lambda x: over(x, d)
-
-
-def over(x, d: int):
-    """x / d for a sum of cleared entries: a ``Fraction`` for an int, a float for a float."""
-    return Fraction(x, d) if isinstance(x, int) else x / d
-
-
-def _floats(m: list[list]) -> bool:
-    """Whether an entry is not an int (then the sum of the entries is not an int either)."""
-    return not isinstance(sum(map(sum, m)), int)
+    with L^2, the denominator of their int sums."""
+    big, (a, b) = common_scale([clear_denominators(a), clear_denominators(b)])
+    return a, b, big * big
 
 
 def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
-    """Bareiss's fraction-free elimination of a rectangular int or float
-    matrix in place; returns the sign of its row swaps and its pivot columns.
+    """Bareiss's fraction-free elimination of a rectangular int matrix in
+    place; returns the sign of its row swaps and its pivot columns.
 
-    Columns without a pivot are skipped.  After each step every entry is a
-    minor of the input, so dividing by the previous pivot is exact and ``//``
-    keeps ints in integers; floats divide with ``/`` and pivot on the largest
-    entry, ints on the first nonzero one.  With ``jordan`` the rows above
-    each pivot are eliminated too (fraction-free Gauss-Jordan), and every
-    pivot entry of an int matrix ends equal to the last pivot.  Rows past
-    the rank end zero.
+    Columns without a pivot are skipped; the pivot is the first nonzero
+    entry.  After each step every entry is a minor of the input, so
+    dividing by the previous pivot is exact and ``//`` keeps the entries in
+    integers.  With ``jordan`` the rows above each pivot are eliminated too
+    (fraction-free Gauss-Jordan), and every pivot entry ends equal to the
+    last pivot.  Rows past the rank end zero.
     """
     nrows = len(m)
-    floats = _floats(m)
     sign, prev, pivots = 1, 1, []
     for c in range(len(m[0]) if m else 0):
         k = len(pivots)
         if k == nrows:
             break
-        if floats:
-            r = max(range(k, nrows), key=lambda i: abs(m[i][c]))
-            if m[r][c] == 0:
-                continue
+        for r in range(k, nrows):
+            if m[r][c]:
+                break
         else:
-            for r in range(k, nrows):
-                if m[r][c]:
-                    break
-            else:
-                continue
+            continue
         if r != k:
             m[k], m[r] = m[r], m[k]
             sign = -sign
@@ -201,17 +148,14 @@ def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
         for i in range(0 if jordan else k + 1, nrows):
             if i != k:
                 a = m[i][c]
-                if floats:
-                    m[i] = [(x * p - a * y) / prev for x, y in zip(m[i], top)]
-                else:
-                    m[i] = [(x * p - a * y) // prev for x, y in zip(m[i], top)]
+                m[i] = [(x * p - a * y) // prev for x, y in zip(m[i], top)]
         pivots.append(c)
         prev = p
     return sign, pivots
 
 
 def bareiss(m: list[list]):
-    """Determinant of a square matrix of ints, or of floats, by ``_eliminate``;
+    """Determinant of a square matrix of ints by ``_eliminate``;
     ``m`` is overwritten.  Its last entry ends as the last pivot, or as 0
     when the matrix is singular."""
     sign, _ = _eliminate(m)
@@ -224,13 +168,12 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant of non-square matrix")
-    views = [_exact_view([row]) for row in rows]
+    views = [clear_denominators([row]) for row in rows]
     return Fraction(bareiss([cleared for _, (cleared,) in views]), math.prod(d for d, _ in views))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank, exact for rational input; a float pivot (a float body's edge)
-    counts unless it is 0."""
+    """Rank of rational rows."""
     return len(_eliminate(clear_denominators(rows)[1])[1])
 
 
@@ -238,7 +181,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form of rational rows and its pivot columns:
     fraction-free Gauss-Jordan on the rows cleared of denominators, then
     each row divided once by its pivot entry."""
-    _, m = _exact_view(rows)
+    _, m = clear_denominators(rows)
     _, pivots = _eliminate(m, jordan=True)
     scales = [row[c] for row, c in zip(m, pivots)] + [1] * (len(m) - len(pivots))
     return [[Fraction(x, p) for x in row] for row, p in zip(m, scales)], pivots
@@ -277,9 +220,9 @@ def inverse_view(m: Sequence[Sequence]) -> tuple[object, list[list]]:
 def inv(rows: Sequence[Sequence]) -> Mat:
     """Inverse of a square nonsingular rational matrix: ``inverse_view`` of
     the rows cleared of denominators (d), each entry of d R divided once by p."""
-    d, m = _exact_view(rows)
+    d, m = clear_denominators(rows)
     p, r = inverse_view(m)
-    return [[over(d * x, p) for x in row] for row in r]
+    return [[Fraction(d * x, p) for x in row] for row in r]
 
 
 _WEIGHTS: dict[int, tuple[tuple[tuple[int, ...], ...], int]] = {}
@@ -332,7 +275,7 @@ def cdet(rows: Sequence[Sequence[CNum]]) -> CNum:
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise DimensionMismatch("determinant of non-square matrix")
-    d, xy = _exact_view(_flat(rows))
+    d, xy = clear_denominators(_flat(rows))
     values = [bareiss([[a + t * b for a, b in zip(row[:m], row[m:])] for row in xy])
               for t in range(1, m + 2)]
     w, big_d = interpolation_weights(m)
@@ -345,17 +288,18 @@ def cdet(rows: Sequence[Sequence[CNum]]) -> CNum:
 def crank(rows: Sequence[Sequence[CNum]]) -> int:
     """Rank over C of rational complex rows: the real rank of the rows z and
     iz flattened to [x | y] and [-y | x], halved."""
-    _, m = _exact_view(_flat(rows) + _flat([[(-im, re) for re, im in row] for row in rows]))
+    _, m = clear_denominators(_flat(rows) + _flat([[(-im, re) for re, im in row] for row in rows]))
     return len(_eliminate(m)[1]) // 2
 
 
 def cmat_mul(a: Sequence[Sequence[CNum]], b: Sequence[Sequence[CNum]]) -> list[list[CNum]]:
     """re = sum(x u - y v) and im = sum(x v + y u), k in order, on a's rows
-    [x | y] and b's columns [u | v] as ``_operands`` gives them."""
+    [x | y] and b's columns [u | v] as ``_operands`` gives them, over its
+    denominator."""
     _check_product(a, b)
     k, mul = len(b), operator.mul
-    a, b, div = _operands(_flat(a), _flat(transpose(b)))
+    a, b, d = _operands(_flat(a), _flat(transpose(b)))
     b = [(col[:k], col[k:]) for col in b]
-    return [[(div(sum(map(operator.sub, map(mul, x, u), map(mul, y, v)))),
-              div(sum(map(operator.add, map(mul, x, v), map(mul, y, u)))))
+    return [[(Fraction(sum(map(operator.sub, map(mul, x, u), map(mul, y, v))), d),
+              Fraction(sum(map(operator.add, map(mul, x, v), map(mul, y, u))), d))
              for u, v in b] for x, y in ((row[:k], row[k:]) for row in a)]

@@ -14,13 +14,14 @@ Berline, De Loera, Koeppe and Vergne (arXiv 0809.2083),
 with h_r the complete homogeneous polynomial of degree r in the linear
 forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r
 (``symtensor.mul_form`` on the shared ``monomial_tables``).
-The kernel reads the body's integer view ``Polytope.cleared``: its points
-times D, the lcm of their coordinate denominators, built once per body or
-seeded by the affine map that made it, so no pass clears them again.  det E
-and h_r are Python ints summed over all cells, and each degree's totals
-become a tensor over (n + r)! D^(n + r) through ``SymTensor.from_totals``:
-the tensor is its integer view, and its ``Fraction`` coefficients are built
-only when ``coeffs`` is read.
+Every number is rational, so the kernel reads the body's integer view
+``Polytope.cleared``: its points times D, the lcm of their coordinate
+denominators, built once per body or seeded by the affine map that made
+it, so no pass clears them again.  det E and h_r are Python ints summed
+over all cells, and each degree's totals become a tensor over
+(n + r)! D^(n + r) through ``SymTensor.from_totals``: the tensor is its
+integer view, and its ``Fraction`` coefficients are built only when
+``coeffs`` is read.
 
 h_0..h_r of a cell are the degrees of the product over its vertices of the
 geometric series 1/(1 - <v, e>) cut at degree r, one factor being one
@@ -46,8 +47,7 @@ cells' vertex words, taken in sorted order, on one of two walks:
 
 Any order of cells, and of the vertices in a cell, gives the same sums: h_r
 is symmetric in the vertices, and |det E| does not depend on which vertex is
-the base.  Float bodies run through the same sums in floats with D = 1, on
-the DAG in another order than on the tree.
+the base.
 
 The determinants, and the prefix each cell shares with the one before,
 are the body's walk ``Polytope.walk``, kept on the body and also read by
@@ -69,7 +69,7 @@ of m triangles 1 + 2m.  The pass holds every h_d, d <= r, so
 scope (one ``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps
 each body's family, looked up by identity.
 
-An exact image under ``linear_image``, ``scale`` or ``translate`` takes its
+An image under ``linear_image``, ``scale`` or ``translate`` takes its
 source's walk times the map's |det| over the image's reduction
 (``polytope`` module docstring), so phi K, t K and K + y walk nothing of
 their own: an equivariance check on s samples walks one body, not 1 + s.

@@ -6,25 +6,23 @@ combinatorics (simplices, boxes, crosspolytopes, 2D polygons) or imported;
 there is no general convex-hull machinery beyond the plane.  Affine maps
 carry the vertices and keep the triangulation.
 
-Every reader that works in integers (volume, atoms, import checks, the
-moment kernel, affine maps) takes the vertices' integer view ``cleared`` =
-(D, ints), what ``linalg.clear_denominators`` gives for ``vertices`` (rows
-as tuples), built once per body and kept on it.  ``linear_image``, ``scale``
+Every number is rational: a float, numpy float or ``complex`` coordinate
+raises ``TypeError`` when the body is made, and a float shift or factor
+when it enters ``translate`` or ``scale``.  Every reader (volume, atoms,
+import checks, the moment kernel, affine maps) takes the vertices' integer
+view ``cleared`` = (D, ints), what ``linalg.clear_denominators`` gives for
+``vertices`` (rows as tuples), built once per body and kept on it.  ``linear_image``, ``scale``
 and ``translate`` compute the image's ints N over a denominator den in one
 pass off the body's view (D, pts): pts scattered through the nonzero
 entries of phi's columns (``RMatrix.columns``, over q) over q D, a pts over
 D b for lam = a / b, or pts and y's numerators brought to
-L = lcm(D, y's denominators) and added over L.  The exact image is that
-view, reduced by g = gcd(den, *N) when g > 1: the least L with every
+L = lcm(D, y's denominators) and added over L.  The image is that view,
+reduced by g = gcd(den, *N) when g > 1: the least L with every
 L N_k / den an integer is den / g, so den / g is the lcm of the image's
 denominators and N / g is L times its vertices, as clearing would give.
 Its ``Fraction`` ``vertices`` are built from the view the first time they
 are read, so an image that only a moment, volume or atom reader sees never
-builds them.  Matrices are exact (``RMatrix``), so floats come only from
-a float body, shift or lambda, and give float vertices x / den at once and
-the view (1, vertices): ``linear_image`` multiplies the float points by the
-matrix's ints, and a float ``translate`` or ``scale`` turns both views to
-floats (``linalg.common_scale``), x / D being float(x) bit for bit.
+builds them.
 
 Cell determinants come from one walk, ``cell_dets``: the cells in sorted
 order form a prefix tree, and a cell whose first n vertices a neighbour
@@ -32,7 +30,7 @@ shares takes |det E| off the exterior product of its edges, so Kuhn boxes
 and crosspolytopes take no Bareiss determinant.  A body keeps its walk,
 (cell, |det E|, k) per full-dimensional cell, as ``Polytope.walk``, which
 ``volume``, the import checks and the moment kernel read; ``subspace_volume``
-walks its own coordinate view.  An exact image does not walk: the int map A
+walks its own coordinate view.  An image does not walk: the int map A
 that built its ints N from the source's, before the reduction by g, scales
 every edge matrix, so its |det E| is |det A| |det E_source| / g^n, an exact
 division since g divides every entry of N.  |det A| is q^n |det phi| for
@@ -41,7 +39,7 @@ division since g divides every entry of N.  |det A| is q^n |det phi| for
 m = L / D.  ``_image`` keeps |det A| / g^n in lowest terms as the seed
 (source, a, b) until the walk is read, and a seed on an image that has
 not walked yet is composed onto that image's own source, so a chain of
-maps reads one body's walk; a float body walks its own points.
+maps reads one body's walk.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
@@ -56,8 +54,8 @@ signed (n-1)-minors as ints on the body's view.  A body keeps no atoms;
 pairing of ``valuation_lab`` reads the totals themselves.
 
 Polytope JSON:
-``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``,
-float coordinates written as JSON numbers (``symtensor.json_rational``).
+``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``;
+a coordinate may also be a JSON number, read as the exact rational it is.
 ``dim`` and the indices are JSON integers and each vertex and cell is a
 list; a float, a string or a bool in their place is refused, never
 truncated or read character by character.  An ``"aux_points"`` list, which
@@ -83,7 +81,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
 from .linalg import Vec, vec
-from .symtensor import RMatrix, _json_int, _json_list, json_rational, mul_form, parse_rational
+from .symtensor import RMatrix, _json_int, _json_list, format_rational, mul_form, parse_rational
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,10 @@ class Polytope:
         for v in self.vertices:
             if len(v) != self.dim:
                 raise DimensionMismatch(f"point {v} not in R^{self.dim}")
+        self.cleared  # clears the coordinates, refusing a float with TypeError
 
     def __getattr__(self, name):
-        """``vertices`` of an exact image (``_image``), built on first read
+        """``vertices`` of an image (``_image``), built on first read
         from its view (D, ints): each int over D."""
         if name != "vertices" or "cleared" not in vars(self):
             raise AttributeError(name)
@@ -133,7 +132,7 @@ class Polytope:
     def walk(self) -> tuple[tuple[tuple, object, int], ...]:
         """The cells' determinant walk, ``cell_dets`` on the view ``cleared``:
         (cell, |det E|, k) per full-dimensional cell in sorted order, built
-        once per body, or for an exact image off its source's walk times the
+        once per body, or for an image off its source's walk times the
         factor a / b its seed holds (``_image``; module docstring)."""
         seed = vars(self).pop("_seed", None)
         if seed is None:
@@ -144,7 +143,7 @@ class Polytope:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [[json_rational(x) for x in v] for v in self.vertices],
+            "vertices": [[format_rational(x) for x in v] for v in self.vertices],
             "triangulation": [list(c) for c in self.triangulation],
         }
 
@@ -184,9 +183,8 @@ def validate(p: Polytope) -> None:
     (``atom_totals``), no cell of determinant 0, and a volume equal to the
     sum of the atoms' offsets over n (divergence theorem; overlapping cells
     break it): sum |det E| of the walk against sum <total, base> over the
-    atoms, both over (n-1)! D^n, in ints, or for float points within 1e-12
-    of their summed magnitudes.  Imports run it; the constructor does not,
-    since every affine map builds a body."""
+    atoms, both over (n-1)! D^n, in ints.  Imports run it; the constructor
+    does not, since every affine map builds a body."""
     n, tri = p.dim, p.triangulation
     sizes = {len(cell) for cell in tri}
     if any(i < 0 or i >= len(p.cleared[1]) for cell in tri for i in cell):
@@ -202,7 +200,7 @@ def validate(p: Polytope) -> None:
     if not all(dets):
         raise GeometryError("triangulation cell of determinant 0")
     terms = dets + [-sum(map(operator.mul, total, base)) for total, base in atoms]
-    if abs(sum(terms)) > (0 if _exact(p.cleared) else 1e-12 * sum(map(abs, terms))):
+    if sum(terms):
         raise GeometryError("volume differs from the atoms' sum of offsets / n")
 
 
@@ -368,7 +366,7 @@ def _extend_wedge(wedge: list, pts, word, n: int) -> list:
 def cell_dets(view: tuple[int, Sequence], cells, n: int):
     """Yield (cell, |det E|, k) for each cell of n + 1 points, in sorted
     order, on the view's points (D, pts): |det E| is D^n times n! the cell's
-    volume, an int, or a float for float points (D = 1), and k the length
+    volume, an int, and k the length
     of the prefix the cell shares with the cell before it.
 
     The cells are walked as a prefix tree (module docstring, ``_prefix_walk``).
@@ -406,7 +404,7 @@ def _face_normals(pts, faces, n: int):
 def _volume(dets, scale: int, n: int):
     """The summed volume of the cells of ``cell_dets`` on points cleared by
     D = ``scale``, divided once by n! D^n."""
-    return linalg.over(sum(d for _, d, _ in dets), math.factorial(n) * scale ** n)
+    return Fraction(sum(d for _, d, _ in dets), math.factorial(n) * scale ** n)
 
 
 def volume(p: Polytope) -> Fraction:
@@ -414,53 +412,39 @@ def volume(p: Polytope) -> Fraction:
     return _volume(p.walk, p.cleared[0], p.dim)
 
 
-def _exact(view: tuple[int, Sequence]) -> bool:
-    """Whether a body's view is in ints; it is all ints or all floats."""
-    return all(type(x) is int for x in view[1][0])
+def _image(p: Polytope, den: int, rows, f: int) -> Polytope:
+    """The body on p's cells whose vertices are the int ``rows`` (tuples)
+    over ``den``, its view seeded with them reduced by their gcd with den
+    (module docstring).
 
-
-def _image(p: Polytope, den: int, rows, exact: bool, f: int = 1) -> Polytope:
-    """The body on p's cells whose vertices are ``rows`` over ``den``, its
-    view seeded with them: ``exact`` int rows (tuples) reduced by their gcd
-    with den, or float rows as the vertices and scale 1 (module docstring).
-
-    An exact image's walk is seeded as (source, a, b): its |det E| are the
+    The image's walk is seeded as (source, a, b): its |det E| are the
     source's times a / b = f / g^n in lowest terms, f the |det| of the int
     map that made the rows.  When p has not walked yet and holds a seed
     itself, the image takes p's source and multiplies the two seeds, so the
     source a seed names never holds one."""
-    if exact:
-        g = math.gcd(den, *itertools.chain.from_iterable(rows))
-        if g > 1:
-            den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
-        source, a, b = vars(p).get("_seed", (p, 1, 1))
-        a, b = a * f, b * g ** p.dim
-        c = math.gcd(a, b)
-        image = object.__new__(Polytope)
-        vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(den, rows),
-                           _seed=(source, a // c, b // c))
-        return image
-    vertices = tuple(tuple(x / den for x in row) for row in rows)
-    image = Polytope(p.dim, vertices, p.triangulation)
-    object.__setattr__(image, "cleared", (1, vertices))
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    if g > 1:
+        den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
+    source, a, b = vars(p).get("_seed", (p, 1, 1))
+    a, b = a * f, b * g ** p.dim
+    c = math.gcd(a, b)
+    image = object.__new__(Polytope)
+    vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(den, rows),
+                       _seed=(source, a // c, b // c))
     return image
 
 
 def translate(p: Polytope, y: Sequence) -> Polytope:
-    """Translate by y: for exact y and body, the view's pts and y's
-    numerators brought to L = lcm(D, y's denominators) and added over L in
-    one pass, else both in floats (module docstring)."""
-    y = tuple(map(linalg.real, y))
+    """Translate by a rational y: the view's pts and y's numerators brought
+    to L = lcm(D, y's denominators) and added over L in one pass (module
+    docstring)."""
+    y = vec(y)
     if len(y) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
-    if _exact(p.cleared) and linalg.is_exact(y):
-        den, pts = p.cleared
-        big = math.lcm(den, *(c.denominator for c in y))
-        m, ys = big // den, [c.numerator * (big // c.denominator) for c in y]
-        return _image(p, big, tuple(tuple(x * m + c for x, c in zip(v, ys)) for v in pts), True,
-                      m ** p.dim)
-    _, (pts, (ys,)) = linalg.common_scale([p.cleared, linalg.clear_denominators([y])])
-    return _image(p, 1, [list(map(operator.add, v, ys)) for v in pts], False)
+    den, pts = p.cleared
+    big = math.lcm(den, *(c.denominator for c in y))
+    m, ys = big // den, [c.numerator * (big // c.denominator) for c in y]
+    return _image(p, big, tuple(tuple(x * m + c for x, c in zip(v, ys)) for v in pts), m ** p.dim)
 
 
 def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
@@ -470,14 +454,12 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
     Each point of the body's view (d, pts) is scattered through phi's
     columns (``RMatrix.columns``, q): coordinate i times the nonzero entries
     of column i, so each image coordinate sums its terms in column order and
-    only exact zeros are left out.  The sums are ints over q d, or floats
-    for a float body.
+    only zeros are left out.  The sums are ints over q d.
     """
     if phi.n != p.dim:
         raise DimensionMismatch("matrix size does not match polytope dimension")
     q, cols = phi.columns
     d, pts = p.cleared
-    exact = _exact(p.cleared)
     images = []
     for v in pts:
         out = [0] * p.dim
@@ -486,22 +468,16 @@ def linear_image(phi: RMatrix, p: Polytope) -> Polytope:
                 for k, x in col:
                     out[k] += c * x
         images.append(tuple(out))
-    f = q ** p.dim // phi.det.denominator * abs(phi.det.numerator) if exact else 1
-    return _image(p, q * d, tuple(images), exact, f)
+    f = q ** p.dim // phi.det.denominator * abs(phi.det.numerator)
+    return _image(p, q * d, tuple(images), f)
 
 
 def scale(p: Polytope, lam) -> Polytope:
-    """Dilation by lam about the origin: for exact lam = a / b and body, a
-    times the view's pts over D b (``linear_image`` of lam times the
-    identity), else both in floats (module docstring)."""
-    lam = linalg.real(lam)
-    if isinstance(lam, Fraction) and _exact(p.cleared):
-        den, pts = p.cleared
-        a = lam.numerator
-        return _image(p, den * lam.denominator, tuple(tuple(x * a for x in v) for v in pts), True,
-                      abs(a) ** p.dim)
-    _, (pts, ((lam,),)) = linalg.common_scale([p.cleared, linalg.clear_denominators([[lam]])])
-    return _image(p, 1, [[x * lam for x in v] for v in pts], False)
+    """Dilation by a rational lam = a / b about the origin: a times the
+    view's pts over D b (``linear_image`` of lam times the identity)."""
+    a, b = linalg.frac(lam).as_integer_ratio()
+    den, pts = p.cleared
+    return _image(p, den * b, tuple(tuple(x * a for x in v) for v in pts), abs(a) ** p.dim)
 
 
 # -- facet / surface area data ---------------------------------------------------
@@ -516,16 +492,12 @@ def atom_totals(p: Polytope) -> tuple[object, list[tuple[list, Sequence]]]:
     A face that no other cell shares lies on the boundary.  Its area vector
     is its normal (``_face_normals``, one walk over the sorted boundary
     faces) over (n-1)!, turned away from its cell's opposite vertex, and the
-    faces on one hyperplane add up to one atom, in the order their first
-    face has among the cells; float faces are on one hyperplane when their
-    keys (``_hyperplane``) agree to 1e-9, the offset relative to the body's
-    largest |coordinate|.  The sums run in ints, or in floats for float
-    points (D = 1).  Atoms that sum to 0 are left out.
+    faces on one hyperplane (``_hyperplane``) add up to one atom, in the
+    order their first face has among the cells.  The sums run in ints.
+    Atoms that sum to 0 are left out.
 
     Cells of fewer than n + 1 points, degenerate cells and atoms that do
-    not sum to zero (overlapping cells) raise ``GeometryError``.  Exact
-    atoms close only at 0; float atoms close within 1e-12 of their summed
-    magnitudes (``_closes``).
+    not sum to zero (overlapping cells) raise ``GeometryError``.
     """
     n = p.dim
     if any(len(cell) != n + 1 for cell in p.triangulation):
@@ -536,8 +508,6 @@ def atom_totals(p: Polytope) -> tuple[object, list[tuple[list, Sequence]]]:
     boundary = sorted(key for key, count in shared.items() if count == 1)
     scale, pts = p.cleared
     normals = dict(zip(boundary, _face_normals(pts, boundary, n)))
-    exact = _exact(p.cleared)
-    near = 0 if exact else 1e-9 * max(abs(x) for pt in pts for x in pt)
     atoms: dict = {}
     for (face, opposite), face_key in zip(faces, keys):
         normal = normals.get(face_key)
@@ -547,16 +517,10 @@ def atom_totals(p: Polytope) -> tuple[object, list[tuple[list, Sequence]]]:
         side = sum(map(operator.mul, normal, map(operator.sub, pts[opposite], base)))
         if side == 0:
             raise GeometryError("degenerate triangulation cell")
-        key = _hyperplane(normal, base)
-        if near:  # rounding sets the float keys of one facet's faces apart
-            key = next((k for k in atoms if abs(k[1] - key[1]) <= near
-                        and max(map(abs, map(operator.sub, k[0], key[0]))) <= 1e-9), key)
-        total, _ = atoms.setdefault(key, ([0 if exact else 0.0] * n, base))
+        total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
         total[:] = map(operator.sub if side > 0 else operator.add, total, normal)
     atoms = [(total, base) for total, base in atoms.values() if any(total)]
-    totals = [total for total, _ in atoms]
-    closes = not any(map(sum, zip(*totals))) if exact else _closes(totals)
-    if not closes:
+    if any(map(sum, zip(*(total for total, _ in atoms)))):
         raise GeometryError("facet area vectors do not close up")
     return math.factorial(n - 1) * scale ** (n - 1), atoms
 
@@ -566,29 +530,20 @@ def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
     and its offset <total, base> over den D, one division each."""
     den, atoms = atom_totals(p)
     scale = p.cleared[0]
-    return tuple(FacetDatum(tuple(linalg.over(x, den) for x in total),
-                            linalg.over(sum(map(operator.mul, total, base)), den * scale))
+    return tuple(FacetDatum(tuple(Fraction(x, den) for x in total),
+                            Fraction(sum(map(operator.mul, total, base)), den * scale))
                  for total, base in atoms)
 
 
 def _hyperplane(normal: list, point) -> tuple:
-    """Key of the hyperplane through ``point`` normal to ``normal``: the
-    normal over its gcd (ints) or its largest entry (floats), signed so that
-    the largest entry is positive, and that vector's product with ``point``."""
-    lead = max(normal, key=abs)
-    if isinstance(lead, int):
-        g = math.gcd(*normal)
-        u = tuple(x // (g if lead > 0 else -g) for x in normal)
-    else:
-        u = tuple(x / lead for x in normal)
+    """Key of the hyperplane through ``point`` normal to the int ``normal``:
+    the normal over its gcd, signed so that the largest entry is positive,
+    and that vector's product with ``point``."""
+    g = math.gcd(*normal)
+    if max(normal, key=abs) < 0:
+        g = -g
+    u = tuple(x // g for x in normal)
     return u, sum(map(operator.mul, u, point))
-
-
-def _closes(vectors) -> bool:
-    """Whether float vectors sum to zero within 1e-12 times the summed
-    magnitudes of their components."""
-    size = sum(abs(x) for v in vectors for x in v)
-    return all(abs(sum(col)) <= 1e-12 * size for col in zip(*vectors))
 
 
 # -- subspace volume --------------------------------------------------------------
@@ -601,25 +556,19 @@ def subspace_volume(p: Polytope, subspace):
     ``linalg.check_orthonormal``, which refuses a float with ``TypeError``.
     On the views of the body P and of B at one scale L
     (``linalg.common_scale``) the coordinates are the ints <P, B_i> over
-    L^2, and a point lies in the subspace when L^2 P = sum <P, B_i> B_i.
-    For a float body the same sums run on the vertices and the basis as
-    given, and a point lies in the subspace when its residual is at most
-    1e-8 of its length."""
+    L^2, and a point lies in the subspace when L^2 P = sum <P, B_i> B_i."""
     basis = [tuple(b) for b in getattr(subspace, "basis", subspace)]
     linalg.check_orthonormal(basis)
     j = len(basis)
     big, (pts, rows) = linalg.common_scale([p.cleared, linalg.clear_denominators(basis)])
-    exact, d2 = _exact((big, pts)), big * big
-    if not exact:
-        pts, rows = p.vertices, basis
+    d2 = big * big
     coords = []
     for pt in pts:
         cs = [sum(map(operator.mul, pt, b)) for b in rows]
         residual = [d2 * x for x in pt]
         for c, b in zip(cs, rows):
             residual = [r - c * x for r, x in zip(residual, b)]
-        if any(residual) if exact else math.hypot(*residual) > 1e-8 * math.hypot(*pt):
+        if any(residual):
             raise GeometryError("polytope does not lie in the subspace")
         coords.append(cs)
-    view = (d2, coords) if exact else linalg.clear_denominators(coords)
-    return _volume(cell_dets(view, p.triangulation, j), view[0], j)
+    return _volume(cell_dets((d2, coords), p.triangulation, j), d2, j)

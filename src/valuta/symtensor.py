@@ -7,15 +7,14 @@ usual 1/r! normalization of the symmetric product, multiplying two basis
 elements just adds their multi-indices, so the symmetric product of tensors
 is a convolution of coefficient maps (polynomial multiplication).
 
-A tensor is one form in both modes: ``keys``, the multi-indices of its
-nonzero coefficients, and beside them totals over one denominator, ints over
-an int for an exact tensor and float values over 1 for a float one.
-``exact`` is read once, when the tensor is made, by one of two constructors:
-``SymTensor(dim, rank, coeffs)`` validates the map, merges duplicate keys,
-drops zeros and clears the values of denominators once (a map holding a
-float gives a float tensor), and ``from_totals`` takes int or float sums
-over a denominator as they are, dropping zeros.  Rank-0 tensors carry the
-single empty key ``()``.
+Every number is rational.  A tensor is ``keys``, the multi-indices of its
+nonzero coefficients, and beside them int totals over one int denominator.
+It is made by one of two constructors: ``SymTensor(dim, rank, coeffs)``
+validates the map, merges duplicate keys, drops zeros and clears the values
+of denominators once (a float, numpy float or ``complex`` value or key
+entry raises ``TypeError``), and ``from_totals`` takes int sums over a
+denominator as they are, dropping zeros.  Rank-0 tensors carry the single
+empty key ``()``, which the map may also name as the zero multi-index.
 
 A tensor is a polynomial in e_1..e_n, so the GL(n) action is the
 substitution e_i -> phi(e_i) and a vector power the power of one linear
@@ -26,36 +25,31 @@ degree-d coefficient vector times a linear form, over the index tables of
 Horner's rule on the tree of first parents of those tables, with phi's
 columns as sparse forms (``RMatrix.columns``), so a shear pays only for its
 nonzeros.  Inputs are cleared of denominators once, the sums run in Python
-ints and each coefficient is divided once.  The matrix is exact
-(``RMatrix``); a float tensor or vector runs the same sums with scale 1.
+ints and each coefficient is divided once.  A scalar, vector or matrix
+(``RMatrix``) that is not rational raises ``TypeError`` where it enters.
 
-An exact tensor's totals and denominator, reduced by their gcd when it is
-made, are its integer view ``cleared``, (D, ints), as
-``linalg.clear_denominators`` gives it for the values; ``coeffs``, the map
-of ``Fraction``s or floats, is built once, when read.  Every reader but
-``coeff``, hashing and serialization works on the keys and views:
-``gl_action``, ``shift_expansions``, ``sym_product``, ``-``, ``scale``, the
-sum ``tensor_sum`` (``+`` is the sum of two), ``max_abs_coeff``, the
-McMullen decomposition, ``==`` of exact tensors and the residual
-``view_distance`` of every check, so exact work whose values agree builds
-no ``Fraction``.  Beside a float, an exact value enters as x / D, which is
-float(Fraction(x, D)) bit for bit, so floats round as the same arithmetic
-on the ``Fraction`` map would.
+A tensor's totals and denominator, reduced by their gcd when it is made,
+are its integer view ``cleared``, (D, ints), as ``linalg.clear_denominators``
+gives it for the values; ``coeffs``, the map of ``Fraction``s, is built
+once, when read.  Every reader but ``coeff``, hashing and serialization
+works on the keys and views: ``gl_action``, ``shift_expansions``,
+``sym_product``, ``-``, ``scale``, the sum ``tensor_sum`` (``+`` is the sum
+of two), ``max_abs_coeff``, the McMullen decomposition, ``==`` and the
+residual ``view_distance`` of every check, so work whose values agree
+builds no ``Fraction``.
 
 Tensor JSON: ``{"dim": n, "rank": r, "coeffs": {"a1,a2,...,an": "p/q"}}``
-with keys ordered lexicographically and rationals in lowest terms; a float
-tensor writes its values as JSON numbers, read back as the exact rationals
-they are, so the tensor read back compares equal to it.  ``dim`` and
-``rank`` are JSON integers, ``coeffs`` an object, each key numerals without
-leading zeros joined by commas (``""`` at rank 0) and each value a rational
-string or a finite number; anything else, or a key the constructor refuses,
-raises ``ParseError``.
+with keys ordered lexicographically and rationals in lowest terms.
+``dim`` and ``rank`` are JSON integers, ``coeffs`` an object, each key
+numerals without leading zeros joined by commas (``""`` at rank 0) and each
+value a rational string or a finite number, read as the exact rational it
+is; anything else, a key the constructor refuses, or two keys naming one
+multi-index (``""`` and ``"0,...,0"`` at rank 0), raises ``ParseError``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -74,17 +68,8 @@ MultiIndex = tuple[int, ...]
 def format_rational(q) -> str:
     """Serialize a coefficient: `"p/q"` in lowest terms, `"p"` for integers.
     That is the ``str`` of a ``Fraction`` or an int; a bool or a numpy
-    integer is made a ``Fraction`` first, and a float is written as its
-    ``repr``."""
-    if isinstance(q, float):
-        return repr(q)
-    return str(q if type(q) is int or type(q) is Fraction else Fraction(q))
-
-
-def json_rational(x):
-    """A value as ``to_json_dict`` writes it: a float as a JSON number, read
-    back as the exact value it is, else ``format_rational``."""
-    return x if isinstance(x, float) else format_rational(x)
+    integer is made a ``Fraction`` first, and a float raises ``TypeError``."""
+    return str(q if type(q) is int or type(q) is Fraction else linalg.frac(q))
 
 
 def parse_rational(s) -> Fraction:
@@ -119,7 +104,8 @@ _JSON_KEY = re.compile(r"|(0|[1-9][0-9]*)(,(0|[1-9][0-9]*))*")
 
 def _json_key(s) -> MultiIndex:
     """A tensor key as ``to_json_dict`` writes it: ``""``, or numerals
-    without leading zeros joined by commas, so two strings never name one key."""
+    without leading zeros joined by commas, so two strings name one key only
+    at rank 0, where ``""`` and the zero multi-index name the scalar."""
     if not (isinstance(s, str) and _JSON_KEY.fullmatch(s)):
         raise ParseError(f"bad tensor key {s!r}")
     return tuple(map(int, s.split(","))) if s else ()
@@ -167,16 +153,15 @@ def mul_form(vec: Sequence, step: Sequence[Sequence[int]], form: Sequence[tuple[
 @dataclass(frozen=True, init=False, eq=False)
 class SymTensor:
     """Element of the rank-`rank` symmetric tensor space over R^`dim`: the
-    nonzero coefficients as ``keys`` and totals over one denominator, exact
-    or float (module docstring)."""
+    nonzero coefficients as ``keys`` and int totals over one denominator
+    (module docstring)."""
 
     dim: int
     rank: int
     keys: tuple[MultiIndex, ...]
-    exact: bool
     # The values' integer view (D, (ints,)), in ``keys`` order, as
     # ``linalg.clear_denominators`` gives it for them: the totals over
-    # their denominator, in lowest terms; (1, (values,)) for a float tensor.
+    # their denominator, in lowest terms.
     cleared: tuple[int, tuple[tuple]]
 
     def __init__(self, dim: int, rank: int, coeffs: Mapping | None = None):
@@ -184,13 +169,12 @@ class SymTensor:
             raise DimensionMismatch(f"no tensor space T^{rank}(R^{dim})")
         merged: dict = {}
         for key, val in (coeffs or {}).items():
-            key = tuple(key)
-            if rank == 0 and not any(key):
+            key = tuple(map(operator.index, key))  # a float entry raises TypeError
+            if rank == 0 and key in ((), (0,) * dim):
                 key = ()
-            elif len(key) != dim or sum(key) != rank or min(key) < 0:
+            elif rank == 0 or len(key) != dim or sum(key) != rank or min(key) < 0:
                 raise DimensionMismatch(f"key {key} is no multi-index of degree {rank} in R^{dim}")
-            if val != 0:
-                merged[key] = merged.get(key, 0) + val
+            merged[key] = merged.get(key, 0) + val
         den, (totals,) = linalg.clear_denominators([merged.values()])
         self._store(dim, rank, merged, totals, den)
 
@@ -199,20 +183,16 @@ class SymTensor:
                     den: int) -> "SymTensor":
         """The tensor whose coefficient at each of ``keys`` is its total over
         ``den``, zeros left out, without validation: ``keys`` are length-
-        ``dim`` multi-indices of degree ``rank`` (``()`` at rank 0).  Int
-        totals over ``den``, both divided by their gcd, are the view
-        ``cleared``; totals holding a float are divided at once and kept
-        over 1."""
+        ``dim`` multi-indices of degree ``rank`` (``()`` at rank 0).  The
+        int totals over ``den``, both divided by their gcd, are the view
+        ``cleared``."""
         return object.__new__(cls)._store(dim, rank, keys, totals, den)
 
     def _store(self, dim, rank, keys, totals, den) -> "SymTensor":
         keys, totals = tuple(compress(keys, totals)), tuple(filter(None, totals))
-        exact = set(map(type, totals)) <= {int}
-        if not exact:
-            totals, den = tuple(x / den for x in totals), 1
-        elif (g := math.gcd(den, *totals)) > 1:
+        if (g := math.gcd(den, *totals)) > 1:
             totals, den = tuple(x // g for x in totals), den // g
-        vars(self).update(dim=dim, rank=rank, keys=keys, exact=exact, cleared=(den, (totals,)))
+        vars(self).update(dim=dim, rank=rank, keys=keys, cleared=(den, (totals,)))
         return self
 
     @staticmethod
@@ -228,14 +208,9 @@ class SymTensor:
     @cached_property
     def coeffs(self) -> Mapping[MultiIndex, Fraction]:
         """The coefficient map, built on first read: each total over the
-        denominator, a ``Fraction`` for an int and a float for a float."""
+        denominator as a ``Fraction``."""
         den, (totals,) = self.cleared
-        return {k: linalg.over(x, den) for k, x in zip(self.keys, totals)}
-
-    def _floats(self) -> list:
-        """The values in float arithmetic: x / den, float(Fraction(x, den)) bit for bit."""
-        den, (totals,) = self.cleared
-        return [x / den for x in totals]
+        return {k: Fraction(x, den) for k, x in zip(self.keys, totals)}
 
     # -- ring-ish structure ---------------------------------------------------
 
@@ -255,26 +230,18 @@ class SymTensor:
         return SymTensor.from_totals(self.dim, self.rank, self.keys, [-x for x in totals], den)
 
     def scale(self, c) -> "SymTensor":
-        """c times the tensor: exact for a rational c on an exact tensor,
-        else each value times c in floats."""
-        if c == 0:
-            return SymTensor.zero(self.dim, self.rank)
-        if self.exact and isinstance(c, numbers.Rational):
-            p, q = int(c.numerator), int(c.denominator)
-            den, (totals,) = self.cleared
-            return SymTensor.from_totals(self.dim, self.rank, self.keys,
-                                         [x * p for x in totals], den * q)
-        return SymTensor.from_totals(self.dim, self.rank, self.keys,
-                                     [x * c for x in self._floats()], 1)
+        """c times the tensor, for a rational c = p / q: the totals times p
+        over the denominator times q."""
+        p, q = linalg.frac(c).as_integer_ratio()
+        den, (totals,) = self.cleared
+        return SymTensor.from_totals(self.dim, self.rank, self.keys, [x * p for x in totals],
+                                     den * q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
             return NotImplemented
-        if (self.dim, self.rank) != (other.dim, other.rank):
-            return False
-        if self.exact and other.exact:
-            return view_distance(self, other) == 0
-        return self.coeffs == other.coeffs
+        return ((self.dim, self.rank) == (other.dim, other.rank)
+                and view_distance(self, other) == 0)
 
     def __hash__(self):
         return hash((self.dim, self.rank, frozenset(self.coeffs.items())))
@@ -285,9 +252,7 @@ class SymTensor:
     def max_abs_coeff(self):
         """Largest absolute coefficient; 0 for the zero tensor."""
         den, (totals,) = self.cleared
-        if self.exact:
-            return Fraction(max(map(abs, totals), default=0), den)
-        return max(map(abs, totals))
+        return Fraction(max(map(abs, totals), default=0), den)
 
     def coeff(self, key: Iterable[int]):
         key = tuple(key)
@@ -300,7 +265,7 @@ class SymTensor:
     def to_json_dict(self) -> dict:
         coeffs = {}
         for key in sorted(self.coeffs):
-            coeffs[",".join(str(a) for a in key)] = json_rational(self.coeffs[key])
+            coeffs[",".join(str(a) for a in key)] = format_rational(self.coeffs[key])
         return {"dim": self.dim, "rank": self.rank, "coeffs": coeffs}
 
     @staticmethod
@@ -309,58 +274,48 @@ class SymTensor:
             dim, rank, raw = _json_int(data["dim"]), _json_int(data["rank"]), data["coeffs"]
             if not isinstance(raw, Mapping):
                 raise ParseError(f"expected an object of coefficients, got {raw!r}")
-            return SymTensor(dim, rank, {_json_key(k): parse_rational(v) for k, v in raw.items()})
+            coeffs = {_json_key(k) or (0,) * dim: parse_rational(v) for k, v in raw.items()}
+            if len(coeffs) < len(raw):
+                raise ParseError("two keys name one multi-index")
+            return SymTensor(dim, rank, coeffs)
         except (KeyError, TypeError, DimensionMismatch) as exc:
             raise ParseError(f"bad tensor JSON: {exc}") from exc
 
 
 def view_distance(a: SymTensor, b: SymTensor):
     """max |a_k - b_k| over the keys of either tensor, the residual of every
-    check: a ``Fraction`` when both are exact, else a float, 0.0 included;
-    tensors of two spaces raise ``DimensionMismatch``.  Equal views give 0
-    with no arithmetic; otherwise the views are brought to their common
-    scale L (``linalg.common_scale``, which puts an exact view in floats
-    beside a float one), subtracted key by key, and the largest difference
-    is divided once by L."""
+    check, as a ``Fraction``; tensors of two spaces raise
+    ``DimensionMismatch``.  Equal views give 0 with no arithmetic; otherwise
+    the views are brought to their common scale L
+    (``linalg.common_scale``), subtracted key by key, and the largest
+    difference is divided once by L."""
     a._same_space(b)
-    exact = a.exact and b.exact
     if a.keys == b.keys and a.cleared == b.cleared:
-        return Fraction(0) if exact else 0.0
+        return Fraction(0)
     big, ((left,), (right,)) = linalg.common_scale([a.cleared, b.cleared])
     diff = dict(zip(a.keys, left))
     for k, x in zip(b.keys, right):
         diff[k] = diff.get(k, 0) - x
-    worst = max(map(abs, diff.values()))
-    return Fraction(worst, big) if exact else worst
+    return Fraction(max(map(abs, diff.values())), big)
 
 
 def tensor_sum(values: Sequence[SymTensor]) -> SymTensor:
     """The sum of one or more tensors of one space, equal to folding them
-    with ``+`` (which is this sum of two).  The exact values before the
-    first float one are added in one int pass: their views
+    with ``+`` (which is this sum of two), in one int pass: their views
     (``SymTensor.cleared``) are brought to the lcm L of their scales,
     summed key by key over the union of their keys and made one tensor over
-    L, so no ``Fraction`` is built.  From the first float value on, each
-    value is added to the running sum in floats, in order, so the rounding
-    is that of pairwise ``+``."""
+    L, so no ``Fraction`` is built."""
     first, *rest = values
     for t in rest:
         first._same_space(t)
-    start = next((i for i, t in enumerate(values) if not t.exact), len(values))
-    views = [t.cleared for t in values[:start]]
-    big = math.lcm(*(d for d, _ in views))
+    big = math.lcm(*(t.cleared[0] for t in values))
     totals: dict[MultiIndex, int] = {}
-    for t, (d, (ints,)) in zip(values, views):
+    for t in values:
+        d, (ints,) = t.cleared
         m = big // d
         for k, x in zip(t.keys, ints):
             totals[k] = totals.get(k, 0) + m * x
-    total = SymTensor.from_totals(first.dim, first.rank, totals, totals.values(), big)
-    for t in values[start:]:
-        acc = dict(zip(total.keys, total._floats()))
-        for k, x in zip(t.keys, t._floats()):
-            acc[k] = acc.get(k, 0) + x
-        total = SymTensor.from_totals(first.dim, first.rank, acc, acc.values(), 1)
-    return total
+    return SymTensor.from_totals(first.dim, first.rank, totals, totals.values(), big)
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
@@ -384,11 +339,10 @@ def vector_power(x: Sequence, r: int) -> SymTensor:
     power of the linear form sum x_i e_i."""
     if r < 0:
         raise ValueError("negative tensor power")
-    xs = list(x)
-    n = len(xs)
+    scale, (cleared,) = linalg.clear_denominators([list(x)])
+    n = len(cleared)
     if r == 0:
-        return SymTensor.scalar(n, Fraction(1))
-    scale, (cleared,) = linalg.clear_denominators([xs])
+        return SymTensor.scalar(n, 1)
     form = [(i, v) for i, v in enumerate(cleared) if v]
     levels, steps, _ = monomial_tables(n, r)
     vec = [1]
@@ -403,30 +357,25 @@ def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTenso
     ``tensors[s:]`` for s = 0..R, by Horner's rule in y, from one clearing
     of y and one common scale of the views.
 
-    With the suffix's views (``SymTensor.cleared``) on a common scale M
+    With the views (``SymTensor.cleared``) on a common scale M
     (``linalg.common_scale``) and y cleared by q (y' = q y), a suffix of
     tensors T_0, ..., T_R of ranks R, ..., 0 runs N_0 = M T_R and
     N_(d+1) = c_(d+1) M T_(R-d-1) + N_d y', where c_0 = 1 and
     c_(d+1) = c_d q (R - d).  Each T_j is multiplied by y once per step
     after it enters, for j steps with divisors j, ..., 1, so N_R is M c_R
-    times the expansion and is divided once by M c_R = M q^R R!.  When y and
-    the tensors are exact, M is the lcm of all the scales and serves every
-    suffix; otherwise each suffix is brought to its own scale, as on its own,
-    and the sums run in floats and stay floats.
+    times the expansion and is divided once by M c_R = M q^R R!.  M is the
+    lcm of all the scales and serves every suffix.
     """
     r, n = len(tensors) - 1, len(y)
     if any(t.dim != n or t.rank != r - j for j, t in enumerate(tensors)):
         raise DimensionMismatch(f"shift expansion needs ranks {r}..0 over R^{n}")
     q, (ys,) = linalg.clear_denominators([list(y)])
     form = [(i, v) for i, v in enumerate(ys) if v]
-    views = [t.cleared for t in tensors]
-    exact = all(t.exact for t in tensors) and linalg.is_exact(ys)
-    shared = linalg.common_scale(views) if exact else None
+    scale, lifted = linalg.common_scale(t.cleared for t in tensors)
     levels = monomial_tables(n, r)[0]
     expansions = []
     for s in range(r + 1):
-        scale, lifted = (shared[0], shared[1][s:]) if shared else linalg.common_scale(views[s:])
-        acc, c = _suffix_totals(tensors[s:], lifted, q, form)
+        acc, c = _suffix_totals(tensors[s:], lifted[s:], q, form)
         expansions.append(SymTensor.from_totals(n, r - s, levels[r - s] if r > s else [()],
                                                 acc, scale * c))
     return expansions
@@ -453,8 +402,7 @@ def _suffix_totals(tensors: Sequence[SymTensor], lifted, q: int, form) -> tuple[
 @dataclass(frozen=True)
 class RMatrix:
     """Square rational matrix: each entry is coerced once by ``linalg.frac``,
-    so a float, numpy float or ``complex`` raises ``TypeError``; a matrix is
-    exact, and floats come only from bodies and tensors.  Its
+    so a float, numpy float or ``complex`` raises ``TypeError``.  Its
     integer views, built once per matrix, are the rows (``cleared``) and the
     columns as sparse (row, entry) pairs over the same scale (``columns``)."""
 

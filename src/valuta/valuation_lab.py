@@ -16,18 +16,16 @@ expansions sum_j Z^(r-j)(K) y^j / j! of every suffix of the cascade by
 Horner's rule in y, in ints, from one clearing of y per shift; there the
 moments of each body share one kernel pass (``moment._shared_passes``).
 
-Every check compares (a, b) tensor pairs and reaches its verdict by one
-rule (``_verdict``).  The residual of a pair is ``symtensor.view_distance``,
-max |a_k - b_k| on the tensors' integer views: a ``Fraction`` when both are
-exact, from one int difference per key, and a float (0.0 included) when
-either holds a float; equal views subtract nothing.  An exact residual
-passes only at 0; a float one passes at most ``FLOAT_TOL`` times max(1, the
-largest |coefficient| of a and b).  The check passes when every pair does,
-and reports its worst residual (a failing pair's first) with that pair's
-witness, in mode "exact" when its inputs and residuals are rational, else
-"float" with float residuals.  Matrices (``RMatrix``, ``CMatrix``) and
-subspaces (``Subspace``) are exact, so the inputs scanned for floats are
-the body, shift and lambda only.
+Every number is rational: bodies, tensors, matrices, subspaces, shifts and
+dilation factors refuse a float, numpy float or ``complex`` with
+``TypeError`` where they enter, so every check reaches its verdict in exact
+arithmetic.  Every check compares (a, b) tensor pairs and reaches its
+verdict by one rule (``_verdict``).  The residual of a pair is
+``symtensor.view_distance``, max |a_k - b_k| on the tensors' integer views,
+a ``Fraction`` from one int difference per key; equal views subtract
+nothing.  A pair passes only at residual 0.  The check passes when every
+pair does, and reports its worst residual (a failing pair's first) with
+that pair's witness.
 """
 
 from __future__ import annotations
@@ -135,7 +133,7 @@ def euler_valuation(n: int) -> Valuation:
 def span_lebesgue_valuation(n: int, j: int) -> Valuation:
     """j-dimensional volume of bodies spanning a j-dimensional linear subspace;
     zero on lower-dimensional bodies (the Klain identity probe).  The span is
-    orthonormalised by ``gram_schmidt``, so a float body raises ``TypeError``."""
+    orthonormalised by ``gram_schmidt``."""
 
     def run(body: Polytope) -> SymTensor:
         basis = gram_schmidt(body.vertices)
@@ -151,47 +149,31 @@ def span_lebesgue_valuation(n: int, j: int) -> Valuation:
 # -- reports -------------------------------------------------------------------
 
 
-FLOAT_TOL = 1e-9
-
-
 @dataclass
 class CheckReport:
     check: str
     passed: bool
-    max_residual: object
+    max_residual: Fraction
     witnesses: list
-    mode: str
 
     def to_json_dict(self) -> dict:
-        residual = self.max_residual
-        if isinstance(residual, Fraction):
-            residual = format_rational(residual)
         return {
             "check": self.check,
             "witnesses": self.witnesses,
-            "max_residual": residual,
+            "max_residual": format_rational(self.max_residual),
             "pass": self.passed,
-            "mode": self.mode,
         }
 
 
-def _verdict(check: str, pairs, *inputs) -> CheckReport:
-    """The report of a check on its (a, b, witness) pairs and the rows of
-    numbers it was given (body points, shifts, ...), by the rule in the
-    module docstring; on a tie the first pair's witness is kept."""
-    worst, witnesses = (False, Fraction(0)), []
-    floats = not linalg.is_exact(x for row in inputs for x in row)
-    mode = "float" if floats else "exact"
+def _verdict(check: str, pairs) -> CheckReport:
+    """The report of a check on its (a, b, witness) pairs, by the rule in
+    the module docstring; on a tie the first pair's witness is kept."""
+    worst, witnesses = Fraction(0), []
     for a, b, witness in pairs:
         res = view_distance(a, b)
-        if isinstance(res, Fraction) and not floats:
-            bad = res != 0
-        else:
-            mode, res = "float", float(res)
-            bad = not res <= FLOAT_TOL * max(1, a.max_abs_coeff(), b.max_abs_coeff())
-        if not witnesses or (bad, res) > worst:
-            worst, witnesses = (bad, res), [witness]
-    return CheckReport(check, not worst[0], worst[1], witnesses, mode)
+        if not witnesses or res > worst:
+            worst, witnesses = res, [witness]
+    return CheckReport(check, worst == 0, worst, witnesses)
 
 
 # -- homogeneous decomposition ---------------------------------------------------
@@ -208,8 +190,7 @@ def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
     The values' integer views (``SymTensor.cleared``) are brought to their
     common scale L (``linalg.common_scale``); over the union of their keys,
     component j at a key is sum_i W[j][i] v_i[key] in ints, divided once by
-    D L (``interpolation_weights``).  Float values run the same sums with
-    L = 1 and stay floats.
+    D L (``interpolation_weights``).
     """
     top = body.dim + z.rank
     values = [z(scale(body, k)) for k in range(1, top + 2)]
@@ -229,7 +210,7 @@ def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckRepo
     McMullen's z(lambda K) = sum_j lambda^j z_j(K) holds only for lambda > 0
     (lambda < 0 adds a point reflection), and lambda = 1 compares the body
     with itself, so lambda <= 0 and lambda = 1 raise ``ValueError``."""
-    lam = linalg.real(fresh_lambda)
+    lam = linalg.frac(fresh_lambda)
     if lam <= 0 or lam == 1:
         raise ValueError(f"rehomogeneity needs lambda > 0 other than 1, got {lam}")
     base = mcmullen_decompose(z, body)
@@ -238,7 +219,7 @@ def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckRepo
     pairs = [(b, a.scale(lam ** j), {"degree": j, "lambda": shown})
              for j, (a, b) in enumerate(zip(base, dilated))]
     pairs.append((tensor_sum(base), z(body), {"degree": "sum-at-1", "lambda": shown}))
-    return _verdict("mcmullen-rehomogeneity", pairs, *body.vertices, [lam])
+    return _verdict("mcmullen-rehomogeneity", pairs)
 
 
 # -- Klain functions ---------------------------------------------------------------
@@ -275,13 +256,14 @@ def simplex_probe(l: Subspace) -> Polytope:
 
 def _gram_root(basis):
     """sqrt(det G) for the Gram matrix G of the rational basis rows: the
-    j-volume of the parallelotope they span, exact when det G is a rational
-    square (1 on an orthonormal basis), else a float."""
+    j-volume of the parallelotope they span (1 on an orthonormal basis).
+    det G that is not the square of a rational raises ``ValutaError``."""
     d, rows = linalg.clear_denominators(basis)
     gram = [[sum(map(operator.mul, a, b)) for b in rows] for a in rows]
-    det = linalg.over(linalg.bareiss(gram), d ** (2 * len(rows)))
-    root = exact_sqrt(det)
-    return math.sqrt(det) if root is None else root
+    root = exact_sqrt(Fraction(linalg.bareiss(gram), d ** (2 * len(rows))))
+    if root is None:
+        raise ValutaError("the probe volume sqrt(det G) is irrational")
+    return root
 
 
 def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
@@ -291,7 +273,8 @@ def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
 
     Both probes are images of the model cube and simplex under the basis, so
     their j-volumes are sqrt(det G) and sqrt(det G) / j! (``_gram_root``),
-    taken without walking their cells; det G = 0 raises ``GeometryError``."""
+    taken without walking their cells; det G = 0 raises ``GeometryError``
+    and an irrational sqrt(det G) ``ValutaError``."""
     if l.dim != j:
         raise DimensionMismatch(f"subspace has dimension {l.dim}, expected {j}")
     unit = _gram_root(l.basis)
@@ -321,16 +304,16 @@ def verify_covariance(zs: Sequence[Valuation], body: Polytope,
     ranks = [z.rank for z in zs]
     if ranks != list(range(ranks[0], -1, -1)):
         raise DimensionMismatch(f"ranks must descend r..0, got {ranks}")
+    ys = [linalg.vec(y) for y in ys]
     pairs = []
     with _shared_passes():
         at_body = [z(body) for z in zs]
         for y in ys:
-            y = tuple(map(linalg.real, y))
             shifted = translate(body, y)
             shown = [format_rational(c) for c in y]
             pairs += [(z(shifted), expansion, {"y": shown, "coefficient_rank": z.rank})
                       for z, expansion in zip(zs, shift_expansions(at_body, y))]
-    return _verdict("translation-covariance", pairs, *body.vertices, *ys)
+    return _verdict("translation-covariance", pairs)
 
 
 # -- equivariance ----------------------------------------------------------------------
@@ -348,7 +331,7 @@ def verify_equivariance(z: Valuation, g_samples: Sequence, body: Polytope) -> Ch
         if phi.det == 0:
             raise GeometryError("equivariance sample is singular")
         pairs.append((z(linear_image(phi, body)), gl_action(phi, base), {"sample_index": idx}))
-    report = _verdict("group-equivariance", pairs, *body.vertices)
+    report = _verdict("group-equivariance", pairs)
     for witness in report.witnesses:  # only the reported sample's matrix is formatted
         witness["matrix"] = _matrix_witness(g_samples[witness["sample_index"]])
     return report
@@ -367,37 +350,26 @@ def scaling_relation_check(z: Valuation, j: int, psi: CMatrix, body: Polytope,
                            require_exact: bool = False) -> CheckReport:
     """Check z(psi K) = |det_C psi|^(j/m) z(K) for a j-homogeneous z.
 
-    With F = |det_C psi|^2 and j/(2m) = p/q in lowest terms, exact values are
+    With F = |det_C psi|^2 and j/(2m) = p/q in lowest terms, the values are
     compared as s(z(psi K)) = F^p s(z(K)) with the signed power
     s(x) = x |x|^(q-1), which needs no root of F, so the verdict is exact at
     every degree; the witness's factor is F^p, shown as (F^p)^(1/q) when
-    q > 1.  psi is exact, so F is; float values (a float body or
-    valuation) are compared directly against the float factor F^(j/(2m)).
-    A singular psi (F = 0) raises ``GeometryError``, as a singular
+    q > 1.  A singular psi (F = 0) raises ``GeometryError``, as a singular
     equivariance sample does.
-    ``require_exact`` only refuses a float verdict, with ``ValutaError``; it
+    ``require_exact`` has nothing to refuse, since every verdict is exact; it
     stays while the benchmark's workloads pass it, and goes with the next
     benchmark change.
     """
-    m = psi.m
     factor_sq = cabs2(psi.det_c)  # equals det of the realification
     if factor_sq == 0:
         raise GeometryError("scaling relation needs a nonsingular psi")
-    p, q = Fraction(j, 2 * m).as_integer_ratio()
+    p, q = Fraction(j, 2 * psi.m).as_integer_ratio()
     image, base = z(linear_image(realify(psi), body)), z(body)
-    exact = image.exact and base.exact and linalg.is_exact(x for v in body.vertices for x in v)
-    if exact:
-        factor = factor_sq ** p
-        shown = format_rational(factor) if q == 1 else f"({format_rational(factor)})^(1/{q})"
-    elif require_exact:
-        raise ValutaError("the body or the values are floats; only a float verdict is possible")
-    else:
-        factor, q = float(factor_sq) ** (j / (2 * m)), 1
-        shown = format_rational(factor)
-    witness = {"factor": shown, "degree": j, "mode": "exact" if exact else "float"}
+    factor = factor_sq ** p
+    shown = format_rational(factor) if q == 1 else f"({format_rational(factor)})^(1/{q})"
     return _verdict("determinant-scaling", [
-        (_signed_power(image, q), _signed_power(base, q).scale(factor), witness)],
-        *body.vertices)
+        (_signed_power(image, q), _signed_power(base, q).scale(factor),
+         {"factor": shown, "degree": j})])
 
 
 def _signed_power(t: SymTensor, q: int) -> SymTensor:
@@ -418,14 +390,13 @@ def surface_pairing(f: Callable, p: Polytope):
     its totals over their shared denominator.
 
     For a 1-homogeneous f that is the sum over facets of f at the unit
-    normal times the facet measure, an integral against S(K) that rational
-    inputs keep exact; any other f is paired the same way.  f may return
-    scalars or tensors.  Tensor values are summed by ``tensor_sum``, exact
-    ones in one int pass; scalars are added in facet order with ``+``.  A
-    body with no atoms gives None.
+    normal times the facet measure, an integral against S(K), exact; any
+    other f is paired the same way.  f may return scalars or tensors.
+    Tensor values are summed by ``tensor_sum`` in one int pass; scalars are
+    added in facet order with ``+``.  A body with no atoms gives None.
     """
     den, atoms = atom_totals(p)
-    return _pair(f, [tuple(linalg.over(x, den) for x in total) for total, _ in atoms])
+    return _pair(f, [tuple(Fraction(x, den) for x in total) for total, _ in atoms])
 
 
 def _pair(f: Callable, directions):
@@ -448,8 +419,8 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     against the surface area measure.  Each body's atoms come off its own
     points.  phi^-T is applied to K's int totals t: with phi's view (q, A)
     and A^-1 = R / p (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t
-    is q R^T t over p den, one division per coordinate, exact but for a
-    float body's totals.  A body with no atoms raises ``GeometryError``.
+    is q R^T t over p den, one division per coordinate.  A body with no
+    atoms raises ``GeometryError``.
     """
     if abs(phi.det) != 1:
         raise GeometryError(f"transfer needs det +-1, got {phi.det}")
@@ -461,9 +432,8 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     last, adj = linalg.inverse_view(rows)
     cols = list(zip(*adj))
     lhs = surface_pairing(f, linear_image(phi, p))
-    rhs = _pair(f, [tuple(linalg.over(q * sum(map(operator.mul, col, t)), last * den)
+    rhs = _pair(f, [tuple(Fraction(q * sum(map(operator.mul, col, t)), last * den)
                           for col in cols) for t, _ in atoms])
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
-    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],
-                    *p.vertices)
+    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})])

@@ -112,23 +112,14 @@ def adapted_basis_fractions(l):
 
 
 # -- products of rows and columns, schoolbook ----------------------------------------
-# Each entry the sum of its row-by-column products in k order, as the library
-# summed them before it cleared denominators: in Fractions when every entry is
-# rational (ints made Fractions), else on the entries as given, in Python's
-# own arithmetic.
-
-
-def _schoolbook(entries):
-    """The entries as Fractions when all are rational, else unchanged, and
-    the converter used."""
-    exact = all(isinstance(x, (int, Fraction)) for x in entries)
-    return Fraction if exact else (lambda x: x)
+# Each entry the sum of its row-by-column products in k order, in Fractions
+# (ints made Fractions), as the library summed them before it cleared
+# denominators.
 
 
 def mat_mul_fractions(a, b) -> list[list]:
-    conv = _schoolbook([x for m in (a, b) for row in m for x in row])
-    return [[sum((conv(x) * conv(y) for x, y in zip(row, col)), conv(0)) for col in zip(*b)]
-            for row in a]
+    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
 
 
 def mat_vec_fractions(rows, x) -> tuple:
@@ -143,14 +134,14 @@ def support(p, u):
 
 def cmat_mul_fractions(a, b) -> list[list[tuple]]:
     """re = sum(x u - y v) and im = sum(x v + y u) over k, per entry."""
-    conv = _schoolbook([x for m in (a, b) for row in m for z in row for x in z])
+    f, zero = Fraction, Fraction(0)
     out = []
     for row in a:
         out.append([])
         for col in zip(*b):
-            terms = [((conv(x), conv(y)), (conv(u), conv(v))) for (x, y), (u, v) in zip(row, col)]
-            out[-1].append((sum((x * u - y * v for (x, y), (u, v) in terms), conv(0)),
-                            sum((x * v + y * u for (x, y), (u, v) in terms), conv(0))))
+            terms = [((f(x), f(y)), (f(u), f(v))) for (x, y), (u, v) in zip(row, col)]
+            out[-1].append((sum((x * u - y * v for (x, y), (u, v) in terms), zero),
+                            sum((x * v + y * u for (x, y), (u, v) in terms), zero)))
     return out
 
 
@@ -165,7 +156,7 @@ def subspace_volume_generators(p, basis):
         residual = list(pt)
         for c, bvec in zip(cs, basis):
             residual = [r - c * b for r, b in zip(residual, bvec)]
-        if math.hypot(*residual) > 1e-8 * math.hypot(*pt):
+        if any(residual):
             raise GeometryError("polytope does not lie in the subspace")
         coords.append(cs)
     view = linalg.clear_denominators(coords)
@@ -173,8 +164,8 @@ def subspace_volume_generators(p, basis):
 
 
 # -- symmetric tensors as plain maps --------------------------------------------------
-# A tensor as a dict from multi-index to its nonzero Fraction or float value,
-# and the operations of ``symtensor`` on such maps in Python's arithmetic.
+# A tensor as a dict from multi-index to its nonzero Fraction value, and the
+# operations of ``symtensor`` on such maps in Fractions.
 
 
 def map_scale(m: dict, c) -> dict:
@@ -182,14 +173,10 @@ def map_scale(m: dict, c) -> dict:
 
 
 def map_sum(maps) -> dict:
-    """The maps folded pairwise with +, as tensors add: the values at a key
-    added in Python's arithmetic, and a sum with a float in it, the sum of
-    a float tensor, held in floats throughout; zeros dropped."""
+    """The maps folded pairwise with +, as tensors add; zeros dropped."""
     total: dict = {}
     for m in maps:
         total = {k: total.get(k, 0) + m.get(k, 0) for k in {**total, **m}}
-        if any(isinstance(v, float) for v in total.values()):
-            total = {k: float(v) for k, v in total.items()}
         total = {k: v for k, v in total.items() if v}
     return total
 
@@ -223,8 +210,7 @@ def transfer_check_fractions(f, phi, p):
     rhs = pairing(lambda v: f(mat_vec_fractions(phi_inv_t, v)), p)
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
-    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})],
-                    *p.vertices, *phi.entries)
+    return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})])
 
 
 def cofactor_normal(rows) -> list:

@@ -156,6 +156,12 @@ class TestComplexRank:
     def test_three_dims_cap_at_m(self):
         assert complex_rank(Subspace.span([E1, JE1, E2])) == 2
 
+    def test_no_basis_vector_has_rank_0(self):
+        """A subspace with no basis vector, which the constructor accepts,
+        and an empty basis have rank 0, as ``crank`` of no rows has."""
+        assert complex_rank(Subspace(4, ())) == complex_rank([]) == linalg.crank([]) == 0
+        assert Subspace(4, ()).complex_rank == 0
+
 
 class TestFromOrthonormal:
     def test_float_basis_is_checked(self):

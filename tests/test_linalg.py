@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cmat_mul_fractions, mat_mul_fractions, mat_vec_fractions
 
-from valuta import linalg
+from valuta import linalg, moment
 from valuta.cplx import CMatrix, Subspace, complex_rank, gram_schmidt
 from valuta.errors import DimensionMismatch
-from valuta.polytope import simplex, subspace_volume
-from valuta.symtensor import RMatrix
+from valuta.polytope import Polytope, scale, simplex, subspace_volume, translate
+from valuta.symtensor import RMatrix, SymTensor, shift_expansions, vector_power
+from valuta.valuation_lab import moment_valuation, rehomogeneity_check, verify_covariance
 
 F = Fraction
 
@@ -63,16 +64,19 @@ def test_det_rejects_non_square():
         linalg.det([[1, 2]])
 
 
-def test_det_float_input_stays_float():
-    """The determinant of float rows, as of a float body's edges, is
-    ``bareiss``; ``det`` takes matrices, which are exact."""
-    got = linalg.bareiss([[0.5, 1.0], [1.0, 0.3]])
-    assert isinstance(got, float)
-    assert got == -0.85
-    assert isinstance(linalg.bareiss([[1.0, 2.0], [2.0, 4.0]]), float)
-    mixed = linalg.bareiss([[F(1, 3), 1], [0.25, 2]])
-    assert isinstance(mixed, float)
-    assert mixed == pytest.approx(F(1, 3) * 2 - F(1, 4), abs=1e-15)
+def test_float_rows_are_refused_before_elimination(monkeypatch):
+    """Every reader of rows clears them first, so float rows, as of a body
+    or a matrix, are refused before ``bareiss`` or ``_eliminate`` sees them,
+    a float beside exact entries included."""
+    def refused(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(linalg, "_eliminate", refused)
+    monkeypatch.setattr(linalg, "bareiss", refused)
+    for rows in ([[0.5, 1.0], [1.0, 0.3]], [[F(1, 3), 1], [0.25, 2]]):
+        for entry in (linalg.det, linalg.rank, linalg.clear_denominators):
+            with pytest.raises(TypeError):
+                entry(rows)
 
 
 SEGMENT = simplex([(0, 0), (1, 0)])
@@ -111,27 +115,74 @@ def test_matrix_entry_points_refuse_floats_and_complex(monkeypatch, entry, value
         ENTRY_POINTS[entry](x)
 
 
-@pytest.mark.parametrize("rows,want", [
-    ([[3, 1], [1, 0.5]], 0.5),                      # ``//`` would give 0.0
-    ([[1, 2, 3], [0, 1, 4], [5, 6, -0.0]], 1.0),    # one float, at the end
-    ([[1, 2], [3, 4 + 1j]], -2 + 1j),               # a complex entry
-    ([[2, 1], [1, complex(1, 0)]], 1 + 0j),
+TRIANGLE = simplex([(0, 0), (2, 0), (0, 1)])
+E1 = SymTensor(2, 1, {(1, 0): 1})
+CASCADE = [moment_valuation(2, 1), moment_valuation(2, 0)]
+BODY_AND_TENSOR_ENTRY_POINTS = {
+    "Polytope": lambda x: Polytope(2, ((0, 0), (1, x), (0, 1)), ((0, 1, 2),)),
+    "SymTensor": lambda x: SymTensor(2, 1, {(1, 0): 1, (0, 1): x}),
+    "SymTensor-key": lambda x: SymTensor(2, 2, {(2 * x, 2 * x): 1}),
+    "SymTensor.scale": lambda x: E1.scale(x),
+    "translate": lambda x: translate(TRIANGLE, (1, x)),
+    "scale": lambda x: scale(TRIANGLE, x),
+    "vector_power": lambda x: vector_power((1, x), 2),
+    "vector_power-r0": lambda x: vector_power((1, x), 0),
+    "shift_expansions": lambda x: shift_expansions([E1, SymTensor.scalar(2, 1)], (1, x)),
+    "rehomogeneity_check": lambda x: rehomogeneity_check(CASCADE[0], TRIANGLE, x),
+    "verify_covariance": lambda x: verify_covariance(CASCADE, TRIANGLE, [(1, 0), (1, x)]),
+}
+
+
+@pytest.mark.parametrize("value", ["float", "numpy-float64", "numpy-float32", "complex"])
+@pytest.mark.parametrize("entry", sorted(BODY_AND_TENSOR_ENTRY_POINTS))
+def test_body_and_tensor_entry_points_refuse_floats_and_complex(monkeypatch, entry, value):
+    """Bodies, tensors, scalars, shifts and dilation factors are exact too:
+    a float, numpy float or ``complex`` raises ``TypeError`` where it
+    enters, before any elimination or moment pass runs."""
+    np = pytest.importorskip("numpy")
+    x = {"float": 0.5, "numpy-float64": np.float64(0.5), "numpy-float32": np.float32(0.5),
+         "complex": 0.5 + 0j}[value]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("computed")
+
+    for module, name in ((linalg, "_eliminate"), (linalg, "bareiss"), (moment, "_moment_totals")):
+        monkeypatch.setattr(module, name, refused)
+    with pytest.raises(TypeError):
+        BODY_AND_TENSOR_ENTRY_POINTS[entry](x)
+
+
+@pytest.mark.parametrize("entry", sorted(BODY_AND_TENSOR_ENTRY_POINTS))
+def test_a_float_zero_is_refused_too(entry):
+    """0.0 is refused as any float is, though a zero coefficient, shift or
+    coordinate adds nothing."""
+    with pytest.raises(TypeError):
+        BODY_AND_TENSOR_ENTRY_POINTS[entry](0.0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[3, 1], [1, 0.5]],
+    [[1, 2, 3], [0, 1, 4], [5, 6, -0.0]],     # one float zero, at the end
+    [[1, 2], [3, 4 + 1j]],                    # a complex entry
+    [[2, 1], [1, complex(1, 0)]],
 ])
-def test_any_float_or_complex_entry_takes_the_float_path(rows, want):
-    assert linalg._floats(rows)
-    got = linalg.bareiss([list(row) for row in rows])
-    assert got == want and type(got) is type(want)
-    assert not linalg._floats([[3, 1], [1, 2]]) and not linalg._floats([])
-    assert linalg.bareiss([[3, 1], [1, 2]]) == 5
+def test_any_float_or_complex_entry_is_refused(rows):
+    with pytest.raises(TypeError):
+        linalg.clear_denominators(rows)
+    with pytest.raises(TypeError):
+        linalg.rank(rows)
+    assert linalg.clear_denominators([[3, 1], [1, 2]]) == (1, [[3, 1], [1, 2]])
+    assert linalg.clear_denominators([]) == (1, [])
 
 
 def test_numpy_scalars_are_classified_by_type():
-    """numpy integers are exact; numpy floats that are not ``float``
-    subclasses (float32, float16) take the float path of clearing or are
-    refused, by ``frac`` and by ``det``, whose matrices are exact."""
+    """numpy integers are exact; numpy floats, ``float`` subclasses
+    (float64) or not (float32, float16), are refused by clearing, by
+    ``frac`` and by ``det``."""
     np = pytest.importorskip("numpy")
-    got = linalg.clear_denominators([[np.float32(1.5), 1]])
-    assert got == (1, [[1.5, 1.0]]) and all(type(x) is float for x in got[1][0])
+    for value in (np.float32(1.5), np.float64(1.5)):
+        with pytest.raises(TypeError):
+            linalg.clear_denominators([[value, 1]])
     for rows in ([[np.float32(1.5), 0], [0, 1]], [[np.float16(0.5), 1], [2, np.float64(3)]]):
         with pytest.raises(TypeError):
             linalg.det(rows)
@@ -383,33 +434,31 @@ def test_rank_edge_cases(rows, rank):
     assert linalg.rank(rows) == rank
 
 
-# Float matrices that need row swaps, with the determinant (``bareiss``) and
-# rank the whole-row elimination gave, pinned bit for bit (float.hex).
-FLOAT_PINS = [
-    ([[0.1, 2.0, -1.3], [3.7, -0.2, 0.9], [1.1, 4.4, 0.25]], "-0x1.5b89374bc6a80p+4", 3),
-    ([[0.0, 1.5, 2.5, -0.75], [2.2, -3.25, 0.1, 1.0], [-4.1, 0.7, 1e-3, 0.3],
-      [0.6, 2.0, -0.3, 5.5]], "-0x1.7fd96a161e4f9p+7", 4),
+# Decimal matrices that need row swaps, with their rank, in Fractions: the
+# determinant is Leibniz's.
+DECIMAL_ROWS = [
+    ([["0.1", "2", "-1.3"], ["3.7", "-0.2", "0.9"], ["1.1", "4.4", "0.25"]], 3),
+    ([["0", "1.5", "2.5", "-0.75"], ["2.2", "-3.25", "0.1", "1"], ["-4.1", "0.7", "0.001", "0.3"],
+      ["0.6", "2", "-0.3", "5.5"]], 4),
 ]
 
 
-@pytest.mark.parametrize("rows, det, rank", FLOAT_PINS)
-def test_float_elimination_is_pinned_bit_for_bit(rows, det, rank):
-    assert linalg.bareiss([list(row) for row in rows]).hex() == det
+@pytest.mark.parametrize("rows, rank", DECIMAL_ROWS)
+def test_decimal_matrices_needing_row_swaps_are_exact(rows, rank):
+    rows = [[F(x) for x in row] for row in rows]
+    assert linalg.det(rows) == leibniz(rows) != 0
     assert linalg.rank(rows) == rank
 
 
 @settings(max_examples=80, deadline=None)
-@given(groups=st.lists(st.lists(st.lists(rationals | st.sampled_from([0.1, -2.5, 1 / 3]),
-                                         min_size=2, max_size=2), min_size=1, max_size=3),
-                       min_size=1, max_size=4))
+@given(groups=st.lists(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=1,
+                                max_size=3), min_size=1, max_size=4))
 def test_common_scale_is_clearing_all_rows_together(groups):
     """Views cleared one group of rows at a time and brought to one scale
-    equal the rows cleared together, float entries bit for bit."""
+    equal the rows cleared together."""
     big, lifted = linalg.common_scale(linalg.clear_denominators(rows) for rows in groups)
     together = linalg.clear_denominators([row for rows in groups for row in rows])
     assert (big, [row for rows in lifted for row in rows]) == together
-    assert [type(x) for rows in lifted for row in rows for x in row] == \
-        [type(x) for row in together[1] for x in row]
 
 
 # -- products of rows and columns on integer views ------------------------------------

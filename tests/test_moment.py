@@ -237,58 +237,40 @@ def test_monomial_integral_matches_sympy(case):
     assert got == _sympy_monomial_integral(verts, alpha)
 
 
-# -- float bodies stay in floats --------------------------------------------------------
+# -- probes and numpy scalars -------------------------------------------------------------
 
-def _assert_close_floats(float_tensor, exact_tensor):
-    assert all(isinstance(v, float) for v in float_tensor.coeffs.values())
-    for key in set(float_tensor.coeffs) | set(exact_tensor.coeffs):
-        assert abs(float_tensor.coeff(key) - exact_tensor.coeff(key)) <= 1e-12
-
-
-def test_float_triangle_gives_float_moments():
-    corners = [(0.1, -0.3), (1.7, 0.2), (0.4, 1.1)]
-    as_float = Polytope(2, tuple(corners), ((0, 1, 2),))
-    exact = Polytope(2, tuple(tuple(F(x) for x in v) for v in corners), ((0, 1, 2),))
-    vol = volume(as_float)
-    assert isinstance(vol, float)
-    assert abs(vol - volume(exact)) <= 1e-12
-    for r in range(4):
-        _assert_close_floats(moment_tensor(as_float, r).tensor, moment_tensor(exact, r).tensor)
-
-
-def test_float_cube_probe_gives_float_moments():
-    """The float twin of a cube probe on a sampled subspace of R^4, coned to
-    a float unit normal so that the body is full-dimensional: volume 1/4."""
+def test_coned_cube_probe_is_the_image_of_the_model_cone():
+    """A cube probe on a sampled subspace of R^4, coned to its unit normal
+    u so that the body is full-dimensional, is the image of the unit 3-cube
+    coned to e_4 under the orthogonal map with columns b_1, b_2, b_3, u:
+    volume 1/4, and each moment the action of that map on the model's.
+    u is rational, since |w| = |det (b_1, b_2, b_3, w)| for w normal to them."""
     sub = sample_subspace(2, 3, 11)
     probe = cube_probe(sub)
     (w,) = linalg.nullspace(sub.basis)
-    normal = tuple(float(x) / math.sqrt(sum(x * x for x in w)) for x in w)
-    apex = len(probe.vertices)
-    cells = tuple(cell + (apex,) for cell in probe.triangulation)
-    corners = tuple(tuple(map(float, v)) for v in probe.vertices)
-    as_float = Polytope(4, corners + (normal,), cells)
-    exact = Polytope(4, tuple(tuple(F(x) for x in v) for v in as_float.vertices), cells)
-    vol = volume(as_float)
-    assert isinstance(vol, float)
-    assert vol == pytest.approx(0.25, abs=1e-12)
-    assert abs(vol - volume(exact)) <= 1e-12
+    norm = linalg.exact_sqrt(sum(x * x for x in w))
+    normal = tuple(x / norm for x in w)
+    cells = tuple(cell + (len(probe.vertices),) for cell in probe.triangulation)
+    body = Polytope(4, probe.vertices + (normal,), cells)
+    model = Polytope(4, tuple(v + (0,) for v in cube(3).vertices) + ((0, 0, 0, 1),), cells)
+    phi = RMatrix.from_rows(linalg.transpose([*sub.basis, normal]))
+    assert volume(body) == volume(model) == F(1, 4)
     assert moment_tensor(probe, 2).tensor.is_zero()
-    for r in range(3):
-        _assert_close_floats(moment_tensor(as_float, r).tensor, moment_tensor(exact, r).tensor)
+    for r in range(4):
+        assert moment_tensor(body, r).tensor == gl_action(phi, moment_tensor(model, r).tensor)
 
 
 def test_numpy_scalar_bodies():
-    """numpy integer coordinates give the exact moments; float32 ones floats."""
+    """numpy integer coordinates give the exact moments; float32 ones are refused."""
     corners = [(0, 0), (3, 1), (1, 4)]
     exact = simplex(corners)
     as_int = Polytope(2, tuple(tuple(np.int64(x) for x in v) for v in corners), ((0, 1, 2),))
-    as_f32 = Polytope(2, tuple(tuple(np.float32(x) for x in v) for v in corners), ((0, 1, 2),))
     for r in range(4):
-        want = moment_tensor(exact, r).tensor
-        assert moment_tensor(as_int, r).tensor == want
+        assert moment_tensor(as_int, r).tensor == moment_tensor(exact, r).tensor
         assert all(type(v) is Fraction for v in moment_tensor(as_int, r).tensor.coeffs.values())
-        _assert_close_floats(moment_tensor(as_f32, r).tensor, want)
     assert simplex([tuple(np.int64(x) for x in v) for v in corners]) == exact
+    with pytest.raises(TypeError):
+        Polytope(2, tuple(tuple(np.float32(x) for x in v) for v in corners), ((0, 1, 2),))
 
 
 @pytest.mark.parametrize("body", [
@@ -344,16 +326,6 @@ def test_moment_family_matches_separate_ranks(seed):
         assert family == [moment_tensor(_fresh(body), s).tensor for s in range(r, -1, -1)]
         assert [t.rank for t in family] == list(range(r, -1, -1))
         assert all(type(v) is Fraction for t in family for v in t.coeffs.values())
-
-
-def test_moment_family_of_a_float_body_stays_float():
-    corners = ((0.1, -0.3, 0.2), (1.7, 0.2, 0.0), (0.4, 1.1, -0.5), (0.3, 0.6, 1.9))
-    as_float = Polytope(3, corners, ((0, 1, 2, 3),))
-    family = moment_family(as_float, 4)
-    assert family == [moment_tensor(_fresh(as_float), s).tensor for s in range(4, -1, -1)]
-    exact = Polytope(3, tuple(tuple(F(x) for x in v) for v in corners), ((0, 1, 2, 3),))
-    for got, want in zip(family, moment_family(exact, 4)):
-        _assert_close_floats(got, want)
 
 
 def _count_passes(monkeypatch):
@@ -572,19 +544,11 @@ def test_degenerate_and_short_cells_leave_the_walk_intact():
         [[F(int(i == k)) + (F(i + 2, 7 * k + 3) if k == (i + 1) % 6 else 0) for k in range(6)]
          for i in range(6)]), [F(k - 2, 9) for k in range(6)]),
 ], ids=["box4", "off-centre-cross4", "box5", "off-centre-cross6"])
-def test_float_body_walks_like_its_exact_twin(make):
-    """Determinants off the exterior products, in floats: every coefficient
-    within 1e-12 of the exact one relative to the tensor's largest, and to
-    max(1, |coefficient|)."""
+def test_walked_moments_are_the_cells_as_simplices(make):
+    """Determinants off the exterior products and the cells' shared walk
+    give the sum over the cells, each a simplex of its own (``_cell_sum``)."""
     body = make()
-    as_float = Polytope(body.dim, tuple(tuple(float(x) for x in v) for v in body.vertices),
-                        body.triangulation)
-    for got, want in zip(moment_family(as_float, 3), moment_family(body, 3)):
-        assert all(type(v) is float for v in got.coeffs.values())
-        size = max(map(abs, want.coeffs.values()))
-        for key in set(got.coeffs) | set(want.coeffs):
-            error = abs(got.coeff(key) - want.coeff(key))
-            assert error <= 1e-12 * size and error <= 1e-12 * max(1, abs(want.coeff(key)))
+    assert moment_family(body, 3) == [_cell_sum(body, s) for s in range(3, -1, -1)]
 
 
 # -- bodies whose cells end alike take the minimal DAG --------------------------------------
@@ -673,7 +637,7 @@ def test_families_from_lo_sum_like_the_cells(monkeypatch, make, r, lo, dag):
     assert family == [_cell_sum(body, s) for s in range(r, lo - 1, -1)]
 
 
-@pytest.mark.parametrize("zero", [0, 0.0], ids=["exact", "float"])
+@pytest.mark.parametrize("zero", [0], ids=["exact"])
 def test_a_body_of_flat_cells_alone_has_zero_moments(monkeypatch, zero):
     """A Kuhn box scaled by 0 keeps its six cells, which end in only three
     vertices, all with det E = 0: flat cells do not choose the DAG, and the

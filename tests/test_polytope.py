@@ -17,7 +17,6 @@ from valuta.errors import GeometryError, ParseError
 from valuta.moment import moment_family
 from valuta.polytope import (
     Polytope,
-    _closes,
     box,
     crosspolytope,
     cube,
@@ -188,46 +187,35 @@ class TestSurfaceAreaMeasure:
         box([0, 0, 0], [F(1, 3), F(1, 7), F(2, 5)]),
         simplex([(F(1, 2), 0, -1, 0), (1, F(1, 3), 0, F(-2, 7)), (0, 2, F(-1, 2), 0),
                  (0, F(1, 5), F(3, 7), 1), (F(-1, 5), 0, 0, 1)]),
-        # 8 atoms; rounding once split its float twin's facets into 20
+        # 8 atoms, each the sum of the area vectors of several faces
         linear_image(RMatrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, F(-3, 2)],
                                         [F(1, 3), 0, 0, 1]]),
                      box([F(-1, 2), 0, F(1, 3), 0], [1, F(2, 7), F(5, 3), 2])),
     ])
-    def test_float_atoms_match_exact(self, body):
-        exact = surface_area_measure(body)
-        as_float = surface_area_measure(Polytope(
-            body.dim, tuple(tuple(float(x) for x in v) for v in body.vertices),
-            body.triangulation))
-        assert len(as_float) == len(exact)
-        for f in exact:
-            g = min(as_float, key=lambda g: max(
-                abs(float(a) - b) for a, b in zip(f.direction, g.direction)))
-            assert all(isinstance(x, float) for x in g.direction + (g.offset,))
-            assert max(abs(float(a) - b) for a, b in zip(f.direction, g.direction)) <= 1e-12
-            assert abs(float(f.offset) - g.offset) <= 1e-12
-            assert math.isclose(math.hypot(*g.direction), math.hypot(*map(float, f.direction)),
-                                rel_tol=1e-12)
+    def test_atoms_support_the_body_and_close_up(self, body):
+        """Each atom's offset is the support function at its direction,
+        the directions sum to zero and the offsets to n times the volume."""
+        atoms = surface_area_measure(body)
+        assert len({f.direction for f in atoms}) == len(atoms)
+        assert all(f.offset == support(body, f.direction) for f in atoms)
+        assert not any(map(sum, zip(*(f.direction for f in atoms))))
+        assert sum(f.offset for f in atoms) == body.dim * volume(body)
 
-    def test_large_float_tetrahedra_close_up(self):
-        # Area vectors of size ~1e6 sum to ~1e-10 in floats: an absolute
-        # 1e-12 closedness tolerance rejected nearly all of these.
+    def test_large_tetrahedra_close_up(self):
         rng = random.Random(7)
-        for _ in range(200):
-            pts = tuple(tuple(rng.uniform(-1000, 1000) for _ in range(3)) for _ in range(4))
+        for _ in range(50):
+            pts = tuple(tuple(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
+                              for _ in range(3)) for _ in range(4))
+            if linalg.rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) < 3:
+                continue
             atoms = surface_area_measure(Polytope(3, pts, ((0, 1, 2, 3),)))
             assert len(atoms) == 4
-            assert all(isinstance(x, float) for f in atoms for x in f.direction)
+            assert not any(map(sum, zip(*(f.direction for f in atoms))))
 
-    def test_float_atoms_that_do_not_close_are_rejected(self):
-        square = ((0.0, 0.0), (1000.0, 0.0), (1000.0, 1000.0), (0.0, 1000.0))
+    def test_atoms_that_do_not_close_are_rejected(self):
+        square = ((0, 0), (1000, 0), (1000, 1000), (0, 1000))
         with pytest.raises(GeometryError):
             surface_area_measure(Polytope(2, square, ((0, 1, 2), (0, 2, 3), (0, 1, 3))))
-        pts = ((-310.5, 12.25, 998.0), (640.0, -75.5, 3.0), (2.5, 870.0, -41.0),
-               (-5.0, -600.25, -720.0))
-        directions = [f.direction for f in surface_area_measure(Polytope(3, pts, ((0, 1, 2, 3),)))]
-        assert _closes(directions)
-        bent = [tuple(x * (1 + 1e-9) for x in directions[0])]
-        assert not _closes(bent + directions[1:])
 
     @pytest.mark.parametrize("body, faces", [
         (box([F(1, 3), F(-2, 7), 0, F(1, 2)], [F(5, 3), F(3, 7), 2, F(7, 4)]), 48),
@@ -300,27 +288,23 @@ class TestSubspaceVolume:
             subspace_volume(tri, [(F(1), 0, 0, 0)])
 
     @pytest.mark.parametrize("s", [1, 10 ** 3, 10 ** 6, 10 ** 9])
-    def test_float_residual_is_relative(self, s):
-        """The float twin of a sampled subspace's cube probe, dilated by s,
-        lies in the exact subspace within the cut relative to its points."""
+    def test_dilated_probe_has_the_dilated_volume(self, s):
+        """A sampled subspace's cube probe dilated by s, or by 1/s, has
+        volume s^3, or s^-3, exactly."""
         l = sample_subspace(3, 3, 1)
         probe = cube_probe(l)
-        twin = Polytope(6, tuple(tuple(map(float, v)) for v in probe.vertices),
-                        probe.triangulation)
-        vol = subspace_volume(scale(twin, s), l)
-        assert type(vol) is float
-        assert vol / s ** 3 == pytest.approx(1, abs=1e-9)
+        assert subspace_volume(scale(probe, s), l) == s ** 3
+        assert subspace_volume(scale(probe, F(1, s)), l) == F(1, s ** 3)
 
     @pytest.mark.parametrize("s", [1, 10 ** 9])
-    def test_float_point_off_by_1e6_relative_rejected(self, s):
-        """A float body one of whose points leaves the exact subspace along a
-        unit normal by 1e-6 of its length is refused at every scale."""
+    def test_point_off_by_1e6_relative_rejected(self, s):
+        """A body one of whose points leaves the subspace along a normal by
+        1e-6 of its length is refused at every scale."""
         l = sample_subspace(3, 3, 1)
         w = linalg.nullspace(l.basis)[0]
-        normal = [float(x) / math.sqrt(sum(y * y for y in w)) for x in w]
-        b1, b2, b3 = ([float(x) for x in b] for b in l.basis)
-        apex = tuple(s * (x + 1e-6 * y) for x, y in zip(b3, normal))
-        tet = Polytope(6, ((0.0,) * 6, tuple(s * x for x in b1), tuple(s * x for x in b2), apex),
+        b1, b2, b3 = l.basis
+        apex = tuple(s * (x + F(1, 10 ** 6) * y) for x, y in zip(b3, w))
+        tet = Polytope(6, ((0,) * 6, tuple(s * x for x in b1), tuple(s * x for x in b2), apex),
                        ((0, 1, 2, 3),))
         with pytest.raises(GeometryError, match="does not lie"):
             subspace_volume(tet, l)
@@ -620,22 +604,14 @@ def _sparse_maps(n):
 @pytest.mark.parametrize("n", [3, 6])
 def test_linear_image_of_sparse_maps_matches_matvec(n):
     """On shears and permutations, which skip most terms of the column
-    scatter, each image vertex is the dense matrix-vector product; a float
-    body maps to floats within 1e-12 of the dense product in floats."""
+    scatter, each image vertex is the dense matrix-vector product."""
     rng = random.Random(n)
     body = simplex([[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
                     for _ in range(n + 1)])
-    as_float = Polytope(n, tuple(tuple(map(float, v)) for v in body.vertices),
-                        body.triangulation)
     for rows in _sparse_maps(n):
         image = linear_image(RMatrix.from_rows(rows), body)
         assert image.vertices == tuple(_matvec(rows, v) for v in body.vertices)
         assert all(type(x) is Fraction for v in image.vertices for x in v)
-        floats = linear_image(RMatrix.from_rows(rows), as_float)
-        assert _all_float(floats) and floats.triangulation == body.triangulation
-        for got, v in zip(floats.vertices, as_float.vertices, strict=True):
-            want = [sum(float(a) * b for a, b in zip(row, v)) for row in rows]
-            assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -728,19 +704,17 @@ def test_scale_matches_linear_image_of_a_diagonal(case):
     assert scale(body, lam) == linear_image(diag, body)
 
 
-def _all_float(body):
-    return all(isinstance(x, float) for v in body.vertices for x in v)
-
-
-def test_float_body_survives_its_json_round_trip():
-    """Float coordinates are written as JSON numbers and read back as the
-    exact rationals they are, so the body read back compares equal."""
-    tri = Polytope(2, ((0.1, 0.0), (1.5, 0.2), (0.0, 1.0)), ((0, 1, 2),))
-    data = tri.to_json_dict()
-    assert data["vertices"] == [[0.1, 0.0], [1.5, 0.2], [0.0, 1.0]]
-    back = Polytope.from_json_dict(json.loads(json.dumps(data)))
-    assert back == tri and not _all_float(back)
-    assert back.vertices[0][0] == F(0.1) != F(1, 10)
+def test_json_numbers_are_read_as_the_exact_rationals_they_are():
+    """Coordinates given as JSON numbers are read as the exact rationals
+    they are and written back as rational strings, so the body read back
+    again compares equal; the floats themselves are refused."""
+    text = '{"dim": 2, "vertices": [[0.1, 0.0], [1.5, 0.2], [0.0, 1.0]], "triangulation": [[0, 1, 2]]}'
+    back = Polytope.from_json_dict(json.loads(text))
+    assert back.vertices[0][0] == F(0.1) != F(1, 10) and back.vertices[1] == (F(3, 2), F(0.2))
+    assert back.to_json_dict()["vertices"][1][0] == "3/2"
+    assert Polytope.from_json_dict(back.to_json_dict()) == back
+    with pytest.raises(TypeError):
+        Polytope(2, ((0.1, 0.0), (1.5, 0.2), (0.0, 1.0)), ((0, 1, 2),))
 
 
 def _count_calls(monkeypatch, module, names):
@@ -783,26 +757,14 @@ def test_exact_dilates_and_translates_take_no_view_set_up(monkeypatch, body):
         _assert_body_twin(image)
 
 
-def test_scale_of_a_float_body_or_factor_is_float():
-    tri = Polytope(2, ((0.0, 0.0), (1.5, 0.0), (0.0, 1.0)), ((0, 1, 2),))
-    doubled = scale(tri, 2)
-    assert doubled.vertices == ((0.0, 0.0), (3.0, 0.0), (0.0, 2.0)) and _all_float(doubled)
-    halved = scale(std_triangle, 0.5)
-    assert halved.vertices == ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)) and _all_float(halved)
-    exact = scale(std_triangle, F(1, 2))
-    assert all(type(x) is Fraction for v in exact.vertices for x in v)
-    assert exact.vertices == halved.vertices
-
-
-def test_linear_image_of_a_float_body_is_float():
-    phi = RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, 0], [F(-1, 3), 0, 2]])
-    body = crosspolytope([(1, 0, 0), (0, 2, 0), (F(1, 2), 0, 1)])
-    as_float = Polytope(3, tuple(tuple(float(x) for x in v) for v in body.vertices),
-                        body.triangulation)
-    got, want = linear_image(phi, as_float), linear_image(phi, body)
-    assert _all_float(got) and got.triangulation == want.triangulation
-    for a, b in zip(got.vertices, want.vertices, strict=True):
-        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
+def test_scale_by_a_float_factor_is_refused():
+    """A float factor is refused, not read as the dyadic rational it is;
+    its exact twin scales the body exactly."""
+    with pytest.raises(TypeError):
+        scale(std_triangle, 0.5)
+    halved = scale(std_triangle, F(1, 2))
+    assert halved.vertices == ((0, 0), (F(1, 2), 0), (0, F(1, 2)))
+    assert all(type(x) is Fraction for v in halved.vertices for x in v)
 
 
 def test_import_of_a_kuhn_box_takes_no_bareiss(monkeypatch):
@@ -822,60 +784,48 @@ def test_import_of_a_kuhn_box_takes_no_bareiss(monkeypatch):
     assert len(calls) == 0
 
 
-def _floated(body):
-    return Polytope(body.dim, tuple(tuple(map(float, v)) for v in body.vertices),
-                    body.triangulation)
-
-
 def _rebuilt(body):
     """The body from its vertices alone, without a seeded integer view."""
     return Polytope(body.dim, body.vertices, body.triangulation)
 
 
-maybe_float = st.sampled_from([F, float])
-
-
 @st.composite
 def affine_images(draw):
-    """An exact or float body and its image under linear_image, scale or
-    translate, with an exact phi (matrices are exact) and an exact or float
-    lam or y."""
+    """A body and its image under linear_image, scale or translate."""
     body, rows = draw(bodies_and_maps())
-    if draw(st.booleans()):
-        body = _floated(body)
-    kind, cast = draw(st.sampled_from(["linear", "scale", "translate"])), draw(maybe_float)
+    kind = draw(st.sampled_from(["linear", "scale", "translate"]))
     if kind == "linear":
         phi = RMatrix.from_rows(rows)
         assume(phi.det != 0)
         return body, linear_image(phi, body)
     if kind == "scale":
-        lam = cast(draw(small_rats))
+        lam = draw(small_rats)
         assume(lam != 0)
         return body, scale(body, lam)
-    return body, translate(body, [cast(x) for x in rows[0]])
+    return body, translate(body, rows[0])
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=affine_images())
 def test_affine_maps_seed_the_cleared_view(case):
     """The view an affine map seeds is exactly what clearing the image's
-    vertices gives: the same scale, the same entries of the same types."""
+    vertices gives: the same scale and the same int entries."""
     _, image = case
     seeded = image.cleared
     scale, rows = linalg.clear_denominators(image.vertices)
     assert seeded == (scale, tuple(map(tuple, rows))) == _rebuilt(image).cleared
-    assert [type(x) for row in seeded[1] for x in row] == [type(x) for row in rows for x in row]
-    assert type(seeded[0]) is int
+    assert all(type(x) is int for row in seeded[1] for x in row) and type(seeded[0]) is int
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=affine_images())
 def test_images_compute_as_their_rebuilt_twins(case):
     """Moments up to rank 3, volume and atoms of an image equal those of
-    the same points rebuilt without a seeded view."""
+    the same points rebuilt as a body, which clears its own points and
+    walks its own cells."""
     _, image = case
     twin = _rebuilt(image)
-    assert "cleared" not in vars(twin)
+    assert "_seed" not in vars(twin)
     assert moment_family(image, 3) == moment_family(twin, 3)
     assert volume(image) == volume(twin)
     assert surface_area_measure(image) == surface_area_measure(twin)
@@ -909,16 +859,13 @@ def _assert_body_twin(image):
 def test_every_value_equals_its_twin_rebuilt_from_fractions(case, data):
     """Tensors from the five producers (moment_family, gl_action,
     shift_expansions, mcmullen_decompose, vector_power) and images under
-    linear_image, scale and translate, on exact or float bodies, shifts and
-    lambdas and exact matrices, equal their twins rebuilt from Fractions or
-    floats."""
+    linear_image, scale and translate equal their twins rebuilt from
+    Fractions."""
     body, rows = case
-    if data.draw(st.booleans()):
-        body = _floated(body)
     phi = RMatrix.from_rows(rows)
     assume(phi.det != 0)
-    y = [data.draw(maybe_float)(x) for x in rows[0]]
-    lam = data.draw(maybe_float)(data.draw(small_rats))
+    y = rows[0]
+    lam = data.draw(small_rats)
     assume(lam != 0)
     images = [linear_image(phi, body), scale(body, lam), translate(body, y)]
     for image in images:
@@ -980,26 +927,13 @@ def test_seeded_walks_are_the_walks_of_the_images(images, data):
         assert images[i].walk == _rebuilt(images[i]).walk
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=affine_images())
-def test_float_images_walk_their_float_points(case):
-    """An image holding a float is seeded with no walk: it walks its own
-    float points, bit for bit the walk of its vertices rebuilt as a body."""
-    _, image = case
-    assume(not polytope._exact(image.cleared))
-    assert "_seed" not in vars(image)
-    assert image.walk == tuple(polytope.cell_dets(image.cleared, image.triangulation, image.dim))
-    assert image.walk == _rebuilt(image).walk
-    assert all(type(d) is float for _, d, _ in image.walk)
-
-
 # -- face normals off the exterior-product walk ------------------------------------------
 
 
 @st.composite
 def face_walks(draw):
-    """n + 2 points in R^n, n = 1..5, as ints, as rationals cleared of
-    denominators, or as floats, some with a point planted on the affine
+    """n + 2 points in R^n, n = 1..5, as ints or as rationals cleared of
+    denominators, some with a point planted on the affine
     span of two or three others so that the faces through them are
     dependent; and every face of n of the points, in sorted order (so that
     they share prefixes) or shuffled."""
@@ -1009,13 +943,10 @@ def face_walks(draw):
     if n >= 3 and draw(st.booleans()):
         a, b = draw(small), draw(small) if n >= 4 else F(0)
         pts[-1] = [p + a * (q - p) + b * (r - p) for p, q, r in zip(pts[0], pts[1], pts[2])]
-    kind = draw(st.sampled_from(["int", "cleared", "float"]))
-    if kind == "int":
+    if draw(st.booleans()):
         pts = [[int(x.numerator) for x in pt] for pt in pts]
-    elif kind == "cleared":
-        pts = linalg.clear_denominators(pts)[1]
     else:
-        pts = [[float(x) for x in pt] for pt in pts]
+        pts = linalg.clear_denominators(pts)[1]
     faces = list(itertools.combinations(range(n + 2), n))
     if draw(st.booleans()):
         faces = draw(st.permutations(faces))
@@ -1026,21 +957,16 @@ def face_walks(draw):
 @given(case=face_walks())
 def test_face_normals_are_the_cofactor_vector(case):
     """Each face's normal off the walk is (-1)^c det(edges without column c),
-    each minor by Leibniz (``oracles.cofactor_normal``): equal in ints, all
-    zero for dependent edges, and within rounding of their size in floats,
-    whether or not the faces come in the order that shares prefixes."""
+    each minor by Leibniz (``oracles.cofactor_normal``): equal in ints and
+    all zero for dependent edges, whether or not the faces come in the
+    order that shares prefixes."""
     n, pts, faces = case
     for face, got in zip(faces, polytope._face_normals(pts, faces, n), strict=True):
         rows = [[a - b for a, b in zip(pts[i], pts[face[0]])] for i in face[1:]]
-        want = cofactor_normal(rows)
         assert len(got) == n
-        if linalg.is_exact(x for pt in pts for x in pt):
-            assert got == want and all(type(x) is int for x in got)
-            if linalg.rank(rows) < n - 1:
-                assert got == [0] * n
-        else:
-            size = math.prod(max(1.0, sum(abs(x) for x in row)) for row in rows)
-            assert all(abs(a - b) <= 1e-12 * size for a, b in zip(got, want))
+        assert got == cofactor_normal(rows) and all(type(x) is int for x in got)
+        if linalg.rank(rows) < n - 1:
+            assert got == [0] * n
 
 
 def test_face_normal_edge_cases():
@@ -1065,10 +991,9 @@ def test_face_normal_edge_cases():
     crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0), (0, 0, F(3, 7), 1),
                    (F(1, 5), 0, 0, 1)]),
     linear_image(RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, 0], [F(1, 3), 0, -1]]), cube(3)),
-    Polytope(3, tuple(tuple(float(x) for x in v) for v in cube(3).vertices),
-             cube(3).triangulation),
+    translate(cube(3), (10 ** 6, F(-10 ** 9, 7), F(1, 10 ** 6))),
     simplex([(0, 0, 0), (1, 0, 0)]),
-], ids=["triangle", "square", "box3", "cross4", "image", "float-cube3", "segment-in-r3"])
+], ids=["triangle", "square", "box3", "cross4", "image", "far-off-cube3", "segment-in-r3"])
 def test_sound_bodies_validate(body):
     validate(body)
 
@@ -1092,14 +1017,16 @@ def test_hand_built_bodies_are_validated(cells, match):
         Polytope.from_json_dict(body.to_json_dict())
 
 
-def test_validate_reads_float_bodies_within_rounding():
-    """A far-off float simplex passes on its rounding; a float double cover
-    of the square still fails on its volume."""
+def test_validate_reads_far_off_bodies_exactly():
+    """Far-off simplices with fine denominators pass exactly, and the double
+    cover of a far-off square still fails on its volume."""
     rng = random.Random(3)
     for _ in range(50):
-        pts = tuple(tuple(rng.uniform(-1000, 1000) + 1e6 for _ in range(3)) for _ in range(4))
-        validate(Polytope(3, pts, ((0, 1, 2, 3),)))
-    square = tuple(tuple(map(float, v)) for v in unit_square.vertices)
+        pts = tuple(tuple(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999)) + 10 ** 6
+                          for _ in range(3)) for _ in range(4))
+        if linalg.rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == 3:
+            validate(Polytope(3, pts, ((0, 1, 2, 3),)))
+    square = translate(unit_square, (10 ** 6, F(10 ** 6, 7))).vertices
     with pytest.raises(GeometryError, match="offsets"):
         validate(Polytope(2, square, ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))))
 

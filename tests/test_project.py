@@ -148,20 +148,14 @@ def test_each_value_is_cleared_only_by_its_view():
 def test_int_totals_become_a_tensor_only_through_from_totals():
     """Int sums over a denominator become a tensor only through
     ``SymTensor.from_totals``, and every producer of tensors calls it.  The
-    sums are divided only where a reader asks for a value: ``linalg.over``
-    is called by ``linalg.inv`` (the inverse's entries), by the products of
-    rows and columns (``linalg._operands``, one division per entry), by the two scalar divisions of ``polytope`` (volume and
-    ``FacetDatum``s), by the Gram determinant of ``_gram_root``, by the
-    surface-area pairing's directions (``surface_pairing`` and
-    ``transfer_check``) and by ``SymTensor.coeffs``, ``divide_totals`` by
-    nothing, and only ``max_abs_coeff``, ``coeff`` and ``view_distance``
-    build a tensor's ``Fraction``."""
+    sums are divided only where a reader asks for a value, each as one
+    ``Fraction(total, denominator)``: no module keeps a division helper
+    (``over``, ``divide_totals``) that could choose another arithmetic, and
+    in ``symtensor`` only ``coeffs``, ``max_abs_coeff``, ``coeff`` and
+    ``view_distance`` build a tensor's ``Fraction``."""
     calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
-    dividing = sorted(site for site, names in calls.items() if {"over", "divide_totals"} & names)
-    assert dividing == [("linalg", "_operands"), ("linalg", "inv"),
-                        ("polytope", "_volume"), ("polytope", "surface_area_measure"),
-                        ("symtensor", "coeffs"), ("valuation_lab", "_gram_root"),
-                        ("valuation_lab", "surface_pairing"), ("valuation_lab", "transfer_check")]
+    assert not [site for site, names in calls.items() if {"over", "divide_totals"} & names]
+    assert not [site for site in calls if site[1] in ("over", "divide_totals")]
     for site in [("moment", "moment_family"), ("symtensor", "gl_action"),
                  ("symtensor", "shift_expansions"), ("symtensor", "vector_power"),
                  ("symtensor", "sym_product"), ("symtensor", "tensor_sum"),
@@ -171,8 +165,7 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
     tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / "symtensor.py").read_text())
     building = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                 and "Fraction" in _called(fn)}
-    assert building == {"max_abs_coeff", "coeff", "view_distance", "format_rational",
-                        "parse_rational", "vector_power"}
+    assert building == {"coeffs", "max_abs_coeff", "coeff", "view_distance", "parse_rational"}
 
 
 def test_no_generator_sums_of_products_over_zip():
@@ -213,17 +206,65 @@ def test_one_tensor_representation():
 
 def test_matrices_are_exact():
     """``RMatrix`` and ``CMatrix`` hold rationals and carry no ``exact``
-    flag, and the determinants and the inverse run no float branch: none
-    of ``linalg.det``, ``linalg.cdet`` and ``linalg.inverse_view`` asks
-    ``_floats`` which mode its rows are in."""
+    flag, and ``linalg`` keeps no test of which arithmetic rows are in
+    (``_floats``) for the determinants and the inverse to ask."""
+    from valuta import linalg
     from valuta.cplx import CMatrix
     from valuta.symtensor import RMatrix
 
     assert not hasattr(RMatrix, "exact") and not hasattr(CMatrix, "exact")
-    calls = {fn.name: _called(fn) for fn in _functions(PYPROJECT.parent / "src" / "valuta"
-                                                       / "linalg.py")}
-    for name in ("det", "cdet", "inverse_view"):
-        assert "_floats" not in calls[name], name
+    assert not hasattr(linalg, "_floats")
+
+
+def test_bodies_tensors_and_reports_are_exact():
+    """``Polytope``, ``SymTensor`` and ``CheckReport`` carry no ``exact``
+    flag or ``mode``, and ``linalg`` keeps no test or coercion for a second
+    arithmetic (``is_exact``, ``real``, ``over``) nor a second clearing
+    (``_int_view``, ``_exact_view``)."""
+    from valuta import linalg
+    from valuta.polytope import Polytope
+    from valuta.symtensor import SymTensor
+    from valuta.valuation_lab import CheckReport
+
+    for cls in (Polytope, SymTensor, CheckReport):
+        names = {f.name for f in dataclasses.fields(cls)} | set(vars(cls))
+        assert not {"exact", "mode", "_floats"} & names, cls.__name__
+    for name in ("is_exact", "real", "over", "_int_view", "_exact_view"):
+        assert not hasattr(linalg, name), name
+
+
+def _float_sites(path):
+    """Where a module names ``float``, holds a float literal, or calls
+    ``math.sqrt`` or ``math.hypot`` (or imports them from ``math``)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("sqrt", "hypot")
+              and getattr(node.value, "id", None) == "math"):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ("sqrt", "hypot")]
+    return found
+
+
+def test_no_module_computes_in_floats():
+    """Every number is rational: no module of ``valuta`` names ``float``,
+    holds a float or complex literal (a tolerance such as 1e-9) or takes a
+    square root or length in floats (``math.sqrt``, ``math.hypot``)."""
+    for path in SOURCES:
+        assert _float_sites(path) == [], path.name
+
+
+@pytest.mark.parametrize("line", ["x = float(1)", "TOL = 1e-9", "r = math.sqrt(2)",
+                                  "r = math.hypot(3, 4)", "from math import sqrt"])
+def test_the_float_guard_sees_each_kind_of_site(tmp_path, line):
+    path = tmp_path / "module.py"
+    path.write_text(f"import math\n\n\ndef f():\n    {line}\n")
+    assert len(_float_sites(path)) == 1
 
 
 def test_cell_determinants_are_walked_only_by_the_memo():

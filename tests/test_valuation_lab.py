@@ -25,7 +25,14 @@ from valuta.polytope import (
     translate,
     volume,
 )
-from valuta.symtensor import RMatrix, SymTensor, sym_product, vector_power, view_distance
+from valuta.symtensor import (
+    RMatrix,
+    SymTensor,
+    sym_product,
+    tensor_sum,
+    vector_power,
+    view_distance,
+)
 from valuta.valuation_lab import (
     Valuation,
     _verdict,
@@ -48,13 +55,13 @@ from valuta.valuation_lab import (
 
 F = Fraction
 
-coeff_values = st.one_of(
-    st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)),
-    st.sampled_from([0.5, -0.25, 0.0, 1e-300]))
+coeff_values = st.builds(F, st.integers(min_value=-3, max_value=3),
+                         st.integers(min_value=1, max_value=3))
 
 std_triangle = simplex([(0, 0), (1, 0), (0, 1)])
 unit_square = cube(2)
-float_triangle = Polytope(2, ((0.1, 0.2), (1.3, 0.1), (0.4, 1.7)), ((0, 1, 2),))
+# The triangle on the decimals (0.1, 0.2), (1.3, 0.1), (0.4, 1.7).
+decimal_triangle = simplex([(F(1, 10), F(1, 5)), (F(13, 10), F(1, 10)), (F(2, 5), F(17, 10))])
 
 
 class TestMcMullen:
@@ -93,11 +100,6 @@ class TestMcMullen:
         assert report.max_residual == F(1, 10 ** 400)
         assert not report.passed
 
-    def test_float_body_passes_on_its_rounding_residual(self):
-        report = rehomogeneity_check(moment_valuation(2, 2), float_triangle, 3)
-        assert report.passed and report.mode == "float"
-        assert type(report.max_residual) is float and 0 < report.max_residual < 1e-10
-
 
 class TestKlain:
     def test_lebesgue_probe_gives_one(self):
@@ -117,8 +119,8 @@ class TestKlain:
         assert kv.value == SymTensor.scalar(4, 1)
 
     def test_probes_agree_on_sampled_subspaces(self, monkeypatch):
-        """On sampled subspaces the probes agree in mode "exact" and the
-        Klain value of the volume is exactly 1."""
+        """On sampled subspaces the probes agree with an exact zero residual
+        and the Klain value of the volume is exactly 1."""
         reports, verdict = [], valuation_lab._verdict
 
         def recording(*args):
@@ -130,19 +132,20 @@ class TestKlain:
             l = sample_subspace(m, j, seed)
             value = klain(span_lebesgue_valuation(2 * m, j), j, l).value.coeff(())
             assert type(value) is F and value == 1
-            assert reports[-1].mode == "exact" and reports[-1].max_residual == 0
+            assert type(reports[-1].max_residual) is F and reports[-1].max_residual == 0
 
-    def test_float_body_is_refused_by_the_span_volume(self):
+    def test_span_volume_of_a_triangle_is_its_area(self):
         """``span_lebesgue_valuation`` orthonormalises the body's span by
-        ``gram_schmidt``, which refuses a float body; the standard triangle
-        has volume 1/2."""
-        with pytest.raises(TypeError):
-            span_lebesgue_valuation(2, 2)(float_triangle)
+        ``gram_schmidt``: the standard triangle has area 1/2, in the plane
+        and in a tilted plane of R^4 alike."""
         assert span_lebesgue_valuation(2, 2)(std_triangle) == SymTensor.scalar(2, F(1, 2))
+        u, v = (F(3, 5), F(4, 5), 0, 0), (0, 0, 0, 1)
+        tilted = simplex([(0, 0, 0, 0), u, v])
+        assert span_lebesgue_valuation(4, 2)(tilted) == SymTensor.scalar(4, F(1, 2))
 
     def test_exact_probe_mismatch_rejected(self):
         """The cube probe reads 1 + 10^-12 and the simplex probe 1 + 10^-12 / 2:
-        far below the float tolerance, but exact input needs an exact verdict."""
+        far below any float tolerance, but the verdict is exact."""
         l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
 
         def run(body):
@@ -152,17 +155,27 @@ class TestKlain:
         with pytest.raises(ValutaError, match="disagree by 1/2000000000000"):
             klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l)
 
-    def test_float_probe_mismatch_within_tol_accepted(self):
-        """Float values on an exact subspace are compared in floats."""
+    def test_float_valuation_values_are_refused(self):
+        """A valuation whose values hold a float fails where its tensor is
+        made, before any comparison."""
         l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
 
         def run(body):
             vol = subspace_volume(body, l)
             return SymTensor.scalar(4, vol + 1e-12 * vol * vol)
 
-        value = klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l).value.coeff(())
-        assert isinstance(value, float)
-        assert value == pytest.approx(1, abs=1e-11)
+        with pytest.raises(TypeError):
+            klain(Valuation("vol+eps*vol^2", 0, 4, run), 2, l)
+
+    def test_irrational_gram_root_is_refused(self):
+        """A probe basis whose Gram determinant is no rational square spans
+        probes of irrational volume: ``ValutaError``, never a float."""
+        l = Subspace(4, ((1, 1, 0, 0),))
+        with pytest.raises(ValutaError, match="irrational"):
+            valuation_lab._gram_root(l.basis)
+        with pytest.raises(ValutaError, match="irrational"):
+            klain(span_lebesgue_valuation(4, 1), 1, l)
+        assert valuation_lab._gram_root([(F(3, 5), F(4, 5), 0, 0)]) == 1
 
     def test_probe_volumes(self):
         l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
@@ -252,12 +265,11 @@ def test_probe_volumes_on_cayley_columns_are_gram_roots(n, j):
 
 
 @pytest.mark.parametrize("m, j, seed", [(2, 2, 3), (2, 3, 4), (3, 2, 5), (3, 3, 6), (3, 5, 7)])
-def test_float_probes_and_volumes_are_the_generator_forms_bit_for_bit(m, j, seed):
+def test_probes_and_volumes_are_the_generator_forms(m, j, seed):
     """On a sampled subspace the probe points are the generator sums
     x + c y of the coordinates on the basis, exactly.  ``subspace_volume``
-    of the probes' float twins and of their dilates, float bodies in the
-    exact subspace, is the generator form's
-    (``oracles.subspace_volume_generators``) bit for bit."""
+    of the probes and of their dilates is the generator form's
+    (``oracles.subspace_volume_generators``)."""
     l = sample_subspace(m, j, seed)
     corners = [tuple(map(int, v)) for v in cube(j).vertices]
     want = []
@@ -268,11 +280,8 @@ def test_float_probes_and_volumes_are_the_generator_forms_bit_for_bit(m, j, seed
         want.append(tuple(v))
     assert list(cube_probe(l).vertices) == want
     for probe in (cube_probe(l), simplex_probe(l), scale(cube_probe(l), F(7, 3))):
-        twin = Polytope(l.ambient, tuple(tuple(map(float, v)) for v in probe.vertices),
-                        probe.triangulation)
-        got = subspace_volume(twin, l)
-        assert type(got) is float
-        assert got.hex() == subspace_volume_generators(twin, l.basis).hex()
+        got = subspace_volume(probe, l)
+        assert type(got) is F and got == subspace_volume_generators(probe, l.basis)
 
 
 SKEW_SIMPLEX4 = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (F(1, 2), 2, 0, 0), (0, F(1, 3), 1, 0),
@@ -340,12 +349,15 @@ class TestCovariance:
         assert report.max_residual == F(7, 2) == volume(OFF_CROSS2) * F(3, 2)
         assert report.witnesses == [{"y": ["3/2", "1/5"], "coefficient_rank": 1}]
 
-    def test_float_shift_on_a_float_body(self):
+    def test_float_shift_is_refused(self):
+        """A float shift is refused before any moment pass; its decimal
+        twin passes with an exact zero residual."""
         zs = [moment_valuation(2, s) for s in (2, 1, 0)]
-        report = verify_covariance(zs, float_triangle, [(0.3, -0.7)])
-        assert report.passed and report.mode == "float"
-        assert type(report.max_residual) is float and report.max_residual < 1e-15
-        assert report.witnesses[0]["y"] == ["0.3", "-0.7"]
+        with pytest.raises(TypeError):
+            verify_covariance(zs, decimal_triangle, [(F(1, 2), 0), (0.3, -0.7)])
+        report = verify_covariance(zs, decimal_triangle, [(F(3, 10), F(-7, 10))])
+        assert report.passed and report.max_residual == 0 and type(report.max_residual) is F
+        assert report.witnesses[0]["y"] == ["3/10", "-7/10"]
 
     def test_rank_order_enforced(self):
         with pytest.raises(DimensionMismatch):
@@ -392,13 +404,13 @@ class TestEquivariance:
                         for _ in range(11)])
         shear = sl_mc_element("shear", 5, params={"p": 1, "q": 3, "re": F(1, 2), "im": F(-3, 2)})
         report = verify_equivariance(moment_valuation(10, 4), [realify(shear)], body)
-        assert report.passed and report.mode == "exact"
+        assert report.passed
         assert type(report.max_residual) is Fraction and report.max_residual == 0
         q = SymTensor(10, 2, {tuple(2 * (k == i) for k in range(10)): 1 for i in range(10)})
         planted = Valuation("moment[4]+vol*Q^2", 4, 10, lambda b: moment_tensor(b, 4).tensor
                             + sym_product(q, q).scale(volume(b)))
         report = verify_equivariance(planted, [shear], body)
-        assert not report.passed and report.mode == "exact"
+        assert not report.passed
         assert type(report.max_residual) is Fraction and report.max_residual != 0
 
 
@@ -425,14 +437,14 @@ class TestScalingRelation:
         """|det_C 2I|^(1/2) = 16^(1/4) at j = 1 in C^2: the signed fourth
         powers of the widths are compared exactly, with no root taken."""
         report = scaling_relation_check(_width(4), 1, CMatrix.diag([2, 2]), OFF_CROSS4, True)
-        assert report.passed and report.mode == "exact"
+        assert report.passed
         assert report.max_residual == 0 and type(report.max_residual) is Fraction
-        assert report.witnesses == [{"factor": "(16)^(1/4)", "degree": 1, "mode": "exact"}]
+        assert report.witnesses == [{"factor": "(16)^(1/4)", "degree": 1}]
 
     def test_wrong_root_is_flagged_exactly(self):
         """diag(3, 2) stretches the e1-width by 3, not by 36^(1/4)."""
         report = scaling_relation_check(_width(4), 1, CMatrix.diag([3, 2]), OFF_CROSS4)
-        assert not report.passed and report.mode == "exact"
+        assert not report.passed
         assert type(report.max_residual) is Fraction
         assert report.max_residual == (3 ** 4 - 36) * _width(4)(OFF_CROSS4).coeff(()) ** 4
 
@@ -463,24 +475,19 @@ class TestSurfacePairing:
 
     @pytest.mark.parametrize("f", [lambda v: vector_power(v, 2), lambda v: v[0] * v[1] - 3 * v[2]],
                              ids=["square", "scalar"])
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-    def test_pairing_is_the_fold_over_the_atoms(self, f, exact):
-        """Exact tensor values are summed in one int pass, float ones in
-        facet order as + adds them, and neither builds its coefficient map;
-        scalars are added with + in facet order.  Each equals the fold of f
-        over the atoms, float bits too."""
+    def test_pairing_is_the_fold_over_the_atoms(self, f):
+        """Tensor values are summed in one int pass, which builds no
+        coefficient map; scalars are added with + in facet order.  Each
+        equals the fold of f over the atoms."""
         body = linear_image(RMatrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0],
                                                [0, 0, 1, F(-2, 3)], [0, 0, 0, 1]]),
                             crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0),
                                            (0, 0, F(3, 7), 1), (F(1, 5), 0, 0, 1)]))
-        if not exact:
-            body = Polytope(4, tuple(tuple(map(float, v)) for v in body.vertices),
-                            body.triangulation)
         values = [f(atom.direction) for atom in surface_area_measure(body)]
         fold = sum(values[1:], values[0])
         out = surface_pairing(f, body)
         if isinstance(fold, SymTensor):
-            assert out.exact == exact and "coeffs" not in vars(out)
+            assert "coeffs" not in vars(out)
             out, fold = sorted(out.coeffs.items()), sorted(fold.coeffs.items())
         assert repr(out) == repr(fold)
 
@@ -526,7 +533,7 @@ class TestTransfer:
         assert transfer_check(lambda v: vector_power(v, 2), phi, body).passed
         monkeypatch.setattr(linalg, "inverse_view", lambda m: (1, m))
         report = transfer_check(lambda v: vector_power(v, 2), phi, body)
-        assert not report.passed and report.mode == "exact"
+        assert not report.passed
         assert type(report.max_residual) is F and report.max_residual != 0
 
     def test_each_side_walks_its_own_points(self, monkeypatch):
@@ -601,22 +608,9 @@ class TestParitySplit:
         assert z.even_part()(std_triangle) == z(std_triangle)
 
 
-FLOAT_CORNERS = [((0.1, -0.3), (1.7, 0.2), (0.4, 1.1)),
-                 ((0.1, -0.3, 0.2), (1.7, 0.2, 0.0), (0.4, 1.1, -0.5), (0.3, 0.6, 1.9))]
-
-
-def _float_and_exact_twin(corners):
-    cells = (tuple(range(len(corners))),)
-    n = len(corners[0])
-    return (Polytope(n, corners, cells),
-            Polytope(n, tuple(tuple(F(x) for x in v) for v in corners), cells))
-
-
-def _assert_float_twin(got: SymTensor, want: SymTensor):
-    assert all(isinstance(v, float) for v in got.coeffs.values())
-    assert all(isinstance(v, Fraction) for v in want.coeffs.values())
-    for k in {**got.coeffs, **want.coeffs}:
-        assert abs(got.coeff(k) - want.coeff(k)) <= 1e-12
+DECIMAL_CORNERS = [(("0.1", "-0.3"), ("1.7", "0.2"), ("0.4", "1.1")),
+                   (("0.1", "-0.3", "0.2"), ("1.7", "0.2", "0"), ("0.4", "1.1", "-0.5"),
+                    ("0.3", "0.6", "1.9"))]
 
 
 def _moment_plus_volume_e1(n):
@@ -626,36 +620,41 @@ def _moment_plus_volume_e1(n):
                      + SymTensor(n, 1, {e1: volume(b)}))
 
 
-@pytest.mark.parametrize("corners", FLOAT_CORNERS, ids=["triangle", "tetrahedron"])
-def test_float_body_decomposes_like_its_exact_twin(corners):
-    body, twin = _float_and_exact_twin(corners)
+@pytest.mark.parametrize("corners", DECIMAL_CORNERS, ids=["triangle", "tetrahedron"])
+def test_decomposition_sums_to_the_value(corners):
+    """The n + rank + 1 components sum to z at the body, and each
+    homogeneous valuation sits in its one degree."""
+    body = simplex([tuple(map(F, v)) for v in corners])
     n = body.dim
-    for z in (volume_valuation(n), moment_valuation(n, 1), _moment_plus_volume_e1(n)):
-        got, want = mcmullen_decompose(z, body), mcmullen_decompose(z, twin)
-        assert len(got) == len(want) == n + z.rank + 1
-        for a, b in zip(got, want):
-            _assert_float_twin(a, b)
+    for z, degree in ((volume_valuation(n), n), (moment_valuation(n, 1), n + 1),
+                      (_moment_plus_volume_e1(n), None)):
+        comps = mcmullen_decompose(z, body)
+        assert len(comps) == n + z.rank + 1
+        assert tensor_sum(comps) == z(body)
+        if degree is not None:
+            assert [j for j, c in enumerate(comps) if not c.is_zero()] == [degree]
 
 
-@pytest.mark.parametrize("corners", FLOAT_CORNERS, ids=["triangle", "tetrahedron"])
-def test_float_body_parity_parts_match_its_exact_twin(corners):
-    body, twin = _float_and_exact_twin(corners)
+@pytest.mark.parametrize("corners", DECIMAL_CORNERS, ids=["triangle", "tetrahedron"])
+def test_parity_parts_split_a_mixed_valuation(corners):
+    """Even and odd parts sum to the value; M^1 + vol e_1 splits into its
+    odd M^1 and its even vol e_1."""
+    body = simplex([tuple(map(F, v)) for v in corners])
     n = body.dim
     for z in (moment_valuation(n, 1), moment_valuation(n, 2), _moment_plus_volume_e1(n)):
-        for part in (z.even_part(), z.odd_part()):
-            _assert_float_twin(part(body), part(twin))
+        assert z.even_part()(body) + z.odd_part()(body) == z(body)
     mixed = _moment_plus_volume_e1(n)
-    _assert_float_twin(mixed.odd_part()(body), moment_tensor(twin, 1).tensor)
+    assert mixed.odd_part()(body) == moment_tensor(body, 1).tensor
+    assert mixed.even_part()(body) == SymTensor(n, 1, {(1,) + (0,) * (n - 1): volume(body)})
 
 
 def test_report_json_shape():
     zs = [moment_valuation(2, 1), volume_valuation(2)]
     report = verify_covariance(zs, std_triangle, [(1, 0)])
     data = report.to_json_dict()
-    assert set(data) == {"check", "witnesses", "max_residual", "pass", "mode"}
+    assert set(data) == {"check", "witnesses", "max_residual", "pass"}
     assert data["pass"] is True
     assert data["max_residual"] == "0"
-    assert data["mode"] == "exact"
 
 
 @settings(max_examples=60, deadline=None)
@@ -663,34 +662,26 @@ def test_report_json_shape():
        b=st.dictionaries(st.sampled_from([(2, 0), (1, 1), (0, 2)]), coeff_values))
 def test_residual_matches_difference_tensor(a, b):
     """The residual view_distance(a, b) is the largest coefficient of
-    a - b: a float when either tensor holds a float, else a Fraction."""
+    a - b, a Fraction."""
     ta, tb = SymTensor(2, 2, a), SymTensor(2, 2, b)
-    got, expected = view_distance(ta, tb), (ta - tb).max_abs_coeff()
-    if any(type(x) is float for x in [*ta.coeffs.values(), *tb.coeffs.values()]):
-        expected = float(expected)
-    assert got == expected
-    assert type(got) is type(expected)
+    got = view_distance(ta, tb)
+    assert got == (ta - tb).max_abs_coeff() and type(got) is Fraction
 
 
-def test_verdict_reports_the_worst_failure_over_a_larger_passing_residual():
-    """1e-5 on coefficients of 1e6 passes and 1e-8 on coefficients of 1 fails:
-    the report carries the failure; an exact nonzero residual fails at any size."""
-    big, small = SymTensor.scalar(2, 1e6), SymTensor.scalar(2, 1.0)
-    report = _verdict("c", [(big, SymTensor.scalar(2, 1e6 + 1e-5), "big"),
-                            (small, SymTensor.scalar(2, 1.0 + 1e-8), "small")])
-    assert (report.passed, report.witnesses, report.mode) == (False, ["small"], "float")
-    assert report.max_residual == pytest.approx(1e-8)
-    exact = _verdict("c", [(big, big, "float"), (SymTensor.scalar(2, F(1, 10 ** 400)),
-                                                 SymTensor.scalar(2, 0), "exact")])
-    assert (exact.passed, exact.witnesses, exact.max_residual) == (False, ["exact"], F(1, 10 ** 400))
+def test_verdict_reports_the_worst_residual():
+    """A nonzero residual fails at any size, 10^-400 on coefficients of
+    10^6 included; the report carries the largest residual's witness, the
+    first one on a tie, and no pair passes."""
+    big = SymTensor.scalar(2, 10 ** 6)
+    tiny = SymTensor.scalar(2, 10 ** 6 + F(1, 10 ** 400))
+    report = _verdict("c", [(big, big, "equal"), (big, tiny, "tiny")])
+    assert (report.passed, report.witnesses, report.max_residual) == \
+        (False, ["tiny"], F(1, 10 ** 400))
+    third, zero = SymTensor.scalar(2, F(1, 3)), SymTensor.zero(2, 0)
+    report = _verdict("c", [(big, tiny, "tiny"), (third, zero, "a"), (zero, third, "b")])
+    assert (report.passed, report.witnesses, report.max_residual) == (False, ["a"], F(1, 3))
+    assert _verdict("c", [(big, big, "first"), (tiny, tiny, "second")]).witnesses == ["first"]
     assert _verdict("c", []).passed
-
-
-def test_float_residual_of_equal_tensors_is_a_float_zero():
-    t = SymTensor(2, 1, {(1, 0): 0.5, (0, 1): F(1, 3)})
-    assert type(view_distance(t, t)) is float and view_distance(t, t) == 0
-    exact = SymTensor(2, 1, {(1, 0): F(1, 2)})
-    assert type(view_distance(exact, exact)) is Fraction and view_distance(exact, exact) == 0
 
 
 # -- cached interpolation weights ---------------------------------------------------
@@ -752,25 +743,6 @@ def test_mcmullen_matches_fresh_inverse(case):
         assert all(isinstance(v, Fraction) and v for v in comp.coeffs.values())
 
 
-@settings(max_examples=15, deadline=None)
-@given(case=mixed_degree_valuations())
-def test_mcmullen_of_float_valuation_stays_float(case):
-    exact, body = case
-    got = mcmullen_decompose(exact.scaled(0.5), body)
-    want = _decompose_by_inverse(exact.scaled(F(1, 2)), body)
-    # A component sums top + 1 float values times one row of the inverse, so
-    # its rounding error is bounded by the largest value times the largest
-    # absolute row sum, a few ulps each.
-    top = len(want) - 1
-    inverse = linalg.inv([[F(k ** j) for j in range(top + 1)] for k in range(1, top + 2)])
-    largest = max(float(exact(scale(body, k)).max_abs_coeff()) for k in range(1, top + 2))
-    bound = 1e-12 * max(largest, 1.0) * max(sum(abs(float(w)) for w in row) for row in inverse)
-    for comp, ref in zip(got, want, strict=True):
-        assert all(isinstance(v, float) for v in comp.coeffs.values())
-        for k in {**comp.coeffs, **ref.coeffs}:
-            assert comp.coeff(k) == pytest.approx(float(ref.coeff(k)), abs=bound)
-
-
 def test_interpolation_weights_invert_the_vandermonde_matrix():
     # Ascending, then descending: a weight matrix cached under a wrong top
     # is served on the way back.
@@ -793,36 +765,33 @@ def test_interpolation_weights_are_cached_read_only():
     assert interpolation_weights(5) == (w, d)
 
 
-# -- float scaling relation --------------------------------------------------------------
+def _vol_plus_square(n, eps):
+    return Valuation("vol+eps*vol^2", 0, n, lambda b: SymTensor.scalar(
+        n, volume(b) + eps * volume(b) ** 2))
 
 
-def _sqrt_volume(eps=0.0):
-    """sqrt(vol) is 1-homogeneous under complex scalings of C^1 = R^2;
-    eps * vol breaks that."""
-    return Valuation("sqrt-vol", 0, 2, lambda b: SymTensor.scalar(
-        2, math.sqrt(volume(b)) + eps * float(volume(b))))
+# -- the scaling relation on a big body ---------------------------------------------------
 
 
 BIG_TRIANGLE = simplex([(0, 0), (10 ** 12, 0), (F(1, 3), 3 * 10 ** 12)])
 
 
-def test_float_scaling_tolerance_is_relative():
-    """|det_C (1 + i)| = sqrt 2 is irrational, so the check runs in floats; at
-    |z(K)| ~ 1e12 a rounding error of one ulp already exceeds 1e-9."""
+def test_scaling_on_a_big_body_is_exact():
+    """|det_C (1 + i)| = sqrt 2 is irrational, yet the area, 2-homogeneous
+    on C^1 = R^2, scales by its square 2: at |z(K)| ~ 1e24 the verdict is
+    still an exact zero, where one ulp of a float would be ~1e8."""
     psi = CMatrix.diag([(1, 1)])
-    report = scaling_relation_check(_sqrt_volume(), 1, psi, BIG_TRIANGLE)
-    assert report.witnesses[0]["mode"] == "float"
-    assert report.passed
-    assert report.max_residual > 1e-9
+    report = scaling_relation_check(volume_valuation(2), 2, psi, BIG_TRIANGLE)
+    assert report.passed and report.max_residual == 0 and type(report.max_residual) is F
+    assert report.witnesses == [{"factor": "2", "degree": 2}]
 
 
-def test_float_scaling_flags_relative_error():
+def test_scaling_flags_a_relative_error_of_1e_30_on_a_big_body():
     psi = CMatrix.diag([(1, 1)])
-    vol = float(volume(BIG_TRIANGLE))
-    planted = _sqrt_volume(1e-6 * math.sqrt(vol) / vol)
-    report = scaling_relation_check(planted, 1, psi, BIG_TRIANGLE)
-    assert report.witnesses[0]["mode"] == "float"
-    assert not report.passed
+    vol = volume(BIG_TRIANGLE)
+    report = scaling_relation_check(_vol_plus_square(2, F(1, 10 ** 30) / vol), 2, psi,
+                                    BIG_TRIANGLE)
+    assert not report.passed and report.max_residual == 2 * vol * F(1, 10 ** 30)
 
 
 # -- matrices are exact -----------------------------------------------------------------------
@@ -845,18 +814,13 @@ class TestFloatTransfer:
 # -- one verdict rule: a planted relative error of 1e-6 ----------------------------------------
 
 
-def _vol_plus_square(n, eps):
-    return Valuation("vol+eps*vol^2", 0, n, lambda b: SymTensor.scalar(
-        n, volume(b) + eps * volume(b) ** 2))
-
-
 def _rehomogeneity(eps):
-    return rehomogeneity_check(_vol_plus_square(2, eps), float_triangle, 3).passed
+    return rehomogeneity_check(_vol_plus_square(2, eps), decimal_triangle, 3).passed
 
 
 def _covariance(eps):
     zs = [moment_valuation(2, 1).scaled(1 + eps), volume_valuation(2)]
-    return verify_covariance(zs, float_triangle, [(0.3, -0.7)]).passed
+    return verify_covariance(zs, decimal_triangle, [(F(3, 10), F(-7, 10))]).passed
 
 
 def _equivariance(eps):
@@ -864,7 +828,7 @@ def _equivariance(eps):
     z = Valuation("M2+eps*vol*e2^2", 2, 2, lambda b: moment_tensor(b, 2).tensor + SymTensor(
         2, 2, {(0, 2): eps * volume(b)}))
     shear = RMatrix.from_rows([[1, F(3, 10)], [0, 1]])
-    return verify_equivariance(z, [shear], float_triangle).passed
+    return verify_equivariance(z, [shear], decimal_triangle).passed
 
 
 def _scaling(eps):
@@ -877,17 +841,17 @@ def _transfer(eps):
     image's atoms are read off the triangulation."""
     def planted(body):
         den, atoms = polytope.atom_totals(body)
-        if body is not float_triangle:
+        if body is not decimal_triangle:
             return den, atoms
         return den, [([x * (1 + eps) for x in total], base) for total, base in atoms]
 
     shear = RMatrix.from_rows([[1, F(1, 2)], [0, 1]])
     with mock.patch.object(valuation_lab, "atom_totals", planted):
-        return transfer_check(lambda v: vector_power(v, 2), shear, float_triangle).passed
+        return transfer_check(lambda v: vector_power(v, 2), shear, decimal_triangle).passed
 
 
 def _klain(eps):
-    """vol + eps vol^2 on an exact plane: float values for a float eps."""
+    """vol + eps vol^2 on a plane of R^4."""
     l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
 
     def run(body):
@@ -903,12 +867,12 @@ def _klain(eps):
 
 @pytest.mark.parametrize("check", [_rehomogeneity, _covariance, _equivariance, _scaling,
                                    _transfer, _klain])
-def test_every_float_check_flags_a_relative_error_of_1e_6(check):
-    """Each float check passes on its rounding residual and flags a planted
-    relative error of 1e-6, on values of size about 1.  Its floats come from
-    the body, shift, lambda or values; its matrices and subspaces are exact."""
-    assert check(0.0)
-    assert not check(1e-6)
+def test_every_check_flags_a_relative_error_of_1e_6(check):
+    """Each check passes without a planted error and flags a planted
+    relative error of 1e-6 on values of size about 1 (the decimal triangle,
+    a plane of R^4, a dilate of the standard 4-simplex)."""
+    assert check(0)
+    assert not check(F(1, 10 ** 6))
 
 
 # -- vacuous and invalid inputs are refused -------------------------------------------------
@@ -923,7 +887,7 @@ _TETRAHEDRON = simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     (lambda z: scaling_relation_check(z, 4, CMatrix.from_rows([[1, 2], [2, 4]]), SIMPLEX4),
      GeometryError),
     (lambda z: rehomogeneity_check(z, SIMPLEX4, 1), ValueError),
-    (lambda z: rehomogeneity_check(z, SIMPLEX4, 1.0), ValueError),
+    (lambda z: rehomogeneity_check(z, SIMPLEX4, 1.0), TypeError),
 ], ids=["equivariance-no-sample", "covariance-no-shift", "covariance-no-valuation",
         "scaling-singular-psi",
         "rehomogeneity-lambda-1", "rehomogeneity-float-lambda-1"])
@@ -931,7 +895,7 @@ def test_vacuous_inputs_are_refused(run, error):
     """No sample, no shift, no valuation, a singular psi (det_C psi = 0) and lambda = 1
     leave nothing to compare, or compare z(K) with itself: each let the
     planted vol + vol^2 in R^4, which is not homogeneous, pass, with
-    residual 0 or a float rounding residual.  Each raises instead; on valid
+    residual 0.  Each raises instead, a float lambda as a float; on valid
     inputs the same valuation fails."""
     planted = _vol_plus_square(4, 1)
     with pytest.raises(error):
@@ -950,84 +914,41 @@ def test_lambda_at_most_0_is_refused(z, homogeneous):
     lambda > 0: at lambda = -1 it failed volume, moment[1] and moment[2] on
     a tetrahedron.  Every lambda <= 0 raises, whatever the valuation; at
     lambda = 3/2 the homogeneous ones pass and the planted vol + vol^2 fails."""
-    for lam in (-1, F(-2, 3), 0, -0.5):
+    for lam in (-1, F(-2, 3), 0):
         with pytest.raises(ValueError, match="lambda > 0"):
             rehomogeneity_check(z, _TETRAHEDRON, lam)
+    with pytest.raises(TypeError):
+        rehomogeneity_check(z, _TETRAHEDRON, -0.5)
     assert rehomogeneity_check(z, _TETRAHEDRON, F(3, 2)).passed == homogeneous
-
-
-# -- the mode is read off the inputs too ----------------------------------------------------
 
 
 def _zero(n, r):
     return Valuation("zero", r, n, lambda b: SymTensor.zero(n, r))
 
 
-def test_float_transfer_with_all_zero_values_reports_float_mode():
-    """v -> v[0] pairs to 0 on any body, exactly (``SymTensor`` drops the
-    zeros), yet the triangle is a float one."""
-    shear = RMatrix.from_rows([[1, F(1, 2)], [0, 1]])
-    tri = Polytope(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), ((0, 1, 2),))
-    report = transfer_check(lambda v: v[0], shear, tri)
-    assert (report.passed, report.mode, report.max_residual) == (True, "float", 0.0)
-    assert type(report.max_residual) is float
-
-
-@pytest.mark.parametrize("body, shear, mode", [
-    (Polytope(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), ((0, 1, 2),)), [[1, F(3, 10)], [0, 1]],
-     "float"),
-    (float_triangle, [[1, F(3, 10)], [0, 1]], "float"),
-    (std_triangle, [[1, F(3, 10)], [0, 1]], "exact"),
-])
-def test_zero_valuation_equivariance_mode_follows_the_inputs(body, shear, mode):
-    report = verify_equivariance(_zero(2, 2), [RMatrix.from_rows(shear)], body)
-    assert (report.passed, report.mode) == (True, mode)
-    assert type(report.max_residual) is (float if mode == "float" else Fraction)
-
-
-def test_every_check_reads_float_mode_off_its_inputs():
-    """A float shift, lambda or body makes the verdict a float one, on a
-    valuation that is 0 everywhere; matrices are exact."""
-    z2 = _zero(2, 1)
-    assert verify_covariance([z2, _zero(2, 0)], std_triangle, [(0.5, 0)]).mode == "float"
-    assert verify_covariance([z2, _zero(2, 0)], std_triangle, [(F(1, 2), 0)]).mode == "exact"
-    assert rehomogeneity_check(z2, std_triangle, 1.5).mode == "float"
-    assert rehomogeneity_check(z2, float_triangle, 3).mode == "float"
-    assert rehomogeneity_check(z2, std_triangle, F(3, 2)).mode == "exact"
-    float_body = Polytope(4, tuple(tuple(map(float, v)) for v in SIMPLEX4.vertices),
-                          SIMPLEX4.triangulation)
-    exact_psi = CMatrix.from_rows([[F(1), F(1, 2)], [0, 1]])
-    assert scaling_relation_check(_zero(4, 0), 4, exact_psi, float_body).mode == "float"
-    assert scaling_relation_check(_zero(4, 0), 4, exact_psi, SIMPLEX4).mode == "exact"
+def test_zero_valuation_equivariance_passes_with_a_fraction_zero():
+    report = verify_equivariance(_zero(2, 2), [RMatrix.from_rows([[1, F(3, 10)], [0, 1]])],
+                                 std_triangle)
+    assert report.passed and report.max_residual == 0 and type(report.max_residual) is Fraction
 
 
 def test_residual_of_equal_coefficients_subtracts_nothing(monkeypatch):
-    """Equal views give a zero in the mode of their values without being
-    brought to one scale or subtracted: a Fraction zero when both are
-    exact, over any denominator, a float zero when both hold floats.  A
-    float equal to the other's Fraction gives a float zero too."""
+    """Equal views give a Fraction zero without being brought to one scale
+    or subtracted, over any denominator."""
     def refused(views):
         raise AssertionError("subtracted")
 
     a = SymTensor.from_totals(2, 2, [(2, 0), (1, 1)], [2, -4], 6)
     b = SymTensor(2, 2, {(2, 0): F(1, 3), (1, 1): F(-2, 3)})
-    half = SymTensor(2, 1, {(1, 0): 0.5})
-    exact_half = SymTensor.from_totals(2, 1, [(1, 0), (0, 1)], [3, 0], 6)
-    for x, y in ((half, exact_half), (exact_half, half)):
-        assert type(view_distance(x, y)) is float and view_distance(x, y) == 0
     monkeypatch.setattr(linalg, "common_scale", refused)
     assert type(view_distance(a, b)) is Fraction and view_distance(a, b) == 0
-    assert type(view_distance(half, half)) is float and view_distance(half, half) == 0
     with pytest.raises(AssertionError, match="subtracted"):
         view_distance(a, SymTensor(2, 2, {(2, 0): F(1, 3)}))
 
 
-_TRI = simplex([(0, 0), (F(5, 3), F(1, 7)), (F(-1, 2), 2)])
-_FTRI = Polytope(2, ((0.1, 0.2), (1.3, 0.1), (0.4, 1.7)), ((0, 1, 2),))
 _CROSS4 = translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0), (0, 0, F(3, 7), 1),
                                    (F(1, 5), 0, 0, 1)]), (F(1, 5), 0, -1, F(2, 3)))
 _BOX3 = box([F(-1, 2), 0, F(1, 3)], [1, F(2, 3), 2])
-_FBOX3 = Polytope(3, tuple(tuple(map(float, v)) for v in _BOX3.vertices), _BOX3.triangulation)
 _SHEAR = sl_mc_element("shear", 2, params={"p": 0, "q": 1, "re": F(1, 2), "im": F(-3, 2)})
 _RSHEAR = RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, F(-3, 2)], [0, 0, 1]])
 _IDENTITY2 = SymTensor(4, 2, {tuple(2 * (k == i) for k in range(4)): 1 for i in range(4)})
@@ -1039,45 +960,38 @@ def _cascade_of(n, c=1):
 
 
 @pytest.mark.parametrize("run, expected", [
-    (lambda: verify_equivariance(moment_valuation(3, 3), [_RSHEAR], _FBOX3),
-     (True, 8.881784197001252e-16, [{"sample_index": 0}], "float")),
+    (lambda: verify_equivariance(moment_valuation(3, 3), [_RSHEAR], _BOX3),
+     (True, 0, [{"sample_index": 0}])),
     (lambda: verify_equivariance(Valuation("planted", 2, 4, lambda b: moment_tensor(b, 2).tensor
                                            + _IDENTITY2.scale(volume(b))), [_SHEAR], _CROSS4),
-     (False, F(187, 105), [{"sample_index": 0}], "exact")),
-    (lambda: verify_covariance(_cascade_of(2), _FTRI, [[F(1, 3)] * 2, [F(-2, 5), 1]]),
-     (True, 4.440892098500626e-16, [{"y": ["-2/5", "1"], "coefficient_rank": 2}], "float")),
-    (lambda: verify_covariance(_cascade_of(3), _BOX3, [[0.3] * 3, [F(-2, 5), 1, 1]]),
-     (True, 1.3322676295501878e-15, [{"y": ["0.3", "0.3", "0.3"], "coefficient_rank": 1}],
-      "float")),
+     (False, F(187, 105), [{"sample_index": 0}])),
+    (lambda: verify_covariance(_cascade_of(2), decimal_triangle, [[F(1, 3)] * 2, [F(-2, 5), 1]]),
+     (True, 0, [{"y": ["1/3", "1/3"], "coefficient_rank": 3}])),
+    (lambda: verify_covariance(_cascade_of(3), _BOX3, [[F(3, 10)] * 3, [F(-2, 5), 1, 1]]),
+     (True, 0, [{"y": ["3/10", "3/10", "3/10"], "coefficient_rank": 3}])),
     (lambda: verify_covariance(_cascade_of(3, F(3, 2)), _BOX3, [[F(1, 3)] * 3]),
-     (False, F(5, 12), [{"y": ["1/3", "1/3", "1/3"], "coefficient_rank": 2}], "exact")),
-    (lambda: rehomogeneity_check(moment_valuation(4, 2), _CROSS4, 0.7),
-     (True, 2.8457078668806287e-11, [{"degree": 1, "lambda": "0.7"}], "float")),
-    (lambda: rehomogeneity_check(moment_valuation(2, 2), _FTRI, F(2, 7)),
-     (True, 1.1487107561454954e-13, [{"degree": 0, "lambda": "2/7"}], "float")),
+     (False, F(5, 12), [{"y": ["1/3", "1/3", "1/3"], "coefficient_rank": 2}])),
+    (lambda: rehomogeneity_check(moment_valuation(4, 2), _CROSS4, F(7, 10)),
+     (True, 0, [{"degree": 0, "lambda": "7/10"}])),
+    (lambda: rehomogeneity_check(moment_valuation(2, 2), decimal_triangle, F(2, 7)),
+     (True, 0, [{"degree": 0, "lambda": "2/7"}])),
     (lambda: rehomogeneity_check(Valuation("vol+vol^2", 0, 3, lambda b: SymTensor.scalar(
         3, volume(b) + volume(b) ** 2)), _BOX3, F(3, 2)),
-     (False, F(7938875, 96), [{"degree": 1, "lambda": "3/2"}], "exact")),
-    # The float atoms' normals are sums of products of edge entries (the
-    # exterior-product walk), and this residual rounds with them.
-    (lambda: transfer_check(lambda v: vector_power(v, 2), _RSHEAR, _FBOX3),
-     (True, 4.440892098500626e-16, [{"det": "1"}], "float")),
-], ids=["equivariance-float-body", "equivariance-planted",
-        "covariance-float-body", "covariance-float-shift", "covariance-planted",
-        "rehomogeneity-float-lambda", "rehomogeneity-float-body", "rehomogeneity-planted",
-        "transfer-float-body"])
+     (False, F(7938875, 96), [{"degree": 1, "lambda": "3/2"}])),
+    (lambda: transfer_check(lambda v: vector_power(v, 2), _RSHEAR, _BOX3),
+     (True, 0, [{"det": "1"}])),
+], ids=["equivariance-box", "equivariance-planted",
+        "covariance-decimal-triangle", "covariance-decimal-shift", "covariance-planted",
+        "rehomogeneity-decimal-lambda", "rehomogeneity-decimal-triangle", "rehomogeneity-planted",
+        "transfer-box"])
 def test_reports_on_fixed_inputs_are_unchanged(run, expected):
-    """Reports of the four checks on fixed exact and float inputs, planted
-    failures among them, to the last bit of every float residual.  The
-    crosspolytope's float residuals are those of its cells pulled from +v_1;
-    the float moments of rank >= 2 of the Kuhn box and of the scaled
-    crosspolytope are summed on the moment kernel's DAG
-    (``moment._dag_totals``)."""
+    """Reports of the four checks on fixed inputs, planted failures among
+    them: the residual, a Fraction, and the witness, which for a passing
+    check is its first pair's."""
     report = run()
     witnesses = [{k: v for k, v in w.items() if k != "matrix"} for w in report.witnesses]
-    got = (report.passed, report.max_residual, witnesses, report.mode)
-    assert got == expected
-    assert type(got[1]) is type(expected[1])
+    assert (report.passed, report.max_residual, witnesses) == expected
+    assert type(report.max_residual) is Fraction
 
 
 def test_passing_exact_checks_build_no_fraction_for_their_values(monkeypatch):
