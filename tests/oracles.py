@@ -4,14 +4,15 @@ and reference versions of routines the library computes another way."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Iterator
 
 from valuta import linalg
 from valuta.errors import GeometryError, ValutaError
-from valuta.polytope import _volume, cell_dets, linear_image, surface_area_measure
-from valuta.symtensor import SymTensor, format_rational, tensor_sum
+from valuta.polytope import Polytope, _volume, cell_dets, linear_image, surface_area_measure
+from valuta.symtensor import SymTensor, format_rational, parse_rational, tensor_sum
 from valuta.valuation_lab import _verdict
 
 
@@ -23,6 +24,16 @@ def multi_indices(n: int, r: int) -> Iterator[tuple[int, ...]]:
     for first in range(r, -1, -1):
         for rest in multi_indices(n - 1, r - first):
             yield (first,) + rest
+
+
+def float_twin(body: Polytope) -> Polytope:
+    """The body that a JSON document gives when it writes each coordinate of
+    ``body`` as its nearest float: ``from_json_dict`` reads every float as
+    the exact rational it is, so the twin is exact and lies within rounding
+    of ``body``, with the same cells."""
+    data = body.to_json_dict()
+    data["vertices"] = [[float(parse_rational(x)) for x in v] for v in data["vertices"]]
+    return Polytope.from_json_dict(json.loads(json.dumps(data)))
 
 
 def monomial_integral_simplex(s, alpha) -> Fraction:

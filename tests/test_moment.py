@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import monomial_integral_simplex, multi_indices
+from oracles import float_twin, monomial_integral_simplex, multi_indices
 from valuta import linalg, moment, polytope, symtensor
 from valuta.cplx import sample_subspace
 from valuta.errors import GeometryError
@@ -535,7 +535,7 @@ def test_degenerate_and_short_cells_leave_the_walk_intact():
     assert moment_family(tail, 3) == moment_family(body, 3)
 
 
-@pytest.mark.parametrize("make", [
+WALKED_BODIES = pytest.mark.parametrize("make", [
     lambda: box([F(-1, 2), F(1, 3), 0, F(-7, 5)], [F(5, 3), 2, F(3, 7), 1]),
     lambda: translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 1, F(-2, 5), 0), (0, 0, 1, F(3, 2)),
                                      (0, 0, 0, F(5, 7))]), (F(1, 3), F(-1, 2), 0, F(2, 9))),
@@ -544,11 +544,34 @@ def test_degenerate_and_short_cells_leave_the_walk_intact():
         [[F(int(i == k)) + (F(i + 2, 7 * k + 3) if k == (i + 1) % 6 else 0) for k in range(6)]
          for i in range(6)]), [F(k - 2, 9) for k in range(6)]),
 ], ids=["box4", "off-centre-cross4", "box5", "off-centre-cross6"])
+
+
+@WALKED_BODIES
 def test_walked_moments_are_the_cells_as_simplices(make):
     """Determinants off the exterior products and the cells' shared walk
     give the sum over the cells, each a simplex of its own (``_cell_sum``)."""
     body = make()
     assert moment_family(body, 3) == [_cell_sum(body, s) for s in range(3, -1, -1)]
+
+
+@WALKED_BODIES
+def test_float_body_walks_like_its_exact_twin(make):
+    """The body read from a JSON document of its coordinates as floats
+    walks its cells with the same orientations, and each coefficient of its
+    moments lies within 1e-12 of the exact one relative to the tensor's
+    largest and to max(1, |coefficient|)."""
+    body = make()
+    twin = float_twin(body)
+
+    def signs(b):
+        return [(d > 0) - (d < 0) for _, d, _ in b.walk]
+
+    assert signs(twin) == signs(body)
+    for got, want in zip(moment_family(twin, 3), moment_family(body, 3)):
+        size = max(map(abs, want.coeffs.values()))
+        for key in set(got.coeffs) | set(want.coeffs):
+            error = abs(got.coeff(key) - want.coeff(key)) * 10 ** 12
+            assert error <= size and error <= max(1, abs(want.coeff(key)))
 
 
 # -- bodies whose cells end alike take the minimal DAG --------------------------------------

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import centre_cone_crosspolytope, cofactor_normal, mat_vec_fractions, support
+from oracles import (
+    centre_cone_crosspolytope, cofactor_normal, float_twin, mat_vec_fractions, support,
+)
 from valuta import linalg, polytope
 from valuta.cplx import Subspace, sample_subspace
 from valuta.errors import GeometryError, ParseError
@@ -181,7 +183,7 @@ class TestSurfaceAreaMeasure:
         with pytest.raises(ParseError):
             Polytope.from_json_dict({**data, "facets": _facet_json(cube(3))["facets"]})
 
-    @pytest.mark.parametrize("body", [
+    ATOM_BODIES = pytest.mark.parametrize("body", [
         simplex([(0, 0), (F(1, 3), 0), (F(1, 7), F(2, 5))]),
         simplex([(0, 0, 0), (F(1, 3), 0, F(1, 9)), (0, F(2, 7), 0), (F(1, 5), F(1, 11), 1)]),
         box([0, 0, 0], [F(1, 3), F(1, 7), F(2, 5)]),
@@ -192,6 +194,8 @@ class TestSurfaceAreaMeasure:
                                         [F(1, 3), 0, 0, 1]]),
                      box([F(-1, 2), 0, F(1, 3), 0], [1, F(2, 7), F(5, 3), 2])),
     ])
+
+    @ATOM_BODIES
     def test_atoms_support_the_body_and_close_up(self, body):
         """Each atom's offset is the support function at its direction,
         the directions sum to zero and the offsets to n times the volume."""
@@ -200,6 +204,29 @@ class TestSurfaceAreaMeasure:
         assert all(f.offset == support(body, f.direction) for f in atoms)
         assert not any(map(sum, zip(*(f.direction for f in atoms))))
         assert sum(f.offset for f in atoms) == body.dim * volume(body)
+
+    @ATOM_BODIES
+    def test_float_atoms_match_exact(self, body):
+        """The atoms of the body read from a JSON document of its
+        coordinates as floats, each put with the exact atom nearest it in
+        angle, sum to within 1e-12 of that atom's direction and offset.  A
+        facet that rounding tilts apart splits into pieces that add up to
+        it, as the facets of the last body do."""
+        exact = surface_area_measure(body)
+        groups = [[] for _ in exact]
+
+        def signed_cos2(f, g):
+            dot = sum(a * b for a, b in zip(f.direction, g.direction))
+            norms = sum(a * a for a in f.direction) * sum(b * b for b in g.direction)
+            return dot * abs(dot) / norms
+
+        for g in surface_area_measure(float_twin(body)):
+            groups[max(range(len(exact)), key=lambda i: signed_cos2(exact[i], g))].append(g)
+        assert all(groups)
+        for f, gs in zip(exact, groups):
+            total = [sum(xs) for xs in zip(*(g.direction for g in gs))]
+            assert max(abs(a - b) for a, b in zip(f.direction, total)) * 10 ** 12 <= 1
+            assert abs(f.offset - sum(g.offset for g in gs)) * 10 ** 12 <= 1
 
     def test_large_tetrahedra_close_up(self):
         rng = random.Random(7)
@@ -212,10 +239,19 @@ class TestSurfaceAreaMeasure:
             assert len(atoms) == 4
             assert not any(map(sum, zip(*(f.direction for f in atoms))))
 
-    def test_atoms_that_do_not_close_are_rejected(self):
-        square = ((0, 0), (1000, 0), (1000, 1000), (0, 1000))
-        with pytest.raises(GeometryError):
-            surface_area_measure(Polytope(2, square, ((0, 1, 2), (0, 2, 3), (0, 1, 3))))
+    def test_float_atoms_that_do_not_close_are_rejected(self):
+        """A square whose cells overlap does not close up: given in floats
+        it is refused on construction, read from JSON floats its import is
+        refused, and given exactly its atoms are rejected."""
+        square = ((0.0, 0.0), (1000.0, 0.0), (1000.0, 1000.0), (0.0, 1000.0))
+        cells = ((0, 1, 2), (0, 2, 3), (0, 1, 3))
+        with pytest.raises(TypeError):
+            Polytope(2, square, cells)
+        with pytest.raises(ParseError, match="close up"):
+            Polytope.from_json_dict(json.loads(json.dumps(
+                {"dim": 2, "vertices": square, "triangulation": cells})))
+        with pytest.raises(GeometryError, match="close up"):
+            surface_area_measure(Polytope(2, tuple(tuple(map(int, v)) for v in square), cells))
 
     @pytest.mark.parametrize("body, faces", [
         (box([F(1, 3), F(-2, 7), 0, F(1, 2)], [F(5, 3), F(3, 7), 2, F(7, 4)]), 48),
@@ -297,9 +333,11 @@ class TestSubspaceVolume:
         assert subspace_volume(scale(probe, F(1, s)), l) == F(1, s ** 3)
 
     @pytest.mark.parametrize("s", [1, 10 ** 9])
-    def test_point_off_by_1e6_relative_rejected(self, s):
+    def test_float_point_off_by_1e6_relative_rejected(self, s):
         """A body one of whose points leaves the subspace along a normal by
-        1e-6 of its length is refused at every scale."""
+        1e-6 of its length is refused at every scale: in floats on
+        construction, and exactly, or read from JSON floats, because that
+        point does not lie in the subspace."""
         l = sample_subspace(3, 3, 1)
         w = linalg.nullspace(l.basis)[0]
         b1, b2, b3 = l.basis
@@ -308,6 +346,10 @@ class TestSubspaceVolume:
                        ((0, 1, 2, 3),))
         with pytest.raises(GeometryError, match="does not lie"):
             subspace_volume(tet, l)
+        with pytest.raises(GeometryError, match="does not lie"):
+            subspace_volume(float_twin(tet), l)
+        with pytest.raises(TypeError):
+            Polytope(6, tuple(tuple(map(float, v)) for v in tet.vertices), tet.triangulation)
 
     @pytest.mark.parametrize("basis", [
         ((1, 0, 0, 0), (0, 2, 0, 0)),
@@ -704,10 +746,10 @@ def test_scale_matches_linear_image_of_a_diagonal(case):
     assert scale(body, lam) == linear_image(diag, body)
 
 
-def test_json_numbers_are_read_as_the_exact_rationals_they_are():
-    """Coordinates given as JSON numbers are read as the exact rationals
-    they are and written back as rational strings, so the body read back
-    again compares equal; the floats themselves are refused."""
+def test_float_body_survives_its_json_round_trip():
+    """Coordinates given as JSON float numbers are read as the exact
+    rationals they are and written back as rational strings, so the body
+    read back again compares equal; the floats themselves are refused."""
     text = '{"dim": 2, "vertices": [[0.1, 0.0], [1.5, 0.2], [0.0, 1.0]], "triangulation": [[0, 1, 2]]}'
     back = Polytope.from_json_dict(json.loads(text))
     assert back.vertices[0][0] == F(0.1) != F(1, 10) and back.vertices[1] == (F(3, 2), F(0.2))
@@ -992,8 +1034,10 @@ def test_face_normal_edge_cases():
                    (F(1, 5), 0, 0, 1)]),
     linear_image(RMatrix.from_rows([[1, F(1, 2), 0], [0, 1, 0], [F(1, 3), 0, -1]]), cube(3)),
     translate(cube(3), (10 ** 6, F(-10 ** 9, 7), F(1, 10 ** 6))),
+    float_twin(translate(cube(3), (F(1, 10), F(-2, 3), F(1, 7)))),
     simplex([(0, 0, 0), (1, 0, 0)]),
-], ids=["triangle", "square", "box3", "cross4", "image", "far-off-cube3", "segment-in-r3"])
+], ids=["triangle", "square", "box3", "cross4", "image", "far-off-cube3", "float-cube3",
+        "segment-in-r3"])
 def test_sound_bodies_validate(body):
     validate(body)
 

@@ -182,10 +182,10 @@ def test_json_round_trip():
     assert SymTensor.from_json_dict(data) == x
 
 
-def test_json_numbers_are_read_as_the_exact_rationals_they_are():
-    """A coefficient given as a JSON number is read as the exact rational
-    it is, through a JSON text too, and written back as that rational's
-    string; the float itself is refused by the constructor."""
+def test_float_tensor_survives_its_json_round_trip():
+    """A coefficient given as a JSON float number is read as the exact
+    rational it is, through a JSON text too, and written back as that
+    rational's string; the float itself is refused by the constructor."""
     data = json.loads('{"dim": 2, "rank": 1, "coeffs": {"1,0": 0.1, "0,1": -2.5}}')
     back = SymTensor.from_json_dict(data)
     assert back.coeffs == {(1, 0): F(0.1), (0, 1): F(-5, 2)} and F(0.1) != F(1, 10)

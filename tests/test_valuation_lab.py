@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multi_indices, subspace_volume_generators, support, transfer_check_fractions
+from oracles import (
+    float_twin, multi_indices, subspace_volume_generators, support, transfer_check_fractions,
+)
 from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
 from valuta.errors import DimensionMismatch, GeometryError, ValutaError
@@ -349,15 +351,20 @@ class TestCovariance:
         assert report.max_residual == F(7, 2) == volume(OFF_CROSS2) * F(3, 2)
         assert report.witnesses == [{"y": ["3/2", "1/5"], "coefficient_rank": 1}]
 
-    def test_float_shift_is_refused(self):
-        """A float shift is refused before any moment pass; its decimal
-        twin passes with an exact zero residual."""
+    def test_float_shift_on_a_float_body(self):
+        """A float shift is refused before any moment pass.  On the body
+        read from a JSON document of its coordinates as floats, the shift
+        by the exact rationals the floats are passes with an exact zero
+        residual, as the decimal shift does on the decimal body."""
         zs = [moment_valuation(2, s) for s in (2, 1, 0)]
         with pytest.raises(TypeError):
             verify_covariance(zs, decimal_triangle, [(F(1, 2), 0), (0.3, -0.7)])
         report = verify_covariance(zs, decimal_triangle, [(F(3, 10), F(-7, 10))])
         assert report.passed and report.max_residual == 0 and type(report.max_residual) is F
         assert report.witnesses[0]["y"] == ["3/10", "-7/10"]
+        report = verify_covariance(zs, float_twin(decimal_triangle), [(F(0.3), F(-0.7))])
+        assert report.passed and report.max_residual == 0 and type(report.max_residual) is F
+        assert report.witnesses[0]["y"] == [str(F(0.3)), str(F(-0.7))]
 
     def test_rank_order_enforced(self):
         with pytest.raises(DimensionMismatch):
@@ -475,14 +482,18 @@ class TestSurfacePairing:
 
     @pytest.mark.parametrize("f", [lambda v: vector_power(v, 2), lambda v: v[0] * v[1] - 3 * v[2]],
                              ids=["square", "scalar"])
-    def test_pairing_is_the_fold_over_the_atoms(self, f):
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_pairing_is_the_fold_over_the_atoms(self, f, exact):
         """Tensor values are summed in one int pass, which builds no
         coefficient map; scalars are added with + in facet order.  Each
-        equals the fold of f over the atoms."""
+        equals the fold of f over the atoms, on the body read from a JSON
+        document of its coordinates as floats too."""
         body = linear_image(RMatrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0],
                                                [0, 0, 1, F(-2, 3)], [0, 0, 0, 1]]),
                             crosspolytope([(1, F(1, 3), 0, 0), (0, 2, F(-1, 2), 0),
                                            (0, 0, F(3, 7), 1), (F(1, 5), 0, 0, 1)]))
+        if not exact:
+            body = float_twin(body)
         values = [f(atom.direction) for atom in surface_area_measure(body)]
         fold = sum(values[1:], values[0])
         out = surface_pairing(f, body)
@@ -646,6 +657,42 @@ def test_parity_parts_split_a_mixed_valuation(corners):
     mixed = _moment_plus_volume_e1(n)
     assert mixed.odd_part()(body) == moment_tensor(body, 1).tensor
     assert mixed.even_part()(body) == SymTensor(n, 1, {(1,) + (0,) * (n - 1): volume(body)})
+
+
+def _assert_float_twin(got, want):
+    """Every coefficient of ``got`` within 1e-12 of ``want``'s."""
+    assert max((abs(got.coeff(k) - want.coeff(k)) for k in {**got.coeffs, **want.coeffs}),
+               default=0) * 10 ** 12 <= 1
+
+
+@pytest.mark.parametrize("corners", DECIMAL_CORNERS, ids=["triangle", "tetrahedron"])
+def test_float_body_decomposes_like_its_exact_twin(corners):
+    """The body read from a JSON document of its corners as floats
+    decomposes into components that sum to z there, each within 1e-12 of
+    the exact body's."""
+    twin = simplex([tuple(map(F, v)) for v in corners])
+    body = float_twin(twin)
+    n = body.dim
+    for z in (volume_valuation(n), moment_valuation(n, 1), _moment_plus_volume_e1(n)):
+        got, want = mcmullen_decompose(z, body), mcmullen_decompose(z, twin)
+        assert len(got) == len(want) == n + z.rank + 1
+        assert tensor_sum(got) == z(body)
+        for a, b in zip(got, want):
+            _assert_float_twin(a, b)
+
+
+@pytest.mark.parametrize("corners", DECIMAL_CORNERS, ids=["triangle", "tetrahedron"])
+def test_float_body_parity_parts_match_its_exact_twin(corners):
+    """The even and odd parts at the body read from a JSON document of its
+    corners as floats lie within 1e-12 of the exact body's; the odd part of
+    M^1 + vol e_1 is there M^1 of the exact body, within 1e-12."""
+    twin = simplex([tuple(map(F, v)) for v in corners])
+    body = float_twin(twin)
+    n = body.dim
+    for z in (moment_valuation(n, 1), moment_valuation(n, 2), _moment_plus_volume_e1(n)):
+        for part in (z.even_part(), z.odd_part()):
+            _assert_float_twin(part(body), part(twin))
+    _assert_float_twin(_moment_plus_volume_e1(n).odd_part()(body), moment_tensor(twin, 1).tensor)
 
 
 def test_report_json_shape():
