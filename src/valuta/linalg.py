@@ -8,9 +8,10 @@ form, nullspace and inverse (``inverse_view``) all run on
 ints with exact ``//`` and divided once at the end, so the output is
 exact, with no pivot thresholds and no rounding.  Every number is
 rational: ``clear_denominators``, which every reader of rows runs first,
-refuses a float, ``numpy.float32`` or ``complex`` entry with
-``TypeError``.  ``crank`` is the real rank of the realified rows, halved;
-``cdet`` reads det(X + iY) off the integer determinants det(X + tY) at
+and ``frac``, which coerces one scalar, refuse a float, ``numpy.float32``,
+``complex`` or string entry with ``TypeError``, and ``_eliminate`` refuses
+any entry that is not an ``int``.  ``crank`` is the real rank of the
+realified rows, halved; ``cdet`` reads det(X + iY) off the integer determinants det(X + tY) at
 t = 1..m+1.  Products of rows and columns (``mat_mul``, ``cmat_mul``) run
 on the operands' views at one scale (``_operands``): one int dot product
 and one division per entry.
@@ -37,18 +38,16 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints (numpy's too), strings like ``"3/4"``, and Fractions to
-    Fraction; a real that is not rational (float, ``numpy.float32``)
-    raises ``TypeError``."""
+    """Coerce ints (numpy's too) and Fractions to Fraction; anything that is
+    not rational (float, ``numpy.float32``, ``complex``, a string such as
+    ``"3/4"``) raises ``TypeError``, as ``clear_denominators`` does."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, numbers.Rational):
         return Fraction(int(x.numerator), int(x.denominator))
-    if isinstance(x, numbers.Real):
-        raise TypeError(f"refusing to coerce {type(x).__name__} to exact rational")
-    return Fraction(x)
+    raise TypeError(f"entries must be rational, not {type(x).__name__}")
 
 
 def vec(xs: Sequence) -> Vec:
@@ -80,12 +79,12 @@ def transpose(rows: Sequence[Sequence]) -> list[list]:
 def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     """The integer view (D, ints) of rational rows: the lcm D of the
     entries' denominators and the rows times D.  numpy integers count as
-    rational; a float, ``numpy.float32`` or ``complex`` entry raises
-    ``TypeError``."""
+    rational; a float, ``numpy.float32``, ``complex`` or string entry
+    raises ``TypeError`` that names its type."""
     types = {type(x) for row in rows for x in row} - {int, Fraction}
     if types:
-        if not all(issubclass(t, numbers.Rational) for t in types):
-            raise TypeError("entries must be rational, not float or complex")
+        if wrong := sorted(t.__name__ for t in types if not issubclass(t, numbers.Rational)):
+            raise TypeError(f"entries must be rational, not {', '.join(wrong)}")
         rows = [list(map(frac, row)) for row in rows]
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
@@ -127,8 +126,13 @@ def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
     dividing by the previous pivot is exact and ``//`` keeps the entries in
     integers.  With ``jordan`` the rows above each pivot are eliminated too
     (fraction-free Gauss-Jordan), and every pivot entry ends equal to the
-    last pivot.  Rows past the rank end zero.
+    last pivot.  Rows past the rank end zero.  An entry that is not an
+    ``int`` (a float or a ``Fraction``, which ``//`` would floor) raises
+    ``TypeError``.
     """
+    if types := {type(x) for row in m for x in row} - {int}:
+        names = ", ".join(sorted(t.__name__ for t in types))
+        raise TypeError(f"elimination needs int entries, not {names}")
     nrows = len(m)
     sign, prev, pivots = 1, 1, []
     for c in range(len(m[0]) if m else 0):
@@ -155,9 +159,9 @@ def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
 
 
 def bareiss(m: list[list]):
-    """Determinant of a square matrix of ints by ``_eliminate``;
-    ``m`` is overwritten.  Its last entry ends as the last pivot, or as 0
-    when the matrix is singular."""
+    """Determinant of a square matrix of ints by ``_eliminate``, which
+    refuses any other entry with ``TypeError``; ``m`` is overwritten.  Its
+    last entry ends as the last pivot, or as 0 when the matrix is singular."""
     sign, _ = _eliminate(m)
     return sign * m[-1][-1] if m else 1
 
@@ -208,7 +212,7 @@ def inverse_view(m: Sequence[Sequence]) -> tuple[object, list[list]]:
     one fraction-free Gauss-Jordan ``_eliminate`` of [m | I] ends with every
     pivot entry equal to the last pivot p = +-det m, so its right half R is
     p m^-1, the adjugate up to sign.  A singular m raises
-    ``DimensionMismatch``."""
+    ``DimensionMismatch`` and an entry that is not an ``int`` ``TypeError``."""
     n = len(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     _, pivots = _eliminate(aug, jordan=True)

@@ -358,13 +358,15 @@ def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTenso
     of y and one common scale of the views.
 
     With the views (``SymTensor.cleared``) on a common scale M
-    (``linalg.common_scale``) and y cleared by q (y' = q y), a suffix of
-    tensors T_0, ..., T_R of ranks R, ..., 0 runs N_0 = M T_R and
-    N_(d+1) = c_(d+1) M T_(R-d-1) + N_d y', where c_0 = 1 and
-    c_(d+1) = c_d q (R - d).  Each T_j is multiplied by y once per step
-    after it enters, for j steps with divisors j, ..., 1, so N_R is M c_R
-    times the expansion and is divided once by M c_R = M q^R R!.  M is the
-    lcm of all the scales and serves every suffix.
+    (``linalg.common_scale``) and y cleared by q (y' = q y), each view is
+    laid out once as a dense vector in ``monomial_tables`` order.  A suffix
+    of tensors T_0, ..., T_R of ranks R, ..., 0 runs N_0 = M T_R and
+    N_(d+1) = c_(d+1) M T_(R-d-1) + N_d y' (one ``mul_form`` into the dense
+    c_(d+1) M T_(R-d-1)), where c_0 = 1 and c_(d+1) = c_d q (R - d).  Each
+    T_j is multiplied by y once per step after it enters, for j steps with
+    divisors j, ..., 1, so N_R is M c_R times the expansion and is divided
+    once by M c_R = M q^R R!.  M is the lcm of all the scales and serves
+    every suffix.
     """
     r, n = len(tensors) - 1, len(y)
     if any(t.dim != n or t.rank != r - j for j, t in enumerate(tensors)):
@@ -372,31 +374,20 @@ def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTenso
     q, (ys,) = linalg.clear_denominators([list(y)])
     form = [(i, v) for i, v in enumerate(ys) if v]
     scale, lifted = linalg.common_scale(t.cleared for t in tensors)
-    levels = monomial_tables(n, r)[0]
-    expansions = []
-    for s in range(r + 1):
-        acc, c = _suffix_totals(tensors[s:], lifted[s:], q, form)
-        expansions.append(SymTensor.from_totals(n, r - s, levels[r - s] if r > s else [()],
-                                                acc, scale * c))
-    return expansions
-
-
-def _suffix_totals(tensors: Sequence[SymTensor], lifted, q: int, form) -> tuple[list, int]:
-    """(N_R, c_R) of the tensors of ranks R..0 on their views ``lifted`` over
-    one scale, by the recurrence of ``shift_expansions``."""
-    r = len(tensors) - 1
-    levels, steps, _ = monomial_tables(tensors[0].dim, r)
-    acc, c = [0], 1
+    levels, steps, _ = monomial_tables(n, r)
+    dense = [[0] * len(index) for index in levels]
     for d, (t, (values,)) in enumerate(zip(reversed(tensors), reversed(lifted))):
-        out = [0] * len(levels[d])
-        if d:
-            c *= q * (r - d + 1)
-            mul_form(acc, steps[d - 1], form, out)
-        index = levels[d]
         for alpha, x in zip(t.keys, values):
-            out[index[alpha] if d else 0] += c * x
-        acc = out
-    return acc, c
+            dense[d][levels[d][alpha] if d else 0] = x
+    expansions = []
+    for top in range(r, -1, -1):
+        acc, c = dense[0], 1
+        for d in range(1, top + 1):
+            c *= q * (top - d + 1)
+            acc = mul_form(acc, steps[d - 1], form, [c * x for x in dense[d]])
+        expansions.append(SymTensor.from_totals(n, top, levels[top] if top else [()], acc,
+                                                scale * c))
+    return expansions
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,14 @@ and the surface-area pairing that represents codimension-one components.
 The interpolation weights, the inverse of the Vandermonde matrix on the
 dilates 1..top + 1, depend only on top = n + rank; they are built once per
 top as an int matrix and one denominator, so a decomposition is one int sum
-per component and coefficient and one division.  The covariance cascade
-compares each translate against ``symtensor.shift_expansions``, the
-expansions sum_j Z^(r-j)(K) y^j / j! of every suffix of the cascade by
-Horner's rule in y, in ints, from one clearing of y per shift; there the
+per component and coefficient and one division.  The rehomogeneity check
+reads both of its decompositions off one table of values: each dilate t K
+is built off the body, K itself at t = 1, and z runs once per distinct
+factor t, so a node k lambda that is an integer node costs nothing more.
+The covariance cascade compares each translate against
+``symtensor.shift_expansions``, the expansions sum_j Z^(r-j)(K) y^j / j! of
+every suffix of the cascade by Horner's rule in y, in ints, from one
+clearing of y per shift and one dense layout of each value; there the
 moments of each body share one kernel pass (``moment._shared_passes``).
 
 Every number is rational: bodies, tensors, matrices, subspaces, shifts and
@@ -182,23 +186,38 @@ def _verdict(check: str, pairs) -> CheckReport:
 def mcmullen_decompose(z: Valuation, body: Polytope) -> list[SymTensor]:
     """Homogeneous components of a polynomial valuation.
 
-    Evaluates z on the integer dilates 1..N+1 of the body and solves the
-    Vandermonde system exactly; degree runs to n for scalar-rank valuations
-    and to n + rank for translation-covariant tensor ones, so the returned
-    list has n + rank + 1 entries.  Their sum reproduces z at the body.
-
-    The values' integer views (``SymTensor.cleared``) are brought to their
-    common scale L (``linalg.common_scale``); over the union of their keys,
-    component j at a key is sum_i W[j][i] v_i[key] in ints, divided once by
-    D L (``interpolation_weights``).
+    Evaluates z on the integer dilates 1..N+1 of the body, the body itself
+    at 1 (``_dilates``), and solves the Vandermonde system exactly
+    (``_components``); degree runs to n for scalar-rank valuations and to
+    n + rank for translation-covariant tensor ones, so the returned list has
+    n + rank + 1 entries.  Their sum reproduces z at the body.
     """
-    top = body.dim + z.rank
-    values = [z(scale(body, k)) for k in range(1, top + 2)]
+    return _components(z, _dilates(z, body, [(k, 1) for k in range(1, body.dim + z.rank + 2)]))
+
+
+def _dilates(z: Valuation, body: Polytope, factors) -> list[SymTensor]:
+    """z at the dilate t K for each factor t = a / b, given as its (a, b) in
+    lowest terms: each dilate is built off the body (``scale``), K itself
+    at t = 1, and z runs once per distinct factor, never on a dilate of a
+    dilate and never served from another factor's value."""
+    table: dict[tuple[int, int], SymTensor] = {}
+    for a, b in factors:
+        if (a, b) not in table:
+            table[a, b] = z(body if a == b else scale(body, Fraction(a, b)))
+    return [table[t] for t in factors]
+
+
+def _components(z: Valuation, values: list[SymTensor]) -> list[SymTensor]:
+    """The homogeneous components read off z's values on the dilates
+    1..N + 1 of one body.  The values' integer views (``SymTensor.cleared``)
+    are brought to their common scale L (``linalg.common_scale``); over the
+    union of their keys, component j at a key is sum_i W[j][i] v_i[key] in
+    ints, divided once by D L (``interpolation_weights``)."""
     keys = list({k: None for val in values for k in val.keys})
     lcm, views = linalg.common_scale(val.cleared for val in values)
     rows = [dict(zip(val.keys, ints)) for val, (ints,) in zip(values, views)]
     columns = [[row.get(k, 0) for row in rows] for k in keys]
-    weights, d = interpolation_weights(top)
+    weights, d = interpolation_weights(len(values) - 1)
     return [SymTensor.from_totals(z.dim, z.rank, keys,
                                   [sum(map(operator.mul, w, col)) for col in columns], d * lcm)
             for w in weights]
@@ -209,16 +228,25 @@ def rehomogeneity_check(z: Valuation, body: Polytope, fresh_lambda) -> CheckRepo
     extracted at the body itself, and their sum against z at the body.
     McMullen's z(lambda K) = sum_j lambda^j z_j(K) holds only for lambda > 0
     (lambda < 0 adds a point reflection), and lambda = 1 compares the body
-    with itself, so lambda <= 0 and lambda = 1 raise ``ValueError``."""
+    with itself, so lambda <= 0 and lambda = 1 raise ``ValueError``.
+
+    The components at K read z on k K and those at lambda K on k lambda K,
+    k = 1..N + 1, each dilate built off K.  z runs once per distinct factor
+    of the union (``_dilates``): k lambda = k' is one body, so one value,
+    and the sum is compared with the value at k = 1, z on K itself.
+    """
     lam = linalg.frac(fresh_lambda)
     if lam <= 0 or lam == 1:
         raise ValueError(f"rehomogeneity needs lambda > 0 other than 1, got {lam}")
-    base = mcmullen_decompose(z, body)
-    dilated = mcmullen_decompose(z, scale(body, lam))
+    p, q = lam.as_integer_ratio()
+    ks = range(1, body.dim + z.rank + 2)
+    values = _dilates(z, body, [(k, 1) for k in ks]
+                      + [(k * p // g, q // g) for k in ks for g in (math.gcd(k, q),)])
+    base, dilated = _components(z, values[:len(ks)]), _components(z, values[len(ks):])
     shown = format_rational(lam)
     pairs = [(b, a.scale(lam ** j), {"degree": j, "lambda": shown})
              for j, (a, b) in enumerate(zip(base, dilated))]
-    pairs.append((tensor_sum(base), z(body), {"degree": "sum-at-1", "lambda": shown}))
+    pairs.append((tensor_sum(base), values[0], {"degree": "sum-at-1", "lambda": shown}))
     return _verdict("mcmullen-rehomogeneity", pairs)
 
 

@@ -11,7 +11,9 @@ from typing import Iterator
 
 from valuta import linalg
 from valuta.errors import GeometryError, ValutaError
-from valuta.polytope import Polytope, _volume, cell_dets, linear_image, surface_area_measure
+from valuta.polytope import (
+    Polytope, _volume, cell_dets, linear_image, scale, surface_area_measure,
+)
 from valuta.symtensor import SymTensor, format_rational, parse_rational, tensor_sum
 from valuta.valuation_lab import _verdict
 
@@ -199,6 +201,46 @@ def map_distance(a: dict, b: dict):
 
 def map_max_abs(m: dict):
     return max(map(abs, m.values()), default=Fraction(0))
+
+
+def map_shift_expansion(maps, y) -> dict:
+    """sum_j T_j y^j / j! for tensors T_0..T_R of ranks R..0 given as maps:
+    the coefficient of y^j / j! at alpha is prod y_i^a_i / a_i!, and each
+    product adds the multi-indices (``()`` is the rank-0 key)."""
+    total: dict = {}
+    for j, m in enumerate(maps):
+        power = {alpha: math.prod(Fraction(c) ** a / math.factorial(a) for c, a in zip(y, alpha))
+                 for alpha in multi_indices(len(y), j)} if j else {(): Fraction(1)}
+        for ka, x in m.items():
+            for kb, c in power.items():
+                k = tuple(a + b for a, b in zip(ka, kb)) if ka and kb else ka or kb
+                total[k] = total.get(k, 0) + x * c
+    return {k: v for k, v in total.items() if v}
+
+
+# -- the rehomogeneity check on nested dilates -----------------------------------------
+
+
+def rehomogeneity_by_nested_dilates(z, body, lam):
+    """``valuation_lab.rehomogeneity_check`` as it ran on three separate
+    evaluations: components of z at K from z(k K), components at lam K from
+    z(k (lam K)), dilates of the dilate, for k = 1..N + 1, each solved with
+    ``linalg.inv`` of the Vandermonde matrix and summed as tensors, and
+    their sum against a fresh z(K); judged by ``_verdict``."""
+    top = body.dim + z.rank
+    inverse = linalg.inv([[k ** j for j in range(top + 1)] for k in range(1, top + 2)])
+
+    def decompose(b):
+        values = [z(scale(b, k)) for k in range(1, top + 2)]
+        return [tensor_sum([v.scale(w) for v, w in zip(values, row)]) for row in inverse]
+
+    lam = Fraction(lam)
+    base, dilated = decompose(body), decompose(scale(body, lam))
+    shown = format_rational(lam)
+    pairs = [(d, b.scale(lam ** j), {"degree": j, "lambda": shown})
+             for j, (b, d) in enumerate(zip(base, dilated))]
+    pairs.append((tensor_sum(base), z(body), {"degree": "sum-at-1", "lambda": shown}))
+    return _verdict("mcmullen-rehomogeneity", pairs)
 
 
 # -- the surface-area transfer, paired on FacetDatum directions --------------------------

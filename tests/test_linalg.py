@@ -193,7 +193,33 @@ def test_numpy_scalars_are_classified_by_type():
     for value in (np.float32(1.5), np.float16(0.25), np.float64(2.0), 0.5):
         with pytest.raises(TypeError):
             linalg.frac(value)
-    assert linalg.frac("3/4") == F(3, 4)
+    with pytest.raises(TypeError, match="not str"):
+        linalg.frac("3/4")
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS) + sorted(BODY_AND_TENSOR_ENTRY_POINTS))
+def test_a_numeric_string_is_refused_naming_its_type(entry):
+    """Numeric strings follow one rule: every matrix, body, tensor, shift and
+    dilation entry point refuses "1/2" with a ``TypeError`` that names
+    ``str``, whether it coerces scalars (``frac``) or clears rows
+    (``clear_denominators``).  JSON import reads strings through
+    ``parse_rational`` instead."""
+    with pytest.raises(TypeError, match="str"):
+        {**ENTRY_POINTS, **BODY_AND_TENSOR_ENTRY_POINTS}[entry]("1/2")
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 1.0], [1.0, 0.3]], [[F(1, 2), 1], [1, F(3, 10)]]],
+                         ids=["float", "fraction"])
+def test_int_view_eliminations_refuse_other_entries(rows):
+    """``bareiss`` and ``inverse_view`` eliminate int views with ``//``, so a
+    float or ``Fraction`` entry raises ``TypeError`` instead of being
+    floored (the float matrix would give -1.0, not -0.85); its int view at
+    scale 10 gives det -85 = -0.85 * 10^2."""
+    for entry in (linalg.bareiss, linalg.inverse_view):
+        with pytest.raises(TypeError, match="int entries"):
+            entry([list(row) for row in rows])
+    assert linalg.bareiss([[5, 10], [10, 3]]) == -85
+    assert linalg.inverse_view([[5, 10], [10, 3]]) == (-85, [[3, -10], [-10, 5]])
 
 
 # -- oracles for rref, nullspace, solve, inv, cdet and crank ------------------------

@@ -160,7 +160,7 @@ def test_int_totals_become_a_tensor_only_through_from_totals():
                  ("symtensor", "shift_expansions"), ("symtensor", "vector_power"),
                  ("symtensor", "sym_product"), ("symtensor", "tensor_sum"),
                  ("symtensor", "scale"), ("symtensor", "__neg__"),
-                 ("valuation_lab", "mcmullen_decompose"), ("valuation_lab", "_signed_power")]:
+                 ("valuation_lab", "_components"), ("valuation_lab", "_signed_power")]:
         assert "from_totals" in calls[site], site
     tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / "symtensor.py").read_text())
     building = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)

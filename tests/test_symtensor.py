@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import map_distance, map_max_abs, map_scale, map_sum, multi_indices
+from oracles import (
+    map_distance, map_max_abs, map_scale, map_shift_expansion, map_sum, multi_indices,
+)
 from valuta import linalg
 from valuta.errors import DimensionMismatch, ParseError
 from valuta.symtensor import (
@@ -474,6 +476,25 @@ def test_shift_expansions_are_those_of_each_suffix(case):
         want = shift_expansions(ts[s:], y)[0]
         assert expansion.keys == want.keys
         assert expansion.cleared == want.cleared
+
+
+@pytest.mark.parametrize("ts, y", [
+    ([t(3, 2, {(2, 0, 0): F(1, 3), (0, 1, 1): -2}), SymTensor.zero(3, 1),
+      SymTensor.scalar(3, F(5, 7))], [F(1, 2), 0, -3]),
+    ([t(2, 3, {(0, 3): 4}), t(2, 2, {(1, 1): F(-1, 6)}), t(2, 1, {}), SymTensor.zero(2, 0)],
+     [F(2, 3), F(-5, 4)]),
+    ([SymTensor.scalar(4, F(-3, 8))], [1, F(1, 2), 0, 7]),
+    ([SymTensor.zero(2, 0)], [3, 4]),
+], ids=["sparse-r2", "sparse-r3-zero-tail", "rank-0", "rank-0-zero"])
+def test_sparse_and_rank_0_expansions_match_the_map_oracle(ts, y):
+    """Tensors with missing keys, zero tensors and a cascade of one rank-0
+    tensor: each view is laid out densely once, and every suffix's
+    expansion equals the sum of products on plain maps."""
+    got = shift_expansions(ts, y)
+    assert [e.rank for e in got] == [x.rank for x in ts]
+    for s, expansion in enumerate(got):
+        assert dict(expansion.coeffs) == map_shift_expansion([x.coeffs for x in ts[s:]], y)
+        _assert_well_formed(expansion)
 
 
 def test_shift_expansion_small_cases():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    float_twin, multi_indices, subspace_volume_generators, support, transfer_check_fractions,
+    float_twin, multi_indices, rehomogeneity_by_nested_dilates, subspace_volume_generators,
+    support, transfer_check_fractions,
 )
 from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
@@ -101,6 +102,58 @@ class TestMcMullen:
         assert float(report.max_residual) == 0.0
         assert report.max_residual == F(1, 10 ** 400)
         assert not report.passed
+
+
+@pytest.mark.parametrize("lam, factors", [
+    (F(3, 2), [1, 2, 3, 4, F(3, 2), F(9, 2), 6]),
+    (2, [1, 2, 3, 4, 6, 8]),
+], ids=["3/2", "2"])
+def test_rehomogeneity_evaluates_each_distinct_dilate_once(lam, factors):
+    """At n = 2, rank 1 the check reads z on k K and k lambda K for
+    k = 1..4: z runs once per distinct factor, each dilate built off K and
+    K itself at 1, so 7 times at lambda = 3/2 (2 * 3/2 is the node 3) and 6
+    at lambda = 2 (2 and 4 are nodes).  ``mcmullen_decompose`` also passes
+    the body itself first."""
+    seen = []
+    inner = moment_valuation(2, 1)
+    z = Valuation("counted", 1, 2, lambda b: seen.append(b) or inner(b))
+    assert rehomogeneity_check(z, std_triangle, lam).passed
+    assert seen[0] is std_triangle
+    assert [b.vertices for b in seen] == [scale(std_triangle, t).vertices for t in factors]
+    seen.clear()
+    mcmullen_decompose(z, std_triangle)
+    assert len(seen) == 4 and seen[0] is std_triangle
+
+
+_PLANTED_TRIANGLE = simplex([(0, 0), (F(5, 3), F(1, 7)), (F(-1, 2), 2)])
+
+
+def _planted_1e_400():
+    """vol + eps vol^2 with eps set so that the residual at lambda = 3/2 on
+    ``_PLANTED_TRIANGLE`` is 10^-400."""
+    unit = rehomogeneity_by_nested_dilates(_vol_plus_square(2, 1), _PLANTED_TRIANGLE,
+                                           F(3, 2)).max_residual
+    return _vol_plus_square(2, F(1, 10 ** 400) / unit)
+
+
+@pytest.mark.parametrize("lam", [F(3, 2), F(2, 3), F(5, 3), F(4, 5), F(7, 10)])
+@pytest.mark.parametrize("case", [
+    lambda: (moment_valuation(2, 2), decimal_triangle),
+    lambda: (moment_valuation(2, 3), std_triangle),
+    lambda: (moment_valuation(4, 1), SIMPLEX4),
+    lambda: (moment_valuation(3, 2), _TETRAHEDRON),
+    lambda: (_vol_plus_square(3, 1), _BOX3),
+    lambda: (_planted_1e_400(), _PLANTED_TRIANGLE),
+], ids=["moment-r2", "moment-r3", "moment4-r1", "moment3-r2", "vol+vol^2", "planted-1e-400"])
+def test_rehomogeneity_reports_equal_the_nested_dilate_oracle(case, lam):
+    """Evaluating each distinct dilate once changes no report: the verdict,
+    the residual and the witness are those of two decompositions on nested
+    dilates plus a third z(K) (``rehomogeneity_by_nested_dilates``)."""
+    z, body = case()
+    got, want = rehomogeneity_check(z, body, lam), rehomogeneity_by_nested_dilates(z, body, lam)
+    assert (got.passed, got.max_residual, got.witnesses) == \
+        (want.passed, want.max_residual, want.witnesses)
+    assert got.passed == (z.name != "vol+eps*vol^2")
 
 
 class TestKlain:
