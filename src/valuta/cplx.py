@@ -21,8 +21,11 @@ and a ``Fraction`` is built only for each unit vector returned, which needs
 a perfect-square norm.  So the adapted basis and the orthonormality check
 ``linalg.check_orthonormal`` take no ``Fraction`` dot product, and both
 rank decisions (``complex_rank`` and the nullspace in ``adapted_basis``)
-are exact eliminations.  ``sample_subspace`` draws rational orthonormal
-frames: columns of Cayley transforms of integer skew-symmetric matrices.
+are exact eliminations.  A ``Subspace`` keeps its basis's integer view
+``cleared``, as bodies, matrices and tensors keep theirs, and the adapted
+basis, the complex rank and the Klain probes read it.  ``sample_subspace``
+draws rational orthonormal frames: columns of Cayley transforms of integer
+skew-symmetric matrices, taken and tested in ints.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def det_identity_check(a: CMatrix) -> bool:
 class Subspace:
     """Real subspace of R^2m given by an orthonormal basis (rows), each
     coordinate coerced once by ``linalg.frac``, so a float or ``complex``
-    raises ``TypeError``."""
+    raises ``TypeError``.  ``cleared`` is the basis's integer view, built
+    once per subspace."""
 
     ambient: int
     basis: tuple[tuple, ...]
@@ -172,6 +176,13 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
+        """The basis's integer view (D, ints): ``linalg.clear_denominators``
+        of ``basis``, its rows as tuples."""
+        scale, rows = linalg.clear_denominators(self.basis)
+        return scale, tuple(map(tuple, rows))
 
     @cached_property
     def complex_rank(self) -> int:
@@ -258,8 +269,12 @@ def _complex_rows(basis: Sequence[Sequence], m: int) -> list[list[CNum]]:
 
 def complex_rank(subspace_or_basis) -> int:
     """Rank over C of a real subspace's rational basis viewed as complex
-    m-vectors (``linalg.crank``); no basis vector has rank 0."""
-    basis = [tuple(b) for b in getattr(subspace_or_basis, "basis", subspace_or_basis)]
+    m-vectors (``linalg.crank``), a ``Subspace``'s read on its integer
+    view, which has the same rank; no basis vector has rank 0."""
+    if isinstance(subspace_or_basis, Subspace):
+        basis = subspace_or_basis.cleared[1]
+    else:
+        basis = [tuple(b) for b in subspace_or_basis]
     return crank(_complex_rows(basis, len(basis[0]) // 2)) if basis else 0
 
 
@@ -274,14 +289,14 @@ def adapted_basis(l: Subspace) -> Subspace:
     B extending the pairs.  Each unit vector needs a perfect-square norm,
     else ``ValutaError``, which a generic subspace with m < j < 2m meets.
 
-    B is cleared of denominators once (D), so G and B - JB G are taken as
-    the ints D^2 G and D^3 (B - JB G), the nullspace vectors are cleared to
-    one common scale, and the pairs and the rest are reduced in ints as
-    ``gram_schmidt`` does.  The remainders of one round share a scale, so
-    the longest is the one the Fractions would pick.
+    B is read as its integer view (D, ``Subspace.cleared``), so G and
+    B - JB G are taken as the ints D^2 G and D^3 (B - JB G), the nullspace
+    vectors are cleared to one common scale, and the pairs and the rest are
+    reduced in ints as ``gram_schmidt`` does.  The remainders of one round
+    share a scale, so the longest is the one the Fractions would pick.
     """
     j, n = l.dim, l.ambient
-    d, basis = linalg.clear_denominators(l.basis)
+    d, basis = l.cleared
     jb = [j_apply(v) for v in basis]
     g = [[sum(map(operator.mul, a, b)) for b in basis] for a in jb]
     d2 = d * d
@@ -315,6 +330,9 @@ def sample_subspace(m: int, j: int, seed) -> Subspace:
     (I - A)(I + A)^-1 = 2 (I + A)^-1 - I, an orthogonal matrix, of a random
     skew-symmetric A with entries in -3..3 drawn from ``seed`` (an int or a
     ``random.Random``); I + A is invertible for every real skew-symmetric A.
+    With (I + A)^-1 = R / p (``linalg.inverse_view``), the columns are the
+    ints 2 R - p I over p, and their complex rank is tested on those ints;
+    each coordinate becomes a ``Fraction`` once, for the subspace returned.
     A draw of lower complex rank is retried and counted in ``retries``;
     hitting the retry bound signals a bug rather than bad luck.
     """
@@ -328,10 +346,11 @@ def sample_subspace(m: int, j: int, seed) -> Subspace:
             for c in range(r + 1, n):
                 a[r][c] = rng.randint(-3, 3)
                 a[c][r] = -a[r][c]
-        inv = linalg.inv([[int(r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)])
-        basis = tuple(tuple(2 * row[c] - int(r == c) for r, row in enumerate(inv))
-                      for c in range(j))
-        if complex_rank(basis) == min(j, m):
+        p, inv = linalg.inverse_view([[int(r == c) + x for c, x in enumerate(row)]
+                                      for r, row in enumerate(a)])
+        cols = [tuple(2 * row[c] - p * (r == c) for r, row in enumerate(inv)) for c in range(j)]
+        if complex_rank(cols) == min(j, m):
+            basis = tuple(tuple(Fraction(x, p) for x in col) for col in cols)
             return Subspace(n, basis, retries=attempt)
     raise ValutaError("subspace sampling exhausted its retry budget; this is a bug")
 

@@ -44,14 +44,20 @@ maps reads one body's walk.
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
 polytopes are rational even when facet measures are irrational (sqrt(2) edge
-lengths and the like), and they sum to zero exactly.  ``atom_totals`` reads
-them off the triangulation: the faces that no other cell shares, in sorted
-order, form a prefix tree like the cells, and one exterior-product walk over
-it (``_face_normals``, the stack of ``cell_dets``) gives each face's n
-signed (n-1)-minors as ints on the body's view.  A body keeps no atoms;
-``surface_area_measure`` builds its ``FacetDatum``s from those totals,
-``validate`` compares them with the cells' walk, and the surface-area
-pairing of ``valuation_lab`` reads the totals themselves.
+lengths and the like), and they sum to zero exactly.  A body keeps its
+atoms, as it keeps its walk: ``Polytope.atoms`` reads them off the
+triangulation once per body, as int totals over one denominator held in
+tuples, so the shared value cannot be changed.  The faces that no other
+cell shares, in sorted order, form a prefix tree like the cells, and one
+exterior-product walk over it (``_face_normals``, the stack of
+``cell_dets``) gives each face's n signed (n-1)-minors as ints on the
+body's view.  ``atom_totals`` returns the kept atoms,
+``surface_area_measure`` builds its ``FacetDatum``s from them, ``validate``
+compares them with the cells' walk, and the surface-area pairing of
+``valuation_lab`` reads the totals themselves.  An affine image is seeded
+with its source's walk only, never with its atoms: it reads its atoms off
+its own points, so the transfer check, which compares them with the
+source's, never assumes the identity it checks.
 
 Polytope JSON:
 ``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``;
@@ -62,9 +68,10 @@ truncated or read character by character.  An ``"aux_points"`` list, which
 older bodies wrote for a crosspolytope's centre, is read as more vertices
 after the listed ones; a ``"facets"`` key is refused, since facets are read
 off the triangulation.  Without a triangulation the body is the simplex on
-n + 1 vertices, else their polygon in the plane; other bodies, and
-aux_points without a triangulation, are rejected.  An imported body is then
-``validate``d, which a body built in code can ask for too.
+n + 1 vertices, else their polygon in the plane; other bodies, an empty
+triangulation, and aux_points without a triangulation, are rejected.  An
+imported body is then ``validate``d, which a body built in code can ask
+for too.
 """
 
 from __future__ import annotations
@@ -111,8 +118,9 @@ class Polytope:
         self.cleared  # clears the coordinates, refusing a float with TypeError
 
     def __getattr__(self, name):
-        """``vertices`` of an image (``_image``), built on first read
-        from its view (D, ints): each int over D."""
+        """``vertices`` of a body made from its view (``_view_body``: an
+        affine image or a Klain probe), built on first read from the view
+        (D, ints): each int over D."""
         if name != "vertices" or "cleared" not in vars(self):
             raise AttributeError(name)
         den, rows = self.cleared
@@ -140,6 +148,49 @@ class Polytope:
         source, a, b = seed
         return tuple((cell, d * a // b, k) for cell, d, k in source.walk)
 
+    @cached_property
+    def atoms(self) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:
+        """The atoms (outward area vectors) of the surface area measure as
+        int totals over one denominator, read off the triangulation once per
+        body: (den, ((total, base), ...)), base a point of the atom's facet
+        on the view (D, pts, ``cleared``) and den = (n-1)! D^(n-1).
+
+        A face that no other cell shares lies on the boundary.  Its area
+        vector is its normal (``_face_normals``, one walk over the sorted
+        boundary faces) over (n-1)!, turned away from its cell's opposite
+        vertex, and the faces on one hyperplane (``_hyperplane``) add up to
+        one atom, in the order their first face has among the cells.  The
+        sums run in ints.  Atoms that sum to 0 are left out.
+
+        Cells of fewer than n + 1 points, degenerate cells and atoms that do
+        not sum to zero (overlapping cells) raise ``GeometryError``.  An
+        affine image reads its own (``_image`` seeds only the walk)."""
+        n = self.dim
+        if any(len(cell) != n + 1 for cell in self.triangulation):
+            raise GeometryError("surface area measure needs full-dimensional cells")
+        faces = [(cell[:k] + cell[k + 1:], i)
+                 for cell in self.triangulation for k, i in enumerate(cell)]
+        keys = [tuple(sorted(face)) for face, _ in faces]
+        shared = Counter(keys)
+        boundary = sorted(key for key, count in shared.items() if count == 1)
+        scale, pts = self.cleared
+        normals = dict(zip(boundary, _face_normals(pts, boundary, n)))
+        atoms: dict = {}
+        for (face, opposite), face_key in zip(faces, keys):
+            normal = normals.get(face_key)
+            if normal is None:
+                continue
+            base = pts[face[0]]
+            side = sum(map(operator.mul, normal, map(operator.sub, pts[opposite], base)))
+            if side == 0:
+                raise GeometryError("degenerate triangulation cell")
+            total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
+            total[:] = map(operator.sub if side > 0 else operator.add, total, normal)
+        totals = tuple((tuple(total), base) for total, base in atoms.values() if any(total))
+        if any(map(sum, zip(*(total for total, _ in totals)))):
+            raise GeometryError("facet area vectors do not close up")
+        return math.factorial(n - 1) * scale ** (n - 1), totals
+
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -162,6 +213,8 @@ class Polytope:
             p = Polytope(dim, vertices, tri or ())
         except (KeyError, TypeError, ValueError, GeometryError, DimensionMismatch) as exc:
             raise ParseError(f"bad polytope JSON: {exc}") from exc
+        if tri == ():
+            raise ParseError("empty triangulation: list the cells, or leave the key out")
         if tri is None:
             if aux or not (len(vertices) == dim + 1 or dim == 2):
                 raise ParseError("untriangulated: need n + 1 vertices or dim 2, and no aux_points")
@@ -180,7 +233,7 @@ def validate(p: Polytope) -> None:
     """Raise ``GeometryError`` unless p's triangulation is sound: every cell
     indexes the vertices without repeats and the cells share one size of at
     most n + 1.  A full-dimensional one must also have atoms that close up
-    (``atom_totals``), no cell of determinant 0, and a volume equal to the
+    (``Polytope.atoms``), no cell of determinant 0, and a volume equal to the
     sum of the atoms' offsets over n (divergence theorem; overlapping cells
     break it): sum |det E| of the walk against sum <total, base> over the
     atoms, both over (n-1)! D^n, in ints.  Imports run it; the constructor
@@ -195,7 +248,7 @@ def validate(p: Polytope) -> None:
         raise GeometryError(f"triangulation cells must share one size of at most {n + 1}")
     if sizes != {n + 1}:
         return  # lower-dimensional: no atoms
-    _, atoms = atom_totals(p)
+    _, atoms = p.atoms
     dets = [d for _, d, _ in p.walk]
     if not all(dets):
         raise GeometryError("triangulation cell of determinant 0")
@@ -412,25 +465,34 @@ def volume(p: Polytope) -> Fraction:
     return _volume(p.walk, p.cleared[0], p.dim)
 
 
+def _view_body(dim: int, triangulation, view: tuple[int, tuple[tuple, ...]]) -> Polytope:
+    """The body on ``triangulation`` whose integer view ``cleared`` is
+    ``view`` = (D, rows), rows int tuples: it must be what clearing the
+    body's vertices would give, D the lcm of their denominators.  Its
+    ``vertices`` are built from the view the first time they are read."""
+    body = object.__new__(Polytope)
+    vars(body).update(dim=dim, triangulation=triangulation, cleared=view)
+    return body
+
+
 def _image(p: Polytope, den: int, rows, f: int) -> Polytope:
-    """The body on p's cells whose vertices are the int ``rows`` (tuples)
-    over ``den``, its view seeded with them reduced by their gcd with den
-    (module docstring).
+    """The ``_view_body`` on p's cells whose vertices are the int ``rows``
+    (tuples) over ``den``, reduced by their gcd with den (module docstring).
 
     The image's walk is seeded as (source, a, b): its |det E| are the
     source's times a / b = f / g^n in lowest terms, f the |det| of the int
     map that made the rows.  When p has not walked yet and holds a seed
     itself, the image takes p's source and multiplies the two seeds, so the
-    source a seed names never holds one."""
+    source a seed names never holds one.  Only the walk is seeded: the
+    image reads its atoms off its own points."""
     g = math.gcd(den, *itertools.chain.from_iterable(rows))
     if g > 1:
         den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
     source, a, b = vars(p).get("_seed", (p, 1, 1))
     a, b = a * f, b * g ** p.dim
     c = math.gcd(a, b)
-    image = object.__new__(Polytope)
-    vars(image).update(dim=p.dim, triangulation=p.triangulation, cleared=(den, rows),
-                       _seed=(source, a // c, b // c))
+    image = _view_body(p.dim, p.triangulation, (den, rows))
+    vars(image)["_seed"] = (source, a // c, b // c)
     return image
 
 
@@ -483,52 +545,17 @@ def scale(p: Polytope, lam) -> Polytope:
 # -- facet / surface area data ---------------------------------------------------
 
 
-def atom_totals(p: Polytope) -> tuple[object, list[tuple[list, Sequence]]]:
-    """The atoms (outward area vectors) of the surface area measure as
-    totals over one denominator, read off the body's triangulation:
-    (den, [(total, base), ...]), base a point of the atom's facet on the
-    body's view (D, pts, ``Polytope.cleared``) and den = (n-1)! D^(n-1).
-
-    A face that no other cell shares lies on the boundary.  Its area vector
-    is its normal (``_face_normals``, one walk over the sorted boundary
-    faces) over (n-1)!, turned away from its cell's opposite vertex, and the
-    faces on one hyperplane (``_hyperplane``) add up to one atom, in the
-    order their first face has among the cells.  The sums run in ints.
-    Atoms that sum to 0 are left out.
-
-    Cells of fewer than n + 1 points, degenerate cells and atoms that do
-    not sum to zero (overlapping cells) raise ``GeometryError``.
-    """
-    n = p.dim
-    if any(len(cell) != n + 1 for cell in p.triangulation):
-        raise GeometryError("surface area measure needs full-dimensional cells")
-    faces = [(cell[:k] + cell[k + 1:], i) for cell in p.triangulation for k, i in enumerate(cell)]
-    keys = [tuple(sorted(face)) for face, _ in faces]
-    shared = Counter(keys)
-    boundary = sorted(key for key, count in shared.items() if count == 1)
-    scale, pts = p.cleared
-    normals = dict(zip(boundary, _face_normals(pts, boundary, n)))
-    atoms: dict = {}
-    for (face, opposite), face_key in zip(faces, keys):
-        normal = normals.get(face_key)
-        if normal is None:
-            continue
-        base = pts[face[0]]
-        side = sum(map(operator.mul, normal, map(operator.sub, pts[opposite], base)))
-        if side == 0:
-            raise GeometryError("degenerate triangulation cell")
-        total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
-        total[:] = map(operator.sub if side > 0 else operator.add, total, normal)
-    atoms = [(total, base) for total, base in atoms.values() if any(total)]
-    if any(map(sum, zip(*(total for total, _ in atoms)))):
-        raise GeometryError("facet area vectors do not close up")
-    return math.factorial(n - 1) * scale ** (n - 1), atoms
+def atom_totals(p: Polytope) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:
+    """The atoms the body keeps, ``Polytope.atoms``: (den, ((total, base),
+    ...)), read off its triangulation on first use."""
+    return p.atoms
 
 
 def surface_area_measure(p: Polytope) -> tuple[FacetDatum, ...]:
-    """The atoms of ``atom_totals`` as ``FacetDatum``s: each total over den
-    and its offset <total, base> over den D, one division each."""
-    den, atoms = atom_totals(p)
+    """The atoms the body keeps (``Polytope.atoms``) as ``FacetDatum``s:
+    each total over den and its offset <total, base> over den D, one
+    division each."""
+    den, atoms = p.atoms
     scale = p.cleared[0]
     return tuple(FacetDatum(tuple(Fraction(x, den) for x in total),
                             Fraction(sum(map(operator.mul, total, base)), den * scale))

@@ -53,6 +53,7 @@ from .polytope import (
     scale,
     subspace_volume,
     translate,
+    _view_body,
     volume,
 )
 from .symtensor import (
@@ -137,10 +138,11 @@ def euler_valuation(n: int) -> Valuation:
 def span_lebesgue_valuation(n: int, j: int) -> Valuation:
     """j-dimensional volume of bodies spanning a j-dimensional linear subspace;
     zero on lower-dimensional bodies (the Klain identity probe).  The span is
-    orthonormalised by ``gram_schmidt``."""
+    orthonormalised by ``gram_schmidt`` of the body's integer view, whose
+    rows have the vertices' directions."""
 
     def run(body: Polytope) -> SymTensor:
-        basis = gram_schmidt(body.vertices)
+        basis = gram_schmidt(body.cleared[1])
         if len(basis) < j:
             return SymTensor.scalar(n, Fraction(0))
         if len(basis) > j:
@@ -260,33 +262,48 @@ class KlainValue:
     degree: int
 
 
-def _map_points(points, l: Subspace):
-    """sum c_i b_i for each point's int coordinates c on l's basis
-    (``linalg.mat_mul``, on the basis's integer view)."""
-    return tuple(map(tuple, linalg.mat_mul(points, l.basis)))
+_CUBES: dict[int, tuple] = {}
+
+
+def _model_cube(j: int) -> tuple:
+    """The unit j-cube's int corners and Kuhn cells (``polytope.cube``),
+    built once per j."""
+    if j not in _CUBES:
+        model = cube(j)
+        _CUBES[j] = (model.cleared[1], model.triangulation)
+    return _CUBES[j]
+
+
+def _probe(l: Subspace, corners, cells) -> Polytope:
+    """The body on ``cells`` whose points are sum c_i b_i for the int
+    corners c, taken on l's integer view (D, B) as the ints c B over D.
+    The corners include 0 and each e_i, so D is the lcm of the points'
+    denominators and (D, c B) is the body's view (``polytope._view_body``)."""
+    den, rows = l.cleared
+    cols = list(zip(*rows))
+    pts = tuple(tuple(sum(map(operator.mul, c, col)) for col in cols) for c in corners)
+    return _view_body(l.ambient, cells, (den, pts))
 
 
 def cube_probe(l: Subspace) -> Polytope:
-    """Unit cube spanned by the subspace basis, Kuhn-triangulated; the model
-    cube's 0/1 coordinates are mapped as ints."""
-    model = cube(l.dim)
-    corners = [tuple(map(int, v)) for v in model.vertices]
-    return Polytope(l.ambient, _map_points(corners, l), model.triangulation)
+    """Unit cube spanned by the subspace basis, Kuhn-triangulated: the model
+    cube's int corners (kept per j) mapped on the basis's integer view."""
+    return _probe(l, *_model_cube(l.dim))
 
 
 def simplex_probe(l: Subspace) -> Polytope:
+    """The simplex on 0 and the basis vectors, on the basis's integer view."""
     j = l.dim
-    corners = [tuple([0] * j)] + [
-        tuple(1 if k == i else 0 for k in range(j)) for i in range(j)]
-    return Polytope(l.ambient, _map_points(corners, l),
-                    (tuple(range(j + 1)),))
+    corners = [(0,) * j] + [tuple(int(k == i) for k in range(j)) for i in range(j)]
+    return _probe(l, corners, (tuple(range(j + 1)),))
 
 
-def _gram_root(basis):
-    """sqrt(det G) for the Gram matrix G of the rational basis rows: the
-    j-volume of the parallelotope they span (1 on an orthonormal basis).
-    det G that is not the square of a rational raises ``ValutaError``."""
-    d, rows = linalg.clear_denominators(basis)
+def _gram_root(l: Subspace):
+    """sqrt(det G) for the Gram matrix G of l's basis rows, on its integer
+    view: the j-volume of the parallelotope they span (1 on an orthonormal
+    basis).  det G that is not the square of a rational raises
+    ``ValutaError``."""
+    d, rows = l.cleared
     gram = [[sum(map(operator.mul, a, b)) for b in rows] for a in rows]
     root = exact_sqrt(Fraction(linalg.bareiss(gram), d ** (2 * len(rows))))
     if root is None:
@@ -299,13 +316,14 @@ def klain(z: Valuation, j: int, l: Subspace) -> KlainValue:
     cross-checked on a cube probe and a simplex probe: their values per unit
     j-volume must agree by the verdict rule, else ``ValutaError``.
 
-    Both probes are images of the model cube and simplex under the basis, so
-    their j-volumes are sqrt(det G) and sqrt(det G) / j! (``_gram_root``),
-    taken without walking their cells; det G = 0 raises ``GeometryError``
-    and an irrational sqrt(det G) ``ValutaError``."""
+    Both probes are images of the model cube and simplex under the basis,
+    built as ints on the subspace's integer view (``Subspace.cleared``), so
+    their j-volumes are sqrt(det G) and sqrt(det G) / j! (``_gram_root``,
+    on the same view), taken without walking their cells; det G = 0 raises
+    ``GeometryError`` and an irrational sqrt(det G) ``ValutaError``."""
     if l.dim != j:
         raise DimensionMismatch(f"subspace has dimension {l.dim}, expected {j}")
-    unit = _gram_root(l.basis)
+    unit = _gram_root(l)
     if unit == 0:
         raise GeometryError("degenerate probe body")
     results = [z(cube_probe(l)).scale(1 / unit),
@@ -414,8 +432,9 @@ def _signed_power(t: SymTensor, q: int) -> SymTensor:
 
 def surface_pairing(f: Callable, p: Polytope):
     """Pair an integrand with the surface area measure: the sum of f over
-    the outward area vectors (``polytope.atom_totals``), each built once as
-    its totals over their shared denominator.
+    the outward area vectors, the atoms the body keeps
+    (``polytope.atom_totals``), each divided once from its int total over
+    their shared denominator.
 
     For a 1-homogeneous f that is the sum over facets of f at the unit
     normal times the facet measure, an integral against S(K), exact; any
@@ -445,10 +464,13 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     one (Schneider, *Convex Bodies*, 2014, sec. 4.2), so the transfer holds
     for any integrand; 1-homogeneity only makes each side an integral
     against the surface area measure.  Each body's atoms come off its own
-    points.  phi^-T is applied to K's int totals t: with phi's view (q, A)
-    and A^-1 = R / p (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t
-    is q R^T t over p den, one division per coordinate.  A body with no
-    atoms raises ``GeometryError``.
+    points: K's are the ones K keeps (``Polytope.atoms``), read once per
+    body however many checks pair it, and phi K, whose seed holds K's walk
+    but never its atoms, reads its own.  phi^-T is applied to K's int
+    totals t: with phi's view (q, A) and A^-1 = R / p
+    (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t is q R^T t over
+    p den, one division per coordinate.  A body with no atoms raises
+    ``GeometryError``.
     """
     if abs(phi.det) != 1:
         raise GeometryError(f"transfer needs det +-1, got {phi.det}")

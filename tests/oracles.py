@@ -6,13 +6,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from typing import Iterator
 
 from valuta import linalg
 from valuta.errors import GeometryError, ValutaError
 from valuta.polytope import (
-    Polytope, _volume, cell_dets, linear_image, scale, surface_area_measure,
+    Polytope, _volume, cell_dets, cube, linear_image, scale, surface_area_measure,
 )
 from valuta.symtensor import SymTensor, format_rational, parse_rational, tensor_sum
 from valuta.valuation_lab import _verdict
@@ -122,6 +123,48 @@ def adapted_basis_fractions(l):
     if len(w_basis) != j - len(pairs):
         raise GeometryError("complex/real split dimensions do not add up")
     return Subspace(n, tuple(pairs[::2] + w_basis + pairs[1::2]), retries=l.retries)
+
+
+# -- Klain probes and sampled subspaces in Fractions ---------------------------------
+# As the library built them before it read subspaces' integer views: probe
+# points from a Fraction matrix product and the body made from them, and
+# Cayley columns from ``linalg.inv``, tested for their complex rank as
+# Fractions.
+
+
+def _probe_by_points(l, corners, cells):
+    return Polytope(l.ambient, tuple(map(tuple, linalg.mat_mul(corners, l.basis))), cells)
+
+
+def cube_probe_by_points(l):
+    model = cube(l.dim)
+    return _probe_by_points(l, [tuple(map(int, v)) for v in model.vertices], model.triangulation)
+
+
+def simplex_probe_by_points(l):
+    j = l.dim
+    corners = [tuple([0] * j)] + [tuple(1 if k == i else 0 for k in range(j)) for i in range(j)]
+    return _probe_by_points(l, corners, (tuple(range(j + 1)),))
+
+
+def sample_subspace_fractions(m, j, seed):
+    """``cplx.sample_subspace`` on the Fraction inverse of I + A."""
+    from valuta.cplx import Subspace, complex_rank
+
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    n = 2 * m
+    for attempt in range(100):
+        a = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r + 1, n):
+                a[r][c] = rng.randint(-3, 3)
+                a[c][r] = -a[r][c]
+        inv = linalg.inv([[int(r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)])
+        basis = tuple(tuple(2 * row[c] - int(r == c) for r, row in enumerate(inv))
+                      for c in range(j))
+        if complex_rank(basis) == min(j, m):
+            return Subspace(n, basis, retries=attempt)
+    raise ValutaError("subspace sampling exhausted its retry budget")
 
 
 # -- products of rows and columns, schoolbook ----------------------------------------

@@ -9,6 +9,7 @@ from oracles import (
     gram_schmidt_fractions,
     mat_mul_fractions,
     mat_vec_fractions,
+    sample_subspace_fractions,
 )
 
 from valuta import linalg
@@ -478,6 +479,31 @@ class TestSampling:
         rng = random.Random(7)
         first, second = sample_subspace(3, 4, rng), sample_subspace(3, 4, rng)
         assert first != second and sample_subspace(3, 4, random.Random(7)) == first
+
+    @pytest.mark.parametrize("m, j", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (4, 3),
+                                      (4, 7)])
+    def test_int_columns_match_the_fraction_sampler(self, m, j):
+        """The Cayley columns taken and tested for their complex rank in
+        ints give the basis and the retries of the Fraction sampler
+        (``oracles.sample_subspace_fractions``), over int seeds and along
+        one ``random.Random``; seeds 105 and 126 retry a plane of C^2."""
+        seeds = list(range(12)) + ([105, 126] if (m, j) == (2, 2) else [])
+        got = [sample_subspace(m, j, seed) for seed in seeds]
+        want = [sample_subspace_fractions(m, j, seed) for seed in seeds]
+        assert [(l.basis, l.retries) for l in got] == [(l.basis, l.retries) for l in want]
+        assert all(type(x) is Fraction for l in got for v in l.basis for x in v)
+        if (m, j) == (2, 2):
+            assert [l.retries for l in got[-2:]] == [1, 1]
+        ours, theirs = random.Random(m * j), random.Random(m * j)
+        for _ in range(5):
+            assert sample_subspace(m, j, ours) == sample_subspace_fractions(m, j, theirs)
+
+    def test_cleared_is_the_basis_view(self):
+        """A subspace's ``cleared`` is ``clear_denominators`` of its basis,
+        rows as tuples, built once."""
+        for l in (sample_subspace(3, 4, 1), Subspace(4, ((F(3, 5), F(4, 5), 0, 0), E2))):
+            d, rows = linalg.clear_denominators(l.basis)
+            assert l.cleared == (d, tuple(map(tuple, rows))) and l.cleared is l.cleared
 
 
 class TestSlmcElements:

@@ -565,6 +565,21 @@ class TestImportValidation:
         with pytest.raises(ParseError):
             Polytope.from_json_dict(_square_json(triangulation, aux=aux))
 
+    @pytest.mark.parametrize("data", [
+        _square_json([]),
+        {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "triangulation": []},
+        {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         "triangulation": []},
+    ], ids=["square", "triangle", "tetrahedron"])
+    def test_empty_triangulation_rejected(self, data):
+        """An empty cell list is refused, never read as a body with no
+        cells, volume 0 and zero moments, nor as the untriangulated
+        simplex or polygon, which leaves the key out."""
+        with pytest.raises(ParseError, match="empty triangulation"):
+            Polytope.from_json_dict(data)
+        untriangulated = {k: v for k, v in data.items() if k != "triangulation"}
+        assert volume(Polytope.from_json_dict(untriangulated)) > 0
+
     def test_open_facets_rejected(self):
         """Facets that do not close up are refused, as any facets key is."""
         data = {**_square_json([[0, 1, 2], [0, 2, 3]]), "facets": [dict(f) for f in _SQUARE_FACETS]}
@@ -871,6 +886,32 @@ def test_images_compute_as_their_rebuilt_twins(case):
     assert moment_family(image, 3) == moment_family(twin, 3)
     assert volume(image) == volume(twin)
     assert surface_area_measure(image) == surface_area_measure(twin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=full_bodies_and_invertible_maps(), lam=small_rats)
+def test_images_read_their_own_atoms(case, lam):
+    """A body keeps its atoms as tuples, but no affine image made after the
+    atoms were read holds them: an image of a body, or of an image, reads
+    its atoms off its own points, and they equal those of those points
+    rebuilt as a body."""
+    body, rows, phi = case
+    assume(lam != 0)
+    den, atoms = body.atoms
+    assert body.atoms is body.atoms
+    assert type(atoms) is tuple and all(
+        type(total) is tuple and type(base) is tuple for total, base in atoms)
+    assert polytope.atom_totals(body) is body.atoms
+
+    def images_of(source):
+        return [linear_image(phi, source), translate(source, rows[1]), scale(source, lam)]
+
+    for image in images_of(body):
+        assert "atoms" not in vars(image)
+        assert image.atoms == _rebuilt(image).atoms
+        for second in images_of(image):
+            assert "atoms" not in vars(second)
+            assert second.atoms == _rebuilt(second).atoms
 
 
 def _assert_tensor_twin(t):

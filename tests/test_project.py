@@ -121,11 +121,12 @@ SOURCES = sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py"))
 
 def test_each_value_is_cleared_only_by_its_view():
     """No call of ``clear_denominators`` in ``src/valuta`` takes a body's
-    ``.vertices``, a matrix's ``.entries`` or a tensor's ``.coeffs``, except
-    in the ``cleared`` views of bodies and matrices that define them, and
-    ``SymTensor`` clears the values it is given once, in ``__init__``:
-    its ``cleared`` view reduces the stored totals, so every other reader
-    takes a view, and each value is cleared at most once per object."""
+    ``.vertices``, a matrix's ``.entries``, a tensor's ``.coeffs`` or a
+    subspace's ``.basis``, except in the ``cleared`` views of bodies,
+    matrices and subspaces that define them, and ``SymTensor`` clears the
+    values it is given once, in ``__init__``: its ``cleared`` view reduces
+    the stored totals, so every other reader takes a view, and each value
+    is cleared at most once per object."""
     found = []
     for path in SOURCES:
         for fn in _functions(path):
@@ -135,9 +136,9 @@ def test_each_value_is_cleared_only_by_its_view():
                     continue
                 read = {node.attr for arg in call.args for node in ast.walk(arg)
                         if isinstance(node, ast.Attribute)}
-                if read & {"vertices", "entries", "coeffs"}:
+                if read & {"vertices", "entries", "coeffs", "basis"}:
                     found.append((path.stem, fn.name))
-    assert sorted(found) == [("polytope", "cleared"), ("symtensor", "cleared")]
+    assert sorted(found) == [("cplx", "cleared"), ("polytope", "cleared"), ("symtensor", "cleared")]
     tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / "symtensor.py").read_text())
     cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "SymTensor")
     clearing = {fn.name for fn in ast.walk(cls)
@@ -275,6 +276,15 @@ def test_cell_determinants_are_walked_only_by_the_memo():
     calling = sorted((path.stem, fn.name) for path in SOURCES for fn in _functions(path)
                      if "cell_dets" in _called(fn))
     assert calling == [("polytope", "subspace_volume"), ("polytope", "walk")]
+
+
+def test_face_normals_are_walked_only_by_the_memo():
+    """``polytope._face_normals`` is called only by ``Polytope.atoms``, which
+    keeps each body's atoms: no reader of a body's surface area measure
+    walks its boundary faces past the memo."""
+    calling = sorted((path.stem, fn.name) for path in SOURCES for fn in _functions(path)
+                     if "_face_normals" in _called(fn))
+    assert calling == [("polytope", "atoms")]
 
 
 def test_one_prefix_wedge_loop():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    float_twin, multi_indices, rehomogeneity_by_nested_dilates, subspace_volume_generators,
-    support, transfer_check_fractions,
+    cube_probe_by_points, float_twin, multi_indices, rehomogeneity_by_nested_dilates,
+    simplex_probe_by_points, subspace_volume_generators, support, transfer_check_fractions,
 )
 from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
@@ -227,10 +227,10 @@ class TestKlain:
         probes of irrational volume: ``ValutaError``, never a float."""
         l = Subspace(4, ((1, 1, 0, 0),))
         with pytest.raises(ValutaError, match="irrational"):
-            valuation_lab._gram_root(l.basis)
+            valuation_lab._gram_root(l)
         with pytest.raises(ValutaError, match="irrational"):
             klain(span_lebesgue_valuation(4, 1), 1, l)
-        assert valuation_lab._gram_root([(F(3, 5), F(4, 5), 0, 0)]) == 1
+        assert valuation_lab._gram_root(Subspace(4, ((F(3, 5), F(4, 5), 0, 0),))) == 1
 
     def test_probe_volumes(self):
         l = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)])
@@ -311,7 +311,7 @@ def test_probe_volumes_on_cayley_columns_are_gram_roots(n, j):
               for c in range(j)] for r in range(j)]
         sheared = Subspace(n, tuple(map(tuple, linalg.mat_mul(m, l.basis))))
         for sub in (l, sheared):
-            root = valuation_lab._gram_root(sub.basis)
+            root = valuation_lab._gram_root(sub)
             assert type(root) is F and root == abs(linalg.det(m) if sub is sheared else 1)
             assert subspace_volume(cube_probe(sub), l) == root
             assert subspace_volume(simplex_probe(sub), l) == root / math.factorial(j)
@@ -337,6 +337,32 @@ def test_probes_and_volumes_are_the_generator_forms(m, j, seed):
     for probe in (cube_probe(l), simplex_probe(l), scale(cube_probe(l), F(7, 3))):
         got = subspace_volume(probe, l)
         assert type(got) is F and got == subspace_volume_generators(probe, l.basis)
+
+
+@pytest.mark.parametrize("j", range(1, 6))
+def test_probes_are_the_bodies_built_from_their_points(j):
+    """On Cayley subspaces of R^6, and on rational shears of their bases,
+    the probes, built on the basis's integer view, have the integer view,
+    vertices and cells of the bodies built from their Fraction points
+    (``oracles.cube_probe_by_points``, ``simplex_probe_by_points``), and
+    the model cube is kept per j.  Klain of the volume is exactly 1."""
+    rng = random.Random(j)
+    for seed in range(4):
+        l = sample_subspace(3, j, seed)
+        m = [[F(rng.randint(-3, 3), rng.randint(1, 4)) if c > r else F(int(r == c))
+              for c in range(j)] for r in range(j)]
+        sheared = Subspace(6, tuple(map(tuple, linalg.mat_mul(m, l.basis))))
+        for sub in (l, sheared):
+            for probe, oracle in ((cube_probe(sub), cube_probe_by_points(sub)),
+                                  (simplex_probe(sub), simplex_probe_by_points(sub))):
+                assert "vertices" not in vars(probe)
+                assert probe.cleared == oracle.cleared
+                assert probe.vertices == oracle.vertices
+                assert probe.triangulation == oracle.triangulation
+                assert all(type(x) is F for v in probe.vertices for x in v)
+        value = klain(span_lebesgue_valuation(6, j), j, l).value.coeff(())
+        assert type(value) is F and value == 1
+    assert valuation_lab._model_cube(j) is valuation_lab._model_cube(j)
 
 
 SKEW_SIMPLEX4 = simplex([(0, 0, 0, 0), (1, 0, 0, 0), (F(1, 2), 2, 0, 0), (0, F(1, 3), 1, 0),
