@@ -78,16 +78,16 @@ def transpose(rows: Sequence[Sequence]) -> list[list]:
 
 def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     """The integer view (D, ints) of rational rows: the lcm D of the
-    entries' denominators and the rows times D.  numpy integers count as
-    rational; a float, ``numpy.float32``, ``complex`` or string entry
-    raises ``TypeError`` that names its type."""
-    types = {type(x) for row in rows for x in row} - {int, Fraction}
-    if types:
-        if wrong := sorted(t.__name__ for t in types if not issubclass(t, numbers.Rational)):
-            raise TypeError(f"entries must be rational, not {', '.join(wrong)}")
-        rows = [list(map(frac, row)) for row in rows]
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    entries' denominators and the rows times D.  Each entry is read once,
+    as its (numerator, denominator): an int or ``Fraction`` directly, any
+    other type through ``frac``, so numpy integers count as rational and a
+    float (though it has ``as_integer_ratio``), ``numpy.float32``,
+    ``complex`` or string entry raises ``TypeError`` that names its type."""
+    ratios = [[(x, 1) if type(x) is int else
+               x.as_integer_ratio() if type(x) is Fraction else frac(x).as_integer_ratio()
+               for x in row] for row in rows]
+    d = math.lcm(*(q for row in ratios for _, q in row))
+    return d, [[p * (d // q) for p, q in row] for row in ratios]
 
 
 def check_orthonormal(rows: Sequence[Sequence]) -> None:

@@ -18,10 +18,11 @@ empty key ``()``, which the map may also name as the zero multi-index.
 
 A tensor is a polynomial in e_1..e_n, so the GL(n) action is the
 substitution e_i -> phi(e_i) and a vector power the power of one linear
-form.  Both, the moment kernel and the translation-covariance expansions
-``shift_expansions`` run on one step, ``mul_form``: a dense
+form.  Both, and the translation-covariance expansions
+``shift_expansions``, run on one step, ``mul_form``: a dense
 degree-d coefficient vector times a linear form, over the index tables of
-``monomial_tables`` (cached per (n, r)).  ``gl_action`` runs it by
+``monomial_tables`` (cached per (n, r)), which the moment kernel's
+generated geometric steps read too.  ``gl_action`` runs it by
 Horner's rule on the tree of first parents of those tables, with phi's
 columns as sparse forms (``RMatrix.columns``), so a shear pays only for its
 nonzeros.  Inputs are cleared of denominators once, the sums run in Python
@@ -142,7 +143,10 @@ def mul_form(vec: Sequence, step: Sequence[Sequence[int]], form: Sequence[tuple[
              out: list) -> list:
     """Add the dense degree-d vector ``vec`` times a linear form, given as
     (index, nonzero value) pairs, into the degree-(d + 1) vector ``out``;
-    ``step`` is ``steps[d]`` of ``monomial_tables``.  Returns ``out``."""
+    ``step`` is ``steps[d]`` of ``monomial_tables``.  Returns ``out``.
+    Called by ``gl_action``, ``shift_expansions``, ``vector_power`` and the
+    exterior-product walk ``polytope._extend_wedge`` (on its own tables);
+    the moment kernel takes its generated step instead."""
     for c, succ in zip(vec, step):
         if c:
             for i, x in form:

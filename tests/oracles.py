@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -15,7 +16,9 @@ from valuta.errors import GeometryError, ValutaError
 from valuta.polytope import (
     Polytope, _volume, cell_dets, cube, linear_image, scale, surface_area_measure,
 )
-from valuta.symtensor import SymTensor, format_rational, parse_rational, tensor_sum
+from valuta.symtensor import (
+    SymTensor, format_rational, monomial_tables, mul_form, parse_rational, tensor_sum,
+)
 from valuta.valuation_lab import _verdict
 
 
@@ -27,6 +30,36 @@ def multi_indices(n: int, r: int) -> Iterator[tuple[int, ...]]:
     for first in range(r, -1, -1):
         for rest in multi_indices(n - 1, r - first):
             yield (first,) + rest
+
+
+def geometric_step_by_mul_form(n: int, r: int, h, x) -> tuple:
+    """The moment kernel's geometric step as it ran before it was generated:
+    the flat state h_0..h_r split into degrees in ``monomial_tables`` order,
+    then H_d += <x, e> H_(d-1) for d = 1..r by one ``mul_form`` per degree,
+    on a copy of each degree."""
+    levels, steps, _ = monomial_tables(n, r)
+    degrees, start = [], 0
+    for level in levels:
+        degrees.append(list(h[start:start + len(level)]))
+        start += len(level)
+    form = [(i, v) for i, v in enumerate(x) if v]
+    for d, step in enumerate(steps):
+        mul_form(degrees[d], step, form, degrees[d + 1])
+    return tuple(c for degree in degrees for c in degree)
+
+
+def clear_denominators_three_passes(rows) -> tuple[int, list[list]]:
+    """``linalg.clear_denominators`` as it read rational rows in three
+    passes: the set of entry types (any not rational refused by name), the
+    denominators for their lcm D, then each numerator and denominator again
+    for the entry times D."""
+    types = {type(x) for row in rows for x in row} - {int, Fraction}
+    if types:
+        if wrong := sorted(t.__name__ for t in types if not issubclass(t, numbers.Rational)):
+            raise TypeError(f"entries must be rational, not {', '.join(wrong)}")
+        rows = [list(map(linalg.frac, row)) for row in rows]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def float_twin(body: Polytope) -> Polytope:

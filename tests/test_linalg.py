@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cmat_mul_fractions, mat_mul_fractions, mat_vec_fractions
+from oracles import (
+    clear_denominators_three_passes, cmat_mul_fractions, mat_mul_fractions, mat_vec_fractions,
+)
 
 from valuta import linalg, moment
 from valuta.cplx import CMatrix, Subspace, complex_rank, gram_schmidt
@@ -195,6 +197,44 @@ def test_numpy_scalars_are_classified_by_type():
             linalg.frac(value)
     with pytest.raises(TypeError, match="not str"):
         linalg.frac("3/4")
+
+
+def _rational_entry(rng, np):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.randrange(2 ** 64, 2 ** 80)
+    if kind == 2:
+        return F(rng.randint(-9, 9), rng.choice([1, 2, 6, 7, 2 ** 70 + 1]))
+    if kind == 3:
+        return rng.choice([np.int64, np.int16, np.uint8])(rng.randint(0, 100))
+    if kind == 4:
+        return rng.choice([True, False])
+    return F(rng.randint(-5, 5))
+
+
+def test_clearing_reads_each_entry_once_and_matches_the_three_pass_reading():
+    """One pass over (numerator, denominator) gives the view that reading
+    the types, the denominators and the entries again in three passes gave,
+    on ints (zeros, negatives, beyond 64 bits), Fractions, numpy integers
+    and bools, and refuses what that reading refused, naming the type."""
+    import random
+
+    np = pytest.importorskip("numpy")
+    rng = random.Random(808)
+    for _ in range(200):
+        rows = [[_rational_entry(rng, np) for _ in range(rng.randrange(4))]
+                for _ in range(rng.randrange(4))]
+        got = linalg.clear_denominators(rows)
+        assert got == clear_denominators_three_passes(rows)
+        assert all(type(x) is int for row in got[1] for x in row) and type(got[0]) is int
+    for bad in (0.5, 2.0, np.float32(1.5), np.float64(0.0), 1 + 0j, "3/4"):
+        rows = [[F(1, 3), 2], [bad, 1]]
+        name = type(bad).__name__
+        for clear in (linalg.clear_denominators, clear_denominators_three_passes):
+            with pytest.raises(TypeError, match=f"not {name}"):
+                clear(rows)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS) + sorted(BODY_AND_TENSOR_ENTRY_POINTS))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import float_twin, monomial_integral_simplex, multi_indices
+from oracles import (
+    float_twin, geometric_step_by_mul_form, monomial_integral_simplex, multi_indices,
+)
 from valuta import linalg, moment, polytope, symtensor
 from valuta.cplx import sample_subspace
 from valuta.errors import GeometryError
@@ -737,43 +739,86 @@ def _cross(j):
     return crosspolytope([[F(int(i == k)) for k in range(j)] for i in range(j)])
 
 
+def _random_int(rng):
+    return rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)])
+
+
+@pytest.mark.parametrize("n,r", [(1, 0), (1, 3), (2, 4), (4, 3), (6, 2), (6, 3)])
+def test_the_generated_step_is_the_mul_form_recurrence(n, r):
+    """The generated geometric step equals the per-degree ``mul_form``
+    recurrence on random ints (zeros, negatives, beyond 64 bits) with a
+    nonzero h_0, as the DAG's node weights are; from the unit state it
+    lays out <x, e>^d in ``monomial_tables`` order, multinomial(d; alpha)
+    x^alpha at the position of alpha in degree d."""
+    rng = random.Random(n * 10 + r)
+    step = moment._geometric_step(n, r)
+    levels = symtensor.monomial_tables(n, r)[0]
+    size = sum(map(len, levels))
+    for _ in range(30):
+        h = tuple(_random_int(rng) for _ in range(size))
+        x = tuple(_random_int(rng) for _ in range(n))
+        assert step(h, x) == geometric_step_by_mul_form(n, r, h, x)
+    x = tuple(rng.randint(-5, 5) for _ in range(n))
+    state, start = step((1,) + (0,) * (size - 1), x), 0
+    for d, level in enumerate(levels):
+        for alpha, k in level.items():
+            multinomial = math.factorial(d) // math.prod(map(math.factorial, alpha))
+            assert state[start + k] == multinomial * math.prod(map(operator.pow, x, alpha))
+        start += len(level)
+    assert len(state) == start
+
+
+@pytest.mark.parametrize("n,r,error", [(2.0, 2, TypeError), (2, 2.0, TypeError),
+                                       ("2", 2, TypeError), (-1, 2, ValueError),
+                                       (0, 2, ValueError), (2, -1, ValueError)])
+def test_the_step_generator_takes_only_ints(monkeypatch, n, r, error):
+    """n and r enter the generated source only as ints: a float or string
+    is refused by ``operator.index`` and n < 1 or r < 0 by range, before
+    any source is formatted, and though 2.0 == 2, a float is refused even
+    once the (2, 2) step is kept."""
+    moment._geometric_step(2, 2)
+    monkeypatch.setattr(moment, "_step_source", lambda *a: pytest.fail("formatted"))
+    with pytest.raises(error):
+        moment._geometric_step(n, r)
+
+
 @pytest.mark.parametrize("make,r,steps,wedges,dets", [
-    (lambda: cube(4), 3, 3 * 16, 17, 0),
-    (lambda: cube(4), 2, 2 * 16, 17, 0),
-    (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 3 * 32, 86, 0),
-    (lambda: _cross(6), 2, 2 * 12, 31, 0),
-    (lambda: _cross(3), 4, 4 * 6, 3, 0),
-    (lambda: simplex([(0, 0), (1, 0), (0, 1)]), 4, 4 * 3, 0, 1),
-    (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 3 * 6,
+    (lambda: cube(4), 3, 16, 17, 0),
+    (lambda: cube(4), 2, 16, 17, 0),
+    (lambda: box([0] * 5, [1, 2, 3, 4, 5]), 3, 32, 86, 0),
+    (lambda: _cross(6), 2, 12, 31, 0),
+    (lambda: _cross(3), 4, 6, 3, 0),
+    (lambda: simplex([(0, 0), (1, 0), (0, 1)]), 4, 3, 0, 1),
+    (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 6,
      0, 1),
-    (lambda: polygon([(0, 0), (4, 0), (5, 1), (5, 3), (3, 5), (0, 4), (-1, 2)]), 2, 2 * 11, 0, 5),
+    (lambda: polygon([(0, 0), (4, 0), (5, 1), (5, 3), (3, 5), (0, 4), (-1, 2)]), 2, 11, 0, 5),
 ], ids=["cube4-r3", "cube4-r2", "box5-r3", "cross6-r2", "cross3-r4", "triangle-r4", "simplex5-r3",
         "polygon7-r2"])
 def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps, wedges, dets):
-    """At r >= 2 the h-recurrence runs r times per distinct chain vertex of
+    """At r >= 2 the generated geometric step, which runs the h-recurrence
+    for all r degrees at once, is called once per distinct chain vertex of
     the cells' minimal DAG on bodies whose cells end in the same vertex with
     the same |det E|: 2^n for a Kuhn n-box (lo, hi and one per inner vertex),
     2j for a crosspolytope on j vectors (+-v_1, then both signs of each later
-    vector).  Other bodies keep the prefix tree, r steps per distinct vertex
-    prefix: n + 1 for a simplex, 1 + 2m for a fan of m triangles.  The
+    vector).  Other bodies keep the prefix tree, one step per distinct
+    vertex prefix: n + 1 for a simplex, 1 + 2m for a fan of m triangles.  The
     exterior products run once per prefix of 2..n vertices
     on a Kuhn box (1 + sum_k n!/(n - k)!, k = 1..n-2) and a crosspolytope
     (2^(j-1) - 1), whose cells all share their first n vertices with a
     neighbour, so neither calls Bareiss; a lone simplex and a fan, whose
     cells share no n vertices, call it once per cell and build no wedge.
     ``volume`` takes its determinants from the same walk, with the same
-    exterior steps and Bareiss calls and no recurrence step."""
+    exterior steps and Bareiss calls and no geometric step."""
     body = make()
     calls, exterior, bareiss = [], [], []
-    h_steps = set(map(id, symtensor.monomial_tables(body.dim, r)[1]))
-    real_mul, real_det = moment.mul_form, linalg.bareiss
+    real_step, real_mul, real_det = moment._geometric_step, polytope.mul_form, linalg.bareiss
 
-    def counted(*a):
-        (calls if id(a[1]) in h_steps else exterior).append(1)
-        return real_mul(*a)
+    def counted_step(n, rank):
+        step = real_step(n, rank)
+        return lambda h, x: calls.append(1) or step(h, x)
 
-    monkeypatch.setattr(moment, "mul_form", counted)
-    monkeypatch.setattr(polytope, "mul_form", counted)
+    monkeypatch.setattr(moment, "_geometric_step", counted_step)
+    monkeypatch.setattr(polytope, "mul_form", lambda *a: exterior.append(1) or real_mul(*a))
     monkeypatch.setattr(linalg, "bareiss", lambda m: bareiss.append(1) or real_det(m))
     moment_family(body, r)
     assert (len(calls), len(exterior), len(bareiss)) == (steps, wedges, dets)

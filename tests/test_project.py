@@ -268,6 +268,41 @@ def test_the_float_guard_sees_each_kind_of_site(tmp_path, line):
     assert len(_float_sites(path)) == 1
 
 
+# The node types a generated geometric step may hold: one function of
+# names, + and *, tuple packing and unpacking, and its return.
+_STEP_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Tuple,
+               ast.Name, ast.Load, ast.Store, ast.BinOp, ast.Add, ast.Mult, ast.Return)
+
+
+@pytest.mark.parametrize("n,r", [(1, 0), (1, 3), (3, 2), (6, 3)])
+def test_generated_steps_hold_no_constants(n, r):
+    """The moment kernel's generated source holds only names, ``+``, ``*``,
+    tuples and ``return``: no constant of any kind, so the no-float promise
+    of ``src/valuta`` covers generated code too."""
+    from valuta import moment
+
+    tree = ast.parse(moment._step_source(n, r))
+    assert [type(node).__name__ for node in ast.walk(tree)
+            if not isinstance(node, _STEP_NODES)] == []
+
+
+def test_code_is_generated_only_by_the_geometric_step():
+    """``exec``, ``compile`` and ``eval`` are named in ``src/valuta`` only
+    inside ``moment._geometric_step``, which formats source from checked
+    ints alone."""
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        inside = {}  # id(node) -> the innermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                inside.update((id(node), fn.name) for node in ast.walk(fn))
+        sites += [(path.stem, inside.get(id(node)), node.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in ("exec", "compile", "eval")]
+    assert sorted(sites) == [("moment", "_geometric_step", "compile"),
+                             ("moment", "_geometric_step", "exec")]
+
+
 def test_cell_determinants_are_walked_only_by_the_memo():
     """``polytope.cell_dets`` is called only by ``Polytope.walk``, which keeps
     each body's walk and derives an exact image's from its source's, and by
