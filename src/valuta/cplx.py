@@ -40,8 +40,8 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError, ValutaError
-from .linalg import CNum, cabs2, cdet, cnum, crank
-from .symtensor import RMatrix, _json_int, _json_list, format_rational, parse_rational
+from .linalg import CNum, RMatrix, cabs2, cdet, cnum, crank
+from .symtensor import _json_int, _json_list, format_rational, parse_rational
 
 
 @dataclass(frozen=True)

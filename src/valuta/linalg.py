@@ -14,7 +14,8 @@ any entry that is not an ``int``.  ``crank`` is the real rank of the
 realified rows, halved; ``cdet`` reads det(X + iY) off the integer determinants det(X + tY) at
 t = 1..m+1.  Products of rows and columns (``mat_mul``, ``cmat_mul``) run
 on the operands' views at one scale (``_operands``): one int dot product
-and one division per entry.
+and one division per entry.  ``RMatrix``, a square rational matrix, keeps
+its views (rows, sparse columns) and its determinant once built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatch, GeometryError
@@ -252,6 +255,69 @@ def exact_sqrt(q: Fraction) -> Fraction | None:
     if rn * rn == pn and rd * rd == pd:
         return Fraction(rn, rd)
     return None
+
+
+@dataclass(frozen=True)
+class RMatrix:
+    """Square rational matrix: each entry is coerced once by ``frac``,
+    so a float, numpy float or ``complex`` raises ``TypeError``.  Its
+    integer views, built once per matrix, are the rows (``cleared``) and the
+    columns as sparse (row, entry) pairs over the same scale (``columns``)."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.entries)
+        rows = tuple(tuple(map(frac, r)) for r in self.entries)
+        if any(len(r) != n for r in rows):
+            raise DimensionMismatch("RMatrix must be square")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence]) -> "RMatrix":
+        return RMatrix(tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def identity(n: int) -> "RMatrix":
+        return RMatrix.from_rows(identity(n))
+
+    @staticmethod
+    def diag(values: Sequence) -> "RMatrix":
+        n = len(values)
+        return RMatrix.from_rows(
+            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
+        """The rows' integer view (D, ints): ``clear_denominators`` of
+        ``entries``, its rows as tuples, built once per matrix."""
+        scale, rows = clear_denominators(self.entries)
+        return scale, tuple(map(tuple, rows))
+
+    @cached_property
+    def columns(self) -> tuple[int, tuple[tuple[tuple[int, object], ...], ...]]:
+        """The columns of the view ``cleared`` (q, rows) as (row, nonzero
+        entry) pairs, so phi e_i is the sum of x e_row over the pairs of
+        column i, over q; built once per matrix and read by ``gl_action``
+        and ``polytope.linear_image``."""
+        q, rows = self.cleared
+        return q, tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*rows))
+
+    @cached_property
+    def det(self) -> Fraction:
+        """One ``bareiss`` of the view ``cleared`` (q, rows) over q^n."""
+        q, rows = self.cleared
+        return Fraction(bareiss(list(map(list, rows))), q ** self.n)
+
+    def __matmul__(self, other: "RMatrix") -> "RMatrix":
+        if self.n != other.n:
+            raise DimensionMismatch("matrix product size mismatch")
+        return RMatrix.from_rows(mat_mul(self.entries, other.entries))
+
 
 
 # -- Gaussian-rational scalars and matrices ------------------------------------

@@ -16,9 +16,9 @@ forms <v_i, e>, built vertex by vertex as H_d += <v, e> H_(d-1), d = 1..r,
 over the index tables of ``monomial_tables``.
 Every number is rational, so the kernel reads the body's integer view
 ``Polytope.cleared``: its points times D, the lcm of their coordinate
-denominators, built once per body or seeded by the affine map that made
-it, so no pass clears them again.  det E and h_r are Python ints summed
-over all cells, and each degree's totals become a tensor over
+denominators, which the body holds from when it is made, so no pass
+clears them again.  det E and h_r are Python ints summed over all cells,
+and each degree's totals become a tensor over
 (n + r)! D^(n + r) through ``SymTensor.from_totals``: the tensor is its
 integer view, and its ``Fraction`` coefficients are built only when
 ``coeffs`` is read.
@@ -80,8 +80,8 @@ Bareiss.  A simplex takes n + 1 geometric steps and a fan of m triangles
 scope (one ``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps
 each body's family, looked up by identity.
 
-An image under ``linear_image``, ``scale`` or ``translate`` takes its
-source's walk times the map's |det| over the image's reduction
+An image under ``linear_image``, ``scale`` or ``translate`` is made with
+its walk, its source's times the map's |det| over the image's reduction
 (``polytope`` module docstring), so phi K, t K and K + y walk nothing of
 their own: an equivariance check on s samples walks one body, not 1 + s.
 """
@@ -235,9 +235,12 @@ class MomentResult:
 
 
 def moment_family(k: Polytope, r: int, lo: int = 0) -> list[SymTensor]:
-    """[M^r(K), M^(r-1)(K), ..., M^lo(K)], exact, from one kernel pass."""
+    """[M^r(K), M^(r-1)(K), ..., M^lo(K)], exact, from one kernel pass;
+    r < 0, or lo outside 0..r, raises ``ValueError``."""
     if r < 0:
         raise ValueError("moment tensor rank must be non-negative")
+    if not 0 <= lo <= r:
+        raise ValueError(f"lowest rank {lo} is outside 0..{r}")
     n, scale = k.dim, k.cleared[0]
     levels = monomial_tables(n, r)[0]
     totals = _moment_totals(k.cleared, k.walk, n, r, lo)

@@ -8,10 +8,14 @@ carry the vertices and keep the triangulation.
 
 Every number is rational: a float, numpy float or ``complex`` coordinate
 raises ``TypeError`` when the body is made, and a float shift or factor
-when it enters ``translate`` or ``scale``.  Every reader (volume, atoms,
-import checks, the moment kernel, affine maps) takes the vertices' integer
-view ``cleared`` = (D, ints), what ``linalg.clear_denominators`` gives for
-``vertices`` (rows as tuples), built once per body and kept on it.  ``linear_image``, ``scale``
+when it enters ``translate`` or ``scale``.  A body is its cells and its
+vertices' integer view ``cleared`` = (D, ints), what
+``linalg.clear_denominators`` gives for the vertices (rows as tuples): the
+constructor clears the vertices once, and ``Polytope.from_view`` takes a
+view as it is.  Every reader (volume, atoms, import checks, the moment
+kernel, affine maps, ``==`` and hashing) takes the view; the ``Fraction``
+``vertices`` are built from it the first time they are read, so a body
+that only such readers see never builds them.  ``linear_image``, ``scale``
 and ``translate`` compute the image's ints N over a denominator den in one
 pass off the body's view (D, pts): pts scattered through the nonzero
 entries of phi's columns (``RMatrix.columns``, over q) over q D, a pts over
@@ -20,9 +24,6 @@ L = lcm(D, y's denominators) and added over L.  The image is that view,
 reduced by g = gcd(den, *N) when g > 1: the least L with every
 L N_k / den an integer is den / g, so den / g is the lcm of the image's
 denominators and N / g is L times its vertices, as clearing would give.
-Its ``Fraction`` ``vertices`` are built from the view the first time they
-are read, so an image that only a moment, volume or atom reader sees never
-builds them.
 
 Cell determinants come from one walk, ``cell_dets``: the cells in sorted
 order form a prefix tree, and a cell whose first n vertices a neighbour
@@ -32,14 +33,13 @@ and crosspolytopes take no Bareiss determinant.  A body keeps its walk,
 ``volume``, the import checks and the moment kernel read; ``subspace_volume``
 walks its own coordinate view.  An image does not walk: the int map A
 that built its ints N from the source's, before the reduction by g, scales
-every edge matrix, so its |det E| is |det A| |det E_source| / g^n, an exact
-division since g divides every entry of N.  |det A| is q^n |det phi| for
-``linear_image``, read off the cached ``RMatrix.det`` u / w as the int
-(q^n / w) |u|, |a|^n for ``scale`` by a / b and m^n for ``translate``, with
-m = L / D.  ``_image`` keeps |det A| / g^n in lowest terms as the seed
-(source, a, b) until the walk is read, and a seed on an image that has
-not walked yet is composed onto that image's own source, so a chain of
-maps reads one body's walk.
+every edge matrix, so its |det E| is |det A| |det E_source| / g^n.  |det A|
+is q^n |det phi| for ``linear_image``, read off the cached ``RMatrix.det``
+u / w as the int (q^n / w) |u|, |a|^n for ``scale`` by a / b and m^n for
+``translate``, with m = L / D.  ``_image`` hands the image its walk when it
+makes it, the source's with each |det E| times |det A| over g^n, an exact
+division since the result is |det E| of the image's own int edges.  So a
+chain of maps walks its first body only.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
@@ -54,8 +54,8 @@ exterior-product walk over it (``_face_normals``, the stack of
 body's view.  ``atom_totals`` returns the kept atoms,
 ``surface_area_measure`` builds its ``FacetDatum``s from them, ``validate``
 compares them with the cells' walk, and the surface-area pairing of
-``valuation_lab`` reads the totals themselves.  An affine image is seeded
-with its source's walk only, never with its atoms: it reads its atoms off
+``valuation_lab`` reads the totals themselves.  An affine image is handed
+its source's walk only, never its atoms: it reads its atoms off
 its own points, so the transfer check, which compares them with the
 source's, never assumes the identity it checks.
 
@@ -87,8 +87,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
-from .linalg import Vec, vec
-from .symtensor import RMatrix, _json_int, _json_list, format_rational, mul_form, parse_rational
+from .linalg import RMatrix, Vec, vec
+from .symtensor import _json_int, _json_list, format_rational, mul_form, parse_rational
 
 
 @dataclass(frozen=True)
@@ -103,50 +103,52 @@ class FacetDatum:
     offset: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polytope:
+    """A body: its vertices' integer view and its cells (module docstring)."""
+
     dim: int
-    vertices: tuple[Vec, ...]
+    # The vertices' integer view (D, ints), as ``linalg.clear_denominators``
+    # gives it for them, its rows as tuples.
+    cleared: tuple[int, tuple[tuple, ...]]
     triangulation: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, dim: int, vertices: Sequence[Sequence], triangulation):
+        if not vertices:
             raise GeometryError("polytope needs at least one vertex")
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise DimensionMismatch(f"point {v} not in R^{self.dim}")
-        self.cleared  # clears the coordinates, refusing a float with TypeError
+        for v in vertices:
+            if len(v) != dim:
+                raise DimensionMismatch(f"point {v} not in R^{dim}")
+        scale, rows = linalg.clear_denominators(vertices)  # a float raises TypeError
+        vars(self).update(dim=dim, cleared=(scale, tuple(map(tuple, rows))),
+                          triangulation=triangulation)
 
-    def __getattr__(self, name):
-        """``vertices`` of a body made from its view (``_view_body``: an
-        affine image or a Klain probe), built on first read from the view
-        (D, ints): each int over D."""
-        if name != "vertices" or "cleared" not in vars(self):
-            raise AttributeError(name)
-        den, rows = self.cleared
-        vertices = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-        object.__setattr__(self, "vertices", vertices)
-        return vertices
+    @classmethod
+    def from_view(cls, dim: int, triangulation, view: tuple[int, tuple[tuple, ...]],
+                  walk: tuple | None = None) -> "Polytope":
+        """The body on ``triangulation`` whose view ``cleared`` is ``view`` =
+        (D, rows), rows int tuples, without validation: it must be what
+        clearing the body's vertices would give, D the lcm of their
+        denominators.  A ``walk``, when given, is kept as the body's."""
+        body = object.__new__(cls)
+        vars(body).update(dim=dim, cleared=view, triangulation=triangulation)
+        if walk is not None:
+            vars(body)["walk"] = walk
+        return body
 
     @cached_property
-    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
-        """The vertices' integer view (D, ints): ``linalg.clear_denominators``
-        of ``vertices``, its rows as tuples, built once per body or seeded by
-        the affine map that made it (module docstring)."""
-        scale, rows = linalg.clear_denominators(self.vertices)
-        return scale, tuple(map(tuple, rows))
+    def vertices(self) -> tuple[Vec, ...]:
+        """Each int of the view (D, ints) over D, built on first read."""
+        den, rows = self.cleared
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     @cached_property
     def walk(self) -> tuple[tuple[tuple, object, int], ...]:
         """The cells' determinant walk, ``cell_dets`` on the view ``cleared``:
         (cell, |det E|, k) per full-dimensional cell in sorted order, built
-        once per body, or for an image off its source's walk times the
-        factor a / b its seed holds (``_image``; module docstring)."""
-        seed = vars(self).pop("_seed", None)
-        if seed is None:
-            return tuple(cell_dets(self.cleared, self.triangulation, self.dim))
-        source, a, b = seed
-        return tuple((cell, d * a // b, k) for cell, d, k in source.walk)
+        once per body, or handed to an image by the map that made it
+        (``_image``; module docstring)."""
+        return tuple(cell_dets(self.cleared, self.triangulation, self.dim))
 
     @cached_property
     def atoms(self) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:
@@ -164,7 +166,7 @@ class Polytope:
 
         Cells of fewer than n + 1 points, degenerate cells and atoms that do
         not sum to zero (overlapping cells) raise ``GeometryError``.  An
-        affine image reads its own (``_image`` seeds only the walk)."""
+        affine image reads its own (``_image`` hands it only the walk)."""
         n = self.dim
         if any(len(cell) != n + 1 for cell in self.triangulation):
             raise GeometryError("surface area measure needs full-dimensional cells")
@@ -465,35 +467,18 @@ def volume(p: Polytope) -> Fraction:
     return _volume(p.walk, p.cleared[0], p.dim)
 
 
-def _view_body(dim: int, triangulation, view: tuple[int, tuple[tuple, ...]]) -> Polytope:
-    """The body on ``triangulation`` whose integer view ``cleared`` is
-    ``view`` = (D, rows), rows int tuples: it must be what clearing the
-    body's vertices would give, D the lcm of their denominators.  Its
-    ``vertices`` are built from the view the first time they are read."""
-    body = object.__new__(Polytope)
-    vars(body).update(dim=dim, triangulation=triangulation, cleared=view)
-    return body
-
-
 def _image(p: Polytope, den: int, rows, f: int) -> Polytope:
-    """The ``_view_body`` on p's cells whose vertices are the int ``rows``
-    (tuples) over ``den``, reduced by their gcd with den (module docstring).
-
-    The image's walk is seeded as (source, a, b): its |det E| are the
-    source's times a / b = f / g^n in lowest terms, f the |det| of the int
-    map that made the rows.  When p has not walked yet and holds a seed
-    itself, the image takes p's source and multiplies the two seeds, so the
-    source a seed names never holds one.  Only the walk is seeded: the
-    image reads its atoms off its own points."""
+    """The body on p's cells whose vertices are the int ``rows`` (tuples)
+    over ``den``, reduced by their gcd g with den, with p's walk times
+    f / g^n, f the |det| of the int map that made the rows (module
+    docstring).  Only the walk is handed on: the image reads its atoms off
+    its own points."""
     g = math.gcd(den, *itertools.chain.from_iterable(rows))
     if g > 1:
         den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
-    source, a, b = vars(p).get("_seed", (p, 1, 1))
-    a, b = a * f, b * g ** p.dim
-    c = math.gcd(a, b)
-    image = _view_body(p.dim, p.triangulation, (den, rows))
-    vars(image)["_seed"] = (source, a // c, b // c)
-    return image
+    b = g ** p.dim
+    return Polytope.from_view(p.dim, p.triangulation, (den, rows),
+                              tuple((cell, d * f // b, k) for cell, d, k in p.walk))
 
 
 def translate(p: Polytope, y: Sequence) -> Polytope:

@@ -62,6 +62,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, ParseError
+from .linalg import RMatrix  # gl_action's matrix, kept in this namespace too
 
 MultiIndex = tuple[int, ...]
 
@@ -392,66 +393,6 @@ def shift_expansions(tensors: Sequence[SymTensor], y: Sequence) -> list[SymTenso
         expansions.append(SymTensor.from_totals(n, top, levels[top] if top else [()], acc,
                                                 scale * c))
     return expansions
-
-
-@dataclass(frozen=True)
-class RMatrix:
-    """Square rational matrix: each entry is coerced once by ``linalg.frac``,
-    so a float, numpy float or ``complex`` raises ``TypeError``.  Its
-    integer views, built once per matrix, are the rows (``cleared``) and the
-    columns as sparse (row, entry) pairs over the same scale (``columns``)."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        rows = tuple(tuple(map(linalg.frac, r)) for r in self.entries)
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatch("RMatrix must be square")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "RMatrix":
-        return RMatrix(tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def identity(n: int) -> "RMatrix":
-        return RMatrix.from_rows(linalg.identity(n))
-
-    @staticmethod
-    def diag(values: Sequence) -> "RMatrix":
-        n = len(values)
-        return RMatrix.from_rows(
-            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @cached_property
-    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
-        """The rows' integer view (D, ints): ``linalg.clear_denominators``
-        of ``entries``, its rows as tuples, built once per matrix."""
-        scale, rows = linalg.clear_denominators(self.entries)
-        return scale, tuple(map(tuple, rows))
-
-    @cached_property
-    def columns(self) -> tuple[int, tuple[tuple[tuple[int, object], ...], ...]]:
-        """The columns of the view ``cleared`` (q, rows) as (row, nonzero
-        entry) pairs, so phi e_i is the sum of x e_row over the pairs of
-        column i, over q; built once per matrix and read by ``gl_action``
-        and ``polytope.linear_image``."""
-        q, rows = self.cleared
-        return q, tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*rows))
-
-    @cached_property
-    def det(self) -> Fraction:
-        return linalg.det(self.entries)
-
-    def __matmul__(self, other: "RMatrix") -> "RMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch("matrix product size mismatch")
-        return RMatrix.from_rows(linalg.mat_mul(self.entries, other.entries))
 
 
 def gl_action(phi: RMatrix, t: SymTensor) -> SymTensor:

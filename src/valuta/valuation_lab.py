@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .cplx import CMatrix, Subspace, gram_schmidt, realify
 from .errors import DimensionMismatch, GeometryError, ValutaError
-from .linalg import cabs2, exact_sqrt, interpolation_weights
+from .linalg import RMatrix, cabs2, exact_sqrt, interpolation_weights
 from .moment import _shared_passes, moment_tensor
 from .polytope import (
     Polytope,
@@ -53,11 +53,9 @@ from .polytope import (
     scale,
     subspace_volume,
     translate,
-    _view_body,
     volume,
 )
 from .symtensor import (
-    RMatrix,
     SymTensor,
     format_rational,
     gl_action,
@@ -278,11 +276,12 @@ def _probe(l: Subspace, corners, cells) -> Polytope:
     """The body on ``cells`` whose points are sum c_i b_i for the int
     corners c, taken on l's integer view (D, B) as the ints c B over D.
     The corners include 0 and each e_i, so D is the lcm of the points'
-    denominators and (D, c B) is the body's view (``polytope._view_body``)."""
+    denominators and (D, c B) is the body's view (``Polytope.from_view``),
+    which walks its own cells when read."""
     den, rows = l.cleared
     cols = list(zip(*rows))
     pts = tuple(tuple(sum(map(operator.mul, c, col)) for col in cols) for c in corners)
-    return _view_body(l.ambient, cells, (den, pts))
+    return Polytope.from_view(l.ambient, cells, (den, pts))
 
 
 def cube_probe(l: Subspace) -> Polytope:
@@ -465,8 +464,8 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     for any integrand; 1-homogeneity only makes each side an integral
     against the surface area measure.  Each body's atoms come off its own
     points: K's are the ones K keeps (``Polytope.atoms``), read once per
-    body however many checks pair it, and phi K, whose seed holds K's walk
-    but never its atoms, reads its own.  phi^-T is applied to K's int
+    body however many checks pair it, and phi K, handed K's walk but
+    never its atoms, reads its own.  phi^-T is applied to K's int
     totals t: with phi's view (q, A) and A^-1 = R / p
     (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t is q R^T t over
     p den, one division per coordinate.  A body with no atoms raises

@@ -693,11 +693,12 @@ def test_a_singular_image_inherits_flat_cells(monkeypatch):
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_a_lone_simplex_takes_one_bareiss(monkeypatch, r):
-    """``moment_tensor`` of a lone simplex costs one Bareiss determinant,
-    its cell's |det E|.  Its exact dilate, translate and linear image, and
-    a chain of the three, take none: their walks are the body's times the
-    maps' determinants (phi's is kept on the matrix), each equal to
-    ``cell_dets`` on the image's own view, and the affine maps cost none."""
+    """A lone simplex, its exact dilate, translate and linear image, and a
+    chain of the three cost one Bareiss determinant in all, the body's
+    cell's |det E|, taken when the first image is made: each image is made
+    with its walk, the body's times the maps' determinants (phi's is kept
+    on the matrix), each equal to ``cell_dets`` on the image's own view, so
+    ``moment_tensor`` of the body and of its images takes none."""
     body = simplex([[F(1, 3), 0, F(-2, 7), 1], [F(5, 2), F(1, 12), 0, 0], [0, 1, F(7, 97), 2],
                     [F(-1, 30), 0, 1, F(1, 2)], [1, 1, 1, F(3, 4)]])
     phi = RMatrix.from_rows([[1, 0, F(-3, 2), 0], [0, 1, 0, 0], [0, F(2, 7), 1, 0],
@@ -710,29 +711,39 @@ def test_a_lone_simplex_takes_one_bareiss(monkeypatch, r):
     images = [scale(body, F(-3, 2)), translate(body, (F(1, 5), 0, -1, F(2, 3))),
               linear_image(phi, body),
               translate(scale(linear_image(psi, body), F(-2, 7)), (F(1, 7), 0, 1, F(-1, 4)))]
-    assert dets == []
-    moment_tensor(body, r)
     assert dets == [4]
-    for image in images:
+    for k in (body, *images):
         dets.clear()
-        got = moment_tensor(image, r).tensor
+        got = moment_tensor(k, r).tensor
         assert dets == []
-        assert got == moment_tensor(_fresh(image), r).tensor
-        own = polytope.cell_dets(image.cleared, image.triangulation, image.dim)
-        assert image.walk == tuple(own)
+        assert got == moment_tensor(_fresh(k), r).tensor
+        own = polytope.cell_dets(k.cleared, k.triangulation, k.dim)
+        assert k.walk == tuple(own)
 
 
 def test_a_chain_of_translates_reads_its_walk_without_recursion():
-    """Each image's walk is seeded off the body that walks, never off
-    another seed, so the last of 2000 translates reads its walk off the
-    body's in one step."""
+    """Each image is made with its walk, a tuple read off its source's, so
+    the last of 2000 translates reads its walk without recursion, and it is
+    the walk of its own points."""
     body = simplex([(0, 0), (F(1, 2), 0), (0, F(1, 3))])
     image = body
     for k in range(2000):
         image = translate(image, (F(1, k + 2), -1))
-    assert "walk" not in vars(body)
     assert image.walk == _fresh(image).walk
     assert volume(image) == F(1, 12)
+
+
+@pytest.mark.parametrize("lo", [-1, 3, 5])
+def test_moment_family_refuses_a_lowest_rank_outside_0_to_r(monkeypatch, lo):
+    """``moment_family(k, r, lo)`` returns M^r..M^lo, so lo must lie in
+    0..r: a negative lo would add tensors of negative rank, a lo above r an
+    empty family or an index past the pass.  It is refused with
+    ``ValueError`` before any kernel pass runs."""
+    passes = []
+    monkeypatch.setattr(moment, "_moment_totals", lambda *a: passes.append(a))
+    with pytest.raises(ValueError, match="lowest rank"):
+        moment_family(std_triangle, 2, lo)
+    assert passes == []
 
 
 def _cross(j):

@@ -926,12 +926,14 @@ def _assert_tensor_twin(t):
 
 
 def _assert_body_twin(image):
-    """An image equals the body rebuilt from its vertices in view, ==, hash
-    and vertices (values and types); the view is read before the vertices."""
-    view = image.cleared
-    twin = _rebuilt(image)
+    """An image equals the body rebuilt from the Fractions of its view in
+    view, ==, hash and vertices (values and types); comparing and hashing
+    build none of the image's vertices."""
+    den, rows = view = image.cleared
+    twin = Polytope(image.dim, [[F(x, den) for x in row] for row in rows], image.triangulation)
     assert view == twin.cleared
     assert image == twin and hash(image) == hash(twin)
+    assert "vertices" not in vars(image)
     assert image.vertices == twin.vertices
     assert [type(x) for v in image.vertices for x in v] == \
         [type(x) for v in twin.vertices for x in v]

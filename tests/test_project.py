@@ -92,14 +92,14 @@ def test_one_verdict_rule_in_valuation_lab():
 
 
 def test_a_polytope_is_its_points_and_cells():
-    """``Polytope`` stores its vertices and cells and nothing read off them:
-    facets are derived on demand, so no module reads a ``.facets``, and a
-    triangulation is always given.  There is no second point list: no
-    module reads a ``.points`` or ``.aux_points``."""
+    """``Polytope`` stores its vertices' integer view and its cells and
+    nothing read off them: facets are derived on demand, so no module reads
+    a ``.facets``, and a triangulation is always given.  There is no second
+    point list: no module reads a ``.points`` or ``.aux_points``."""
     from valuta.polytope import Polytope
 
     fields = {f.name: f for f in dataclasses.fields(Polytope)}
-    assert list(fields) == ["dim", "vertices", "triangulation"]
+    assert list(fields) == ["dim", "cleared", "triangulation"]
     assert all(f.default is f.default_factory is dataclasses.MISSING for f in fields.values())
     for path in sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -122,11 +122,12 @@ SOURCES = sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py"))
 def test_each_value_is_cleared_only_by_its_view():
     """No call of ``clear_denominators`` in ``src/valuta`` takes a body's
     ``.vertices``, a matrix's ``.entries``, a tensor's ``.coeffs`` or a
-    subspace's ``.basis``, except in the ``cleared`` views of bodies,
-    matrices and subspaces that define them, and ``SymTensor`` clears the
-    values it is given once, in ``__init__``: its ``cleared`` view reduces
-    the stored totals, so every other reader takes a view, and each value
-    is cleared at most once per object."""
+    subspace's ``.basis``, except in the ``cleared`` views of matrices and
+    subspaces that define them, and ``Polytope`` and ``SymTensor`` clear
+    the values they are given once, in ``__init__``: a body's ``cleared``
+    is its view and a tensor's view reduces the stored totals, so every
+    other reader takes a view, and each value is cleared at most once per
+    object."""
     found = []
     for path in SOURCES:
         for fn in _functions(path):
@@ -138,12 +139,13 @@ def test_each_value_is_cleared_only_by_its_view():
                         if isinstance(node, ast.Attribute)}
                 if read & {"vertices", "entries", "coeffs", "basis"}:
                     found.append((path.stem, fn.name))
-    assert sorted(found) == [("cplx", "cleared"), ("polytope", "cleared"), ("symtensor", "cleared")]
-    tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / "symtensor.py").read_text())
-    cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "SymTensor")
-    clearing = {fn.name for fn in ast.walk(cls)
-                if isinstance(fn, ast.FunctionDef) and "clear_denominators" in _called(fn)}
-    assert clearing == {"__init__"}
+    assert sorted(found) == [("cplx", "cleared"), ("linalg", "cleared")]
+    for module, name in (("polytope", "Polytope"), ("symtensor", "SymTensor")):
+        tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / f"{module}.py").read_text())
+        cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == name)
+        clearing = {fn.name for fn in ast.walk(cls)
+                    if isinstance(fn, ast.FunctionDef) and "clear_denominators" in _called(fn)}
+        assert clearing == {"__init__"}, name
 
 
 def test_int_totals_become_a_tensor_only_through_from_totals():
@@ -202,6 +204,28 @@ def test_one_tensor_representation():
                         and node.attr in ("_totals", "_den", "_store")), path.name
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
                 assert not any(getattr(arg, "id", None) == "SymTensor" for arg in node.args), \
+                    path.name
+
+
+def test_one_body_representation():
+    """``Polytope`` is its integer view and cells: ``vertices`` is a
+    ``cached_property`` read off the view, there is no ``__getattr__`` hook,
+    no module names a ``_seed`` side channel or a ``_view_body`` builder,
+    and no module but ``polytope`` makes a body with
+    ``object.__new__(Polytope)``."""
+    from functools import cached_property
+
+    from valuta.polytope import Polytope
+
+    assert "__getattr__" not in vars(Polytope)
+    assert isinstance(vars(Polytope)["vertices"], cached_property)
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "value")}
+            assert not {"_seed", "_view_body"} & names, path.name
+            if path.stem != "polytope" and isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", None) == "__new__":
+                assert not any(getattr(arg, "id", None) == "Polytope" for arg in node.args), \
                     path.name
 
 
