@@ -11,9 +11,11 @@ splits a subspace L into its largest complex subspace U = L intersect J(L)
 and a totally real remainder, returning a basis (v_1, ..., v_d,
 J v_1, ..., J v_{j-d}) whose first d vectors are independent over C.
 
-Every number is rational: a ``CMatrix`` holds rational parts and a
-``Subspace`` rational coordinates, so a float or ``complex`` raises
-``TypeError`` where it enters.
+Every value is its integer view, as bodies and tensors are: a ``Subspace``
+is its basis's view ``cleared`` and a ``CMatrix`` its realification, an
+``RMatrix``, which is its own view.  Each is cleared once when it is
+made, so a float or ``complex`` raises ``TypeError`` where it enters, and
+its ``Fraction`` basis or entries are built off the view when first read.
 Every orthonormal basis comes from one modified Gram-Schmidt,
 ``gram_schmidt``, which follows ``linalg``: the vectors are cleared of
 denominators once, projections run in Python ints on primitive directions,
@@ -21,9 +23,8 @@ and a ``Fraction`` is built only for each unit vector returned, which needs
 a perfect-square norm.  So the adapted basis and the orthonormality check
 ``linalg.check_orthonormal`` take no ``Fraction`` dot product, and both
 rank decisions (``complex_rank`` and the nullspace in ``adapted_basis``)
-are exact eliminations.  A ``Subspace`` keeps its basis's integer view
-``cleared``, as bodies, matrices and tensors keep theirs, and the adapted
-basis, the complex rank and the Klain probes read it.  ``sample_subspace``
+are exact eliminations.  The adapted basis, the complex rank and the
+Klain probes read a subspace's view.  ``sample_subspace``
 draws rational orthonormal frames: columns of Cayley transforms of integer
 skew-symmetric matrices, taken and tested in ints.
 """
@@ -44,30 +45,30 @@ from .linalg import CNum, RMatrix, cabs2, cdet, cnum, crank
 from .symtensor import _json_int, _json_list, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CMatrix:
-    """Square complex matrix of (re, im) pairs, each part coerced once by
-    ``linalg.frac``, so a float or ``complex`` raises ``TypeError``."""
+    """Square complex matrix held as its realification ``realified``, the
+    ``RMatrix`` [[Re, -Im], [Im, Re]] (module docstring): its entries and
+    det_C are read off the realification's view, and a product is the
+    realifications' product, since realifying is a ring homomorphism."""
 
-    entries: tuple[tuple[CNum, ...], ...]
+    realified: RMatrix
 
-    def __post_init__(self):
-        m = len(self.entries)
-        rows = tuple(
-            tuple((linalg.frac(re), linalg.frac(im)) for re, im in row) for row in self.entries)
-        if any(len(r) != m for r in rows):
+    def __init__(self, entries: Sequence[Sequence[CNum]]):
+        if any(len(r) != len(entries) for r in entries):
             raise DimensionMismatch("CMatrix must be square")
-        object.__setattr__(self, "entries", rows)
+        rows = [[re for re, _ in row] + [-im for _, im in row] for row in entries]
+        rows += [[im for _, im in row] + [re for re, _ in row] for row in entries]
+        vars(self)["realified"] = RMatrix(rows)
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return self.realified.n // 2
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "CMatrix":
         """Rows of (re, im) pairs or of reals, a real x read as (x, 0)."""
-        return CMatrix(tuple(tuple(e if isinstance(e, tuple) else (e, 0) for e in row)
-                             for row in rows))
+        return CMatrix([[e if isinstance(e, tuple) else (e, 0) for e in row] for row in rows])
 
     @staticmethod
     def identity(m: int) -> "CMatrix":
@@ -78,25 +79,32 @@ class CMatrix:
         m = len(values)
         return CMatrix.from_rows([[values[i] if i == j else 0 for j in range(m)] for i in range(m)])
 
-    @cached_property
-    def det_c(self) -> CNum:
-        return cdet(self.entries)
+    def _pairs(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(D, int pairs): entry (i, j) is the ints at (i, j) and (m + i, j)
+        of the realification's view (D, rows) over D."""
+        m, (scale, rows) = self.m, self.realified.cleared
+        return scale, [list(zip(rows[i][:m], rows[m + i][:m])) for i in range(m)]
 
     @cached_property
-    def realified(self) -> RMatrix:
-        """The real 2m x 2m block matrix [[Re, -Im], [Im, Re]], built once
-        per matrix, so its ``det`` and integer view are too (``realify``)."""
-        m = self.m
-        re = [[self.entries[i][j][0] for j in range(m)] for i in range(m)]
-        im = [[self.entries[i][j][1] for j in range(m)] for i in range(m)]
-        rows = [re[i] + [-x for x in im[i]] for i in range(m)]
-        rows += [im[i] + re[i] for i in range(m)]
-        return RMatrix.from_rows(rows)
+    def entries(self) -> tuple[tuple[CNum, ...], ...]:
+        """Each (re, im) int pair of ``_pairs`` over D, built on first read."""
+        scale, pairs = self._pairs()
+        return tuple(tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in row)
+                     for row in pairs)
+
+    @cached_property
+    def det_c(self) -> CNum:
+        """``cdet`` of the int pairs of ``_pairs`` over D^m."""
+        scale, pairs = self._pairs()
+        re, im = cdet(pairs)
+        return re / scale ** self.m, im / scale ** self.m
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.m != other.m:
             raise DimensionMismatch("complex matrix product size mismatch")
-        return CMatrix(tuple(map(tuple, linalg.cmat_mul(self.entries, other.entries))))
+        out = object.__new__(CMatrix)
+        vars(out)["realified"] = self.realified @ other.realified
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,25 +157,24 @@ def det_identity_check(a: CMatrix) -> bool:
 # -- subspaces -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
-    """Real subspace of R^2m given by an orthonormal basis (rows), each
-    coordinate coerced once by ``linalg.frac``, so a float or ``complex``
-    raises ``TypeError``.  ``cleared`` is the basis's integer view, built
-    once per subspace."""
+    """Real subspace of R^2m given by an orthonormal basis (rows), held as
+    the basis's integer view ``cleared`` = (D, ints), what
+    ``linalg.clear_denominators`` gives for the rows (rows as tuples)."""
 
     ambient: int
-    basis: tuple[tuple, ...]
+    cleared: tuple[int, tuple[tuple, ...]]
     retries: int = 0
 
-    def __post_init__(self):
-        if self.ambient % 2 != 0:
+    def __init__(self, ambient: int, basis: Sequence[Sequence], retries: int = 0):
+        if ambient % 2 != 0:
             raise DimensionMismatch("ambient dimension must be even")
-        basis = tuple(tuple(map(linalg.frac, b)) for b in self.basis)
-        for b in basis:
-            if len(b) != self.ambient:
-                raise DimensionMismatch("basis vector of wrong length")
-        object.__setattr__(self, "basis", basis)
+        if any(len(b) != ambient for b in basis):
+            raise DimensionMismatch("basis vector of wrong length")
+        scale, rows = linalg.clear_denominators(basis)
+        vars(self).update(ambient=ambient, cleared=(scale, tuple(map(tuple, rows))),
+                          retries=retries)
 
     @property
     def m(self) -> int:
@@ -175,14 +182,13 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.cleared[1])
 
     @cached_property
-    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
-        """The basis's integer view (D, ints): ``linalg.clear_denominators``
-        of ``basis``, its rows as tuples."""
-        scale, rows = linalg.clear_denominators(self.basis)
-        return scale, tuple(map(tuple, rows))
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each int of the view (D, ints) over D, built on first read."""
+        scale, rows = self.cleared
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
     @cached_property
     def complex_rank(self) -> int:
@@ -192,18 +198,17 @@ class Subspace:
     def from_orthonormal(basis: Sequence[Sequence]) -> "Subspace":
         """A subspace on the given basis, checked to be orthonormal by
         ``linalg.check_orthonormal``; no vector raises ``GeometryError``."""
-        basis = tuple(tuple(v) for v in basis)
         if not basis:
             raise GeometryError("empty span")
         out = Subspace(len(basis[0]), basis)
-        linalg.check_orthonormal(out.basis)
+        linalg.check_orthonormal(basis)
         return out
 
     @staticmethod
     def span(vectors: Sequence[Sequence]) -> "Subspace":
         """Orthonormalize a rational spanning set by ``gram_schmidt`` in
         input order, which needs rational norms."""
-        basis = gram_schmidt([tuple(map(linalg.frac, v)) for v in vectors])
+        basis = gram_schmidt(vectors)
         if not basis:
             raise GeometryError("empty span")
         return Subspace(len(basis[0]), tuple(basis))
@@ -376,10 +381,10 @@ def _shear(m: int, params, seed) -> CMatrix:
         if p == q or not (0 <= p < m and 0 <= q < m):
             raise ValueError("shear needs distinct indices inside range")
         entry = cnum(params.get("re", 0), params.get("im", 0))
-        return CMatrix.from_rows(_single_shear(m, p, q, entry))
+        return CMatrix(_single_shear(m, p, q, entry))
     count = (params or {}).get("count", 1)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    out = CMatrix.identity(m).entries
+    out = CMatrix.identity(m)
     for _ in range(count):
         p = rng.randrange(m)
         q = (p + 1 + rng.randrange(m - 1)) % m
@@ -388,8 +393,8 @@ def _shear(m: int, params, seed) -> CMatrix:
             im = Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
             if re != 0 or im != 0:
                 break
-        out = linalg.cmat_mul(out, _single_shear(m, p, q, (re, im)))
-    return CMatrix(tuple(map(tuple, out)))
+        out @= CMatrix(_single_shear(m, p, q, (re, im)))
+    return out
 
 
 def _single_shear(m: int, p: int, q: int, entry: CNum) -> list[list[CNum]]:

@@ -12,10 +12,11 @@ and ``frac``, which coerces one scalar, refuse a float, ``numpy.float32``,
 ``complex`` or string entry with ``TypeError``, and ``_eliminate`` refuses
 any entry that is not an ``int``.  ``crank`` is the real rank of the
 realified rows, halved; ``cdet`` reads det(X + iY) off the integer determinants det(X + tY) at
-t = 1..m+1.  Products of rows and columns (``mat_mul``, ``cmat_mul``) run
-on the operands' views at one scale (``_operands``): one int dot product
-and one division per entry.  ``RMatrix``, a square rational matrix, keeps
-its views (rows, sparse columns) and its determinant once built.
+t = 1..m+1.  ``mat_mul`` runs on the operands' views: one int dot
+product and one division per entry.  ``RMatrix``, a square rational
+matrix, is its integer view (rows over one scale), cleared once when it
+is made; its entries, sparse columns and determinant are built off the
+view once each, and a product multiplies the two views.
 """
 
 from __future__ import annotations
@@ -59,16 +60,11 @@ def vec(xs: Sequence) -> Vec:
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """Each entry the sum of its row-by-column products in index order, on
-    the rows and columns ``_operands`` gives, over the denominator it gives."""
-    _check_product(a, b)
-    a, b, d = _operands(a, transpose(b))
-    return [[Fraction(sum(map(operator.mul, r, c)), d) for c in b] for r in a]
-
-
-def _check_product(a, b) -> None:
-    """Refuse a and b unless every row of a has len(b) entries and b's rows one length."""
+    the views (p, rows) of a and (q, columns) of b, over p q."""
     if any(len(row) != len(b) for row in a) or len(set(map(len, b))) > 1:
         raise DimensionMismatch("matrix product shape mismatch")
+    (p, a), (q, b) = clear_denominators(a), clear_denominators(transpose(b))
+    return [[Fraction(sum(map(operator.mul, r, c)), p * q) for c in b] for r in a]
 
 
 def identity(n: int) -> Mat:
@@ -111,13 +107,6 @@ def common_scale(views) -> tuple[int, list[list[list]]]:
     big = math.lcm(*(d for d, _ in views))
     return big, [rows if d == big else [[x * (big // d) for x in row] for row in rows]
                  for d, rows in views]
-
-
-def _operands(a: Sequence[Sequence], b: Sequence[Sequence]):
-    """Rational a and b as their views at one scale L (``common_scale``),
-    with L^2, the denominator of their int sums."""
-    big, (a, b) = common_scale([clear_denominators(a), clear_denominators(b)])
-    return a, b, big * big
 
 
 def _eliminate(m: list[list], jordan: bool = False) -> tuple[int, list[int]]:
@@ -257,29 +246,30 @@ def exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RMatrix:
-    """Square rational matrix: each entry is coerced once by ``frac``,
-    so a float, numpy float or ``complex`` raises ``TypeError``.  Its
-    integer views, built once per matrix, are the rows (``cleared``) and the
-    columns as sparse (row, entry) pairs over the same scale (``columns``)."""
+    """Square rational matrix held as its integer view ``cleared`` = (D,
+    ints), what ``clear_denominators`` gives for its rows (rows as tuples):
+    the constructor clears the entries once, so a float, numpy float or
+    ``complex`` raises ``TypeError``.  Its ``Fraction`` ``entries``, its
+    columns as sparse (row, entry) pairs over the same scale (``columns``)
+    and its ``det`` are built off the view once per matrix."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    cleared: tuple[int, tuple[tuple, ...]]
 
-    def __post_init__(self):
-        n = len(self.entries)
-        rows = tuple(tuple(map(frac, r)) for r in self.entries)
-        if any(len(r) != n for r in rows):
+    def __init__(self, entries: Sequence[Sequence]):
+        if any(len(r) != len(entries) for r in entries):
             raise DimensionMismatch("RMatrix must be square")
-        object.__setattr__(self, "entries", rows)
+        scale, rows = clear_denominators(entries)
+        vars(self)["cleared"] = (scale, tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.cleared[1])
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RMatrix":
-        return RMatrix(tuple(tuple(r) for r in rows))
+        return RMatrix(rows)
 
     @staticmethod
     def identity(n: int) -> "RMatrix":
@@ -292,11 +282,10 @@ class RMatrix:
             [[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @cached_property
-    def cleared(self) -> tuple[int, tuple[tuple, ...]]:
-        """The rows' integer view (D, ints): ``clear_denominators`` of
-        ``entries``, its rows as tuples, built once per matrix."""
-        scale, rows = clear_denominators(self.entries)
-        return scale, tuple(map(tuple, rows))
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each int of the view (D, ints) over D, built on first read."""
+        scale, rows = self.cleared
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
     @cached_property
     def columns(self) -> tuple[int, tuple[tuple[tuple[int, object], ...], ...]]:
@@ -314,10 +303,18 @@ class RMatrix:
         return Fraction(bareiss(list(map(list, rows))), q ** self.n)
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
+        """The view of the product of the views (p, A) and (q, B), with no
+        ``Fraction`` built: the ints N = A B over p q reduced by
+        g = gcd(p q, *N), as ``polytope`` reduces an image's view."""
         if self.n != other.n:
             raise DimensionMismatch("matrix product size mismatch")
-        return RMatrix.from_rows(mat_mul(self.entries, other.entries))
-
+        (p, a), (q, b) = self.cleared, other.cleared
+        b = tuple(zip(*b))
+        rows = [[sum(map(operator.mul, r, c)) for c in b] for r in a]
+        g = math.gcd(p * q, *(x for row in rows for x in row))
+        out = object.__new__(RMatrix)
+        vars(out)["cleared"] = (p * q // g, tuple(tuple(x // g for x in row) for row in rows))
+        return out
 
 
 # -- Gaussian-rational scalars and matrices ------------------------------------
@@ -360,16 +357,3 @@ def crank(rows: Sequence[Sequence[CNum]]) -> int:
     iz flattened to [x | y] and [-y | x], halved."""
     _, m = clear_denominators(_flat(rows) + _flat([[(-im, re) for re, im in row] for row in rows]))
     return len(_eliminate(m)[1]) // 2
-
-
-def cmat_mul(a: Sequence[Sequence[CNum]], b: Sequence[Sequence[CNum]]) -> list[list[CNum]]:
-    """re = sum(x u - y v) and im = sum(x v + y u), k in order, on a's rows
-    [x | y] and b's columns [u | v] as ``_operands`` gives them, over its
-    denominator."""
-    _check_product(a, b)
-    k, mul = len(b), operator.mul
-    a, b, d = _operands(_flat(a), _flat(transpose(b)))
-    b = [(col[:k], col[k:]) for col in b]
-    return [[(Fraction(sum(map(operator.sub, map(mul, x, u), map(mul, y, v))), d),
-              Fraction(sum(map(operator.add, map(mul, x, v), map(mul, y, u))), d))
-             for u, v in b] for x, y in ((row[:k], row[k:]) for row in a)]

@@ -121,7 +121,7 @@ class Polytope:
                 raise DimensionMismatch(f"point {v} not in R^{dim}")
         scale, rows = linalg.clear_denominators(vertices)  # a float raises TypeError
         vars(self).update(dim=dim, cleared=(scale, tuple(map(tuple, rows))),
-                          triangulation=triangulation)
+                          triangulation=tuple(map(tuple, triangulation)))
 
     @classmethod
     def from_view(cls, dim: int, triangulation, view: tuple[int, tuple[tuple, ...]],

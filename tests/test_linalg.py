@@ -544,15 +544,27 @@ def product_operands(draw, entries_a, entries_b, pair=lambda s: s):
     return a, b
 
 
+@st.composite
+def square_pairs(draw, entries_a, entries_b, min_size=0):
+    """Two m x m matrices of (re, im) pairs, min_size <= m <= 4, the first
+    with parts drawn from ``entries_a`` and the second from ``entries_b``."""
+    m = draw(st.integers(min_value=min_size, max_value=4))
+    return tuple([[draw(st.tuples(s, s)) for _ in range(m)] for _ in range(m)]
+                 for s in (entries_a, entries_b))
+
+
 EXACT_ENTRIES = {"int": small_ints, "fraction": rationals, "mixed": small_ints | rationals}
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(EXACT_ENTRIES)))
 def test_exact_products_equal_the_schoolbook_fractions(data, kind):
-    """``mat_mul``, on a column too, and ``cmat_mul`` on integer views
-    equal the schoolbook sums in Fractions (``oracles``), value and type:
-    every entry a ``Fraction``, ints included."""
+    """``mat_mul``, on a column too, and the ``CMatrix`` product of square
+    matrices, on integer views, equal the schoolbook sums in Fractions
+    (``oracles``), value and type: every entry a ``Fraction``, ints
+    included; the product's view is the one its entries clear to.  A
+    complex matrix rebuilt from its entries is itself, and its ``det_c``,
+    read off its realification's view, is ``cdet`` of its entries."""
     entries = EXACT_ENTRIES[kind]
     a, b = data.draw(product_operands(entries, entries))
     got, want = linalg.mat_mul(a, b), mat_mul_fractions(a, b)
@@ -561,9 +573,13 @@ def test_exact_products_equal_the_schoolbook_fractions(data, kind):
     want = [row[0] for row in mat_mul_fractions(a, [[y] for y in x])]
     got = [y for y, in linalg.mat_mul(a, [[y] for y in x])]
     assert got == want and all(type(y) is F for y in got)
-    ca, cb = data.draw(product_operands(entries, entries, lambda s: st.tuples(s, s)))
-    got, want = linalg.cmat_mul(ca, cb), cmat_mul_fractions(ca, cb)
-    assert got == want and all(type(x) is F for row in got for z in row for x in z)
+    ca, cb = data.draw(square_pairs(entries, entries))
+    a = CMatrix(ca)
+    product = a @ CMatrix(cb)
+    got = product.entries
+    assert got == tuple(map(tuple, cmat_mul_fractions(ca, cb))) and CMatrix(got) == product
+    assert all(type(x) is F for row in got for z in row for x in z)
+    assert CMatrix(a.entries) == a and a.det_c == linalg.cdet(a.entries) == linalg.cdet(ca)
 
 
 big_ints = st.integers(min_value=2 ** 53 - 9, max_value=2 ** 60) | st.integers(
@@ -574,8 +590,9 @@ big_ints = st.integers(min_value=2 ** 53 - 9, max_value=2 ** 60) | st.integers(
 @given(data=st.data(), swap=st.booleans())
 def test_float_products_are_refused(data, swap):
     """Products are exact: a float anywhere in either operand (``mat_mul``,
-    on a column too, ``cmat_mul``) raises ``TypeError``, whatever sits
-    beside it: ints, large ints past 2^53 and Fractions on both sides."""
+    on a column too, or a ``CMatrix`` product, whose constructor refuses
+    it) raises ``TypeError``, whatever sits beside it: ints, large ints past
+    2^53 and Fractions on both sides."""
     floats = plain_floats | small_ints | big_ints | rationals
     pick = (small_ints | big_ints | rationals, floats)
     pick = pick[::-1] if swap else pick
@@ -586,11 +603,11 @@ def test_float_products_are_refused(data, swap):
     for x, y in ((a, b), (a, column)):
         with pytest.raises(TypeError):
             linalg.mat_mul(x, y)
-    ca, cb = data.draw(product_operands(*pick, lambda s: st.tuples(s, s)))
+    ca, cb = data.draw(square_pairs(*pick))
     if not any(isinstance(x, float) for m in (ca, cb) for row in m for z in row for x in z):
-        ca = [[(0.5, 0.5)] + row[1:] for row in ca] or [[(0.5, 0.5)] * len(cb)]
+        ca = [[(0.5, 0.5)] + row[1:] for row in ca] or [[(0.5, 0.5)]]
     with pytest.raises(TypeError):
-        linalg.cmat_mul(ca, cb)
+        CMatrix(ca) @ CMatrix(cb)
 
 
 def test_exact_terms_beside_a_float_are_refused():
@@ -601,7 +618,7 @@ def test_exact_terms_beside_a_float_are_refused():
         with pytest.raises(TypeError):
             linalg.mat_mul(x, y)
     with pytest.raises(TypeError):
-        linalg.cmat_mul([[(2 ** 53 + 1, 0.0)]], [[(3, 0)]])
+        CMatrix([[(2 ** 53 + 1, 0.0)]]) @ CMatrix([[(3, 0)]])
     assert linalg.mat_mul([[2 ** 53 + 1, F(1, 2)]], [[3], [0]]) == [[3 * 2 ** 53 + 3]]
     assert linalg.mat_mul([[F(1, 10), F(1, 2)]], [[3], [0]]) == [[F(3, 10)]]
 
@@ -610,7 +627,8 @@ def test_exact_terms_beside_a_float_are_refused():
 @given(data=st.data(), which=st.sampled_from(["a", "b"]))
 def test_ragged_operands_raise(data, which):
     """A row of a shorter or longer than len(b), or rows of b of unequal
-    lengths, raise ``DimensionMismatch`` rather than being truncated."""
+    lengths, raise ``DimensionMismatch`` rather than being truncated, and so
+    does a complex matrix with a row shorter or longer than the others."""
     a, b = data.draw(product_operands(rationals, rationals))
     a = a or [[F(1)] * len(b)]
     m = a if which == "a" else b
@@ -623,19 +641,33 @@ def test_ragged_operands_raise(data, which):
     else:
         m[i] = m[i][:-1]
 
-    def pairs(rows):
-        return [[(x, -x) for x in row] for row in rows]
-
     with pytest.raises(DimensionMismatch):
         linalg.mat_mul(a, b)
+    ca, _ = data.draw(square_pairs(rationals, rationals, min_size=2))
+    i = data.draw(st.integers(min_value=0, max_value=len(ca) - 1))
+    ca[i] = ca[i] + [(F(2), F(-2))] if data.draw(st.booleans()) else ca[i][:-1]
     with pytest.raises(DimensionMismatch):
-        linalg.cmat_mul(pairs(a), pairs(b))
+        CMatrix(ca)
+
+
+def test_complex_matrices_round_trip_their_realification():
+    """A complex matrix whose parts have mixed denominators gives back its
+    entries as Fractions, equals its twin built from them, and reads
+    ``det_c`` off its realification's view as the Leibniz sum of its
+    entries; ``|det_C|^2`` is the determinant of the realification."""
+    rows = [[(F(1, 2), F(-1, 3)), (2, F(1, 6))], [(F(3, 4), 0), (F(-5, 7), F(2, 9))]]
+    a = CMatrix(rows)
+    assert a.entries == tuple(tuple((F(x), F(y)) for x, y in row) for row in rows)
+    assert all(type(x) is F for row in a.entries for z in row for x in z)
+    assert CMatrix(a.entries) == a and hash(CMatrix(a.entries)) == hash(a)
+    assert a.det_c == gauss_leibniz(a.entries) == linalg.cdet(rows)
+    assert a.realified.det == linalg.cabs2(a.det_c)
 
 
 def test_ragged_examples_raise():
-    """Unchecked, ``map`` and ``zip`` truncate these to a [[(3, 0)], [(3, 0)]]
-    product and a 2 x 1 one."""
+    """Unchecked, the ragged complex matrix realifies to rows of 4 and 2
+    entries, and ``zip`` truncates the real product to a 2 x 1 one."""
     with pytest.raises(DimensionMismatch):
-        linalg.cmat_mul([[(1, 0), (2, 0)], [(3, 0)]], [[(1, 0)], [(1, 0)]])
+        CMatrix([[(1, 0), (2, 0)], [(3, 0)]])
     with pytest.raises(DimensionMismatch):
         linalg.mat_mul([[1, 2], [3, 4]], [[1, 5], [1]])

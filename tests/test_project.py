@@ -122,12 +122,11 @@ SOURCES = sorted((PYPROJECT.parent / "src" / "valuta").glob("*.py"))
 def test_each_value_is_cleared_only_by_its_view():
     """No call of ``clear_denominators`` in ``src/valuta`` takes a body's
     ``.vertices``, a matrix's ``.entries``, a tensor's ``.coeffs`` or a
-    subspace's ``.basis``, except in the ``cleared`` views of matrices and
-    subspaces that define them, and ``Polytope`` and ``SymTensor`` clear
-    the values they are given once, in ``__init__``: a body's ``cleared``
-    is its view and a tensor's view reduces the stored totals, so every
-    other reader takes a view, and each value is cleared at most once per
-    object."""
+    subspace's ``.basis``, and ``Polytope``, ``SymTensor``, ``RMatrix`` and
+    ``Subspace`` clear the values they are given once, in ``__init__``:
+    each one's ``cleared`` is its view (a tensor's reduces the stored
+    totals), so every other reader takes a view, and each value is cleared
+    at most once per object."""
     found = []
     for path in SOURCES:
         for fn in _functions(path):
@@ -139,8 +138,9 @@ def test_each_value_is_cleared_only_by_its_view():
                         if isinstance(node, ast.Attribute)}
                 if read & {"vertices", "entries", "coeffs", "basis"}:
                     found.append((path.stem, fn.name))
-    assert sorted(found) == [("cplx", "cleared"), ("linalg", "cleared")]
-    for module, name in (("polytope", "Polytope"), ("symtensor", "SymTensor")):
+    assert found == []
+    for module, name in (("polytope", "Polytope"), ("symtensor", "SymTensor"),
+                         ("linalg", "RMatrix"), ("cplx", "Subspace")):
         tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / f"{module}.py").read_text())
         cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == name)
         clearing = {fn.name for fn in ast.walk(cls)
@@ -227,6 +227,30 @@ def test_one_body_representation():
                     and getattr(node.func, "attr", None) == "__new__":
                 assert not any(getattr(arg, "id", None) == "Polytope" for arg in node.args), \
                     path.name
+
+
+def test_one_matrix_representation():
+    """``RMatrix`` and ``Subspace`` are their integer views and a
+    ``CMatrix`` its realification, as a body is its view
+    (``test_one_body_representation``): ``entries`` and ``basis`` are
+    ``cached_property``s read off the view, no ``__post_init__`` coerces
+    entries in ``linalg`` or ``cplx``, and ``linalg`` keeps no complex
+    product beside the realification's (``cmat_mul``)."""
+    from functools import cached_property
+
+    from valuta import linalg
+    from valuta.cplx import CMatrix, Subspace
+
+    for cls, names in ((linalg.RMatrix, ["cleared"]), (CMatrix, ["realified"]),
+                       (Subspace, ["ambient", "cleared", "retries"])):
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+    for cls, name in ((linalg.RMatrix, "entries"), (CMatrix, "entries"), (Subspace, "basis")):
+        assert isinstance(vars(cls)[name], cached_property), (cls.__name__, name)
+    for module in ("linalg", "cplx"):
+        tree = ast.parse((PYPROJECT.parent / "src" / "valuta" / f"{module}.py").read_text())
+        assert "__post_init__" not in {fn.name for fn in ast.walk(tree)
+                                       if isinstance(fn, ast.FunctionDef)}, module
+    assert not hasattr(linalg, "cmat_mul")
 
 
 def test_matrices_are_exact():
