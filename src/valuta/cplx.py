@@ -16,14 +16,18 @@ is its basis's view ``cleared`` and a ``CMatrix`` its realification, an
 ``RMatrix``, which is its own view.  Each is cleared once when it is
 made, so a float or ``complex`` raises ``TypeError`` where it enters, and
 its ``Fraction`` basis or entries are built off the view when first read.
-Every orthonormal basis comes from one modified Gram-Schmidt,
-``gram_schmidt``, which follows ``linalg``: the vectors are cleared of
-denominators once, projections run in Python ints on primitive directions,
-and a ``Fraction`` is built only for each unit vector returned, which needs
-a perfect-square norm.  So the adapted basis and the orthonormality check
-``linalg.check_orthonormal`` take no ``Fraction`` dot product, and both
-rank decisions (``complex_rank`` and the nullspace in ``adapted_basis``)
-are exact eliminations.  The adapted basis, the complex rank and the
+Every orthonormal basis comes from one modified Gram-Schmidt, which
+follows ``linalg``: the vectors are cleared of denominators once,
+projections run in Python ints on primitive directions u, and each unit
+vector u / root needs a perfect-square norm root^2.  ``gram_schmidt``
+builds a ``Fraction`` only for each unit vector it returns;
+``Subspace.span`` and ``adapted_basis`` build none, since the view of their
+unit vectors is the ints u (L / root) over the lcm L of the roots
+(``_view``, ``Subspace.from_view``).  So the adapted basis and the
+orthonormality check ``linalg.check_orthonormal``, which takes a view,
+take no ``Fraction`` dot product, and both rank decisions
+(``complex_rank`` and the nullspace in ``adapted_basis``) are exact
+eliminations.  The adapted basis, the complex rank and the
 Klain probes read a subspace's view.  ``sample_subspace``
 draws rational orthonormal frames: columns of Cayley transforms of integer
 skew-symmetric matrices, taken and tested in ints.
@@ -194,28 +198,42 @@ class Subspace:
     def complex_rank(self) -> int:
         return complex_rank(self)
 
+    @classmethod
+    def from_view(cls, ambient: int, view: tuple[int, tuple[tuple, ...]],
+                  retries: int = 0) -> "Subspace":
+        """The subspace of R^ambient whose view ``cleared`` is ``view`` =
+        (D, rows), rows int tuples, without validation beyond the ambient's
+        parity: it must be what clearing the basis would give, D the lcm of
+        its denominators."""
+        if ambient % 2 != 0:
+            raise DimensionMismatch("ambient dimension must be even")
+        out = object.__new__(cls)
+        vars(out).update(ambient=ambient, cleared=view, retries=retries)
+        return out
+
     @staticmethod
     def from_orthonormal(basis: Sequence[Sequence]) -> "Subspace":
-        """A subspace on the given basis, checked to be orthonormal by
-        ``linalg.check_orthonormal``; no vector raises ``GeometryError``."""
+        """A subspace on the given basis, its view checked to be orthonormal
+        by ``linalg.check_orthonormal``; no vector raises ``GeometryError``."""
         if not basis:
             raise GeometryError("empty span")
         out = Subspace(len(basis[0]), basis)
-        linalg.check_orthonormal(basis)
+        linalg.check_orthonormal(out.cleared)
         return out
 
     @staticmethod
     def span(vectors: Sequence[Sequence]) -> "Subspace":
-        """Orthonormalize a rational spanning set by ``gram_schmidt`` in
-        input order, which needs rational norms."""
-        basis = gram_schmidt(vectors)
-        if not basis:
+        """Orthonormalize a rational spanning set by Gram-Schmidt in input
+        order (``gram_schmidt``), which needs rational norms; the subspace is
+        made on the view of its unit vectors (``_view``)."""
+        dirs = _directions(vectors)
+        if not dirs:
             raise GeometryError("empty span")
-        return Subspace(len(basis[0]), tuple(basis))
+        return Subspace.from_view(len(dirs[0][0]), _view(dirs))
 
 
-# A kept direction of ``gram_schmidt`` is (u, N, unit): a primitive int
-# vector u with N = |u|^2 and unit = u / sqrt(N) in Fractions.
+# A kept direction of ``gram_schmidt`` is (u, N, root): a primitive int
+# vector u with N = |u|^2 = root^2, so its unit vector is u / root.
 
 
 def _reduce(w, dirs) -> list:
@@ -239,7 +257,7 @@ def _direction(w):
     root = math.isqrt(n)
     if root * root != n:
         raise ValutaError(f"exact orthonormalization needs a perfect-square norm, got {n}")
-    return u, n, tuple(Fraction(x, root) for x in u)
+    return u, n, root
 
 
 def _extend(rows, dirs: list) -> list:
@@ -252,6 +270,24 @@ def _extend(rows, dirs: list) -> list:
     return dirs
 
 
+def _directions(vecs: Sequence[Sequence], basis: Sequence[tuple] = ()) -> list:
+    """The kept directions that extend the orthonormal ``basis`` to span the
+    rational ``vecs`` too, cleared of denominators once and reduced in ints
+    in input order; a float raises ``TypeError``."""
+    _, rows = linalg.clear_denominators([*basis, *vecs])
+    k = len(basis)
+    return _extend(rows[k:], [_direction(b) for b in rows[:k]])[k:]
+
+
+def _view(dirs) -> tuple[int, tuple[tuple, ...]]:
+    """The integer view of the unit vectors u / root of kept directions: the
+    rows u (L / root) over L, the lcm of the roots.  Each u is primitive, so
+    the denominators of u / root have lcm root, and L is what clearing the
+    unit vectors gives."""
+    big = math.lcm(*(root for _, _, root in dirs))
+    return big, tuple(tuple(x * (big // root) for x in u) for u, _, root in dirs)
+
+
 def gram_schmidt(vecs: Sequence[Sequence], basis: Sequence[tuple] = ()) -> list[tuple]:
     """Orthonormal vectors that extend the orthonormal ``basis`` to span the
     rational ``vecs`` too; a float raises ``TypeError``.  The vectors are
@@ -259,13 +295,10 @@ def gram_schmidt(vecs: Sequence[Sequence], basis: Sequence[tuple] = ()) -> list[
     unless its remainder is zero.
 
     The input is cleared of denominators once and reduced in ints, each
-    remainder over its gcd; a unit vector, which needs a perfect-square
-    norm, is the only ``Fraction`` built.
+    remainder over its gcd (``_directions``); a unit vector, which needs a
+    perfect-square norm, is the only ``Fraction`` built.
     """
-    _, rows = linalg.clear_denominators([*basis, *vecs])
-    k = len(basis)
-    dirs = [_direction(b) for b in rows[:k]]
-    return [unit for _, _, unit in _extend(rows[k:], dirs)[k:]]
+    return [tuple(Fraction(x, root) for x in u) for u, _, root in _directions(vecs, basis)]
 
 
 def _complex_rows(basis: Sequence[Sequence], m: int) -> list[list[CNum]]:
@@ -318,13 +351,13 @@ def adapted_basis(l: Subspace) -> Subspace:
         best = _direction(max(reduced, key=lambda w: sum(x * x for x in w)))
         if best is None:
             raise GeometryError("failed to span the complex part")
-        u, norm, unit = best
-        pairs += [best, (j_apply(u), norm, j_apply(unit))]
-    units = [unit for _, _, unit in _extend(basis, list(pairs))]
-    if len(units) != j:
+        u, norm, root = best
+        pairs += [best, (j_apply(u), norm, root)]
+    dirs = _extend(basis, list(pairs))
+    if len(dirs) != j:
         raise GeometryError("complex/real split dimensions do not add up")
     k = len(pairs)
-    return Subspace(n, tuple(units[:k:2] + units[k:] + units[1:k:2]), retries=l.retries)
+    return Subspace.from_view(n, _view(dirs[:k:2] + dirs[k:] + dirs[1:k:2]), retries=l.retries)
 
 
 def sample_subspace(m: int, j: int, seed) -> Subspace:

@@ -89,10 +89,11 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[int, list[list]]:
     return d, [[p * (d // q) for p, q in row] for row in ratios]
 
 
-def check_orthonormal(rows: Sequence[Sequence]) -> None:
-    """Raise ``GeometryError`` unless the rational rows are orthonormal:
-    cleared of denominators (D) once, B B^T is compared with D^2 I in ints."""
-    d, rows = clear_denominators(rows)
+def check_orthonormal(view: tuple[int, Sequence[Sequence[int]]]) -> None:
+    """Raise ``GeometryError`` unless the rows of the integer view (D, ints)
+    of a basis, as ``clear_denominators`` gives it, are orthonormal over D:
+    B B^T is compared with D^2 I in ints."""
+    d, rows = view
     if any(sum(map(operator.mul, u, v)) != (d * d if k == i else 0)
            for i, u in enumerate(rows) for k, v in enumerate(rows[i:], i)):
         raise GeometryError("basis is not orthonormal")

@@ -28,16 +28,11 @@ geometric series 1/(1 - <v, e>) cut at degree r, one factor being one
 geometric step.  The walks hold h_0..h_r as one flat tuple, the degrees
 concatenated in ``monomial_tables`` order, and take one step per vertex:
 ``step(h, x)``, generated for (n, r) on its first use and kept
-(``_geometric_step``), whose body is the recurrence for d = 1..r unrolled
-on local variables, each slot of H_d one sum of products of H_(d-1)
-slots and coordinates.  Locals in place of list subscripts, and one call
-in place of r ``mul_form`` calls and a copy of each degree, take away the
-interpreter's share of a step, about half of it on small steps: best of
-7 timeit on a shared 2-core Xeon, one step on dense ints takes 0.56 us
-in place of 1.57 at n = 4, r = 2, and 6.0 in place of 12.2 at n = 6,
-r = 3; generating the (6, 3) step takes 1 ms and the (10, 4) step 18 ms.
-The totals sum |det E| times the state over the cells' vertex words,
-taken in sorted order, on one of two walks:
+(``symtensor._geometric_step``, where the package's generated code and
+its timings live), whose body is the recurrence for d = 1..r unrolled on
+local variables, each slot of H_d one sum of products of H_(d-1) slots
+and coordinates.  The totals sum |det E| times the state over the cells'
+vertex words, taken in sorted order, on one of two walks:
 
 - Bottom-up on the words' minimal DAG, equal suffixes merged (Daciuk,
   Mihov, Watson and Watson, Comput. Linguist. 26, 2000), when r >= 2 and
@@ -64,18 +59,20 @@ The determinants, and the prefix each cell shares with the one before,
 are the body's walk ``Polytope.walk``, kept on the body and also read by
 ``volume`` and the import checks: ``polytope.cell_dets`` reads det E of a
 cell whose first n vertices a neighbour in sorted order shares off the
-exterior product of its edges, built one edge per shared prefix; every
+exterior product of its edges, built one generated exterior step
+(``symtensor._exterior_step``) per edge of a shared prefix; every
 other cell, a lone simplex or a triangle of a polygon's fan, costs one
 Bareiss determinant, and a flat cell (det E = 0) adds nothing.
 ``polytope.box`` lists each Kuhn cell as lo, hi, then the inner vertices of
 its chain, whose rest depends only on its last vertex, so a Kuhn n-box
 takes 2^n geometric steps on the DAG (16 on a 4-box, 32 on a
 5-box; 2 + sum_k n!/(n - k)!, k = 1..n-1, 42 and 207, on the tree) and
-1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps; a crosspolytope on j
-vectors, pulled from +v_1 into 2^(j - 1) cells, takes 2j geometric steps
-(2^j on the tree) and 2^(j - 1) - 1 exterior steps.  Neither calls
-Bareiss.  A simplex takes n + 1 geometric steps and a fan of m triangles
-1 + 2m.  The pass holds every h_d, d <= r, so
+1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps on the stack; a
+crosspolytope on j vectors, pulled from +v_1 into 2^(j - 1) cells, takes
+2j geometric steps (2^j on the tree) and 2^(j - 1) - 1 exterior steps on
+the stack.  Each of their cells takes one more, from level n - 1, for its
+determinant, and neither calls Bareiss.  A simplex takes n + 1 geometric
+steps and a fan of m triangles 1 + 2m.  The pass holds every h_d, d <= r, so
 ``moment_family`` returns M^r, ..., M^0 from it; inside a ``_shared_passes``
 scope (one ``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps
 each body's family, looked up by identity.
@@ -89,57 +86,15 @@ their own: an equivariance check on s samples walks one body, not 1 + s.
 from __future__ import annotations
 
 import math
-import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .polytope import Polytope
-from .symtensor import SymTensor, monomial_tables
+from .symtensor import SymTensor, _geometric_step, monomial_tables
 # Kept in this namespace: the benchmark's tracer test expects moment to bind it.
 from .symtensor import sym_product  # noqa: F401
-
-
-def _step_source(n: int, r: int) -> str:
-    """The source of ``step(h, x)``, the geometric step of (n, r) unrolled on
-    locals (module docstring): h is the flat state h_0..h_r, the degrees
-    concatenated in ``monomial_tables`` order, and x a vertex's n
-    coordinates.  For d = 1..r, each slot of H_d adds the products of the
-    new H_(d-1) slots one ``steps[d - 1]`` entry away from it with their
-    coordinates, so H_d += <x, e> H_(d-1); the new state is returned.  The
-    body holds only names, +, * and tuples; ``_geometric_step`` checks that
-    n >= 1 and r >= 0 are ints."""
-    levels, steps, _ = monomial_tables(n, r)
-    offsets = list(accumulate(map(len, levels), initial=0))
-    h, x = [f"h{k}" for k in range(offsets[-1])], [f"x{i}" for i in range(n)]
-    lines = ["def step(h, x):", f"    {', '.join(h)}, = h", f"    {', '.join(x)}, = x"]
-    for d, step in enumerate(steps):
-        sums = [[h[k]] for k in range(offsets[d + 1], offsets[d + 2])]
-        for j, row in enumerate(step, offsets[d]):
-            for i, k in enumerate(row):
-                sums[k].append(f"{h[j]} * {x[i]}")
-        lines += [f"    {terms[0]} = {' + '.join(terms)}" for terms in sums]
-    lines.append(f"    return {', '.join(h)},")
-    return "\n".join(lines) + "\n"
-
-
-_STEPS: dict[tuple[int, int], Callable] = {}
-
-
-def _geometric_step(n, r) -> Callable:
-    """The geometric step of (n, r), ``step(h, x)`` of ``_step_source``,
-    compiled once per (n, r) and kept.  n and r are read through
-    ``operator.index`` and refused below 1 and 0 before any source is
-    formatted, so only ints enter it."""
-    n, r = operator.index(n), operator.index(r)
-    if n < 1 or r < 0:
-        raise ValueError(f"no geometric step for n = {n}, r = {r}")
-    if (n, r) not in _STEPS:
-        scope: dict = {}
-        exec(compile(_step_source(n, r), f"<geometric step n={n} r={r}>", "exec"), scope)
-        _STEPS[n, r] = scope["step"]
-    return _STEPS[n, r]
 
 
 def _trie_totals(walk, pts, step, size, lo) -> list:

@@ -28,7 +28,11 @@ denominators and N / g is L times its vertices, as clearing would give.
 Cell determinants come from one walk, ``cell_dets``: the cells in sorted
 order form a prefix tree, and a cell whose first n vertices a neighbour
 shares takes |det E| off the exterior product of its edges, so Kuhn boxes
-and crosspolytopes take no Bareiss determinant.  A body keeps its walk,
+and crosspolytopes take no Bareiss determinant.  The walk keeps the
+exterior products of each prefix's edges on a stack; each edge, and each
+cell's determinant from its last edge, is one call of the straight-line
+exterior step that ``symtensor`` generates per (n, k) (``_exterior_step``),
+on the point and the base as they are.  A body keeps its walk,
 (cell, |det E|, k) per full-dimensional cell, as ``Polytope.walk``, which
 ``volume``, the import checks and the moment kernel read; ``subspace_volume``
 walks its own coordinate view.  An image does not walk: the int map A
@@ -50,8 +54,9 @@ triangulation once per body, as int totals over one denominator held in
 tuples, so the shared value cannot be changed.  The faces that no other
 cell shares, in sorted order, form a prefix tree like the cells, and one
 exterior-product walk over it (``_face_normals``, the stack of
-``cell_dets``) gives each face's n signed (n-1)-minors as ints on the
-body's view.  ``atom_totals`` returns the kept atoms,
+``cell_dets``) gives each face's normal, its n signed (n-1)-minors, as
+ints on the body's view, laid out so by the step from level n - 2.
+``atom_totals`` returns the kept atoms,
 ``surface_area_measure`` builds its ``FacetDatum``s from them, ``validate``
 compares them with the cells' walk, and the surface-area pairing of
 ``valuation_lab`` reads the totals themselves.  An affine image is handed
@@ -88,7 +93,9 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DimensionMismatch, GeometryError, ParseError
 from .linalg import RMatrix, Vec, vec
-from .symtensor import _json_int, _json_list, format_rational, mul_form, parse_rational
+from .symtensor import (
+    _exterior_step, _json_int, _json_list, format_rational, parse_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -363,30 +370,6 @@ def hull_2d(points: Sequence[Vec]) -> list[Vec]:
 # -- basic operations -----------------------------------------------------------
 
 
-_WEDGES: dict[int, tuple] = {}
-
-
-def _wedge_tables(n: int) -> tuple:
-    """Read-only signed index tables of the exterior powers of R^n, built
-    once per n: entry k is (``step``, C), C = comb(n, k + 1), and
-    ``step[j][i]`` is where e_S ^ e_i lands for S the j-th k-subset of
-    range(n) in lexicographic order: the position of S + {i} among the
-    (k + 1)-subsets when the sign (-1)^#{s in S : s > i} is +, C plus it
-    when it is -, and the sink 2C when i is in S.  Entries k = 0..n - 2."""
-    if n in _WEDGES:
-        return _WEDGES[n]
-    tables = []
-    for k in range(n - 1):
-        index = {s: j for j, s in enumerate(itertools.combinations(range(n), k + 1))}
-        size = len(index)
-        tables.append((tuple(
-            tuple(2 * size if i in s else index[tuple(sorted(s + (i,)))]
-                  + size * (sum(x > i for x in s) % 2) for i in range(n))
-            for s in itertools.combinations(range(n), k)), size))
-    _WEDGES[n] = tables = tuple(tables)
-    return tables
-
-
 def _prefix_walk(words):
     """Yield (word, k, wedge) for each word in turn: k is the length of the
     prefix it shares with the word before, and ``wedge`` the walk's one
@@ -402,19 +385,16 @@ def _prefix_walk(words):
         yield word, k, wedge
 
 
-def _extend_wedge(wedge: list, pts, word, n: int) -> list:
+def _extend_wedge(wedge: list, steps, pts, word) -> list:
     """Extend the stack over the word's first n vertices and return its top.
     ``wedge[k]`` keeps the exterior product of the first k edges
     pts[v] - pts[word[0]] as its comb(n, k) k-minors, and one more edge is
-    one ``mul_form`` over ``_wedge_tables``.  The top, ``wedge[n - 1]``,
-    holds the (n-1)-minors, the subsets leaving out n - 1, ..., 0 in order."""
+    one call of the generated exterior step ``steps[k]``
+    (``symtensor._exterior_step(n, k)``) on the vertex and the base.  The
+    top, ``wedge[n - 1]``, holds the normal of the first n - 1 edges."""
     base = pts[word[0]]
-    tables = _wedge_tables(n)
-    while len(wedge) < n:
-        step, size = tables[len(wedge) - 1]
-        form = [(t, a - b) for t, (a, b) in enumerate(zip(pts[word[len(wedge)]], base)) if a != b]
-        out = mul_form(wedge[-1], step, form, [0] * (2 * size + 1))
-        wedge.append(list(map(operator.sub, out[:size], out[size:-1])))
+    for k in range(len(wedge) - 1, len(steps) - 1):
+        wedge.append(steps[k](wedge[k], pts[word[k + 1]], base))
     return wedge[-1]
 
 
@@ -426,21 +406,17 @@ def cell_dets(view: tuple[int, Sequence], cells, n: int):
 
     The cells are walked as a prefix tree (module docstring, ``_prefix_walk``).
     A cell whose first n vertices a neighbour in sorted order shares reads
-    det E off the (n-1)-minors of its first n - 1 edges (``_extend_wedge``)
-    and its last edge, an n-term sum; any other cell takes one Bareiss
-    determinant.
+    det E off the normal of its first n - 1 edges (``_extend_wedge``) and
+    its last edge, one exterior step from level n - 1; any other cell takes
+    one Bareiss determinant.
     """
     _, pts = view
     cells = sorted(tuple(c) for c in cells if len(c) == n + 1)
+    steps = [_exterior_step(n, k) for k in range(n)]
     for (cell, k, wedge), after in zip(_prefix_walk(cells), cells[1:] + [()]):
         base = pts[cell[0]]
         if n and (k >= n or after[:n] == cell[:n]):  # the first n vertices are shared
-            w = _extend_wedge(wedge, pts, cell, n)
-            # det E is the alternating sum of w_j times the last edge's
-            # entry n - 1 - j.
-            edge = [a - b for a, b in zip(pts[cell[n]], base)]
-            d = abs(sum(map(operator.mul, w[::2], edge[::-2]))
-                    - sum(map(operator.mul, w[1::2], edge[-2::-2])))
+            d = abs(steps[-1](_extend_wedge(wedge, steps, pts, cell), pts[cell[n]], base)[0])
         else:
             d = abs(linalg.bareiss([[a - b for a, b in zip(pts[i], base)] for i in cell[1:]]))
         yield cell, d, k
@@ -451,9 +427,9 @@ def _face_normals(pts, faces, n: int):
     edges pts[v] - pts[face[0]]: (-1)^c times their (n-1)-minor without
     column c, all zero when they are dependent.  The faces share one prefix
     walk, so faces in sorted order share the minors of their common prefix."""
+    steps = [_exterior_step(n, k) for k in range(n)]
     for face, _, wedge in _prefix_walk(faces):
-        w = _extend_wedge(wedge, pts, face, n)
-        yield [-x if c % 2 else x for c, x in enumerate(reversed(w))]
+        yield _extend_wedge(wedge, steps, pts, face)
 
 
 def _volume(dets, scale: int, n: int):
@@ -563,16 +539,17 @@ def _hyperplane(normal: list, point) -> tuple:
 
 def subspace_volume(p: Polytope, subspace):
     """Volume of a polytope inside a linear subspace, in the subspace's own
-    dimension, in coordinates of its rational orthonormal ``basis`` (the
-    argument's attribute, or the argument), checked by
-    ``linalg.check_orthonormal``, which refuses a float with ``TypeError``.
-    On the views of the body P and of B at one scale L
-    (``linalg.common_scale``) the coordinates are the ints <P, B_i> over
-    L^2, and a point lies in the subspace when L^2 P = sum <P, B_i> B_i."""
-    basis = [tuple(b) for b in getattr(subspace, "basis", subspace)]
-    linalg.check_orthonormal(basis)
-    j = len(basis)
-    big, (pts, rows) = linalg.common_scale([p.cleared, linalg.clear_denominators(basis)])
+    dimension, in coordinates of its rational orthonormal basis B: the
+    argument's integer view ``cleared``, or the argument's rows cleared of
+    denominators, which refuses a float with ``TypeError``; the view is
+    checked by ``linalg.check_orthonormal``.  On the views of the body P and
+    of B at one scale L (``linalg.common_scale``) the coordinates are the
+    ints <P, B_i> over L^2, and a point lies in the subspace when
+    L^2 P = sum <P, B_i> B_i."""
+    view = getattr(subspace, "cleared", None) or linalg.clear_denominators(subspace)
+    linalg.check_orthonormal(view)
+    j = len(view[1])
+    big, (pts, rows) = linalg.common_scale([p.cleared, view])
     d2 = big * big
     coords = []
     for pt in pts:

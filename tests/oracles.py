@@ -342,18 +342,31 @@ def transfer_check_fractions(f, phi, p):
     return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})])
 
 
+def leibniz(m) -> int:
+    """Determinant of a square int matrix by Leibniz's sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = (-1) ** sum(perm[j] > perm[i] for i in range(len(m)) for j in range(i))
+        for row, p in zip(m, perm):
+            term *= row[p]
+        total += term
+    return total
+
+
 def cofactor_normal(rows) -> list:
     """(-1)^c det(rows without column c) for n - 1 rows in R^n, a normal to
     the rows, each minor by Leibniz's sum over permutations."""
     n = len(rows) + 1
-
-    def leibniz(m):
-        total = 0
-        for perm in itertools.permutations(range(len(m))):
-            term = (-1) ** sum(perm[j] > perm[i] for i in range(len(m)) for j in range(i))
-            for row, p in zip(m, perm):
-                term *= row[p]
-            total += term
-        return total
-
     return [(-1) ** c * leibniz([row[:c] + row[c + 1:] for row in rows]) for c in range(n)]
+
+
+def wedge_minors(rows, n: int) -> list:
+    """The k-minors of k int rows in R^n as the generated exterior steps lay
+    them out: the minor on the columns S for each k-subset S of range(n) in
+    lexicographic order, except for k = n - 1, where slot c holds the
+    normal's entry (``cofactor_normal``); each minor by Leibniz."""
+    rows = [list(row) for row in rows]
+    if len(rows) == n - 1:
+        return cofactor_normal(rows)
+    return [leibniz([[row[c] for c in cols] for row in rows])
+            for cols in itertools.combinations(range(n), len(rows))]

@@ -438,6 +438,23 @@ class TestAgainstFractionReference:
             _same_outcome(Subspace.from_orthonormal(rotated))
 
 
+    @pytest.mark.parametrize("m,j", SAMPLED)
+    def test_views_are_what_clearing_gives(self, m, j):
+        """``adapted_basis`` and ``Subspace.span`` make their subspaces on
+        the ints of their kept directions (``Subspace.from_view``): on
+        Cayley samples, and on the int rows of their views in either order,
+        each ``cleared`` equals the old construction's, the ``Subspace``
+        constructor clearing the Fraction reference's unit vectors."""
+        rng = random.Random(10 * m + j)
+        for _ in range(3):
+            l = sample_subspace(m, j, rng) if j <= m else generic_unitary_span(rng, m, j)
+            assert adapted_basis(l).cleared == adapted_basis_fractions(l).cleared
+            rows = l.cleared[1]
+            for vectors in (l.basis, rows, rows[::-1]):
+                want = Subspace(2 * m, tuple(gram_schmidt_fractions(vectors)))
+                assert Subspace.span(vectors).cleared == want.cleared
+
+
 class TestSpan:
     def test_exact_drops_only_zeros(self):
         tiny = (0, 0, F(1, 10 ** 30), 0)
@@ -467,7 +484,7 @@ class TestSampling:
             l = sample_subspace(m, j, 10 * m + j)
             assert (l.ambient, l.dim) == (2 * m, j)
             assert all(type(x) is Fraction for v in l.basis for x in v)
-            linalg.check_orthonormal(l.basis)
+            linalg.check_orthonormal(linalg.clear_denominators(l.basis))
             assert complex_rank(l) == min(j, m)
 
     def test_seeded_by_an_int_or_a_random(self):

@@ -762,7 +762,7 @@ def test_the_generated_step_is_the_mul_form_recurrence(n, r):
     lays out <x, e>^d in ``monomial_tables`` order, multinomial(d; alpha)
     x^alpha at the position of alpha in degree d."""
     rng = random.Random(n * 10 + r)
-    step = moment._geometric_step(n, r)
+    step = symtensor._geometric_step(n, r)
     levels = symtensor.monomial_tables(n, r)[0]
     size = sum(map(len, levels))
     for _ in range(30):
@@ -787,10 +787,10 @@ def test_the_step_generator_takes_only_ints(monkeypatch, n, r, error):
     is refused by ``operator.index`` and n < 1 or r < 0 by range, before
     any source is formatted, and though 2.0 == 2, a float is refused even
     once the (2, 2) step is kept."""
-    moment._geometric_step(2, 2)
-    monkeypatch.setattr(moment, "_step_source", lambda *a: pytest.fail("formatted"))
+    symtensor._geometric_step(2, 2)
+    monkeypatch.setattr(symtensor, "_step_source", lambda *a: pytest.fail("formatted"))
     with pytest.raises(error):
-        moment._geometric_step(n, r)
+        symtensor._geometric_step(n, r)
 
 
 @pytest.mark.parametrize("make,r,steps,wedges,dets", [
@@ -816,26 +816,34 @@ def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps, 
     exterior products run once per prefix of 2..n vertices
     on a Kuhn box (1 + sum_k n!/(n - k)!, k = 1..n-2) and a crosspolytope
     (2^(j-1) - 1), whose cells all share their first n vertices with a
-    neighbour, so neither calls Bareiss; a lone simplex and a fan, whose
-    cells share no n vertices, call it once per cell and build no wedge.
-    ``volume`` takes its determinants from the same walk, with the same
-    exterior steps and Bareiss calls and no geometric step."""
+    neighbour, so neither calls Bareiss, and each cell reads its
+    determinant off one exterior step from level n - 1; a lone simplex and
+    a fan, whose cells share no n vertices, call Bareiss once per cell and
+    take no exterior step.  ``volume`` takes its determinants from the same
+    walk, with the same exterior steps and Bareiss calls and no geometric
+    step."""
     body = make()
-    calls, exterior, bareiss = [], [], []
-    real_step, real_mul, real_det = moment._geometric_step, polytope.mul_form, linalg.bareiss
+    calls, exterior, leaves, bareiss = [], [], [], []
+    real_step, real_wedge, real_det = (moment._geometric_step, polytope._exterior_step,
+                                       linalg.bareiss)
 
     def counted_step(n, rank):
         step = real_step(n, rank)
         return lambda h, x: calls.append(1) or step(h, x)
 
+    def counted_wedge(n, k):
+        step, seen = real_wedge(n, k), leaves if k == n - 1 else exterior
+        return lambda *a: seen.append(1) or step(*a)
+
     monkeypatch.setattr(moment, "_geometric_step", counted_step)
-    monkeypatch.setattr(polytope, "mul_form", lambda *a: exterior.append(1) or real_mul(*a))
+    monkeypatch.setattr(polytope, "_exterior_step", counted_wedge)
     monkeypatch.setattr(linalg, "bareiss", lambda m: bareiss.append(1) or real_det(m))
+    cells = 0 if dets else len(body.triangulation)
     moment_family(body, r)
-    assert (len(calls), len(exterior), len(bareiss)) == (steps, wedges, dets)
+    assert (len(calls), len(exterior), len(leaves), len(bareiss)) == (steps, wedges, cells, dets)
     calls.clear()
     moment_tensor(_fresh(body), r)
     assert len(calls) == steps
-    calls.clear(), exterior.clear(), bareiss.clear()
+    calls.clear(), exterior.clear(), leaves.clear(), bareiss.clear()
     volume(_fresh(body))
-    assert (len(calls), len(exterior), len(bareiss)) == (0, wedges, dets)
+    assert (len(calls), len(exterior), len(leaves), len(bareiss)) == (0, wedges, cells, dets)

@@ -270,11 +270,16 @@ class TestSurfaceAreaMeasure:
     def test_atoms_extend_each_face_prefix_once(self, body, faces, monkeypatch):
         """The boundary faces (48 of a Kuhn 4-box, 16 of a 4-crosspolytope)
         are walked in sorted order with no elimination: each distinct prefix
-        of 2..n vertices extends the exterior product once (one
-        ``mul_form``), so faces that share a prefix share its minors."""
+        of 2..n vertices extends the exterior product once (one generated
+        exterior step), so faces that share a prefix share its minors."""
         calls, eliminations = [], []
-        real_form, real_eliminate = polytope.mul_form, linalg._eliminate
-        monkeypatch.setattr(polytope, "mul_form", lambda *a: calls.append(1) or real_form(*a))
+        real_wedge, real_eliminate = polytope._exterior_step, linalg._eliminate
+
+        def counted_wedge(n, k):
+            step = real_wedge(n, k)
+            return lambda *a: calls.append(1) or step(*a)
+
+        monkeypatch.setattr(polytope, "_exterior_step", counted_wedge)
         monkeypatch.setattr(linalg, "_eliminate",
                             lambda *a, **k: eliminations.append(1) or real_eliminate(*a, **k))
         surface_area_measure(body)

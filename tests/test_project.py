@@ -327,17 +327,30 @@ def test_generated_steps_hold_no_constants(n, r):
     """The moment kernel's generated source holds only names, ``+``, ``*``,
     tuples and ``return``: no constant of any kind, so the no-float promise
     of ``src/valuta`` covers generated code too."""
-    from valuta import moment
+    from valuta import symtensor
 
-    tree = ast.parse(moment._step_source(n, r))
+    tree = ast.parse(symtensor._step_source(n, r))
     assert [type(node).__name__ for node in ast.walk(tree)
             if not isinstance(node, _STEP_NODES)] == []
 
 
-def test_code_is_generated_only_by_the_geometric_step():
+# The node types any generated step may hold besides int constants: one
+# function of names, +, - and *, unary -, tuples and lists, assignments
+# and its return.
+_GENERATED_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
+                    ast.Name, ast.Load, ast.Store, ast.Tuple, ast.List, ast.BinOp, ast.Add,
+                    ast.Sub, ast.Mult, ast.UnaryOp, ast.USub)
+
+
+def test_code_is_generated_only_by_compile():
     """``exec``, ``compile`` and ``eval`` are named in ``src/valuta`` only
-    inside ``moment._geometric_step``, which formats source from checked
-    ints alone."""
+    inside ``symtensor._compile``, which formats source from checked ints
+    alone; every source it formats, the geometric steps the tests build and
+    the exterior steps of R^1..R^6 from every level, parses to one function
+    of names, int constants, +, -, *, unary -, tuples and lists, its
+    assignments and its return."""
+    from valuta import symtensor
+
     sites = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -347,8 +360,18 @@ def test_code_is_generated_only_by_the_geometric_step():
                 inside.update((id(node), fn.name) for node in ast.walk(fn))
         sites += [(path.stem, inside.get(id(node)), node.id) for node in ast.walk(tree)
                   if isinstance(node, ast.Name) and node.id in ("exec", "compile", "eval")]
-    assert sorted(sites) == [("moment", "_geometric_step", "compile"),
-                             ("moment", "_geometric_step", "exec")]
+    assert sorted(sites) == [("symtensor", "_compile", "compile"),
+                             ("symtensor", "_compile", "exec")]
+    sources = [symtensor._step_source(n, r)
+               for n, r in [(1, 0), (1, 3), (2, 4), (3, 2), (4, 3), (6, 2), (6, 3)]]
+    sources += [symtensor._exterior_source(n, k) for n in range(1, 7) for k in range(n)]
+    for source in sources:
+        tree = ast.parse(source)
+        assert [type(node) for node in tree.body] == [ast.FunctionDef]
+        assert sum(isinstance(node, ast.FunctionDef) for node in ast.walk(tree)) == 1
+        assert [ast.dump(node) for node in ast.walk(tree)
+                if not (isinstance(node, _GENERATED_NODES) or isinstance(node, ast.Constant)
+                        and type(node.value) is int)] == []
 
 
 def test_cell_determinants_are_walked_only_by_the_memo():
@@ -373,13 +396,18 @@ def test_face_normals_are_walked_only_by_the_memo():
 def test_one_prefix_wedge_loop():
     """The exterior-product stack of a prefix walk is extended only by
     ``polytope._extend_wedge``, which both walks call (the cells'
-    determinants and the boundary faces' normals), and no per-face
-    elimination (``linalg.cross``) is left."""
-    from valuta import linalg
+    determinants and the boundary faces' normals), each edge one generated
+    exterior step: ``polytope`` neither imports nor calls ``mul_form``,
+    whose only callers are ``gl_action`` and ``shift_expansions``, and no
+    per-face elimination (``linalg.cross``) is left."""
+    from valuta import linalg, polytope
 
     calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
-    assert sorted(site for site, names in calls.items() if "mul_form" in names
-                  and site[0] == "polytope") == [("polytope", "_extend_wedge")]
+    assert sorted(site for site, names in calls.items() if "mul_form" in names) == [
+        ("symtensor", "gl_action"), ("symtensor", "shift_expansions")]
+    assert not hasattr(polytope, "mul_form")
+    assert sorted(site for site, names in calls.items() if "_exterior_step" in names) == [
+        ("polytope", "_face_normals"), ("polytope", "cell_dets")]
     assert sorted(site for site, names in calls.items() if "_extend_wedge" in names) == [
         ("polytope", "_face_normals"), ("polytope", "cell_dets")]
     assert not hasattr(linalg, "cross")

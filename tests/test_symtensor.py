@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     map_distance, map_max_abs, map_scale, map_shift_expansion, map_sum, multi_indices,
+    wedge_minors,
 )
-from valuta import linalg
+from valuta import linalg, symtensor
 from valuta.errors import DimensionMismatch, ParseError
 from valuta.symtensor import (
     RMatrix,
@@ -55,6 +56,12 @@ class TestSymProduct:
 
 
 class TestVectorPower:
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_a_vector_in_r0_is_refused(self, r):
+        """There is no tensor space over R^0, so no power of a vector in it."""
+        with pytest.raises(DimensionMismatch):
+            vector_power([], r)
+
     def test_binomial(self):
         assert vector_power((F(1), F(1)), 2) == t(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
@@ -383,7 +390,7 @@ def test_gl_action_matches_sympy_substitution(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=st.lists(st.one_of(st.just(F(0)), rationals), min_size=1, max_size=5),
+@given(x=st.lists(st.one_of(st.just(F(0)), rationals), min_size=1, max_size=6),
        r=st.integers(min_value=0, max_value=4))
 def test_vector_power_matches_multinomial_formula(x, r):
     expected = {}
@@ -393,6 +400,42 @@ def test_vector_power_matches_multinomial_formula(x, r):
             value *= xi ** a / math.factorial(a)
         expected[alpha if r else ()] = value
     assert vector_power(x, r) == SymTensor(len(x), r, expected)
+
+
+_WEDGE_INTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(n)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_exterior_step_is_the_leibniz_wedge(n, k, data):
+    """The generated exterior step of R^n from level k takes the k-minors of
+    k edges (``oracles.wedge_minors``, by Leibniz), a point and a base, and
+    returns the (k+1)-minors of those edges and point - base, in ints, on
+    ints with zeros and beyond 64 bits; from level n - 1 that is the one
+    determinant, which ``linalg.bareiss`` gives too."""
+    vector = st.lists(_WEDGE_INTS, min_size=n, max_size=n)
+    rows = data.draw(st.lists(vector, min_size=k + 1, max_size=k + 1))
+    base = data.draw(vector)
+    point = tuple(map(sum, zip(base, rows[-1])))
+    got = symtensor._exterior_step(n, k)(wedge_minors(rows[:-1], n), point, tuple(base))
+    assert got == wedge_minors(rows, n) and all(type(x) is int for x in got)
+    if k == n - 1:
+        assert got == [linalg.bareiss([list(row) for row in rows])]
+
+
+@pytest.mark.parametrize("n,k,error", [(2.0, 0, TypeError), (2, 0.0, TypeError),
+                                       ("2", 0, TypeError), (0, 0, ValueError),
+                                       (2, 2, ValueError), (2, -1, ValueError)])
+def test_the_exterior_step_generator_takes_only_ints(monkeypatch, n, k, error):
+    """n and k enter the generated source only as ints: a float or string
+    is refused by ``operator.index``, and n < 1 or k outside 0..n - 1 by
+    range, before any source is formatted, even once the (2, 0) step is
+    kept."""
+    symtensor._exterior_step(2, 0)
+    monkeypatch.setattr(symtensor, "_exterior_source", lambda *a: pytest.fail("formatted"))
+    with pytest.raises(error):
+        symtensor._exterior_step(n, k)
 
 
 def _assert_well_formed(out):
