@@ -25,31 +25,26 @@ integer view, and its ``Fraction`` coefficients are built only when
 
 h_0..h_r of a cell are the degrees of the product over its vertices of the
 geometric series 1/(1 - <v, e>) cut at degree r, one factor being one
-geometric step.  The walks hold h_0..h_r as one flat tuple, the degrees
-concatenated in ``monomial_tables`` order, and take one step per vertex:
-``step(h, x)``, generated for (n, r) on its first use and kept
+geometric step.  The pass holds h_0..h_r as one flat tuple, the degrees
+concatenated in ``monomial_tables`` order, and a step is ``step(h, x)``,
+generated for (n, r) on its first use and kept
 (``symtensor._geometric_step``, where the package's generated code and
 its timings live), whose body is the recurrence for d = 1..r unrolled on
 local variables, each slot of H_d one sum of products of H_(d-1) slots
 and coordinates.  The totals sum |det E| times the state over the cells'
-vertex words, taken in sorted order, on one of two walks:
-
-- Bottom-up on the words' minimal DAG, equal suffixes merged (Daciuk,
-  Mihov, Watson and Watson, Comput. Linguist. 26, 2000), when r >= 2 and
-  two cells end in the same vertex with the same |det E|: two subtrees can
-  be equal only then, and at r = 1 a geometric step costs less than the
-  DAG's bookkeeping for the node it saves.  Flat cells do not count, so a
-  body of flat cells alone takes the tree and sums to zero.  A node closes
-  when the walk leaves it: with one edge and no weight it folds into its
-  parent's edge as a chain of vertices, else it is registered by its
-  weight (the summed |det E| of the cells ending there) and its edges, so
-  equal subtrees are one node.  Each distinct (chain, node) costs the
-  chain's geometric steps once, in word order, and a node's value is its
-  weight (as h_0) plus the sum of its edges' values.
-- Otherwise, as for a lone simplex or a polygon's fan, top-down on the
-  words' prefix tree: a stack keeps the state after each prefix of the last
-  cell, a cell steps only through the vertices after its longest common
-  prefix with it, and at a leaf |det E| times the state joins the totals.
+vertex words in one pass, a run of the body's plan ``Polytope.plan``: the
+words' minimal DAG (equal suffixes merged; Daciuk, Mihov, Watson and
+Watson, Comput. Linguist. 26, 2000) as a flat list of ops, which
+``polytope._moment_plan`` builds once per body and which serves every
+rank.  The ops run in order, each on the states of ops before it: a step
+(vertex, child) is one geometric step of the child's state by the vertex,
+a leaf (weight, ()) is the state with h_0 = weight, and a sum
+(0, children) adds its children's states slot by slot.  A leaf's weight is
+the summed |det E| of the cells that end there over g, the gcd of the
+walk's determinants, and the state of the root, the last op, times g is
+the totals; when g = 0, every cell flat, they are zero and no op runs.
+Each distinct step runs once a pass, so a suffix that cells share is
+stepped once.
 
 Any order of cells, and of the vertices in a cell, gives the same sums: h_r
 is symmetric in the vertices, and |det E| does not depend on which vertex is
@@ -65,22 +60,23 @@ other cell, a lone simplex or a triangle of a polygon's fan, costs one
 Bareiss determinant, and a flat cell (det E = 0) adds nothing.
 ``polytope.box`` lists each Kuhn cell as lo, hi, then the inner vertices of
 its chain, whose rest depends only on its last vertex, so a Kuhn n-box
-takes 2^n geometric steps on the DAG (16 on a 4-box, 32 on a
-5-box; 2 + sum_k n!/(n - k)!, k = 1..n-1, 42 and 207, on the tree) and
+takes 2^n geometric steps at every r (16 on a 4-box, 32 on a 5-box) and
 1 + sum_k n!/(n - k)!, k = 1..n-2, exterior steps on the stack; a
 crosspolytope on j vectors, pulled from +v_1 into 2^(j - 1) cells, takes
-2j geometric steps (2^j on the tree) and 2^(j - 1) - 1 exterior steps on
-the stack.  Each of their cells takes one more, from level n - 1, for its
-determinant, and neither calls Bareiss.  A simplex takes n + 1 geometric
-steps and a fan of m triangles 1 + 2m.  The pass holds every h_d, d <= r, so
+2j geometric steps and 2^(j - 1) - 1 exterior steps on the stack.  Each of
+their cells takes one more, from level n - 1, for its determinant, and
+neither calls Bareiss.  A simplex takes n + 1 geometric steps and a fan of
+m triangles 1 + 2m.  The pass holds every h_d, d <= r, so
 ``moment_family`` returns M^r, ..., M^0 from it; inside a ``_shared_passes``
 scope (one ``valuation_lab.verify_covariance`` call) ``moment_tensor`` keeps
 each body's family, looked up by identity.
 
 An image under ``linear_image``, ``scale`` or ``translate`` is made with
 its walk, its source's times the map's |det| over the image's reduction
-(``polytope`` module docstring), so phi K, t K and K + y walk nothing of
-their own: an equivariance check on s samples walks one body, not 1 + s.
+(``polytope`` module docstring), and with its source's plan, since the map
+keeps the cells and the ratios of their determinants.  So phi K, t K and
+K + y walk and plan nothing of their own: an equivariance check on s
+samples walks and plans one body, not 1 + s.
 """
 
 from __future__ import annotations
@@ -89,7 +85,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from operator import add
 
 from .polytope import Polytope
 from .symtensor import SymTensor, _geometric_step, monomial_tables
@@ -97,89 +93,33 @@ from .symtensor import SymTensor, _geometric_step, monomial_tables
 from .symtensor import sym_product  # noqa: F401
 
 
-def _trie_totals(walk, pts, step, size, lo) -> list:
-    """The flat totals from offset lo of the state on the prefix tree
-    (module docstring).  A flat cell cuts the stack back to its common
-    prefix k with the cell before, and the next cell pushes from the
-    stack's depth.  The totals start as the first cell's, zeros only when
-    every cell is flat."""
-    totals, stack = None, [(1,) + (0,) * (size - 1)]
-    for cell, d, k in walk:
-        del stack[k + 1:]
-        if d == 0:
-            continue
-        h = stack[-1]
-        for i in cell[len(stack) - 1:]:
-            h = step(h, pts[i])
-            stack.append(h)
-        if totals is None:
-            totals = [d * b for b in h[lo:]]
-        else:
-            totals = [a + d * b for a, b in zip(totals, h[lo:])]
-    return totals or [0] * (size - lo)
-
-
-def _dag_totals(walk: Sequence, pts, step, size, lo) -> tuple:
-    """The flat totals from offset lo of the state on the minimal DAG
-    (module docstring).  A node's value is the sum over its suffixes of
-    their leaf weight times their vertices' geometric series."""
-    nodes: dict[tuple, int] = {}  # (weight, edges) -> index in values
-    values: list[tuple] = []
-    chained: dict[tuple, tuple] = {}  # (chain, node) -> the chain's series times h
-    zeros = (0,) * (size - 1)
-
-    def value(weight, edges):
-        parts = [(weight, *zeros)] if weight else []
-        for edge in edges:
-            if edge not in chained:
-                h = values[edge[1]]
-                for i in edge[0]:
-                    h = step(h, pts[i])
-                chained[edge] = h
-            parts.append(chained[edge])
-        return tuple(map(sum, zip(*parts)))
-
-    # open_[k] is [vertex, weight, edges] of the node after the first k
-    # vertices of the last cell, open_[0] the root's.  The walk ends with a
-    # flat cell that shares no prefix, which closes every node but the root.
-    open_ = [[None, 0, []]]
-    for cell, d, k in (*walk, ((), 0, 0)):
-        while len(open_) > k + 1:
-            label, weight, edges = open_.pop()
-            if weight or len(edges) > 1:
-                key = weight, tuple(edges)
-                if key not in nodes:
-                    nodes[key] = len(values)
-                    values.append(value(weight, edges))
-                open_[-1][2].append(((label,), nodes[key]))
-            else:
-                chain, node = edges[0]
-                open_[-1][2].append(((label, *chain), node))
-        if d:
-            open_.extend([i, 0, []] for i in cell[len(open_) - 1:])
-            open_[-1][1] += d
-    return value(0, open_[0][2])[lo:]
-
-
-def _moment_totals(view: tuple[int, Sequence], walk: Sequence[tuple],
-                   n: int, r: int, lo: int) -> list[Sequence]:
-    """Sums over the full-dimensional cells of the closed form, one sequence
-    per degree r, r - 1, ..., lo, in ``monomial_tables`` order, on the
-    points' integer view (D, pts) and the body's determinant walk
-    (``Polytope.walk``): on the cells' minimal DAG when r >= 2 and two of
-    them end in the same vertex with the same |det E|, else on their prefix
-    tree (module docstring).  Both walks take the flat state from the
-    offset of degree lo, split into degrees here."""
-    _, pts = view
+def _moment_totals(k: Polytope, r: int, lo: int) -> list[list]:
+    """Sums over the full-dimensional cells of the closed form, one list per
+    degree r, r - 1, ..., lo, in ``monomial_tables`` order, on the body's
+    integer view ``cleared``: its plan ``Polytope.plan`` run op by op, the
+    root's state times g, the gcd of the walk's determinants, and zeros when
+    g = 0 (module docstring)."""
+    n, pts = k.dim, k.cleared[1]
     offsets = list(accumulate(map(len, monomial_tables(n, r)[0]), initial=0))
-    step, size, start = _geometric_step(n, r), offsets[-1], offsets[lo]
-    walk_totals = _trie_totals
-    if r >= 2 and len(walk) > 1:
-        ends = [(cell[-1], d) for cell, d, _ in walk if d]
-        if len(set(ends)) < len(ends):
-            walk_totals = _dag_totals
-    totals = walk_totals(walk, pts, step, size, start)
-    return [totals[offsets[s] - start:offsets[s + 1] - start] for s in range(r, lo - 1, -1)]
+    degrees = range(r, lo - 1, -1)
+    g = math.gcd(*(d for _, d, _ in k.walk))
+    if not g:
+        return [[0] * (offsets[s + 1] - offsets[s]) for s in degrees]
+    step, zeros = _geometric_step(n, r), (0,) * (offsets[-1] - 1)
+    states: list[tuple] = []
+    for a, b in k.plan:
+        if type(b) is int:
+            h = step(states[b], pts[a])
+        elif b:
+            h = states[b[0]]
+            for i in b[1:]:
+                h = map(add, h, states[i])
+            h = tuple(h)
+        else:
+            h = (a, *zeros)
+        states.append(h)
+    root = states[-1]
+    return [[g * x for x in root[offsets[s]:offsets[s + 1]]] for s in degrees]
 
 
 @dataclass(frozen=True)
@@ -198,7 +138,7 @@ def moment_family(k: Polytope, r: int, lo: int = 0) -> list[SymTensor]:
         raise ValueError(f"lowest rank {lo} is outside 0..{r}")
     n, scale = k.dim, k.cleared[0]
     levels = monomial_tables(n, r)[0]
-    totals = _moment_totals(k.cleared, k.walk, n, r, lo)
+    totals = _moment_totals(k, r, lo)
     return [SymTensor.from_totals(n, s, levels[s] if s else [()], t,
                                   math.factorial(n + s) * scale ** (n + s))
             for s, t in zip(range(r, lo - 1, -1), totals)]

@@ -43,7 +43,13 @@ u / w as the int (q^n / w) |u|, |a|^n for ``scale`` by a / b and m^n for
 ``translate``, with m = L / D.  ``_image`` hands the image its walk when it
 makes it, the source's with each |det E| times |det A| over g^n, an exact
 division since the result is |det E| of the image's own int edges.  So a
-chain of maps walks its first body only.
+chain of maps walks its first body only.  A body also keeps the moment
+kernel's plan, ``Polytope.plan`` (``_moment_plan``): the cells' minimal
+DAG as one op list, each leaf weighted by its cells' summed |det E| over
+the gcd of the walk's determinants.  It depends only on the cells and the
+ratios of their determinants, which every affine map keeps, so ``_image``
+hands the image its source's plan object too, and a body and all its
+images build it once.
 
 Facet data is kept exact by using each facet's outward *area vector*: the
 unit normal scaled by the facet's (n-1)-volume.  Area vectors of rational
@@ -59,10 +65,11 @@ ints on the body's view, laid out so by the step from level n - 2.
 ``atom_totals`` returns the kept atoms,
 ``surface_area_measure`` builds its ``FacetDatum``s from them, ``validate``
 compares them with the cells' walk, and the surface-area pairing of
-``valuation_lab`` reads the totals themselves.  An affine image is handed
-its source's walk only, never its atoms: it reads its atoms off
-its own points, so the transfer check, which compares them with the
-source's, never assumes the identity it checks.
+``valuation_lab`` reads the totals themselves.  So a body keeps its walk,
+its plan and its atoms.  An affine image is handed its source's walk and
+plan, never its atoms: it reads its atoms off its own points, so the
+transfer check, which compares them with the source's, never assumes the
+identity it checks.
 
 Polytope JSON:
 ``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``;
@@ -132,15 +139,18 @@ class Polytope:
 
     @classmethod
     def from_view(cls, dim: int, triangulation, view: tuple[int, tuple[tuple, ...]],
-                  walk: tuple | None = None) -> "Polytope":
+                  walk: tuple | None = None, plan: tuple | None = None) -> "Polytope":
         """The body on ``triangulation`` whose view ``cleared`` is ``view`` =
         (D, rows), rows int tuples, without validation: it must be what
         clearing the body's vertices would give, D the lcm of their
-        denominators.  A ``walk``, when given, is kept as the body's."""
+        denominators.  A ``walk`` and a ``plan``, when given, are kept as the
+        body's."""
         body = object.__new__(cls)
         vars(body).update(dim=dim, cleared=view, triangulation=triangulation)
         if walk is not None:
             vars(body)["walk"] = walk
+        if plan is not None:
+            vars(body)["plan"] = plan
         return body
 
     @cached_property
@@ -158,6 +168,14 @@ class Polytope:
         return tuple(cell_dets(self.cleared, self.triangulation, self.dim))
 
     @cached_property
+    def plan(self) -> tuple[tuple, ...]:
+        """The moment pass's plan, ``_moment_plan`` on ``walk``: built once
+        per body, or handed to an image by the map that made it, since an
+        affine image keeps the cells and the ratios of their determinants
+        (``_image``; module docstring)."""
+        return _moment_plan(self.walk)
+
+    @cached_property
     def atoms(self) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:
         """The atoms (outward area vectors) of the surface area measure as
         int totals over one denominator, read off the triangulation once per
@@ -173,7 +191,8 @@ class Polytope:
 
         Cells of fewer than n + 1 points, degenerate cells and atoms that do
         not sum to zero (overlapping cells) raise ``GeometryError``.  An
-        affine image reads its own (``_image`` hands it only the walk)."""
+        affine image reads its own (``_image`` hands it the walk and the
+        plan only)."""
         n = self.dim
         if any(len(cell) != n + 1 for cell in self.triangulation):
             raise GeometryError("surface area measure needs full-dimensional cells")
@@ -289,7 +308,7 @@ def box(lo: Sequence, hi: Sequence) -> Polytope:
     a permutation is its chain lo = 0, ..., 2^n - 1 = hi, listed as lo, hi,
     then the inner vertices in chain order: every cell starts with (lo, hi),
     and the two cells whose permutations differ in their last two entries
-    share their first n vertices (the moment kernel's prefix tree)."""
+    share their first n vertices (``cell_dets``' prefix tree)."""
     lo, hi = vec(lo), vec(hi)
     n = len(lo)
     if len(hi) != n:
@@ -322,7 +341,7 @@ def crosspolytope(vecs: Sequence[Sequence]) -> Polytope:
     (+v_1, -v_1, +-v_2, ..., +-v_j).  Vertex 2i is +v_(i+1) and 2i + 1 is
     -v_(i+1), so each cell lists its vertices in increasing order, and the
     two cells that differ only in the sign of v_j share their first j
-    vertices (the moment kernel's prefix tree)."""
+    vertices (``cell_dets``' prefix tree)."""
     spanning = [vec(v) for v in vecs]
     j = len(spanning)
     if linalg.rank(spanning) != j:
@@ -432,6 +451,40 @@ def _face_normals(pts, faces, n: int):
         yield _extend_wedge(wedge, steps, pts, face)
 
 
+def _moment_plan(walk) -> tuple[tuple, ...]:
+    """The ops of the moment pass on a determinant walk (``cell_dets``): the
+    minimal DAG of the full-dimensional cells' vertex words, equal suffixes
+    merged (Daciuk, Mihov, Watson and Watson, Comput. Linguist. 26, 2000),
+    each distinct op once, every op after the ops it reads and the root
+    last.  An op is a step (vertex, child), child an op's index, a leaf
+    (weight, ()) or a sum (0, children) of two or more ops (``moment``
+    module docstring).  A leaf's weight is the summed |det E| of the cells
+    that end at its node over g, the gcd of the walk's determinants, so the
+    plan depends only on the cells and the ratios of their determinants.  A
+    node of no weight and one child is that child, so a chain of vertices
+    is a chain of steps.  Empty when every cell is flat (g = 0)."""
+    g = math.gcd(*(d for _, d, _ in walk))
+    ops: dict[tuple, int] = {}  # op -> its index, in the order made
+    # open_[k] is [vertex, weight, children] of the node after the first k
+    # vertices of the last cell, open_[0] the root's.  The walk ends with a
+    # flat cell that shares no prefix, which closes every node but the root.
+    open_ = [[None, 0, []]]
+    for cell, d, k in (*walk, ((), 0, 0)):
+        while len(open_) > k + 1:
+            vertex, weight, children = open_.pop()
+            if weight:
+                children.append(ops.setdefault((weight // g, ()), len(ops)))
+            if len(children) > 1:
+                children = [ops.setdefault((0, tuple(children)), len(ops))]
+            open_[-1][2].append(ops.setdefault((vertex, children[0]), len(ops)))
+        if d:
+            open_.extend([i, 0, []] for i in cell[len(open_) - 1:])
+            open_[-1][1] += d
+    if len(open_[0][2]) > 1:
+        ops[0, tuple(open_[0][2])] = len(ops)
+    return tuple(ops)
+
+
 def _volume(dets, scale: int, n: int):
     """The summed volume of the cells of ``cell_dets`` on points cleared by
     D = ``scale``, divided once by n! D^n."""
@@ -446,15 +499,15 @@ def volume(p: Polytope) -> Fraction:
 def _image(p: Polytope, den: int, rows, f: int) -> Polytope:
     """The body on p's cells whose vertices are the int ``rows`` (tuples)
     over ``den``, reduced by their gcd g with den, with p's walk times
-    f / g^n, f the |det| of the int map that made the rows (module
-    docstring).  Only the walk is handed on: the image reads its atoms off
-    its own points."""
+    f / g^n, f the |det| of the int map that made the rows, and with p's
+    plan (module docstring).  The image reads its atoms off its own
+    points."""
     g = math.gcd(den, *itertools.chain.from_iterable(rows))
     if g > 1:
         den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
     b = g ** p.dim
     return Polytope.from_view(p.dim, p.triangulation, (den, rows),
-                              tuple((cell, d * f // b, k) for cell, d, k in p.walk))
+                              tuple((cell, d * f // b, k) for cell, d, k in p.walk), p.plan)
 
 
 def translate(p: Polytope, y: Sequence) -> Polytope:

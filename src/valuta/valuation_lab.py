@@ -464,8 +464,8 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     for any integrand; 1-homogeneity only makes each side an integral
     against the surface area measure.  Each body's atoms come off its own
     points: K's are the ones K keeps (``Polytope.atoms``), read once per
-    body however many checks pair it, and phi K, handed K's walk but
-    never its atoms, reads its own.  phi^-T is applied to K's int
+    body however many checks pair it, and phi K, handed K's walk and
+    plan but never its atoms, reads its own.  phi^-T is applied to K's int
     totals t: with phi's view (q, A) and A^-1 = R / p
     (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t is q R^T t over
     p den, one division per coordinate.  A body with no atoms raises

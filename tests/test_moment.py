@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -408,7 +408,7 @@ def test_nested_checks_keep_their_own_passes(monkeypatch):
     assert report.passed and report.max_residual == 0
 
 
-# -- the kernel walks the cells as a prefix tree ------------------------------------------
+# -- the cells' walk and plan are free of their order ------------------------------------
 
 
 def _kernel_bodies(seed):
@@ -576,7 +576,7 @@ def test_float_body_walks_like_its_exact_twin(make):
             assert error <= size and error <= max(1, abs(want.coeff(key)))
 
 
-# -- bodies whose cells end alike take the minimal DAG --------------------------------------
+# -- the plan merges equal suffixes, and every image shares its source's -------------------
 
 
 def _cell_sum(body, s):
@@ -593,7 +593,7 @@ def _cell_sum(body, s):
 def _parallelogram_fan():
     """Four triangles of equal area coned from a parallelogram's centre,
     vertex 4: every cell ends in 4 with the same |det E| after a different
-    prefix, so the DAG shares only their leaf."""
+    prefix, so the plan shares their leaf and the step by 4 into it."""
     p, a, b = (F(1, 3), F(-1, 2)), (F(5, 2), F(1, 3)), (F(-2, 3), F(7, 4))
     corners = [p, tuple(map(operator.add, p, a)), tuple(x + y + z for x, y, z in zip(p, a, b)),
                tuple(map(operator.add, p, b))]
@@ -617,11 +617,15 @@ def _box_with_repeat_and_flat():
     return _with_cells(body, body.triangulation + ((0, 7, 2, 6), (0, 7, 1, 6)))
 
 
-def _dag_calls(monkeypatch):
-    calls = []
-    real = moment._dag_totals
-    monkeypatch.setattr(moment, "_dag_totals", lambda *a: calls.append(1) or real(*a))
-    return calls
+def _steps(body):
+    """The geometric steps of the body's plan: its ops (vertex, child)."""
+    return sum(type(child) is int for _, child in body.plan)
+
+
+def _trie_steps(body):
+    """The geometric steps on the cells' prefix tree: one per distinct
+    vertex prefix of a cell with det E != 0."""
+    return len({cell[:i] for cell, d, _ in body.walk if d for i in range(1, len(cell) + 1)})
 
 
 @pytest.mark.parametrize("make,r", [
@@ -630,65 +634,147 @@ def _dag_calls(monkeypatch):
     (_imported_cube, 3),
     (_box_with_repeat_and_flat, 4),
 ], ids=["leaf-merge-only", "unequal-siblings", "imported-cube3", "box3-repeat-and-flat"])
-def test_dag_sums_like_the_cells(monkeypatch, make, r):
+def test_dag_sums_like_the_cells(make, r):
     """Bodies with two cells that end in the same vertex with the same
-    |det E| take the DAG, and give the exact sum over their cells."""
+    |det E| share that suffix in the plan, which takes fewer steps than the
+    prefix tree, and give the exact sum over their cells."""
     body = make()
-    dag = _dag_calls(monkeypatch)
     family = moment_family(body, r)
-    assert dag == [1]
+    assert _steps(body) < _trie_steps(body)
     assert family == [_cell_sum(body, s) for s in range(r, -1, -1)]
     assert family[-1].coeff(()) == volume(body)
 
 
-@pytest.mark.parametrize("make,r,lo,dag", [
+@pytest.mark.parametrize("make,r,lo,merged", [
     (lambda: box([F(-1, 2), F(1, 3), 0, F(-7, 5)], [F(5, 3), 2, F(3, 7), 1]), 3, 1, True),
     (lambda: translate(crosspolytope([(1, F(1, 3), 0, 0), (0, 1, F(-2, 5), 0), (0, 0, 1, F(3, 2)),
                                       (0, 0, 0, F(5, 7))]), (F(1, 3), F(-1, 2), 0, F(2, 9))), 4, 2,
      True),
     (lambda: box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), 4, 4, True),
-    (lambda: box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), 1, 0, False),
+    (lambda: box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), 1, 0, True),
     (lambda: polygon([(0, 0), (F(9, 2), F(1, 3)), (5, 3), (F(3, 2), F(11, 2)), (-1, 2)]), 4, 2,
      False),
 ], ids=["box4-3..1", "off-centre-cross4-4..2", "box3-4..4", "box3-1..0", "polygon5-4..2"])
-def test_families_from_lo_sum_like_the_cells(monkeypatch, make, r, lo, dag):
-    """``moment_family(body, r, lo)`` on either walk: M^r..M^lo as the sums
-    over the cells.  The walk is chosen by the cells' ends and by r alone: at
-    r = 1 a Kuhn box keeps the prefix tree."""
+def test_families_from_lo_sum_like_the_cells(make, r, lo, merged):
+    """``moment_family(body, r, lo)`` on the body's one plan: M^r..M^lo as
+    the sums over the cells.  The plan does not depend on r: a Kuhn box
+    merges its suffixes at r = 1 too, and a fan, whose cells share no
+    suffix, takes the prefix tree's steps."""
     body = make()
-    calls = _dag_calls(monkeypatch)
     family = moment_family(body, r, lo)
-    assert calls == ([1] if dag else [])
+    assert (_steps(body) < _trie_steps(body)) == merged
     assert family == [_cell_sum(body, s) for s in range(r, lo - 1, -1)]
 
 
 @pytest.mark.parametrize("zero", [0], ids=["exact"])
-def test_a_body_of_flat_cells_alone_has_zero_moments(monkeypatch, zero):
-    """A Kuhn box scaled by 0 keeps its six cells, which end in only three
-    vertices, all with det E = 0: flat cells do not choose the DAG, and the
-    tree sums them to zero."""
-    body = scale(box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), zero)
-    calls = _dag_calls(monkeypatch)
+def test_a_body_of_flat_cells_alone_has_zero_moments(zero):
+    """A Kuhn box scaled by 0 keeps its six cells, all with det E = 0.  It is
+    handed its source's plan, which its pass does not run, since g, the gcd
+    of its determinants, is 0; its own walk plans nothing.  Every moment is
+    zero."""
+    source = box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2])
+    body = scale(source, zero)
     family = moment_family(body, 3)
-    assert calls == []
+    assert body.plan is source.plan and polytope._moment_plan(body.walk) == ()
     assert family == [SymTensor.zero(3, s) for s in range(3, -1, -1)]
     assert moment_tensor(scale(cube(3), zero), 2).tensor == SymTensor.zero(3, 2)
     with pytest.raises(ValueError, match="lambda > 0"):
         rehomogeneity_check(moment_valuation(3, 2), cube(3), zero)
 
 
-def test_a_singular_image_inherits_flat_cells(monkeypatch):
+def test_a_singular_image_inherits_flat_cells():
     """A Kuhn box under a singular map inherits its walk with every
-    |det E| = 0, so the kernel keeps the tree and sums to zero, as on the
-    image's points rebuilt as a body."""
+    |det E| = 0 and its source's plan, and sums to zero, as on the image's
+    points rebuilt as a body, whose own walk plans nothing."""
     body = box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2])
     body.walk
     image = linear_image(RMatrix.from_rows([[1, 2, 0], [0, F(1, 3), 1], [1, F(7, 3), 1]]), body)
-    calls = _dag_calls(monkeypatch)
     family = moment_family(image, 3)
-    assert calls == [] and len(image.walk) == 6
+    assert image.plan is body.plan and polytope._moment_plan(image.walk) == ()
+    assert len(image.walk) == 6
     assert image.walk == _fresh(image).walk and all(d == 0 for _, d, _ in image.walk)
     assert family == [SymTensor.zero(3, s) for s in range(3, -1, -1)]
+
+
+PLANNED_BODIES = [_parallelogram_fan, _unequal_siblings, _imported_cube, _box_with_repeat_and_flat,
+                  lambda: _cross(3),
+                  lambda: polygon([(0, 0), (F(9, 2), F(1, 3)), (5, 3), (F(3, 2), F(11, 2)), (-1, 2)])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from(PLANNED_BODIES), kind=st.sampled_from(["linear", "scale", "translate"]),
+       rows=st.lists(st.lists(small_rats, min_size=3, max_size=3), min_size=3, max_size=3),
+       lam=small_rats, y=st.lists(small_rats, min_size=3, max_size=3))
+@example(make=_imported_cube, kind="linear", rows=[[0, 1, 0], [1, 0, 0], [0, F(1, 2), 3]],
+         lam=F(1), y=[0, 0, 0])
+@example(make=_unequal_siblings, kind="scale", rows=[], lam=F(-3, 2), y=[])
+@example(make=_box_with_repeat_and_flat, kind="scale", rows=[], lam=F(0), y=[])
+def test_an_image_is_handed_the_plan_its_own_walk_would_build(make, kind, rows, lam, y):
+    """``linear_image`` (det phi < 0 and singular phi too), ``scale`` (lam <= 0
+    too) and ``translate`` hand the image its source's plan object.  An
+    affine map keeps the cells and the ratios of their determinants, so the
+    plan built from the image's own walk equals it, unless every cell of the
+    image is flat (g = 0), when it is empty; the image's moments are those
+    of its points rebuilt as a body."""
+    body = make()
+    n = body.dim
+    if kind == "linear":
+        image = linear_image(RMatrix.from_rows([row[:n] for row in rows[:n]]), body)
+    elif kind == "scale":
+        image = scale(body, lam)
+    else:
+        image = translate(body, y[:n])
+    assert image.plan is body.plan
+    own = polytope._moment_plan(image.walk)
+    assert own == (body.plan if any(d for _, d, _ in image.walk) else ())
+    assert moment_family(image, 2) == moment_family(_fresh(image), 2)
+
+
+@pytest.mark.parametrize("make", PLANNED_BODIES + [lambda: cube(4), lambda: std_triangle],
+                         ids=["fan", "siblings", "imported-cube3", "box3-repeat-and-flat", "cross3",
+                              "polygon5", "cube4", "triangle"])
+def test_the_plan_runs_each_op_once_after_what_it_reads(make):
+    """The plan lists each distinct op once, reads only ops before it and
+    every op but the root, which is last, at least once.  A leaf (w, ())
+    has w > 0 and a sum (0, children) two or more children, so the steps are
+    the (vertex, child) ops alone.  The leaves' weights over their gcd sum
+    the cells' |det E| over g, counted once per path from the root."""
+    body = make()
+    plan = body.plan
+    assert len(set(plan)) == len(plan)
+    read = set()
+    for at, (a, b) in enumerate(plan):
+        children = (b,) if type(b) is int else b
+        assert all(0 <= c < at for c in children)
+        read.update(children)
+        if type(b) is not int:
+            assert (a > 0 and b == ()) or (a == 0 and len(b) >= 2)
+    assert read == set(range(len(plan) - 1))
+    paths = [0] * len(plan)
+    paths[-1] = 1
+    for at in range(len(plan) - 1, -1, -1):
+        b = plan[at][1]
+        for c in (b,) if type(b) is int else b:
+            paths[c] += paths[at]
+    g = math.gcd(*(d for _, d, _ in body.walk))
+    assert sum(paths[at] * a for at, (a, b) in enumerate(plan) if b == ()) * g == \
+        sum(d for _, d, _ in body.walk)
+
+
+def test_a_body_and_its_images_build_one_plan(monkeypatch):
+    """One plan serves a body at every rank and is handed to its images: M^0..M^4
+    of a Kuhn 3-box and of its linear image, dilate and translate build it
+    once."""
+    builds = []
+    real = polytope._moment_plan
+    monkeypatch.setattr(polytope, "_moment_plan", lambda walk: builds.append(1) or real(walk))
+    body = box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2])
+    phi = RMatrix.from_rows([[1, F(1, 2), 0], [0, -1, 0], [F(2, 3), 0, 1]])
+    bodies = [body, linear_image(phi, body), scale(body, F(-2, 3)),
+              translate(body, (F(1, 5), -1, F(2, 7)))]
+    got = [moment_tensor(k, s).tensor for k in bodies for s in range(5)]
+    assert builds == [1]
+    assert got == [moment_tensor(_fresh(k), s).tensor for k in bodies for s in range(5)]
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
@@ -758,7 +844,7 @@ def _random_int(rng):
 def test_the_generated_step_is_the_mul_form_recurrence(n, r):
     """The generated geometric step equals the per-degree ``mul_form``
     recurrence on random ints (zeros, negatives, beyond 64 bits) with a
-    nonzero h_0, as the DAG's node weights are; from the unit state it
+    nonzero h_0, as the plan's node weights are; from the unit state it
     lays out <x, e>^d in ``monomial_tables`` order, multinomial(d; alpha)
     x^alpha at the position of alpha in degree d."""
     rng = random.Random(n * 10 + r)
@@ -803,16 +889,21 @@ def test_the_step_generator_takes_only_ints(monkeypatch, n, r, error):
     (lambda: simplex([[0] * 5] + [[int(i == k) for k in range(5)] for i in range(5)]), 3, 6,
      0, 1),
     (lambda: polygon([(0, 0), (4, 0), (5, 1), (5, 3), (3, 5), (0, 4), (-1, 2)]), 2, 11, 0, 5),
+    (_parallelogram_fan, 4, 9, 0, 4),
+    (lambda: _fresh(_imported_cube()), 3, 17, 0, 5),
+    (lambda: cube(4), 1, 16, 17, 0),
 ], ids=["cube4-r3", "cube4-r2", "box5-r3", "cross6-r2", "cross3-r4", "triangle-r4", "simplex5-r3",
-        "polygon7-r2"])
+        "polygon7-r2", "parallelogram-fan-r4", "imported-cube3-r3", "cube4-r1"])
 def test_one_recurrence_step_per_prefix_and_degree(monkeypatch, make, r, steps, wedges, dets):
-    """At r >= 2 the generated geometric step, which runs the h-recurrence
-    for all r degrees at once, is called once per distinct chain vertex of
-    the cells' minimal DAG on bodies whose cells end in the same vertex with
-    the same |det E|: 2^n for a Kuhn n-box (lo, hi and one per inner vertex),
-    2j for a crosspolytope on j vectors (+-v_1, then both signs of each later
-    vector).  Other bodies keep the prefix tree, one step per distinct
-    vertex prefix: n + 1 for a simplex, 1 + 2m for a fan of m triangles.  The
+    """The generated geometric step, which runs the h-recurrence for all r
+    degrees at once, is called once per distinct step (vertex, child) of the
+    body's plan, the cells' minimal DAG, at every r: 2^n for a Kuhn n-box
+    (lo, hi and one per inner vertex), 2j for a crosspolytope on j vectors
+    (+-v_1, then both signs of each later vector), n + 1 for a simplex and
+    1 + 2m for a fan of m triangles, whose cells share no suffix.  Chains
+    into one node share their last step: 9 for the four triangles coned
+    from a parallelogram's centre and 17 for the imported five-tetrahedron
+    3-cube, against 12 and 20 on the prefix tree.  The
     exterior products run once per prefix of 2..n vertices
     on a Kuhn box (1 + sum_k n!/(n - k)!, k = 1..n-2) and a crosspolytope
     (2^(j-1) - 1), whose cells all share their first n vertices with a
