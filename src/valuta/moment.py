@@ -18,10 +18,12 @@ Every number is rational, so the kernel reads the body's integer view
 ``Polytope.cleared``: its points times D, the lcm of their coordinate
 denominators, which the body holds from when it is made, so no pass
 clears them again.  det E and h_r are Python ints summed over all cells,
-and each degree's totals become a tensor over
-(n + r)! D^(n + r) through ``SymTensor.from_totals``: the tensor is its
-integer view, and its ``Fraction`` coefficients are built only when
-``coeffs`` is read.
+and degree s becomes a tensor through ``SymTensor.from_totals`` as g
+(below) times its slots of the root state over (n + s)! D^(n + s), with g
+the factor, so g multiplies only what is left in lowest terms.  The
+tensor is its integer view, and its ``Fraction`` coefficients are built
+only when ``coeffs`` is read.  The slots, keys and (n + s)! of each degree
+and the zero state are the pass's layout, kept per (n, r, lo).
 
 h_0..h_r of a cell are the degrees of the product over its vertices of the
 geometric series 1/(1 - <v, e>) cut at degree r, one factor being one
@@ -42,7 +44,8 @@ a leaf (weight, ()) is the state with h_0 = weight, and a sum
 (0, children) adds its children's states slot by slot.  A leaf's weight is
 the summed |det E| of the cells that end there over g, the gcd of the
 walk's determinants, and the state of the root, the last op, times g is
-the totals; when g = 0, every cell flat, they are zero and no op runs.
+the totals; the pass returns g and the root unmultiplied.  When g = 0,
+every cell flat, no op runs and every degree is the zero tensor.
 Each distinct step runs once a pass, so a suffix that cells share is
 stepped once.
 
@@ -93,20 +96,37 @@ from .symtensor import SymTensor, _geometric_step, monomial_tables
 from .symtensor import sym_product  # noqa: F401
 
 
-def _moment_totals(k: Polytope, r: int, lo: int) -> list[list]:
-    """Sums over the full-dimensional cells of the closed form, one list per
-    degree r, r - 1, ..., lo, in ``monomial_tables`` order, on the body's
-    integer view ``cleared``: its plan ``Polytope.plan`` run op by op, the
-    root's state times g, the gcd of the walk's determinants, and zeros when
-    g = 0 (module docstring)."""
+_LAYOUTS: dict[tuple[int, int, int], tuple] = {}
+
+
+def _layout(n: int, r: int, lo: int) -> tuple:
+    """The layout of a pass of (n, r) that returns degrees r..lo, built once
+    per (n, r, lo) and kept: the zero state's tail, h_1..h_r all 0, that a
+    leaf's weight heads, and per degree s, from r down to lo, (s, i, j,
+    keys, (n + s)!) with root[i:j] its slots, in order of ``keys``, the
+    multi-indices of ``monomial_tables`` (``()`` at rank 0)."""
+    if (n, r, lo) not in _LAYOUTS:
+        levels = monomial_tables(n, r)[0]
+        offsets = list(accumulate(map(len, levels), initial=0))
+        _LAYOUTS[n, r, lo] = (0,) * (offsets[-1] - 1), tuple(
+            (s, offsets[s], offsets[s + 1], levels[s] if s else ((),), math.factorial(n + s))
+            for s in range(r, lo - 1, -1))
+    return _LAYOUTS[n, r, lo]
+
+
+def _moment_totals(k: Polytope, r: int, lo: int) -> tuple[int, tuple]:
+    """(g, root): g the gcd of the walk's determinants and root the state
+    h_0..h_r, in ``monomial_tables`` order, that the body's plan
+    ``Polytope.plan`` leaves, run op by op on its integer view ``cleared``;
+    g times root is the sum over the full-dimensional cells of the closed
+    form.  When g = 0, every cell flat, no op runs and root is the zero
+    state (module docstring)."""
     n, pts = k.dim, k.cleared[1]
-    offsets = list(accumulate(map(len, monomial_tables(n, r)[0]), initial=0))
-    degrees = range(r, lo - 1, -1)
+    zeros = _layout(n, r, lo)[0]
     g = math.gcd(*(d for _, d, _ in k.walk))
     if not g:
-        return [[0] * (offsets[s + 1] - offsets[s]) for s in degrees]
-    step, zeros = _geometric_step(n, r), (0,) * (offsets[-1] - 1)
-    states: list[tuple] = []
+        return 0, (0, *zeros)
+    step, states = _geometric_step(n, r), []
     for a, b in k.plan:
         if type(b) is int:
             h = step(states[b], pts[a])
@@ -118,8 +138,7 @@ def _moment_totals(k: Polytope, r: int, lo: int) -> list[list]:
         else:
             h = (a, *zeros)
         states.append(h)
-    root = states[-1]
-    return [[g * x for x in root[offsets[s]:offsets[s + 1]]] for s in degrees]
+    return g, states[-1]
 
 
 @dataclass(frozen=True)
@@ -137,11 +156,9 @@ def moment_family(k: Polytope, r: int, lo: int = 0) -> list[SymTensor]:
     if not 0 <= lo <= r:
         raise ValueError(f"lowest rank {lo} is outside 0..{r}")
     n, scale = k.dim, k.cleared[0]
-    levels = monomial_tables(n, r)[0]
-    totals = _moment_totals(k, r, lo)
-    return [SymTensor.from_totals(n, s, levels[s] if s else [()], t,
-                                  math.factorial(n + s) * scale ** (n + s))
-            for s, t in zip(range(r, lo - 1, -1), totals)]
+    g, root = _moment_totals(k, r, lo)
+    return [SymTensor.from_totals(n, s, keys, root[i:j], fact * scale ** (n + s), g)
+            for s, i, j, keys, fact in _layout(n, r, lo)[1]]
 
 
 _PASSES: ContextVar[dict | None] = ContextVar("moment_passes", default=None)

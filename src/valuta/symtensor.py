@@ -13,8 +13,13 @@ It is made by one of two constructors: ``SymTensor(dim, rank, coeffs)``
 validates the map, merges duplicate keys, drops zeros and clears the values
 of denominators once (a float, numpy float or ``complex`` value or key
 entry raises ``TypeError``), and ``from_totals`` takes int sums over a
-denominator as they are, dropping zeros.  Rank-0 tensors carry the single
-empty key ``()``, which the map may also name as the zero multi-index.
+denominator as they are, dropping zeros, times an int ``factor`` (1 by
+default) that multiplies them only once the denominator is reduced
+against it and them, so sums that share one large factor (the moment
+pass's g, ``scale``'s numerator) are never multiplied to be divided back
+down; a factor of 0 gives the zero tensor.  Rank-0 tensors carry the
+single empty key ``()``, which the map may also name as the zero
+multi-index.
 
 A tensor is a polynomial in e_1..e_n, so the GL(n) action is the
 substitution e_i -> phi(e_i) and a vector power the power of one linear
@@ -309,18 +314,29 @@ class SymTensor:
 
     @classmethod
     def from_totals(cls, dim: int, rank: int, keys: Iterable[MultiIndex], totals: Collection,
-                    den: int) -> "SymTensor":
-        """The tensor whose coefficient at each of ``keys`` is its total over
-        ``den``, zeros left out, without validation: ``keys`` are length-
-        ``dim`` multi-indices of degree ``rank`` (``()`` at rank 0).  The
-        int totals over ``den``, both divided by their gcd, are the view
-        ``cleared``."""
-        return object.__new__(cls)._store(dim, rank, keys, totals, den)
+                    den: int, factor: int = 1) -> "SymTensor":
+        """The tensor whose coefficient at each of ``keys`` is ``factor``
+        times its total over ``den``, zeros left out, without validation:
+        ``keys`` are length-``dim`` multi-indices of degree ``rank`` (``()``
+        at rank 0).  The view ``cleared`` is those values in lowest terms,
+        reached without multiplying the totals first (``_store``)."""
+        return object.__new__(cls)._store(dim, rank, keys, totals, den, factor)
 
-    def _store(self, dim, rank, keys, totals, den) -> "SymTensor":
+    def _store(self, dim, rank, keys, totals, den, factor=1) -> "SymTensor":
+        """Keep factor * totals / den in lowest terms: den and factor are
+        divided by their gcd c, den then by the gcd of the unmultiplied
+        totals, and only the reduced totals are multiplied by factor / c,
+        which is prime to what is left of den.  A factor of 0 keeps no key."""
+        if factor != 1:
+            if not factor:
+                keys = totals = ()
+            elif (c := math.gcd(den, factor)) > 1:
+                den, factor = den // c, factor // c
         keys, totals = tuple(compress(keys, totals)), tuple(filter(None, totals))
         if (g := math.gcd(den, *totals)) > 1:
-            totals, den = tuple(x // g for x in totals), den // g
+            totals, den = tuple(map(g.__rfloordiv__, totals)), den // g
+        if factor != 1:
+            totals = tuple(map(factor.__mul__, totals))
         vars(self).update(dim=dim, rank=rank, keys=keys, cleared=(den, (totals,)))
         return self
 
@@ -356,15 +372,15 @@ class SymTensor:
 
     def __neg__(self) -> "SymTensor":
         den, (totals,) = self.cleared
-        return SymTensor.from_totals(self.dim, self.rank, self.keys, [-x for x in totals], den)
+        return SymTensor.from_totals(self.dim, self.rank, self.keys, totals, den, -1)
 
     def scale(self, c) -> "SymTensor":
-        """c times the tensor, for a rational c = p / q: the totals times p
-        over the denominator times q."""
+        """c times the tensor, for a rational c = p / q: the totals over the
+        denominator times q, with p as ``from_totals``'s factor, so the gcds
+        run before p multiplies."""
         p, q = linalg.frac(c).as_integer_ratio()
         den, (totals,) = self.cleared
-        return SymTensor.from_totals(self.dim, self.rank, self.keys, [x * p for x in totals],
-                                     den * q)
+        return SymTensor.from_totals(self.dim, self.rank, self.keys, totals, den * q, p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):

@@ -696,6 +696,42 @@ def test_a_singular_image_inherits_flat_cells():
     assert family == [SymTensor.zero(3, s) for s in range(3, -1, -1)]
 
 
+def _lowest_terms_bodies(seed):
+    """``_random_bodies`` and, for each, its image under a map of det < 0, a
+    dilation by a negative factor and a translate, then a Kuhn box of flat
+    cells, scaled by 0."""
+    rng = random.Random(seed)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    out = []
+    for body in _random_bodies(seed):
+        n = body.dim
+        flip = RMatrix.from_rows([[(-1 if i == k == 0 else int(i == k))
+                                   + (rat() if k == i + 1 else 0) for k in range(n)]
+                                  for i in range(n)])
+        assert flip.det < 0
+        lam = -F(rng.randint(1, 9), rng.randint(2, 7))
+        out += [body, linear_image(flip, body), scale(body, lam),
+                translate(body, [rat() for _ in range(n)])]
+    return out + [scale(box([F(-1, 2), 0, F(1, 3)], [1, F(5, 4), 2]), 0)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_moment_tensors_come_in_lowest_terms(seed):
+    """Each degree s of a pass is g, the gcd of the walk's determinants,
+    times the root's slots over (n + s)! D^(n + s), reduced against g and
+    the unmultiplied slots before g multiplies: every tensor's view is the
+    one the validating constructor clears from its coefficients, with no
+    common factor left between its totals and its denominator."""
+    for body in _lowest_terms_bodies(seed):
+        for t in moment_family(body, 4 if body.dim < 4 else 3):
+            den, (totals,) = t.cleared
+            assert t.cleared == SymTensor(t.dim, t.rank, t.coeffs).cleared
+            assert math.gcd(den, *totals) == 1
+
+
 PLANNED_BODIES = [_parallelogram_fan, _unequal_siblings, _imported_cube, _box_with_repeat_and_flat,
                   lambda: _cross(3),
                   lambda: polygon([(0, 0), (F(9, 2), F(1, 3)), (5, 3), (F(3, 2), F(11, 2)), (-1, 2)])]

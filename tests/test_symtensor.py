@@ -639,6 +639,41 @@ def test_tensors_from_totals_compare_on_their_views():
     assert a.scale(F(-2, 3)) == SymTensor.from_totals(2, 2, keys, [-2, 0, 3], 6)
 
 
+@pytest.mark.parametrize("totals,den,factor", [
+    ([5, 0, -13], 48, 8 * 11),
+    ([5, 14, -21], 48, 5 * 7),
+    ([10, 15, -25], 48, 6 * 5),
+    ([4, -9, 0], 90, -12),
+    ([7, 2, 3], 9, 2 ** 200 * 3 ** 5),
+], ids=["shares-with-den", "shares-with-totals", "shares-with-both", "negative", "large"])
+def test_from_totals_with_a_factor_is_in_lowest_terms(totals, den, factor):
+    """factor * totals / den, reduced against the factor and the
+    unmultiplied totals before the factor multiplies: the view is the one
+    the validating constructor clears from the values, in lowest terms,
+    with the zero total's key left out, whichever of den and the totals
+    the factor shares primes with."""
+    keys = [(2, 0), (1, 1), (0, 2)]
+    got = SymTensor.from_totals(2, 2, keys, totals, den, factor)
+    want = t(2, 2, {k: F(factor * x, den) for k, x in zip(keys, totals)})
+    assert got.keys == want.keys and got.cleared == want.cleared
+    multiplied = SymTensor.from_totals(2, 2, keys, [factor * x for x in totals], den)
+    assert got.cleared == multiplied.cleared
+    d, (ints,) = got.cleared
+    assert math.gcd(d, *ints) == 1 and all(ints)
+
+
+def test_a_zero_factor_gives_the_zero_tensor():
+    """A factor of 0 keeps no key, as the moment pass of a body of flat
+    cells needs, at every rank; ``scale(0)`` takes the same path."""
+    for rank, keys in ((2, [(2, 0), (1, 1), (0, 2)]), (0, [()])):
+        zero = SymTensor.from_totals(2, rank, keys, [3] * len(keys), 8, 0)
+        assert zero.is_zero() and zero.keys == () and zero.cleared == (1, ((),))
+        assert zero == SymTensor.zero(2, rank)
+    a = t(2, 2, {(2, 0): F(1, 2), (0, 2): F(-3, 4)})
+    assert a.scale(0).keys == () and a.scale(F(0, 5)) == SymTensor.zero(2, 2)
+    assert a.scale(F(4, 9)).cleared == t(2, 2, {(2, 0): F(2, 9), (0, 2): F(-1, 3)}).cleared
+
+
 @settings(max_examples=30, deadline=None)
 @given(xs=st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=6),
        r=st.integers(min_value=0, max_value=3))
