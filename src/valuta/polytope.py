@@ -58,18 +58,21 @@ lengths and the like), and they sum to zero exactly.  A body keeps its
 atoms, as it keeps its walk: ``Polytope.atoms`` reads them off the
 triangulation once per body, as int totals over one denominator held in
 tuples, so the shared value cannot be changed.  The faces that no other
-cell shares, in sorted order, form a prefix tree like the cells, and one
-exterior-product walk over it (``_face_normals``, the stack of
+cell shares depend on the cells alone, and a body keeps them too, as
+``Polytope.boundary``; ``boundary_atoms`` reads atoms off a view over
+them.  The faces in sorted order form a prefix tree like the cells, and
+one exterior-product walk over it (``_face_normals``, the stack of
 ``cell_dets``) gives each face's normal, its n signed (n-1)-minors, as
-ints on the body's view, laid out so by the step from level n - 2.
+ints on the view, laid out so by the step from level n - 2.
 ``atom_totals`` returns the kept atoms,
 ``surface_area_measure`` builds its ``FacetDatum``s from them, ``validate``
 compares them with the cells' walk, and the surface-area pairing of
 ``valuation_lab`` reads the totals themselves.  So a body keeps its walk,
-its plan and its atoms.  An affine image is handed its source's walk and
-plan, never its atoms: it reads its atoms off its own points, so the
-transfer check, which compares them with the source's, never assumes the
-identity it checks.
+its plan, its boundary and its atoms.  An affine image is handed its
+source's walk and plan, never its boundary or atoms: it reads its atoms off
+its own points.  The transfer check reads phi K's over K's boundary, the
+combinatorial half, but each normal, side and hyperplane off phi K's own
+ints, so it never assumes the identity it checks.
 
 Polytope JSON:
 ``{"dim": n, "vertices": [["p/q", ...], ...], "triangulation": [[i, ...], ...]}``;
@@ -176,23 +179,12 @@ class Polytope:
         return _moment_plan(self.walk)
 
     @cached_property
-    def atoms(self) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:
-        """The atoms (outward area vectors) of the surface area measure as
-        int totals over one denominator, read off the triangulation once per
-        body: (den, ((total, base), ...)), base a point of the atom's facet
-        on the view (D, pts, ``cleared``) and den = (n-1)! D^(n-1).
-
-        A face that no other cell shares lies on the boundary.  Its area
-        vector is its normal (``_face_normals``, one walk over the sorted
-        boundary faces) over (n-1)!, turned away from its cell's opposite
-        vertex, and the faces on one hyperplane (``_hyperplane``) add up to
-        one atom, in the order their first face has among the cells.  The
-        sums run in ints.  Atoms that sum to 0 are left out.
-
-        Cells of fewer than n + 1 points, degenerate cells and atoms that do
-        not sum to zero (overlapping cells) raise ``GeometryError``.  An
-        affine image reads its own (``_image`` hands it the walk and the
-        plan only)."""
+    def boundary(self) -> tuple[tuple[tuple, ...], tuple[tuple[int, int, int], ...]]:
+        """The faces that no other cell shares, once per body: (faces,
+        sides), the faces sorted, as sorted index tuples, and per face in
+        cell order (i, b, o), i its place in faces, b its first vertex in
+        its cell and o the cell's opposite vertex.  Cells of fewer than
+        n + 1 points raise ``GeometryError``."""
         n = self.dim
         if any(len(cell) != n + 1 for cell in self.triangulation):
             raise GeometryError("surface area measure needs full-dimensional cells")
@@ -201,23 +193,16 @@ class Polytope:
         keys = [tuple(sorted(face)) for face, _ in faces]
         shared = Counter(keys)
         boundary = sorted(key for key, count in shared.items() if count == 1)
-        scale, pts = self.cleared
-        normals = dict(zip(boundary, _face_normals(pts, boundary, n)))
-        atoms: dict = {}
-        for (face, opposite), face_key in zip(faces, keys):
-            normal = normals.get(face_key)
-            if normal is None:
-                continue
-            base = pts[face[0]]
-            side = sum(map(operator.mul, normal, map(operator.sub, pts[opposite], base)))
-            if side == 0:
-                raise GeometryError("degenerate triangulation cell")
-            total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
-            total[:] = map(operator.sub if side > 0 else operator.add, total, normal)
-        totals = tuple((tuple(total), base) for total, base in atoms.values() if any(total))
-        if any(map(sum, zip(*(total for total, _ in totals)))):
-            raise GeometryError("facet area vectors do not close up")
-        return math.factorial(n - 1) * scale ** (n - 1), totals
+        place = {key: i for i, key in enumerate(boundary)}
+        return tuple(boundary), tuple((place[key], face[0], opposite)
+                                      for (face, opposite), key in zip(faces, keys)
+                                      if key in place)
+
+    @cached_property
+    def atoms(self) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:
+        """``boundary_atoms`` on the view ``cleared`` over ``boundary``, once
+        per body; an affine image reads its own (``_image``)."""
+        return boundary_atoms(self.cleared, self.boundary)
 
     def to_json_dict(self) -> dict:
         return {
@@ -557,6 +542,37 @@ def scale(p: Polytope, lam) -> Polytope:
 
 
 # -- facet / surface area data ---------------------------------------------------
+
+
+def boundary_atoms(view: tuple[int, Sequence],
+                   boundary) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:
+    """The atoms (outward area vectors) of the surface area measure of the
+    body on the view's points (D, pts) over its ``Polytope.boundary``, as
+    int totals over one denominator: (den, ((total, base), ...)), base a
+    point of the atom's facet on the view and den = (n-1)! D^(n-1).
+
+    A face's area vector is its normal (``_face_normals``) over (n-1)!,
+    turned away from its cell's opposite vertex, and the faces on one
+    hyperplane (``_hyperplane``) add up to one atom, in the order their
+    first face has among the cells, in ints.  Atoms that sum to 0 are left
+    out.  Degenerate cells and atoms that do not sum to zero (overlapping
+    cells) raise ``GeometryError``."""
+    scale, pts = view
+    n = len(pts[0])
+    faces, sides = boundary
+    normals = list(_face_normals(pts, faces, n))
+    atoms: dict = {}
+    for i, b, opposite in sides:
+        normal, base = normals[i], pts[b]
+        side = sum(map(operator.mul, normal, map(operator.sub, pts[opposite], base)))
+        if side == 0:
+            raise GeometryError("degenerate triangulation cell")
+        total, _ = atoms.setdefault(_hyperplane(normal, base), ([0] * n, base))
+        total[:] = map(operator.sub if side > 0 else operator.add, total, normal)
+    totals = tuple((tuple(total), base) for total, base in atoms.values() if any(total))
+    if any(map(sum, zip(*(total for total, _ in totals)))):
+        raise GeometryError("facet area vectors do not close up")
+    return math.factorial(n - 1) * scale ** (n - 1), totals
 
 
 def atom_totals(p: Polytope) -> tuple[int, tuple[tuple[tuple, tuple], ...]]:

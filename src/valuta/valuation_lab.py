@@ -41,13 +41,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .cplx import CMatrix, Subspace, gram_schmidt, realify
+from .cplx import CMatrix, Subspace, realify
 from .errors import DimensionMismatch, GeometryError, ValutaError
 from .linalg import RMatrix, cabs2, exact_sqrt, interpolation_weights
 from .moment import _shared_passes, moment_tensor
 from .polytope import (
     Polytope,
     atom_totals,
+    boundary_atoms,
     cube,
     linear_image,
     scale,
@@ -136,16 +137,19 @@ def euler_valuation(n: int) -> Valuation:
 def span_lebesgue_valuation(n: int, j: int) -> Valuation:
     """j-dimensional volume of bodies spanning a j-dimensional linear subspace;
     zero on lower-dimensional bodies (the Klain identity probe).  The span is
-    orthonormalised by ``gram_schmidt`` of the body's integer view, whose
-    rows have the vertices' directions."""
+    ``Subspace.span`` of the body's integer view, whose integer view
+    ``subspace_volume`` reads as it is, so n is even.  The origin spans
+    nothing, which ``Subspace.span`` refuses."""
 
     def run(body: Polytope) -> SymTensor:
-        basis = gram_schmidt(body.cleared[1])
-        if len(basis) < j:
+        pts = body.cleared[1]
+        span = Subspace.span(pts) if any(map(any, pts)) else None
+        k = span.dim if span else 0
+        if k < j:
             return SymTensor.scalar(n, Fraction(0))
-        if len(basis) > j:
-            raise GeometryError(f"body spans {len(basis)} dimensions, expected {j}")
-        return SymTensor.scalar(n, subspace_volume(body, basis))
+        if k > j:
+            raise GeometryError(f"body spans {k} dimensions, expected {j}")
+        return SymTensor.scalar(n, subspace_volume(body, span or ()))
 
     return Valuation(f"lebesgue[{j}]", 0, n, run, parity="even", translation="none")
 
@@ -432,8 +436,8 @@ def _signed_power(t: SymTensor, q: int) -> SymTensor:
 def surface_pairing(f: Callable, p: Polytope):
     """Pair an integrand with the surface area measure: the sum of f over
     the outward area vectors, the atoms the body keeps
-    (``polytope.atom_totals``), each divided once from its int total over
-    their shared denominator.
+    (``polytope.atom_totals``), f called once per distinct direction
+    (``_pair``).
 
     For a 1-homogeneous f that is the sum over facets of f at the unit
     normal times the facet measure, an integral against S(K), exact; any
@@ -442,17 +446,26 @@ def surface_pairing(f: Callable, p: Polytope):
     added in facet order with ``+``.  A body with no atoms gives None.
     """
     den, atoms = atom_totals(p)
-    return _pair(f, [tuple(Fraction(x, den) for x in total) for total, _ in atoms])
+    return _pair(f, den, [total for total, _ in atoms], {})
 
 
-def _pair(f: Callable, directions):
-    """f at each direction, folded as ``surface_pairing`` folds; None for none."""
-    values = [f(u) for u in directions]
-    if not values:
+def _pair(f: Callable, den: int, totals, values: dict):
+    """f at each direction, an int total over ``den``, folded as
+    ``surface_pairing`` folds; None for none.  ``values`` maps a direction's
+    lowest-terms view (d, ints), d > 0, to f there: f runs, and builds the
+    direction's ``Fraction``s, only on a view not yet in it."""
+    out = []
+    for total in totals:
+        g = math.gcd(den, *total) * (1 if den > 0 else -1)
+        key = den // g, tuple(x // g for x in total)
+        if key not in values:
+            values[key] = f(tuple(Fraction(x, key[0]) for x in key[1]))
+        out.append(values[key])
+    if not out:
         return None
-    if all(isinstance(v, SymTensor) for v in values):
-        return tensor_sum(values)
-    return sum(values[1:], values[0])
+    if all(isinstance(v, SymTensor) for v in out):
+        return tensor_sum(out)
+    return sum(out[1:], out[0])
 
 
 def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
@@ -463,13 +476,14 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     one (Schneider, *Convex Bodies*, 2014, sec. 4.2), so the transfer holds
     for any integrand; 1-homogeneity only makes each side an integral
     against the surface area measure.  Each body's atoms come off its own
-    points: K's are the ones K keeps (``Polytope.atoms``), read once per
-    body however many checks pair it, and phi K, handed K's walk and
-    plan but never its atoms, reads its own.  phi^-T is applied to K's int
-    totals t: with phi's view (q, A) and A^-1 = R / p
-    (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t is q R^T t over
-    p den, one division per coordinate.  A body with no atoms raises
-    ``GeometryError``.
+    points: K's are the ones K keeps (``Polytope.atoms``), and phi K's are
+    read off phi K's points over K's boundary faces, which depend on the
+    cells alone (``polytope.boundary_atoms``, ``Polytope.boundary``).
+    phi^-T is applied to K's int totals t: with phi's view (q, A) and
+    A^-1 = R / p (``linalg.inverse_view``, one Gauss-Jordan), phi^-T t is
+    q R^T t over p den.  The sides share one table of f's values
+    (``_pair``), so f runs once per distinct direction, and each side folds
+    its own values.  A body with no atoms raises ``GeometryError``.
     """
     if abs(phi.det) != 1:
         raise GeometryError(f"transfer needs det +-1, got {phi.det}")
@@ -480,9 +494,11 @@ def transfer_check(f: Callable, phi: RMatrix, p: Polytope) -> CheckReport:
     q, rows = phi.cleared
     last, adj = linalg.inverse_view(rows)
     cols = list(zip(*adj))
-    lhs = surface_pairing(f, linear_image(phi, p))
-    rhs = _pair(f, [tuple(Fraction(q * sum(map(operator.mul, col, t)), last * den)
-                          for col in cols) for t, _ in atoms])
+    image_den, image_atoms = boundary_atoms(linear_image(phi, p).cleared, p.boundary)
+    values: dict = {}
+    lhs = _pair(f, image_den, [total for total, _ in image_atoms], values)
+    rhs = _pair(f, last * den, [tuple(q * sum(map(operator.mul, col, t)) for col in cols)
+                                for t, _ in atoms], values)
     if not isinstance(lhs, SymTensor):
         lhs, rhs = SymTensor.scalar(p.dim, lhs), SymTensor.scalar(p.dim, rhs)
     return _verdict("surface-transfer", [(lhs, rhs, {"det": format_rational(phi.det)})])

@@ -385,12 +385,30 @@ def test_cell_determinants_are_walked_only_by_the_memo():
 
 
 def test_face_normals_are_walked_only_by_the_memo():
-    """``polytope._face_normals`` is called only by ``Polytope.atoms``, which
-    keeps each body's atoms: no reader of a body's surface area measure
-    walks its boundary faces past the memo."""
-    calling = sorted((path.stem, fn.name) for path in SOURCES for fn in _functions(path)
-                     if "_face_normals" in _called(fn))
-    assert calling == [("polytope", "atoms")]
+    """``polytope._face_normals`` is called only by ``boundary_atoms``, which
+    only ``Polytope.atoms``, keeping each body's atoms, and
+    ``transfer_check``, on the image phi K it makes, call: no other reader
+    of a body's surface area measure walks its boundary faces past the
+    memo."""
+    calls = {(path.stem, fn.name): _called(fn) for path in SOURCES for fn in _functions(path)}
+    assert sorted(site for site, names in calls.items() if "_face_normals" in names) == [
+        ("polytope", "boundary_atoms")]
+    assert sorted(site for site, names in calls.items() if "boundary_atoms" in names) == [
+        ("polytope", "atoms"), ("valuation_lab", "transfer_check")]
+
+
+def test_span_volume_reads_the_span_view():
+    """``span_lebesgue_valuation`` takes the body's span as ``Subspace.span``
+    of its integer view, which ``subspace_volume`` reads as it is: no
+    function of ``valuation_lab`` calls ``gram_schmidt``, whose unit vectors
+    are ``Fraction``s to be cleared again."""
+    from valuta import valuation_lab
+
+    path = PYPROJECT.parent / "src" / "valuta" / "valuation_lab.py"
+    calls = {fn.name: _called(fn) for fn in _functions(path)}
+    assert "span" in calls["span_lebesgue_valuation"]
+    assert not any("gram_schmidt" in names for names in calls.values())
+    assert not hasattr(valuation_lab, "gram_schmidt")
 
 
 def test_one_prefix_wedge_loop():

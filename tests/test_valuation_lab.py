@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     cube_probe_by_points, float_twin, multi_indices, rehomogeneity_by_nested_dilates,
-    simplex_probe_by_points, subspace_volume_generators, support, transfer_check_fractions,
+    mat_vec_fractions, simplex_probe_by_points, subspace_volume_generators, support,
+    transfer_check_fractions,
 )
 from valuta import linalg, moment, polytope, symtensor, valuation_lab
 from valuta.cplx import CMatrix, Subspace, realify, sample_subspace, sl_mc_element
@@ -190,13 +191,19 @@ class TestKlain:
             assert type(reports[-1].max_residual) is F and reports[-1].max_residual == 0
 
     def test_span_volume_of_a_triangle_is_its_area(self):
-        """``span_lebesgue_valuation`` orthonormalises the body's span by
-        ``gram_schmidt``: the standard triangle has area 1/2, in the plane
-        and in a tilted plane of R^4 alike."""
+        """``span_lebesgue_valuation`` takes the body's span as
+        ``Subspace.span`` of its integer view: the standard triangle has
+        area 1/2, in the plane and in a tilted plane of R^4 alike.  A body
+        spanning fewer dimensions, the point at the origin among them, which
+        spans nothing, gives 0; the origin has 0-volume 1."""
         assert span_lebesgue_valuation(2, 2)(std_triangle) == SymTensor.scalar(2, F(1, 2))
         u, v = (F(3, 5), F(4, 5), 0, 0), (0, 0, 0, 1)
         tilted = simplex([(0, 0, 0, 0), u, v])
         assert span_lebesgue_valuation(4, 2)(tilted) == SymTensor.scalar(4, F(1, 2))
+        origin = simplex([(0, 0, 0, 0)])
+        for body in (simplex([(0, 0, 0, 0), u]), origin):
+            assert span_lebesgue_valuation(4, 2)(body) == SymTensor.scalar(4, 0)
+        assert span_lebesgue_valuation(4, 0)(origin) == SymTensor.scalar(4, 1)
 
     def test_exact_probe_mismatch_rejected(self):
         """The cube probe reads 1 + 10^-12 and the simplex probe 1 + 10^-12 / 2:
@@ -640,6 +647,44 @@ class TestTransfer:
         assert seen == [body.cleared[1], image.cleared[1]] and seen[0] != seen[1]
 
 
+    def test_integrand_runs_once_per_distinct_direction(self):
+        """The two sides of a passing transfer pair f on the same
+        directions, so f runs once per distinct one: 16 times on a
+        4-crosspolytope's 16 atoms, on the image's directions as
+        ``Fraction``s."""
+        body = crosspolytope([(1, F(1, 2), 0, 0), (0, 1, F(-1, 3), 0), (0, 0, 1, 2),
+                              (F(1, 5), 0, 0, 1)])
+        phi = RMatrix.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, 0], [0, 0, 1, F(-2, 3)],
+                                 [0, 0, 0, 1]])
+        seen = []
+        report = transfer_check(lambda v: seen.append(v) or vector_power(v, 2), phi, body)
+        assert report.passed and len(body.atoms[1]) == 16
+        image = surface_area_measure(linear_image(phi, body))
+        assert seen == [atom.direction for atom in image]
+        assert all(type(x) is F for v in seen for x in v)
+
+    def test_planted_inverse_pairs_f_on_the_planted_directions(self, monkeypatch):
+        """Planted: phi^T in place of phi^-T (phi is an int shear, so its
+        view is phi over 1).  f still runs on each planted direction that
+        is not an image direction, once, and the report is the oracle's
+        with phi^T planted the same way (``linalg.inv`` as the identity)."""
+        phi = RMatrix.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+        body = box([0, F(-1, 2), F(1, 3)], [1, 1, 2])
+        seen = []
+        monkeypatch.setattr(linalg, "inverse_view", lambda m: (1, m))
+        report = transfer_check(lambda v: seen.append(v) or vector_power(v, 2), phi, body)
+        image = [atom.direction for atom in surface_area_measure(linear_image(phi, body))]
+        planted = [mat_vec_fractions(linalg.transpose(phi.entries), atom.direction)
+                   for atom in surface_area_measure(body)]
+        # phi^T and phi^-T agree on the four atoms normal to e_2 and e_3.
+        assert len(set(image) & set(planted)) == 4
+        assert seen == image + [u for u in planted if u not in image]
+        monkeypatch.setattr(linalg, "inv", lambda m: m)
+        want = transfer_check_fractions(lambda v: vector_power(v, 2), phi, body)
+        assert not report.passed and report.max_residual != 0
+        assert report == want
+
+
 @st.composite
 def transfer_cases(draw):
     """An exact simplex, crosspolytope or Kuhn box in R^2..R^4, perhaps moved
@@ -684,6 +729,21 @@ def test_transfer_reports_equal_the_fraction_pairing(case, square):
     def f(v):
         return vector_power(v, 2) if square else v[0] * v[-1] - 3 * v[1] ** 3
     assert transfer_check(f, phi, body) == transfer_check_fractions(f, phi, body)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=transfer_cases())
+def test_image_atoms_over_the_source_boundary_are_its_own(case):
+    """The boundary faces depend on the cells alone: phi K's atoms read off
+    its own points over K's ``boundary`` equal those of its points rebuilt
+    as a body, which finds its own boundary, and the image is handed no
+    boundary."""
+    body, phi = case
+    image = linear_image(phi, body)
+    twin = Polytope(body.dim, image.vertices, image.triangulation)
+    assert polytope.boundary_atoms(image.cleared, body.boundary) == twin.atoms
+    assert twin.boundary == body.boundary
+    assert "boundary" not in vars(image) and "atoms" not in vars(image)
 
 
 class TestParitySplit:
@@ -963,13 +1023,16 @@ def _scaling(eps):
 
 
 def _transfer(eps):
-    """The original body's atoms are planted off by a factor 1 + eps; its
-    image's atoms are read off the triangulation."""
+    """The original body's atoms are planted off by a factor 1 + eps = a / b,
+    in ints: each total x a over den b; its image's atoms are read off its
+    own points."""
+    a, b = (1 + eps).as_integer_ratio()
+
     def planted(body):
         den, atoms = polytope.atom_totals(body)
         if body is not decimal_triangle:
             return den, atoms
-        return den, [([x * (1 + eps) for x in total], base) for total, base in atoms]
+        return den * b, [([x * a for x in total], base) for total, base in atoms]
 
     shear = RMatrix.from_rows([[1, F(1, 2)], [0, 1]])
     with mock.patch.object(valuation_lab, "atom_totals", planted):
